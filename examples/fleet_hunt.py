@@ -4,11 +4,11 @@
 ``multiprocessing`` pool.  ``run_fleet`` runs the same sharded
 campaign over a wire protocol instead (``docs/protocol.md``): a
 coordinator streams work units to warm worker processes — local
-children over stdio pipes here, but the identical protocol carries
-TCP workers attached from other shells or hosts with ``python -m
-repro submit``.  Workers heartbeat while busy; a worker that dies
-mid-shard has its shard re-queued, so the merged report is the same
-one an uninterrupted run produces.
+children forked from it, each on an inherited pipe pair, here, but the
+identical protocol carries TCP workers attached from other shells or
+hosts with ``python -m repro submit``.  Workers heartbeat while busy;
+a worker that dies mid-shard has its shard re-queued, so the merged
+report is the same one an uninterrupted run produces.
 
 The command-line twin of this script:
 

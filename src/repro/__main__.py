@@ -22,14 +22,17 @@ Subcommands
 
 ``serve --config FILE``
     Coordinate a distributed campaign fleet: shard the campaign across
-    local stdio workers (``--workers N``) and/or TCP workers accepted on
+    local workers forked from the coordinator (``--workers N``) and/or
+    TCP workers accepted on
     ``--port`` (``python -m repro worker`` / ``submit``), merge their
     reports, checkpoint progress.  See docs/protocol.md.
 
 ``worker (--stdio | --host H --port P)``
     One fleet worker process: handshake with a coordinator, run shards
-    until told to shut down.  ``serve --workers`` spawns these itself;
-    remote hosts run them explicitly (usually via ``submit``).
+    until told to shut down.  ``serve --workers`` starts its own over
+    inherited pipes; remote hosts run this command (usually via
+    ``submit``), and ``--stdio`` is the entry point for any launcher
+    that hands the worker a pipe pair, such as ssh.
 
 ``submit --host H --port P --workers N``
     Attach N worker processes to a running coordinator and wait for the
@@ -307,7 +310,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="spawn N local stdio worker processes (default: 0)",
+        help="start N local worker processes, forked from the coordinator "
+        "(default: 0)",
     )
     serve.add_argument(
         "--checkpoint", metavar="FILE",
@@ -333,8 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument(
         "--stdio", action="store_true",
-        help="speak the protocol over stdin/stdout (how 'serve --workers' "
-        "runs its local workers)",
+        help="speak the protocol over stdin/stdout (for launchers that "
+        "hand the worker a pipe pair, such as ssh)",
     )
     worker.add_argument(
         "--host", help="coordinator host to connect to over TCP"

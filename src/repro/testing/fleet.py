@@ -21,7 +21,9 @@ tests cite its section numbers.  The load-bearing choices:
 * **Warm workers, batched specs.**  A worker process handshakes once,
   then runs *many* shards back to back — each shard constructs a fresh
   strategy from its picklable spec, so there is no fork per spec and no
-  state bleed between shards (protocol §5).
+  state bleed between shards (protocol §5).  The coordinator's own
+  local workers (``--workers N``) are forked from it after it has
+  resolved and compiled the program, so they start warm too.
 * **Results are detached reports.**  A finished shard comes back as a
   base64-pickled *detached* :class:`~repro.testing.engine.TestReport`
   inside a JSON frame; the coordinator folds shards with the same
@@ -48,10 +50,12 @@ import pickle
 import select
 import socket
 import struct
-import subprocess
-import sys
 import time
-from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Set, Tuple
+import traceback
+from typing import (
+    TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Sequence, Set,
+    Tuple,
+)
 
 if TYPE_CHECKING:  # circular at runtime: config is the layer above
     from .config import TestConfig
@@ -69,6 +73,7 @@ from .portfolio import (
     StrategySpec,
     make_strategy,
     merge_shard_reports,
+    worker_context,
 )
 from .telemetry import EventLog
 
@@ -97,7 +102,7 @@ DEFAULT_WORKER_TIMEOUT = 30.0
 #: Times one shard is re-queued after worker loss before being abandoned.
 DEFAULT_MAX_REQUEUES = 2
 
-#: Times one local stdio worker slot is respawned after its process dies.
+#: Times one local worker slot is respawned after its process dies.
 DEFAULT_MAX_RESPAWNS = 2
 
 
@@ -130,7 +135,7 @@ class Connection:
     """One framed-message peer over a pair of raw file descriptors.
 
     Works identically for a TCP socket (both fds are the socket's) and a
-    pipe pair (a local worker's stdout/stdin) — reads go through
+    pipe pair (a local worker's, or stdin/stdout) — reads go through
     ``select`` + ``os.read`` with an internal reassembly buffer, so
     partial frames, coalesced frames and timeouts behave the same on
     both transports.  Single-threaded use only; the fleet never shares a
@@ -149,7 +154,7 @@ class Connection:
         self._read_fd = read_fd
         self._write_fd = write_fd
         self._sock = sock  # kept alive (and closed) with the connection
-        # File objects that OWN the fds (e.g. a Popen's stdin/stdout).
+        # Objects that OWN the fds (e.g. a local worker's pipe ends).
         # close() must go through them, never os.close() the raw
         # numbers: a raw double-close races fd reuse and can tear down
         # an unrelated socket that inherited the number.
@@ -166,6 +171,10 @@ class Connection:
 
     def fileno(self) -> int:
         return self._read_fd
+
+    def filenos(self) -> Set[int]:
+        """Every descriptor this connection holds open."""
+        return {self._read_fd, self._write_fd}
 
     # -- sending -------------------------------------------------------
     def send(self, message: Dict[str, Any]) -> None:
@@ -269,7 +278,7 @@ class Connection:
                 except OSError:
                     pass
         else:
-            for fd in {self._read_fd, self._write_fd}:
+            for fd in self.filenos():
                 try:
                     os.close(fd)
                 except OSError:
@@ -298,7 +307,7 @@ def decode_report(text: Any) -> TestReport:
 
 
 def worker_environment() -> Dict[str, str]:
-    """Environment for a spawned worker subprocess: the coordinator's
+    """Environment for a ``python -m repro worker`` subprocess: the caller's
     environment with the running ``repro`` package's root prepended to
     ``PYTHONPATH``, so ``python -m repro worker`` resolves to the same
     code regardless of how the coordinator was launched."""
@@ -506,21 +515,71 @@ def _spec_from_wire(value: Any) -> StrategySpec:
     return StrategySpec(value["name"], dict(value.get("params", {})))
 
 
+def _local_worker(reader: Any, writer: Any, inherited: Sequence[int]) -> None:
+    """Process target of one coordinator-started worker (§1): speak the
+    worker half of the protocol over the pipe pair ``reader``/``writer``.
+
+    ``inherited`` are the coordinator's own descriptors a *forked* child
+    holds copies of — other peers' connections, the parent's ends of this
+    very pipe pair, the TCP listener, the event log.  They are closed
+    first: a copy kept open here would hide EOF from whoever is at the
+    other end (a peer the coordinator dropped, or this worker itself once
+    the coordinator is gone).
+
+    Leaves through ``os._exit``: a forked child must not run the
+    coordinator's exit handlers or flush its inherited stdio buffers."""
+    code = 1
+    try:
+        for fd in inherited:
+            try:
+                os.close(fd)
+            except OSError:
+                pass
+        worker_loop(
+            Connection(reader.fileno(), writer.fileno(), label="coordinator")
+        )
+        code = 0
+    except (ConnectionClosed, KeyboardInterrupt):
+        pass  # the coordinator is gone or interrupted; it reports, not us
+    except Exception:  # noqa: BLE001 - nobody above us to raise to
+        traceback.print_exc()
+    finally:
+        os._exit(code)
+
+
 # ---------------------------------------------------------------------------
 # Coordinator side (§3–§7)
 # ---------------------------------------------------------------------------
+def _reap(children: Sequence[Any], window: float) -> None:
+    """Collect every local worker process.  All of them share one
+    ``window`` of seconds to exit on their own, the stragglers one more
+    after SIGTERM and one after SIGKILL — N wedged workers cost what one
+    does, and none is left a zombie."""
+    for escalation in (None, "terminate", "kill"):
+        alive = [child for child in children if child.is_alive()]
+        if not alive:
+            return
+        if escalation is not None:
+            for child in alive:
+                getattr(child, escalation)()
+        deadline = time.monotonic() + window
+        for child in alive:
+            child.join(max(0.0, deadline - time.monotonic()))
+
+
 class _Peer:
     """Coordinator-side state for one worker connection."""
 
     __slots__ = (
         "conn", "stage", "shard", "last_seen", "proc", "slot", "pid",
+        "results",
     )
 
     def __init__(
         self,
         conn: Connection,
         *,
-        proc: Optional[subprocess.Popen] = None,
+        proc: Any = None,  # multiprocessing Process of a local worker
         slot: Optional[int] = None,
     ) -> None:
         self.conn = conn
@@ -530,6 +589,7 @@ class _Peer:
         self.proc = proc
         self.slot = slot
         self.pid: Optional[int] = None
+        self.results = 0  # result frames this peer delivered
 
 
 def run_fleet(
@@ -550,8 +610,12 @@ def run_fleet(
 
     Work sources: a TCP listener on ``host:port`` (``port=0`` binds an
     ephemeral port, reported through ``on_listen``) accepting remote
-    ``python -m repro worker`` processes, and/or ``local_workers`` stdio
-    worker subprocesses spawned (and respawned, bounded) directly.  At
+    ``python -m repro worker`` processes, and/or ``local_workers`` worker
+    processes started (and respawned, bounded) directly: children of the
+    ``config.start_method`` multiprocessing context the portfolio uses,
+    each on a pipe pair of its own.  Where that is ``fork`` they inherit
+    the resolved program and compiled main machine class and are ready
+    within milliseconds; every one is joined before this returns.  At
     least one source is required.
 
     The campaign is ``config.portfolio_specs()`` — identical shards, in
@@ -603,6 +667,7 @@ def run_fleet(
     requeues: Dict[int, int] = {}
     abandoned: Set[int] = set()
     peers: List[_Peer] = []
+    local_peers: List[_Peer] = []  # every local worker ever started
     respawns_by_slot: Dict[int, int] = {}
     winner_index: Optional[int] = None
     cancelled = False
@@ -613,6 +678,7 @@ def run_fleet(
         start + config.time_limit if config.time_limit is not None else None
     )
     hard_stop: Optional[float] = None
+    ctx = worker_context(config)
 
     listener: Optional[socket.socket] = None
     if port is not None:
@@ -652,20 +718,38 @@ def run_fleet(
             )
 
     def spawn_local(slot: int) -> None:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker", "--stdio"],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            bufsize=0,
-            env=worker_environment(),
+        """Start one local worker on a fresh pipe pair (§1)."""
+        work_r, work_w = ctx.Pipe(duplex=False)  # coordinator -> worker
+        back_r, back_w = ctx.Pipe(duplex=False)  # worker -> coordinator
+        inherited: List[int] = []
+        if ctx.get_start_method() == "fork":
+            # Only a forked child holds copies of our descriptors; a
+            # spawned one is handed its pipe pair and nothing else.
+            inherited = [work_w.fileno(), back_r.fileno()]
+            for peer in peers:
+                inherited.extend(peer.conn.filenos())
+            if listener is not None:
+                inherited.append(listener.fileno())
+            if events is not None:
+                inherited.append(events.fileno())
+        proc = ctx.Process(
+            target=_local_worker,
+            args=(work_r, back_w, inherited),
+            daemon=True,
+            name=f"fleet-worker-{slot}",
         )
+        proc.start()
+        work_r.close()
+        back_w.close()
         conn = Connection(
-            proc.stdout.fileno(),
-            proc.stdin.fileno(),
-            files=(proc.stdout, proc.stdin),
+            back_r.fileno(),
+            work_w.fileno(),
+            files=(back_r, work_w),
             label=f"local-{slot}(pid {proc.pid})",
         )
-        peers.append(_Peer(conn, proc=proc, slot=slot))
+        peer = _Peer(conn, proc=proc, slot=slot)
+        peers.append(peer)
+        local_peers.append(peer)
         emit("fleet_worker_spawn", slot=slot, pid=proc.pid)
 
     def cancel_all(reason: str) -> None:
@@ -758,8 +842,8 @@ def run_fleet(
                 pending.append(shard)
                 emit("fleet_shard_requeued", shard=shard, attempt=count + 1)
         if peer.proc is not None:
-            if peer.proc.poll() is None:
-                peer.proc.terminate()
+            if peer.proc.is_alive():
+                peer.proc.terminate()  # joined with the rest on the way out
             slot = peer.slot if peer.slot is not None else -1
             if (
                 not clean
@@ -824,10 +908,20 @@ def run_fleet(
                 if isinstance(record, dict):
                     events.forward(record)
         elif mtype == "result":
-            shard = int(message["shard"])
-            report = decode_report(message.get("report"))
+            shard = message.get("shard")
+            if type(shard) is not int or "report" not in message:
+                raise ProtocolError(
+                    f"malformed result frame from {peer.conn.label}"
+                )
+            if shard != peer.shard:
+                raise ProtocolError(
+                    f"{peer.conn.label} sent a result for shard {shard}, "
+                    "which it was not assigned"
+                )
+            report = decode_report(message["report"])
             peer.shard = None
             peer.stage = "idle"
+            peer.results += 1
             partial = bool(message.get("canceled")) or cancelled
             accept_result(shard, report, partial)
             if not cancelled:
@@ -849,6 +943,11 @@ def run_fleet(
             local_workers=local_workers,
             listening=bool(listener),
         )
+        if local_workers > 0:
+            # Warm start: what a forked worker would otherwise redo per
+            # process (import the program, compile the main machine
+            # class) happens once, here, and is inherited.
+            config.resolve_program()[0].inline_compatible()
         for slot in range(max(0, local_workers)):
             spawn_local(slot)
 
@@ -936,14 +1035,21 @@ def run_fleet(
                     now - peer.last_seen > worker_timeout
                 ):
                     drop(peer, "heartbeat went stale")
-                elif peer.proc is not None and peer.proc.poll() is not None:
+                elif peer.proc is not None and not peer.proc.is_alive():
                     # A dead local process also surfaces as EOF on its
                     # pipe, but reap it promptly even if the pipe
                     # lingers open in a grandchild.
                     drop(
                         peer,
-                        f"local worker exited with {peer.proc.returncode}",
+                        f"local worker exited with {peer.proc.exitcode}",
                     )
+                elif peer.stage == "idle":
+                    # A shard re-queued while this worker sat idle would
+                    # otherwise wait for a result frame that never comes.
+                    try:
+                        assign(peer)
+                    except ProtocolError as exc:
+                        drop(peer, str(exc))
     except KeyboardInterrupt:
         interrupted = True
         cancel_all("keyboard interrupt")
@@ -969,25 +1075,21 @@ def run_fleet(
                 except (ConnectionClosed, ProtocolError) as exc:
                     drop(peer, str(exc))
     finally:
-        for peer in list(peers):
+        for peer in peers:
             try:
                 peer.conn.send({"type": "shutdown"})
             except ProtocolError:
                 pass
-        for peer in list(peers):
-            if peer.proc is not None:
-                try:
-                    peer.proc.wait(timeout=1.0)
-                except subprocess.TimeoutExpired:
-                    pass
             peer.conn.close()
-            if peer.proc is not None and peer.proc.poll() is None:
-                peer.proc.terminate()
-                try:
-                    peer.proc.wait(timeout=2.0)
-                except subprocess.TimeoutExpired:
-                    peer.proc.kill()
-                    peer.proc.wait(timeout=2.0)
+        _reap([peer.proc for peer in local_peers], min(grace, 2.0))
+        for peer in local_peers:
+            emit(
+                "fleet_worker_exit",
+                slot=peer.slot,
+                pid=peer.proc.pid,
+                shards=peer.results,
+                exitcode=peer.proc.exitcode,
+            )
         peers.clear()
         if listener is not None:
             listener.close()

@@ -325,6 +325,19 @@ DEFAULT_HEARTBEAT_TIMEOUT = 30.0
 DEFAULT_MAX_RESPAWNS = 2
 
 
+def worker_context(config: "TestConfig") -> Any:
+    """The ``multiprocessing`` context a campaign's worker processes
+    start from — the portfolio's shards and the fleet's local workers:
+    ``config.start_method``, defaulting to ``fork`` (workers share the
+    already-imported program modules and compiled machine classes) where
+    the platform has it and to the platform default elsewhere."""
+    start_method = config.start_method
+    if start_method is None:
+        methods = multiprocessing.get_all_start_methods()
+        start_method = "fork" if "fork" in methods else methods[0]
+    return multiprocessing.get_context(start_method)
+
+
 def run_portfolio(
     config: "TestConfig",
     *,
@@ -388,14 +401,7 @@ def run_portfolio(
         # must raise here, not silently produce an empty worker shard.
         make_strategy(spec)
     fingerprint = config_fingerprint(config) if checkpoint is not None else None
-    start_method = config.start_method
-    if start_method is None:
-        # fork shares the already-imported program modules with workers;
-        # fall back to the platform default elsewhere.
-        methods = multiprocessing.get_all_start_methods()
-        start_method = "fork" if "fork" in methods else methods[0]
-
-    ctx = multiprocessing.get_context(start_method)
+    ctx = worker_context(config)
     cancel = ctx.Event()
     results = ctx.Queue()
     # Raw shared doubles, one per shard: each worker stamps its slot with

@@ -305,6 +305,9 @@ class EventLog:
         except (OSError, ValueError, TypeError):
             pass
 
+    def fileno(self) -> int:
+        return self._fh.fileno()
+
     def close(self) -> None:
         try:
             self._fh.close()

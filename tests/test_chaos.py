@@ -9,6 +9,7 @@ merged report, leaks no child processes, and never re-runs work a
 checkpoint already persisted.
 """
 
+import json
 import multiprocessing
 import os
 import signal
@@ -27,6 +28,7 @@ from repro.testing.checkpoint import (
     save_checkpoint,
 )
 from repro.testing.config import Campaign
+from repro.testing.fleet import run_fleet
 from repro.testing.portfolio import run_portfolio
 
 from .machines import Ping, SelfLoop
@@ -101,6 +103,78 @@ class TestWorkerCrashResilience:
         )
         report = run_portfolio(config)
         assert len(report.sub_reports) == len(TWO_SHARDS)
+        assert _drain_children() == []
+
+
+class TestFleetWorkerCrashResilience:
+    def test_sigkilled_forked_worker_is_respawned_and_merge_completes(
+        self, tmp_path
+    ):
+        # protocol.md §6 for the coordinator's own (forked) workers: the
+        # victim's shard is re-queued, its slot respawned, and the merged
+        # report is the one an undisturbed run produces.
+        events_path = tmp_path / "fleet.events.jsonl"
+        config = TestConfig(
+            program="BoundedAsync",
+            specs=TWO_SHARDS + (
+                StrategySpec("pct", {"depth": 10, "seed": 3}),
+                StrategySpec("delay-bounding", {"delays": 2, "seed": 4}),
+            ),
+            max_iterations=3_000,
+            time_limit=120.0,
+            stop_on_first_bug=False,
+        )
+
+        def events(*types):
+            if not events_path.exists():
+                return []
+            with open(events_path, encoding="utf-8") as fh:
+                records = [json.loads(line) for line in fh if line.strip()]
+            return [r for r in records if r["type"] in types]
+
+        killed = []
+
+        def kill_one_worker():
+            deadline = time.monotonic() + 20.0
+            while time.monotonic() < deadline:
+                if len(events("fleet_work_assigned")) >= 2:
+                    time.sleep(0.2)  # let it get into the middle of a shard
+                    victim = events("fleet_worker_spawn")[0]["pid"]
+                    os.kill(victim, signal.SIGKILL)
+                    killed.append(victim)
+                    return
+                time.sleep(0.02)
+
+        killer = threading.Thread(target=kill_one_worker)
+        killer.start()
+        try:
+            report = run_fleet(
+                config.with_overrides(events_path=str(events_path)),
+                local_workers=2,
+            )
+        finally:
+            killer.join()
+
+        assert killed, "killer thread never saw two busy workers"
+        undisturbed = Campaign(config).portfolio()
+        assert report.iterations == undisturbed.iterations == 4 * 3_000
+        assert {b.trace.fingerprint() for b in report.bugs} == {
+            b.trace.fingerprint() for b in undisturbed.bugs
+        }
+        recovery = [
+            record["type"]
+            for record in events(
+                "fleet_worker_lost", "fleet_shard_requeued",
+                "fleet_worker_respawn",
+            )
+        ]
+        assert recovery == [
+            "fleet_worker_lost", "fleet_shard_requeued", "fleet_worker_respawn",
+        ]
+        exits = {r["pid"]: r for r in events("fleet_worker_exit")}
+        assert len(exits) == 3  # two originals and the replacement
+        assert exits[killed[0]]["exitcode"] == -signal.SIGKILL
+        assert sum(r["shards"] for r in exits.values()) == 4
         assert _drain_children() == []
 
 

@@ -26,6 +26,7 @@ import pytest
 
 from repro import Campaign, PSharpError, StrategySpec, TestConfig
 from repro.testing.checkpoint import load_checkpoint, save_checkpoint
+from repro.testing.engine import TestReport
 from repro.testing.fleet import (
     MAX_FRAME,
     PROTOCOL_VERSION,
@@ -33,7 +34,10 @@ from repro.testing.fleet import (
     ConnectionClosed,
     ProtocolError,
     _encode_frame,
+    decode_report,
+    encode_report,
     run_fleet,
+    worker_environment,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,6 +86,29 @@ def start_fleet(config, **kwargs):
     thread = threading.Thread(target=target, daemon=True)
     thread.start()
     return thread, box
+
+
+def start_fleet_with_clients(config, openers, **kwargs):
+    """:func:`start_fleet` on an ephemeral port, with one raw TCP client
+    per entry of ``openers`` connected — and those opening bytes sent —
+    from inside ``on_listen``: before the coordinator starts its first
+    worker, so a campaign that warm local workers finish in milliseconds
+    cannot be over before a test's hand-rolled peer is in.  Returns
+    ``(thread, box, sockets)``."""
+    socks = []
+
+    def dial(host, port):
+        for opener in openers:
+            sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
+            sock.sendall(opener)
+            socks.append(sock)
+
+    thread, box = start_fleet(config, port=0, on_listen=dial, **kwargs)
+    wait_for(
+        lambda: len(socks) == len(openers) or "error" in box,
+        message="clients connected",
+    )
+    return thread, box, socks
 
 
 def finish_fleet(thread, box, timeout=90.0):
@@ -286,17 +313,11 @@ class TestFleetFailureModes:
         # error frame and a closed connection; the campaign is
         # unaffected.
         config = fleet_config(max_iterations=20)
-        ports = []
-        thread, box = start_fleet(
-            config,
-            port=0,
-            local_workers=1,
-            on_listen=lambda host, port: ports.append(port),
+        hello = {"type": "hello", "protocol": 999, "pid": os.getpid()}
+        thread, box, (sock,) = start_fleet_with_clients(
+            config, [_encode_frame(hello)], local_workers=1
         )
-        wait_for(lambda: ports, message="listener bound")
-        sock = socket.create_connection(("127.0.0.1", ports[0]), timeout=5.0)
         imposter = Connection.from_socket(sock, label="imposter")
-        imposter.send({"type": "hello", "protocol": 999, "pid": os.getpid()})
         reply = imposter.recv(timeout=10.0)
         assert reply["type"] == "error"
         assert "protocol version" in reply["message"]
@@ -310,16 +331,9 @@ class TestFleetFailureModes:
     def test_garbage_client_does_not_kill_campaign(self):
         # §6: an undecodable frame drops that connection, nothing else.
         config = fleet_config(max_iterations=20)
-        ports = []
-        thread, box = start_fleet(
-            config,
-            port=0,
-            local_workers=1,
-            on_listen=lambda host, port: ports.append(port),
+        thread, box, (sock,) = start_fleet_with_clients(
+            config, [b"\x00\x00\x00\x04spam"], local_workers=1
         )
-        wait_for(lambda: ports, message="listener bound")
-        sock = socket.create_connection(("127.0.0.1", ports[0]), timeout=5.0)
-        sock.sendall(b"\x00\x00\x00\x04spam")
         report = finish_fleet(thread, box)
         sock.close()
         assert report.iterations == 20 * len(FOUR_SHARDS)
@@ -327,6 +341,200 @@ class TestFleetFailureModes:
     def test_fleet_without_worker_sources_is_rejected(self):
         with pytest.raises(PSharpError, match="worker source"):
             run_fleet(fleet_config())
+
+
+HELLO = _encode_frame(
+    {"type": "hello", "protocol": PROTOCOL_VERSION, "pid": os.getpid()}
+)
+
+
+def await_work(sock):
+    """The rest of the §3 handshake for a hand-rolled peer that already
+    sent :data:`HELLO`: welcome, then a shard.  Returns ``(connection,
+    work frame)``."""
+    imposter = Connection.from_socket(sock, label="imposter")
+    assert imposter.recv(timeout=10.0)["type"] == "welcome"
+    work = imposter.recv(timeout=10.0)
+    assert work["type"] == "work"
+    return imposter, work
+
+
+def expect_dropped(imposter):
+    with pytest.raises(ConnectionClosed):
+        while True:
+            assert imposter.recv(timeout=10.0) is not None, "not dropped"
+    imposter.close()
+
+
+def events_of(path, *types):
+    return [event for event in read_events(path) if event["type"] in types]
+
+
+class TestHostileResults:
+    """§6: a peer that completed the handshake and then sends a malformed
+    or unsolicited ``result`` is dropped and its shard re-queued — the
+    coordinator survives and the merge is complete."""
+
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda work, report: {"type": "result", "report": report},
+            lambda work, report: {
+                "type": "result", "shard": str(work["shard"]), "report": report,
+            },
+            lambda work, report: {"type": "result", "shard": work["shard"]},
+            lambda work, report: {
+                "type": "result", "shard": work["shard"] + 1, "report": report,
+            },
+        ],
+        ids=["no-shard", "non-integer-shard", "no-report", "unassigned-shard"],
+    )
+    def test_bad_result_frame_drops_peer_and_requeues(self, tmp_path, forge):
+        events_path = tmp_path / "fleet.events.jsonl"
+        config = fleet_config(max_iterations=20, events_path=str(events_path))
+        thread, box, (sock,) = start_fleet_with_clients(config, [HELLO])
+        port = sock.getpeername()[1]
+        imposter, work = await_work(sock)
+        # A well-formed report, so only the frame around it is at fault.
+        imposter.send(forge(work, encode_report(TestReport(strategy="forged"))))
+        expect_dropped(imposter)
+
+        worker = spawn_tcp_worker(port)
+        try:
+            fleet = finish_fleet(thread, box)
+        finally:
+            worker.communicate(timeout=30)
+        local = Campaign(fleet_config(max_iterations=20)).portfolio()
+        assert fleet.iterations == local.iterations == 20 * len(FOUR_SHARDS)
+        assert fingerprints(fleet) == fingerprints(local)
+        requeued = events_of(events_path, "fleet_shard_requeued")
+        assert [event["shard"] for event in requeued] == [work["shard"]]
+        assert len(events_of(events_path, "fleet_worker_lost")) == 1
+
+
+def open_descriptors():
+    return set(os.listdir("/proc/self/fd"))
+
+
+def reapable_child():
+    """Pid of an exited-but-unreaped child of this process, else 0."""
+    try:
+        return os.waitpid(-1, os.WNOHANG)[0]
+    except ChildProcessError:
+        return 0
+
+
+class TestLocalWorkers:
+    """§1: local workers are started from the coordinator through
+    ``config.start_method`` (fork by default) on inherited pipe pairs."""
+
+    def test_forked_fleet_equals_in_process_run_and_spawned_fleet(self):
+        specs = tuple(
+            StrategySpec("random", {"seed": seed}) for seed in range(40)
+        )
+        config = fleet_config(specs=specs, max_iterations=5)
+        forked = run_fleet(config, local_workers=2)
+        spawned = run_fleet(
+            config.with_overrides(start_method="spawn"), local_workers=2
+        )
+        in_process = [
+            Campaign(config.with_overrides(specs=None, strategy=spec)).run()
+            for spec in specs
+        ]
+        reference = set().union(*map(fingerprints, in_process))
+        assert reference, "the comparison needs bugs to compare"
+        assert forked.iterations == spawned.iterations == 40 * 5
+        assert forked.iterations == sum(r.iterations for r in in_process)
+        assert fingerprints(forked) == fingerprints(spawned) == reference
+        assert [sub.iterations for sub in forked.sub_reports] == [5] * 40
+
+    def test_run_fleet_leaves_no_descriptor_child_or_output(
+        self, tmp_path, capfd
+    ):
+        # Library use: whatever the coordinator opened or started it has
+        # closed, joined and kept quiet by the time it returns.
+        events_path = tmp_path / "fleet.events.jsonl"
+        config = fleet_config(max_iterations=20, events_path=str(events_path))
+        assert reapable_child() == 0
+        before = open_descriptors()
+        report = run_fleet(config, port=0, local_workers=2)
+        assert open_descriptors() == before
+        assert reapable_child() == 0
+        captured = capfd.readouterr()
+        assert (captured.out, captured.err) == ("", "")
+        assert report.iterations == 20 * len(FOUR_SHARDS)
+        # One exit row per local worker; together they ran every shard.
+        exits = events_of(events_path, "fleet_worker_exit")
+        spawns = events_of(events_path, "fleet_worker_spawn")
+        assert [e["slot"] for e in exits] == [0, 1]
+        assert [e["pid"] for e in exits] == [e["pid"] for e in spawns]
+        assert [e["exitcode"] for e in exits] == [0, 0]
+        assert sum(e["shards"] for e in exits) == len(FOUR_SHARDS)
+
+    def test_respawned_worker_holds_no_other_peers_connection(self, tmp_path):
+        # A respawned worker is forked while TCP peers are connected.  It
+        # must close its inherited copies of their sockets, or a peer
+        # would not see the coordinator hang up on it while that worker
+        # lives.  A second peer sits on a shard so that the campaign (and
+        # with it the worker) cannot finish before the first has looked.
+        events_path = tmp_path / "fleet.events.jsonl"
+        config = fleet_config(max_iterations=500, events_path=str(events_path))
+        thread, box, socks = start_fleet_with_clients(
+            config, [HELLO, HELLO], local_workers=1
+        )
+        (dropped, _), (holdout, _) = map(await_work, socks)
+        (spawn,) = wait_for(
+            lambda: events_of(events_path, "fleet_worker_spawn"),
+            message="local worker spawned",
+        )
+        os.kill(spawn["pid"], signal.SIGKILL)
+        wait_for(
+            lambda: len(events_of(events_path, "fleet_worker_ready")) >= 4,
+            message="replacement worker ready",
+        )
+        dropped.send({"type": "result"})
+        expect_dropped(dropped)
+        # (Not a plain close(): this process is the coordinator's too, so
+        # the forked worker holds a copy of the imposters' own ends.)
+        holdout.send({"type": "result"})
+        expect_dropped(holdout)
+        report = finish_fleet(thread, box)
+        local = Campaign(fleet_config(max_iterations=500)).portfolio()
+        assert report.iterations == local.iterations
+        assert fingerprints(report) == fingerprints(local)
+
+    def test_stopped_workers_are_killed_and_joined_on_the_way_out(
+        self, tmp_path
+    ):
+        # SIGSTOPped workers answer neither shutdown nor SIGTERM: the
+        # heartbeat check replaces them, and teardown escalates to
+        # SIGKILL for all of them at once and still joins every child.
+        events_path = tmp_path / "fleet.events.jsonl"
+        config = fleet_config(
+            max_iterations=1_500, events_path=str(events_path)
+        )
+        thread, box = start_fleet(
+            config, local_workers=2, worker_timeout=0.5, grace=0.2
+        )
+        wait_for(
+            lambda: len(events_of(events_path, "fleet_work_assigned")) >= 2,
+            message="both workers busy",
+        )
+        stopped = [
+            event["pid"]
+            for event in events_of(events_path, "fleet_worker_spawn")
+        ]
+        for pid in stopped:
+            os.kill(pid, signal.SIGSTOP)
+        report = finish_fleet(thread, box)
+        assert report.iterations == 1_500 * len(FOUR_SHARDS)
+        exits = {
+            event["pid"]: event["exitcode"]
+            for event in events_of(events_path, "fleet_worker_exit")
+        }
+        assert len(exits) == 4  # two stopped, two replacements
+        assert [exits[pid] for pid in stopped] == [-signal.SIGKILL] * 2
+        assert reapable_child() == 0
 
 
 class TestFleetCheckpoint:
@@ -448,6 +656,66 @@ class TestFleetCli:
         assert "campaign interrupted (partial results)" in stdout
         state = load_checkpoint(ckpt)
         assert state["fingerprint"]
+
+    def test_stdio_worker_serves_a_foreign_launcher(self):
+        # §1: `worker --stdio` is the entry point for launchers that hand
+        # the worker a pipe pair (ssh, a container runtime); the
+        # coordinator's own local workers no longer go through it, so
+        # drive it here with a hand-rolled coordinator half.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "worker", "--stdio"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            bufsize=0,
+            env=worker_environment(),
+            cwd=ROOT,
+        )
+        conn = Connection(
+            proc.stdout.fileno(),
+            proc.stdin.fileno(),
+            files=(proc.stdout, proc.stdin),
+            label="stdio worker",
+        )
+        try:
+            hello = conn.recv(timeout=30.0)
+            assert hello["type"] == "hello"
+            assert hello["protocol"] == PROTOCOL_VERSION
+            assert hello["pid"] == proc.pid
+            config = fleet_config(max_iterations=7)
+            conn.send(
+                {
+                    "type": "welcome",
+                    "protocol": PROTOCOL_VERSION,
+                    "config": config.to_json_obj(),
+                    "events": False,
+                }
+            )
+            conn.send(
+                {
+                    "type": "work",
+                    "shard": 3,
+                    "spec": {"name": "random", "params": {"seed": 1}},
+                    "time_limit": None,
+                }
+            )
+            while True:
+                message = conn.recv(timeout=30.0)
+                if message["type"] != "heartbeat":
+                    break
+            assert message["type"] == "result" and message["shard"] == 3
+            assert decode_report(message["report"]).iterations == 7
+            conn.send({"type": "shutdown"})
+            assert conn.recv(timeout=30.0) == {"type": "goodbye"}
+            stderr = proc.stderr.read().decode()
+            assert proc.wait(timeout=30) == 0
+        finally:
+            conn.close()
+            proc.stderr.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert stderr == "worker: 1 shard(s) completed\n"
 
     def test_worker_requires_exactly_one_transport(self):
         proc = run_cli_process("worker")
