@@ -11,11 +11,11 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro import DfsStrategy, RandomStrategy, TestingEngine
+from repro import Campaign, DfsStrategy, RandomStrategy, TestConfig
 from repro.analysis import analyze_program
 from repro.analysis.frontend import lower_machines
 from repro.bench import Benchmark, all_benchmarks, get, suite
-from repro.chess import chess_engine
+from repro.chess import chess_campaign
 from repro.soter import soter_analyze
 
 PSHARPBENCH = [
@@ -175,24 +175,35 @@ def run_cell(
 
     stop = not estimate_buggy
     if scheduler == "psharp-dfs":
-        engine = TestingEngine(
-            main, strategy=DfsStrategy(), max_iterations=max_iterations,
-            time_limit=time_limit, stop_on_first_bug=True, max_steps=5000,
+        engine = Campaign(
+            TestConfig(
+                main,
+                max_iterations=max_iterations,
+                time_limit=time_limit,
+                stop_on_first_bug=True,
+                max_steps=5000,
+            ),
+            strategy=DfsStrategy(),
         )
     elif scheduler == "psharp-random":
-        engine = TestingEngine(
-            main, strategy=RandomStrategy(seed=seed),
-            max_iterations=max_iterations, time_limit=time_limit,
-            stop_on_first_bug=stop, max_steps=5000,
+        engine = Campaign(
+            TestConfig(
+                main,
+                max_iterations=max_iterations,
+                time_limit=time_limit,
+                stop_on_first_bug=stop,
+                max_steps=5000,
+            ),
+            strategy=RandomStrategy(seed=seed),
         )
     elif scheduler == "chess-rd-on":
-        engine = chess_engine(
+        engine = chess_campaign(
             main, strategy=DfsStrategy(), race_detection=True,
             max_iterations=max_iterations, time_limit=time_limit,
             stop_on_first_bug=True, max_steps=20000,
         )
     elif scheduler == "chess-rd-off":
-        engine = chess_engine(
+        engine = chess_campaign(
             main, strategy=DfsStrategy(), race_detection=False,
             max_iterations=max_iterations, time_limit=time_limit,
             stop_on_first_bug=True, max_steps=20000,

@@ -10,16 +10,17 @@
 import pytest
 
 from repro import (
+    Campaign,
     DelayBoundingStrategy,
     DfsStrategy,
     PctStrategy,
     RandomStrategy,
-    TestingEngine,
+    TestConfig,
 )
 from repro.analysis import analyze_program
 from repro.analysis.frontend import lower_machines
 from repro.bench import get
-from repro.chess import chess_engine
+from repro.chess import chess_campaign
 
 pytestmark = pytest.mark.bench
 
@@ -35,12 +36,18 @@ class TestSchedulingGranularity:
 
         def points(factory_kind):
             if factory_kind == "psharp":
-                engine = TestingEngine(
-                    main, strategy=RandomStrategy(seed=3), max_iterations=20,
-                    stop_on_first_bug=False, max_steps=5000, time_limit=30,
+                engine = Campaign(
+                    TestConfig(
+                        main,
+                        max_iterations=20,
+                        stop_on_first_bug=False,
+                        max_steps=5000,
+                        time_limit=30,
+                    ),
+                    strategy=RandomStrategy(seed=3),
                 )
             else:
-                engine = chess_engine(
+                engine = chess_campaign(
                     main, strategy=RandomStrategy(seed=3), race_detection=False,
                     max_iterations=20, stop_on_first_bug=False,
                     max_steps=20000, time_limit=30,
@@ -95,10 +102,15 @@ class TestStrategyComparison:
         }
 
         def hunt():
-            engine = TestingEngine(
-                main, strategy=factories[strategy_name](),
-                max_iterations=300, stop_on_first_bug=True,
-                max_steps=5000, time_limit=30,
+            engine = Campaign(
+                TestConfig(
+                    main,
+                    max_iterations=300,
+                    stop_on_first_bug=True,
+                    max_steps=5000,
+                    time_limit=30,
+                ),
+                strategy=factories[strategy_name](),
             )
             return engine.run()
 

@@ -9,7 +9,7 @@ scheduler finds each, and that bug4 (the ownership race) is also caught
 
 import pytest
 
-from repro import RandomStrategy, TestingEngine
+from repro import Campaign, RandomStrategy, TestConfig
 from repro.analysis.frontend import analyze_machines
 from repro.bench.async_system import BUG_DRIVERS, BaseService
 
@@ -21,13 +21,15 @@ def test_bug_found_by_random_scheduler(benchmark, bug):
     driver, _service = BUG_DRIVERS[bug]
 
     def hunt():
-        engine = TestingEngine(
-            driver,
+        engine = Campaign(
+            TestConfig(
+                driver,
+                max_iterations=2_000,
+                time_limit=60,
+                stop_on_first_bug=True,
+                max_steps=5_000,
+            ),
             strategy=RandomStrategy(seed=13),
-            max_iterations=2_000,
-            time_limit=60,
-            stop_on_first_bug=True,
-            max_steps=5_000,
         )
         return engine.run()
 

@@ -12,7 +12,7 @@ Run: ``pytest benchmarks/test_portfolio_throughput.py -m bench``
 
 import pytest
 
-from repro import PortfolioEngine
+from repro import Campaign, TestConfig
 from repro.bench import buggy_main, table2_suite
 
 pytestmark = pytest.mark.bench
@@ -30,16 +30,19 @@ def test_table2_suite_has_buggy_variants():
 def test_portfolio_finds_table2_bugs_or_runs_clean(bench_name):
     """Smoke coverage: a small diverse portfolio runs on every Table 2
     program without deadlocking; the shallow-bug programs are found."""
-    engine = PortfolioEngine(
-        buggy_main(bench_name),
-        workers=2,
-        seed=13,
-        max_iterations=120,
-        time_limit=60,
-        max_steps=5_000,
+    campaign = Campaign(
+        TestConfig(
+            buggy_main(bench_name),
+            portfolio_workers=2,
+            seed=13,
+            max_iterations=120,
+            time_limit=60,
+            max_steps=5_000,
+        )
     )
-    report = engine.run()
+    report = campaign.portfolio()
     assert report.iterations > 0
     if report.first_bug is not None:
-        replayed = engine.replay_winner(report)
+        replayed = campaign.replay()
         assert replayed is not None and replayed.buggy
+        assert replayed.diverged is False

@@ -25,7 +25,13 @@ import os
 import pytest
 
 from repro.bench import get
-from repro.testing import BugFindingRuntime, DfsStrategy, RandomStrategy, drive
+from repro.testing import (
+    BugFindingRuntime,
+    Campaign,
+    DfsStrategy,
+    RandomStrategy,
+    TestConfig,
+)
 from repro.testing.runtime import _IDLE, _NEW, _RUNNING
 
 pytestmark = pytest.mark.bench
@@ -54,18 +60,20 @@ ENABLED_SET_BENCHMARKS = ["Raft", "MultiPaxos"]
 # ---------------------------------------------------------------------------
 def _exhaustive(name, depth, max_steps, mode):
     variant = get(name).buggy
-    return drive(
-        variant.main,
-        variant.payload,
-        DfsStrategy(max_depth=depth),
-        max_iterations=500_000,
-        time_limit=240.0,
-        max_steps=max_steps,
-        stop_on_first_bug=False,
-        workers="inline",
-        monitors=tuple(variant.monitors),
-        reduction=mode,
-    )
+    return Campaign(
+        TestConfig(
+            variant.main,
+            variant.payload,
+            max_iterations=500_000,
+            time_limit=240.0,
+            max_steps=max_steps,
+            stop_on_first_bug=False,
+            workers="inline",
+            monitors=tuple(variant.monitors),
+            reduction=mode,
+        ),
+        strategy=DfsStrategy(max_depth=depth),
+    ).run()
 
 
 def test_reduction_ab_ladder(capsys):
@@ -149,17 +157,19 @@ class _WalkRuntime(BugFindingRuntime):
 
 def _campaign(name, runtime_factory):
     variant = get(name).buggy
-    report = drive(
-        variant.main,
-        variant.payload,
-        RandomStrategy(seed=7),
-        max_iterations=ITERATIONS,
-        time_limit=120.0,
-        max_steps=5_000,
-        stop_on_first_bug=False,
-        workers="inline",
-        runtime_factory=runtime_factory,
-    )
+    report = Campaign(
+        TestConfig(
+            variant.main,
+            variant.payload,
+            max_iterations=ITERATIONS,
+            time_limit=120.0,
+            max_steps=5_000,
+            stop_on_first_bug=False,
+            workers="inline",
+            runtime_factory=runtime_factory,
+        ),
+        strategy=RandomStrategy(seed=7),
+    ).run()
     assert report.iterations == ITERATIONS
     return report
 

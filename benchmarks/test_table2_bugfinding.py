@@ -16,9 +16,9 @@ Run: ``pytest benchmarks/test_table2_bugfinding.py --benchmark-only -s``
 
 import pytest
 
-from repro import DfsStrategy, RandomStrategy, TestingEngine
+from repro import Campaign, DfsStrategy, RandomStrategy, TestConfig
 from repro.bench import buggy_main as _buggy_main
-from repro.chess import chess_engine
+from repro.chess import chess_campaign
 
 from .tables import PSHARPBENCH, TABLE2_SCHEDULERS, build_table2, run_cell
 
@@ -32,9 +32,15 @@ def test_psharp_dfs_throughput(benchmark, name):
     main = _buggy_main(name)
 
     def run():
-        engine = TestingEngine(
-            main, strategy=DfsStrategy(), max_iterations=30,
-            time_limit=10, stop_on_first_bug=False, max_steps=5000,
+        engine = Campaign(
+            TestConfig(
+                main,
+                max_iterations=30,
+                time_limit=10,
+                stop_on_first_bug=False,
+                max_steps=5000,
+            ),
+            strategy=DfsStrategy(),
         )
         return engine.run()
 
@@ -47,7 +53,7 @@ def test_chess_rd_off_throughput(benchmark, name):
     main = _buggy_main(name)
 
     def run():
-        engine = chess_engine(
+        engine = chess_campaign(
             main, strategy=DfsStrategy(), race_detection=False,
             max_iterations=30, time_limit=10, stop_on_first_bug=False,
             max_steps=20000,
@@ -63,7 +69,7 @@ def test_chess_rd_on_throughput(benchmark, name):
     main = _buggy_main(name)
 
     def run():
-        engine = chess_engine(
+        engine = chess_campaign(
             main, strategy=DfsStrategy(), race_detection=True,
             max_iterations=30, time_limit=10, stop_on_first_bug=False,
             max_steps=20000,

@@ -10,9 +10,9 @@ Programming model (:mod:`repro.core`):
 Systematic concurrency testing (:mod:`repro.testing`):
     ``TestConfig`` + ``Campaign`` — the declarative campaign facade (one
     frozen config over runtime, strategies and monitors; also the core
-    of the ``python -m repro`` command-line tester) — plus the classic
-    entry points it subsumes: ``TestingEngine``, ``PortfolioEngine``
-    (parallel strategy portfolio), ``BugFindingRuntime``,
+    of the ``python -m repro`` command-line tester: ``.run()``,
+    ``.portfolio()`` for the parallel strategy portfolio, ``.replay()``)
+    — plus the pieces it is built from: ``BugFindingRuntime``,
     ``DfsStrategy``, ``IterativeDeepeningDfsStrategy``,
     ``RandomStrategy``, ``FairRandomStrategy``, ``ReplayStrategy``,
     ``PctStrategy``, ``DelayBoundingStrategy``, ``StrategySpec``,
@@ -71,12 +71,10 @@ from .testing import (
     IterativeDeepeningDfsStrategy,
     Monitor,
     PctStrategy,
-    PortfolioEngine,
     RandomStrategy,
     ReplayStrategy,
     ScheduleTrace,
     StrategySpec,
-    TestingEngine,
     TestReport,
     cold,
     default_portfolio,
@@ -112,11 +110,9 @@ __all__ = [
     "TestConfig",
     "Campaign",
     "FaultConfig",
-    "TestingEngine",
     "TestReport",
     "run_portfolio",
     "run_fleet",
-    "PortfolioEngine",
     "StrategySpec",
     "default_portfolio",
     "make_strategy",

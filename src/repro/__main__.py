@@ -41,7 +41,8 @@ Subcommands
 ``replay TARGET --trace FILE``
     Deterministically re-execute a schedule recorded by ``test
     --save-trace`` (or :meth:`ScheduleTrace.save`) and report what it
-    reproduces.
+    reproduces — and ``diverged: yes`` when the execution left the
+    recorded schedule, so whatever it reports is not the recorded bug.
 
 ``bench --list``
     Print the benchmark registry (suites, variants, monitors).
@@ -54,7 +55,7 @@ Subcommands
     for a Graphviz view of the explored state space.
 
 Exit status: 0 on success, 1 when ``--expect-bug`` was passed and no bug
-was found (or a replay reproduced none), 2 on configuration errors (a
+was found (or a replay reproduced none, or diverged), 2 on configuration errors (a
 corrupt trace or checkpoint file included), 130 when a campaign was
 interrupted by Ctrl-C (partial report printed, checkpoint flushed).
 """
@@ -67,7 +68,7 @@ import sys
 from typing import List, Optional
 
 from .errors import PSharpError
-from .testing.config import Campaign, TestConfig
+from .testing.config import WORKER_MODES, Campaign, TestConfig
 from .testing.faults import FaultConfig
 from .testing.portfolio import StrategySpec, strategy_names
 from .testing.reduction import DEFAULT_STATE_CACHE_SIZE, REDUCTION_MODES
@@ -79,8 +80,7 @@ def _add_budget_arguments(parser: argparse.ArgumentParser) -> None:
         help="depth bound on scheduling decisions per execution",
     )
     parser.add_argument(
-        "--workers", choices=("auto", "inline", "pool", "spawn"),
-        default="auto",
+        "--workers", choices=WORKER_MODES, default="auto",
         help="worker back-end (default: auto = inline with pooled fallback)",
     )
 
@@ -530,7 +530,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print(f"reproduced: {result.bug}")
     else:
         print("no bug reproduced")
-    if args.expect_bug and not result.buggy:
+    if result.diverged:
+        print("diverged: yes — replay with the bounds the trace was recorded under")
+    if args.expect_bug and (result.diverged or not result.buggy):
         return 1
     return 0
 

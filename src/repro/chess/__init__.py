@@ -24,6 +24,6 @@ model, so — exactly as the paper reports — the detector finds no races
 while still charging its bookkeeping to every access.
 """
 
-from .runtime import ChessRuntime, chess_engine
+from .runtime import ChessRuntime, chess_campaign
 
-__all__ = ["ChessRuntime", "chess_engine"]
+__all__ = ["ChessRuntime", "chess_campaign"]

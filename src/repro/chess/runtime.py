@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, Type
+from functools import partial
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.events import Event, MachineId
+from ..core.events import Event
 from ..core.machine import Machine, install_field_access_hook
-from ..core.runtime import RuntimeBase
-from ..testing.engine import TestingEngine
+from ..testing.config import Campaign, TargetLike, TestConfig
 from ..testing.runtime import BugFindingRuntime, _WorkerState
 from ..testing.strategies import SchedulingStrategy
 
@@ -53,7 +53,7 @@ class ChessRuntime(BugFindingRuntime):
             raise ValueError(
                 "ChessRuntime does not support workers='inline'; its "
                 "visible-operation scheduling points cannot suspend a "
-                "coroutine — use 'pool' or 'spawn'"
+                "coroutine — use 'pool'"
             )
         if kwargs.get("workers") == "auto":
             # The automatic backend resolution can never pick inline here
@@ -166,19 +166,22 @@ class ChessRuntime(BugFindingRuntime):
         self._schedule(current)
 
 
-def chess_engine(
-    main_cls: Type[Machine],
+def chess_campaign(
+    program: TargetLike,
     payload: Any = None,
     *,
     strategy: SchedulingStrategy,
     race_detection: bool = True,
-    **kwargs: Any,
-) -> TestingEngine:
-    """A :class:`TestingEngine` wired to the CHESS-style runtime."""
-
-    def factory(**runtime_kwargs: Any) -> ChessRuntime:
-        return ChessRuntime(race_detection=race_detection, **runtime_kwargs)
-
-    return TestingEngine(
-        main_cls, payload, strategy=strategy, runtime_factory=factory, **kwargs
+    **overrides: Any,
+) -> Campaign:
+    """A :class:`~repro.testing.config.Campaign` on ``program`` wired to
+    the CHESS-style runtime and driven by the live ``strategy``;
+    ``overrides`` are further :class:`~repro.testing.config.TestConfig`
+    fields.  ``campaign.replay()`` runs on the same runtime."""
+    config = TestConfig(
+        program=program,
+        payload=payload,
+        runtime_factory=partial(ChessRuntime, race_detection=race_detection),
+        **overrides,
     )
+    return Campaign(config, strategy=strategy)

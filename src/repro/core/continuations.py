@@ -32,12 +32,13 @@ class runs on the inline backend:
    ``exit_inline``), mirroring the precompiled plain dispatch.
 
 The op tuples yielded by transformed code are interpreted by the inline
-scheduler (``BugFindingRuntime._inline_drive``): it performs the send or
+scheduler (the op-interpreter loop of ``BugFindingRuntime._inline_body``,
+which serves start and step activations alike): it performs the send or
 create *effect*, consults the strategy for the decision the primitive
 implies, and either resumes the coroutine (the machine keeps running) or
 suspends it by yielding the chosen machine id to the trampoline.  Because
-the effect and the decision happen in exactly the order the threaded
-backends use, traces stay bit-identical across all three backends.
+the effect and the decision happen in exactly the order the pooled
+threads use, traces stay bit-identical across both carriers.
 
 Non-switchable methods are untouched and run as plain calls.  Handlers
 whose source is unavailable (``exec``-defined code) are conservatively

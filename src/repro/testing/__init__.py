@@ -2,11 +2,10 @@
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .coverage import CoverageMap, MachineCoverage
-from .engine import TestingEngine, TestReport, drive, replay
+from .engine import TestReport, replay_trace, run_campaign
 from .faults import FaultConfig
 from .monitors import EMachineHalted, Monitor, cold, has_hot_states, hot
 from .portfolio import (
-    PortfolioEngine,
     StrategySpec,
     default_portfolio,
     make_strategy,
@@ -14,7 +13,7 @@ from .portfolio import (
     run_portfolio,
     strategy_names,
 )
-from .config import CONFIG_SCHEMA_VERSION, Campaign, TestConfig
+from .config import CONFIG_SCHEMA_VERSION, Campaign, TestConfig, replay
 from .fleet import (
     PROTOCOL_VERSION,
     Connection,
@@ -84,17 +83,16 @@ __all__ = [
     "REDUCTION_MODES",
     "DEFAULT_STATE_CACHE_SIZE",
     "normalize_reduction",
-    "TestingEngine",
     "TestReport",
-    "drive",
+    "run_campaign",
     "replay",
+    "replay_trace",
     "run_portfolio",
     "Monitor",
     "EMachineHalted",
     "hot",
     "cold",
     "has_hot_states",
-    "PortfolioEngine",
     "StrategySpec",
     "default_portfolio",
     "make_strategy",

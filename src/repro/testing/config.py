@@ -9,16 +9,17 @@ budgets, worker back-end, specification monitors, liveness threshold,
 trace recording, seeds), and :class:`Campaign` executes it:
 
 * ``Campaign(config).run()`` — a single-strategy campaign
-  (:func:`repro.testing.engine.drive` under the hood);
+  (:func:`repro.testing.engine.run_campaign` under the hood);
 * ``Campaign(config).portfolio()`` — the sharded multi-process campaign
   (:func:`repro.testing.portfolio.run_portfolio`);
 * ``Campaign(config).replay(trace)`` — deterministic reproduction from a
-  live :class:`~repro.testing.trace.ScheduleTrace` or a trace file.
+  live :class:`~repro.testing.trace.ScheduleTrace` or a trace file
+  (:func:`repro.testing.engine.replay_trace`).
 
-The historical entry points (``TestingEngine``, ``drive``,
-``PortfolioEngine``) remain as thin shims so existing code keeps
-working, but new configuration knobs land here once instead of being
-re-threaded through every layer.  The ``python -m repro`` CLI
+Below this facade the config object itself is what travels — to the
+campaign loop, to portfolio worker processes, to fleet workers as JSON —
+so a new knob lands here (field, validation, JSON) and in the engine's
+one runtime builder, nowhere else.  The ``python -m repro`` CLI
 (:mod:`repro.__main__`) is built entirely on this module.
 
 ``workers="auto"`` is the default back-end: campaigns run on the
@@ -40,7 +41,7 @@ from typing import Any, Callable, Dict, Optional, Tuple, Type, Union
 
 from ..core.machine import Machine
 from ..errors import PSharpError
-from .engine import TestReport, drive, replay
+from .engine import TestReport, replay_trace, run_campaign
 from .faults import FaultConfig
 from .reduction import DEFAULT_STATE_CACHE_SIZE, normalize_reduction
 from .monitors import Monitor
@@ -56,8 +57,8 @@ from .strategies import SchedulingStrategy
 from .telemetry import EventLog
 from .trace import ScheduleTrace
 
-#: worker back-ends a config may name; "auto" resolves per program.
-WORKER_MODES = ("auto", "inline", "pool", "spawn")
+#: carriers a config may name; "auto" resolves per program.
+WORKER_MODES = ("auto", "inline", "pool")
 
 StrategyLike = Union[StrategySpec, str, Tuple[str, dict], None]
 TargetLike = Union[str, Type[Machine]]
@@ -266,8 +267,8 @@ class TestConfig:
         are seedable and carry no explicit seed of their own.
     workers:
         Worker back-end: ``"auto"`` (default — inline continuation
-        runtime with transparent pooled fallback), ``"inline"``,
-        ``"pool"`` or ``"spawn"``.
+        runtime with transparent pooled fallback), ``"inline"`` or
+        ``"pool"``.
     monitors:
         Specification monitor classes; empty defers to the registry
         variant's monitors when the target is a benchmark name.
@@ -276,8 +277,11 @@ class TestConfig:
         heuristic toggle (see :class:`~repro.testing.runtime
         .BugFindingRuntime`).
     runtime_factory:
-        Advanced hook for substitute runtimes (e.g. the CHESS baseline);
-        note a non-module-level factory makes the config unpicklable.
+        Advanced hook for substitute runtimes (e.g. the CHESS baseline),
+        used by campaigns and by replay alike; note a non-module-level
+        factory makes the config unpicklable (it crosses the process
+        boundary to portfolio workers under the ``spawn``/``forkserver``
+        start methods).
     faults:
         A :class:`~repro.testing.faults.FaultConfig` arming deterministic
         fault injection.  ``None`` defers to the registry variant's fault
@@ -385,8 +389,6 @@ class TestConfig:
                 f"{self.state_cache_size!r}"
             )
         if self.events_path is not None:
-            import os
-
             object.__setattr__(self, "events_path", os.fspath(self.events_path))
 
     # ------------------------------------------------------------------
@@ -630,9 +632,9 @@ class Campaign:
     ``campaign.replay()`` reproduces the found bug with no plumbing.
 
     ``strategy=`` accepts a *live* strategy instance overriding the
-    config's spec — the hook the deprecated :class:`~repro.testing
-    .engine.TestingEngine` shim uses, and the escape hatch for custom
-    strategies that have no registered factory.
+    config's spec — the escape hatch for custom strategies that have no
+    registered factory (the facade otherwise builds strategies from
+    picklable :class:`~repro.testing.portfolio.StrategySpec`\\ s).
     """
 
     __test__ = False
@@ -659,7 +661,6 @@ class Campaign:
         :class:`~repro.testing.engine.TestReport` (with
         ``effective_backend`` resolved from ``workers="auto"``)."""
         config = self.config
-        main_cls, payload, monitors = config.resolve_program()
         strategy = self._strategy_override or config.build_strategy()
         events = (
             EventLog(config.events_path)
@@ -669,28 +670,9 @@ class Campaign:
         if events is not None:
             events.emit("campaign_start", program=str(config.program))
         try:
-            report = drive(
-                main_cls,
-                payload,
-                strategy,
-                max_iterations=config.max_iterations,
-                time_limit=config.time_limit,
-                max_steps=config.max_steps,
-                stop_on_first_bug=config.stop_on_first_bug,
-                livelock_as_bug=config.livelock_as_bug,
-                record_traces=config.record_traces,
-                runtime_factory=config.runtime_factory,
-                deadline=deadline,
-                stop_check=stop_check,
-                workers=config.workers,
-                monitors=monitors,
-                max_hot_steps=config.max_hot_steps,
-                faults=config.resolved_faults(),
-                iteration_timeout=config.iteration_timeout,
-                coverage=config.coverage,
-                events=events,
-                reduction=config.reduction,
-                state_cache_size=config.state_cache_size,
+            report = run_campaign(
+                config, strategy,
+                deadline=deadline, stop_check=stop_check, events=events,
             )
         finally:
             if events is not None:
@@ -734,7 +716,10 @@ class Campaign:
         a trace-file path (:meth:`~repro.testing.trace.ScheduleTrace
         .save` format), or ``None`` for the last campaign's winning
         trace — in which case ``None`` is returned when that campaign
-        found no bug (or recorded no trace)."""
+        found no bug (or recorded no trace).  A result whose
+        ``diverged`` is true left the recorded schedule: it was replayed
+        under a different program or different bounds than it was
+        recorded with."""
         if trace is None:
             report = self.last_report
             if (
@@ -744,16 +729,17 @@ class Campaign:
             ):
                 return None
             trace = report.first_bug.trace
-        config = self.config
-        main_cls, payload, monitors = config.resolve_program()
-        return replay(
-            main_cls,
-            trace,
-            payload=payload,
-            max_steps=config.max_steps,
-            livelock_as_bug=config.livelock_as_bug,
-            workers=config.workers,
-            monitors=monitors,
-            max_hot_steps=config.max_hot_steps,
-            faults=config.resolved_faults(),
-        )
+        return replay_trace(self.config, trace)
+
+
+def replay(
+    program: TargetLike,
+    trace: Union[ScheduleTrace, str, "os.PathLike"],
+    **overrides: Any,
+) -> ExecutionResult:
+    """Replay ``trace`` on ``program``: shorthand for
+    ``Campaign(TestConfig(program, **overrides)).replay(trace)``, the
+    overrides being whatever the bug was found with (``monitors``,
+    ``faults``, ``max_steps``, ``max_hot_steps``, ``runtime_factory``,
+    ...)."""
+    return replay_trace(TestConfig(program=program, **overrides), trace)

@@ -23,7 +23,7 @@ report (``python -m repro report``) can *name* what a campaign never
 reached.  Maps merge associatively (portfolio shards, checkpoint
 resume, future distributed fleets) and fingerprint deterministically,
 which is how the cross-backend bit-identity guarantee is tested: for a
-fixed strategy seed, inline/pool/spawn campaigns produce *equal* maps.
+fixed strategy seed, inline and pool campaigns produce *equal* maps.
 
 Collection costs one pointer-is-None check per hook when disabled (the
 runtime's ``_hook_state``/``_cov`` flags); nothing here is imported on

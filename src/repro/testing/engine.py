@@ -1,4 +1,4 @@
-"""The testing engine: repeated controlled executions + statistics.
+"""The campaign core: repeated controlled executions + statistics.
 
 Drives a :class:`BugFindingRuntime` for many iterations and aggregates the
 metrics Table 2 reports: number of threads (#T), scheduling points (#SP),
@@ -6,43 +6,52 @@ schedules per second (#Sch/sec), whether a bug was found, and — for the
 random scheduler, which keeps exploring after a bug — the percentage of
 buggy schedules (%Buggy).
 
-The iteration loop itself lives in :func:`drive`, so that a single-strategy
-:class:`TestingEngine` run and every worker of a
-:class:`~repro.testing.portfolio.PortfolioEngine` campaign execute the exact
-same code — a 1-worker portfolio is, by construction, the engine.
+A :class:`~repro.testing.config.TestConfig` is the only carrier of
+campaign parameters down here.  :func:`build_runtime` is the one place
+its per-execution fields are read, :func:`run_campaign` the one iteration
+loop: ``Campaign.run``, every portfolio worker and every fleet shard call
+it, so a 1-worker portfolio is, by construction, the plain campaign; and
+:func:`replay_trace` re-executes a recorded schedule on a runtime built
+the same way.
 
-This is also where ``workers="auto"`` (the default back-end everywhere
-above the raw runtime) is made *total*: the runtime resolves "auto" per
-main class (inline when it compiles, pool otherwise), and :func:`drive`
+This is also where ``workers="auto"`` (the default everywhere above the
+raw runtime) is made *total*: the runtime resolves "auto" per main class
+(inline when it compiles, pool otherwise), and :func:`run_campaign`
 catches the one case resolution cannot see — a machine class created
 mid-campaign that the coroutine compiler rejects — by restarting the
-campaign on the pooled backend from a :meth:`~repro.testing.strategies
+campaign on the pooled carrier from a :meth:`~repro.testing.strategies
 .SchedulingStrategy.reset` strategy, so the traces are bit-identical to
-an explicit ``workers="pool"`` run with the same seed.  The back-end a
+an explicit ``workers="pool"`` run with the same seed.  The carrier a
 campaign actually ran on is recorded as
 :attr:`TestReport.effective_backend`.
-
-The declarative front door over this module is
-:class:`repro.testing.config.TestConfig` / :class:`~repro.testing.config
-.Campaign`; :class:`TestingEngine` is kept as a thin shim over it.
 """
 
 from __future__ import annotations
 
+import os
 import time
+import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Type, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple, Type, Union,
+)
+
+if TYPE_CHECKING:  # circular at runtime: config is the layer above
+    from .config import TestConfig
 
 from ..core.continuations import InlineCompileError
 from ..core.machine import Machine
 from ..errors import BugReport
 from .coverage import CoverageMap
 from .faults import FaultConfig, outcome_name
-from .reduction import DEFAULT_STATE_CACHE_SIZE, ReductionEngine, normalize_reduction
+from .reduction import ReductionEngine
 from .runtime import BugFindingRuntime, ExecutionResult
 from .strategies import ReplayStrategy, SchedulingStrategy
 from .telemetry import EventLog, TelemetryStats
 from .trace import ScheduleTrace
+
+#: A config's target resolved once: ``(main_cls, payload, monitors, faults)``.
+Program = Tuple[Type[Machine], Any, Tuple[type, ...], Optional[FaultConfig]]
 
 
 @dataclass
@@ -83,10 +92,10 @@ class TestReport:
     # flushes a final checkpoint and returns the partial merge).
     interrupted: bool = False
     sub_reports: List["TestReport"] = field(default_factory=list)
-    # The worker back-end the campaign actually ran on ("inline", "pool",
-    # "spawn"), resolved from workers="auto" — how the inline-first
-    # fallback stays honest in A/B comparisons.  Merged campaign reports
-    # show "mixed" when sub-reports disagree.
+    # The carrier the campaign actually ran on ("inline" or "pool"),
+    # resolved from workers="auto" — how the inline-first fallback stays
+    # honest in A/B comparisons.  Merged campaign reports show "mixed"
+    # when sub-reports disagree.
     effective_backend: Optional[str] = None
     # Observability (PR 8): injected-fault totals by outcome name,
     # strategy-consulted scheduling decisions, activity coverage and
@@ -285,196 +294,153 @@ class TestReport:
         return clone
 
 
-def drive(
-    main_cls: Type[Machine],
-    payload: Any,
+def resolved_program(config: "TestConfig") -> Program:
+    """``config``'s target resolved into the tuple :func:`run_campaign`
+    and :func:`replay_trace` take as ``program=`` — for callers that
+    resolve once and run many shards."""
+    return (*config.resolve_program(), config.resolved_faults())
+
+
+def build_runtime(
+    config: "TestConfig",
     strategy: SchedulingStrategy,
+    program: Program,
     *,
-    max_iterations: int = 10_000,
-    time_limit: Optional[float] = 300.0,
-    max_steps: int = 20_000,
-    stop_on_first_bug: bool = True,
-    livelock_as_bug: bool = False,
-    record_traces: bool = True,
-    runtime_factory: Optional[Callable[..., BugFindingRuntime]] = None,
     deadline: Optional[float] = None,
     stop_check: Optional[Callable[[], bool]] = None,
-    workers: str = "auto",
-    monitors: Sequence[type] = (),
-    max_hot_steps: int = 1000,
-    faults: Optional[FaultConfig] = None,
-    iteration_timeout: Optional[float] = None,
-    coverage: bool = False,
+    coverage: Optional[CoverageMap] = None,
+    reduction: Optional[ReductionEngine] = None,
+) -> BugFindingRuntime:
+    """The runtime ``config`` describes, driven by ``strategy`` — built
+    by ``config.runtime_factory`` when one is set.  The one place the
+    per-execution fields are read off the config: the campaign loop and
+    replay both construct their runtime here, so a bound a bug was found
+    under is the bound it replays under."""
+    _, _, monitors, faults = program
+    kwargs = dict(
+        strategy=strategy,
+        max_steps=config.max_steps,
+        record_trace=config.record_traces,
+        livelock_as_bug=config.livelock_as_bug,
+        deadline=deadline,
+        stop_check=stop_check,
+        workers=config.workers,
+        monitors=monitors,
+        max_hot_steps=config.max_hot_steps,
+        faults=faults,
+        iteration_timeout=config.iteration_timeout,
+    )
+    if coverage is not None:
+        # Only added when collection is on, so custom runtime
+        # factories without the parameter keep working unchanged.
+        kwargs["coverage"] = coverage
+    if reduction is not None:
+        kwargs["reduction"] = reduction
+    return (config.runtime_factory or BugFindingRuntime)(**kwargs)
+
+
+def run_campaign(
+    config: "TestConfig",
+    strategy: SchedulingStrategy,
+    *,
+    program: Optional[Program] = None,
+    deadline: Optional[float] = None,
+    stop_check: Optional[Callable[[], bool]] = None,
     events: Optional[EventLog] = None,
-    reduction: str = "none",
-    state_cache_size: int = DEFAULT_STATE_CACHE_SIZE,
 ) -> TestReport:
-    """The iteration loop shared by :class:`TestingEngine` and portfolio
-    workers: run up to ``max_iterations`` schedules under ``strategy``.
+    """The iteration loop every campaign shape shares: run up to
+    ``config.max_iterations`` schedules of ``config``'s program under
+    ``strategy``.
 
     One runtime object is constructed for the whole campaign and reused
     across iterations (``BugFindingRuntime.reset`` runs at the top of
     every ``execute``), so per-iteration cost is the schedule itself, not
-    runtime construction.  ``workers`` selects the worker back-end:
-    ``"auto"`` (the default) runs on the single-thread inline
-    continuation runtime when the program compiles for it and on pooled
-    threads otherwise; the concrete modes (``"inline"``, ``"pool"``,
-    ``"spawn"``) pin a back-end.  Under ``"auto"``, a machine class
+    runtime construction.  Under ``workers="auto"`` a machine class
     created mid-campaign that the coroutine compiler rejects triggers a
-    transparent restart of the whole campaign on the pooled backend (the
+    transparent restart of the whole campaign on the pooled carrier (the
     strategy is :meth:`~repro.testing.strategies.SchedulingStrategy
     .reset`, so the restarted campaign's traces are bit-identical to an
     explicit ``workers="pool"`` run; ``report.elapsed`` then covers only
-    the pooled rerun).  The back-end the campaign actually ran on is
-    reported as ``report.effective_backend``.
+    the pooled rerun).
 
-    ``deadline`` is an absolute ``time.monotonic()`` timestamp; when absent
-    it is derived from ``time_limit``.  The deadline is enforced both
-    between iterations and *inside* them (propagated to the runtime), so a
-    single long schedule cannot overshoot the budget.  ``stop_check`` is
-    polled between iterations and inside them — the portfolio's
-    first-bug-wins cancellation.
-
-    ``monitors`` attaches specification monitor classes
-    (:mod:`repro.testing.monitors`) to every execution; ``max_hot_steps``
-    is the liveness temperature threshold (see
-    :class:`~repro.testing.runtime.BugFindingRuntime`).
-
-    ``faults`` arms deterministic fault injection
-    (:class:`~repro.testing.faults.FaultConfig`); ``iteration_timeout``
-    arms the per-iteration wall-clock watchdog — a stuck execution is
-    canceled with status ``"watchdog"``, counted in
-    ``report.watchdog_hits``, and the campaign continues.
-
-    ``coverage`` attaches a fresh
-    :class:`~repro.testing.coverage.CoverageMap` to the campaign's
-    runtime and reports it as ``report.coverage`` (under the auto→pool
-    restart the map is rebuilt with the campaign, so it stays
-    bit-identical to an explicit pooled run).  ``events`` streams
+    ``program`` is the target already resolved by
+    :func:`resolved_program`; omitted, it is resolved here.
+    ``deadline`` is an absolute ``time.monotonic()`` timestamp; when
+    absent it is derived from ``config.time_limit``.  The deadline is
+    enforced both between iterations and *inside* them (propagated to
+    the runtime), so a single long schedule cannot overshoot the budget.
+    ``stop_check`` is polled between iterations and inside them — the
+    portfolio's first-bug-wins cancellation.  ``events`` streams
     shard-level progress to a :class:`~repro.testing.telemetry.EventLog`;
     execution-shape telemetry (``report.telemetry``) is always on.
 
-    ``reduction`` selects the schedule-space reduction mode
-    (:data:`repro.testing.reduction.REDUCTION_MODES`): ``"dpor"`` arms
-    dynamic partial-order reduction on the DFS-family strategies,
-    ``"dpor+state-cache"`` adds fingerprint-based state caching (bounded
-    at ``state_cache_size`` entries) for every strategy, and
-    ``"dpor+state-cache+clauses"`` additionally learns prefix clauses
-    from cache hits.  A fresh :class:`~repro.testing.reduction
-    .ReductionEngine` is built per campaign loop entry, so the auto→pool
-    restart starts from an empty cache and stays bit-identical to an
-    explicit pooled run; reduction stats land in
-    ``report.distinct_states`` / ``report.schedules_pruned``.
+    What the config's fields mean is documented on
+    :class:`~repro.testing.config.TestConfig`.
     """
-    if deadline is None and time_limit is not None:
-        deadline = time.monotonic() + time_limit
-    reduction = normalize_reduction(reduction)
+    if program is None:
+        program = resolved_program(config)
+    if deadline is None and config.time_limit is not None:
+        deadline = time.monotonic() + config.time_limit
     try:
-        return _campaign_loop(
-            main_cls, payload, strategy,
-            max_iterations=max_iterations, max_steps=max_steps,
-            stop_on_first_bug=stop_on_first_bug,
-            livelock_as_bug=livelock_as_bug, record_traces=record_traces,
-            runtime_factory=runtime_factory, deadline=deadline,
-            stop_check=stop_check, workers=workers, monitors=monitors,
-            max_hot_steps=max_hot_steps, faults=faults,
-            iteration_timeout=iteration_timeout,
-            coverage=coverage, events=events,
-            reduction=reduction, state_cache_size=state_cache_size,
-        )
+        return _campaign_loop(config, strategy, program, deadline, stop_check, events)
     except InlineCompileError:
-        if workers != "auto":
+        if config.workers != "auto":
             raise
         # The main class compiled (else "auto" would have resolved to
         # pool before the strategy was ever consulted) but a machine
         # class created mid-campaign did not.  Restart bit-identically on
-        # the pooled backend: reset() returns the strategy to its
+        # the pooled carrier: reset() returns the strategy to its
         # post-construction decision sequence.
         strategy.reset()
         return _campaign_loop(
-            main_cls, payload, strategy,
-            max_iterations=max_iterations, max_steps=max_steps,
-            stop_on_first_bug=stop_on_first_bug,
-            livelock_as_bug=livelock_as_bug, record_traces=record_traces,
-            runtime_factory=runtime_factory, deadline=deadline,
-            stop_check=stop_check, workers="pool", monitors=monitors,
-            max_hot_steps=max_hot_steps, faults=faults,
-            iteration_timeout=iteration_timeout,
-            coverage=coverage, events=events,
-            reduction=reduction, state_cache_size=state_cache_size,
+            config.with_overrides(workers="pool"),
+            strategy, program, deadline, stop_check, events,
         )
 
 
 def _campaign_loop(
-    main_cls: Type[Machine],
-    payload: Any,
+    config: "TestConfig",
     strategy: SchedulingStrategy,
-    *,
-    max_iterations: int,
-    max_steps: int,
-    stop_on_first_bug: bool,
-    livelock_as_bug: bool,
-    record_traces: bool,
-    runtime_factory: Optional[Callable[..., BugFindingRuntime]],
+    program: Program,
     deadline: Optional[float],
     stop_check: Optional[Callable[[], bool]],
-    workers: str,
-    monitors: Sequence[type],
-    max_hot_steps: int,
-    faults: Optional[FaultConfig],
-    iteration_timeout: Optional[float],
-    coverage: bool,
     events: Optional[EventLog],
-    reduction: str,
-    state_cache_size: int,
 ) -> TestReport:
-    factory = runtime_factory or BugFindingRuntime
+    main_cls, payload = program[:2]
+    max_iterations = config.max_iterations
+    stop_on_first_bug = config.stop_on_first_bug
     report = TestReport(strategy=strategy.name)
     # A fresh map per loop entry: the auto→pool restart re-enters here
-    # and must not double-count the aborted inline attempt's coverage.
-    cov = CoverageMap() if coverage else None
+    # and must not double-count the aborted inline attempt's coverage
+    # (so it stays bit-identical to an explicit pooled run).
+    cov = CoverageMap() if config.coverage else None
     # Likewise a fresh reduction engine: the restarted pooled campaign
     # must make every caching decision from scratch (same schedule, empty
     # cache) to stay bit-identical to an explicit workers="pool" run.
     red = (
-        ReductionEngine(reduction, state_cache_size)
-        if reduction != "none"
+        ReductionEngine(config.reduction, config.state_cache_size)
+        if config.reduction != "none"
         else None
     )
-    # Always (re)attached, so a strategy reused across drive() calls never
-    # keeps a stale engine from a previous campaign.
+    # Always (re)attached, so a strategy reused across campaigns never
+    # keeps a stale engine from a previous one.
     strategy.attach_reduction(red)
     stats = TelemetryStats()
     start = time.perf_counter()
 
-    def build_runtime() -> BugFindingRuntime:
-        kwargs = dict(
-            strategy=strategy,
-            max_steps=max_steps,
-            record_trace=record_traces,
-            livelock_as_bug=livelock_as_bug,
-            deadline=deadline,
-            stop_check=stop_check,
-            workers=workers,
-            monitors=monitors,
-            max_hot_steps=max_hot_steps,
-            faults=faults,
-            iteration_timeout=iteration_timeout,
+    def fresh_runtime() -> BugFindingRuntime:
+        return build_runtime(
+            config, strategy, program,
+            deadline=deadline, stop_check=stop_check,
+            coverage=cov, reduction=red,
         )
-        if cov is not None:
-            # Only added when collection is on, so custom runtime
-            # factories without the parameter keep working unchanged.
-            kwargs["coverage"] = cov
-        if red is not None:
-            kwargs["reduction"] = red
-        return factory(**kwargs)
 
-    runtime = build_runtime()
+    runtime = fresh_runtime()
     # Custom runtime factories may resolve "auto" themselves (ChessRuntime
     # collapses it to pool); ask the runtime what will actually run.
     resolve = getattr(runtime, "resolve_workers", None)
     report.effective_backend = (
-        resolve(main_cls) if resolve is not None else workers
+        resolve(main_cls) if resolve is not None else config.workers
     )
     if events is not None:
         events.emit(
@@ -498,7 +464,7 @@ def _campaign_loop(
                 # A straggler worker thread from the previous iteration
                 # never unwound; that runtime (and its thread) is written
                 # off so the straggler cannot corrupt later iterations.
-                runtime = build_runtime()
+                runtime = fresh_runtime()
             iter_start = time.perf_counter()
             result = runtime.execute(main_cls, payload)
             iter_end = time.perf_counter()
@@ -595,139 +561,73 @@ def _campaign_loop(
     return report
 
 
-class TestingEngine:
-    """Repeatedly executes a program under a scheduling strategy.
-
-    (``__test__`` keeps pytest from collecting this as a test class.)
-
-    Mirrors the paper's experimental setup: "at most 10,000 executions
-    within a 5 minute time limit" (Table 2), stopping at the first bug for
-    systematic strategies, or continuing to estimate bug density for the
-    random scheduler.
-
-    .. deprecated::
-        ``TestingEngine`` is kept as a thin shim over the declarative
-        facade — construct a :class:`repro.testing.config.TestConfig` and
-        run it through :class:`repro.testing.config.Campaign` instead.
-        The shim's one capability the facade does not mirror is passing a
-        *live* strategy instance (the facade builds strategies from
-        picklable :class:`~repro.testing.portfolio.StrategySpec`\\ s);
-        ``Campaign`` accepts one via its ``strategy=`` override, which is
-        exactly what this shim does.
-    """
-
-    __test__ = False
-
-    def __init__(
-        self,
-        main_cls: Type[Machine],
-        payload: Any = None,
-        *,
-        strategy: SchedulingStrategy,
-        max_iterations: int = 10_000,
-        time_limit: float = 300.0,
-        max_steps: int = 20_000,
-        stop_on_first_bug: bool = True,
-        livelock_as_bug: bool = False,
-        record_traces: bool = True,
-        runtime_factory: Optional[Callable[..., BugFindingRuntime]] = None,
-        workers: str = "auto",
-        monitors: Sequence[type] = (),
-        max_hot_steps: int = 1000,
-    ) -> None:
-        self.main_cls = main_cls
-        self.payload = payload
-        self.strategy = strategy
-        self.max_iterations = max_iterations
-        self.time_limit = time_limit
-        self.max_steps = max_steps
-        self.stop_on_first_bug = stop_on_first_bug
-        self.livelock_as_bug = livelock_as_bug
-        self.record_traces = record_traces
-        self.runtime_factory = runtime_factory or BugFindingRuntime
-        self.workers = workers
-        self.monitors = tuple(monitors)
-        self.max_hot_steps = max_hot_steps
-
-    def run(
-        self,
-        deadline: Optional[float] = None,
-        stop_check: Optional[Callable[[], bool]] = None,
-    ) -> TestReport:
-        # Deferred import: config is the layer above this module.
-        from .config import Campaign, TestConfig
-
-        config = TestConfig(
-            program=self.main_cls,
-            payload=self.payload,
-            max_iterations=self.max_iterations,
-            time_limit=self.time_limit,
-            max_steps=self.max_steps,
-            stop_on_first_bug=self.stop_on_first_bug,
-            livelock_as_bug=self.livelock_as_bug,
-            record_traces=self.record_traces,
-            runtime_factory=self.runtime_factory,
-            workers=self.workers,
-            monitors=self.monitors,
-            max_hot_steps=self.max_hot_steps,
-        )
-        return Campaign(config, strategy=self.strategy).run(
-            deadline=deadline, stop_check=stop_check
-        )
-
-
-def replay(
-    main_cls: Type[Machine],
+def replay_trace(
+    config: "TestConfig",
     trace: Union[ScheduleTrace, str, "os.PathLike"],
-    payload: Any = None,
-    max_steps: int = 20_000,
-    livelock_as_bug: bool = False,
-    workers: str = "auto",
-    monitors: Sequence[type] = (),
-    max_hot_steps: int = 1000,
-    faults: Optional[FaultConfig] = None,
+    *,
+    program: Optional[Program] = None,
 ) -> ExecutionResult:
-    """Deterministically re-execute a recorded schedule.
+    """Deterministically re-execute a recorded schedule under ``config``.
 
     This is the paper's bug-reproduction workflow: a found bug's trace is
     replayed to observe the same failure again.  ``trace`` is either a
     live :class:`ScheduleTrace` or the path of a file written by
     :meth:`ScheduleTrace.save` (how the ``python -m repro replay`` CLI
-    hands traces around).  Replay is back-end agnostic: a trace recorded
-    under any worker mode replays under any mode (the default ``"auto"``
+    hands traces around).  Replay is carrier agnostic: a trace recorded
+    under either worker mode replays under either (the default ``"auto"``
     picks the inline runtime when the program compiles for it, falling
-    back to pooled threads otherwise).  Pass the same ``monitors`` (and
-    ``max_hot_steps``) the bug was found with: monitor-detected safety
-    and liveness violations reproduce, and the re-recorded trace is
-    bit-identical to the original.
+    back to pooled threads otherwise).
 
-    A trace recorded under fault injection must be replayed with the
-    *same* ``faults`` config: the config determines where fault
-    decisions are consulted, and the replay strategy re-fires the
-    recorded outcomes at exactly those points (it never invents faults).
-    Registry variants carry their fault config, so ``Campaign.replay``
-    and the CLI pass it automatically.
+    The runtime comes from :func:`build_runtime`, exactly as the campaign
+    loop's does, so everything that decides *where* decisions are
+    consulted — monitors, ``max_hot_steps``, the fault config (the
+    replay strategy re-fires the recorded outcomes at exactly the
+    recorded points and never invents faults), a ``runtime_factory``
+    with its own scheduling points — is the config's.  Replayed under
+    the config the bug was found with, monitor-detected safety and
+    liveness violations reproduce and the re-recorded trace is
+    bit-identical to the original.  Replayed under a different one, the
+    execution may leave the recorded schedule: the result then says so
+    (:attr:`ExecutionResult.diverged`) and whatever it reports is not
+    what the trace recorded.
     """
     if not isinstance(trace, ScheduleTrace):
         trace = ScheduleTrace.load(trace)
+    if program is None:
+        program = resolved_program(config)
 
-    def attempt(mode: str) -> ExecutionResult:
+    def attempt(config: "TestConfig") -> ExecutionResult:
         strategy = ReplayStrategy(trace)
         strategy.prepare_iteration()
-        runtime = BugFindingRuntime(
-            strategy, max_steps=max_steps, record_trace=True,
-            livelock_as_bug=livelock_as_bug, workers=mode,
-            monitors=monitors, max_hot_steps=max_hot_steps,
-            faults=faults,
-        )
-        return runtime.execute(main_cls, payload)
+        try:
+            runtime = build_runtime(config, strategy, program)
+        except (AttributeError, TypeError) as exc:
+            if config.runtime_factory is None:
+                raise
+            # A factory written against its campaign's own live strategy
+            # (an instrumenting subclass reading attributes off it)
+            # cannot host a ReplayStrategy.  Replay on the stock runtime,
+            # loudly: if the factory also moved scheduling points the
+            # result will come back diverged.
+            warnings.warn(
+                f"runtime_factory {config.runtime_factory!r} cannot be built "
+                f"over a ReplayStrategy ({exc}); replaying on the stock runtime",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            runtime = build_runtime(
+                config.with_overrides(runtime_factory=None), strategy, program
+            )
+        return runtime.execute(*program[:2])
 
+    # The point of a replay is the re-recorded trace.
+    config = config.with_overrides(record_traces=True)
     try:
-        return attempt(workers)
+        return attempt(config)
     except InlineCompileError:
-        if workers != "auto":
+        if config.workers != "auto":
             raise
         # A machine created mid-replay does not compile inline: replay the
-        # whole schedule on the pooled backend (fresh ReplayStrategy, so
+        # whole schedule on the pooled carrier (fresh ReplayStrategy, so
         # no recorded decision is lost to the aborted inline attempt).
-        return attempt("pool")
+        return attempt(config.with_overrides(workers="pool"))

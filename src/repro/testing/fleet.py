@@ -67,7 +67,7 @@ from .checkpoint import (
     save_checkpoint,
     verify_checkpoint,
 )
-from .engine import TestReport, drive
+from .engine import TestReport, resolved_program, run_campaign
 from .portfolio import (
     DEFAULT_GRACE,
     StrategySpec,
@@ -417,8 +417,7 @@ def worker_loop(
         )
     config = TestConfig.from_json_obj(welcome["config"])
     forward_events = bool(welcome.get("events"))
-    main_cls, payload, monitors = config.resolve_program()
-    faults = config.resolved_faults()
+    program = resolved_program(config)
 
     completed = 0
     shutdown = False
@@ -467,27 +466,11 @@ def worker_loop(
             return state["stop"]
 
         events = _WireEvents(conn, shard) if forward_events else None
-        strategy = make_strategy(spec)
-        report = drive(
-            main_cls,
-            payload,
-            strategy,
-            max_iterations=config.max_iterations,
-            time_limit=budget,
-            max_steps=config.max_steps,
-            stop_on_first_bug=config.stop_on_first_bug,
-            livelock_as_bug=config.livelock_as_bug,
-            record_traces=config.record_traces,
-            stop_check=stop_check,
-            workers=config.workers,
-            monitors=monitors,
-            max_hot_steps=config.max_hot_steps,
-            faults=faults,
-            iteration_timeout=config.iteration_timeout,
-            coverage=config.coverage,
-            events=events,
-            reduction=config.reduction,
-            state_cache_size=config.state_cache_size,
+        report = run_campaign(
+            config, make_strategy(spec),
+            program=program,
+            deadline=None if budget is None else time.monotonic() + budget,
+            stop_check=stop_check, events=events,
         )
         conn.send(
             {

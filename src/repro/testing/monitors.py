@@ -46,9 +46,9 @@ the monitor class is not attached to the runtime, so instrumented
 programs run unchanged without their specifications.
 
 Monitors are attached per campaign: ``BugFindingRuntime(...,
-monitors=[ProgressMonitor])``, or through ``drive`` / ``TestingEngine`` /
-``PortfolioEngine`` (monitor *classes* travel to portfolio workers — they
-pickle by reference like machine classes).
+monitors=[ProgressMonitor])``, or through ``TestConfig(monitors=...)`` and
+any ``Campaign`` shape (monitor *classes* travel to portfolio workers —
+they pickle by reference like machine classes).
 """
 
 from __future__ import annotations

@@ -12,16 +12,16 @@ Two observations push beyond that:
   a campaign's schedules/sec is capped by one core.  Sharding workers
   across processes recovers the hardware's parallelism.
 
-:class:`PortfolioEngine` runs one worker process per
-:class:`StrategySpec`.  Each worker drives the same iteration loop as a
-plain :class:`~repro.testing.engine.TestingEngine`
-(:func:`~repro.testing.engine.drive`), constructs its strategy from its
-picklable spec via the strategy-factory registry, and reports a
-*detached* (picklable) :class:`~repro.testing.engine.TestReport` back.
-The first worker to find a bug wins: a shared cancellation event stops
-the others (polled between iterations and inside long ones), and the
-winner's :class:`~repro.testing.trace.ScheduleTrace` replays
-deterministically in the parent via :func:`repro.testing.engine.replay`.
+:func:`run_portfolio` runs one worker process per :class:`StrategySpec`.
+Each worker runs the same iteration loop as a plain single-strategy
+campaign (:func:`~repro.testing.engine.run_campaign`) over the campaign's
+picklable :class:`~repro.testing.config.TestConfig`, constructs its
+strategy from its picklable spec via the strategy-factory registry, and
+reports a *detached* (picklable) :class:`~repro.testing.engine.TestReport`
+back.  The first worker to find a bug wins: a shared cancellation event
+stops the others (polled between iterations and inside long ones), and
+the winner's :class:`~repro.testing.trace.ScheduleTrace` replays
+deterministically in the parent via ``Campaign.replay()``.
 """
 
 from __future__ import annotations
@@ -33,12 +33,11 @@ import queue as queue_module
 import random
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Type
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 if TYPE_CHECKING:  # circular at runtime: config is the layer above
     from .config import TestConfig
 
-from ..core.machine import Machine
 from ..errors import PSharpError
 from .checkpoint import (
     config_fingerprint,
@@ -46,9 +45,7 @@ from .checkpoint import (
     save_checkpoint,
     verify_checkpoint,
 )
-from .engine import TestReport, drive, replay
-from .reduction import DEFAULT_STATE_CACHE_SIZE
-from .runtime import ExecutionResult
+from .engine import Program, TestReport, resolved_program, run_campaign
 from .telemetry import EventLog
 from .strategies import (
     DelayBoundingStrategy,
@@ -206,15 +203,18 @@ def default_portfolio(workers: int, seed: Optional[int] = None) -> List[Strategy
 def _portfolio_worker(
     index: int,
     spec: StrategySpec,
-    main_cls: Type[Machine],
-    payload: Any,
-    config: Dict[str, Any],
+    config: "TestConfig",
+    program: Program,
     deadline: float,
     cancel: Any,  # multiprocessing.Event
     results: Any,  # multiprocessing.Queue
     heartbeats: Any = None,  # multiprocessing.Array('d', ...) or None
 ) -> None:
     """Run one strategy's shard of the campaign; always report back.
+
+    ``config`` crosses the process boundary by value: under a
+    "spawn"/"forkserver" start method it is pickled, so a
+    ``runtime_factory`` it carries must be module-level.
 
     ``heartbeats[index]`` is refreshed from the runtime's stop-check
     poll, which fires between iterations and inside long executions —
@@ -231,36 +231,18 @@ def _portfolio_worker(
     # Per-shard event stream: workers append to the same JSONL file as
     # the parent (single-line appends are multi-process safe), tagged
     # with their shard index.
-    events_path = config.get("events_path")
     events = (
-        EventLog(events_path, shard=index) if events_path is not None else None
+        EventLog(config.events_path, shard=index)
+        if config.events_path is not None
+        else None
     )
     try:
-        strategy = make_strategy(spec)
-        report = drive(
-            main_cls,
-            payload,
-            strategy,
-            max_iterations=config["max_iterations"],
-            time_limit=None,
-            max_steps=config["max_steps"],
-            stop_on_first_bug=config["stop_on_first_bug"],
-            livelock_as_bug=config["livelock_as_bug"],
-            record_traces=config["record_traces"],
-            runtime_factory=config["runtime_factory"],
-            deadline=deadline,
-            stop_check=stop_check,
-            workers=config["runtime_workers"],
-            monitors=config["monitors"],
-            max_hot_steps=config["max_hot_steps"],
-            faults=config.get("faults"),
-            iteration_timeout=config.get("iteration_timeout"),
-            coverage=config.get("coverage", False),
+        report = run_campaign(
+            config, make_strategy(spec),
+            program=program, deadline=deadline, stop_check=stop_check,
             events=events,
-            reduction=config.get("reduction", "none"),
-            state_cache_size=config.get("state_cache_size", DEFAULT_STATE_CACHE_SIZE),
         )
-        if config["stop_on_first_bug"] and report.first_bug is not None:
+        if config.stop_on_first_bug and report.first_bug is not None:
             cancel.set()
         results.put((index, report.detached()))
     except Exception as exc:  # noqa: BLE001 - never strand the parent
@@ -350,16 +332,15 @@ def run_portfolio(
     """Run a sharded multi-process campaign described by a
     :class:`~repro.testing.config.TestConfig`.
 
-    The core of what used to live inside ``PortfolioEngine.run`` (that
-    class is now a thin shim over this function, as is
-    :meth:`~repro.testing.config.Campaign.portfolio`): one worker process
-    per strategy spec (``config.specs``, or the default diverse mix sized
-    by ``config.portfolio_workers``), the shared deadline, first-bug-wins
-    cancellation, and the honest merge of detached per-worker reports —
-    including ``effective_backend``, which each worker's
-    :func:`~repro.testing.engine.drive` resolves process-locally from
-    ``config.workers`` (``"auto"`` gives every worker the inline runtime
-    with the pooled fallback).
+    One worker process per strategy spec (``config.specs``, or the
+    default diverse mix sized by ``config.portfolio_workers``), the
+    shared deadline, first-bug-wins cancellation, and the honest merge of
+    detached per-worker reports — including ``effective_backend``, which
+    each worker's :func:`~repro.testing.engine.run_campaign` resolves
+    process-locally from ``config.workers`` (``"auto"`` gives every
+    worker the inline runtime with the pooled fallback).  ``grace`` is
+    the flush window workers get after the deadline or a cancellation
+    before they are terminated.
 
     The campaign is robust to its own failures:
 
@@ -382,7 +363,7 @@ def run_portfolio(
     * every child process ever spawned is terminated and joined on the
       way out — no leaked children, whatever path exits the loop.
     """
-    main_cls, payload, monitors = config.resolve_program()
+    program = resolved_program(config)
     completed: Dict[int, TestReport] = {}
     if resume is not None:
         state = load_checkpoint(resume)
@@ -413,25 +394,6 @@ def run_portfolio(
         if config.time_limit is not None
         else float("inf")
     )
-    worker_config = {
-        "max_iterations": config.max_iterations,
-        "max_steps": config.max_steps,
-        "stop_on_first_bug": config.stop_on_first_bug,
-        "livelock_as_bug": config.livelock_as_bug,
-        "record_traces": config.record_traces,
-        # Crosses the process boundary: under a "spawn"/"forkserver"
-        # start method the factory must be picklable (module-level).
-        "runtime_factory": config.runtime_factory,
-        "runtime_workers": config.workers,
-        "monitors": tuple(monitors),
-        "max_hot_steps": config.max_hot_steps,
-        "faults": config.resolved_faults(),
-        "iteration_timeout": config.iteration_timeout,
-        "coverage": config.coverage,
-        "events_path": config.events_path,
-        "reduction": config.reduction,
-        "state_cache_size": config.state_cache_size,
-    }
     # Parent-side event stream: campaign lifecycle, worker supervision
     # and checkpoint writes.  Workers append shard-tagged records to the
     # same file; line-sized appends interleave safely.
@@ -464,7 +426,7 @@ def run_portfolio(
         process = ctx.Process(
             target=_portfolio_worker,
             args=(
-                index, specs[index], main_cls, payload, worker_config,
+                index, specs[index], config, program,
                 deadline, cancel, results, heartbeats,
             ),
             daemon=True,
@@ -670,135 +632,3 @@ def run_portfolio(
         )
         events.close()
     return campaign
-
-
-# ---------------------------------------------------------------------------
-# The portfolio engine
-# ---------------------------------------------------------------------------
-class PortfolioEngine:
-    """Shard a bug-finding campaign across a pool of strategy workers.
-
-    Each spec in ``specs`` becomes one worker process running
-    ``max_iterations`` schedules (the per-worker shard) within the shared
-    ``time_limit``.  With ``stop_on_first_bug`` (the default) the first
-    worker to find a bug cancels the rest; the campaign report's
-    ``first_bug`` is that winner's, its trace ready for deterministic
-    replay in this process via :meth:`replay_winner`.
-
-    A 1-spec portfolio is behaviourally identical to a
-    :class:`~repro.testing.engine.TestingEngine` run with that strategy —
-    both execute :func:`~repro.testing.engine.drive`.
-
-    .. deprecated::
-        ``PortfolioEngine`` is kept as a thin shim over the declarative
-        facade: its ``run`` builds a :class:`repro.testing.config
-        .TestConfig` and calls :func:`run_portfolio` — prefer
-        ``Campaign(config).portfolio()``.
-    """
-
-    __test__ = False
-
-    #: per-instance override of the worker flush window (see DEFAULT_GRACE).
-    grace = DEFAULT_GRACE
-
-    def __init__(
-        self,
-        main_cls: Type[Machine],
-        payload: Any = None,
-        *,
-        specs: Optional[Sequence[StrategySpec]] = None,
-        workers: Optional[int] = None,
-        seed: Optional[int] = None,
-        max_iterations: int = 10_000,
-        time_limit: float = 300.0,
-        max_steps: int = 20_000,
-        stop_on_first_bug: bool = True,
-        livelock_as_bug: bool = False,
-        start_method: Optional[str] = None,
-        runtime_workers: str = "auto",
-        monitors: Sequence[type] = (),
-        max_hot_steps: int = 1000,
-    ) -> None:
-        if specs is None:
-            specs = default_portfolio(workers if workers is not None else 4, seed)
-        elif workers is not None and workers != len(specs):
-            raise ValueError("pass either specs or workers, not conflicting both")
-        if not specs:
-            raise ValueError("portfolio needs at least one strategy spec")
-        self.main_cls = main_cls
-        self.payload = payload
-        self.specs = [
-            spec if isinstance(spec, StrategySpec) else StrategySpec(*spec)
-            for spec in specs
-        ]
-        for spec in self.specs:
-            # Fail fast in the parent: a typo'd strategy name or parameter
-            # must raise here, not silently produce an empty worker shard.
-            make_strategy(spec)
-        self.max_iterations = max_iterations
-        self.time_limit = time_limit
-        self.max_steps = max_steps
-        self.stop_on_first_bug = stop_on_first_bug
-        self.livelock_as_bug = livelock_as_bug
-        if runtime_workers not in ("auto", "inline", "pool", "spawn"):
-            raise ValueError(
-                "runtime_workers must be 'auto', 'inline', 'pool' or "
-                f"'spawn', got {runtime_workers!r}"
-            )
-        # Worker back-end each subprocess's runtime uses: "auto" (default)
-        # gives every worker the single-thread inline continuation runtime
-        # with a transparent process-local fallback to pooled threads;
-        # concrete modes pin the back-end.
-        self.runtime_workers = runtime_workers
-        # Monitor *classes* ship to workers (picklable by reference, like
-        # the program's machine classes); instances are per-execution.
-        self.monitors = tuple(monitors)
-        self.max_hot_steps = max_hot_steps
-        # None flows through to run_portfolio, the single place the
-        # fork-preference default is resolved.
-        self.start_method = start_method
-        self.last_report: Optional[TestReport] = None
-
-    # ------------------------------------------------------------------
-    def run(self) -> TestReport:
-        # Deferred import: config is the layer above this module.
-        from .config import TestConfig
-
-        config = TestConfig(
-            program=self.main_cls,
-            payload=self.payload,
-            specs=tuple(self.specs),
-            max_iterations=self.max_iterations,
-            time_limit=self.time_limit,
-            max_steps=self.max_steps,
-            stop_on_first_bug=self.stop_on_first_bug,
-            livelock_as_bug=self.livelock_as_bug,
-            workers=self.runtime_workers,
-            monitors=self.monitors,
-            max_hot_steps=self.max_hot_steps,
-            start_method=self.start_method,
-        )
-        campaign = run_portfolio(config, grace=self.grace)
-        self.last_report = campaign
-        return campaign
-
-    # ------------------------------------------------------------------
-    def replay_winner(
-        self, report: Optional[TestReport] = None
-    ) -> Optional[ExecutionResult]:
-        """Replay the campaign-winning schedule in *this* process.
-
-        Returns the replay's :class:`ExecutionResult`, or None when the
-        campaign found no bug (or recorded no trace)."""
-        report = report if report is not None else self.last_report
-        if report is None or report.first_bug is None or report.first_bug.trace is None:
-            return None
-        return replay(
-            self.main_cls,
-            report.first_bug.trace,
-            payload=self.payload,
-            max_steps=self.max_steps,
-            livelock_as_bug=self.livelock_as_bug,
-            monitors=self.monitors,
-            max_hot_steps=self.max_hot_steps,
-        )

@@ -17,8 +17,8 @@ created, and every specification monitor that observed one of its events
 (monitor state is order-sensitive, so two sends observed by the same
 monitor do not commute even when their targets differ).  Two steps
 commute iff their object footprints are disjoint.  Footprints are derived
-from trace-visible facts only, so the oracle is identical on the inline,
-pool and spawn back-ends.
+from trace-visible facts only, so the oracle is identical on the inline
+and pool carriers.
 
 **Dynamic partial-order reduction** (:class:`~repro.testing.strategies
 .DfsStrategy` / ``IterativeDeepeningDfsStrategy``).  Machine-choice
@@ -203,7 +203,7 @@ class ReductionEngine:
     analysis, backtrack insertion).
 
     One engine serves one campaign loop: :func:`repro.testing.engine
-    .drive` constructs it next to the coverage map, hands it to the
+    .run_campaign` constructs it next to the coverage map, hands it to the
     runtime (``BugFindingRuntime(reduction=...)``) and attaches it to the
     strategy (:meth:`~repro.testing.strategies.SchedulingStrategy
     .attach_reduction`).  The ``workers="auto"`` inline→pool restart

@@ -14,7 +14,7 @@ point — the simple partial-order reduction inherited from P [6]); a forced
 hand-off additionally happens when a machine goes idle.  Exactly one
 thread is runnable at any moment, so runtime state needs no locking.
 
-Three worker back-ends drive the cooperative machines:
+Two carriers drive the cooperative machines:
 
 ``workers="inline"``
     The single-thread continuation runtime: machine handlers are
@@ -24,22 +24,26 @@ Three worker back-ends drive the cooperative machines:
     locks, no hand-offs, no permits, and no ~3-7us OS thread switch per
     non-forced decision.
 
-``workers="pool"`` (default)
+``workers="pool"``
     A process-lifetime :class:`WorkerPool` of reusable OS threads.  Each
     execution checks workers out, binds machines to them, and checks them
     back in when the schedule completes, so a 10k-iteration campaign
     reuses a handful of threads instead of spawning and joining tens of
     thousands.  Hand-offs ride raw ``threading.Lock`` primitives (C
     implemented) instead of ``threading.Semaphore`` (pure-Python
-    condition variables).
+    condition variables).  The carrier for handlers the coroutine
+    compiler cannot reshape, and for :class:`~repro.chess.ChessRuntime`.
 
-``workers="spawn"``
-    The historical thread-per-execution path, kept as the A/B baseline:
-    a fresh thread and semaphore per machine per execution.
-
-All back-ends run the *same* scheduling code, so for a fixed strategy
-seed they produce bit-identical :class:`ScheduleTrace` records — DFS
-backtracking, replay and PCT semantics are independent of the back-end.
+``workers="auto"`` resolves to ``inline`` when the main machine class
+compiles and to ``pool`` otherwise.  Both carriers make the *same*
+scheduling decisions in the same order, so for a fixed strategy seed they
+produce bit-identical :class:`ScheduleTrace` records — DFS backtracking,
+replay and PCT semantics are independent of the carrier.  The decision
+itself is written three times: inlined in the op-interpreter loop of
+:meth:`BugFindingRuntime._inline_body` (the hot path), in
+:meth:`BugFindingRuntime._schedule` (the blocking form pooled threads
+call) and in :meth:`BugFindingRuntime._pick_successor` (the hand-off of
+an idle or finished machine, shared by both carriers).
 
 The runtime is reusable: :meth:`BugFindingRuntime.reset` (called
 automatically at the top of :meth:`~BugFindingRuntime.execute`) returns
@@ -145,37 +149,16 @@ class ExecutionResult:
     faults_injected: int = 0
     fault_kinds: Tuple[int, ...] = (0, 0, 0, 0, 0)
     consulted: int = 0
+    # True when a replayed execution left its recorded schedule (the
+    # trace ran out, or a recorded choice was not enabled) and finished
+    # on the replay strategy's first-enabled fallback: whatever it
+    # reports is not what the trace recorded.  Always False outside
+    # replay.
+    diverged: bool = False
 
     @property
     def buggy(self) -> bool:
         return self.bug is not None
-
-
-class _SpawnWorker:
-    """Thread-per-execution worker: the historical back-end."""
-
-    __slots__ = ("machine", "mid", "thread", "signal", "state",
-                 "final_wake_consumed")
-
-    def __init__(self, runtime: "BugFindingRuntime", machine: Machine) -> None:
-        self.machine = machine
-        self.mid = machine.id
-        self.signal = threading.Semaphore(0)
-        self.state = _NEW
-        self.final_wake_consumed = False
-        self.thread = threading.Thread(
-            target=self._main,
-            args=(runtime,),
-            daemon=True,
-            name=f"sct-{machine.id}",
-        )
-        self.thread.start()
-
-    def _main(self, runtime: "BugFindingRuntime") -> None:
-        self.signal.acquire()
-        if runtime._canceled:
-            return
-        runtime._worker_body(self)
 
 
 class _PoolWorker:
@@ -367,16 +350,14 @@ class BugFindingRuntime(RuntimeBase):
         generator coroutines (the continuation runtime — fastest, but
         handlers must be source-analysable; see
         :mod:`repro.core.continuations`); ``"pool"`` binds machines to
-        reusable pooled threads (default); ``"spawn"`` creates a thread
-        per machine per execution (the historical path, kept for A/B
-        benchmarking); ``"auto"`` resolves per campaign at
-        :meth:`execute` time — inline when the main machine class
-        compiles (``Machine.inline_compatible``), pool otherwise — with
-        the resolved choice readable as :attr:`effective_workers`.  (A
-        machine class *created mid-execution* that fails to compile
+        reusable pooled threads (default); ``"auto"`` resolves per
+        campaign at :meth:`execute` time — inline when the main machine
+        class compiles (``Machine.inline_compatible``), pool otherwise —
+        with the resolved choice readable as :attr:`effective_workers`.
+        (A machine class *created mid-execution* that fails to compile
         still raises :class:`InlineCompileError` out of ``execute``;
         the engine layer catches it and restarts the campaign on the
-        pooled backend.)  All back-ends produce identical traces for
+        pooled carrier.)  Both carriers produce identical traces for
         the same strategy seed.
     pool:
         The :class:`WorkerPool` to draw pooled workers from; defaults to
@@ -415,9 +396,9 @@ class BugFindingRuntime(RuntimeBase):
         activity coverage into, across every execution this runtime
         runs: states entered, transitions taken, events
         sent/dequeued/dropped, machine instances and halts.  Collection
-        rides the existing hook points at identical positions on all
-        three back-ends, so for a fixed strategy seed the resulting map
-        is bit-identical across inline/pool/spawn.  ``None`` (default)
+        rides the existing hook points at identical positions on both
+        carriers, so for a fixed strategy seed the resulting map is
+        bit-identical across inline/pool.  ``None`` (default)
         disables collection; the hooks then cost one boolean/None test.
     reduction:
         A :class:`~repro.testing.reduction.ReductionEngine` arming
@@ -456,10 +437,9 @@ class BugFindingRuntime(RuntimeBase):
         reduction: Optional[ReductionEngine] = None,
     ) -> None:
         super().__init__()
-        if workers not in ("auto", "inline", "pool", "spawn"):
+        if workers not in ("auto", "inline", "pool"):
             raise ValueError(
-                "workers must be 'auto', 'inline', 'pool' or 'spawn', "
-                f"got {workers!r}"
+                f"workers must be 'auto', 'inline' or 'pool', got {workers!r}"
             )
         if faults is not None and not isinstance(faults, FaultConfig):
             raise ValueError(f"faults must be a FaultConfig, got {faults!r}")
@@ -515,8 +495,8 @@ class BugFindingRuntime(RuntimeBase):
         # the straggler thread, on resuming, would mutate the *next*
         # execution's state.  Leaving the runtime canceled forever makes
         # the straggler unwind harmlessly — the same benign leak the old
-        # runtime-per-iteration design had.  drive() constructs a fresh
-        # runtime when it sees the flag.
+        # runtime-per-iteration design had.  The campaign loop constructs
+        # a fresh runtime when it sees the flag.
         self.tainted = False
         # Activity-coverage collection (repro.testing.coverage): the map
         # accumulates across every execution this runtime runs, so the
@@ -731,13 +711,7 @@ class BugFindingRuntime(RuntimeBase):
             self._workers[mid].signal.release()
             self._done.acquire()
             self._cancel_all()
-            if self.effective_workers == "pool":
-                self._release_pool_workers()
-            else:
-                for worker in self._workers.values():
-                    worker.thread.join(timeout=self._retire_timeout)
-                if any(w.thread.is_alive() for w in self._workers.values()):
-                    self.tainted = True
+            self._release_pool_workers()
         consulted = self._consulted
         if red is not None:
             red.end_execution(trace)
@@ -755,6 +729,7 @@ class BugFindingRuntime(RuntimeBase):
             faults_injected=self._faults_injected,
             fault_kinds=tuple(self._fault_kinds),
             consulted=consulted,
+            diverged=getattr(self.strategy, "diverged", False),
         )
 
     def _release_pool_workers(self) -> None:
@@ -805,7 +780,7 @@ class BugFindingRuntime(RuntimeBase):
                 # decision never commutes with its own send).
                 self._red.effects.append(target.value)
             # Message-fault consultation point (kept in sync with the
-            # inlined OP_SEND blocks of _inline_body/_inline_drive).
+            # inlined OP_SEND block of _inline_body).
             if self._send_fault_active and (fault := self._consult_send_fault()):
                 self._apply_send_fault(machine, event, fault)
             else:
@@ -1164,19 +1139,16 @@ class BugFindingRuntime(RuntimeBase):
             # keeps the enabled set sorted.
             self._enabled.append(machine.id)
             return machine.id
-        if self.effective_workers == "pool":
-            worker = self._pool.checkout()
-            worker.machine = machine
-            worker.mid = machine.id
-            worker.state = _NEW
-            worker.retired = False
-            worker.final_wake_consumed = False
-            worker.runtime = self
-            with self._retire_lock:
-                self._live += 1
-            self._bound.append(worker)
-        else:
-            worker = _SpawnWorker(self, machine)
+        worker = self._pool.checkout()
+        worker.machine = machine
+        worker.mid = machine.id
+        worker.state = _NEW
+        worker.retired = False
+        worker.final_wake_consumed = False
+        worker.runtime = self
+        with self._retire_lock:
+            self._live += 1
+        self._bound.append(worker)
         self._workers[machine.id] = worker
         self._worker_list.append(worker)
         self._enabled.append(machine.id)
@@ -1290,7 +1262,7 @@ class BugFindingRuntime(RuntimeBase):
         """The trampoline: resume one machine's cooperative body at a
         time; each ``gen.send`` runs the machine up to its next control
         transfer, which arrives back here as the chosen machine id.  One
-        flat loop replaces the threaded back-ends' signal hand-offs, so a
+        flat loop replaces the pooled carrier's signal hand-offs, so a
         non-forced scheduling decision costs a strategy call plus a
         generator resume instead of an OS thread switch."""
         current = first
@@ -1319,8 +1291,8 @@ class BugFindingRuntime(RuntimeBase):
         finally:
             # Mirror _cancel_all: unwind every still-suspended machine
             # with ExecutionCanceled so user try/finally blocks run
-            # exactly as they do when the threaded back-ends cancel
-            # their workers.  Runs even when a hard error (e.g.
+            # exactly as they do when the pooled carrier cancels
+            # its workers.  Runs even when a hard error (e.g.
             # InlineCompileError) propagates to the caller.
             self._canceled = True
             for worker in self._worker_list:
@@ -1344,19 +1316,32 @@ class BugFindingRuntime(RuntimeBase):
         id whenever the schedule transfers control away; exceptions
         propagate to the trampoline, which classifies them.
 
-        The op-interpreter loop for *step* activations is inlined here
-        (it is the hottest code in an inline campaign — a per-step
-        delegating generator measurably caps #Sch/sec); it must stay
-        semantically identical to :meth:`_inline_drive`, which remains
-        the documented reference implementation and drives the
-        once-per-machine start activation.
+        An *activation* is what ``_start_inline`` / ``_step_inline`` hand
+        back: ``True`` (ran plain, progressed), ``False`` (nothing to
+        handle) or a coroutine to interpret.  The coroutine yields
+        ``(OP_SEND, target, event)`` / ``(OP_CREATE, cls, payload)``
+        tuples at its scheduling primitives; the op-interpreter loop
+        below performs the effect, then makes the scheduling decision
+        the primitive implies — the exact sequence :meth:`send` +
+        :meth:`_schedule` produce on the pooled carrier, so traces stay
+        bit-identical.  Control transfers are yielded upward to the
+        trampoline; exceptions raised by the effect or the decision
+        (monitor failures, bound cutoffs, cancellation) are thrown *into*
+        the activation so they surface at the user's call site with its
+        try/finally semantics intact.
+
+        The interpreter loop is written once, inline (it is the hottest
+        code in an inline campaign — a per-step delegating generator
+        measurably caps #Sch/sec), and serves the start activation, the
+        crash-restart start and every step activation alike.  It
+        iterates the activation with ``for`` — a generator that returns
+        (all of ours return None) exhausts a for-loop without the cost of
+        materializing and catching StopIteration — and drops to explicit
+        ``send``/``throw`` only when a create needs its result delivered
+        or an exception must surface at the user's call site.
         """
         machine = worker.machine
         worker.state = _RUNNING
-        self._current = machine.id
-        outcome = machine._start_inline()
-        if outcome is not True:
-            yield from self._inline_drive(worker, outcome)
         count_step = self._count_step
         step_inline = machine._step_inline
         hook_visible = self._hook_visible
@@ -1364,6 +1349,7 @@ class BugFindingRuntime(RuntimeBase):
         observe_forced = strategy.observe_forced
         pick_machine = strategy.pick_machine
         schedulable = self._schedulable
+        pick_successor = self._pick_successor
         machines_get = self._machines.get
         monitors_attached = self._monitors_attached
         cov = self._cov
@@ -1379,38 +1365,20 @@ class BugFindingRuntime(RuntimeBase):
         crash_eligible = self._crash_weight > 0 and (
             not self._crash_classes or isinstance(machine, self._crash_classes)
         )
-        while not machine._halted:
-            # Crash-fault consultation point, between steps (kept in sync
-            # with _worker_body).
-            if (
-                crash_eligible
-                and self._crash_fault_active
-                and self._consult_crash_fault()
-            ):
-                self._crash_restart(machine)
-                outcome = machine._start_inline()
-                if outcome is not True:
-                    yield from self._inline_drive(worker, outcome)
-                continue
-            # Fast path of _count_step: bump the counter and fall back to
-            # the real method whenever any of its checks could fire.
-            steps = self._steps + 1
-            if poll or steps > self._hot_deadline or steps > max_steps:
-                count_step()
-            else:
-                self._steps = steps
-            if hook_visible:
-                self.on_visible_operation(machine, "dequeue")
+        self._current = mid
+        activation = machine._start_inline()
+        while True:
             # True / False mirror _step's plain-handler result; anything
-            # else is a coroutine activation to drive (it progressed).
-            progressed = step_inline()
-            if progressed is not True and progressed is not False:
-                # -- the _inline_drive loop, inlined (keep in sync!) --
-                gen = progressed
+            # else is a coroutine activation to interpret (it progressed).
+            if activation is not True and activation is not False:
+                gen = activation
                 value = _NO_VALUE
                 error: Optional[BaseException] = None
                 while True:
                     if error is not None or value is not _NO_VALUE:
+                        # Slow advance: deliver a create result or throw
+                        # an exception into the activation, then resume
+                        # iterating from the op it yields next (if any).
                         try:
                             if error is not None:
                                 exc, error = error, None
@@ -1427,6 +1395,9 @@ class BugFindingRuntime(RuntimeBase):
                     for op in ops:
                         try:
                             if op[0] == OP_SEND:
+                                # The send effect, mirroring self.send(
+                                # sender=None): monitor mirroring,
+                                # enqueue, hook.
                                 event = op[2]
                                 if monitors_attached:
                                     observers = self._observers_for(
@@ -1464,6 +1435,7 @@ class BugFindingRuntime(RuntimeBase):
                                             )
                             else:  # OP_CREATE
                                 value = self._spawn(op[1], op[2])
+                            # The scheduling point (mirrors _schedule).
                             if self._canceled:
                                 raise ExecutionCanceled()
                             steps = self._steps + 1
@@ -1499,197 +1471,60 @@ class BugFindingRuntime(RuntimeBase):
                                 break
                         except InlineCompileError:
                             raise  # configuration error, never a bug
-                        except BaseException as exc:  # noqa: BLE001
+                        except BaseException as exc:  # noqa: BLE001 - rethrown
                             error = exc
                             completed = False
                             break
                     if completed:
                         break
-                progressed = True
+                activation = True
             if machine._halted:
                 break
-            if not progressed:
+            if activation is False:
                 worker.state = _IDLE
                 # The failed step scan doubles as the idle memo (nothing
                 # was enqueued since); mirrors _become_idle.
                 machine._idle_deliverable = False
                 machine._inbox_dirty = False
                 self._enabled.remove(mid)
-                yield self._inline_handoff(worker)
+                choice = pick_successor(mid)
+                if choice is None:
+                    # The pooled worker parks here until cancellation
+                    # unwinds it; inline, the unwind is immediate.
+                    raise ExecutionCanceled()
+                yield choice
                 # Resumed: either canceled, or we have a deliverable event.
                 if self._canceled:
                     raise ExecutionCanceled()
                 worker.state = _RUNNING
                 self._current = mid
+            # Crash-fault consultation point, between steps (kept in sync
+            # with _worker_body).
+            if (
+                crash_eligible
+                and self._crash_fault_active
+                and self._consult_crash_fault()
+            ):
+                self._crash_restart(machine)
+                activation = machine._start_inline()
+                continue
+            # Fast path of _count_step: bump the counter and fall back to
+            # the real method whenever any of its checks could fire.
+            steps = self._steps + 1
+            if poll or steps > self._hot_deadline or steps > max_steps:
+                count_step()
+            else:
+                self._steps = steps
+            if hook_visible:
+                self.on_visible_operation(machine, "dequeue")
+            activation = step_inline()
         worker.state = _DONE
+        choice = pick_successor(mid)
+        if choice is None:
+            raise ExecutionCanceled()
         # Returning (instead of yielding) finishes this generator, making
         # its end-of-execution cleanup free; the trampoline reads the
         # final choice out of StopIteration.
-        return self._inline_handoff(worker)
-
-    def _inline_drive(self, worker: _InlineWorker, gen):
-        """Interpret one machine activation (a start or step coroutine).
-
-        The activation yields ``(OP_SEND, target, event)`` /
-        ``(OP_CREATE, cls, payload)`` tuples at its scheduling
-        primitives; this loop performs the effect, then makes the
-        scheduling decision the primitive implies — the exact sequence
-        :meth:`send` + :meth:`_schedule` produce on the threaded
-        back-ends, so traces stay bit-identical.  Control transfers are
-        yielded upward to the trampoline; exceptions raised by the
-        effect or the decision (monitor failures, bound cutoffs,
-        cancellation) are thrown *into* the activation so they surface
-        at the user's call site with its try/finally semantics intact.
-        The loop iterates the activation with ``for`` — a generator that
-        returns (all of ours return None) exhausts a for-loop without the
-        cost of materializing and catching StopIteration — and drops to
-        explicit ``send``/``throw`` only when a create needs its result
-        delivered or an exception must surface at the user's call site.
-        """
-        strategy = self.strategy
-        observe_forced = strategy.observe_forced
-        pick_machine = strategy.pick_machine
-        count_step = self._count_step
-        schedulable = self._schedulable
-        machines_get = self._machines.get
-        hook_visible = self._hook_visible
-        monitors_attached = self._monitors_attached
-        cov = self._cov
-        red = self._red
-        workers_list = self._worker_list
-        idle_pending = self._idle_pending
-        trace = self._trace
-        trace_append = None if trace is None else trace.append
-        mid = worker.mid
-        mid_value = mid.value
-        poll = self._poll
-        max_steps = self.max_steps
-        value = _NO_VALUE
-        error: Optional[BaseException] = None
-        while True:
-            if error is not None or value is not _NO_VALUE:
-                # Slow advance: deliver a create result or throw an
-                # exception into the activation, then resume iterating
-                # from the op it yields next (if any).
-                try:
-                    if error is not None:
-                        exc, error = error, None
-                        op = gen.throw(exc)
-                    else:
-                        sent, value = value, _NO_VALUE
-                        op = gen.send(sent)
-                except StopIteration:
-                    return
-                ops = chain((op,), gen)
-            else:
-                ops = gen
-            completed = True
-            for op in ops:
-                try:
-                    if op[0] == OP_SEND:
-                        # The send effect, mirroring self.send(sender=
-                        # None): monitor mirroring, enqueue, hook.
-                        event = op[2]
-                        if monitors_attached:
-                            observers = self._observers_for(
-                                type(event), self._send_observers, "observes"
-                            )
-                            if observers:
-                                self._deliver_to_monitors(observers, event)
-                        machine = machines_get(op[1])
-                        if cov is not None:
-                            cov.record_send(
-                                event, machine is None or machine._halted
-                            )
-                        if machine is not None and not machine._halted:
-                            if red is not None:
-                                red.effects.append(op[1].value)
-                            # Message-fault consultation point (kept in
-                            # sync with send()).
-                            if self._send_fault_active and (
-                                fault := self._consult_send_fault()
-                            ):
-                                self._apply_send_fault(machine, event, fault)
-                            else:
-                                machine._inbox.append(event)
-                                if not machine._inbox_dirty:
-                                    machine._inbox_dirty = True
-                                    seat = workers_list[op[1].value]
-                                    if seat.state is _IDLE:
-                                        idle_pending.append(seat)
-                                if hook_visible:
-                                    self.on_visible_operation(machine, "enqueue")
-                    else:  # OP_CREATE
-                        value = self._spawn(op[1], op[2])
-                    # The scheduling point (mirrors _schedule).
-                    if self._canceled:
-                        raise ExecutionCanceled()
-                    steps = self._steps + 1
-                    if poll or steps > self._hot_deadline or steps > max_steps:
-                        count_step()
-                    else:
-                        self._steps = steps
-                    if red is not None:
-                        self._reduction_check()
-                    enabled = schedulable()
-                    self._sched_points += 1
-                    if len(enabled) == 1:
-                        choice = enabled[0]
-                        observe_forced(choice)
-                        if trace_append is not None:
-                            trace_append(SCHED_TAG, choice.value)
-                        if red is not None:
-                            self._reduction_chose(choice, enabled)
-                    else:
-                        choice = pick_machine(enabled, mid)
-                        self._consulted += 1
-                        if trace_append is not None:
-                            trace_append(SCHED_TAG, choice.value)
-                        if red is not None:
-                            self._reduction_chose(choice, enabled)
-                        if choice.value != mid_value:
-                            yield choice
-                            if self._canceled:
-                                raise ExecutionCanceled()
-                            self._current = mid
-                    if value is not _NO_VALUE:
-                        completed = False
-                        break
-                except InlineCompileError:
-                    raise  # configuration error, never a bug
-                except BaseException as exc:  # noqa: BLE001 - rethrown
-                    error = exc
-                    completed = False
-                    break
-            if completed:
-                return
-
-    def _inline_handoff(self, worker: _InlineWorker) -> MachineId:
-        """Pick who runs next when ``worker`` gives up control without
-        remaining schedulable (idle or done): the inline counterpart of
-        :meth:`_handoff`.  The caller yields the returned id."""
-        enabled = self._schedulable()
-        if not enabled:
-            if self._monitors_attached:
-                self._check_monitors_at_termination()
-            self._finish("ok")
-            # The threaded worker parks here until cancellation unwinds
-            # it; inline, the unwind is immediate.
-            raise ExecutionCanceled()
-        # Kept in sync with _handoff: termination above is never pruned.
-        if self._red is not None:
-            self._reduction_check()
-        self._sched_points += 1
-        if len(enabled) == 1:
-            choice = enabled[0]
-            self.strategy.observe_forced(choice)
-        else:
-            choice = self.strategy.pick_machine(enabled, worker.mid)
-            self._consulted += 1
-        if self._trace is not None:
-            self._trace.append(SCHED_TAG, choice.value)
-        if self._red is not None:
-            self._reduction_chose(choice, enabled)
         return choice
 
     # ------------------------------------------------------------------
@@ -1811,8 +1646,11 @@ class BugFindingRuntime(RuntimeBase):
             raise ExecutionCanceled()
         self._current = current
 
-    def _handoff(self, worker: Any, voluntary: bool) -> None:
-        """Give up control without remaining schedulable (idle or done)."""
+    def _pick_successor(self, mid: MachineId) -> Optional[MachineId]:
+        """The hand-off decision: who runs next when machine ``mid`` gives
+        up control without remaining schedulable (idle or done).  ``None``
+        means nobody can — the execution has been finished ("ok", or a
+        liveness bug) and the caller unwinds."""
         enabled = self._schedulable()
         if not enabled:
             if self._monitors_attached:
@@ -1821,12 +1659,7 @@ class BugFindingRuntime(RuntimeBase):
                 # below is then a no-op — first finish wins).
                 self._check_monitors_at_termination()
             self._finish("ok")
-            # Block until cancellation unwinds this thread; the only wake
-            # that can arrive here is the end-of-execution permit.
-            worker.signal.acquire()
-            worker.final_wake_consumed = True
-            self._check_canceled()
-            return
+            return None
         # Termination (empty enabled set) is never pruned — the monitor
         # checks above must run — so the reduction check sits after it.
         if self._red is not None:
@@ -1836,12 +1669,24 @@ class BugFindingRuntime(RuntimeBase):
             choice = enabled[0]
             self.strategy.observe_forced(choice)
         else:
-            choice = self.strategy.pick_machine(enabled, worker.machine.id)
+            choice = self.strategy.pick_machine(enabled, mid)
             self._consulted += 1
         if self._trace is not None:
             self._trace.append(SCHED_TAG, choice.value)
         if self._red is not None:
             self._reduction_chose(choice, enabled)
+        return choice
+
+    def _handoff(self, worker: Any, voluntary: bool) -> None:
+        """Give up control without remaining schedulable (idle or done)."""
+        choice = self._pick_successor(worker.mid)
+        if choice is None:
+            # Block until cancellation unwinds this thread; the only wake
+            # that can arrive here is the end-of-execution permit.
+            worker.signal.acquire()
+            worker.final_wake_consumed = True
+            self._check_canceled()
+            return
         self._workers[choice].signal.release()
         if voluntary:
             worker.signal.acquire()
@@ -1936,7 +1781,7 @@ class BugFindingRuntime(RuntimeBase):
         fault count round it out.  Built exclusively from
         :func:`repro.testing.reduction.stable_update`, so the digest is
         independent of ``PYTHONHASHSEED``, worker back-end and process —
-        equal digests across inline/pool/spawn are part of the parity
+        equal digests across inline/pool are part of the parity
         contract and are asserted in the test-suite.
         """
         h = blake2b(digest_size=16)

@@ -66,7 +66,7 @@ class SchedulingStrategy(ABC):
         strategies accept it and switch their machine-choice frames to
         DPOR backtrack sets; everything else ignores it (state caching,
         the strategy-agnostic layer, lives in the runtime).  Called by
-        :func:`repro.testing.engine.drive` before the first iteration —
+        :func:`repro.testing.engine.run_campaign` before the first iteration —
         and called again with a fresh engine after an ``auto`` backend
         restart, so implementations must simply replace any previous
         attachment."""
@@ -95,7 +95,7 @@ class SchedulingStrategy(ABC):
         Campaign restarts rely on this being *exact*: after ``reset()``
         the strategy must make the same decision sequence a freshly
         constructed twin would.  ``workers="auto"``'s mid-campaign
-        inline-to-pool fallback (:func:`repro.testing.engine.drive`)
+        inline-to-pool fallback (:func:`repro.testing.engine.run_campaign`)
         resets the strategy and re-runs the campaign on the pooled
         backend so its traces are bit-identical to an explicit
         ``workers="pool"`` run with the same seed.  Custom strategies

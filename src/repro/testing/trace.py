@@ -153,8 +153,8 @@ class ScheduleTrace:
         """A stable hex digest of the decision sequence.
 
         Two traces have equal fingerprints iff they are bit-identical —
-        the compact form of the cross-backend parity contract (inline,
-        pool and spawn must produce the same digest per strategy seed),
+        the compact form of the cross-carrier parity contract (inline
+        and pool must produce the same digest per strategy seed),
         cheap enough to assert over whole benchmark registries and to
         record alongside benchmark results.
         """

@@ -5,7 +5,7 @@ the read-only extension, as Table 1 reports)."""
 
 import pytest
 
-from repro import RandomStrategy, TestingEngine
+from repro import Campaign, RandomStrategy, TestConfig
 from repro.analysis.frontend import analyze_machines, lower_machines
 from repro.bench import all_benchmarks, get
 
@@ -23,13 +23,15 @@ SOTER = ["Leader", "Pi", "Chameneos", "Swordfish"]
 
 
 def run_random(main, iterations=30, seed=0, stop_on_first_bug=False, max_steps=5000):
-    engine = TestingEngine(
-        main,
+    engine = Campaign(
+        TestConfig(
+            main,
+            max_iterations=iterations,
+            stop_on_first_bug=stop_on_first_bug,
+            max_steps=max_steps,
+            time_limit=120,
+        ),
         strategy=RandomStrategy(seed=seed),
-        max_iterations=iterations,
-        stop_on_first_bug=stop_on_first_bug,
-        max_steps=max_steps,
-        time_limit=120,
     )
     return engine.run()
 
@@ -106,13 +108,15 @@ def test_correct_variant_verified_with_extensions(name):
 def test_german_livelock_detected_by_depth_bound():
     from repro.bench.german import LivelockHost
 
-    engine = TestingEngine(
-        LivelockHost,
+    engine = Campaign(
+        TestConfig(
+            LivelockHost,
+            max_iterations=50,
+            stop_on_first_bug=True,
+            max_steps=2000,
+            livelock_as_bug=True,
+        ),
         strategy=RandomStrategy(seed=3),
-        max_iterations=50,
-        stop_on_first_bug=True,
-        max_steps=2000,
-        livelock_as_bug=True,
     )
     report = engine.run()
     assert report.bug_found

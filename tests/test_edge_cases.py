@@ -5,13 +5,14 @@ import pytest
 from repro import (
     AnalysisReport,
     BugFindingRuntime,
+    Campaign,
     DfsStrategy,
     Event,
     Machine,
     RandomStrategy,
     ScheduleTrace,
     State,
-    TestingEngine,
+    TestConfig,
 )
 from repro.analysis import analyze_program, build_driver, TaintEngine
 from repro.analysis.frontend import FrontendError, lower_machines
@@ -112,9 +113,9 @@ class TestRuntimeEdges:
                 seen.add(self.nondet_int(4))
                 self.halt()
 
-        engine = TestingEngine(
-            Chooser, strategy=DfsStrategy(), max_iterations=50,
-            stop_on_first_bug=False,
+        engine = Campaign(
+            TestConfig(Chooser, max_iterations=50, stop_on_first_bug=False),
+            strategy=DfsStrategy(),
         )
         report = engine.run()
         assert report.exhausted

@@ -4,8 +4,8 @@ The invariants under test:
 
 * a ``FaultConfig`` validates its probabilities and budget;
 * every injected fault is a strategy decision recorded in the schedule
-  trace, so faulty executions are bit-identical across the inline, pool
-  and spawn back-ends and replay exactly;
+  trace, so faulty executions are bit-identical across the inline and
+  pool carriers and replay exactly;
 * the fault-enabled registry variants (``RaftLossy``,
   ``TwoPhaseCommitCrash``) expose bugs that are reachable *only* with
   faults enabled;
@@ -36,7 +36,7 @@ from repro.testing.trace import FAULT
 
 from .machines import CrashCounter, CrashDriver, Ping
 
-BACKENDS = ("inline", "pool", "spawn")
+BACKENDS = ("inline", "pool")
 FAULT_TARGETS = ("RaftLossy", "TwoPhaseCommitCrash")
 
 
@@ -156,6 +156,7 @@ class TestRecordingDeterminism:
         replayed = replay_rt.execute(variant.main, variant.payload)
         assert replayed.trace.fingerprint() == recorded.trace.fingerprint()
         assert replayed.status == recorded.status
+        assert replayed.diverged is False
 
     def test_disabled_faults_record_nothing(self):
         runtime = BugFindingRuntime(
@@ -231,6 +232,7 @@ class TestFaultOnlyBugs:
         assert report.bug_found
         result = campaign.replay()
         assert result is not None and result.buggy
+        assert result.diverged is False
 
 
 class TestCrashRestartSemantics:

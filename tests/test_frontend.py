@@ -181,11 +181,16 @@ class TestEndToEndAnalysis:
 
     def test_runtime_execution_matches_analysis(self):
         # The very same classes run under the SCT runtime.
-        from repro import RandomStrategy, TestingEngine
+        from repro import Campaign, RandomStrategy, TestConfig
 
-        engine = TestingEngine(
-            SafeSender, strategy=RandomStrategy(seed=0), max_iterations=20,
-            stop_on_first_bug=False, max_steps=2_000,
+        engine = Campaign(
+            TestConfig(
+                SafeSender,
+                max_iterations=20,
+                stop_on_first_bug=False,
+                max_steps=2_000,
+            ),
+            strategy=RandomStrategy(seed=0),
         )
         report = engine.run()
         assert report.iterations == 20

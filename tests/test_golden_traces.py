@@ -1,0 +1,119 @@
+"""Bit-identical traces per seed, pinned across commits.
+
+The parity tests elsewhere compare one carrier against the other *at one
+commit*; a change that moves both carriers the same way passes them all.
+``golden_traces.json`` holds what a fixed set of small campaigns produced
+when it was generated — schedule, step and scheduling-point counts, the
+first bug's iteration and trace fingerprint, and the exhaustive-sweep
+counters per reduction mode — and this module asserts them on ``inline``
+and on ``pool``.  A refactor of the runtime must leave the file
+byte-for-byte unchanged.
+
+Regenerate (only when a trace change is intended, and say so in the PR)::
+
+    PYTHONPATH=src python -c "from tests.test_golden_traces import write; write()"
+"""
+
+import json
+import os
+
+import pytest
+
+from repro.bench import registry
+from repro.testing import REDUCTION_MODES, Campaign, TestConfig
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_traces.json")
+
+STRATEGIES = ("random", "pct", "fair-random", "delay-bounding", "dfs")
+SEED = 20150613
+BUDGET = dict(
+    max_iterations=25, max_steps=600, max_hot_steps=150, time_limit=None,
+    stop_on_first_bug=False,
+)
+SWEEP = dict(
+    program="BoundedAsync", strategy=("dfs", {"max_depth": 8}),
+    max_iterations=1_000_000, max_steps=2_000, time_limit=None,
+    stop_on_first_bug=False,
+)
+CARRIERS = ("inline", "pool")
+
+
+def programs():
+    """Every registry program with a buggy variant (the fault-enabled
+    ones run with their registry faults and monitors)."""
+    return [b.name for b in registry.all_benchmarks() if b.buggy is not None]
+
+
+def campaign_row(program, strategy, workers):
+    report = Campaign(
+        TestConfig(program=program, strategy=strategy, seed=SEED,
+                   workers=workers, **BUDGET)
+    ).run()
+    bug = report.first_bug
+    return [
+        report.iterations,
+        report.total_steps,
+        report.total_scheduling_points,
+        report.first_bug_iteration,
+        bug.trace.fingerprint() if bug is not None else None,
+    ]
+
+
+def sweep_row(reduction, workers):
+    report = Campaign(
+        TestConfig(reduction=reduction, workers=workers, **SWEEP)
+    ).run()
+    assert report.exhausted
+    return [report.iterations, report.distinct_states, report.schedules_pruned]
+
+
+def generate(workers="inline"):
+    """The golden document, computed from scratch on ``workers``."""
+    return {
+        "campaigns": {
+            f"{program}/{strategy}": campaign_row(program, strategy, workers)
+            for program in programs()
+            for strategy in STRATEGIES
+        },
+        "sweeps": {
+            reduction: sweep_row(reduction, workers)
+            for reduction in REDUCTION_MODES
+        },
+    }
+
+
+def write(path=GOLDEN_PATH):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(generate(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_golden_file_covers_the_registry(golden):
+    assert sorted(golden["campaigns"]) == sorted(
+        f"{program}/{strategy}" for program in programs() for strategy in STRATEGIES
+    )
+    assert len(programs()) == 13
+    assert sorted(golden["sweeps"]) == sorted(REDUCTION_MODES)
+    # The file pins bug traces, not only clean runs.
+    found = [row for row in golden["campaigns"].values() if row[4] is not None]
+    assert len(found) >= len(programs())
+
+
+@pytest.mark.parametrize("workers", CARRIERS)
+@pytest.mark.parametrize("program", programs())
+def test_campaign_rows_match_the_golden_file(golden, program, workers):
+    for strategy in STRATEGIES:
+        key = f"{program}/{strategy}"
+        assert campaign_row(program, strategy, workers) == golden["campaigns"][key], key
+
+
+@pytest.mark.parametrize("workers", CARRIERS)
+@pytest.mark.parametrize("reduction", REDUCTION_MODES)
+def test_sweep_rows_match_the_golden_file(golden, reduction, workers):
+    assert sweep_row(reduction, workers) == golden["sweeps"][reduction]

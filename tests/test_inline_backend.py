@@ -11,14 +11,14 @@ import pytest
 
 from repro import (
     BugFindingRuntime,
+    Campaign,
     Event,
     FairRandomStrategy,
     Machine,
-    PortfolioEngine,
     RandomStrategy,
     State,
     StrategySpec,
-    TestingEngine,
+    TestConfig,
     replay,
 )
 from repro.bench import get
@@ -26,7 +26,6 @@ from repro.core.continuations import (
     InlineCompileError,
     compile_inline_machine,
 )
-from repro.testing.engine import drive
 
 from .machines import NondetBug, Ping, RacyCounter
 
@@ -307,47 +306,67 @@ class TestInlineUnwind:
 # Integrations
 # ---------------------------------------------------------------------------
 class TestInlineIntegrations:
-    def test_engine_drive_with_inline_backend(self):
-        report = drive(
-            RacyCounter, None, RandomStrategy(seed=3),
-            max_iterations=500, time_limit=60.0, max_steps=2_000,
-            workers="inline",
-        )
+    def test_campaign_with_inline_backend(self):
+        report = Campaign(
+            TestConfig(
+                RacyCounter,
+                max_iterations=500,
+                time_limit=60.0,
+                max_steps=2_000,
+                workers="inline",
+            ),
+            strategy=RandomStrategy(seed=3),
+        ).run()
         assert report.bug_found
         replayed = replay(RacyCounter, report.first_bug.trace, workers="inline")
-        assert replayed.buggy
+        assert replayed.buggy and replayed.diverged is False
 
-    def test_testing_engine_accepts_inline(self):
-        engine = TestingEngine(
-            Ping, strategy=RandomStrategy(seed=9), max_iterations=5,
-            time_limit=30, workers="inline", stop_on_first_bug=False,
+    def test_live_strategy_campaign_accepts_inline(self):
+        engine = Campaign(
+            TestConfig(
+                Ping,
+                max_iterations=5,
+                time_limit=30,
+                workers="inline",
+                stop_on_first_bug=False,
+            ),
+            strategy=RandomStrategy(seed=9),
         )
         report = engine.run()
         assert report.iterations == 5
         assert not report.bug_found
 
     def test_portfolio_with_inline_runtime_workers(self):
-        engine = PortfolioEngine(
-            RacyCounter,
-            specs=[StrategySpec("random", {"seed": 3})],
-            max_iterations=500,
-            time_limit=60,
-            max_steps=2_000,
-            runtime_workers="inline",
+        campaign = Campaign(
+            TestConfig(
+                RacyCounter,
+                specs=[StrategySpec("random", {"seed": 3})],
+                max_iterations=500,
+                time_limit=60,
+                max_steps=2_000,
+                workers="inline",
+            )
         )
-        report = engine.run()
+        report = campaign.portfolio()
         assert report.first_bug is not None
-        replayed = engine.replay_winner(report)
+        replayed = campaign.replay()
         assert replayed is not None and replayed.buggy
+        assert replayed.diverged is False
 
     def test_liveness_temperature_fires_inline_and_replays(self):
         bench = get("TokenRing")
-        report = drive(
-            bench.buggy.main, None, FairRandomStrategy(seed=3),
-            max_iterations=50, time_limit=60.0, max_steps=5_000,
-            workers="inline", monitors=bench.buggy.monitors,
-            max_hot_steps=150,
-        )
+        report = Campaign(
+            TestConfig(
+                bench.buggy.main,
+                max_iterations=50,
+                time_limit=60.0,
+                max_steps=5_000,
+                workers="inline",
+                monitors=bench.buggy.monitors,
+                max_hot_steps=150,
+            ),
+            strategy=FairRandomStrategy(seed=3),
+        ).run()
         assert report.bug_found
         assert report.first_bug.kind == "liveness"
         replayed = replay(
@@ -355,7 +374,7 @@ class TestInlineIntegrations:
             monitors=bench.buggy.monitors, max_hot_steps=150,
             max_steps=5_000,
         )
-        assert replayed.buggy
+        assert replayed.buggy and replayed.diverged is False
         assert replayed.bug.kind == "liveness"
 
     def test_chess_runtime_rejects_inline(self):

@@ -1,14 +1,15 @@
 """Tests for the specification-monitor subsystem: hot/cold liveness
 monitors, temperature-based livelock detection under fair schedules,
 safety monitors mirrored at scheduling points, and the determinism
-contracts (monitors never perturb strategy decisions; pooled and spawned
-back-ends produce bit-identical traces with monitors attached — the
-back-end contract of tests/test_runtime_reuse.py extended to monitors)."""
+contracts (monitors never perturb strategy decisions; the inline and
+pooled carriers produce bit-identical traces with monitors attached — the
+carrier contract of tests/test_runtime_reuse.py extended to monitors)."""
 
 import pytest
 
 from repro import (
     BugFindingRuntime,
+    Campaign,
     DfsStrategy,
     EMachineHalted,
     Event,
@@ -20,14 +21,13 @@ from repro import (
     Monitor,
     MonitorError,
     PctStrategy,
-    PortfolioEngine,
     PSharpError,
     RandomStrategy,
     ReplayStrategy,
     ScheduleTrace,
     State,
     StrategySpec,
-    TestingEngine,
+    TestConfig,
     cold,
     hot,
     replay,
@@ -212,7 +212,7 @@ class TestTemperatureLiveness:
             HotThenCrash, found.trace, max_steps=5_000,
             monitors=[ProgressMonitor], max_hot_steps=5,
         )
-        assert replayed.buggy
+        assert replayed.buggy and replayed.diverged is False
         assert replayed.bug.kind == "assertion-failure"
         assert replayed.trace == found.trace
 
@@ -222,12 +222,12 @@ class TestTemperatureLiveness:
             max_steps=5_000, monitors=[ProgressMonitor], max_hot_steps=100,
         )
         assert found.buggy
-        for mode in ("pool", "spawn"):
+        for mode in ("inline", "pool"):
             replayed = replay(
                 Spinner, found.trace, max_steps=5_000, workers=mode,
                 monitors=[ProgressMonitor], max_hot_steps=100,
             )
-            assert replayed.buggy
+            assert replayed.buggy and replayed.diverged is False
             assert replayed.bug.kind == "liveness"
             assert replayed.bug.message == found.bug.message
             assert replayed.trace == found.trace  # bit-identical, per back-end
@@ -271,6 +271,7 @@ class TestDepthBoundFairnessGate:
         result = replay(SelfLoop, prefix, max_steps=200, livelock_as_bug=True)
         assert result.status == "depth-bound"
         assert result.bug is None
+        assert result.diverged is True
 
     def test_faithful_replay_still_reproduces_heuristic_liveness(self):
         found = _run_once(
@@ -278,7 +279,7 @@ class TestDepthBoundFairnessGate:
         )
         assert found.buggy and found.bug.kind == "liveness"
         replayed = replay(SelfLoop, found.trace, max_steps=200, livelock_as_bug=True)
-        assert replayed.buggy
+        assert replayed.buggy and replayed.diverged is False
         assert replayed.bug.kind == "liveness"
 
     def test_armed_liveness_monitors_supersede_depth_bound_heuristic(self):
@@ -322,13 +323,15 @@ class TestDepthBoundFairnessGate:
 class TestSafetyMonitors:
     def test_raft_election_safety_monitor_fires_before_checker(self):
         raft = get("Raft")
-        engine = TestingEngine(
-            raft.buggy.main,
+        engine = Campaign(
+            TestConfig(
+                raft.buggy.main,
+                max_iterations=3_000,
+                max_steps=5_000,
+                time_limit=120,
+                monitors=raft.buggy.monitors,
+            ),
             strategy=RandomStrategy(seed=7),
-            max_iterations=3_000,
-            max_steps=5_000,
-            time_limit=120,
-            monitors=raft.buggy.monitors,
         )
         report = engine.run()
         assert report.bug_found
@@ -340,13 +343,15 @@ class TestSafetyMonitors:
 
     def test_two_phase_commit_quorum_monitor_fires_at_coordinator_send(self):
         tpc = get("TwoPhaseCommit")
-        engine = TestingEngine(
-            tpc.buggy.main,
+        engine = Campaign(
+            TestConfig(
+                tpc.buggy.main,
+                max_iterations=3_000,
+                max_steps=5_000,
+                time_limit=120,
+                monitors=tpc.buggy.monitors,
+            ),
             strategy=RandomStrategy(seed=1),
-            max_iterations=3_000,
-            max_steps=5_000,
-            time_limit=120,
-            monitors=tpc.buggy.monitors,
         )
         report = engine.run()
         assert report.bug_found
@@ -357,14 +362,16 @@ class TestSafetyMonitors:
     @pytest.mark.parametrize("name", ["Raft", "TwoPhaseCommit"])
     def test_correct_variants_satisfy_their_monitors(self, name):
         benchmark = get(name)
-        engine = TestingEngine(
-            benchmark.correct.main,
+        engine = Campaign(
+            TestConfig(
+                benchmark.correct.main,
+                max_iterations=25,
+                max_steps=5_000,
+                time_limit=60,
+                stop_on_first_bug=False,
+                monitors=benchmark.correct.monitors,
+            ),
             strategy=RandomStrategy(seed=11),
-            max_iterations=25,
-            max_steps=5_000,
-            time_limit=60,
-            stop_on_first_bug=False,
-            monitors=benchmark.correct.monitors,
         )
         report = engine.run()
         assert not report.bug_found, str(report.first_bug)
@@ -399,15 +406,15 @@ class TestMonitorDeterminism:
             assert len(with_spec) > len(plain)
 
     @pytest.mark.parametrize("bench_name", ["ProcessScheduler", "TokenRing"])
-    def test_pool_and_spawn_traces_identical_with_monitors(self, bench_name):
+    def test_pool_and_inline_traces_identical_with_monitors(self, bench_name):
         benchmark = get(bench_name)
         pool = self._decision_traces(
             benchmark.buggy.main, 17, "pool", benchmark.buggy.monitors, 3
         )
-        spawn = self._decision_traces(
-            benchmark.buggy.main, 17, "spawn", benchmark.buggy.monitors, 3
+        inline = self._decision_traces(
+            benchmark.buggy.main, 17, "inline", benchmark.buggy.monitors, 3
         )
-        for a, b in zip(pool, spawn):
+        for a, b in zip(pool, inline):
             assert a == b
             assert a.decisions == b.decisions
 
@@ -437,42 +444,47 @@ class TestMonitorDeterminism:
 class TestLivenessBenchmarks:
     """The acceptance criterion: a liveness benchmark's livelock is found
     via hot-state temperature under FairRandomStrategy (not the depth
-    bound) and replayed deterministically by replay_winner."""
+    bound) and replayed deterministically by Campaign.replay()."""
 
     def test_process_scheduler_livelock_found_and_replayed_by_portfolio(self):
         benchmark = get("ProcessScheduler")
-        engine = PortfolioEngine(
-            benchmark.buggy.main,
-            specs=[StrategySpec("fair-random", {"seed": 3})],
-            max_iterations=200,
-            time_limit=60,
-            max_steps=2_000,
-            monitors=benchmark.buggy.monitors,
-            max_hot_steps=150,
+        campaign = Campaign(
+            TestConfig(
+                benchmark.buggy.main,
+                specs=[StrategySpec("fair-random", {"seed": 3})],
+                max_iterations=200,
+                time_limit=60,
+                max_steps=2_000,
+                monitors=benchmark.buggy.monitors,
+                max_hot_steps=150,
+            )
         )
-        report = engine.run()
+        report = campaign.portfolio()
         assert report.bug_found
         bug = report.first_bug
         assert bug.kind == "liveness"
         assert "CpuProgressMonitor" in bug.message and "Starved" in bug.message
         assert "stayed hot" in bug.message          # temperature detection...
         assert "depth bound" not in bug.message     # ...not the blunt heuristic
-        replayed = engine.replay_winner(report)
+        replayed = campaign.replay()
         assert replayed is not None and replayed.buggy
+        assert replayed.diverged is False
         assert replayed.bug.kind == "liveness"
         assert replayed.bug.message == bug.message
         assert replayed.trace == bug.trace
 
     def test_token_ring_livelock_found_by_temperature(self):
         benchmark = get("TokenRing")
-        engine = TestingEngine(
-            benchmark.buggy.main,
+        engine = Campaign(
+            TestConfig(
+                benchmark.buggy.main,
+                max_iterations=50,
+                max_steps=3_000,
+                time_limit=60,
+                monitors=benchmark.buggy.monitors,
+                max_hot_steps=300,
+            ),
             strategy=FairRandomStrategy(seed=2),
-            max_iterations=50,
-            max_steps=3_000,
-            time_limit=60,
-            monitors=benchmark.buggy.monitors,
-            max_hot_steps=300,
         )
         report = engine.run()
         assert report.bug_found
@@ -485,16 +497,18 @@ class TestLivenessBenchmarks:
         # infinite executions end as benign depth-bounds, not liveness
         # bugs — the false positive the bare heuristic would produce.
         benchmark = get("TokenRing")
-        engine = TestingEngine(
-            benchmark.correct.main,
+        engine = Campaign(
+            TestConfig(
+                benchmark.correct.main,
+                max_iterations=4,
+                max_steps=3_000,
+                time_limit=60,
+                stop_on_first_bug=False,
+                livelock_as_bug=True,  # heuristic suppressed by the monitor
+                monitors=benchmark.correct.monitors,
+                max_hot_steps=300,
+            ),
             strategy=FairRandomStrategy(seed=2),
-            max_iterations=4,
-            max_steps=3_000,
-            time_limit=60,
-            stop_on_first_bug=False,
-            livelock_as_bug=True,  # heuristic suppressed by the monitor
-            monitors=benchmark.correct.monitors,
-            max_hot_steps=300,
         )
         report = engine.run()
         assert not report.bug_found

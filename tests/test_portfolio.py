@@ -1,4 +1,4 @@
-"""Tests for the parallel portfolio engine, strategy specs and report
+"""Tests for the parallel portfolio campaign, strategy specs and report
 merging."""
 
 import pickle
@@ -7,12 +7,12 @@ import pytest
 
 from repro import (
     BugReport,
+    Campaign,
     IterativeDeepeningDfsStrategy,
-    PortfolioEngine,
     RandomStrategy,
     ScheduleTrace,
     StrategySpec,
-    TestingEngine,
+    TestConfig,
     TestReport,
     default_portfolio,
     make_strategy,
@@ -23,6 +23,7 @@ from repro.errors import PSharpError
 from repro.testing.portfolio import strategy_names
 
 from .machines import NondetBug, Ping, RacyCounter
+from .test_fleet import fingerprints
 
 
 class TestStrategyRegistry:
@@ -77,20 +78,17 @@ class TestStrategyRegistry:
 
 class TestIterativeDeepeningDfs:
     def test_finds_shallow_nondet_bug(self):
-        engine = TestingEngine(
-            NondetBug,
+        engine = Campaign(
+            TestConfig(NondetBug, max_iterations=100),
             strategy=IterativeDeepeningDfsStrategy(initial_depth=2),
-            max_iterations=100,
         )
         report = engine.run()
         assert report.bug_found
 
     def test_exhausts_finite_space_without_deepening_forever(self):
-        engine = TestingEngine(
-            Ping,
+        engine = Campaign(
+            TestConfig(Ping, max_iterations=10_000, time_limit=60),
             strategy=IterativeDeepeningDfsStrategy(initial_depth=4),
-            max_iterations=10_000,
-            time_limit=60,
         )
         report = engine.run()
         assert not report.bug_found
@@ -145,8 +143,9 @@ class TestReportMerging:
         assert not TestReport.merged([]).exhausted
 
     def test_detached_report_is_picklable_and_keeps_trace(self):
-        engine = TestingEngine(
-            RacyCounter, strategy=RandomStrategy(seed=3), max_iterations=500
+        engine = Campaign(
+            TestConfig(RacyCounter, max_iterations=500),
+            strategy=RandomStrategy(seed=3),
         )
         report = engine.run()
         assert report.bug_found
@@ -158,12 +157,12 @@ class TestReportMerging:
         assert restored.first_bug.trace.decisions == report.first_bug.trace.decisions
 
 
-class TestPortfolioEngine:
+class TestPortfolioCampaign:
     def test_first_bug_wins_cancels_other_workers(self):
         # One worker finds the ordering bug fast; the other (iddfs, which
         # explores systematically) would otherwise grind through its whole
         # 100k-iteration shard.  Cancellation must cut it short.
-        engine = PortfolioEngine(
+        config = TestConfig(
             RacyCounter,
             specs=[
                 StrategySpec("random", {"seed": 1}),
@@ -173,48 +172,54 @@ class TestPortfolioEngine:
             time_limit=60,
             max_steps=2_000,
         )
-        report = engine.run()
+        report = Campaign(config).portfolio()
         assert report.bug_found
         assert report.first_bug is not None
         assert len(report.sub_reports) == 2
         assert all(sub.iterations < 100_000 for sub in report.sub_reports)
 
     def test_winning_trace_replays_to_same_bug(self):
-        engine = PortfolioEngine(
-            RacyCounter,
-            specs=default_portfolio(3, seed=5),
-            max_iterations=2_000,
-            time_limit=60,
-            max_steps=2_000,
+        campaign = Campaign(
+            TestConfig(
+                RacyCounter,
+                specs=default_portfolio(3, seed=5),
+                max_iterations=2_000,
+                time_limit=60,
+                max_steps=2_000,
+            )
         )
-        report = engine.run()
+        report = campaign.portfolio()
         assert report.first_bug is not None
         assert isinstance(report.first_bug.trace, ScheduleTrace)
 
         # Replay in the parent process: same bug type, same message.
         result = replay(RacyCounter, report.first_bug.trace, max_steps=2_000)
-        assert result.buggy
+        assert result.buggy and result.diverged is False
         assert result.bug.kind == report.first_bug.kind
         assert result.bug.message == report.first_bug.message
 
-        # The engine's convenience wrapper does the same.
-        again = engine.replay_winner(report)
+        # The campaign replays its own last winner the same way.
+        again = campaign.replay()
         assert again is not None and again.bug.kind == report.first_bug.kind
+        assert again.diverged is False
 
-    def test_one_worker_portfolio_matches_testing_engine(self):
-        # A 1-worker portfolio runs the exact driver loop TestingEngine
+    def test_one_worker_portfolio_matches_single_campaign(self):
+        # A 1-worker portfolio runs the exact campaign loop Campaign.run
         # runs; with the same seeded strategy the exploration statistics
         # must match field for field.
         kwargs = dict(max_iterations=60, max_steps=2_000, stop_on_first_bug=False)
-        single = TestingEngine(
-            RacyCounter, strategy=RandomStrategy(seed=42), time_limit=60, **kwargs
+        single = Campaign(
+            TestConfig(RacyCounter, time_limit=60, **kwargs),
+            strategy=RandomStrategy(seed=42),
         ).run()
-        portfolio = PortfolioEngine(
-            RacyCounter,
-            specs=[StrategySpec("random", {"seed": 42})],
-            time_limit=60,
-            **kwargs,
-        ).run()
+        portfolio = Campaign(
+            TestConfig(
+                RacyCounter,
+                specs=[StrategySpec("random", {"seed": 42})],
+                time_limit=60,
+                **kwargs,
+            )
+        ).portfolio()
         assert len(portfolio.sub_reports) == 1
         shard = portfolio.sub_reports[0]
         assert shard.iterations == single.iterations
@@ -225,25 +230,27 @@ class TestPortfolioEngine:
         assert portfolio.iterations == single.iterations
 
     def test_no_bug_campaign_reports_all_shards(self):
-        engine = PortfolioEngine(
-            Ping,
-            specs=[
-                StrategySpec("random", {"seed": 0}),
-                StrategySpec("delay-bounding", {"seed": 0, "delays": 2}),
-            ],
-            max_iterations=25,
-            time_limit=60,
-            max_steps=2_000,
+        campaign = Campaign(
+            TestConfig(
+                Ping,
+                specs=[
+                    StrategySpec("random", {"seed": 0}),
+                    StrategySpec("delay-bounding", {"seed": 0, "delays": 2}),
+                ],
+                max_iterations=25,
+                time_limit=60,
+                max_steps=2_000,
+            )
         )
-        report = engine.run()
+        report = campaign.portfolio()
         assert not report.bug_found
         assert report.first_bug is None
         assert report.iterations == 50
         assert [s.iterations for s in report.sub_reports] == [25, 25]
-        assert engine.replay_winner(report) is None
+        assert campaign.replay() is None
 
     def test_deadline_bounds_the_campaign(self):
-        engine = PortfolioEngine(
+        config = TestConfig(
             RacyCounter,
             specs=default_portfolio(2, seed=1),
             max_iterations=10_000_000,
@@ -251,21 +258,67 @@ class TestPortfolioEngine:
             max_steps=2_000,
             stop_on_first_bug=False,
         )
-        report = engine.run()
+        report = Campaign(config).portfolio()
         # Workers must stop at the shared deadline, not at the iteration cap.
         assert report.elapsed < 30.0
         assert all(sub.iterations < 10_000_000 for sub in report.sub_reports)
 
-    def test_rejects_empty_and_conflicting_configs(self):
-        with pytest.raises(ValueError):
-            PortfolioEngine(Ping, specs=[])
-        with pytest.raises(ValueError):
-            PortfolioEngine(Ping, specs=default_portfolio(2), workers=3)
+    def test_rejects_an_empty_mix(self):
+        with pytest.raises(PSharpError, match="at least one strategy"):
+            TestConfig(Ping, specs=[])
 
     def test_bad_specs_fail_fast_in_the_parent(self):
-        # A typo'd strategy name or parameter must raise at construction,
-        # not silently produce an empty worker shard at run() time.
+        # A typo'd strategy name or parameter must raise in the parent
+        # before any worker starts, not silently produce an empty shard.
         with pytest.raises(PSharpError, match="unknown strategy"):
-            PortfolioEngine(Ping, specs=[StrategySpec("randm", {})])
+            Campaign(TestConfig(Ping, specs=[StrategySpec("randm", {})])).portfolio()
         with pytest.raises(PSharpError, match="invalid parameters"):
-            PortfolioEngine(Ping, specs=[StrategySpec("pct", {"depht": 3})])
+            Campaign(
+                TestConfig(Ping, specs=[StrategySpec("pct", {"depht": 3})])
+            ).portfolio()
+
+
+class TestConfigCrossesTheProcessBoundary:
+    """Portfolio workers receive the campaign's ``TestConfig`` by value.
+    Under ``fork`` that is a memory copy; under ``spawn`` it is pickled,
+    unpickled in a fresh interpreter and must drive the identical
+    campaign there."""
+
+    def _config(self, **overrides):
+        kwargs = dict(
+            program="Raft",
+            specs=[
+                StrategySpec("random", {"seed": 21}),
+                StrategySpec("pct", {"seed": 22, "depth": 10}),
+            ],
+            max_iterations=40,
+            max_steps=2_000,
+            time_limit=120,
+            stop_on_first_bug=False,
+        )
+        kwargs.update(overrides)
+        return TestConfig(**kwargs)
+
+    def _assert_same_campaign(self, config):
+        forked = Campaign(config).portfolio()
+        spawned = Campaign(config.with_overrides(start_method="spawn")).portfolio()
+        assert forked.iterations == spawned.iterations == 2 * config.max_iterations
+        assert forked.total_steps == spawned.total_steps > 0
+        assert fingerprints(forked) == fingerprints(spawned)
+        return forked, spawned
+
+    def test_spawn_start_method_runs_the_same_portfolio(self):
+        forked, spawned = self._assert_same_campaign(self._config())
+        assert spawned.effective_backend == forked.effective_backend == "inline"
+
+    def test_runtime_factory_reaches_the_spawned_child(self):
+        from repro.chess import ChessRuntime
+
+        forked, spawned = self._assert_same_campaign(
+            self._config(runtime_factory=ChessRuntime, max_iterations=6)
+        )
+        # CHESS collapses "auto" to pooled threads and schedules at every
+        # visible operation: both show the factory ran in the children.
+        assert spawned.effective_backend == "pool"
+        plain = Campaign(self._config(max_iterations=6)).portfolio()
+        assert spawned.total_scheduling_points > 2 * plain.total_scheduling_points

@@ -24,6 +24,7 @@ from repro.testing import (
     DEFAULT_STATE_CACHE_SIZE,
     REDUCTION_MODES,
     BugFindingRuntime,
+    Campaign,
     DfsStrategy,
     IterativeDeepeningDfsStrategy,
     RandomStrategy,
@@ -32,7 +33,6 @@ from repro.testing import (
     ScheduleTrace,
     TestConfig,
     TestReport,
-    drive,
     normalize_reduction,
     replay,
 )
@@ -60,19 +60,21 @@ AB_CASES = [
 def _exhaustive(name, depth, max_steps, mode, workers="inline", **kwargs):
     """Run a to-exhaustion DFS campaign over a buggy registry variant."""
     variant = get(name).buggy
-    return drive(
-        variant.main,
-        variant.payload,
-        DfsStrategy(max_depth=depth),
-        max_iterations=500_000,
-        time_limit=240.0,
-        max_steps=max_steps,
-        stop_on_first_bug=False,
-        workers=workers,
-        monitors=tuple(variant.monitors),
-        reduction=mode,
-        **kwargs,
-    )
+    return Campaign(
+        TestConfig(
+            variant.main,
+            variant.payload,
+            max_iterations=500_000,
+            time_limit=240.0,
+            max_steps=max_steps,
+            stop_on_first_bug=False,
+            workers=workers,
+            monitors=tuple(variant.monitors),
+            reduction=mode,
+            **kwargs,
+        ),
+        strategy=DfsStrategy(max_depth=depth),
+    ).run()
 
 
 def _bug_set(report):
@@ -232,20 +234,19 @@ class TestCrossBackendDeterminism:
     def test_backends_agree_on_everything(self, mode):
         reports = {
             workers: _exhaustive("TwoPhaseCommit", 7, 2_000, mode, workers)
-            for workers in ("inline", "pool", "spawn")
+            for workers in ("inline", "pool")
         }
         inline = reports["inline"]
         assert inline.iterations > 0
-        for workers in ("pool", "spawn"):
-            other = reports[workers]
-            assert other.effective_backend == workers
-            assert other.iterations == inline.iterations
-            assert other.distinct_states == inline.distinct_states
-            assert other.schedules_pruned == inline.schedules_pruned
-            assert _bug_set(other) == _bug_set(inline)
-            assert [b.trace.fingerprint() for b in other.bugs] == [
-                b.trace.fingerprint() for b in inline.bugs
-            ]
+        other = reports["pool"]
+        assert other.effective_backend == "pool"
+        assert other.iterations == inline.iterations
+        assert other.distinct_states == inline.distinct_states
+        assert other.schedules_pruned == inline.schedules_pruned
+        assert _bug_set(other) == _bug_set(inline)
+        assert [b.trace.fingerprint() for b in other.bugs] == [
+            b.trace.fingerprint() for b in inline.bugs
+        ]
 
     def test_auto_restart_matches_explicit_pool(self):
         # MidCampaignRacer spawns an inline-incompatible child
@@ -254,17 +255,18 @@ class TestCrossBackendDeterminism:
         # and pruning decisions must be bit-identical to an explicit
         # pooled run.
         def campaign(workers):
-            return drive(
-                MidCampaignRacer,
-                None,
-                RandomStrategy(seed=3),
-                max_iterations=40,
-                time_limit=60.0,
-                max_steps=2_000,
-                stop_on_first_bug=False,
-                workers=workers,
-                reduction="dpor+state-cache",
-            )
+            return Campaign(
+                TestConfig(
+                    MidCampaignRacer,
+                    max_iterations=40,
+                    time_limit=60.0,
+                    max_steps=2_000,
+                    stop_on_first_bug=False,
+                    workers=workers,
+                    reduction="dpor+state-cache",
+                ),
+                strategy=RandomStrategy(seed=3),
+            ).run()
 
         auto = campaign("auto")
         pool = campaign("pool")
@@ -291,7 +293,7 @@ class TestCrossBackendDeterminism:
             # expected whichever backend drove the handlers.
             return runtime.state_fingerprint()
 
-        prints = {initial_fingerprint(w) for w in ("inline", "pool", "spawn")}
+        prints = {initial_fingerprint(w) for w in ("inline", "pool")}
         assert len(prints) == 1
 
 
@@ -301,30 +303,32 @@ class TestCrossBackendDeterminism:
 class TestReducedTraceReplay:
     def test_bug_trace_replays_on_every_backend(self):
         variant = get("TwoPhaseCommit").buggy
-        report = drive(
-            variant.main,
-            variant.payload,
-            DfsStrategy(max_depth=8),
-            max_iterations=500_000,
-            time_limit=120.0,
-            max_steps=2_000,
-            stop_on_first_bug=True,
-            workers="inline",
-            monitors=tuple(variant.monitors),
-            reduction="dpor+state-cache",
-        )
+        report = Campaign(
+            TestConfig(
+                variant.main,
+                variant.payload,
+                max_iterations=500_000,
+                time_limit=120.0,
+                max_steps=2_000,
+                stop_on_first_bug=True,
+                workers="inline",
+                monitors=tuple(variant.monitors),
+                reduction="dpor+state-cache",
+            ),
+            strategy=DfsStrategy(max_depth=8),
+        ).run()
         bug = report.first_bug
         assert bug is not None
-        for workers in ("inline", "pool", "spawn"):
+        for workers in ("inline", "pool"):
             result = replay(
                 variant.main,
                 bug.trace,
-                variant.payload,
+                payload=variant.payload,
                 max_steps=2_000,
                 workers=workers,
                 monitors=tuple(variant.monitors),
             )
-            assert result.status == "bug"
+            assert result.status == "bug" and result.diverged is False
             assert result.bug.kind == bug.kind
             assert result.bug.message == bug.message
             assert result.trace == bug.trace
@@ -384,18 +388,20 @@ class TestIterativeDeepening:
     @pytest.mark.parametrize("mode", ["dpor", "dpor+state-cache"])
     def test_finds_bug_across_deepening_resets(self, mode):
         variant = get("TwoPhaseCommit").buggy
-        report = drive(
-            variant.main,
-            variant.payload,
-            IterativeDeepeningDfsStrategy(initial_depth=2, max_depth=8),
-            max_iterations=500_000,
-            time_limit=120.0,
-            max_steps=2_000,
-            stop_on_first_bug=True,
-            workers="inline",
-            monitors=tuple(variant.monitors),
-            reduction=mode,
-        )
+        report = Campaign(
+            TestConfig(
+                variant.main,
+                variant.payload,
+                max_iterations=500_000,
+                time_limit=120.0,
+                max_steps=2_000,
+                stop_on_first_bug=True,
+                workers="inline",
+                monitors=tuple(variant.monitors),
+                reduction=mode,
+            ),
+            strategy=IterativeDeepeningDfsStrategy(initial_depth=2, max_depth=8),
+        ).run()
         assert report.bug_found
         assert report.consulted_decisions > 0
 
@@ -424,18 +430,20 @@ class TestEnabledSetEquivalence:
     def test_agrees_with_walk(self, workers):
         variant = get("TwoPhaseCommit").buggy
         before = _CheckedRuntime.checks
-        report = drive(
-            variant.main,
-            variant.payload,
-            RandomStrategy(seed=5),
-            max_iterations=25,
-            time_limit=60.0,
-            max_steps=2_000,
-            stop_on_first_bug=False,
-            workers=workers,
-            monitors=tuple(variant.monitors),
-            runtime_factory=_CheckedRuntime,
-        )
+        report = Campaign(
+            TestConfig(
+                variant.main,
+                variant.payload,
+                max_iterations=25,
+                time_limit=60.0,
+                max_steps=2_000,
+                stop_on_first_bug=False,
+                workers=workers,
+                monitors=tuple(variant.monitors),
+                runtime_factory=_CheckedRuntime,
+            ),
+            strategy=RandomStrategy(seed=5),
+        ).run()
         assert report.iterations == 25
         assert _CheckedRuntime.checks > before
 
@@ -447,19 +455,21 @@ class TestEnabledSetEquivalence:
         for name in ("RaftLossy", "TwoPhaseCommitCrash"):
             variant = get(name).buggy
             before = _CheckedRuntime.checks
-            drive(
-                variant.main,
-                variant.payload,
-                RandomStrategy(seed=9),
-                max_iterations=15,
-                time_limit=120.0,
-                max_steps=2_000,
-                stop_on_first_bug=False,
-                workers="inline",
-                monitors=tuple(variant.monitors),
-                faults=variant.faults,
-                runtime_factory=_CheckedRuntime,
-            )
+            Campaign(
+                TestConfig(
+                    variant.main,
+                    variant.payload,
+                    max_iterations=15,
+                    time_limit=120.0,
+                    max_steps=2_000,
+                    stop_on_first_bug=False,
+                    workers="inline",
+                    monitors=tuple(variant.monitors),
+                    faults=variant.faults,
+                    runtime_factory=_CheckedRuntime,
+                ),
+                strategy=RandomStrategy(seed=9),
+            ).run()
             assert _CheckedRuntime.checks > before
 
 

@@ -1,24 +1,26 @@
-"""Tests for the worker back-ends: cross-backend trace determinism,
-runtime reuse via ``reset()``, and worker-pool hygiene.
+"""Tests for the two carriers: cross-carrier trace determinism, runtime
+reuse via ``reset()``, and worker-pool hygiene.
 
 The contract under test is the acceptance criterion shared by the pooled
 runtime and the single-thread continuation runtime: for a fixed strategy
-seed, the inline, pooled and legacy thread-per-execution back-ends
-produce bit-identical schedule traces — with and without specification
-monitors attached — so DFS backtracking, replay, PCT semantics and
-monitor-based liveness detection are provably independent of the worker
-back-end.
+seed, the inline and pooled carriers produce bit-identical schedule
+traces — with and without specification monitors attached — so DFS
+backtracking, replay, PCT semantics and monitor-based liveness detection
+are provably independent of the carrier.  (``test_golden_traces.py`` pins
+the same traces across commits.)
 """
 
 import pytest
 
 from repro import (
     BugFindingRuntime,
+    Campaign,
     DfsStrategy,
     FairRandomStrategy,
     PctStrategy,
     RandomStrategy,
     ScheduleTrace,
+    TestConfig,
     replay,
 )
 from repro.bench import buggy_main, get, table2_suite
@@ -27,7 +29,7 @@ from repro.testing import WorkerPool, shared_worker_pool
 from .machines import Ping, RacyCounter, SelfLoop
 
 BENCH_NAMES = [b.name for b in table2_suite()]
-BACKENDS = ("inline", "pool", "spawn")
+BACKENDS = ("inline", "pool")
 
 # Registry variants that ship specification monitors: the safety-monitor
 # retrofits plus the liveness suite (hot/cold temperature detection).
@@ -50,7 +52,7 @@ def _traces(main_cls, strategy, mode, iterations, max_steps=2_000,
 
 class TestBackendTraceDeterminism:
     @pytest.mark.parametrize("bench_name", BENCH_NAMES)
-    @pytest.mark.parametrize("mode", ["inline", "spawn"])
+    @pytest.mark.parametrize("mode", ["inline"])
     def test_backend_traces_identical_across_registry(self, bench_name, mode):
         main_cls = buggy_main(bench_name)
         pool = _traces(main_cls, RandomStrategy(seed=11), "pool", 5)
@@ -62,7 +64,7 @@ class TestBackendTraceDeterminism:
             assert a.fingerprint() == b.fingerprint()
 
     @pytest.mark.parametrize("bench_name", MONITORED)
-    @pytest.mark.parametrize("mode", ["inline", "spawn"])
+    @pytest.mark.parametrize("mode", ["inline"])
     def test_monitor_attached_traces_identical_across_backends(
         self, bench_name, mode
     ):
@@ -94,7 +96,7 @@ class TestBackendTraceDeterminism:
         ],
         ids=["random", "dfs", "pct"],
     )
-    @pytest.mark.parametrize("mode", ["inline", "spawn"])
+    @pytest.mark.parametrize("mode", ["inline"])
     def test_strategies_agree_between_backends(self, strategy_factory, mode):
         pool = _traces(RacyCounter, strategy_factory(), "pool", 20)
         other = _traces(RacyCounter, strategy_factory(), mode, 20)
@@ -113,7 +115,7 @@ class TestBackendTraceDeterminism:
         assert result is not None and result.buggy
         for mode in BACKENDS:
             replayed = replay(RacyCounter, result.trace, workers=mode)
-            assert replayed.buggy
+            assert replayed.buggy and replayed.diverged is False
             assert replayed.bug.message == result.bug.message
             assert replayed.trace.fingerprint() == result.trace.fingerprint()
 
@@ -287,9 +289,10 @@ class TestTaintedRuntime:
     """A worker thread that outlives the end-of-execution barrier taints
     the runtime: reusing it would clear ``_canceled`` under the straggler
     and let it corrupt the next execution's state.  A tainted runtime
-    refuses execute(); drive() transparently rebuilds a fresh one."""
+    refuses execute(); the campaign loop transparently rebuilds a fresh
+    one."""
 
-    @pytest.mark.parametrize("mode", ["pool", "spawn"])
+    @pytest.mark.parametrize("mode", ["pool"])
     def test_slow_unwinding_worker_taints_runtime(self, mode):
         import time as time_module
 
@@ -342,9 +345,7 @@ class TestTaintedRuntime:
         with pytest.raises(PSharpError, match="tainted"):
             runtime.execute(Ping)
 
-    def test_drive_recovers_from_tainted_runtime(self):
-        from repro.testing.engine import drive
-
+    def test_campaign_recovers_from_tainted_runtime(self):
         built = []
 
         def counting_factory(**kwargs):
@@ -354,7 +355,7 @@ class TestTaintedRuntime:
             return runtime
 
         # Taint the first runtime artificially after its first execution:
-        # drive must build a replacement and keep iterating.
+        # the campaign loop must build a replacement and keep iterating.
         class TaintOnce:
             fired = False
 
@@ -369,12 +370,16 @@ class TestTaintedRuntime:
 
         BugFindingRuntime.execute = tainting_execute
         try:
-            report = drive(
-                Ping, None, RandomStrategy(seed=1),
-                max_iterations=5, time_limit=30.0,
-                stop_on_first_bug=False,
-                runtime_factory=counting_factory,
-            )
+            report = Campaign(
+                TestConfig(
+                    Ping,
+                    max_iterations=5,
+                    time_limit=30.0,
+                    stop_on_first_bug=False,
+                    runtime_factory=counting_factory,
+                ),
+                strategy=RandomStrategy(seed=1),
+            ).run()
         finally:
             BugFindingRuntime.execute = original_execute
         assert report.iterations == 5

@@ -4,12 +4,13 @@ import pytest
 
 from repro import (
     BugFindingRuntime,
+    Campaign,
     DelayBoundingStrategy,
     DfsStrategy,
     PctStrategy,
     RandomStrategy,
     ReplayStrategy,
-    TestingEngine,
+    TestConfig,
     replay,
 )
 
@@ -39,8 +40,9 @@ class TestDfsStrategy:
         assert len(set(seen)) == 6
 
     def test_finds_nondet_bug_systematically(self):
-        engine = TestingEngine(
-            NondetBug, strategy=DfsStrategy(), max_iterations=100
+        engine = Campaign(
+            TestConfig(NondetBug, max_iterations=100),
+            strategy=DfsStrategy(),
         )
         report = engine.run()
         assert report.bug_found
@@ -48,8 +50,9 @@ class TestDfsStrategy:
         assert report.first_bug_iteration == 3
 
     def test_exhausts_small_space(self):
-        engine = TestingEngine(
-            Ping, strategy=DfsStrategy(), max_iterations=10_000, time_limit=60
+        engine = Campaign(
+            TestConfig(Ping, max_iterations=10_000, time_limit=60),
+            strategy=DfsStrategy(),
         )
         report = engine.run()
         assert not report.bug_found
@@ -59,22 +62,18 @@ class TestDfsStrategy:
 
 class TestRandomStrategy:
     def test_finds_ordering_bug(self):
-        engine = TestingEngine(
-            RacyCounter,
+        engine = Campaign(
+            TestConfig(RacyCounter, max_iterations=200, stop_on_first_bug=True),
             strategy=RandomStrategy(seed=1),
-            max_iterations=200,
-            stop_on_first_bug=True,
         )
         report = engine.run()
         assert report.bug_found
         assert report.first_bug.kind == "assertion-failure"
 
     def test_percent_buggy_estimation(self):
-        engine = TestingEngine(
-            RacyCounter,
+        engine = Campaign(
+            TestConfig(RacyCounter, max_iterations=100, stop_on_first_bug=False),
             strategy=RandomStrategy(seed=1),
-            max_iterations=100,
-            stop_on_first_bug=False,
         )
         report = engine.run()
         assert report.iterations == 100
@@ -84,11 +83,9 @@ class TestRandomStrategy:
 
     def test_seeded_runs_are_reproducible(self):
         def run():
-            engine = TestingEngine(
-                RacyCounter,
+            engine = Campaign(
+                TestConfig(RacyCounter, max_iterations=50, stop_on_first_bug=False),
                 strategy=RandomStrategy(seed=42),
-                max_iterations=50,
-                stop_on_first_bug=False,
             )
             return engine.run()
 
@@ -99,8 +96,9 @@ class TestRandomStrategy:
 
 class TestReplay:
     def test_replaying_buggy_trace_reproduces_bug(self):
-        engine = TestingEngine(
-            RacyCounter, strategy=RandomStrategy(seed=3), max_iterations=500
+        engine = Campaign(
+            TestConfig(RacyCounter, max_iterations=500),
+            strategy=RandomStrategy(seed=3),
         )
         report = engine.run()
         assert report.bug_found
@@ -108,7 +106,7 @@ class TestReplay:
         assert trace is not None and len(trace) > 0
 
         result = replay(RacyCounter, trace)
-        assert result.buggy
+        assert result.buggy and result.diverged is False
         assert result.bug.kind == "assertion-failure"
         assert report.first_bug.message == result.bug.message
 
@@ -120,7 +118,7 @@ class TestReplay:
         assert result.status == "ok"
 
         replayed = replay(Ping, result.trace)
-        assert replayed.status == "ok"
+        assert replayed.status == "ok" and replayed.diverged is False
         assert replayed.steps == result.steps
 
     def test_trace_round_trips_through_json(self):
@@ -163,11 +161,9 @@ class TestOtherStrategies:
         ids=["pct", "delay-bounding"],
     )
     def test_extension_strategies_find_ordering_bug(self, strategy_factory):
-        engine = TestingEngine(
-            RacyCounter,
+        engine = Campaign(
+            TestConfig(RacyCounter, max_iterations=500, stop_on_first_bug=True),
             strategy=strategy_factory(),
-            max_iterations=500,
-            stop_on_first_bug=True,
         )
         report = engine.run()
         assert report.bug_found
@@ -185,16 +181,21 @@ class TestReportStatistics:
         # Regression: the engine used to record the per-iteration machine
         # count but never fold it into the report, so Table 2's #T column
         # was always 0.
-        engine = TestingEngine(
-            Ping, strategy=RandomStrategy(seed=0), max_iterations=5,
-            stop_on_first_bug=False, time_limit=30,
+        engine = Campaign(
+            TestConfig(Ping, max_iterations=5, stop_on_first_bug=False, time_limit=30),
+            strategy=RandomStrategy(seed=0),
         )
         report = engine.run()
         assert report.max_machines == 2  # Ping + Pong
 
-        engine = TestingEngine(
-            RacyCounter, strategy=RandomStrategy(seed=0), max_iterations=5,
-            stop_on_first_bug=False, time_limit=30,
+        engine = Campaign(
+            TestConfig(
+                RacyCounter,
+                max_iterations=5,
+                stop_on_first_bug=False,
+                time_limit=30,
+            ),
+            strategy=RandomStrategy(seed=0),
         )
         assert engine.run().max_machines == 3  # parent + two incrementers
 
@@ -205,12 +206,9 @@ class TestTimeLimit:
         # iterations, so one long (here: infinite up to max_steps) schedule
         # could overshoot the budget arbitrarily.  With an effectively
         # unbounded step budget the engine must still return promptly.
-        engine = TestingEngine(
-            SelfLoop,
+        engine = Campaign(
+            TestConfig(SelfLoop, max_iterations=10, time_limit=0.3, max_steps=10**9),
             strategy=RandomStrategy(seed=0),
-            max_iterations=10,
-            time_limit=0.3,
-            max_steps=10**9,
         )
         report = engine.run()
         assert report.elapsed < 10.0

@@ -2,7 +2,7 @@
 """Keep the docs honest: link-check the markdown tree and execute the
 shell examples.
 
-Two checks, both run by the CI docs lane:
+Three checks, all run by the CI docs lane:
 
 ``--links``
     Every relative markdown link in ``README.md`` and ``docs/**/*.md``
@@ -14,6 +14,13 @@ Two checks, both run by the CI docs lane:
     Every fenced ``sh`` code block in the given files (default:
     ``docs/cli.md``) is executed with ``bash -euo pipefail`` from the
     repo root and must exit 0 — documented commands cannot rot.
+
+``--removed-names``
+    No file under ``README.md``, ``docs/``, ``examples/`` or ``src/``
+    may mention an API this repo deleted (the engine shims, the
+    thread-per-execution worker mode): a doc or docstring must not
+    teach a name that no longer imports.  ``CHANGES.md`` and
+    ``ROADMAP.md`` are history and are not scanned.
 
 Exit code 0 when everything passes, 1 with one line per failure
 otherwise.  No third-party dependencies.
@@ -139,6 +146,39 @@ def check_links() -> List[str]:
     return errors
 
 
+#: What was deleted, and what to write instead (docs/architecture.md
+#: "Removed" has the long form).
+REMOVED_NAMES = (
+    (re.compile(r"\bTestingEngine\b"), "Campaign(TestConfig(...), strategy=...)"),
+    (re.compile(r"\bPortfolioEngine\b"), "Campaign(config).portfolio()"),
+    (re.compile(r"\bengine\.drive\b"), "engine.run_campaign"),
+    (re.compile(r"""workers\s*=\s*["']spawn["']"""), 'workers="pool"'),
+    (re.compile(r"--workers[ =]spawn\b"), "--workers pool"),
+)
+
+
+def check_removed_names() -> List[str]:
+    files = [ROOT / "README.md"]
+    for top, pattern in (("docs", "*.md"), ("examples", "*.py"), ("src", "*.py")):
+        files.extend(sorted((ROOT / top).rglob(pattern)))
+    errors = []
+    for path in files:
+        if not path.is_file():
+            continue
+        rel = path.relative_to(ROOT)
+        for line_no, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        ):
+            for regex, instead in REMOVED_NAMES:
+                match = regex.search(line)
+                if match:
+                    errors.append(
+                        f"{rel}:{line_no}: mentions removed {match.group(0)!r} "
+                        f"(use {instead})"
+                    )
+    return errors
+
+
 def shell_blocks(path: Path) -> List[Tuple[int, str]]:
     blocks = []
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -187,6 +227,11 @@ def main(argv: List[str]) -> int:
         "--links", action="store_true", help="check intra-repo markdown links"
     )
     parser.add_argument(
+        "--removed-names",
+        action="store_true",
+        help="fail on mentions of deleted APIs in README, docs, examples, src",
+    )
+    parser.add_argument(
         "--run-blocks",
         action="store_true",
         help="execute fenced sh blocks (default files: docs/cli.md)",
@@ -198,12 +243,14 @@ def main(argv: List[str]) -> int:
         help="markdown files for --run-blocks (default: docs/cli.md)",
     )
     args = parser.parse_args(argv)
-    if not (args.links or args.run_blocks):
-        parser.error("pass --links and/or --run-blocks")
+    if not (args.links or args.removed_names or args.run_blocks):
+        parser.error("pass --links, --removed-names and/or --run-blocks")
 
     errors: List[str] = []
     if args.links:
         errors.extend(check_links())
+    if args.removed_names:
+        errors.extend(check_removed_names())
     if args.run_blocks:
         files = [f.resolve() for f in args.files] or [ROOT / "docs" / "cli.md"]
         errors.extend(run_blocks(files))
@@ -214,6 +261,8 @@ def main(argv: List[str]) -> int:
         checked = []
         if args.links:
             checked.append(f"links in {len(doc_files())} file(s)")
+        if args.removed_names:
+            checked.append("no removed name mentioned")
         if args.run_blocks:
             checked.append("all sh blocks ran clean")
         print("docs ok: " + ", ".join(checked))
