@@ -34,6 +34,10 @@ class ProgramAnalysis:
     xsa_enabled: bool = True
     readonly_enabled: bool = False
     seconds: float = 0.0
+    # Where the time went, and how much the solver did for it.  The
+    # counters are exact: the same program always reports the same ones.
+    phase_seconds: Dict[str, float] = field(default_factory=dict)
+    solver_counters: Dict[str, int] = field(default_factory=dict)
 
     def surviving(self) -> List[Tuple[str, OwnershipViolation]]:
         return [
@@ -52,6 +56,8 @@ class ProgramAnalysis:
             xsa_enabled=self.xsa_enabled,
             readonly_enabled=self.readonly_enabled,
             seconds=self.seconds,
+            phase_seconds=dict(self.phase_seconds),
+            solver_counters=dict(self.solver_counters),
         )
         for index, (machine, violation) in enumerate(self.violations):
             for diagnostic in violation.diagnostics(machine):
@@ -64,6 +70,16 @@ class ProgramAnalysis:
         violations per reported site, not per failed condition)."""
         return len(self.surviving())
 
+    def stage_counts(self) -> Tuple[int, int, int]:
+        """Violations flagged by the base analysis, left after xSA, and left
+        after the read-only extension — Table 1's three columns from one
+        run.  A stage only ever re-judges what the stages before it left,
+        so ``suppressed`` records exactly what separate runs would count."""
+        reasons = list(self.suppressed.values())
+        base = len(self.violations)
+        after_xsa = base - reasons.count("xsa")
+        return base, after_xsa, after_xsa - reasons.count("readonly")
+
 
 def analyze_program(
     program: Program,
@@ -74,7 +90,10 @@ def analyze_program(
     """Run the complete static data race analysis on a program."""
     start = time.perf_counter()
     taint_engine = taint if taint is not None else TaintEngine(program)
+    counters_before = dict(taint_engine.counters) if taint is not None else {}
+    summaries_done = time.perf_counter()
     ownership = OwnershipAnalysis(program, taint_engine)
+    gives_up_done = time.perf_counter()
 
     analysis = ProgramAnalysis(program, xsa_enabled=xsa, readonly_enabled=readonly)
     for machine_name in program.machines:
@@ -82,9 +101,11 @@ def analyze_program(
             analysis.violations.append((machine_name, violation))
     for violation in ownership.check_helpers():
         analysis.violations.append(("<helpers>", violation))
+    base_done = time.perf_counter()
 
     if xsa and analysis.violations:
         _run_xsa(program, taint_engine, ownership, analysis)
+    xsa_done = time.perf_counter()
 
     if readonly and analysis.surviving():
         read_only = ReadOnlyAnalysis(program, ownership)
@@ -93,8 +114,20 @@ def analyze_program(
                 continue
             if read_only.suppresses(machine_name, violation):
                 analysis.suppressed[index] = "readonly"
+    end = time.perf_counter()
 
-    analysis.seconds = time.perf_counter() - start
+    analysis.seconds = end - start
+    analysis.phase_seconds = {
+        "summaries": summaries_done - start,
+        "gives-up": gives_up_done - summaries_done,
+        "base": base_done - gives_up_done,
+        "xsa": xsa_done - base_done,
+        "readonly": end - xsa_done,
+    }
+    analysis.solver_counters = {
+        name: count - counters_before.get(name, 0)
+        for name, count in taint_engine.counters.items()
+    }
     return analysis
 
 

@@ -1019,6 +1019,9 @@ class PythonFrontend:
         self._prev_creation_payload_types: Dict[str, FType] = {}
         self._prev_return_types: Dict[Tuple[str, str], FType] = {}
         self._prev_param_types: Dict[Tuple[str, str, int], FType] = {}
+        # Parsed once, lowered on every refinement pass: lowerers only read
+        # the shared tree.
+        self._function_defs: Dict[Any, ast.FunctionDef] = {}
 
     # -- shared state consulted by lowerers ------------------------------
     def note_field(self, owner: str, field: str, ft: Optional[FType]) -> None:
@@ -1131,10 +1134,12 @@ class PythonFrontend:
 
     # --------------------------------------------------------------------
     def _function_def(self, func: Any) -> ast.FunctionDef:
-        source = textwrap.dedent(inspect.getsource(func))
-        module = ast.parse(source)
-        node = module.body[0]
-        assert isinstance(node, ast.FunctionDef)
+        node = self._function_defs.get(func)
+        if node is None:
+            source = textwrap.dedent(inspect.getsource(func))
+            node = ast.parse(source).body[0]
+            assert isinstance(node, ast.FunctionDef)
+            self._function_defs[func] = node
         return node
 
     def _lower_helper(self, helper: type) -> ClassDecl:

@@ -6,7 +6,7 @@ context-sensitive. ... Our summary function is member variable
 insensitive, i.e. when we note in our analysis that a member of an object
 should become tainted, we taint the whole object instead."
 
-Two propagation modes are provided:
+Two queries are provided, both answered by one sparse solver:
 
 ``closure_facts`` (bidirectional)
     Computes, for a seed ``(v, N)``, the set of variables at every program
@@ -23,6 +23,15 @@ Two propagation modes are provided:
     while keeping the strong updates that make the cross-state analysis
     precise (a handler's fresh payload kills stale taint — see
     Example 5.5 and the xSA discussion in DESIGN.md).
+
+Every transfer function is distributive (``f(S)`` is the union of
+``f({v})`` over ``v`` in ``S``, and ``f({})`` is empty), so a node acts on
+each variable separately: a *row* ``var -> vars`` that is the identity
+except on the few variables the statement names.  Rows are compiled once
+per method and shared by every query on it; a query is then reachability
+over facts ``(node, in|out, var)``, which derives exactly the least fixed
+point of the dataflow equations while touching only the facts that hold
+(``docs/analysis.md`` has the argument).
 
 Context sensitivity comes from per-method summaries: for each input role
 (``this`` or a formal parameter) the summary records the output roles
@@ -143,6 +152,35 @@ class MethodInfo:
         return (self.class_name, self.decl.name)
 
 
+# Statements that move no reference: the identity in both directions.
+_IDENTITY = (Send, Assert, If, While)
+
+
+class _Flow:
+    """Compiled flow relation of one method.
+
+    ``succs`` / ``preds`` are the CFG edges by node index (a node's index is
+    its position in ``cfg.nodes``); ``fwd[i]`` / ``bwd[i]`` are node ``i``'s
+    rows, ``var -> vars`` for the variables the transfer function does not
+    map to themselves, or ``None`` when the whole node is the identity.
+    ``calls`` lists the call nodes, whose rows depend on callee summaries
+    and carry the summary ``epoch`` they were built at; ``closures``
+    memoizes ``closure_facts`` per ``(var, node index)``.
+    """
+
+    __slots__ = ("succs", "preds", "fwd", "bwd", "calls", "epoch", "closures")
+
+    def __init__(self, cfg: Cfg) -> None:
+        nodes = cfg.nodes
+        self.succs = [tuple(s.index for s in n.succs) for n in nodes]
+        self.preds = [tuple(p.index for p in n.preds) for n in nodes]
+        self.fwd: List[Optional[Dict[str, Tuple[str, ...]]]] = [None] * len(nodes)
+        self.bwd: List[Optional[Dict[str, Tuple[str, ...]]]] = [None] * len(nodes)
+        self.calls = [n for n in nodes if isinstance(n.stmt, Call)]
+        self.epoch = -1
+        self.closures: Dict[Tuple[str, int], FactMap] = {}
+
+
 class TaintEngine:
     """Whole-program taint engine with memoized per-seed queries."""
 
@@ -155,8 +193,29 @@ class TaintEngine:
                 self.methods[info.key] = info
         for info in extra_methods:
             self.methods[info.key] = info
+        self._machine_classes = frozenset(
+            m.class_name for m in program.machines.values()
+        )
+        self._builtin_summaries: Dict[MethodKey, Summary] = {
+            (cls.name, method): Summary(
+                flows=dict(entry.get("flows", {})),
+                mutates=frozenset(entry.get("mutates", ())),
+                sends=bool(entry.get("sends", False)),
+            )
+            for cls in program.classes.values()
+            if cls.taint_summary is not None
+            for method, entry in cls.taint_summary.items()
+        }
+        self._havoc_summaries: Dict[int, Summary] = {}
         self.summaries: Dict[MethodKey, Summary] = {}
-        self._closure_cache: Dict[Tuple[MethodKey, str, int], FactMap] = {}
+        # Everything derived from summaries (call rows, memoized closures)
+        # is stamped with the epoch it was built at; the epoch advances
+        # whenever a summary changes or a method is registered.
+        self._epoch = 0
+        self._flows: Dict[MethodInfo, _Flow] = {}
+        self.counters: Dict[str, int] = dict.fromkeys(
+            ("queries", "cache_hits", "facts_derived", "rows_compiled"), 0
+        )
         self._compute_summaries()
 
     # ------------------------------------------------------------------
@@ -165,31 +224,30 @@ class TaintEngine:
     def register(self, info: MethodInfo) -> None:
         """Add a synthetic method (used by the cross-state analysis)."""
         self.methods[info.key] = info
+        self._epoch += 1
         self._summarize(info)  # callees' summaries already stable
 
+    def _havoc(self, arity: int) -> Summary:
+        summary = self._havoc_summaries.get(arity)
+        if summary is None:
+            summary = self._havoc_summaries[arity] = havoc_summary(arity)
+        return summary
+
     def resolve_call(self, caller: MethodInfo, stmt: Call) -> Tuple[Optional[Summary], Optional[MethodKey]]:
-        """Summary for a call site, or a havoc summary when unresolvable."""
+        """Summary for a call site, or a havoc summary when unresolvable.
+        Summaries are shared between call sites: read, never modify."""
         recv_type = caller.type_of(stmt.recv)
         if recv_type is None or is_scalar(recv_type) or recv_type == "machine":
-            return havoc_summary(len(stmt.args)), None
+            return self._havoc(len(stmt.args)), None
         cls = self.program.classes.get(recv_type)
         if cls is None:
-            return havoc_summary(len(stmt.args)), None
-        if cls.taint_summary is not None:
-            entry = cls.taint_summary.get(stmt.method)
-            if entry is None:
-                return havoc_summary(len(stmt.args)), None
-            return (
-                Summary(
-                    flows=dict(entry.get("flows", {})),
-                    mutates=frozenset(entry.get("mutates", ())),
-                    sends=bool(entry.get("sends", False)),
-                ),
-                None,
-            )
+            return self._havoc(len(stmt.args)), None
         key = (cls.name, stmt.method)
+        if cls.taint_summary is not None:
+            summary = self._builtin_summaries.get(key)
+            return (summary if summary is not None else self._havoc(len(stmt.args))), None
         if key not in self.methods:
-            return havoc_summary(len(stmt.args)), None
+            return self._havoc(len(stmt.args)), None
         return self.summaries.get(key, Summary()), key
 
     @staticmethod
@@ -224,11 +282,11 @@ class TaintEngine:
     # ------------------------------------------------------------------
     def _fwd(self, info: MethodInfo, node: Node, taints: FrozenSet[str]) -> FrozenSet[str]:
         stmt = node.stmt
-        if stmt is None or isinstance(stmt, (Send, Assert, If, While, CreateMachine)):
-            # CreateMachine's destination is a machine id (scalar).
-            if isinstance(stmt, CreateMachine):
-                return taints - {stmt.dst}
+        if stmt is None or isinstance(stmt, _IDENTITY):
             return taints
+        if isinstance(stmt, CreateMachine):
+            # The destination is a machine id (scalar).
+            return taints - {stmt.dst}
         if isinstance(stmt, Assign):
             out = taints - {stmt.dst}
             if stmt.src in taints and info.is_ref(stmt.dst):
@@ -268,7 +326,7 @@ class TaintEngine:
 
     def _bwd(self, info: MethodInfo, node: Node, taints: FrozenSet[str]) -> FrozenSet[str]:
         stmt = node.stmt
-        if stmt is None or isinstance(stmt, (Send, Assert, If, While)):
+        if stmt is None or isinstance(stmt, _IDENTITY):
             return taints
         if isinstance(stmt, CreateMachine):
             return taints - {stmt.dst}
@@ -312,8 +370,107 @@ class TaintEngine:
         return taints
 
     # ------------------------------------------------------------------
-    # Dataflow drivers
+    # The flow relation
     # ------------------------------------------------------------------
+    def _rows(self, info: MethodInfo, node: Node):
+        """Node's (forward, backward) rows.  A transfer function treats
+        only the variables its statement names specially (``return`` names
+        ``$ret``), so probing it on those singletons yields the whole
+        relation; every other variable maps to itself."""
+        stmt = node.stmt
+        if stmt is None or isinstance(stmt, _IDENTITY):
+            return None, None
+        self.counters["rows_compiled"] += 1
+        named = set(stmt.vars_occurring())
+        if isinstance(stmt, Return):
+            named.add(RET)
+        fwd: Dict[str, Tuple[str, ...]] = {}
+        bwd: Dict[str, Tuple[str, ...]] = {}
+        for var in named:
+            single = frozenset((var,))
+            after = self._fwd(info, node, single)
+            if after != single:
+                fwd[var] = tuple(after)
+            before = self._bwd(info, node, single)
+            if before != single:
+                bwd[var] = tuple(before)
+        return fwd or None, bwd or None
+
+    def _flow(self, info: MethodInfo) -> _Flow:
+        """The method's compiled relation, call rows brought up to date."""
+        flow = self._flows.get(info)
+        if flow is None:
+            flow = self._flows[info] = _Flow(info.cfg)
+            stale = info.cfg.nodes
+        elif flow.epoch != self._epoch:
+            stale = flow.calls
+        else:
+            return flow
+        for node in stale:
+            flow.fwd[node.index], flow.bwd[node.index] = self._rows(info, node)
+        if stale:
+            flow.closures.clear()
+        flow.epoch = self._epoch
+        return flow
+
+    def _reach(
+        self,
+        flow: _Flow,
+        seeds: Iterable[Tuple[int, str]],
+        bidirectional: bool,
+    ) -> FactMap:
+        """All facts derivable from ``seeds`` (``var`` in IN of node
+        ``index``): the least solution of
+
+            out[n] >= fwd_n(in[n])        in[n] >= out[p], p a predecessor
+
+        and, for the bidirectional closure, also
+
+            in[n] >= bwd_n(out[n])        out[n] >= in[s], s a successor
+        """
+        succs, preds, fwd, bwd = flow.succs, flow.preds, flow.fwd, flow.bwd
+        ins: List[Set[str]] = [set() for _ in succs]
+        outs: List[Set[str]] = [set() for _ in succs]
+        work: List[Tuple[int, str, bool]] = []
+        push = work.append
+        for index, var in seeds:
+            if var not in ins[index]:
+                ins[index].add(var)
+                push((index, var, False))
+        while work:
+            index, var, is_out = work.pop()
+            if is_out:
+                for succ in succs[index]:
+                    facts = ins[succ]
+                    if var not in facts:
+                        facts.add(var)
+                        push((succ, var, False))
+                if not bidirectional:
+                    continue
+                row, facts = bwd[index], ins[index]
+            else:
+                if bidirectional:
+                    for pred in preds[index]:
+                        facts = outs[pred]
+                        if var not in facts:
+                            facts.add(var)
+                            push((pred, var, True))
+                row, facts = fwd[index], outs[index]
+            targets = row.get(var) if row is not None else None
+            if targets is None:
+                targets = (var,)
+            for target in targets:
+                if target not in facts:
+                    facts.add(target)
+                    push((index, target, not is_out))
+        counters = self.counters
+        counters["queries"] += 1
+        counters["facts_derived"] += sum(map(len, ins)) + sum(map(len, outs))
+        return FactMap(
+            dict(enumerate(map(frozenset, ins))),
+            dict(enumerate(map(frozenset, outs))),
+        )
+
     def forward_facts(
         self,
         info: MethodInfo,
@@ -321,61 +478,23 @@ class TaintEngine:
     ) -> FactMap:
         """Forward-only propagation; ``seeds`` maps node index -> vars
         injected into that node's IN set."""
-        ins: Dict[int, Set[str]] = {n.index: set() for n in info.cfg.nodes}
-        outs: Dict[int, Set[str]] = {n.index: set() for n in info.cfg.nodes}
-        for index, vars_ in seeds.items():
-            ins[index] |= vars_
-        changed = True
-        while changed:
-            changed = False
-            for node in info.cfg.nodes:
-                in_set = set(ins[node.index])
-                for pred in node.preds:
-                    in_set |= outs[pred.index]
-                if in_set != ins[node.index]:
-                    ins[node.index] = in_set
-                    changed = True
-                out_set = set(self._fwd(info, node, frozenset(in_set)))
-                if out_set != outs[node.index]:
-                    outs[node.index] = out_set
-                    changed = True
-        return FactMap(
-            {k: frozenset(v) for k, v in ins.items()},
-            {k: frozenset(v) for k, v in outs.items()},
+        return self._reach(
+            self._flow(info),
+            [(index, var) for index, vars_ in seeds.items() for var in vars_],
+            bidirectional=False,
         )
 
     def closure_facts(self, info: MethodInfo, seed_var: str, seed_node: Node) -> FactMap:
         """Bidirectional may-overlap closure for seed (var at entry of node)."""
-        cache_key = (info.key, seed_var, seed_node.index)
-        cached = self._closure_cache.get(cache_key)
+        flow = self._flow(info)
+        cache_key = (seed_var, seed_node.index)
+        cached = flow.closures.get(cache_key)
         if cached is not None:
+            self.counters["cache_hits"] += 1
             return cached
-        ins: Dict[int, Set[str]] = {n.index: set() for n in info.cfg.nodes}
-        outs: Dict[int, Set[str]] = {n.index: set() for n in info.cfg.nodes}
-        ins[seed_node.index].add(seed_var)
-        changed = True
-        while changed:
-            changed = False
-            for node in info.cfg.nodes:
-                in_set = set(ins[node.index])
-                for pred in node.preds:
-                    in_set |= outs[pred.index]  # forward along edges
-                in_set |= self._bwd(info, node, frozenset(outs[node.index]))
-                if in_set != ins[node.index]:
-                    ins[node.index] = in_set
-                    changed = True
-                out_set = set(outs[node.index])
-                out_set |= self._fwd(info, node, frozenset(in_set))
-                for succ in node.succs:
-                    out_set |= ins[succ.index]  # backward along edges
-                if out_set != outs[node.index]:
-                    outs[node.index] = out_set
-                    changed = True
-        result = FactMap(
-            {k: frozenset(v) for k, v in ins.items()},
-            {k: frozenset(v) for k, v in outs.items()},
+        result = flow.closures[cache_key] = self._reach(
+            flow, [(seed_node.index, seed_var)], bidirectional=True
         )
-        self._closure_cache[cache_key] = result
         return result
 
     # ------------------------------------------------------------------
@@ -414,6 +533,8 @@ class TaintEngine:
             if self._role_mutated(info, role, facts):
                 mutated.add(role)
         summary = Summary(flows=flows, mutates=frozenset(mutated), sends=sends)
+        if summary != self.summaries.get(info.key):
+            self._epoch += 1
         self.summaries[info.key] = summary
         return summary
 
@@ -427,12 +548,8 @@ class TaintEngine:
                     return True
         return False
 
-    def _machine_class_names(self) -> frozenset:
-        return frozenset(m.class_name for m in self.program.machines.values())
-
     def _role_mutated(self, info: MethodInfo, role: str, facts: FactMap) -> bool:
         """Whether heap reachable from ``role`` at entry may be written."""
-        machine_classes = self._machine_class_names()
         for node in info.cfg.statement_nodes():
             stmt = node.stmt
             taints = facts.in_of(node)
@@ -445,7 +562,7 @@ class TaintEngine:
                 # so overlap is conservatively enough.
                 if role == "this":
                     return True
-                if "this" in taints and info.class_name not in machine_classes:
+                if "this" in taints and info.class_name not in self._machine_classes:
                     return True
                 continue
             if isinstance(stmt, Call):

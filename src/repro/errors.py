@@ -179,6 +179,8 @@ class AnalysisReport:
     xsa_enabled: bool = False
     readonly_enabled: bool = False
     seconds: float = 0.0
+    phase_seconds: dict = field(default_factory=dict)  # phase -> seconds
+    solver_counters: dict = field(default_factory=dict)  # exact, repeatable
 
     @property
     def violations(self) -> list:
@@ -193,3 +195,19 @@ class AnalysisReport:
             f"{len(self.violations)} potential race(s)"
         )
         return f"analysis of {self.program}: {status} in {self.seconds:.3f}s"
+
+    def summary(self) -> str:
+        """The verdict line, then where the time went and what the taint
+        solver did for it."""
+        lines = [str(self)]
+        if self.phase_seconds:
+            lines.append(
+                "  phases: "
+                + "  ".join(f"{k} {v * 1e3:.1f}ms" for k, v in self.phase_seconds.items())
+            )
+        if self.solver_counters:
+            lines.append(
+                "  solver: "
+                + "  ".join(f"{k.replace('_', ' ')} {v}" for k, v in self.solver_counters.items())
+            )
+        return "\n".join(lines)

@@ -1,16 +1,22 @@
 """Tests for the Python -> IR frontend: the same Machine classes that run
 under the SCT runtime are lowered and statically analyzed."""
 
+import ast
+
 import pytest
 
 from repro import Event, Machine, State
 from repro.analysis import analyze_program
 from repro.analysis.frontend import (
     FrontendError,
+    PythonFrontend,
     analyze_machines,
     lower_machines,
 )
+from repro.bench import registry
 from repro.lang.ir import Call, Send, StoreField, flatten
+
+from .test_golden_table1 import cases as analysed_cases
 
 
 class EItem(Event):
@@ -195,3 +201,26 @@ class TestEndToEndAnalysis:
         report = engine.run()
         assert report.iterations == 20
         assert not report.bug_found
+
+
+class TestFunctionDefMemo:
+    """Each function is parsed once per frontend and the tree is shared by
+    every refinement pass, so lowerers must only read it."""
+
+    @pytest.mark.parametrize("name,variant", analysed_cases())
+    def test_memo_changes_no_lowered_program_and_no_tree(self, name, variant):
+        class ReparsingFrontend(PythonFrontend):
+            def _function_def(self, func):
+                self._function_defs.clear()  # a fresh tree per pass, as before
+                return super()._function_def(func)
+
+        chosen = getattr(registry.get(name), variant)
+        memoizing = PythonFrontend(chosen.machines, chosen.helpers, name)
+        reparsing = ReparsingFrontend(chosen.machines, chosen.helpers, name)
+        assert str(memoizing.build()) == str(reparsing.build())
+        assert len(memoizing._function_defs) > 1
+        for func, tree in memoizing._function_defs.items():
+            fresh = PythonFrontend((), ())._function_def(func)
+            assert ast.dump(tree, include_attributes=True) == ast.dump(
+                fresh, include_attributes=True
+            )
