@@ -1,12 +1,12 @@
 """Sharding one campaign across a fleet of worker processes.
 
-``examples/portfolio_hunt.py`` races strategies inside one
-``multiprocessing`` pool.  ``run_fleet`` runs the same sharded
-campaign over a wire protocol instead (``docs/protocol.md``): a
-coordinator streams work units to warm worker processes — local
-children forked from it, each on an inherited pipe pair, here, but the
-identical protocol carries TCP workers attached from other shells or
-hosts with ``python -m repro submit``.  Workers heartbeat while busy;
+``examples/portfolio_hunt.py`` races strategies with
+``Campaign.portfolio()``: one worker process per strategy.  ``run_fleet``
+is the coordinator underneath it with the worker sources spelled out
+(``docs/protocol.md``): it streams work units to warm worker processes
+— local children forked from it, each on an inherited pipe pair, here,
+but the identical protocol carries TCP workers attached from other
+shells or hosts with ``python -m repro submit``.  Workers heartbeat while busy;
 a worker that dies mid-shard has its shard re-queued, so the merged
 report is the same one an uninterrupted run produces.
 
@@ -52,7 +52,7 @@ def main():
     for sub in report.sub_reports:
         print(f"     shard {sub.summary()}")
 
-    # Same config, same seed, no fleet: the single-process portfolio
+    # Same config, same seed, one worker per strategy: the portfolio
     # explores the identical schedules, so the distinct-bug fingerprint
     # sets must match — sharding changes wall-clock, not findings.
     local = Campaign(config).portfolio()
@@ -60,8 +60,8 @@ def main():
     local_prints = {b.trace.fingerprint() for b in local.bugs if b.trace}
     assert fleet_prints == local_prints, "fleet must match the local portfolio"
     print(
-        f"   {len(fleet_prints)} distinct bug fingerprints — identical to a "
-        f"single-process portfolio of the same config."
+        f"   {len(fleet_prints)} distinct bug fingerprints — identical to "
+        f"Campaign.portfolio() of the same config."
     )
 
 

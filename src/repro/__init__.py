@@ -83,7 +83,6 @@ from .testing import (
     register_strategy,
     replay,
     run_fleet,
-    run_portfolio,
 )
 
 __version__ = "1.0.0"
@@ -111,7 +110,6 @@ __all__ = [
     "Campaign",
     "FaultConfig",
     "TestReport",
-    "run_portfolio",
     "run_fleet",
     "StrategySpec",
     "default_portfolio",

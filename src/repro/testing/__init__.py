@@ -10,7 +10,6 @@ from .portfolio import (
     default_portfolio,
     make_strategy,
     register_strategy,
-    run_portfolio,
     strategy_names,
 )
 from .config import CONFIG_SCHEMA_VERSION, Campaign, TestConfig, replay
@@ -87,7 +86,6 @@ __all__ = [
     "run_campaign",
     "replay",
     "replay_trace",
-    "run_portfolio",
     "Monitor",
     "EMachineHalted",
     "hot",

@@ -1,15 +1,15 @@
 """Campaign checkpoint/resume: crash-resilient long-running campaigns.
 
-A sharded campaign — the local portfolio
-(:func:`repro.testing.portfolio.run_portfolio`) or the distributed fleet
-coordinator (:func:`repro.testing.fleet.run_fleet`), which share this
-module verbatim — can periodically persist its progress: the detached
+A sharded campaign — ``Campaign.portfolio()`` or a distributed fleet,
+both run by the coordinator :func:`repro.testing.fleet.run_fleet` — can
+periodically persist its progress: the detached
 :class:`~repro.testing.engine.TestReport` of every *completed* shard plus
 the materialized strategy mix, written to a checkpoint file.  If the campaign is
 killed (SIGINT, OOM, machine reboot), ``python -m repro test --resume
-FILE`` (or ``Campaign.portfolio(resume=...)``) restarts it: shards whose
-final reports were checkpointed are not re-run; only the shards that were
-still in flight start over.
+FILE`` (or ``serve --resume``, ``Campaign.portfolio(resume=...)``)
+restarts it: shards whose final reports were checkpointed are not
+re-run; only the shards that were still in flight start over, and the
+resumed campaign keeps checkpointing to the same file.
 
 Granularity is the *shard* (one strategy spec driven by one worker
 process): a shard's mid-campaign strategy state (DFS frame stacks, RNG

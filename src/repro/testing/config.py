@@ -11,15 +11,17 @@ trace recording, seeds), and :class:`Campaign` executes it:
 * ``Campaign(config).run()`` — a single-strategy campaign
   (:func:`repro.testing.engine.run_campaign` under the hood);
 * ``Campaign(config).portfolio()`` — the sharded multi-process campaign
-  (:func:`repro.testing.portfolio.run_portfolio`);
+  (:func:`repro.testing.fleet.run_fleet` with one local worker per
+  strategy spec);
 * ``Campaign(config).replay(trace)`` — deterministic reproduction from a
   live :class:`~repro.testing.trace.ScheduleTrace` or a trace file
   (:func:`repro.testing.engine.replay_trace`).
 
 Below this facade the config object itself is what travels — to the
-campaign loop, to portfolio worker processes, to fleet workers as JSON —
-so a new knob lands here (field, validation, JSON) and in the engine's
-one runtime builder, nowhere else.  The ``python -m repro`` CLI
+campaign loop, by value to the coordinator's own worker processes, as
+campaign JSON to fleet workers on the wire — so a new knob lands here
+(field, validation, JSON) and in the engine's one runtime builder,
+nowhere else.  The ``python -m repro`` CLI
 (:mod:`repro.__main__`) is built entirely on this module.
 
 ``workers="auto"`` is the default back-end: campaigns run on the
@@ -43,6 +45,7 @@ from ..core.machine import Machine
 from ..errors import PSharpError
 from .engine import TestReport, replay_trace, run_campaign
 from .faults import FaultConfig
+from .fleet import run_fleet
 from .reduction import DEFAULT_STATE_CACHE_SIZE, normalize_reduction
 from .monitors import Monitor
 from .portfolio import (
@@ -50,7 +53,6 @@ from .portfolio import (
     StrategySpec,
     default_portfolio,
     make_strategy,
-    run_portfolio,
 )
 from .runtime import ExecutionResult
 from .strategies import SchedulingStrategy
@@ -688,7 +690,10 @@ class Campaign:
         checkpoint: Union[str, "os.PathLike", None] = None,
         resume: Union[str, "os.PathLike", None] = None,
     ) -> TestReport:
-        """Run the sharded multi-process portfolio campaign.
+        """Run the sharded multi-process portfolio campaign: the fleet
+        coordinator (:func:`~repro.testing.fleet.run_fleet`) with one
+        local worker process per strategy spec and no listener, so the
+        strategies race and each gets the whole ``time_limit``.
 
         ``workers`` overrides ``config.portfolio_workers`` for the
         default mix (explicit ``config.specs`` always win).
@@ -701,7 +706,16 @@ class Campaign:
         config = self.config
         if workers is not None:
             config = config.with_overrides(portfolio_workers=workers)
-        report = run_portfolio(config, checkpoint=checkpoint, resume=resume)
+        report = run_fleet(
+            config,
+            local_workers=(
+                len(config.specs) if config.specs is not None
+                else config.portfolio_workers
+            ),
+            checkpoint=checkpoint,
+            resume=resume,
+        )
+        report.strategy = "portfolio"
         self.last_report = report
         return report
 

@@ -9,8 +9,8 @@ buggy schedules (%Buggy).
 A :class:`~repro.testing.config.TestConfig` is the only carrier of
 campaign parameters down here.  :func:`build_runtime` is the one place
 its per-execution fields are read, :func:`run_campaign` the one iteration
-loop: ``Campaign.run``, every portfolio worker and every fleet shard call
-it, so a 1-worker portfolio is, by construction, the plain campaign; and
+loop: ``Campaign.run`` and every shard of a sharded campaign call it, so
+a 1-worker portfolio is, by construction, the plain campaign; and
 :func:`replay_trace` re-executes a recorded schedule on a runtime built
 the same way.
 
@@ -369,8 +369,8 @@ def run_campaign(
     absent it is derived from ``config.time_limit``.  The deadline is
     enforced both between iterations and *inside* them (propagated to
     the runtime), so a single long schedule cannot overshoot the budget.
-    ``stop_check`` is polled between iterations and inside them — the
-    portfolio's first-bug-wins cancellation.  ``events`` streams
+    ``stop_check`` is polled between iterations and inside them — a
+    sharded campaign's first-bug-wins cancellation.  ``events`` streams
     shard-level progress to a :class:`~repro.testing.telemetry.EventLog`;
     execution-shape telemetry (``report.telemetry``) is always on.
 

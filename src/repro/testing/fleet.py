@@ -1,13 +1,15 @@
 """Distributed campaign fleet: one campaign sharded across processes and hosts.
 
 The paper's tester wins by throwing many diverse schedulers at one
-program; :mod:`repro.testing.portfolio` already shards a campaign across
-local processes.  This module is the same campaign shape stretched over
-a wire: a **coordinator** (``python -m repro serve --config
+program, and one schedule-controlled execution is serial on purpose, so
+a campaign is sharded across processes.  This module is the one
+supervisor that does it: a **coordinator** (``Campaign.portfolio()``,
+``python -m repro test --portfolio N``, ``python -m repro serve --config
 campaign.json``) streams work units — shard index ×
-:class:`~repro.testing.portfolio.StrategySpec` — to **workers**
-(``python -m repro worker`` / ``submit --host``) over a length-prefixed
-JSON protocol that runs identically over TCP sockets and stdio pipes.
+:class:`~repro.testing.portfolio.StrategySpec` — to **workers** (its own
+child processes, ``python -m repro worker`` / ``submit --host``) over a
+length-prefixed JSON protocol that runs identically over TCP sockets
+and stdio pipes.
 
 The wire format is specified normatively in ``docs/protocol.md``; the
 tests cite its section numbers.  The load-bearing choices:
@@ -26,18 +28,17 @@ tests cite its section numbers.  The load-bearing choices:
   resolved and compiled the program, so they start warm too.
 * **Results are detached reports.**  A finished shard comes back as a
   base64-pickled *detached* :class:`~repro.testing.engine.TestReport`
-  inside a JSON frame; the coordinator folds shards with the same
-  :func:`~repro.testing.portfolio.merge_shard_reports` path as the
-  local portfolio, so distinct-bug dedup by
-  :meth:`~repro.testing.trace.ScheduleTrace.fingerprint` has a single
-  definition.  Pickle implies trust: run fleets only among mutually
-  trusted hosts (protocol §8).
+  inside a JSON frame; the coordinator folds shards with
+  :func:`~repro.testing.portfolio.merge_shard_reports`, so distinct-bug
+  dedup by :meth:`~repro.testing.trace.ScheduleTrace.fingerprint` has a
+  single definition.  Pickle implies trust: run fleets only among
+  mutually trusted hosts (protocol §8).
 * **Failure is requeue, not loss.**  A worker that disconnects or goes
   silent mid-shard has its shard re-queued (bounded times, then
   abandoned as an empty shard so the merge stays honest); the
-  coordinator checkpoints completed shards with the same
-  :mod:`repro.testing.checkpoint` files as the local portfolio, so a
-  killed ``serve`` resumes with ``--resume`` skipping finished shards.
+  coordinator checkpoints completed shards to a
+  :mod:`repro.testing.checkpoint` file, so a killed campaign resumes
+  with ``--resume`` skipping finished shards.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from __future__ import annotations
 import base64
 import collections
 import json
+import multiprocessing
 import os
 import pickle
 import select
@@ -68,13 +70,7 @@ from .checkpoint import (
     verify_checkpoint,
 )
 from .engine import TestReport, resolved_program, run_campaign
-from .portfolio import (
-    DEFAULT_GRACE,
-    StrategySpec,
-    make_strategy,
-    merge_shard_reports,
-    worker_context,
-)
+from .portfolio import StrategySpec, make_strategy, merge_shard_reports
 from .telemetry import EventLog
 
 # ---------------------------------------------------------------------------
@@ -104,6 +100,10 @@ DEFAULT_MAX_REQUEUES = 2
 
 #: Times one local worker slot is respawned after its process dies.
 DEFAULT_MAX_RESPAWNS = 2
+
+#: Seconds workers get after the deadline or a cancellation to flush
+#: their final reports before being terminated.
+DEFAULT_GRACE = 10.0
 
 
 class ProtocolError(PSharpError):
@@ -381,14 +381,17 @@ def worker_loop(
     conn: Connection,
     *,
     handshake_timeout: float = HANDSHAKE_TIMEOUT,
+    config: Optional["TestConfig"] = None,
 ) -> int:
     """Speak the worker half of the protocol over ``conn`` until the
     coordinator says shutdown (or hangs up); returns shards completed.
 
     One warm process runs many shards: the campaign config arrives once
-    in the welcome frame, each ``work`` frame names a shard index and a
-    strategy spec, and the shard's strategy is built fresh from the spec
-    so nothing bleeds between shards (§5)."""
+    in the welcome frame — or, for a coordinator's own child, is the
+    ``config`` it was started with, and the welcome carries ``null``
+    (§3) — each ``work`` frame names a shard index and a strategy spec,
+    and the shard's strategy is built fresh from the spec so nothing
+    bleeds between shards (§5)."""
     from .config import TestConfig  # deferred: config is the layer above
 
     conn.send(
@@ -415,7 +418,13 @@ def worker_loop(
             f"coordinator speaks protocol {welcome.get('protocol')!r}, "
             f"this worker speaks {PROTOCOL_VERSION}"
         )
-    config = TestConfig.from_json_obj(welcome["config"])
+    if welcome.get("config") is not None:
+        config = TestConfig.from_json_obj(welcome["config"])
+    elif config is None:
+        raise ProtocolError(
+            "the welcome frame carries no config and this worker was "
+            "started without one"
+        )
     forward_events = bool(welcome.get("events"))
     program = resolved_program(config)
 
@@ -498,9 +507,17 @@ def _spec_from_wire(value: Any) -> StrategySpec:
     return StrategySpec(value["name"], dict(value.get("params", {})))
 
 
-def _local_worker(reader: Any, writer: Any, inherited: Sequence[int]) -> None:
+def _local_worker(
+    reader: Any, writer: Any, inherited: Sequence[int], config: "TestConfig"
+) -> None:
     """Process target of one coordinator-started worker (§1): speak the
     worker half of the protocol over the pipe pair ``reader``/``writer``.
+
+    ``config`` crosses the process boundary by value — inherited under
+    ``fork``, pickled under ``spawn``/``forkserver`` (so a
+    ``runtime_factory`` it carries must then be module-level) — which is
+    why a local campaign may hold what campaign JSON refuses: a runtime
+    factory, a function-local program class, a non-JSON payload.
 
     ``inherited`` are the coordinator's own descriptors a *forked* child
     holds copies of — other peers' connections, the parent's ends of this
@@ -519,7 +536,8 @@ def _local_worker(reader: Any, writer: Any, inherited: Sequence[int]) -> None:
             except OSError:
                 pass
         worker_loop(
-            Connection(reader.fileno(), writer.fileno(), label="coordinator")
+            Connection(reader.fileno(), writer.fileno(), label="coordinator"),
+            config=config,
         )
         code = 0
     except (ConnectionClosed, KeyboardInterrupt):
@@ -533,6 +551,19 @@ def _local_worker(reader: Any, writer: Any, inherited: Sequence[int]) -> None:
 # ---------------------------------------------------------------------------
 # Coordinator side (§3–§7)
 # ---------------------------------------------------------------------------
+def worker_context(config: "TestConfig") -> Any:
+    """The ``multiprocessing`` context the coordinator's own workers
+    start from: ``config.start_method``, defaulting to ``fork`` (workers
+    share the already-imported program modules and compiled machine
+    classes) where the platform has it and to the platform default
+    elsewhere."""
+    start_method = config.start_method
+    if start_method is None:
+        methods = multiprocessing.get_all_start_methods()
+        start_method = "fork" if "fork" in methods else methods[0]
+    return multiprocessing.get_context(start_method)
+
+
 def _reap(children: Sequence[Any], window: float) -> None:
     """Collect every local worker process.  All of them share one
     ``window`` of seconds to exit on their own, the stragglers one more
@@ -595,20 +626,24 @@ def run_fleet(
     ephemeral port, reported through ``on_listen``) accepting remote
     ``python -m repro worker`` processes, and/or ``local_workers`` worker
     processes started (and respawned, bounded) directly: children of the
-    ``config.start_method`` multiprocessing context the portfolio uses,
-    each on a pipe pair of its own.  Where that is ``fork`` they inherit
-    the resolved program and compiled main machine class and are ready
-    within milliseconds; every one is joined before this returns.  At
-    least one source is required.
+    ``config.start_method`` multiprocessing context, each on a pipe pair
+    of its own, never more of them than there are shards to run.  Where
+    that is ``fork`` they inherit the resolved program and compiled main
+    machine class and are ready within milliseconds; every one is joined
+    before this returns.  At least one source is required.
 
-    The campaign is ``config.portfolio_specs()`` — identical shards, in
-    identical order, to ``Campaign.portfolio()``, so a fleet run and a
-    local portfolio run of the same config + seed merge to the same
-    distinct-bug fingerprint set.  ``checkpoint``/``resume`` reuse
-    :mod:`repro.testing.checkpoint` verbatim: completed (non-canceled)
-    shards are persisted as they land, and a resumed campaign never
-    re-runs them.  SIGINT checkpoints and returns the partial merged
-    report with ``interrupted=True``."""
+    The campaign is ``config.portfolio_specs()``, one shard per spec;
+    ``Campaign.portfolio()`` is this function with one local worker per
+    spec and no listener.  The coordinator's own children hold ``config``
+    by value, so only a campaign that listens has to be expressible as
+    campaign JSON (``to_json_obj()`` refuses a ``runtime_factory``, a
+    function-local program class, a non-JSON payload — before anything
+    is bound or started).  ``checkpoint`` names a
+    :mod:`repro.testing.checkpoint` file: completed (non-canceled) shards
+    are persisted as they land; ``resume`` restarts from one, never
+    re-runs a shard it holds, and keeps checkpointing to it unless
+    ``checkpoint`` says otherwise.  SIGINT checkpoints and returns the
+    partial merged report with ``interrupted=True``."""
     from .config import TestConfig  # deferred: config is the layer above
 
     if not isinstance(config, TestConfig):
@@ -623,8 +658,11 @@ def run_fleet(
     for spec in specs:
         make_strategy(spec)  # fail fast on unbuildable specs
     # Workers never open the coordinator's event log path themselves —
-    # telemetry travels back over the wire (event frames) instead.
-    config_obj = config.with_overrides(events_path=None).to_json_obj()
+    # telemetry travels back over the wire (event frames) instead.  Our
+    # own children get this object by value; only wire peers need it as
+    # campaign JSON, so only a listening campaign has to serialize.
+    worker_config = config.with_overrides(events_path=None)
+    config_obj = worker_config.to_json_obj() if port is not None else None
     fingerprint = config_fingerprint(config)
 
     collected: Dict[int, TestReport] = {}
@@ -635,6 +673,8 @@ def run_fleet(
         specs = list(state["specs"])
         checkpointed = dict(state["completed"])
         collected = dict(checkpointed)
+        if checkpoint is None:
+            checkpoint = resume  # the resumed campaign keeps checkpointing
 
     events = (
         EventLog(config.events_path) if config.events_path is not None else None
@@ -647,12 +687,22 @@ def run_fleet(
     pending: Deque[int] = collections.deque(
         index for index in range(len(specs)) if index not in collected
     )
+    winner_index: Optional[int] = None
+    if config.stop_on_first_bug:
+        winner_index = next(
+            (i for i in sorted(collected) if collected[i].first_bug is not None),
+            None,
+        )
+        if winner_index is not None:
+            # The checkpoint already holds the bug: the campaign is over,
+            # the unfinished shards would only be started to be cancelled.
+            pending.clear()
+    local_workers = min(local_workers, len(pending))
     requeues: Dict[int, int] = {}
     abandoned: Set[int] = set()
     peers: List[_Peer] = []
     local_peers: List[_Peer] = []  # every local worker ever started
     respawns_by_slot: Dict[int, int] = {}
-    winner_index: Optional[int] = None
     cancelled = False
     interrupted = False
     wall_start = time.perf_counter()
@@ -717,7 +767,7 @@ def run_fleet(
                 inherited.append(events.fileno())
         proc = ctx.Process(
             target=_local_worker,
-            args=(work_r, back_w, inherited),
+            args=(work_r, back_w, inherited, worker_config),
             daemon=True,
             name=f"fleet-worker-{slot}",
         )
@@ -873,7 +923,8 @@ def run_fleet(
                 {
                     "type": "welcome",
                     "protocol": PROTOCOL_VERSION,
-                    "config": config_obj,
+                    # Our own child already holds the config (§3).
+                    "config": None if peer.proc is not None else config_obj,
                     "events": events is not None,
                 }
             )
@@ -926,12 +977,14 @@ def run_fleet(
             local_workers=local_workers,
             listening=bool(listener),
         )
+        if winner_index is not None:
+            cancel_all(f"shard {winner_index} of the checkpoint holds the bug")
         if local_workers > 0:
             # Warm start: what a forked worker would otherwise redo per
             # process (import the program, compile the main machine
             # class) happens once, here, and is inherited.
             config.resolve_program()[0].inline_compatible()
-        for slot in range(max(0, local_workers)):
+        for slot in range(local_workers):
             spawn_local(slot)
 
         while True:

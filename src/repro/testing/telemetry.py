@@ -11,17 +11,16 @@ portfolio shards and checkpoint resume exactly like coverage does.
 
 :class:`EventLog` is the second half: an append-only JSONL stream
 (``--events FILE`` / ``TestConfig.events_path``) of structured campaign
-events — campaign/shard/iteration spans, worker heartbeats and
+events — campaign/shard/iteration spans, worker spawns, losses and
 respawns, watchdog hits, checkpoint writes.  Each event is one JSON
 object per line with at least ``ts`` (epoch seconds), ``pid`` and
-``type``; portfolio workers append to the same file from multiple
-processes, which is safe because each event is a single short
-``write()`` of a complete line on a file opened in append mode.  The
-``repro serve`` fleet (:mod:`repro.testing.fleet`) streams the same
-records over its wire protocol as ``event`` frames and the coordinator
-appends them here via :meth:`EventLog.forward`, so a distributed
-campaign's event log reads exactly like a local one.  Emission failures
-are swallowed: observability must never kill a campaign.
+``type``.  One process writes the file: the workers of a sharded
+campaign (:mod:`repro.testing.fleet`) stream their records over the
+wire protocol as ``event`` frames, already stamped with ``ts``, ``pid``
+and ``shard``, and the coordinator appends them via
+:meth:`EventLog.forward`, so a distributed campaign's event log reads
+exactly like a local one.  Emission failures are swallowed:
+observability must never kill a campaign.
 """
 
 from __future__ import annotations
@@ -267,16 +266,14 @@ class TelemetryStats:
 class EventLog:
     """Append-only JSONL stream of structured campaign events.
 
-    Multi-process safe by construction: each emit is a single ``write``
-    of one complete newline-terminated line on an append-mode file
-    descriptor, which POSIX keeps atomic for lines shorter than
-    ``PIPE_BUF``.  Never raises from :meth:`emit` — a full disk or a
-    vanished file must not take the campaign down with it.
+    Each emit is a single ``write`` of one complete newline-terminated
+    line on an append-mode file descriptor.  Never raises from
+    :meth:`emit` — a full disk or a vanished file must not take the
+    campaign down with it.
     """
 
-    def __init__(self, path: str, *, shard: Optional[int] = None) -> None:
+    def __init__(self, path: str) -> None:
         self.path = os.fspath(path)
-        self.shard = shard
         self._fh = open(self.path, "a", encoding="utf-8")
 
     def emit(self, type_: str, **fields: object) -> None:
@@ -285,8 +282,6 @@ class EventLog:
             "pid": os.getpid(),
             "type": type_,
         }
-        if self.shard is not None:
-            record["shard"] = self.shard
         record.update(fields)
         try:
             self._fh.write(json.dumps(record, default=str) + "\n")

@@ -29,9 +29,9 @@ from repro.testing.checkpoint import (
 )
 from repro.testing.config import Campaign
 from repro.testing.fleet import run_fleet
-from repro.testing.portfolio import run_portfolio
 
 from .machines import Ping, SelfLoop
+from .test_fleet import events_of
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -79,7 +79,7 @@ class TestWorkerCrashResilience:
         killer = threading.Thread(target=kill_one_worker)
         killer.start()
         try:
-            report = run_portfolio(config)
+            report = Campaign(config).portfolio()
         finally:
             killer.join()
 
@@ -101,7 +101,7 @@ class TestWorkerCrashResilience:
             time_limit=30.0,
             max_steps=2_000,
         )
-        report = run_portfolio(config)
+        report = Campaign(config).portfolio()
         assert len(report.sub_reports) == len(TWO_SHARDS)
         assert _drain_children() == []
 
@@ -232,7 +232,7 @@ class TestCheckpointResume:
             completed=state["completed"],
         )
 
-        report = run_portfolio(config, resume=path)
+        report = Campaign(config).portfolio(resume=path)
         assert len(report.sub_reports) == len(TWO_SHARDS)
         # Shard 0 came straight from the checkpoint, untouched.
         assert report.sub_reports[0].iterations == 123_456
@@ -247,10 +247,16 @@ class TestCheckpointResume:
         config = self._config()
         first = Campaign(config).portfolio(checkpoint=path)
         before = multiprocessing.active_children()
-        resumed = run_portfolio(config, resume=path)
+        events_path = tmp_path / "resumed.events.jsonl"
+        resumed = Campaign(
+            config.with_overrides(events_path=str(events_path))
+        ).portfolio(resume=path)
         assert resumed.iterations == first.iterations
         assert len(resumed.sub_reports) == len(TWO_SHARDS)
         assert multiprocessing.active_children() == before
+        # Nothing was pending, so no worker was started just to be reaped.
+        assert len(events_of(events_path, "fleet_start", "fleet_end")) == 2
+        assert events_of(events_path, "fleet_worker_spawn") == []
 
     def test_missing_checkpoint_raises(self, tmp_path):
         with pytest.raises(PSharpError, match="cannot read checkpoint"):
@@ -278,7 +284,7 @@ class TestCheckpointResume:
         Campaign(self._config()).portfolio(checkpoint=path)
         other = self._config().with_overrides(max_iterations=999)
         with pytest.raises(PSharpError, match="different campaign"):
-            run_portfolio(other, resume=path)
+            Campaign(other).portfolio(resume=path)
 
 
 def run_cli_process(*args):

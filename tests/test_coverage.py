@@ -24,7 +24,6 @@ from repro.testing import (
     CoverageMap,
     TestConfig,
     TestReport,
-    run_portfolio,
 )
 from repro.testing.checkpoint import load_checkpoint, save_checkpoint
 from repro.testing.portfolio import StrategySpec
@@ -171,7 +170,7 @@ def _portfolio_config(**overrides):
 
 class TestPortfolioCoverage:
     def test_campaign_coverage_is_shard_merge(self):
-        campaign = run_portfolio(_portfolio_config())
+        campaign = Campaign(_portfolio_config()).portfolio()
         assert campaign.coverage is not None
         merged = CoverageMap()
         for shard in campaign.sub_reports:
@@ -180,9 +179,9 @@ class TestPortfolioCoverage:
         assert campaign.coverage == merged
 
     def test_resumed_campaign_coverage_matches_uninterrupted(self, tmp_path):
-        baseline = run_portfolio(_portfolio_config())
+        baseline = Campaign(_portfolio_config()).portfolio()
         ckpt = tmp_path / "campaign.ckpt"
-        run_portfolio(_portfolio_config(), checkpoint=ckpt)
+        Campaign(_portfolio_config()).portfolio(checkpoint=ckpt)
         # Simulate a crash after shard 0 completed: rewrite the
         # checkpoint without shard 1 and resume.
         state = load_checkpoint(ckpt)
@@ -192,7 +191,7 @@ class TestPortfolioCoverage:
             specs=state["specs"],
             completed={0: state["completed"][0]},
         )
-        resumed = run_portfolio(_portfolio_config(), resume=ckpt)
+        resumed = Campaign(_portfolio_config()).portfolio(resume=ckpt)
         assert resumed.iterations == baseline.iterations
         assert resumed.coverage == baseline.coverage
         assert resumed.coverage.fingerprint() == baseline.coverage.fingerprint()
@@ -201,10 +200,10 @@ class TestPortfolioCoverage:
         from repro.errors import PSharpError
 
         ckpt = tmp_path / "campaign.ckpt"
-        run_portfolio(_portfolio_config(), checkpoint=ckpt)
+        Campaign(_portfolio_config()).portfolio(checkpoint=ckpt)
         plain = _portfolio_config().with_overrides(coverage=False)
         with pytest.raises(PSharpError):
-            run_portfolio(plain, resume=ckpt)
+            Campaign(plain).portfolio(resume=ckpt)
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +335,22 @@ class TestTelemetry:
 
     def test_portfolio_event_stream_tags_shards(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        run_portfolio(_portfolio_config(events_path=path))
+        Campaign(_portfolio_config(events_path=path)).portfolio()
         records = [json.loads(line) for line in path.read_text().splitlines()]
         types = {record["type"] for record in records}
-        assert {"campaign_start", "worker_spawn", "shard_start",
-                "shard_end", "campaign_end"} <= types
-        shards = {
-            record["shard"] for record in records if record["type"] == "shard_end"
-        }
-        assert shards == {0, 1}
+        assert {"fleet_start", "fleet_worker_spawn", "fleet_worker_ready",
+                "fleet_work_assigned", "fleet_shard_result",
+                "fleet_worker_exit", "fleet_end",
+                "shard_start", "shard_end"} <= types
+        for span in ("shard_start", "shard_end"):
+            shards = {
+                record["shard"] for record in records if record["type"] == span
+            }
+            assert shards == {0, 1}, span
+        # One worker process per spec; shard records carry a worker's pid.
+        spawned = {r["pid"] for r in records if r["type"] == "fleet_worker_spawn"}
+        assert len(spawned) == 2
+        assert {r["pid"] for r in records if r["type"] == "shard_end"} <= spawned
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +367,7 @@ class TestReporting:
 
     def test_load_campaign_reads_checkpoints(self, tmp_path):
         ckpt = tmp_path / "campaign.ckpt"
-        campaign = run_portfolio(_portfolio_config(), checkpoint=ckpt)
+        campaign = Campaign(_portfolio_config()).portfolio(checkpoint=ckpt)
         loaded = load_campaign(ckpt)
         assert loaded.iterations == campaign.iterations
         assert loaded.coverage == campaign.coverage

@@ -6,9 +6,12 @@ lifecycle, §6 failure handling, §7 checkpointing) point there.
 
 The acceptance property: a campaign sharded over ≥2 worker processes via
 ``serve``/``submit`` merges to the same distinct-bug fingerprint set as
-a single-process ``Campaign.portfolio()`` of the same config + seed —
-and killing a worker mid-campaign changes neither completion nor that
-set (the shard is re-queued, §6).
+``Campaign.portfolio()`` of the same config + seed (the same coordinator
+with one local worker per spec) and as the shards run one by one in
+this process — and killing a worker mid-campaign changes neither
+completion nor that set (the shard is re-queued, §6).  What the sets
+*are* is pinned across commits by the ``portfolio`` section of
+``tests/golden_traces.json``.
 """
 
 import json
@@ -25,7 +28,11 @@ from pathlib import Path
 import pytest
 
 from repro import Campaign, PSharpError, StrategySpec, TestConfig
-from repro.testing.checkpoint import load_checkpoint, save_checkpoint
+from repro.testing.checkpoint import (
+    config_fingerprint,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.testing.engine import TestReport
 from repro.testing.fleet import (
     MAX_FRAME,
@@ -42,8 +49,8 @@ from repro.testing.fleet import (
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: Explicitly seeded shards: the fleet and the local portfolio must
-#: explore *identical* schedules, so nothing may draw a fresh seed.
+#: Explicitly seeded shards: every run of the campaign must explore
+#: *identical* schedules, so nothing may draw a fresh seed.
 FOUR_SHARDS = (
     StrategySpec("random", {"seed": 1}),
     StrategySpec("random", {"seed": 2}),
@@ -537,6 +544,20 @@ class TestLocalWorkers:
         assert reapable_child() == 0
 
 
+def drop_shards(ckpt, *shards):
+    """Rewrite a checkpoint as if the campaign had been killed before
+    ``shards`` completed."""
+    state = load_checkpoint(ckpt)
+    for shard in shards:
+        del state["completed"][shard]
+    save_checkpoint(
+        ckpt,
+        fingerprint=state["fingerprint"],
+        specs=state["specs"],
+        completed=state["completed"],
+    )
+
+
 class TestFleetCheckpoint:
     def test_resume_skips_checkpointed_shards(self, tmp_path):
         # §7: completed shards persist as they land; a resumed campaign
@@ -574,6 +595,65 @@ class TestFleetCheckpoint:
         assert 0 not in assigned and 1 not in assigned and 3 not in assigned
         assert 2 in assigned
         assert fingerprints(resumed) == full_fingerprints
+
+    def test_resume_keeps_checkpointing_to_the_resume_file(self, tmp_path):
+        # §7: `resume=` without `checkpoint=` persists the re-run shards
+        # to the file it resumed from — a campaign killed a second time
+        # must not lose them.
+        config = fleet_config()
+        ckpt = tmp_path / "fleet.ckpt"
+        run_fleet(config, local_workers=2, checkpoint=str(ckpt))
+        drop_shards(ckpt, 1, 3)
+        run_fleet(config, local_workers=2, resume=str(ckpt))
+        assert sorted(load_checkpoint(ckpt)["completed"]) == [0, 1, 2, 3]
+
+    def test_fully_resumed_campaign_starts_no_worker(self, tmp_path):
+        config = fleet_config()
+        ckpt = tmp_path / "fleet.ckpt"
+        first = run_fleet(config, local_workers=2, checkpoint=str(ckpt))
+        events_path = tmp_path / "resume.events.jsonl"
+        resumed = run_fleet(
+            config.with_overrides(events_path=str(events_path)),
+            local_workers=2,
+            resume=str(ckpt),
+        )
+        assert resumed.iterations == first.iterations
+        assert fingerprints(resumed) == fingerprints(first)
+        assert events_of(events_path, "fleet_worker_spawn") == []
+        assert len(events_of(events_path, "fleet_start", "fleet_end")) == 2
+
+    def test_resume_with_a_checkpointed_winner_runs_nothing(self, tmp_path):
+        # stop_on_first_bug: shard 3 found the bug before the campaign was
+        # killed.  The resumed campaign is over — the other shards must
+        # not be started just to be cancelled, let alone run in full.
+        hunting = fleet_config(stop_on_first_bug=True, max_iterations=9)
+        ckpt = tmp_path / "fleet.ckpt"
+        run_fleet(
+            hunting.with_overrides(stop_on_first_bug=False),
+            local_workers=2, checkpoint=str(ckpt),
+        )
+        state = load_checkpoint(ckpt)
+        winner = state["completed"][3].first_bug
+        assert winner is not None
+        save_checkpoint(
+            ckpt,
+            fingerprint=config_fingerprint(hunting),
+            specs=state["specs"],
+            completed={3: state["completed"][3]},
+        )
+        events_path = tmp_path / "resume.events.jsonl"
+        resumed = run_fleet(
+            hunting.with_overrides(events_path=str(events_path)),
+            local_workers=2,
+            resume=str(ckpt),
+        )
+        assert [sub.iterations for sub in resumed.sub_reports] == [0, 0, 0, 9]
+        assert resumed.first_bug.trace.fingerprint() == winner.trace.fingerprint()
+        assert events_of(
+            events_path, "fleet_worker_spawn", "fleet_work_assigned"
+        ) == []
+        # The shards that never ran stay pending in the checkpoint.
+        assert sorted(load_checkpoint(ckpt)["completed"]) == [3]
 
     def test_resume_refuses_foreign_checkpoint(self, tmp_path):
         ckpt = tmp_path / "fleet.ckpt"
@@ -656,6 +736,23 @@ class TestFleetCli:
         assert "campaign interrupted (partial results)" in stdout
         state = load_checkpoint(ckpt)
         assert state["fingerprint"]
+
+    def test_serve_resume_keeps_checkpointing(self, tmp_path):
+        # §7: `serve --resume FILE` with no --checkpoint persists the
+        # shards it re-runs to FILE.
+        campaign_file = tmp_path / "campaign.json"
+        ckpt = tmp_path / "fleet.ckpt"
+        config = fleet_config(max_iterations=20)
+        config.save(campaign_file)
+        run_fleet(config, local_workers=2, checkpoint=str(ckpt))
+        drop_shards(ckpt, 0, 2)
+        serve = run_cli_process(
+            "serve", "--config", str(campaign_file),
+            "--workers", "2", "--resume", str(ckpt),
+        )
+        stdout, stderr = serve.communicate(timeout=90)
+        assert serve.returncode == 0, stdout + stderr
+        assert sorted(load_checkpoint(ckpt)["completed"]) == [0, 1, 2, 3]
 
     def test_stdio_worker_serves_a_foreign_launcher(self):
         # §1: `worker --stdio` is the entry point for launchers that hand

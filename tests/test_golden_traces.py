@@ -6,7 +6,12 @@ commit*; a change that moves both carriers the same way passes them all.
 when it was generated — schedule, step and scheduling-point counts, the
 first bug's iteration and trace fingerprint, and the exhaustive-sweep
 counters per reduction mode — and this module asserts them on ``inline``
-and on ``pool``.  A refactor of the runtime must leave the file
+and on ``pool``.  Its ``portfolio`` section does the same for three
+sharded ``Campaign.portfolio()`` campaigns (per-shard counts and
+bug-trace fingerprints, the merged distinct-bug set), asserted under the
+``fork`` and ``spawn`` start methods; it was written by the
+process-per-spec supervisor the fleet coordinator replaced.  A refactor
+of the runtime or of the sharding supervisor must leave the file
 byte-for-byte unchanged.
 
 Regenerate (only when a trace change is intended, and say so in the PR)::
@@ -20,7 +25,9 @@ import os
 import pytest
 
 from repro.bench import registry
-from repro.testing import REDUCTION_MODES, Campaign, TestConfig
+from repro.testing import (
+    REDUCTION_MODES, Campaign, FaultConfig, StrategySpec, TestConfig,
+)
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_traces.json")
 
@@ -36,6 +43,29 @@ SWEEP = dict(
     stop_on_first_bug=False,
 )
 CARRIERS = ("inline", "pool")
+#: Sharded campaigns, every shard run to its full iteration budget.
+PORTFOLIOS = {
+    "Raft/2xrandom": dict(
+        program="Raft",
+        specs=(
+            StrategySpec("random", {"seed": SEED}),
+            StrategySpec("random", {"seed": SEED + 1}),
+        ),
+    ),
+    "BoundedAsync/default-4": dict(
+        program="BoundedAsync", seed=7, portfolio_workers=4,
+    ),
+    "German/3-spec+faults": dict(
+        program="German",
+        specs=(
+            StrategySpec("random", {"seed": SEED}),
+            StrategySpec("pct", {"depth": 10, "seed": SEED}),
+            StrategySpec("delay-bounding", {"delays": 2, "seed": SEED}),
+        ),
+        faults=FaultConfig(drop=0.05, duplicate=0.05, delay=0.1, crash=0.01),
+    ),
+}
+START_METHODS = ("fork", "spawn")
 
 
 def programs():
@@ -67,6 +97,25 @@ def sweep_row(reduction, workers):
     return [report.iterations, report.distinct_states, report.schedules_pruned]
 
 
+def portfolio_row(name, start_method=None):
+    report = Campaign(
+        TestConfig(start_method=start_method, **PORTFOLIOS[name], **BUDGET)
+    ).portfolio()
+    return {
+        "shards": [
+            [
+                shard.strategy,
+                shard.iterations,
+                shard.total_steps,
+                shard.total_scheduling_points,
+                sorted(bug.trace.fingerprint() for bug in shard.bugs),
+            ]
+            for shard in report.sub_reports
+        ],
+        "distinct_bugs": sorted(bug.trace.fingerprint() for bug in report.bugs),
+    }
+
+
 def generate(workers="inline"):
     """The golden document, computed from scratch on ``workers``."""
     return {
@@ -79,6 +128,7 @@ def generate(workers="inline"):
             reduction: sweep_row(reduction, workers)
             for reduction in REDUCTION_MODES
         },
+        "portfolio": {name: portfolio_row(name) for name in PORTFOLIOS},
     }
 
 
@@ -103,6 +153,8 @@ def test_golden_file_covers_the_registry(golden):
     # The file pins bug traces, not only clean runs.
     found = [row for row in golden["campaigns"].values() if row[4] is not None]
     assert len(found) >= len(programs())
+    assert sorted(golden["portfolio"]) == sorted(PORTFOLIOS)
+    assert all(row["distinct_bugs"] for row in golden["portfolio"].values())
 
 
 @pytest.mark.parametrize("workers", CARRIERS)
@@ -117,3 +169,9 @@ def test_campaign_rows_match_the_golden_file(golden, program, workers):
 @pytest.mark.parametrize("reduction", REDUCTION_MODES)
 def test_sweep_rows_match_the_golden_file(golden, reduction, workers):
     assert sweep_row(reduction, workers) == golden["sweeps"][reduction]
+
+
+@pytest.mark.parametrize("start_method", START_METHODS)
+@pytest.mark.parametrize("name", sorted(PORTFOLIOS))
+def test_portfolio_rows_match_the_golden_file(golden, name, start_method):
+    assert portfolio_row(name, start_method) == golden["portfolio"][name]

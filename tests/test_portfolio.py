@@ -9,8 +9,10 @@ from repro import (
     BugReport,
     Campaign,
     IterativeDeepeningDfsStrategy,
+    Machine,
     RandomStrategy,
     ScheduleTrace,
+    State,
     StrategySpec,
     TestConfig,
     TestReport,
@@ -19,10 +21,13 @@ from repro import (
     register_strategy,
     replay,
 )
+from repro.chess import ChessRuntime
 from repro.errors import PSharpError
+from repro.testing.fleet import run_fleet
 from repro.testing.portfolio import strategy_names
 
 from .machines import NondetBug, Ping, RacyCounter
+from .test_chaos import _drain_children
 from .test_fleet import fingerprints
 
 
@@ -278,11 +283,29 @@ class TestPortfolioCampaign:
             ).portfolio()
 
 
+class PayloadCheck(Machine):
+    """Halts clean iff its creation payload is the ``(count, frozenset)``
+    pair the config was given — a payload JSON cannot carry."""
+
+    class Init(State):
+        initial = True
+        entry = "go"
+
+    def go(self):
+        count, tags = self.payload
+        self.assert_that(
+            isinstance(tags, frozenset) and len(tags) == count,
+            f"payload arrived as {self.payload!r}",
+        )
+        self.halt()
+
+
 class TestConfigCrossesTheProcessBoundary:
     """Portfolio workers receive the campaign's ``TestConfig`` by value.
     Under ``fork`` that is a memory copy; under ``spawn`` it is pickled,
     unpickled in a fresh interpreter and must drive the identical
-    campaign there."""
+    campaign there.  Only a coordinator that listens for wire peers has
+    to express the config as campaign JSON."""
 
     def _config(self, **overrides):
         kwargs = dict(
@@ -312,8 +335,6 @@ class TestConfigCrossesTheProcessBoundary:
         assert spawned.effective_backend == forked.effective_backend == "inline"
 
     def test_runtime_factory_reaches_the_spawned_child(self):
-        from repro.chess import ChessRuntime
-
         forked, spawned = self._assert_same_campaign(
             self._config(runtime_factory=ChessRuntime, max_iterations=6)
         )
@@ -322,3 +343,50 @@ class TestConfigCrossesTheProcessBoundary:
         assert spawned.effective_backend == "pool"
         plain = Campaign(self._config(max_iterations=6)).portfolio()
         assert spawned.total_scheduling_points > 2 * plain.total_scheduling_points
+
+    @pytest.mark.parametrize(
+        "kind, start_methods, backend, refusal",
+        [
+            ("runtime-factory", ("fork", "spawn"), "pool",
+             "runtime_factory cannot be serialized"),
+            ("local-class", ("fork",), "inline",
+             "not importable from another process"),
+            ("object-payload", ("fork",), "inline", "not JSON-serializable"),
+        ],
+    )
+    def test_what_campaign_json_refuses_still_runs_locally(
+        self, kind, start_methods, backend, refusal
+    ):
+        class LocalPing(Ping):
+            rounds = 2
+
+        config = {
+            "runtime-factory": self._config(
+                runtime_factory=ChessRuntime, max_iterations=6
+            ),
+            "local-class": self._config(program=LocalPing),
+            "object-payload": self._config(
+                program=PayloadCheck, payload=(2, frozenset({"a", "b"}))
+            ),
+        }[kind]
+        for start_method in start_methods:
+            report = Campaign(
+                config.with_overrides(start_method=start_method)
+            ).portfolio()
+            assert report.iterations == 2 * config.max_iterations
+            assert report.effective_backend == backend
+            assert [sub.iterations for sub in report.sub_reports] == (
+                [config.max_iterations] * 2
+            )
+            if kind != "runtime-factory":
+                assert not report.bug_found, report.first_bug
+        # A listening coordinator would have to ship the config to wire
+        # peers as campaign JSON: refused before it binds or forks.
+        listening = []
+        with pytest.raises(PSharpError, match=refusal):
+            run_fleet(
+                config, port=0, local_workers=2,
+                on_listen=lambda host, port: listening.append(port),
+            )
+        assert listening == []
+        assert _drain_children() == []

@@ -18,7 +18,8 @@ Three checks, all run by the CI docs lane:
 ``--removed-names``
     No file under ``README.md``, ``docs/``, ``examples/`` or ``src/``
     may mention an API this repo deleted (the engine shims, the
-    thread-per-execution worker mode): a doc or docstring must not
+    thread-per-execution worker mode, the process-per-spec portfolio
+    supervisor): a doc or docstring must not
     teach a name that no longer imports.  ``CHANGES.md`` and
     ``ROADMAP.md`` are history and are not scanned.
 
@@ -152,6 +153,7 @@ REMOVED_NAMES = (
     (re.compile(r"\bTestingEngine\b"), "Campaign(TestConfig(...), strategy=...)"),
     (re.compile(r"\bPortfolioEngine\b"), "Campaign(config).portfolio()"),
     (re.compile(r"\bengine\.drive\b"), "engine.run_campaign"),
+    (re.compile(r"\brun_portfolio\b"), "Campaign(config).portfolio()"),
     (re.compile(r"""workers\s*=\s*["']spawn["']"""), 'workers="pool"'),
     (re.compile(r"--workers[ =]spawn\b"), "--workers pool"),
 )
