@@ -47,12 +47,13 @@ calls havoc every involved variable.
 from __future__ import annotations
 
 import ast
+import functools
 import inspect
-import textwrap
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Type, Union
 
 from ..core.events import Event
 from ..core.machine import Machine
+from ..core.source import function_def
 from ..errors import PSharpError
 from ..lang.ir import (
     Assert,
@@ -990,6 +991,22 @@ def _target_as_expr(target: ast.expr) -> ast.expr:
 # ---------------------------------------------------------------------------
 # The frontend proper
 # ---------------------------------------------------------------------------
+def _logged(call):
+    """Log a type lookup or note made while a method is being lowered, as
+    ``(call, args, result)`` in program order.  Replaying the log repeats
+    each call: a lookup must return its logged result again; a note
+    returns None both times and is thereby simply re-applied."""
+
+    @functools.wraps(call)
+    def logged(self: "PythonFrontend", *args: Any) -> Any:
+        result = call(self, *args)
+        if self._log is not None:
+            self._log.append((call, args, result))
+        return result
+
+    return logged
+
+
 class PythonFrontend:
     """Lowers a set of ``Machine`` subclasses (plus helper classes) to a
     :class:`Program` ready for :func:`repro.analysis.analyze_program`."""
@@ -1019,56 +1036,81 @@ class PythonFrontend:
         self._prev_creation_payload_types: Dict[str, FType] = {}
         self._prev_return_types: Dict[Tuple[str, str], FType] = {}
         self._prev_param_types: Dict[Tuple[str, str, int], FType] = {}
-        # Parsed once, lowered on every refinement pass: lowerers only read
-        # the shared tree.
+        # Everything below is per-call memory: it lives on this object and
+        # dies with it, so two lower_machines() calls share nothing.
+        # Parsed once; lowerers only read the shared tree.
         self._function_defs: Dict[Any, ast.FunctionDef] = {}
+        self._members: Dict[type, List[Tuple[str, Any]]] = {}
+        # Per (owner, function): what the lowerer was built with, the log
+        # of every lookup and note it made, and the MethodDecl that came
+        # out — enough to tell on a later pass, without walking the AST,
+        # whether lowering it again could come out any different.
+        self._lowered: Dict[Tuple[str, Any], Tuple[tuple, list, MethodDecl]] = {}
+        self._log: Optional[list] = None  # of the method being lowered
+        self._undo: Optional[list] = None  # of the replay in flight
+        # Exact: the same classes give the same counts on every run.
+        self.counters: Dict[str, int] = dict.fromkeys(
+            (
+                "passes",
+                "methods_lowered",
+                "methods_replayed",
+                "functions_parsed",
+                "source_fallbacks",
+            ),
+            0,
+        )
 
     # -- shared state consulted by lowerers ------------------------------
-    def note_field(self, owner: str, field: str, ft: Optional[FType]) -> None:
+    def _set(self, table: dict, key: Any, value: Any) -> None:
+        """``table[key] = value``, remembered while a replay is in flight.
+        Tables hold no None, so None stands for "was not there"."""
+        if self._undo is not None:
+            self._undo.append((table, key, table.get(key)))
+        table[key] = value
+
+    def _join(self, table: dict, key: Any, ft: Optional[FType]) -> None:
         if ft is None:
             ft = "object"
-        fields = self._field_types.setdefault(owner, {})
-        fields[field] = ftjoin(fields.get(field), ft) or ft
+        self._set(table, key, ftjoin(table.get(key), ft) or ft)
 
+    @_logged
+    def note_field(self, owner: str, field: str, ft: Optional[FType]) -> None:
+        if owner not in self._field_types:
+            self._set(self._field_types, owner, {})
+        self._join(self._field_types[owner], field, ft)
+
+    @_logged
     def field_type(self, owner: str, field: str) -> FType:
         current = self._field_types.get(owner, {}).get(field)
         if current is not None:
             return current
         return self._prev_field_types.get(owner, {}).get(field, "none")
 
+    @_logged
     def note_event_payload(self, event: str, ft: Optional[FType]) -> None:
-        if ft is None:
-            ft = "object"
-        self._event_payload_types[event] = (
-            ftjoin(self._event_payload_types.get(event), ft) or ft
-        )
+        self._join(self._event_payload_types, event, ft)
 
+    @_logged
     def note_creation_payload(self, machine: str, ft: Optional[FType]) -> None:
-        if ft is None:
-            ft = "object"
-        self._creation_payload_types[machine] = (
-            ftjoin(self._creation_payload_types.get(machine), ft) or ft
-        )
+        self._join(self._creation_payload_types, machine, ft)
 
+    @_logged
     def note_return(self, owner: str, method: str, ft: Optional[FType]) -> None:
-        if ft is None:
-            ft = "object"
-        key = (owner, method)
-        self._return_types[key] = ftjoin(self._return_types.get(key), ft) or ft
+        self._join(self._return_types, (owner, method), ft)
 
+    @_logged
     def return_type(self, owner: str, method: str) -> Optional[FType]:
         current = self._return_types.get((owner, method))
         if current is not None:
             return current
         return self._prev_return_types.get((owner, method))
 
+    @_logged
     def note_arg_types(self, owner: str, method: str, fts) -> None:
         for index, ft in enumerate(fts):
-            if ft is None:
-                ft = "object"
-            key = (owner, method, index)
-            self._param_types[key] = ftjoin(self._param_types.get(key), ft) or ft
+            self._join(self._param_types, (owner, method, index), ft)
 
+    @_logged
     def param_type(self, owner: str, method: str, index: int) -> Optional[FType]:
         current = self._param_types.get((owner, method, index))
         if current is not None:
@@ -1106,6 +1148,7 @@ class PythonFrontend:
         return program
 
     def _lower_all(self) -> Program:
+        self.counters["passes"] += 1
         self._prev_field_types = self._field_types
         self._prev_event_payload_types = self._event_payload_types
         self._prev_creation_payload_types = self._creation_payload_types
@@ -1136,23 +1179,87 @@ class PythonFrontend:
     def _function_def(self, func: Any) -> ast.FunctionDef:
         node = self._function_defs.get(func)
         if node is None:
-            source = textwrap.dedent(inspect.getsource(func))
-            node = ast.parse(source).body[0]
+            node, cut = function_def(func)
             assert isinstance(node, ast.FunctionDef)
             self._function_defs[func] = node
+            self.counters["functions_parsed"] += 1
+            if not cut:
+                self.counters["source_fallbacks"] += 1
         return node
+
+    def _functions_of(self, cls: type) -> List[Tuple[str, Any]]:
+        members = self._members.get(cls)
+        if members is None:
+            members = self._members[cls] = inspect.getmembers(cls, inspect.isfunction)
+        return members
+
+    def _lower_method(
+        self,
+        owner: str,
+        func: Any,
+        *,
+        is_handler: bool,
+        payload_type: Optional[FType] = None,
+    ) -> MethodDecl:
+        """``func`` lowered as a method of ``owner`` — semi-naively.
+
+        A lowering is a deterministic function of the (immutable) AST,
+        what the lowerer is built with, and the answers to its type
+        lookups.  So when a method was lowered on an earlier pass and
+        replaying its log finds every answer unchanged, lowering it again
+        would emit the same notes and the same ``MethodDecl``: the replay
+        has already re-applied the former, and the latter is reused.
+        """
+        built_with = (is_handler, payload_type)
+        memo = self._lowered.get((owner, func))
+        if memo is not None and memo[0] == built_with and self._replay(memo[1]):
+            self.counters["methods_replayed"] += 1
+            return memo[2]
+        self._log = log = []
+        try:
+            decl = _Lowerer(
+                self,
+                owner,
+                self._function_def(func),
+                func.__globals__,
+                is_handler=is_handler,
+                payload_type=payload_type,
+            ).lower()
+        finally:
+            self._log = None
+        self._lowered[owner, func] = (built_with, log, decl)
+        self.counters["methods_lowered"] += 1
+        return decl
+
+    def _replay(self, log: list) -> bool:
+        """Repeat a logged lowering's lookups and notes, in order, against
+        the tables as this pass has them so far (a method can read a field
+        it has just noted).  True when every lookup answers as logged; the
+        notes are then applied, exactly as lowering would have.  On the
+        first different answer the notes applied so far are taken back."""
+        self._undo = undo = []
+        try:
+            for call, args, result in log:
+                if call(self, *args) != result:
+                    break
+            else:
+                return True
+        finally:
+            self._undo = None
+        for table, key, old in reversed(undo):
+            if old is None:
+                del table[key]
+            else:
+                table[key] = old
+        return False
 
     def _lower_helper(self, helper: type) -> ClassDecl:
         name = helper.__name__
         methods: Dict[str, MethodDecl] = {}
-        for method_name, func in inspect.getmembers(helper, inspect.isfunction):
+        for method_name, func in self._functions_of(helper):
             if method_name.startswith("__") and method_name != "__init__":
                 continue
-            lowerer = _Lowerer(
-                self, name, self._function_def(func), func.__globals__,
-                is_handler=False,
-            )
-            methods[method_name] = lowerer.lower()
+            methods[method_name] = self._lower_method(name, func, is_handler=False)
         fields = [
             VarDecl(field, _vardecl_type(ft))
             for field, ft in sorted(self._field_types.get(name, {}).items())
@@ -1196,21 +1303,17 @@ class PythonFrontend:
             handler_methods.update(info.actions.values())
 
         methods: Dict[str, MethodDecl] = {}
-        for method_name, func in inspect.getmembers(machine_cls, inspect.isfunction):
+        for method_name, func in self._functions_of(machine_cls):
             if method_name.startswith("_"):
                 continue
             if self._is_runtime_method(func):
                 continue
-            payload_type = self._payload_type_for(machine_cls, method_name)
-            lowerer = _Lowerer(
-                self,
+            methods[method_name] = self._lower_method(
                 name,
-                self._function_def(func),
-                func.__globals__,
+                func,
                 is_handler=method_name in handler_methods,
-                payload_type=payload_type,
+                payload_type=self._payload_type_for(machine_cls, method_name),
             )
-            methods[method_name] = lowerer.lower()
 
         methods["$noop"] = MethodDecl(
             name="$noop", params=[VarDecl("$payload", "object")], locals=[], body=[]

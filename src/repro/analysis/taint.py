@@ -37,8 +37,10 @@ Context sensitivity comes from per-method summaries: for each input role
 (``this`` or a formal parameter) the summary records the output roles
 (including the pseudo-role ``$ret``) its taint may flow to, plus the roles
 whose reachable heap the method may *mutate* (used by the read-only
-extension).  Summaries are computed as a whole-program fixed point, which
-converges because roles and methods are finite and flows only grow.
+extension).  Summaries are computed callees first, over the strongly
+connected components of the call graph; a recursive component is iterated
+to its fixed point, which it reaches because roles and methods are finite
+and flows only grow.
 
 Library calls without source are havocked: "each heap object reachable
 before the call is reachable from all variables involved in the call once
@@ -48,7 +50,7 @@ the call returns" (Section 5.4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..lang.cfg import Cfg, Node
 from ..lang.ir import (
@@ -214,7 +216,14 @@ class TaintEngine:
         self._epoch = 0
         self._flows: Dict[MethodInfo, _Flow] = {}
         self.counters: Dict[str, int] = dict.fromkeys(
-            ("queries", "cache_hits", "facts_derived", "rows_compiled"), 0
+            (
+                "methods_summarized",
+                "queries",
+                "cache_hits",
+                "facts_derived",
+                "rows_compiled",
+            ),
+            0,
         )
         self._compute_summaries()
 
@@ -501,17 +510,74 @@ class TaintEngine:
     # Summaries
     # ------------------------------------------------------------------
     def _compute_summaries(self) -> None:
+        """Stratified evaluation over the call graph: components of mutually
+        recursive methods in callees-first order, so a method is summarized
+        against its callees' final summaries; only a recursive component
+        is iterated, from empty summaries up to its own fixed point."""
         for key in self.methods:
             self.summaries[key] = Summary()
-        changed = True
-        while changed:
-            changed = False
-            for info in list(self.methods.values()):
-                new = self._summarize(info)
-                old = self.summaries[info.key]
-                if new.flows != old.flows or new.mutates != old.mutates or new.sends != old.sends:
-                    self.summaries[info.key] = new
-                    changed = True
+        for component, recursive in self._call_components():
+            changed = True
+            while changed:
+                changed = False
+                for info in component:
+                    old = self.summaries[info.key]
+                    if self._summarize(info) != old and recursive:
+                        changed = True
+
+    def _call_components(self) -> List[Tuple[List[MethodInfo], bool]]:
+        """Strongly connected components of the call graph (Tarjan, with an
+        explicit stack), each with whether it contains a cycle.  Tarjan
+        completes a component only after every component it calls into."""
+        callees: Dict[MethodKey, List[MethodKey]] = {}
+        for key, info in self.methods.items():
+            targets = (
+                self.resolve_call(info, node.stmt)[1]
+                for node in info.cfg.statement_nodes()
+                if isinstance(node.stmt, Call)
+            )
+            callees[key] = [t for t in dict.fromkeys(targets) if t is not None]
+        components: List[Tuple[List[MethodInfo], bool]] = []
+        index: Dict[MethodKey, int] = {}
+        low: Dict[MethodKey, int] = {}
+        stack: List[MethodKey] = []
+        on_stack: Set[MethodKey] = set()
+        walk: List[Tuple[MethodKey, Iterator[MethodKey]]] = []
+
+        def enter(key: MethodKey) -> None:
+            index[key] = low[key] = len(index)
+            stack.append(key)
+            on_stack.add(key)
+            walk.append((key, iter(callees[key])))
+
+        for root in self.methods:
+            if root not in index:
+                enter(root)
+            while walk:
+                key, rest = walk[-1]
+                for callee in rest:
+                    if callee not in index:
+                        enter(callee)
+                        break
+                    if callee in on_stack:
+                        low[key] = min(low[key], index[callee])
+                else:
+                    walk.pop()
+                    if walk:
+                        caller = walk[-1][0]
+                        low[caller] = min(low[caller], low[key])
+                    if low[key] == index[key]:
+                        members: List[MethodKey] = []
+                        while not members or members[-1] != key:
+                            members.append(stack.pop())
+                            on_stack.discard(members[-1])
+                        components.append(
+                            (
+                                [self.methods[m] for m in reversed(members)],
+                                len(members) > 1 or key in callees[key],
+                            )
+                        )
+        return components
 
     def _summarize(self, info: MethodInfo) -> Summary:
         roles = ["this"] + [p.name for p in info.decl.params if p.is_reference and p.type != "machine"]
@@ -532,6 +598,7 @@ class TaintEngine:
             flows[role] = frozenset(outputs)
             if self._role_mutated(info, role, facts):
                 mutated.add(role)
+        self.counters["methods_summarized"] += 1
         summary = Summary(flows=flows, mutates=frozenset(mutated), sends=sends)
         if summary != self.summaries.get(info.key):
             self._epoch += 1

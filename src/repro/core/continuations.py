@@ -54,8 +54,6 @@ from __future__ import annotations
 
 import ast
 import copy
-import inspect
-import textwrap
 import types
 import weakref
 from typing import Dict, List, Optional, Set, Tuple
@@ -69,6 +67,7 @@ from .machine import (
     DISP_IGNORE,
     DISP_TRANSITION,
 )
+from .source import function_def
 
 # Opcodes of the tuples yielded by transformed handler coroutines.  The
 # inline scheduler switches on index 0; the remaining elements are the
@@ -194,14 +193,10 @@ def _fn_info(fn: types.FunctionType) -> Optional[_FnInfo]:
         return _fn_info_cache[fn]
     info: Optional[_FnInfo]
     try:
-        source = textwrap.dedent(inspect.getsource(fn))
-        tree = ast.parse(source)
+        func_def, _cut = function_def(fn)
     except (OSError, TypeError, SyntaxError, IndentationError):
         info = None
     else:
-        func_def = next(
-            (n for n in tree.body if isinstance(n, ast.FunctionDef)), None
-        )
         if func_def is None:
             info = None
         else:

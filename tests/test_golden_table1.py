@@ -122,7 +122,8 @@ def test_phases_and_solver_counters_are_reported():
     # Exact, so they repeat; and pinned, so a change to how much the solver
     # does for Table 1 is a visible diff.
     assert first.solver_counters == second.solver_counters == {
-        "queries": 69, "cache_hits": 14, "facts_derived": 9625, "rows_compiled": 381,
+        "methods_summarized": 20, "queries": 69, "cache_hits": 14,
+        "facts_derived": 9625, "rows_compiled": 381,
     }
     report = first.to_report()
     assert report.solver_counters == first.solver_counters
