@@ -91,6 +91,8 @@ def test_reduction_ab_ladder(capsys):
             arms[mode] = {
                 "schedules": report.iterations,
                 "bugs": sorted({(b.kind, b.message) for b in report.bugs}),
+                "fingerprints": report.fingerprints,
+                "digests": report.machine_digests,
             }
         base, dpor, cached = (
             arms["none"], arms["dpor"], arms["dpor+state-cache"]
@@ -121,7 +123,9 @@ def test_reduction_ab_ladder(capsys):
                 f"  dpor {arms['dpor']['schedules']:6d}"
                 f" (x{row['dpor_ratio']:.3f})"
                 f"  +cache {arms['dpor+state-cache']['schedules']:6d}"
-                f" (x{row['cache_ratio']:.3f})"
+                f" (x{row['cache_ratio']:.3f},"
+                f" {arms['dpor+state-cache']['fingerprints']} fingerprints,"
+                f" {arms['dpor+state-cache']['digests']} digests)"
             )
 
 

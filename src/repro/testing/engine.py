@@ -113,6 +113,11 @@ class TestReport:
     # redundant.  Both zero when the campaign ran with reduction="none".
     distinct_states: int = 0
     schedules_pruned: int = 0
+    # What the state cache cost, in exact counts: consultations that
+    # hashed a state, and machine/monitor digests computed for them (the
+    # rest were reused from the previous consultation of the execution).
+    fingerprints: int = 0
+    machine_digests: int = 0
 
     @property
     def bug_found(self) -> bool:
@@ -172,6 +177,11 @@ class TestReport:
                 f"pruned={self.schedules_pruned} "
                 f"({100.0 * self.redundancy_ratio:.0f}% redundant)"
             )
+        if self.fingerprints:
+            parts.append(
+                f", fingerprints={self.fingerprints} "
+                f"({self.machine_digests} digests)"
+            )
         if self.faults_injected:
             parts.append(f", faults={self.faults_injected}")
         if self.effective_backend is not None:
@@ -213,6 +223,8 @@ class TestReport:
         # visited — an upper bound, like summing coverage before dedup.
         self.distinct_states += other.distinct_states
         self.schedules_pruned += other.schedules_pruned
+        self.fingerprints += other.fingerprints
+        self.machine_digests += other.machine_digests
         if other.coverage is not None:
             if self.coverage is None:
                 self.coverage = other.coverage.copy()
@@ -281,6 +293,8 @@ class TestReport:
             consulted_decisions=self.consulted_decisions,
             distinct_states=self.distinct_states,
             schedules_pruned=self.schedules_pruned,
+            fingerprints=self.fingerprints,
+            machine_digests=self.machine_digests,
         )
         clone.fault_kinds = dict(self.fault_kinds)
         if self.coverage is not None:
@@ -539,16 +553,12 @@ def _campaign_loop(
     report.elapsed = time.perf_counter() - start
     report.coverage = cov
     report.telemetry = stats
-    if red is not None:
-        report.distinct_states = red.distinct_states
-        report.schedules_pruned = red.schedules_pruned
+    # The reduction counters ride the report and the shard_end record
+    # under the same names.
+    extra = red.counters() if red is not None else {}
+    for name, value in extra.items():
+        setattr(report, name, value)
     if events is not None:
-        extra = {}
-        if red is not None:
-            extra = dict(
-                distinct_states=red.distinct_states,
-                schedules_pruned=red.schedules_pruned,
-            )
         events.emit(
             "shard_end",
             iterations=report.iterations,

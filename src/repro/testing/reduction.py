@@ -37,14 +37,20 @@ never touch recorded schedule decisions, so a bug trace found under
 reduction replays bit-identically — on any back-end — via
 ``ReplayStrategy``.
 
-**State caching.**  :meth:`BugFindingRuntime.state_fingerprint` hashes
-the complete observable program state (per machine: current state, inbox
-event names + payload hashes, user fields; plus monitor states, the step
-count and the fault budget) into a stable digest; the engine keeps an
-LRU-bounded seen-set across the campaign and the runtime abandons an
-execution (status ``"pruned"``, trace kind ``"reduction"``) when it
-reaches a state the campaign has already explored.  Two guards make this
-sound for DFS-order search:
+**State caching.**  A program state is a product of machine-local
+states (machines own their heap and affect each other only through the
+events they enqueue), so its fingerprint is composed: one BLAKE2b-128
+digest per machine (:func:`machine_update`: identity, state, inbox,
+fields, consumed nondeterminism) and per monitor, and a hash over those
+digests plus the step count and the fault count
+(:func:`state_fingerprint`).  :meth:`ReductionEngine.fingerprint` keeps
+the digests of the current execution and recomputes only those whose
+machine the step log above names since the last consultation — the same
+value, about two digests a point instead of all of them.  The engine
+keeps an LRU-bounded seen-set across the campaign and the runtime
+abandons an execution (status ``"pruned"``, trace kind ``"reduction"``)
+when it reaches a state the campaign has already explored.  Two guards
+make this sound for DFS-order search:
 
 * *Divergence gating* — a DFS iteration re-executes the previous
   iteration's schedule prefix decision-for-decision, and every prefix
@@ -74,19 +80,28 @@ executing the step, saving the step plus the child fingerprint.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, List, Optional, Tuple
+from hashlib import blake2b
+from threading import get_ident
+from types import MemberDescriptorType
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.events import Event, MachineId
 from ..errors import PSharpError
 from .trace import ScheduleTrace
 
 __all__ = [
+    "DIGEST_SIZE",
     "REDUCTION_MODES",
     "REASON_STATE",
     "REASON_CLAUSE",
     "ReductionEngine",
+    "machine_digest",
+    "machine_update",
+    "monitor_digest",
+    "monitor_update",
     "normalize_reduction",
     "stable_update",
+    "state_fingerprint",
 ]
 
 #: Reduction modes a campaign may name.  "dpor" arms the race analysis
@@ -116,82 +131,319 @@ def normalize_reduction(mode: Optional[str]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Stable hashing of machine state
+# Stable encoding of values
 # ----------------------------------------------------------------------
-def stable_update(update: Callable[[bytes], None], obj: object) -> None:
-    """Feed a stable byte encoding of ``obj`` into a hash ``update``.
+Update = Callable[[bytes], None]
+Encoder = Callable[[Update, Any], None]
+
+
+def stable_update(update: Update, obj: object) -> None:
+    """Feed a stable byte encoding of ``obj`` into ``update`` — a hash's
+    ``update``, or a list's ``append`` to capture the stream.
 
     Stability contract: equal values produce equal byte streams across
     processes, back-ends and ``PYTHONHASHSEED`` values — which is why
-    this never goes through built-in ``hash()``.  Containers are length-
-    prefixed and type-tagged so ``[1, 2]`` / ``(1, 2)`` / ``"12"`` cannot
-    collide; dicts and sets are hashed order-independently by digesting
-    each element and sorting the digests.  Objects with a default
-    ``repr`` (which embeds a memory address) degrade to their class name
-    — coarse, but deterministic.
+    this never goes through built-in ``hash()``.  Every value is
+    type-tagged and self-delimiting (counts and lengths are prefixed), so
+    ``[1, 2]`` / ``(1, 2)`` / ``"12"`` cannot collide and the stream is
+    an injective code of the value; dicts and sets are made
+    order-independent by encoding each element on its own and emitting
+    the encodings sorted.  The encoder of a value is looked up by its
+    *exact* type in :data:`_ENCODERS`; a type met for the first time is
+    resolved once (:func:`_resolve_encoder`) and cached there.
     """
-    if obj is None:
-        update(b"\x00N")
-    elif obj is True:
-        update(b"\x00T")
-    elif obj is False:
-        update(b"\x00F")
-    else:
-        t = type(obj)
-        if t is int:
-            update(b"\x00i%d" % obj)
-        elif t is str:
-            data = obj.encode("utf-8", "surrogatepass")
-            update(b"\x00s%d:" % len(data))
-            update(data)
-        elif t is float:
-            update(b"\x00f")
-            update(repr(obj).encode("ascii"))
-        elif t is bytes:
-            update(b"\x00b%d:" % len(obj))
-            update(obj)
-        elif t is MachineId:
-            update(b"\x00m%d" % obj.value)
-        elif t is tuple or t is list:
-            update(b"\x00l" if t is list else b"\x00t")
-            update(b"%d:" % len(obj))
-            for item in obj:
-                stable_update(update, item)
-        elif t is dict:
-            update(b"\x00d%d:" % len(obj))
-            _update_unordered(update, obj.items())
-        elif t is set or t is frozenset:
-            update(b"\x00S%d:" % len(obj))
-            _update_unordered(update, obj)
-        elif isinstance(obj, Event):
-            update(b"\x00E")
-            stable_update(update, type(obj).__name__)
-            stable_update(update, getattr(obj, "payload", None))
-        elif isinstance(obj, type):
-            update(b"\x00C")
-            update(f"{obj.__module__}:{obj.__qualname__}".encode("utf-8"))
-        else:
-            r = repr(obj)
-            if " at 0x" in r:  # default repr: address is not stable
-                r = f"<{type(obj).__name__}>"
-            update(b"\x00r")
-            update(r.encode("utf-8", "replace"))
+    _ENCODERS[type(obj)](update, obj)
 
 
-def _update_unordered(update: Callable[[bytes], None], items) -> None:
-    """Hash an unordered collection: digest each element independently,
-    then feed the sorted digests — order-independent and key-order-proof
-    without requiring the elements to be comparable."""
-    from hashlib import blake2b
+def _encode_none(update: Update, obj: None) -> None:
+    update(b"\x00N")
 
-    digests = []
+
+def _encode_bool(update: Update, obj: bool) -> None:
+    update(b"\x00T" if obj else b"\x00F")
+
+
+def _encode_int(update: Update, obj: int) -> None:
+    update(b"\x00i%d" % obj)
+
+
+def _encode_str(update: Update, obj: str) -> None:
+    data = obj.encode("utf-8", "surrogatepass")
+    update(b"\x00s%d:%b" % (len(data), data))
+
+
+def _encode_float(update: Update, obj: float) -> None:
+    update(b"\x00f%b" % repr(obj).encode("ascii"))
+
+
+def _encode_bytes(update: Update, obj: bytes) -> None:
+    update(b"\x00b%d:%b" % (len(obj), obj))
+
+
+def _encode_machine_id(update: Update, obj: MachineId) -> None:
+    update(b"\x00m%d" % obj.value)
+
+
+def _sequence_encoder(tag: bytes) -> Encoder:
+    head = b"\x00%b%%d:" % tag
+
+    def encode(update: Update, obj: "list | tuple") -> None:
+        update(head % len(obj))
+        for item in obj:
+            _ENCODERS[type(item)](update, item)
+
+    return encode
+
+
+def _encode_dict(update: Update, obj: dict) -> None:
+    update(b"\x00d%d:" % len(obj))
+    _update_unordered(update, obj.items())
+
+
+def _encode_set(update: Update, obj: "set | frozenset") -> None:
+    update(b"\x00S%d:" % len(obj))
+    _update_unordered(update, obj)
+
+
+def _update_unordered(update: Update, items: Iterable[Any]) -> None:
+    """Encode an unordered collection: each element on its own, then the
+    encodings sorted — order-independent and key-order-proof without
+    requiring the elements to be comparable, and, each encoding being
+    self-delimiting, still injective."""
+    encoded = []
     for item in items:
-        h = blake2b(digest_size=8)
-        stable_update(h.update, item)
-        digests.append(h.digest())
-    digests.sort()
-    for d in digests:
-        update(d)
+        parts: List[bytes] = []
+        _ENCODERS[type(item)](parts.append, item)
+        encoded.append(b"".join(parts))
+    encoded.sort()
+    update(b"".join(encoded))
+
+
+def _update_fields(update: Update, fields: Dict[str, Any]) -> None:
+    """Named attributes (of a machine, a monitor, a plain object): the
+    names sorted, then the values in that order.  An attribute name holds
+    no NUL, so the joined names parse back."""
+    names = sorted(fields)
+    update(b"\x00a%d:%b" % (len(names), "\x00".join(names).encode()))
+    for name in names:
+        value = fields[name]
+        _ENCODERS[type(value)](update, value)
+
+
+def _class_tag(tag: bytes, cls: type) -> bytes:
+    name = f"{cls.__module__}:{cls.__qualname__}".encode("utf-8", "surrogatepass")
+    return b"\x00%b%d:%b" % (tag, len(name), name)
+
+
+def _encode_class(update: Update, obj: type) -> None:
+    update(_class_tag(b"C", obj))
+
+
+def _event_encoder(cls: type) -> Encoder:
+    """An event is its class name (what a state's dispatch is declared
+    over) and its payload; the tag and name bytes are fixed per class."""
+    name = cls.__name__.encode("utf-8", "surrogatepass")
+    head = b"\x00E%d:%b" % (len(name), name)
+    bare = head + b"\x00N"
+
+    def encode(update: Update, obj: Event) -> None:
+        payload = getattr(obj, "payload", None)
+        if payload is None:
+            update(bare)
+        else:
+            update(head)
+            _ENCODERS[type(payload)](update, payload)
+
+    return encode
+
+
+#: ``(id, thread)`` of every object whose attributes are being encoded
+#: right now: the cycle guard of :func:`_object_encoder`, after
+#: ``reprlib.recursive_repr``.  Empty between calls.
+_encoding: Set[Tuple[int, int]] = set()
+
+
+def _object_encoder(cls: type) -> Encoder:
+    """A plain object — default ``repr``, which embeds an address — is
+    its class and its instance attributes: ``__dict__`` sorted by name,
+    then the assigned ``__slots__`` of every class in the MRO.  An object
+    met again while its own attributes are being encoded is emitted as a
+    back-reference, so a cycle terminates."""
+    head = _class_tag(b"o", cls)
+    slots = [
+        (name, member)
+        for klass in cls.__mro__
+        for name, member in vars(klass).items()
+        if type(member) is MemberDescriptorType
+    ]
+
+    def encode(update: Update, obj: object) -> None:
+        guard = (id(obj), get_ident())
+        if guard in _encoding:
+            update(b"\x00^")
+            return
+        _encoding.add(guard)
+        try:
+            update(head)
+            _update_fields(update, getattr(obj, "__dict__", {}))
+            assigned = {}
+            for name, member in slots:
+                try:
+                    assigned[name] = member.__get__(obj)
+                except AttributeError:  # declared, never assigned
+                    pass
+            _update_fields(update, assigned)
+        finally:
+            _encoding.discard(guard)
+
+    return encode
+
+
+def _repr_encoder(cls: type) -> Encoder:
+    """A type with a ``repr`` of its own (enums, dataclasses, subclasses
+    of the built-in containers) is that text — unless the text embeds an
+    address after all (a function, a dataclass holding a plain object),
+    in which case it is encoded by its attributes."""
+    by_attributes = _object_encoder(cls)
+
+    def encode(update: Update, obj: object) -> None:
+        text = repr(obj)
+        if " at 0x" in text:
+            by_attributes(update, obj)
+        else:
+            data = text.encode("utf-8", "replace")
+            update(b"\x00r%d:%b" % (len(data), data))
+
+    return encode
+
+
+def _resolve_encoder(cls: type) -> Encoder:
+    """The encoder of a type with no entry of its own in the table: the
+    one place that tests a type, run once per type."""
+    if issubclass(cls, Event):
+        return _event_encoder(cls)
+    if issubclass(cls, type):
+        return _encode_class
+    if cls.__repr__ is object.__repr__:
+        return _object_encoder(cls)
+    return _repr_encoder(cls)
+
+
+class _EncoderTable(dict):
+    """Exact type -> encoder; a miss resolves the type and keeps it."""
+
+    def __missing__(self, cls: type) -> Encoder:
+        encoder = self[cls] = _resolve_encoder(cls)
+        return encoder
+
+
+#: Exact type -> encoder.  Holds functions, never values: one entry per
+#: type the process has ever encoded.
+_ENCODERS = _EncoderTable({
+    type(None): _encode_none,
+    bool: _encode_bool,
+    int: _encode_int,
+    str: _encode_str,
+    float: _encode_float,
+    bytes: _encode_bytes,
+    MachineId: _encode_machine_id,
+    list: _sequence_encoder(b"l"),
+    tuple: _sequence_encoder(b"t"),
+    dict: _encode_dict,
+    set: _encode_set,
+    frozenset: _encode_set,
+})
+
+
+# ----------------------------------------------------------------------
+# State fingerprints: one digest per machine and monitor, composed
+# ----------------------------------------------------------------------
+#: Bytes of every digest below: BLAKE2b-128.  A digest starts as a copy
+#: of one blank hash, a quarter of the cost of constructing one.
+DIGEST_SIZE = 16
+_BLANK = blake2b(digest_size=DIGEST_SIZE)
+
+
+def machine_update(update: Update, machine: Any, consumed: Optional[List[int]]) -> None:
+    """Feed everything one machine contributes to the program state:
+    identity, halted flag, class, current state, the raised-event slot,
+    the event being handled, the inbox, the user-defined fields
+    (``__dict__``) sorted by name, and ``consumed`` — the log of
+    nondeterministic outcomes the machine has consumed this execution
+    (two executions in the same visible state but holding different
+    ``nondet()`` results have different futures; the log is what makes
+    the encoding sound for a handler suspended mid-way)."""
+    state = machine._current_state
+    update(b"\x00M%d:%d:%b\x00%b" % (
+        machine._id.value,
+        machine._halted,
+        type(machine).__name__.encode(),
+        b"" if state is None else state.name.encode(),
+    ))
+    event = machine._raised
+    _ENCODERS[type(event)](update, event)
+    event = machine._current_event
+    _ENCODERS[type(event)](update, event)
+    inbox = machine._inbox
+    update(b"\x00q%d:" % len(inbox))
+    for event in inbox:
+        _ENCODERS[type(event)](update, event)
+    _update_fields(update, machine.__dict__)
+    _ENCODERS[type(consumed)](update, consumed)
+
+
+def monitor_update(update: Update, monitor: Any) -> None:
+    """Feed everything one specification monitor contributes: its
+    registration index, current state (which fixes its temperature) and
+    fields.  Not the event it handled last: a monitor runs each handler
+    to completion, so no later handler can read it."""
+    update(b"\x00O%d" % monitor._monitor_index)
+    state = monitor.current_state
+    _ENCODERS[type(state)](update, state)
+    _update_fields(update, monitor.__dict__)
+
+
+def machine_digest(machine: Any, consumed: Optional[List[int]]) -> bytes:
+    """The digest of :func:`machine_update`'s stream."""
+    h = _BLANK.copy()
+    machine_update(h.update, machine, consumed)
+    return h.digest()
+
+
+def monitor_digest(monitor: Any) -> bytes:
+    """The digest of :func:`monitor_update`'s stream."""
+    h = _BLANK.copy()
+    monitor_update(h.update, monitor)
+    return h.digest()
+
+
+def compose_fingerprint(digests: List[bytes], steps: int, faults: int) -> bytes:
+    """The fingerprint of a program state from the digests of its parts
+    (machines in creation order, then monitors) and the two execution
+    counters.  The step budget spent is part of the state: two merged
+    states with different step counts have different remaining budgets
+    under ``max_steps``, so treating them as equal would be unsound —
+    ditto the fault budget."""
+    h = _BLANK.copy()
+    h.update(b"%b\x00#%d:%d" % (b"".join(digests), steps, faults))
+    return h.digest()
+
+
+def state_fingerprint(
+    machines: Iterable[Any],
+    monitors: Iterable[Any],
+    consumed: Optional[Dict[int, List[int]]],
+    steps: int,
+    faults: int,
+) -> bytes:
+    """The fingerprint computed from scratch: every machine and monitor
+    digested.  What :meth:`ReductionEngine.fingerprint` must always equal
+    (``tests/test_fingerprint.py`` holds it to that at every cache
+    consultation), and what runs when no engine is attached."""
+    log = consumed or {}
+    digests = [machine_digest(m, log.get(m._id.value)) for m in machines]
+    digests += [monitor_digest(m) for m in monitors]
+    return compose_fingerprint(digests, steps, faults)
 
 
 # ----------------------------------------------------------------------
@@ -243,6 +495,11 @@ class ReductionEngine:
         self.clause_prunes = 0
         self.branches_pruned = 0
         self.clauses_learned = 0
+        # Exact cost counters of the state cache: consultations that
+        # hashed, and machine/monitor digests actually computed for them
+        # (reused = parts x fingerprints - computed).
+        self.fingerprints = 0
+        self.machine_digests = 0
         # Campaign-level stores.
         self._seen: "OrderedDict[bytes, bool]" = OrderedDict()
         self._blocked: dict = {}  # fingerprint -> set of blocked machine values
@@ -256,6 +513,11 @@ class ReductionEngine:
         self.checked = 0
         self.cur_blocked: Optional[set] = None
         self._cur_fp: Optional[bytes] = None
+        # Per-execution digest memo (see fingerprint): effects key ->
+        # (digest, inbox length when digested), current up to
+        # effects[:_digested].
+        self._digests: Dict[int, Tuple[bytes, int]] = {}
+        self._digested = 0
 
     @property
     def schedules_pruned(self) -> int:
@@ -263,6 +525,16 @@ class ReductionEngine:
         materialized plus executions cut short by the state cache or a
         learned clause."""
         return self.branches_pruned + self.state_prunes + self.clause_prunes
+
+    def counters(self) -> Dict[str, int]:
+        """The campaign counters a :class:`TestReport` (and its
+        ``shard_end`` event) carries, by field name."""
+        return dict(
+            distinct_states=self.distinct_states,
+            schedules_pruned=self.schedules_pruned,
+            fingerprints=self.fingerprints,
+            machine_digests=self.machine_digests,
+        )
 
     # -- per-execution lifecycle ---------------------------------------
     def begin_execution(self) -> None:
@@ -278,6 +550,8 @@ class ReductionEngine:
         self.checked = 0
         self.cur_blocked = None
         self._cur_fp = None
+        self._digests.clear()
+        self._digested = 0
 
     def end_execution(self, trace: Optional[ScheduleTrace]) -> None:
         """Record the completed execution's trace as the prefix-alignment
@@ -358,6 +632,56 @@ class ReductionEngine:
             self.branches_pruned += count
 
     # -- state cache (runtime side) ------------------------------------
+    def fingerprint(
+        self,
+        machines: Iterable[Any],
+        monitors: Iterable[Any],
+        consumed: Dict[int, List[int]],
+        steps: int,
+        faults: int,
+    ) -> bytes:
+        """:func:`state_fingerprint` of the current scheduling point,
+        re-digesting only what changed since the previous call.
+
+        The one invalidation rule: a machine's or monitor's digest is
+        reused iff nothing touched it since it was computed.  Two things
+        can touch a machine that is not stepping.  A step of another
+        machine: every such touch is an entry of ``effects`` — the log
+        DPOR's race analysis is only sound if complete — so the entries
+        appended since the last call name exactly the stale digests.
+        And the scheduler's idle drain (``_schedulable``), which runs
+        *after* the check at a scheduling point and deletes events the
+        parked machine's state ignores: it can only shorten the inbox,
+        and every enqueue is in the log, so an inbox as long as when it
+        was digested has not been drained.  Exact for programs that
+        respect ownership (a payload is not written after it is sent),
+        which is what DPOR's footprints already assume."""
+        memo = self._digests
+        if memo:
+            for key in self.effects[self._digested:]:
+                memo.pop(key, None)
+        self._digested = len(self.effects)
+        digests = []
+        computed = 0
+        for machine in machines:
+            key = machine._id.value
+            size = len(machine._inbox)
+            entry = memo.get(key)
+            if entry is None or entry[1] != size:
+                entry = memo[key] = (machine_digest(machine, consumed.get(key)), size)
+                computed += 1
+            digests.append(entry[0])
+        for monitor in monitors:
+            key = monitor._id.value  # -(registration index + 1)
+            entry = memo.get(key)
+            if entry is None:
+                entry = memo[key] = (monitor_digest(monitor), 0)
+                computed += 1
+            digests.append(entry[0])
+        self.fingerprints += 1
+        self.machine_digests += computed
+        return compose_fingerprint(digests, steps, faults)
+
     def check_state(self, fingerprint: bytes) -> int:
         """Consult (and update) the seen-set for the state at the current
         scheduling point.  Returns a prune reason code (0: fresh state,

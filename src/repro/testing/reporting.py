@@ -225,6 +225,10 @@ def report_json(report: TestReport) -> Dict[str, Any]:
         "distinct_states": report.distinct_states,
         "schedules_pruned": report.schedules_pruned,
         "redundancy_ratio": report.redundancy_ratio,
+        # Exact cost of the state cache: states hashed, and machine and
+        # monitor digests computed for them (the rest were reused).
+        "fingerprints": report.fingerprints,
+        "machine_digests": report.machine_digests,
         "first_bug": (
             None if report.first_bug is None else {
                 "kind": report.first_bug.kind,

@@ -59,7 +59,6 @@ import time
 from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
-from hashlib import blake2b
 from itertools import chain
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
@@ -92,7 +91,7 @@ from .faults import (
     FaultConfig,
 )
 from .monitors import EMachineHalted, Monitor, has_hot_states
-from .reduction import REASON_CLAUSE, ReductionEngine, stable_update
+from .reduction import REASON_CLAUSE, ReductionEngine, state_fingerprint
 from .strategies import SchedulingStrategy
 from .trace import (
     BOOL_TAG,
@@ -1767,55 +1766,26 @@ class BugFindingRuntime(RuntimeBase):
     # ------------------------------------------------------------------
     # Schedule-space reduction (repro.testing.reduction)
     # ------------------------------------------------------------------
-    def state_fingerprint(self) -> bytes:
-        """A stable 16-byte digest of the execution's visible state.
+    def _fingerprint_inputs(self) -> tuple:
+        """What a state fingerprint is computed from, as
+        :func:`repro.testing.reduction.state_fingerprint` takes it."""
+        return (
+            self._machines.values(), self._monitors, self._nondet_log,
+            self._steps, self._faults_injected,
+        )
 
-        Covers, per machine in creation order: identity, current state,
-        halted flag, the raised-event slot, the event being handled, the
-        inbox contents, the user-defined fields (``__dict__``), and the
-        log of nondeterministic outcomes the machine has consumed (two
-        executions in the same visible state but holding different
-        ``nondet()`` results have different futures — the log is what
-        makes the fingerprint sound for suspended mid-handler
-        continuations).  Monitors, the step budget already spent and the
-        fault count round it out.  Built exclusively from
-        :func:`repro.testing.reduction.stable_update`, so the digest is
-        independent of ``PYTHONHASHSEED``, worker back-end and process —
-        equal digests across inline/pool are part of the parity
-        contract and are asserted in the test-suite.
-        """
-        h = blake2b(digest_size=16)
-        update = h.update
-        log = self._nondet_log
-        for machine in self._machines.values():
-            update(b"\x00M")
-            update(str(machine.id.value).encode())
-            update(type(machine).__name__.encode())
-            state = machine._current_state
-            update(state.name.encode() if state is not None else b"-")
-            update(b"\x01" if machine._halted else b"\x02")
-            stable_update(update, machine._raised)
-            stable_update(update, machine._current_event)
-            for event in machine._inbox:
-                stable_update(update, event)
-            for key in sorted(machine.__dict__):
-                update(key.encode())
-                stable_update(update, machine.__dict__[key])
-            if log is not None:
-                stable_update(update, log.get(machine.id.value))
-        for instance in self._monitors:
-            update(b"\x00O")
-            stable_update(update, instance.current_state)
-            update(b"\x01" if instance.is_hot else b"\x02")
-            for key in sorted(instance.__dict__):
-                update(key.encode())
-                stable_update(update, instance.__dict__[key])
-        # The step budget spent so far: two merged states with different
-        # step counts have different remaining budgets under max_steps,
-        # so treating them as equal would be unsound.  Ditto faults.
-        update(str(self._steps).encode())
-        update(str(self._faults_injected).encode())
-        return h.digest()
+    def state_fingerprint(self) -> bytes:
+        """A stable 16-byte digest of the execution's visible state,
+        computed from scratch: every machine in creation order, every
+        monitor, the step budget already spent and the fault count (see
+        :func:`repro.testing.reduction.state_fingerprint` for what each
+        contributes).  Independent of ``PYTHONHASHSEED``, worker back-end
+        and process — equal digests across inline/pool are part of the
+        parity contract and are asserted in the test-suite.  The state
+        cache consults :meth:`ReductionEngine.fingerprint`, which reuses
+        the digests of the machines the step log says were not touched
+        and must equal this."""
+        return state_fingerprint(*self._fingerprint_inputs())
 
     def _reduction_check(self) -> None:
         """State-cache consultation, run at every non-terminal scheduling
@@ -1837,7 +1807,7 @@ class BugFindingRuntime(RuntimeBase):
                 red.checked = n
                 return
             red.diverged = True
-        reason = red.check_state(self.state_fingerprint())
+        reason = red.check_state(red.fingerprint(*self._fingerprint_inputs()))
         if reason:
             trace.append(REDUCTION_TAG, reason)
             self._finish("pruned")

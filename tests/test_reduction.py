@@ -14,6 +14,8 @@ config/CLI/report plumbing that surfaces it all.
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -40,7 +42,7 @@ from repro.testing.reduction import REASON_STATE, stable_update
 from repro.testing.reporting import report_json
 from repro.testing.trace import REDUCTION, SCHED
 
-from .machines import Ping
+from .machines import EPing, EPong, Ping
 from .test_config import MidCampaignRacer
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -79,6 +81,32 @@ def _exhaustive(name, depth, max_steps, mode, workers="inline", **kwargs):
 
 def _bug_set(report):
     return sorted({(bug.kind, bug.message) for bug in report.bugs})
+
+
+class Box:
+    def __init__(self, value):
+        self.value = value
+
+
+class OtherBox(Box):
+    pass
+
+
+class Slotted:
+    __slots__ = ("a", "b", "never_assigned")
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+
+@dataclass
+class Holder:
+    held: object
+
+
+class Colour(Enum):
+    RED = 1
+    BLUE = 2
 
 
 def _digest(obj):
@@ -156,6 +184,46 @@ class TestStableHash:
             pass
 
         assert _digest(Opaque()) == _digest(Opaque())
+
+    def test_plain_objects_are_their_class_and_attributes(self):
+        # A default repr embeds an address; the class name alone (what
+        # this used to degrade to) merged Box(1) with Box(2).
+        assert _digest(Box(1)) == _digest(Box(1))
+        assert _digest(Box(1)) != _digest(Box(2))
+        assert _digest([Box(1)]) != _digest([Box(2)])
+        assert _digest(Box(Box(1))) != _digest(Box(Box(2)))
+        assert _digest({"k": Box(1)}) != _digest({"k": Box(2)})
+        assert _digest(Box(1)) != _digest(OtherBox(1))
+        assert _digest(Slotted(1, 2)) != _digest(Slotted(1, 3))
+        assert _digest(Slotted(1, 2)) == _digest(Slotted(1, 2))
+        # A repr of its own that embeds an address after all.
+        assert _digest(Holder(Box(1))) != _digest(Holder(Box(2)))
+        assert _digest(Holder(Box(1))) == _digest(Holder(Box(1)))
+
+    def test_attribute_order_does_not_matter(self):
+        a, b = Box(1), Box(1)
+        a.extra, a.more = 1, 2
+        b.more, b.extra = 2, 1
+        assert _digest(a) == _digest(b)
+
+    def test_self_referential_object_terminates(self):
+        def ring(value):
+            box = Box(value)
+            box.me = box
+            return box
+
+        assert _digest(ring(1)) == _digest(ring(1))
+        assert _digest(ring(1)) != _digest(ring(2))
+
+    def test_stable_repr_types_keep_their_repr(self):
+        assert _digest(Colour.RED) == _digest(Colour.RED)
+        assert _digest(Colour.RED) != _digest(Colour.BLUE)
+        assert _digest(Holder(1)) != _digest(Holder(2))
+
+    def test_event_is_its_name_and_payload(self):
+        assert _digest(EPing(3)) == _digest(EPing(3))
+        assert _digest(EPing(3)) != _digest(EPing(4))
+        assert _digest(EPing()) != _digest(EPong())
 
     def test_hash_seed_independent(self):
         # The whole point: equal values digest equally in a process with a
@@ -488,6 +556,10 @@ class TestReportSurface:
         assert "states=483" in text
         assert "pruned=40" in text
         assert "40% redundant" in text
+        # The cache's cost counters show only when a cache ran.
+        assert "fingerprints" not in text
+        loud.fingerprints, loud.machine_digests = 521, 993
+        assert "fingerprints=521 (993 digests)" in loud.summary()
 
     def test_redundancy_ratio(self):
         report = TestReport(
@@ -500,23 +572,28 @@ class TestReportSurface:
         a = TestReport(
             strategy="a", iterations=10,
             distinct_states=100, schedules_pruned=7,
+            fingerprints=120, machine_digests=250,
         )
         b = TestReport(
             strategy="b", iterations=10,
             distinct_states=50, schedules_pruned=3,
+            fingerprints=60, machine_digests=110,
         )
         merged = TestReport.merged([a, b])
-        assert merged.distinct_states == 150
-        assert merged.schedules_pruned == 10
         detached = merged.detached()
-        assert detached.distinct_states == 150
-        assert detached.schedules_pruned == 10
+        for report in (merged, detached):
+            assert report.distinct_states == 150
+            assert report.schedules_pruned == 10
+            assert report.fingerprints == 180
+            assert report.machine_digests == 360
 
     def test_report_json_carries_reduction_stats(self):
         report = _exhaustive("BoundedAsync", 8, 2_000, "dpor+state-cache")
         payload = report_json(report)
         assert payload["distinct_states"] == report.distinct_states
         assert payload["schedules_pruned"] == report.schedules_pruned
+        assert payload["fingerprints"] == report.fingerprints > 0
+        assert payload["machine_digests"] == report.machine_digests > 0
         assert payload["redundancy_ratio"] == pytest.approx(
             report.redundancy_ratio
         )
