@@ -280,6 +280,11 @@ class Runtime(RuntimeBase):
                         )
                     finally:
                         self._idle -= 1
+            with self._cv:
+                # A halt can be what makes the program quiescent: wake
+                # wait_quiescence, which nothing else would until its
+                # timeout.
+                self._cv.notify_all()
         except PSharpError as exc:
             self._report_error(exc)
         except Exception as exc:  # noqa: BLE001 - error class (iii)
@@ -297,8 +302,6 @@ class Runtime(RuntimeBase):
     # ------------------------------------------------------------------
     def wait_quiescence(self, timeout: float = 10.0) -> bool:
         """Block until no machine has a deliverable event (best effort)."""
-        deadline = threading.Event()
-
         def quiescent() -> bool:
             return self._error is not None or all(
                 m.is_halted or not m._has_deliverable()
@@ -309,7 +312,6 @@ class Runtime(RuntimeBase):
 
         with self._cv:
             result = self._cv.wait_for(quiescent, timeout=timeout)
-        del deadline
         return bool(result)
 
     def stop(self) -> None:

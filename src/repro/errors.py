@@ -21,6 +21,14 @@ class PSharpError(Exception):
     """Base class for all errors raised by this library."""
 
 
+class DocumentError(PSharpError):
+    """A report document (a ``result`` frame's ``report``, a checkpoint
+    entry, a report file) does not match the schema its class declares
+    (:mod:`repro.testing.record`).  The message names the offending
+    ``Class.field``; readers turn it into their own boundary's error — a
+    protocol error on the wire, exit 2 on a file."""
+
+
 class MachineDeclarationError(PSharpError):
     """A machine class is malformed.
 
@@ -132,11 +140,12 @@ class BugReport:
         return f"[{self.kind}]{where}: {self.message}"
 
     def detached(self) -> "BugReport":
-        """A picklable copy, safe to send across process boundaries.
+        """A plain-data copy, the form a bug has on the wire and on disk.
 
-        Live references (the machine object, the raised exception) are
-        replaced by their string forms; the schedule trace — the part that
-        matters for replay — is plain data and survives as is.
+        Live references are dropped (the machine object becomes its
+        string form, the raised exception is not kept); the schedule
+        trace — the part that matters for replay — is plain data, frozen
+        once its execution ended, and survives as is.
         """
         return BugReport(
             kind=self.kind,

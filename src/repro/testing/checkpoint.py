@@ -17,31 +17,34 @@ positions) is deliberately not persisted — resuming re-runs an
 incomplete shard from scratch, which is always sound because shards are
 independent and deterministic per spec.
 
-The checkpoint file is a pickle written atomically (temp file +
-``os.replace``), so a kill mid-write leaves the previous checkpoint
-intact.  A fingerprint of the campaign identity (program spelling,
-budgets, seed) guards against resuming someone else's checkpoint.
+The checkpoint file is one JSON document, ``{"version": 2,
+"fingerprint": ..., "specs": [{"name", "params"}, ...], "completed":
+{"<shard>": <report document>}}`` — the report documents being what the
+shards' ``result`` frames carried (:mod:`repro.testing.record`) — written
+atomically (temp file + ``os.replace``), so a kill mid-write leaves the
+previous checkpoint intact.  A fingerprint of the campaign identity
+(program spelling, budgets, seed) guards against resuming someone else's
+checkpoint.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import pickle
-import tempfile
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..errors import PSharpError
+from .engine import TestReport
+from .portfolio import StrategySpec
+from .record import (
+    array_of, dumps, int_keyed, read_document, write_atomic,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .config import TestConfig
-    from .engine import TestReport
-    from .portfolio import StrategySpec
 
 #: Bumped when the checkpoint layout changes incompatibly.
-CHECKPOINT_VERSION = 1
-
-_REQUIRED_KEYS = ("version", "fingerprint", "specs", "completed")
+CHECKPOINT_VERSION = 2
 
 
 def config_fingerprint(config: "TestConfig") -> str:
@@ -82,58 +85,55 @@ def save_checkpoint(
 ) -> None:
     """Atomically persist campaign progress to ``path``.
 
-    ``completed`` maps shard index -> the shard's final *detached*
-    report.  The write goes through a temp file in the same directory +
-    ``os.replace``, so readers never observe a torn checkpoint."""
-    path = os.fspath(path)
-    payload = {
+    ``completed`` maps shard index -> the shard's final report.  The
+    write goes through :func:`~repro.testing.record.write_atomic`, so
+    readers never observe a torn checkpoint."""
+    write_atomic(path, dumps({
         "version": CHECKPOINT_VERSION,
         "fingerprint": fingerprint,
-        "specs": list(specs),
-        "completed": dict(completed),
-    }
-    directory = os.path.dirname(path) or "."
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
+        "specs": [spec.to_obj() for spec in specs],
+        "completed": {
+            str(shard): report.encode() for shard, report in completed.items()
+        },
+    }))
+
+
+def checkpoint_state(document: Dict[str, Any], path: str) -> Dict[str, Any]:
+    """A checkpoint document decoded: ``specs`` as
+    :class:`~repro.testing.portfolio.StrategySpec`\\ s, ``completed`` as
+    ``{shard: TestReport}``.  Anything off-schema is a
+    :class:`PSharpError`."""
+    if set(document) != {"version", "fingerprint", "specs", "completed"}:
+        raise PSharpError(
+            f"corrupt checkpoint file {path!r}: not a campaign checkpoint"
+        )
     try:
-        with os.fdopen(fd, "wb") as fh:
-            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+        specs = array_of(lambda spec: StrategySpec.from_obj(spec, "a spec"))(
+            document["specs"]
+        )
+        completed = {
+            shard: TestReport.decode(report)
+            for shard, report in int_keyed(document["completed"]).items()
+        }
+        if type(document["fingerprint"]) is not str or any(
+            shard >= len(specs) for shard in completed
+        ):
+            raise ValueError("no fingerprint, or a shard that is not the campaign's")
+    except (PSharpError, ValueError) as exc:
+        raise PSharpError(f"corrupt checkpoint file {path!r}: {exc}") from exc
+    return {**document, "specs": specs, "completed": completed}
 
 
 def load_checkpoint(path: "str | os.PathLike") -> Dict[str, Any]:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     Raises :class:`PSharpError` with a clear message when the file is
-    missing, truncated, corrupt, or from an incompatible version."""
+    missing, truncated, corrupt, or from an incompatible version (one an
+    older build pickled included: it is named as such, never loaded)."""
     path = os.fspath(path)
-    try:
-        with open(path, "rb") as fh:
-            state = pickle.load(fh)
-    except OSError as exc:
-        raise PSharpError(f"cannot read checkpoint file {path!r}: {exc}") from exc
-    except (pickle.UnpicklingError, EOFError, AttributeError, ImportError,
-            IndexError, ValueError) as exc:
-        raise PSharpError(
-            f"corrupt checkpoint file {path!r}: {exc}"
-        ) from exc
-    if not isinstance(state, dict) or any(k not in state for k in _REQUIRED_KEYS):
-        raise PSharpError(
-            f"corrupt checkpoint file {path!r}: not a campaign checkpoint"
-        )
-    if state["version"] != CHECKPOINT_VERSION:
-        raise PSharpError(
-            f"checkpoint {path!r} has version {state['version']!r}; this "
-            f"build reads version {CHECKPOINT_VERSION}"
-        )
-    return state
+    return checkpoint_state(
+        read_document(path, "checkpoint", CHECKPOINT_VERSION), path
+    )
 
 
 def verify_checkpoint(

@@ -54,6 +54,7 @@ from .portfolio import (
     default_portfolio,
     make_strategy,
 )
+from .record import write_atomic
 from .runtime import ExecutionResult
 from .strategies import SchedulingStrategy
 from .telemetry import EventLog
@@ -198,40 +199,7 @@ def _json_value(name: str, value: Any) -> Any:
 
 
 def _spec_to_obj(spec: StrategySpec) -> Dict[str, Any]:
-    return {
-        "name": spec.name,
-        "params": _json_value(f"strategy {spec.label()!r} params", dict(spec.params)),
-    }
-
-
-def _spec_from_obj(value: Any, where: str) -> StrategySpec:
-    """A strategy entry from campaign JSON: either the CLI spelling
-    (``"pct,depth=10"``) or the canonical ``{"name", "params"}`` object."""
-    if isinstance(value, str):
-        return StrategySpec.parse(value)
-    if isinstance(value, dict):
-        unknown = sorted(set(value) - {"name", "params"})
-        if unknown:
-            raise PSharpError(
-                f"unknown field(s) in campaign JSON {where}: "
-                + ", ".join(repr(f) for f in unknown)
-                + "; a strategy object carries only 'name' and 'params'"
-            )
-        if "name" not in value or not isinstance(value["name"], str):
-            raise PSharpError(
-                f"campaign JSON {where} must carry a string 'name'"
-            )
-        params = value.get("params") or {}
-        if not isinstance(params, dict):
-            raise PSharpError(
-                f"campaign JSON {where} 'params' must be an object, "
-                f"got {params!r}"
-            )
-        return StrategySpec(value["name"], dict(params))
-    raise PSharpError(
-        f"campaign JSON {where} must be a 'name,key=value' string or a "
-        f"{{'name', 'params'}} object, got {value!r}"
-    )
+    return _json_value(f"strategy {spec.label()!r} params", spec.to_obj())
 
 
 @dataclass(frozen=True)
@@ -508,9 +476,8 @@ class TestConfig:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
 
     def save(self, path: Union[str, "os.PathLike"]) -> None:
-        """Write the campaign JSON document to ``path``."""
-        with open(os.fspath(path), "w", encoding="utf-8") as fh:
-            fh.write(self.to_json() + "\n")
+        """Write the campaign JSON document to ``path``, atomically."""
+        write_atomic(path, self.to_json() + "\n")
 
     @classmethod
     def from_json_obj(cls, obj: Any) -> "TestConfig":
@@ -548,7 +515,9 @@ class TestConfig:
             key: obj[key] for key in _JSON_FIELDS if key in obj
         }
         if kwargs.get("strategy") is not None:
-            kwargs["strategy"] = _spec_from_obj(kwargs["strategy"], "'strategy'")
+            kwargs["strategy"] = StrategySpec.from_obj(
+                kwargs["strategy"], "campaign JSON 'strategy'"
+            )
         if kwargs.get("specs") is not None:
             if not isinstance(kwargs["specs"], list):
                 raise PSharpError(
@@ -556,7 +525,7 @@ class TestConfig:
                     f"{kwargs['specs']!r}"
                 )
             kwargs["specs"] = tuple(
-                _spec_from_obj(entry, f"'specs[{index}]'")
+                StrategySpec.from_obj(entry, f"campaign JSON 'specs[{index}]'")
                 for index, entry in enumerate(kwargs["specs"])
             )
         if kwargs.get("monitors"):

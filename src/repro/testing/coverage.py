@@ -4,7 +4,8 @@ The P# tester reports activity coverage alongside bugs — which machine
 states, transitions and event flows the explored schedules actually
 exercised — because "0 bugs in 100k schedules" only means something when
 the schedules visited the program.  This module is that signal for the
-reproduction: a picklable, mergeable :class:`CoverageMap` collected at
+reproduction: a mergeable :class:`CoverageMap` (a record,
+:mod:`repro.testing.record`) collected at
 the runtime's existing hook points (state entry, send, dequeue, halt)
 on every worker back-end.
 
@@ -32,14 +33,21 @@ the runtime's hot paths.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-from typing import Dict, Iterable, List, Optional, Tuple, Type
+from typing import Dict, List, Optional, Tuple
+
+from .record import (
+    ANY, COUNTS, NAMES, SUM, TRIPLE_COUNTS, TRIPLES, Record, field, record,
+    records,
+)
 
 __all__ = ["CoverageMap", "MachineCoverage"]
 
 
-class MachineCoverage:
+@record
+class MachineCoverage(Record):
     """Declared-vs-visited coverage of one machine (or monitor) class.
 
     ``declared_transitions`` entries are ``(state, event, target)`` name
@@ -49,29 +57,13 @@ class MachineCoverage:
     transition), so every visited transition key is also a declared key.
     """
 
-    __slots__ = (
-        "declared_states",
-        "declared_transitions",
-        "is_monitor",
-        "instances",
-        "halts",
-        "states_visited",
-        "transitions_taken",
-    )
-
-    def __init__(
-        self,
-        declared_states: Tuple[str, ...] = (),
-        declared_transitions: Tuple[Tuple[str, str, str], ...] = (),
-        is_monitor: bool = False,
-    ) -> None:
-        self.declared_states = tuple(declared_states)
-        self.declared_transitions = tuple(declared_transitions)
-        self.is_monitor = is_monitor
-        self.instances = 0
-        self.halts = 0
-        self.states_visited: Dict[str, int] = {}
-        self.transitions_taken: Dict[Tuple[str, str, str], int] = {}
+    declared_states: Tuple[str, ...] = field(NAMES)
+    declared_transitions: Tuple[Tuple[str, str, str], ...] = field(TRIPLES)
+    is_monitor: bool = field(ANY)
+    instances: int = field(SUM)
+    halts: int = field(SUM)
+    states_visited: Dict[str, int] = field(COUNTS)
+    transitions_taken: Dict[Tuple[str, str, str], int] = field(TRIPLE_COUNTS)
 
     # -- derived ------------------------------------------------------
     def uncovered_states(self) -> List[str]:
@@ -98,54 +90,6 @@ class MachineCoverage:
             return 1.0
         return (declared - len(self.uncovered_transitions())) / declared
 
-    # -- merge/copy/equality ------------------------------------------
-    def merge(self, other: "MachineCoverage") -> None:
-        if other.declared_states != self.declared_states:
-            # Same-named classes with different declared universes (e.g.
-            # two modules reusing a class name): union the declarations
-            # so neither campaign's uncovered list silently shrinks.
-            self.declared_states = tuple(
-                sorted(set(self.declared_states) | set(other.declared_states))
-            )
-        if other.declared_transitions != self.declared_transitions:
-            self.declared_transitions = tuple(
-                sorted(set(self.declared_transitions) | set(other.declared_transitions))
-            )
-        self.is_monitor = self.is_monitor or other.is_monitor
-        self.instances += other.instances
-        self.halts += other.halts
-        visited = self.states_visited
-        for name, count in other.states_visited.items():
-            visited[name] = visited.get(name, 0) + count
-        taken = self.transitions_taken
-        for key, count in other.transitions_taken.items():
-            taken[key] = taken.get(key, 0) + count
-
-    def copy(self) -> "MachineCoverage":
-        clone = MachineCoverage(
-            self.declared_states, self.declared_transitions, self.is_monitor
-        )
-        clone.instances = self.instances
-        clone.halts = self.halts
-        clone.states_visited = dict(self.states_visited)
-        clone.transitions_taken = dict(self.transitions_taken)
-        return clone
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MachineCoverage):
-            return NotImplemented
-        return (
-            self.declared_states == other.declared_states
-            and self.declared_transitions == other.declared_transitions
-            and self.is_monitor == other.is_monitor
-            and self.instances == other.instances
-            and self.halts == other.halts
-            and self.states_visited == other.states_visited
-            and self.transitions_taken == other.transitions_taken
-        )
-
-    __hash__ = None  # mutable
-
     def to_json(self) -> Dict[str, object]:
         return {
             "monitor": self.is_monitor,
@@ -167,7 +111,8 @@ class MachineCoverage:
         }
 
 
-class CoverageMap:
+@record
+class CoverageMap(Record):
     """Mergeable activity coverage of a whole campaign.
 
     Keyed by machine-class name (``cls.__name__``): the portfolio merges
@@ -176,45 +121,22 @@ class CoverageMap:
     (``events_sent`` / ``events_dequeued`` / ``events_dropped``) are
     campaign-global, keyed by event-class name; a drop is a message lost
     to a send-to-halted/missing target or to an injected drop fault.
+    Merging is associative and commutative up to declared-universe
+    ordering, so shard/checkpoint fold order does not matter.
 
     The ``_classes`` identity cache keeps the hot recording path to one
-    dict probe per call; it is transient (rebuilt empty on unpickle) so
-    maps travel across process boundaries without dragging class
-    references along.
+    dict probe per call; it is transient (no rule: a copy or a decoded
+    map starts with an empty one) so maps travel across process
+    boundaries without dragging class references along.
     """
 
-    __slots__ = (
-        "machines",
-        "events_sent",
-        "events_dequeued",
-        "events_dropped",
-        "_classes",
+    machines: Dict[str, MachineCoverage] = field(records(MachineCoverage))
+    events_sent: Dict[str, int] = field(COUNTS)
+    events_dequeued: Dict[str, int] = field(COUNTS)
+    events_dropped: Dict[str, int] = field(COUNTS)
+    _classes: Dict[type, MachineCoverage] = dataclasses.field(
+        default_factory=dict, init=False, repr=False
     )
-
-    def __init__(self) -> None:
-        self.machines: Dict[str, MachineCoverage] = {}
-        self.events_sent: Dict[str, int] = {}
-        self.events_dequeued: Dict[str, int] = {}
-        self.events_dropped: Dict[str, int] = {}
-        self._classes: Dict[type, MachineCoverage] = {}
-
-    # -- pickling (drop the transient class cache) --------------------
-    def __getstate__(self):
-        return (
-            self.machines,
-            self.events_sent,
-            self.events_dequeued,
-            self.events_dropped,
-        )
-
-    def __setstate__(self, state) -> None:
-        (
-            self.machines,
-            self.events_sent,
-            self.events_dequeued,
-            self.events_dropped,
-        ) = state
-        self._classes = {}
 
     # -- registration -------------------------------------------------
     def ensure_class(self, cls: type, *, monitor: bool = False) -> MachineCoverage:
@@ -286,47 +208,6 @@ class CoverageMap:
         name = type(event).__name__
         dequeued = self.events_dequeued
         dequeued[name] = dequeued.get(name, 0) + 1
-
-    # -- merge/copy/equality/fingerprint ------------------------------
-    def merge(self, other: "CoverageMap") -> "CoverageMap":
-        """Fold ``other`` into this map (in place) and return self.
-        Merging is associative and commutative up to declared-universe
-        ordering, so shard/checkpoint fold order does not matter."""
-        machines = self.machines
-        for name, record in other.machines.items():
-            mine = machines.get(name)
-            if mine is None:
-                machines[name] = record.copy()
-            else:
-                mine.merge(record)
-        for mine_counts, other_counts in (
-            (self.events_sent, other.events_sent),
-            (self.events_dequeued, other.events_dequeued),
-            (self.events_dropped, other.events_dropped),
-        ):
-            for name, count in other_counts.items():
-                mine_counts[name] = mine_counts.get(name, 0) + count
-        return self
-
-    def copy(self) -> "CoverageMap":
-        clone = CoverageMap()
-        clone.machines = {name: rec.copy() for name, rec in self.machines.items()}
-        clone.events_sent = dict(self.events_sent)
-        clone.events_dequeued = dict(self.events_dequeued)
-        clone.events_dropped = dict(self.events_dropped)
-        return clone
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CoverageMap):
-            return NotImplemented
-        return (
-            self.machines == other.machines
-            and self.events_sent == other.events_sent
-            and self.events_dequeued == other.events_dequeued
-            and self.events_dropped == other.events_dropped
-        )
-
-    __hash__ = None  # mutable
 
     def __bool__(self) -> bool:
         return bool(self.machines or self.events_sent)

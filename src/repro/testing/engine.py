@@ -31,9 +31,9 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple, Type, Union,
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Type,
+    Union,
 )
 
 if TYPE_CHECKING:  # circular at runtime: config is the layer above
@@ -44,6 +44,11 @@ from ..core.machine import Machine
 from ..errors import BugReport
 from .coverage import CoverageMap
 from .faults import FaultConfig, outcome_name
+from .record import (
+    ANY, COUNTS, FLAG, INDEX, SECONDS, SUM, TEXT, Record, Rule, array_of,
+    decode_fields, each, encode_fields, field, keep, most, nested, nullable,
+    optional, record, scalar,
+)
 from .reduction import ReductionEngine
 from .runtime import BugFindingRuntime, ExecutionResult
 from .strategies import ReplayStrategy, SchedulingStrategy
@@ -54,70 +59,164 @@ from .trace import ScheduleTrace
 Program = Tuple[Type[Machine], Any, Tuple[type, ...], Optional[FaultConfig]]
 
 
-@dataclass
-class TestReport:
+# ---------------------------------------------------------------------------
+# The rules only a report needs (the rest are repro.testing.record's)
+# ---------------------------------------------------------------------------
+TRACE = Rule(
+    encode=nullable(ScheduleTrace.to_pairs),
+    decode=nullable(ScheduleTrace.from_pairs),
+    wire="array of [kind, value] pairs (the trace-file schema) or null",
+)
+
+#: A bug's wire form: its detached fields (the machine as its string
+#: form, the exception not kept), the trace nested in the one trace schema.
+BUG_FIELDS = (
+    ("kind", keep(TEXT)),
+    ("message", keep(TEXT)),
+    ("machine", keep(optional(TEXT))),
+    ("trace", TRACE),
+    ("iteration", keep(INDEX)),
+    ("step", keep(INDEX)),
+)
+
+
+def _encode_bug(bug: BugReport) -> Dict[str, Any]:
+    return encode_fields(bug.detached(), BUG_FIELDS)
+
+
+def _decode_bug(document: Any) -> BugReport:
+    return BugReport(**decode_fields("BugReport", BUG_FIELDS, document))
+
+
+def _merge_bugs(mine: List[BugReport], theirs: List[BugReport]) -> List[BugReport]:
+    # Deduplicated by schedule-trace fingerprint: two shards finding the
+    # same interleaving (identical decision sequences, e.g. two seeded DFS
+    # shards overlapping) contribute it once.  Bugs without traces cannot
+    # be identified and are always kept.
+    seen = {bug.trace.fingerprint() for bug in mine if bug.trace is not None}
+    for bug in theirs:
+        if bug.trace is not None:
+            key = bug.trace.fingerprint()
+            if key in seen:
+                continue
+            seen.add(key)
+        mine.append(bug)
+    return mine
+
+
+def _decode_sub_report(document: Any) -> "TestReport":
+    # Sub-reports nest one level in everything a writer produces; refusing
+    # deeper keeps decoding off the stack's mercy (a 3,000-deep chain).
+    if type(document) is dict and document.get("sub_reports"):
+        raise ValueError("a sub-report carries sub-reports of its own")
+    return TestReport.decode(document)
+
+
+def _merge_backend(mine: Optional[str], theirs: Optional[str]) -> Optional[str]:
+    if theirs is None or mine == theirs:
+        return mine
+    return theirs if mine is None else "mixed"
+
+
+BUGS = Rule(
+    merge=_merge_bugs, fresh=list,
+    copy=each(BugReport.detached),
+    encode=each(_encode_bug),
+    decode=array_of(_decode_bug),
+    wire="array of BugReport objects",
+    merged="concatenate, dropping a bug whose trace the receiver already holds",
+)
+FIRST_BUG = Rule(
+    merge=lambda mine, theirs: theirs if mine is None else mine,
+    copy=nullable(BugReport.detached),
+    encode=nullable(_encode_bug),
+    decode=nullable(_decode_bug),
+    wire="BugReport object or null",
+    merged="the receiver's, else the other's (and its first_bug_iteration)",
+)
+SUB_REPORTS = Rule(
+    fresh=list,
+    copy=each(Record.copy),
+    encode=each(Record.encode),
+    decode=array_of(_decode_sub_report),
+    wire="array of TestReport objects that have no sub-reports themselves",
+    merged="the receiver's (`merged()` sets it to its operands)",
+)
+BACKEND = scalar(optional(TEXT), _merge_backend, 'the one both name, else "mixed"')
+
+
+@record
+class TestReport(Record):
     """Aggregate statistics over all explored schedules.
 
-    Reports are *mergeable* (:meth:`merge` / :meth:`merged`): a portfolio
-    campaign folds its workers' sub-reports into one campaign report whose
-    counters are sums, whose ``max_machines`` is the max, and whose
-    ``elapsed`` is wall-clock time (parallel work does not sum).  They are
-    also *picklable* once :meth:`detached` has replaced live machine /
-    exception references inside bug reports with plain strings, so workers
-    can hand them back across process boundaries.
+    A report is a *record* (:mod:`repro.testing.record`): each field
+    below names its merge rule, and ``merge``, ``copy`` (here
+    :meth:`detached`), ``==`` and the JSON document ``result`` frames,
+    checkpoints and report files carry (:meth:`encode` / :meth:`decode`)
+    all follow from that one table.  A sharded campaign folds its shards'
+    sub-reports into one campaign report whose counters are sums, whose
+    ``max_machines`` is the max, and whose ``elapsed`` is wall-clock time
+    (parallel work does not sum).
 
     (``__test__`` keeps pytest from collecting this as a test class.)
     """
 
     __test__ = False
 
-    strategy: str
-    iterations: int = 0
-    buggy_iterations: int = 0
-    depth_bound_hits: int = 0
+    strategy: str = field(keep(TEXT), required=True)
+    iterations: int = field(SUM)
+    buggy_iterations: int = field(SUM)
+    depth_bound_hits: int = field(SUM)
     # Iterations canceled by the per-iteration wall-clock watchdog
     # (status "watchdog"): the campaign moved on instead of wedging.
-    watchdog_hits: int = 0
-    total_steps: int = 0
-    total_scheduling_points: int = 0
-    max_machines: int = 0
-    elapsed: float = 0.0
-    first_bug: Optional[BugReport] = None
-    first_bug_iteration: int = -1
-    bugs: List[BugReport] = field(default_factory=list)
-    exhausted: bool = False
-    timed_out: bool = False
+    watchdog_hits: int = field(SUM)
+    total_steps: int = field(SUM)
+    total_scheduling_points: int = field(SUM)
+    max_machines: int = field(most())
+    # Merged reports describe *concurrent* work, so the merge takes the
+    # max: aggregate schedules/sec is total iterations over wall time.
+    elapsed: float = field(most(SECONDS))
+    # The first bug of a merge is the receiver's if it has one (fold
+    # order defines precedence), otherwise the other's — see merge().
+    first_bug: Optional[BugReport] = field(FIRST_BUG)
+    first_bug_iteration: int = field(keep(INDEX))
+    bugs: List[BugReport] = field(BUGS)
+    exhausted: bool = field(keep(FLAG))
+    timed_out: bool = field(ANY)
     # True when the campaign was cut short by SIGINT and this report
     # covers only the work completed before the interrupt (the portfolio
     # flushes a final checkpoint and returns the partial merge).
-    interrupted: bool = False
-    sub_reports: List["TestReport"] = field(default_factory=list)
+    interrupted: bool = field(ANY)
+    sub_reports: List["TestReport"] = field(SUB_REPORTS)
     # The carrier the campaign actually ran on ("inline" or "pool"),
     # resolved from workers="auto" — how the inline-first fallback stays
     # honest in A/B comparisons.  Merged campaign reports show "mixed"
     # when sub-reports disagree.
-    effective_backend: Optional[str] = None
+    effective_backend: Optional[str] = field(BACKEND)
     # Observability (PR 8): injected-fault totals by outcome name,
     # strategy-consulted scheduling decisions, activity coverage and
     # execution-shape telemetry.  Coverage is attached only when the
     # campaign asked for it; telemetry is always collected (its cost is
     # one perf_counter pair + histogram bump per iteration).
-    faults_injected: int = 0
-    fault_kinds: dict = field(default_factory=dict)
-    consulted_decisions: int = 0
-    coverage: Optional[CoverageMap] = None
-    telemetry: Optional[TelemetryStats] = None
+    faults_injected: int = field(SUM)
+    fault_kinds: Dict[str, int] = field(COUNTS)
+    consulted_decisions: int = field(SUM)
+    coverage: Optional[CoverageMap] = field(nested(CoverageMap, or_null=True))
+    telemetry: Optional[TelemetryStats] = field(nested(TelemetryStats, or_null=True))
     # Schedule-space reduction (repro.testing.reduction): distinct program
     # states fingerprinted by the campaign's state cache, and schedules
     # (or whole DFS subtrees) the reduction machinery cut off as
     # redundant.  Both zero when the campaign ran with reduction="none".
-    distinct_states: int = 0
-    schedules_pruned: int = 0
+    # Distinct-state counts sum across shards: each shard's cache is
+    # private, so the merged figure over-counts states two shards both
+    # visited — an upper bound, like summing coverage before dedup.
+    distinct_states: int = field(SUM)
+    schedules_pruned: int = field(SUM)
     # What the state cache cost, in exact counts: consultations that
     # hashed a state, and machine/monitor digests computed for them (the
     # rest were reused from the previous consultation of the execution).
-    fingerprints: int = 0
-    machine_digests: int = 0
+    fingerprints: int = field(SUM)
+    machine_digests: int = field(SUM)
 
     @property
     def bug_found(self) -> bool:
@@ -192,72 +291,12 @@ class TestReport:
 
     # -- portfolio plumbing --------------------------------------------
     def merge(self, other: "TestReport") -> "TestReport":
-        """Fold ``other`` into this report (in place) and return self.
-
-        Counters sum; ``max_machines`` takes the max; ``elapsed`` takes the
-        max because merged reports describe *concurrent* work — aggregate
-        schedules/sec is total iterations over wall-clock time.  The first
-        bug of the merge is the existing one if any (fold order defines
-        precedence), otherwise ``other``'s.
-
-        Bugs are *deduplicated* across the merge by schedule-trace
-        fingerprint: two portfolio workers finding the same interleaving
-        (identical decision sequences, e.g. two seeded DFS shards
-        overlapping) contribute it once.  Bugs without traces cannot be
-        identified and are always kept.
-        """
-        self.iterations += other.iterations
-        self.buggy_iterations += other.buggy_iterations
-        self.depth_bound_hits += other.depth_bound_hits
-        self.watchdog_hits += other.watchdog_hits
-        self.total_steps += other.total_steps
-        self.total_scheduling_points += other.total_scheduling_points
-        self.max_machines = max(self.max_machines, other.max_machines)
-        self.elapsed = max(self.elapsed, other.elapsed)
-        self.faults_injected += other.faults_injected
-        for kind, count in other.fault_kinds.items():
-            self.fault_kinds[kind] = self.fault_kinds.get(kind, 0) + count
-        self.consulted_decisions += other.consulted_decisions
-        # Distinct-state counts sum across shards: each shard's cache is
-        # private, so the merged figure over-counts states two shards both
-        # visited — an upper bound, like summing coverage before dedup.
-        self.distinct_states += other.distinct_states
-        self.schedules_pruned += other.schedules_pruned
-        self.fingerprints += other.fingerprints
-        self.machine_digests += other.machine_digests
-        if other.coverage is not None:
-            if self.coverage is None:
-                self.coverage = other.coverage.copy()
-            else:
-                self.coverage.merge(other.coverage)
-        if other.telemetry is not None:
-            if self.telemetry is None:
-                self.telemetry = other.telemetry.copy()
-            else:
-                self.telemetry.merge(other.telemetry)
-        seen = {
-            bug.trace.fingerprint()
-            for bug in self.bugs
-            if bug.trace is not None
-        }
-        for bug in other.bugs:
-            if bug.trace is not None:
-                key = bug.trace.fingerprint()
-                if key in seen:
-                    continue
-                seen.add(key)
-            self.bugs.append(bug)
+        """Fold ``other`` into this report (in place) and return self:
+        every field by its rule, plus the one thing a rule cannot say —
+        ``first_bug_iteration`` follows whichever ``first_bug`` wins."""
         if self.first_bug is None and other.first_bug is not None:
-            self.first_bug = other.first_bug
             self.first_bug_iteration = other.first_bug_iteration
-        self.timed_out = self.timed_out or other.timed_out
-        self.interrupted = self.interrupted or other.interrupted
-        if other.effective_backend is not None:
-            if self.effective_backend is None:
-                self.effective_backend = other.effective_backend
-            elif self.effective_backend != other.effective_backend:
-                self.effective_backend = "mixed"
-        return self
+        return Record.merge(self, other)
 
     @classmethod
     def merged(
@@ -272,40 +311,10 @@ class TestReport:
         return campaign
 
     def detached(self) -> "TestReport":
-        """A picklable copy: bug reports lose their live machine/exception
-        references (kept as strings), traces are preserved for replay."""
-        clone = TestReport(
-            strategy=self.strategy,
-            iterations=self.iterations,
-            buggy_iterations=self.buggy_iterations,
-            depth_bound_hits=self.depth_bound_hits,
-            watchdog_hits=self.watchdog_hits,
-            total_steps=self.total_steps,
-            total_scheduling_points=self.total_scheduling_points,
-            max_machines=self.max_machines,
-            elapsed=self.elapsed,
-            first_bug_iteration=self.first_bug_iteration,
-            exhausted=self.exhausted,
-            timed_out=self.timed_out,
-            interrupted=self.interrupted,
-            effective_backend=self.effective_backend,
-            faults_injected=self.faults_injected,
-            consulted_decisions=self.consulted_decisions,
-            distinct_states=self.distinct_states,
-            schedules_pruned=self.schedules_pruned,
-            fingerprints=self.fingerprints,
-            machine_digests=self.machine_digests,
-        )
-        clone.fault_kinds = dict(self.fault_kinds)
-        if self.coverage is not None:
-            clone.coverage = self.coverage.copy()
-        if self.telemetry is not None:
-            clone.telemetry = self.telemetry.copy()
-        clone.bugs = [bug.detached() for bug in self.bugs]
-        if self.first_bug is not None:
-            clone.first_bug = self.first_bug.detached()
-        clone.sub_reports = [sub.detached() for sub in self.sub_reports]
-        return clone
+        """A plain-data copy: bug reports lose their live machine and
+        exception references (kept as strings / dropped), traces are
+        preserved for replay."""
+        return self.copy()
 
 
 def resolved_program(config: "TestConfig") -> Program:
@@ -486,13 +495,14 @@ def _campaign_loop(
             report.total_steps += result.steps
             report.total_scheduling_points += result.scheduling_points
             report.consulted_decisions += result.consulted
+            fault_kinds = None
             if result.faults_injected:
                 report.faults_injected += result.faults_injected
-                kinds = report.fault_kinds
-                for code, count in enumerate(result.fault_kinds):
-                    if count:
-                        name = outcome_name(code)
-                        kinds[name] = kinds.get(name, 0) + count
+                fault_kinds = {
+                    outcome_name(code): count
+                    for code, count in enumerate(result.fault_kinds) if count
+                }
+                COUNTS.merge(report.fault_kinds, fault_kinds)
             if result.status in ("time-bound", "stopped"):
                 # Cut off mid-schedule: count the work, not the schedule.
                 report.timed_out = report.timed_out or result.status == "time-bound"
@@ -504,15 +514,7 @@ def _campaign_loop(
                 wall_seconds=iter_end - iter_start,
                 since_start=iter_end - start,
                 consulted=result.consulted,
-                fault_kinds=(
-                    {
-                        outcome_name(code): count
-                        for code, count in enumerate(result.fault_kinds)
-                        if count
-                    }
-                    if result.faults_injected
-                    else None
-                ),
+                fault_kinds=fault_kinds,
             )
             if result.status == "depth-bound":
                 report.depth_bound_hits += 1

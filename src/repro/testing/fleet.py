@@ -22,17 +22,18 @@ tests cite its section numbers.  The load-bearing choices:
   forwarding) is tested once and works for both.
 * **Warm workers, batched specs.**  A worker process handshakes once,
   then runs *many* shards back to back — each shard constructs a fresh
-  strategy from its picklable spec, so there is no fork per spec and no
+  strategy from its plain-data spec, so there is no fork per spec and no
   state bleed between shards (protocol §5).  The coordinator's own
   local workers (``--workers N``) are forked from it after it has
   resolved and compiled the program, so they start warm too.
-* **Results are detached reports.**  A finished shard comes back as a
-  base64-pickled *detached* :class:`~repro.testing.engine.TestReport`
-  inside a JSON frame; the coordinator folds shards with
+* **Results are report documents.**  A finished shard comes back as its
+  :class:`~repro.testing.engine.TestReport`'s JSON document
+  (:mod:`repro.testing.record`), nested in the ``result`` frame and
+  validated field by field before anything is built from it — data, never
+  code (protocol §8); the coordinator folds shards with
   :func:`~repro.testing.portfolio.merge_shard_reports`, so distinct-bug
   dedup by :meth:`~repro.testing.trace.ScheduleTrace.fingerprint` has a
-  single definition.  Pickle implies trust: run fleets only among
-  mutually trusted hosts (protocol §8).
+  single definition.
 * **Failure is requeue, not loss.**  A worker that disconnects or goes
   silent mid-shard has its shard re-queued (bounded times, then
   abandoned as an empty shard so the merge stays honest); the
@@ -43,12 +44,10 @@ tests cite its section numbers.  The load-bearing choices:
 
 from __future__ import annotations
 
-import base64
 import collections
 import json
 import multiprocessing
 import os
-import pickle
 import select
 import socket
 import struct
@@ -62,7 +61,7 @@ from typing import (
 if TYPE_CHECKING:  # circular at runtime: config is the layer above
     from .config import TestConfig
 
-from ..errors import PSharpError
+from ..errors import DocumentError, PSharpError
 from .checkpoint import (
     config_fingerprint,
     load_checkpoint,
@@ -71,6 +70,7 @@ from .checkpoint import (
 )
 from .engine import TestReport, resolved_program, run_campaign
 from .portfolio import StrategySpec, make_strategy, merge_shard_reports
+from .record import dumps, loads
 from .telemetry import EventLog
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ from .telemetry import EventLog
 # ---------------------------------------------------------------------------
 #: Bumped on any incompatible wire change; the handshake rejects peers
 #: speaking any other version (§3).
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Hard cap on one frame's payload; a larger announced length is a
 #: protocol violation, not an allocation request (§2).
@@ -208,8 +208,8 @@ class Connection:
         payload = bytes(self._buffer[4 : 4 + length])
         del self._buffer[: 4 + length]
         try:
-            message = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            message = loads(payload.decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8, bad JSON, NaN, too deep
             raise ProtocolError(
                 f"undecodable frame from {self.label}: {exc}"
             ) from exc
@@ -286,24 +286,24 @@ class Connection:
 
 
 # ---------------------------------------------------------------------------
-# Report encoding (§4 "result"): base64-pickled detached TestReports
+# Report encoding (§4 "result"): the report's JSON document
 # ---------------------------------------------------------------------------
 def encode_report(report: TestReport) -> str:
-    return base64.b64encode(
-        pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL)
-    ).decode("ascii")
+    """``report``'s document as JSON text (a ``result`` frame nests the
+    document itself, ``report.encode()``, not this text)."""
+    return dumps(report.encode())
 
 
-def decode_report(text: Any) -> TestReport:
+def decode_report(document: Any) -> TestReport:
+    """The report a ``result`` frame's ``report`` object — or the text
+    :func:`encode_report` returns — describes; anything off-schema is a
+    :class:`ProtocolError`."""
     try:
-        report = pickle.loads(base64.b64decode(str(text).encode("ascii")))
-    except Exception as exc:  # noqa: BLE001 - any corruption is protocol-fatal
+        if isinstance(document, str):
+            document = loads(document)
+        return TestReport.decode(document)
+    except (DocumentError, ValueError) as exc:
         raise ProtocolError(f"undecodable shard report: {exc}") from exc
-    if not isinstance(report, TestReport):
-        raise ProtocolError(
-            f"shard report decoded to {type(report).__name__}, not TestReport"
-        )
-    return report
 
 
 def worker_environment() -> Dict[str, str]:
@@ -443,7 +443,7 @@ def worker_loop(
                 "cancel or shutdown)"
             )
         shard = int(message["shard"])
-        spec = _spec_from_wire(message.get("spec"))
+        spec = StrategySpec.from_obj(message.get("spec"), "work frame 'spec'")
         budget = message.get("time_limit")
 
         # The shard's stop-check doubles as the wire pump: it stamps a
@@ -486,7 +486,7 @@ def worker_loop(
                 "type": "result",
                 "shard": shard,
                 "canceled": state["stop"],
-                "report": encode_report(report.detached()),
+                "report": report.encode(),
             }
         )
         completed += 1
@@ -495,16 +495,6 @@ def worker_loop(
     except ProtocolError:
         pass
     return completed
-
-
-def _spec_from_wire(value: Any) -> StrategySpec:
-    if (
-        not isinstance(value, dict)
-        or not isinstance(value.get("name"), str)
-        or not isinstance(value.get("params", {}), dict)
-    ):
-        raise ProtocolError(f"work frame carries a malformed spec: {value!r}")
-    return StrategySpec(value["name"], dict(value.get("params", {})))
 
 
 def _local_worker(
@@ -841,7 +831,7 @@ def run_fleet(
                 {
                     "type": "work",
                     "shard": shard,
-                    "spec": {"name": spec.name, "params": dict(spec.params)},
+                    "spec": spec.to_obj(),
                     "time_limit": budget,
                 }
             )
@@ -943,7 +933,7 @@ def run_fleet(
                     events.forward(record)
         elif mtype == "result":
             shard = message.get("shard")
-            if type(shard) is not int or "report" not in message:
+            if type(shard) is not int or type(message.get("report")) is not dict:
                 raise ProtocolError(
                     f"malformed result frame from {peer.conn.label}"
                 )

@@ -13,15 +13,15 @@ Two observations push beyond that:
   a campaign's schedules/sec is capped by one core.  Sharding workers
   across processes recovers the hardware's parallelism.
 
-This module holds what a portfolio *is*: a picklable
+This module holds what a portfolio *is*: a plain-data
 :class:`StrategySpec` per shard, the factory registry workers build
 strategies from, :func:`default_portfolio` (the diverse default mix) and
 :func:`merge_shard_reports`.  *Running* one is the fleet coordinator's
 job (:func:`repro.testing.fleet.run_fleet`): ``Campaign.portfolio()``
 starts it with one worker process per spec.  Every worker runs the same
 iteration loop as a plain single-strategy campaign
-(:func:`~repro.testing.engine.run_campaign`) and reports a *detached*
-(picklable) :class:`~repro.testing.engine.TestReport` back; the first
+(:func:`~repro.testing.engine.run_campaign`) and reports its
+:class:`~repro.testing.engine.TestReport` back as a JSON document; the first
 shard to find a bug wins and cancels the others, and the winner's
 :class:`~repro.testing.trace.ScheduleTrace` replays deterministically
 in the parent via ``Campaign.replay()``.
@@ -36,6 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import PSharpError
 from .engine import TestReport
+from .record import describe
 from .strategies import (
     DelayBoundingStrategy,
     DfsStrategy,
@@ -52,12 +53,12 @@ from .strategies import (
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class StrategySpec:
-    """A picklable recipe for constructing a scheduling strategy.
+    """A plain-data recipe for constructing a scheduling strategy.
 
     Workers build strategies from specs instead of receiving live strategy
     objects: strategies hold RNGs and mutable search state that must start
     fresh in the worker, and some (DFS stacks) are not meaningfully
-    picklable anyway.
+    serializable anyway.
     """
 
     name: str
@@ -102,6 +103,33 @@ class StrategySpec:
                 except (ValueError, SyntaxError):
                     params[key] = value.strip()
         return cls(name, params)
+
+    def to_obj(self) -> Dict[str, Any]:
+        """The one wire form of a spec — campaign JSON, ``work`` frames
+        and checkpoints all carry ``{"name", "params"}``."""
+        return {"name": self.name, "params": dict(self.params)}
+
+    @classmethod
+    def from_obj(cls, value: Any, where: str) -> "StrategySpec":
+        """The spec a wire form describes: the ``{"name", "params"}``
+        object, or the CLI spelling (``"pct,depth=10"``).  ``where`` names
+        the place in the error (``"campaign JSON 'strategy'"``)."""
+        if isinstance(value, str):
+            return cls.parse(value)
+        fields = value if isinstance(value, dict) else {}
+        unknown = sorted(map(repr, fields.keys() - {"name", "params"}))
+        if unknown:
+            raise PSharpError(
+                f"unknown field(s) in {where}: {', '.join(unknown)}; a "
+                "strategy object carries only 'name' and 'params'"
+            )
+        params = fields.get("params") or {}
+        if not (isinstance(fields.get("name"), str) and isinstance(params, dict)):
+            raise PSharpError(
+                f"{where} must be a 'name,key=value' string or an object with "
+                f"a string 'name' and an object 'params', got {describe(value)}"
+            )
+        return cls(fields["name"], dict(params))
 
 
 StrategyFactory = Callable[..., SchedulingStrategy]

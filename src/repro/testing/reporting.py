@@ -23,19 +23,18 @@ report it is handed.
 from __future__ import annotations
 
 import os
-import pickle
-import tempfile
-from typing import TYPE_CHECKING, Any, Dict, List
+from typing import Any, Dict, List
 
-from ..errors import PSharpError
+from ..errors import DocumentError, PSharpError
+from .checkpoint import checkpoint_state
 from .coverage import CoverageMap
 from .engine import TestReport
+from .record import dumps, read_document, write_atomic
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
-
-#: Bumped when the saved-report layout changes incompatibly.
-REPORT_VERSION = 1
+#: Bumped when the saved-report layout changes incompatibly — together
+#: with ``CHECKPOINT_VERSION``: both files carry the report document, and
+#: :func:`load_campaign` reads either one as version ``REPORT_VERSION``.
+REPORT_VERSION = 2
 
 _REPORT_KIND = "campaign-report"
 
@@ -44,31 +43,15 @@ _REPORT_KIND = "campaign-report"
 # Persistence
 # ---------------------------------------------------------------------------
 def save_report(path: "str | os.PathLike", report: TestReport) -> None:
-    """Atomically persist ``report`` (detached) to ``path``.
+    """Atomically persist ``report`` to ``path``.
 
-    The file is a versioned pickle; :func:`load_campaign` reads it back.
-    The write goes through a temp file in the same directory +
-    ``os.replace`` so a kill mid-write never leaves a torn file."""
-    path = os.fspath(path)
-    payload = {
-        "version": REPORT_VERSION,
-        "kind": _REPORT_KIND,
-        "report": report.detached(),
-    }
-    directory = os.path.dirname(path) or "."
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+    The file is one JSON document, ``{"version": 2, "kind":
+    "campaign-report", "report": <report document>}`` — the document a
+    ``result`` frame or a checkpoint would carry for the same report
+    (:mod:`repro.testing.record`); :func:`load_campaign` reads it back."""
+    write_atomic(path, dumps({
+        "version": REPORT_VERSION, "kind": _REPORT_KIND, "report": report.encode(),
+    }))
 
 
 def load_campaign(path: "str | os.PathLike") -> TestReport:
@@ -83,36 +66,21 @@ def load_campaign(path: "str | os.PathLike") -> TestReport:
       campaign's partial coverage is still inspectable.
     """
     path = os.fspath(path)
-    try:
-        with open(path, "rb") as fh:
-            state = pickle.load(fh)
-    except OSError as exc:
-        raise PSharpError(f"cannot read report file {path!r}: {exc}") from exc
-    except (pickle.UnpicklingError, EOFError, AttributeError, ImportError,
-            IndexError, ValueError) as exc:
-        raise PSharpError(f"corrupt report file {path!r}: {exc}") from exc
-    if isinstance(state, TestReport):
-        return state
-    if not isinstance(state, dict):
-        raise PSharpError(
-            f"{path!r} is neither a campaign report nor a checkpoint"
-        )
-    if state.get("kind") == _REPORT_KIND:
-        if state.get("version") != REPORT_VERSION:
+    document = read_document(path, "report", REPORT_VERSION)
+    if document.get("kind") == _REPORT_KIND:
+        if set(document) != {"version", "kind", "report"}:
             raise PSharpError(
-                f"report {path!r} has version {state.get('version')!r}; "
-                f"this build reads version {REPORT_VERSION}"
+                f"corrupt report file {path!r}: not version, kind and report"
             )
-        report = state.get("report")
-        if not isinstance(report, TestReport):
-            raise PSharpError(f"corrupt report file {path!r}: no report inside")
-        return report
-    if "completed" in state and "specs" in state:
-        completed = state["completed"]
-        shards = [completed[index] for index in sorted(completed)]
-        if not shards:
-            return TestReport(strategy="checkpoint")
-        return TestReport.merged(shards, strategy="checkpoint")
+        try:
+            return TestReport.decode(document["report"])
+        except DocumentError as exc:
+            raise PSharpError(f"corrupt report file {path!r}: {exc}") from exc
+    if "completed" in document and "specs" in document:
+        completed = checkpoint_state(document, path)["completed"]
+        return TestReport.merged(
+            [completed[index] for index in sorted(completed)], strategy="checkpoint"
+        )
     raise PSharpError(
         f"{path!r} is neither a campaign report nor a checkpoint"
     )

@@ -5,9 +5,10 @@ explored*; this module answers *how the campaign ran* — the shape of the
 iterations (steps per schedule, wall time per schedule, schedules/sec
 over the campaign's lifetime), how often faults fired and of what kind,
 and how much of the scheduling was an actual strategy decision versus a
-forced single-choice step.  Stats are picklable and merge associatively,
-so they ride on :class:`~repro.testing.engine.TestReport` across
-portfolio shards and checkpoint resume exactly like coverage does.
+forced single-choice step.  Stats are records
+(:mod:`repro.testing.record`): they merge associatively and ride on
+:class:`~repro.testing.engine.TestReport` across shards, ``result``
+frames and checkpoint resume exactly like coverage does.
 
 :class:`EventLog` is the second half: an append-only JSONL stream
 (``--events FILE`` / ``TestConfig.events_path``) of structured campaign
@@ -30,25 +31,28 @@ import os
 import time
 from typing import Dict, List, Optional
 
+from .record import (
+    COUNT, COUNTS, INT_COUNTS, SUM, Record, field, least, most, nested,
+    optional, record,
+)
+
 __all__ = ["Histogram", "TelemetryStats", "EventLog"]
 
 
-class Histogram:
+@record
+class Histogram(Record):
     """Power-of-two-bucketed counting histogram of non-negative values.
 
     Bucket ``i`` holds values in ``[2**(i-1), 2**i)`` (bucket 0 holds
-    zero), which keeps the merge trivially associative and the pickle
+    zero), which keeps the merge trivially associative and the document
     tiny regardless of how many samples a campaign records.
     """
 
-    __slots__ = ("buckets", "count", "total", "min", "max")
-
-    def __init__(self) -> None:
-        self.buckets: Dict[int, int] = {}
-        self.count = 0
-        self.total = 0
-        self.min: Optional[int] = None
-        self.max: Optional[int] = None
+    buckets: Dict[int, int] = field(INT_COUNTS)
+    count: int = field(SUM)
+    total: int = field(SUM)
+    min: Optional[int] = field(least(optional(COUNT)))
+    max: Optional[int] = field(most(optional(COUNT)))
 
     def record(self, value: float) -> None:
         value = int(value)
@@ -67,39 +71,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def merge(self, other: "Histogram") -> None:
-        buckets = self.buckets
-        for bucket, count in other.buckets.items():
-            buckets[bucket] = buckets.get(bucket, 0) + count
-        self.count += other.count
-        self.total += other.total
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
-
-    def copy(self) -> "Histogram":
-        clone = Histogram()
-        clone.buckets = dict(self.buckets)
-        clone.count = self.count
-        clone.total = self.total
-        clone.min = self.min
-        clone.max = self.max
-        return clone
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Histogram):
-            return NotImplemented
-        return (
-            self.buckets == other.buckets
-            and self.count == other.count
-            and self.total == other.total
-            and self.min == other.min
-            and self.max == other.max
-        )
-
-    __hash__ = None  # mutable
 
     def rows(self) -> List[str]:
         """Human-readable bucket rows (largest first capped implicitly by
@@ -125,7 +96,8 @@ class Histogram:
         }
 
 
-class TelemetryStats:
+@record
+class TelemetryStats(Record):
     """Mergeable per-campaign execution-shape statistics.
 
     * ``steps`` — histogram of scheduling steps per iteration;
@@ -141,24 +113,13 @@ class TelemetryStats:
       search-space a strategy is really exercising).
     """
 
-    __slots__ = (
-        "iterations",
-        "steps",
-        "iteration_us",
-        "rate",
-        "fault_kinds",
-        "consulted",
-        "forced",
-    )
-
-    def __init__(self) -> None:
-        self.iterations = 0
-        self.steps = Histogram()
-        self.iteration_us = Histogram()
-        self.rate: Dict[int, int] = {}
-        self.fault_kinds: Dict[str, int] = {}
-        self.consulted = 0
-        self.forced = 0
+    iterations: int = field(SUM)
+    steps: Histogram = field(nested(Histogram))
+    iteration_us: Histogram = field(nested(Histogram))
+    rate: Dict[int, int] = field(INT_COUNTS)
+    fault_kinds: Dict[str, int] = field(COUNTS)
+    consulted: int = field(SUM)
+    forced: int = field(SUM)
 
     def record_iteration(
         self,
@@ -178,55 +139,12 @@ class TelemetryStats:
         self.consulted += consulted
         self.forced += max(0, scheduling_points - consulted)
         if fault_kinds:
-            kinds = self.fault_kinds
-            for name, count in fault_kinds.items():
-                if count:
-                    kinds[name] = kinds.get(name, 0) + count
+            COUNTS.merge(self.fault_kinds, fault_kinds)
 
     @property
     def consult_ratio(self) -> float:
         decisions = self.consulted + self.forced
         return self.consulted / decisions if decisions else 0.0
-
-    def merge(self, other: "TelemetryStats") -> "TelemetryStats":
-        self.iterations += other.iterations
-        self.steps.merge(other.steps)
-        self.iteration_us.merge(other.iteration_us)
-        rate = self.rate
-        for second, count in other.rate.items():
-            rate[second] = rate.get(second, 0) + count
-        kinds = self.fault_kinds
-        for name, count in other.fault_kinds.items():
-            kinds[name] = kinds.get(name, 0) + count
-        self.consulted += other.consulted
-        self.forced += other.forced
-        return self
-
-    def copy(self) -> "TelemetryStats":
-        clone = TelemetryStats()
-        clone.iterations = self.iterations
-        clone.steps = self.steps.copy()
-        clone.iteration_us = self.iteration_us.copy()
-        clone.rate = dict(self.rate)
-        clone.fault_kinds = dict(self.fault_kinds)
-        clone.consulted = self.consulted
-        clone.forced = self.forced
-        return clone
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TelemetryStats):
-            return NotImplemented
-        return (
-            self.iterations == other.iterations
-            and self.steps == other.steps
-            and self.iteration_us == other.iteration_us
-            and self.rate == other.rate
-            and self.fault_kinds == other.fault_kinds
-            and self.consulted == other.consulted
-            and self.forced == other.forced
-        )
-
-    __hash__ = None  # mutable
 
     def summary_lines(self) -> List[str]:
         lines = [

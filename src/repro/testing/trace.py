@@ -12,7 +12,9 @@ thousands of decisions per second — so they are stored as two flat
 instead of a list of tuples.  The JSON wire format is unchanged: a list of
 ``[kind, value]`` pairs with the string kinds ``"sched"``/``"bool"``/
 ``"int"``, so traces recorded by older versions replay unmodified and
-stored traces stay diffable.
+stored traces stay diffable.  It is the one trace schema: a trace file is
+that list, and a bug inside a report document carries the same list
+(:meth:`ScheduleTrace.to_pairs` / :meth:`ScheduleTrace.from_pairs`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from array import array
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import PSharpError
+from .record import loads, write_atomic
 
 SCHED = "sched"
 BOOL = "bool"
@@ -77,6 +80,8 @@ _TAG_OF = {
     REDUCTION: REDUCTION_TAG,
 }
 _KIND_OF = (SCHED, BOOL, INT, MONITOR, LIVENESS, FAULT, REDUCTION)
+#: How ``str(trace)`` prefixes a value of each kind (a bool reads T / F).
+_SHORT_OF = ("m", "", "i", "obs", "hot!", "x", "cut")
 
 Decision = Tuple[str, int]
 
@@ -121,8 +126,7 @@ class ScheduleTrace:
         return len(self._tags)
 
     def __iter__(self) -> Iterator[Decision]:
-        kinds = _KIND_OF
-        return iter([(kinds[t], v) for t, v in zip(self._tags, self._values)])
+        return iter(self.decisions)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScheduleTrace):
@@ -163,34 +167,56 @@ class ScheduleTrace:
         return digest.hexdigest()
 
     # -- serialization (traces can be stored alongside bug reports) -----
-    def to_json(self) -> str:
-        return json.dumps(self.decisions)
+    def to_pairs(self) -> List[List[object]]:
+        """The wire form as plain JSON data: ``[[kind, value], ...]``."""
+        kinds = _KIND_OF
+        return [[kinds[t], v] for t, v in zip(self._tags, self._values)]
 
     @classmethod
-    def from_json(cls, text: str) -> "ScheduleTrace":
+    def from_pairs(cls, pairs: object) -> "ScheduleTrace":
+        """The trace :meth:`to_pairs` data describes.  Anything else —
+        not a list of two-element lists, an unknown kind, a value that is
+        not a 64-bit integer (``1.5`` and ``true`` are not) — raises
+        ``ValueError``/``TypeError``/``OverflowError``."""
+        if type(pairs) is not list:
+            raise TypeError("expected a list of [kind, value] pairs")
+        values = [value for _, value in pairs]
+        if not set(map(type, values)) <= {int}:
+            raise TypeError("a decision's value must be an integer")
+        trace = cls()
+        try:
+            trace._tags = array("b", [_TAG_OF[kind] for kind, _ in pairs])
+        except KeyError as exc:
+            raise ValueError(f"unknown decision kind {exc}") from None
+        trace._values = array("q", values)
+        return trace
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_pairs())
+
+    @classmethod
+    def from_json(cls, text: "str | bytes") -> "ScheduleTrace":
         """Parse the wire format, raising :class:`PSharpError` on garbage.
 
         Truncated downloads, half-written files and hand-edited traces
         all surface as one clear error instead of a raw
         ``JSONDecodeError``/``KeyError`` traceback."""
         try:
-            decisions = json.loads(text)
-            return cls([(kind, value) for kind, value in decisions])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            return cls.from_pairs(loads(text))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise PSharpError(
                 f"corrupt schedule trace: {exc} (expected a JSON list of "
                 f"[kind, value] pairs as written by ScheduleTrace.save)"
             ) from exc
 
     def save(self, path: "str | os.PathLike") -> None:
-        """Write the trace to ``path`` in the ``to_json`` wire format.
+        """Write the trace to ``path`` in the ``to_json`` wire format,
+        atomically (:func:`~repro.testing.record.write_atomic`).
 
         The file a found bug leaves behind is the reproduction artifact:
         ``ScheduleTrace.load(path)`` (or ``repro.replay(cls, path)`` / the
         ``python -m repro replay --trace`` CLI) replays it bit-for-bit."""
-        with open(os.fspath(path), "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
+        write_atomic(path, self.to_json() + "\n")
 
     @classmethod
     def load(cls, path: "str | os.PathLike") -> "ScheduleTrace":
@@ -198,30 +224,17 @@ class ScheduleTrace:
         the ``to_json`` wire format).  Raises :class:`PSharpError` if the
         file is unreadable or corrupt."""
         try:
-            with open(os.fspath(path), "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(os.fspath(path), "rb") as fh:
+                data = fh.read()
         except OSError as exc:
             raise PSharpError(f"cannot read trace file {path!r}: {exc}") from exc
-        return cls.from_json(text)
+        return cls.from_json(data)  # bad UTF-8 is a corrupt trace too
 
     def __str__(self) -> str:
-        parts = []
-        for tag, value in zip(self._tags, self._values):
-            if tag == SCHED_TAG:
-                parts.append(f"m{value}")
-            elif tag == BOOL_TAG:
-                parts.append("T" if value else "F")
-            elif tag == MONITOR_TAG:
-                parts.append(f"obs{value}")
-            elif tag == LIVENESS_TAG:
-                parts.append(f"hot!{value}")
-            elif tag == FAULT_TAG:
-                parts.append(f"x{value}")
-            elif tag == REDUCTION_TAG:
-                parts.append(f"cut{value}")
-            else:
-                parts.append(f"i{value}")
-        return " ".join(parts)
+        return " ".join(
+            ("T" if value else "F") if tag == BOOL_TAG else f"{_SHORT_OF[tag]}{value}"
+            for tag, value in zip(self._tags, self._values)
+        )
 
     def __repr__(self) -> str:
         return f"ScheduleTrace({self.decisions!r})"

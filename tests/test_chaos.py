@@ -287,6 +287,104 @@ class TestCheckpointResume:
             Campaign(other).portfolio(resume=path)
 
 
+class TornWrite:
+    """A file whose ``write`` lands half the text and then fails the way
+    a full disk — or a kill — does."""
+
+    def __init__(self, fh, error):
+        self.fh, self.error = fh, error
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise self.error
+
+
+class TestAtomicArtifacts:
+    """Every file this package writes goes through one writer
+    (``repro.testing.record.write_atomic``): a writer that dies mid-dump
+    leaves the previous file intact and no temp file behind."""
+
+    def _writers(self, tmp_path):
+        from repro.testing import (
+            ScheduleTrace, TestReport, load_campaign, save_report,
+        )
+
+        config = TestConfig(program="tests.machines:Ping", specs=TWO_SHARDS, seed=3)
+        trace = ScheduleTrace([("sched", 1), ("bool", 0), ("sched", 2)])
+        report = TestReport(strategy="random", iterations=9)
+        return {
+            "bug.trace": (trace.save, ScheduleTrace.load),
+            "campaign.json": (config.save, TestConfig.load),
+            "campaign.report": (
+                lambda path: save_report(path, report), load_campaign,
+            ),
+            "campaign.ckpt": (
+                lambda path: save_checkpoint(
+                    path, fingerprint="f", specs=list(TWO_SHARDS),
+                    completed={1: report},
+                ),
+                load_checkpoint,
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "error", [OSError(28, "No space left on device"), KeyboardInterrupt()],
+        ids=["disk-full", "sigint"],
+    )
+    def test_a_writer_dying_mid_dump_leaves_the_previous_file(
+        self, tmp_path, monkeypatch, error
+    ):
+        from repro.testing import record
+
+        writers = self._writers(tmp_path)
+        before = {}
+        for name, (save, load) in writers.items():
+            save(tmp_path / name)
+            before[name] = ((tmp_path / name).read_bytes(), load(tmp_path / name))
+        assert sorted(os.listdir(tmp_path)) == sorted(writers)
+
+        torn = []
+
+        def tearing_open(path, mode="r", **kwargs):
+            fh = open(path, mode, **kwargs)
+            if "w" not in mode:
+                return fh
+            torn.append(path)
+            return TornWrite(fh, error)
+
+        monkeypatch.setattr(record, "open", tearing_open, raising=False)
+        for name, (save, load) in writers.items():
+            with pytest.raises(type(error)):
+                save(tmp_path / name)
+        monkeypatch.undo()
+        assert len(torn) == len(writers), "one writer, and all four use it"
+        assert all(path.endswith(".tmp") for path in torn)
+        assert sorted(os.listdir(tmp_path)) == sorted(writers), "no *.tmp behind"
+        for name, (save, load) in writers.items():
+            content, value = before[name]
+            assert (tmp_path / name).read_bytes() == content
+            assert load(tmp_path / name) == value
+
+    def test_a_failed_first_write_leaves_nothing(self, tmp_path, monkeypatch):
+        from repro.testing import record
+
+        def failing_replace(src, dst):
+            raise OSError(13, "Permission denied")
+
+        monkeypatch.setattr(record.os, "replace", failing_replace)
+        for name, (save, load) in self._writers(tmp_path).items():
+            with pytest.raises(OSError):
+                save(tmp_path / name)
+        assert os.listdir(tmp_path) == []
+
+
 def run_cli_process(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + (

@@ -343,3 +343,21 @@ class TestProductionRuntime:
         runtime.run(Exploder)
         with pytest.raises(Exception, match="production kaboom"):
             runtime.join(timeout=10.0)
+
+    def test_join_returns_once_every_machine_has_halted(self):
+        # A halt can be what makes the program quiescent, and a machine
+        # leaving its loop used to tell nobody: join() then sat out its
+        # whole timeout.  Hang detector, no duration asserted: join gets
+        # a timeout far above the suite's patience and runs on a helper
+        # thread this test waits for with a generous bound.
+        import threading
+
+        runtime = Runtime(seed=1)
+        runtime.run(Ping)
+        joiner = threading.Thread(
+            target=runtime.join, kwargs={"timeout": 3600.0}, daemon=True
+        )
+        joiner.start()
+        joiner.join(timeout=120.0)
+        assert not joiner.is_alive(), "join() is waiting out its timeout"
+        assert all(machine.is_halted for machine in runtime.machines)

@@ -3,7 +3,7 @@
 Covers the three surfaces the layer adds:
 
 * the :class:`~repro.testing.coverage.CoverageMap` itself — merge,
-  pickling, fingerprints, declared-vs-visited deltas, and the headline
+  the wire round-trip, fingerprints, declared-vs-visited deltas, and the headline
   guarantee that the map is bit-identical across the inline and pool
   carriers for a given seed;
 * telemetry counters and the JSONL event stream;
@@ -13,7 +13,6 @@ Covers the three surfaces the layer adds:
 """
 
 import json
-import pickle
 
 import pytest
 
@@ -26,6 +25,7 @@ from repro.testing import (
     TestReport,
 )
 from repro.testing.checkpoint import load_checkpoint, save_checkpoint
+from repro.testing.fleet import decode_report, encode_report
 from repro.testing.portfolio import StrategySpec
 from repro.testing.reporting import (
     coverage_dot,
@@ -107,8 +107,10 @@ class TestCoverageMap:
         assert set(server.transitions_taken) == union
 
     def test_pickle_roundtrip_preserves_equality_and_fingerprint(self):
+        # (The id predates JSON being the only format: what crosses a
+        # process boundary now is the wire document, as JSON text.)
         cov = _campaign("Raft").coverage
-        clone = pickle.loads(pickle.dumps(cov))
+        clone = CoverageMap.decode(json.loads(json.dumps(cov.encode())))
         assert clone == cov
         assert clone.fingerprint() == cov.fingerprint()
 
@@ -262,7 +264,7 @@ class TestReportSatellites:
 
     def test_detached_carries_coverage_and_telemetry(self):
         report = _campaign("Raft")
-        clone = pickle.loads(pickle.dumps(report.detached()))
+        clone = decode_report(encode_report(report.detached()))
         assert clone.coverage == report.coverage
         assert clone.telemetry == report.telemetry
         assert clone.consulted_decisions == report.consulted_decisions

@@ -494,9 +494,24 @@ class TestLocalWorkers:
             lambda: events_of(events_path, "fleet_worker_spawn"),
             message="local worker spawned",
         )
+
+        def local_ready():
+            return {
+                event["pid"]
+                for event in events_of(events_path, "fleet_worker_ready")
+                if event["worker"].startswith("local-")
+            }
+
+        # Kill the worker only once it has said hello: a kill that lands
+        # before its handshake leaves no ready event to count, and what
+        # is asked for is a *replacement* forked with both peers attached.
+        wait_for(
+            lambda: spawn["pid"] in local_ready(),
+            message="first local worker ready",
+        )
         os.kill(spawn["pid"], signal.SIGKILL)
         wait_for(
-            lambda: len(events_of(events_path, "fleet_worker_ready")) >= 4,
+            lambda: local_ready() - {spawn["pid"]},
             message="replacement worker ready",
         )
         dropped.send({"type": "result"})

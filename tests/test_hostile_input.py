@@ -1,0 +1,502 @@
+"""Hostile input at every boundary a report document crosses.
+
+A document is data from another process — a fleet peer that completed the
+handshake, a file someone edited or an older build wrote.  Whatever it
+holds, the outcome is one of two: the boundary's *typed* error
+(:class:`~repro.errors.DocumentError` from ``TestReport.decode``,
+``ProtocolError`` from ``decode_report`` and the frame parser — the
+coordinator then drops the peer, requeues its shard and completes —
+``PSharpError`` and exit 2 from a file reader), or a value that re-encodes
+to the very document that was read.  Never another exception, a hang, an
+import, or code execution.
+
+Hypothesis mutates valid documents (drop / add / retype at any depth,
+truncate the text, break the UTF-8); the named cases are the leaks the
+first decoder written for this schema actually had.  Settings are bounded
+and derandomized: the fast CI lane runs this module on three interpreters.
+"""
+
+import copy
+import json
+import pickle
+import struct
+import sys
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from repro import PSharpError, StrategySpec, TestConfig
+from repro.errors import DocumentError
+from repro.testing import (
+    Campaign,
+    ScheduleTrace,
+    TestReport,
+    load_campaign,
+    load_checkpoint,
+    save_checkpoint,
+    save_report,
+)
+from repro.testing.fleet import (
+    MAX_FRAME,
+    ProtocolError,
+    _encode_frame,
+    decode_report,
+)
+from repro.testing.record import dumps
+
+from .test_cli import run_cli
+from .test_fleet import (
+    FOUR_SHARDS,
+    HELLO,
+    await_work,
+    events_of,
+    expect_dropped,
+    fingerprints,
+    finish_fleet,
+    fleet_config,
+    socket_pair,
+    start_fleet_with_clients,
+)
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def real_report():
+    report = Campaign(TestConfig(
+        "Raft", strategy="random,seed=2", max_iterations=12, max_steps=2_000,
+        stop_on_first_bug=False, coverage=True,
+    )).run()
+    assert report.bugs and report.coverage
+    shards = [report.detached(), TestReport(strategy="idle")]
+    return TestReport.merged(shards)  # sub-reports included
+
+
+DOCUMENT = json.loads(dumps(real_report().encode()))
+TEXT = dumps(DOCUMENT)
+SPECS = [{"name": "random", "params": {"seed": 1}}, {"name": "dfs", "params": {}}]
+CHECKPOINT = {
+    "version": 2, "fingerprint": "f" * 64, "specs": SPECS,
+    "completed": {"0": DOCUMENT["sub_reports"][0], "1": DOCUMENT["sub_reports"][1]},
+}
+REPORT_FILE = {"version": 2, "kind": "campaign-report", "report": DOCUMENT}
+TRACE = DOCUMENT["first_bug"]["trace"]
+
+
+# ---------------------------------------------------------------------------
+# Mutations
+# ---------------------------------------------------------------------------
+def paths(node, prefix=()):
+    yield prefix
+    children = (
+        node.items() if isinstance(node, dict)
+        else enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in children:
+        yield from paths(child, prefix + (key,))
+
+
+JUNK = st.sampled_from([
+    None, True, False, -5, 0, 7, 1.5, "", "x", "07", [], {}, [[]], {"a": 1},
+    ["sched", 1.5], ["Leader"], 2 ** 70, -1,
+])
+
+
+def mutations(document):
+    """Strategy of ``document`` with one node dropped, replaced by junk
+    of another type, or grown by a junk member."""
+    every = list(paths(document))
+
+    @st.composite
+    def mutated(draw):
+        tree = copy.deepcopy(document)
+        path = draw(st.sampled_from(every))
+        how = draw(st.sampled_from(["drop", "retype", "add"]))
+        junk = draw(JUNK)
+        if not path:
+            return junk
+        parent = tree
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]]
+        if how == "drop":
+            del parent[path[-1]]
+        elif how == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(["zz", "iterations", "7"]))] = junk
+        elif how == "add" and isinstance(node, list):
+            node.append(junk)
+        else:
+            parent[path[-1]] = junk
+        return tree
+
+    return mutated()
+
+
+def broken_bytes(text):
+    """Strategy of ``text`` truncated, or with a byte that is not UTF-8."""
+    data = text.encode("utf-8")
+    return st.one_of(
+        st.integers(0, len(data) - 1).map(lambda cut: data[:cut]),
+        st.integers(0, len(data)).map(lambda at: data[:at] + b"\xff" + data[at:]),
+    )
+
+
+# ---------------------------------------------------------------------------
+# The two outcomes
+# ---------------------------------------------------------------------------
+def decoded_or_typed(document):
+    """``TestReport.decode``: DocumentError, or the same document back."""
+    try:
+        report = TestReport.decode(document)
+    except DocumentError as exc:
+        assert "\n" not in str(exc) and len(str(exc)) < 400
+        with pytest.raises(ProtocolError, match="undecodable shard report"):
+            decode_report(document)
+        return None
+    assert report.encode() == document
+    assert dumps(report.encode()) == dumps(document)  # the same bytes
+    assert decode_report(document) == report
+    return report
+
+
+def parse_frame(payload):
+    """What the frame parser makes of ``payload`` (bytes after the length
+    prefix), without a socket in between: a peer's frame may be larger
+    than a socket buffer, and nobody is reading the other end here."""
+    near, far, _ = socket_pair()
+    try:
+        near._buffer.extend(struct.pack(">I", len(payload)) + payload)
+        return near._parse_frame()
+    finally:
+        near.close(), far.close()
+
+
+def loaded_or_typed(loader, path):
+    try:
+        return loader(path)
+    except PSharpError as exc:
+        assert type(exc) is PSharpError and "\n" not in str(exc)
+        return None
+
+
+@SETTINGS
+@given(document=mutations(DOCUMENT))
+def test_mutated_report_documents(document):
+    decoded_or_typed(document)
+
+
+@SETTINGS
+@given(cut=st.integers(0, len(TEXT) - 1))
+def test_truncated_report_text(cut):
+    with pytest.raises(ProtocolError, match="undecodable shard report"):
+        decode_report(TEXT[:cut])
+
+
+@SETTINGS
+@given(document=mutations(CHECKPOINT))
+def test_mutated_checkpoint_files(tmp_path_factory, document):
+    path = tmp_path_factory.mktemp("ckpt") / "c.ckpt"
+    path.write_text(dumps(document), encoding="utf-8")
+    state = loaded_or_typed(load_checkpoint, path)
+    if state is not None:
+        assert all(type(spec) is StrategySpec for spec in state["specs"])
+        save_checkpoint(
+            path, fingerprint=state["fingerprint"], specs=state["specs"],
+            completed=state["completed"],
+        )
+        rewritten = json.loads(path.read_text(encoding="utf-8"))
+        # (A spec's CLI spelling and a null params are read, not written.)
+        rewritten["specs"], document["specs"] = [], []
+        assert rewritten == document
+    loaded_or_typed(load_campaign, path)
+
+
+@SETTINGS
+@given(document=mutations(REPORT_FILE))
+def test_mutated_report_files(tmp_path_factory, document):
+    path = tmp_path_factory.mktemp("report") / "c.report"
+    path.write_text(dumps(document), encoding="utf-8")
+    report = loaded_or_typed(load_campaign, path)
+    if report is not None and isinstance(document, dict) and "kind" in document:
+        save_report(path, report)
+        assert json.loads(path.read_text(encoding="utf-8")) == document
+
+
+@SETTINGS
+@given(pairs=mutations(TRACE))
+def test_mutated_trace_files(tmp_path_factory, pairs):
+    path = tmp_path_factory.mktemp("trace") / "bug.trace"
+    path.write_text(json.dumps(pairs), encoding="utf-8")
+    trace = loaded_or_typed(ScheduleTrace.load, path)
+    if trace is not None:
+        assert trace.to_pairs() == pairs
+
+
+@SETTINGS
+@given(data=st.one_of(
+    broken_bytes(dumps(CHECKPOINT)), broken_bytes(dumps(REPORT_FILE)),
+    broken_bytes(json.dumps(TRACE)),
+))
+def test_broken_file_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("broken") / "file"
+    path.write_bytes(data)
+    for loader in (load_checkpoint, load_campaign, ScheduleTrace.load):
+        assert loaded_or_typed(loader, path) is None
+
+
+@SETTINGS
+@given(data=broken_bytes(TEXT))
+def test_broken_frames(data):
+    with pytest.raises(ProtocolError, match="undecodable frame"):
+        parse_frame(data)
+
+
+# ---------------------------------------------------------------------------
+# Named cases: what the first decoder for this schema let through
+# ---------------------------------------------------------------------------
+def edited(*path, value, document=DOCUMENT):
+    tree = copy.deepcopy(document)
+    node = tree
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return tree
+
+
+def chain(depth):
+    """A ``sub_reports`` chain ``depth`` reports deep."""
+    leaf = edited("sub_reports", value=[])
+    node = leaf
+    for _ in range(depth):
+        node = edited("sub_reports", value=[node], document=leaf)
+    return node
+
+
+BUCKETS = ("telemetry", "steps", "buckets")
+SERVER = ("coverage", "machines", "BuggyRaftServer")
+NAMED = {
+    "negative-counter": edited("iterations", value=-5),
+    "true-as-a-counter": edited("total_steps", value=True),
+    "float-as-a-counter": edited("total_steps", value=5.0),
+    "counter-beyond-64-bits-in-a-trace": edited("bugs", 0, "trace", 0, value=["sched", 2 ** 70]),
+    "two-name-transition-triple": edited(
+        *SERVER, "declared_transitions", 0, value=["Leader", "Follower"]
+    ),
+    "transition-row-with-one-part": edited(
+        *SERVER, "transitions_taken", 0, value=["Leader", 3]
+    ),
+    "empty-transition-row": edited(*SERVER, "transitions_taken", 0, value=[]),
+    "transition-listed-twice": edited(
+        *SERVER, "transitions_taken",
+        value=DOCUMENT["coverage"]["machines"]["BuggyRaftServer"]["transitions_taken"][:1] * 2,
+    ),
+    "float-in-a-trace": edited("first_bug", "trace", 0, value=["sched", 1.5]),
+    "true-in-a-trace": edited("first_bug", "trace", 0, value=["sched", True]),
+    "unknown-decision-kind": edited("first_bug", "trace", 0, value=["jump", 1]),
+    "three-part-decision": edited("first_bug", "trace", 0, value=["sched", 1, 2]),
+    "non-canonical-bucket-key": edited(*BUCKETS, value={"07": 1}),
+    "negative-bucket-key": edited(*BUCKETS, value={"-1": 1}),
+    "sub-reports-two-levels-deep": chain(2),
+    "sub-reports-3000-deep": chain(3000),
+    "null-histogram": edited("telemetry", "steps", value=None),
+    "negative-elapsed": edited("elapsed", value=-0.5),
+    "string-for-a-flag": edited("timed_out", value="yes"),
+    "unknown-field": edited("widgets", value=1),
+    "machine-that-is-not-text": edited("first_bug", "machine", value={"id": 3}),
+}
+NAMED_TEXT = {
+    "100000-open-brackets": "[" * 100_000,
+    "3000-deep-sub-reports-as-text": None,  # built below: dumps recurses
+    "nan-elapsed": TEXT.replace('"elapsed":', '"elapsed":NaN,"x":', 1),
+    "infinity-elapsed": TEXT.replace('"elapsed":', '"elapsed":Infinity,"x":', 1),
+    "minus-infinity": TEXT.replace('"elapsed":', '"elapsed":-Infinity,"x":', 1),
+    "not-an-object": "[1, 2, 3]",
+    "empty": "",
+}
+_leaf = dumps(edited("sub_reports", value=[]))
+NAMED_TEXT["3000-deep-sub-reports-as-text"] = (
+    _leaf.replace('"sub_reports":[]', '"sub_reports":[') * 3000 + _leaf + "]}" * 3000
+)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_named_document_is_refused_with_the_typed_error(name):
+    with pytest.raises(DocumentError, match=r"^(TestReport|BugReport)\b") as info:
+        TestReport.decode(NAMED[name])
+    assert len(str(info.value)) < 400, "the message never echoes the document"
+    with pytest.raises(ProtocolError, match="undecodable shard report"):
+        decode_report(NAMED[name])
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_TEXT))
+def test_named_text_is_refused_with_the_typed_error(name, tmp_path):
+    text = NAMED_TEXT[name]
+    with pytest.raises(ProtocolError, match="undecodable shard report"):
+        decode_report(text)
+    for wrap, loader in (
+        ('{"version":2,"kind":"campaign-report","report":%s}', load_campaign),
+        ('{"version":2,"fingerprint":"f","specs":[{"name":"dfs"}],"completed":{"0":%s}}',
+         load_checkpoint),
+        ("%s", ScheduleTrace.load),
+    ):
+        path = tmp_path / "hostile"
+        path.write_text(wrap % text, encoding="utf-8")
+        with pytest.raises(PSharpError, match="corrupt|neither a campaign"):
+            loader(path)
+    try:
+        frame = parse_frame(('{"type":"result","shard":0,"report":%s}' % text).encode())
+    except ProtocolError:
+        return  # refused by the frame parser already
+    with pytest.raises(ProtocolError):
+        decode_report(frame.get("report"))
+
+
+def test_the_error_names_the_field_and_the_path_to_it():
+    with pytest.raises(DocumentError) as info:
+        TestReport.decode(edited(*SERVER, "halts", value=-1))
+    assert str(info.value) == (
+        "TestReport.coverage: CoverageMap.machines: MachineCoverage.halts: "
+        "expected integer >= 0, got -1"
+    )
+    with pytest.raises(DocumentError, match=r"TestReport: field 'bugs' is missing"):
+        document = copy.deepcopy(DOCUMENT)
+        del document["bugs"]
+        TestReport.decode(document)
+
+
+def test_decoding_imports_nothing():
+    before = set(sys.modules)
+    for document in NAMED.values():
+        with pytest.raises(DocumentError):
+            TestReport.decode(document)
+    decoded_or_typed(DOCUMENT)
+    for text in NAMED_TEXT.values():
+        with pytest.raises(ProtocolError):
+            decode_report(text)
+    assert set(sys.modules) == before
+
+
+# ---------------------------------------------------------------------------
+# Files of older builds: reported as such, never unpickled
+# ---------------------------------------------------------------------------
+class Bomb:
+    """Unpickling this would create ``marker``: nothing may."""
+
+    def __init__(self, marker):
+        self.marker = marker
+
+    def __reduce__(self):
+        return (open, (self.marker, "w"))
+
+
+def parent_format_files(tmp_path):
+    """What the previous build wrote: version-1 pickles."""
+    marker = str(tmp_path / "unpickled")
+    report = TestReport(strategy="random", iterations=5)
+    checkpoint = {
+        "version": 1, "fingerprint": "f", "bomb": Bomb(marker),
+        "specs": [StrategySpec("random", {"seed": 1})], "completed": {0: report},
+    }
+    saved = {
+        "version": 1, "kind": "campaign-report", "report": report,
+        "bomb": Bomb(marker),
+    }
+    files = {}
+    for name, payload in (("old.ckpt", checkpoint), ("old.report", saved)):
+        files[name] = tmp_path / name
+        files[name].write_bytes(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+    return files, tmp_path / "unpickled"
+
+
+def test_parent_format_pickles_are_named_as_such_and_never_loaded(tmp_path):
+    files, marker = parent_format_files(tmp_path)
+    for loader, name in (
+        (load_checkpoint, "old.ckpt"), (load_campaign, "old.ckpt"),
+        (load_campaign, "old.report"),
+    ):
+        with pytest.raises(PSharpError, match="corrupt .* file .*older build"):
+            loader(files[name])
+    config = TestConfig("tests.machines:Ping", max_iterations=5)
+    with pytest.raises(PSharpError, match="older build"):
+        Campaign(config).portfolio(resume=files["old.ckpt"])
+    assert not marker.exists()
+
+
+@pytest.mark.parametrize("content", ["pickle", b"not a pickle at all", b"\xff\xfe\x00"],
+                         ids=["parent-format-pickle", "not-a-pickle", "not-utf-8"])
+def test_cli_refuses_unreadable_files_with_one_line_and_exit_2(tmp_path, content):
+    files, marker = parent_format_files(tmp_path)
+    if content != "pickle":
+        for path in files.values():
+            path.write_bytes(content)
+    for args in (
+        ("test", "tests.machines:Ping", "--resume", str(files["old.ckpt"])),
+        ("report", str(files["old.report"])),
+        ("report", str(files["old.ckpt"]), "--json"),
+        ("replay", "tests.machines:Ping", "--trace", str(files["old.report"])),
+    ):
+        proc = run_cli(*args)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stdout == ""
+        assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        if content == "pickle" and args[0] != "replay":
+            assert "older build" in proc.stderr
+    assert not marker.exists()
+
+
+def test_version_1_documents_are_refused_with_the_version_message(tmp_path):
+    path = tmp_path / "v1"
+    path.write_text(dumps({**CHECKPOINT, "version": 1}), encoding="utf-8")
+    with pytest.raises(PSharpError, match="has version 1; this build reads version 2"):
+        load_checkpoint(path)
+    path.write_text(dumps({**REPORT_FILE, "version": 1}), encoding="utf-8")
+    with pytest.raises(PSharpError, match="has version 1; this build reads version 2"):
+        load_campaign(path)
+
+
+# ---------------------------------------------------------------------------
+# A coordinator fed the frame: peer dropped, shard requeued, campaign whole
+# ---------------------------------------------------------------------------
+def result_frame(work, report):
+    return _encode_frame({"type": "result", "shard": work["shard"], "report": report})
+
+
+def raw_result(work, report_text):
+    payload = ('{"type":"result","shard":%d,"report":%s}' % (work["shard"], report_text))
+    return struct.pack(">I", len(payload)) + payload.encode()
+
+
+HOSTILE_FRAMES = {
+    "3000-deep-sub-reports": lambda work: raw_result(
+        work, NAMED_TEXT["3000-deep-sub-reports-as-text"]
+    ),
+    "sub-reports-two-levels-deep": lambda work: result_frame(work, chain(2)),
+    "negative-counter": lambda work: result_frame(work, NAMED["negative-counter"]),
+    "float-in-a-trace": lambda work: result_frame(work, NAMED["float-in-a-trace"]),
+    "report-as-text-in-a-string": lambda work: result_frame(work, TEXT),
+    "nan-in-the-frame": lambda work: raw_result(work, NAMED_TEXT["nan-elapsed"]),
+    "100000-open-brackets": lambda work: raw_result(work, "[" * 100_000),
+    "frame-beyond-16-MiB": lambda work: struct.pack(">I", MAX_FRAME + 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_FRAMES))
+def test_coordinator_drops_the_peer_requeues_and_completes(tmp_path, name):
+    events_path = tmp_path / "fleet.events.jsonl"
+    config = fleet_config(max_iterations=20, events_path=str(events_path))
+    thread, box, (sock,) = start_fleet_with_clients(
+        config, [HELLO], local_workers=1
+    )
+    imposter, work = await_work(sock)
+    sock.sendall(HOSTILE_FRAMES[name](work))
+    expect_dropped(imposter)
+    fleet = finish_fleet(thread, box)
+
+    local = Campaign(fleet_config(max_iterations=20)).portfolio()
+    assert fleet.iterations == local.iterations == 20 * len(FOUR_SHARDS)
+    assert fingerprints(fleet) == fingerprints(local)
+    requeued = events_of(events_path, "fleet_shard_requeued")
+    assert [event["shard"] for event in requeued] == [work["shard"]]
+    (lost,) = events_of(events_path, "fleet_worker_lost")
+    assert "\n" not in lost["reason"] and len(lost["reason"]) < 400

@@ -2,7 +2,7 @@
 """Keep the docs honest: link-check the markdown tree and execute the
 shell examples.
 
-Three checks, all run by the CI docs lane:
+Four checks, all run by the CI docs lane:
 
 ``--links``
     Every relative markdown link in ``README.md`` and ``docs/**/*.md``
@@ -21,7 +21,17 @@ Three checks, all run by the CI docs lane:
     thread-per-execution worker mode, the process-per-spec portfolio
     supervisor): a doc or docstring must not
     teach a name that no longer imports.  ``CHANGES.md`` and
-    ``ROADMAP.md`` are history and are not scanned.
+    ``ROADMAP.md`` are history and are not scanned.  Under ``src/`` the
+    pickle and base64 codecs are removed names too — JSON is the only
+    format of frames, checkpoints and report files — matched as imports
+    and calls, not as words (``multiprocessing`` pickles a ``TestConfig``
+    across ``spawn``, and the docstrings may say so).
+
+``--schema``
+    The report-object tables in ``docs/protocol.md`` §4 must be exactly
+    what the field declarations generate (``repro.testing.record``: each
+    record class declares a field once, with its JSON type and merge
+    rule).  ``--write-schema`` rewrites them.
 
 Exit code 0 when everything passes, 1 with one line per failure
 otherwise.  No third-party dependencies.
@@ -158,6 +168,15 @@ REMOVED_NAMES = (
     (re.compile(r"--workers[ =]spawn\b"), "--workers pool"),
 )
 
+#: Removed from ``src/`` only (docs may name what was deleted).
+REMOVED_FROM_SRC = (
+    (
+        re.compile(r"^\s*(?:import|from)\s+(?:pickle|base64)\b|\bpickle\.(?:dumps?|loads?)\b"),
+        "repro.testing.record: Record.encode / decode, dumps / loads",
+    ),
+    (re.compile(r"\bb64(?:en|de)code\b"), "nest the JSON object in the frame"),
+)
+
 
 def check_removed_names() -> List[str]:
     files = [ROOT / "README.md"]
@@ -168,10 +187,13 @@ def check_removed_names() -> List[str]:
         if not path.is_file():
             continue
         rel = path.relative_to(ROOT)
+        removed = REMOVED_NAMES
+        if rel.parts[0] == "src":
+            removed += REMOVED_FROM_SRC
         for line_no, line in enumerate(
             path.read_text(encoding="utf-8").splitlines(), start=1
         ):
-            for regex, instead in REMOVED_NAMES:
+            for regex, instead in removed:
                 match = regex.search(line)
                 if match:
                     errors.append(
@@ -179,6 +201,50 @@ def check_removed_names() -> List[str]:
                         f"(use {instead})"
                     )
     return errors
+
+
+SCHEMA_DOC = ROOT / "docs" / "protocol.md"
+SCHEMA_BEGIN, SCHEMA_END = "<!-- schema:begin -->\n", "<!-- schema:end -->\n"
+
+
+def schema_markdown() -> str:
+    """The report-object tables, from the declarations themselves."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from repro.testing import (
+        CoverageMap, Histogram, MachineCoverage, TelemetryStats, TestReport,
+    )
+    from repro.testing.engine import BUG_FIELDS
+
+    out = []
+    for cls in (TestReport, CoverageMap, MachineCoverage, TelemetryStats, Histogram):
+        out += [f"#### `{cls.__name__}`", "", "| Field | JSON | Merge |", "| - | - | - |"]
+        out += [f"| `{name}` | {rule.wire} | {rule.merged} |" for name, rule in cls.FIELDS]
+        out.append("")
+    out += ["#### `BugReport` (inside `bugs` and `first_bug`)", "", "| Field | JSON |", "| - | - |"]
+    out += [f"| `{name}` | {rule.wire} |" for name, rule in BUG_FIELDS]
+    return "\n".join(out) + "\n"
+
+
+def check_schema(write: bool) -> List[str]:
+    text = SCHEMA_DOC.read_text(encoding="utf-8")
+    rel = SCHEMA_DOC.relative_to(ROOT)
+    try:
+        head, rest = text.split(SCHEMA_BEGIN)
+        current, tail = rest.split(SCHEMA_END)
+    except ValueError:
+        return [f"{rel}: schema:begin / schema:end markers not found (once each)"]
+    expected = schema_markdown()
+    if current == expected:
+        return []
+    if write:
+        SCHEMA_DOC.write_text(
+            head + SCHEMA_BEGIN + expected + SCHEMA_END + tail, encoding="utf-8"
+        )
+        return []
+    return [
+        f"{rel}: the report-object tables differ from the field declarations "
+        "(run: python tools/check_docs.py --write-schema)"
+    ]
 
 
 def shell_blocks(path: Path) -> List[Tuple[int, str]]:
@@ -234,6 +300,16 @@ def main(argv: List[str]) -> int:
         help="fail on mentions of deleted APIs in README, docs, examples, src",
     )
     parser.add_argument(
+        "--schema",
+        action="store_true",
+        help="docs/protocol.md's report-object tables match the field declarations",
+    )
+    parser.add_argument(
+        "--write-schema",
+        action="store_true",
+        help="regenerate those tables in place",
+    )
+    parser.add_argument(
         "--run-blocks",
         action="store_true",
         help="execute fenced sh blocks (default files: docs/cli.md)",
@@ -245,14 +321,17 @@ def main(argv: List[str]) -> int:
         help="markdown files for --run-blocks (default: docs/cli.md)",
     )
     args = parser.parse_args(argv)
-    if not (args.links or args.removed_names or args.run_blocks):
-        parser.error("pass --links, --removed-names and/or --run-blocks")
+    schema = args.schema or args.write_schema
+    if not (args.links or args.removed_names or schema or args.run_blocks):
+        parser.error("pass --links, --removed-names, --schema and/or --run-blocks")
 
     errors: List[str] = []
     if args.links:
         errors.extend(check_links())
     if args.removed_names:
         errors.extend(check_removed_names())
+    if schema:
+        errors.extend(check_schema(write=args.write_schema))
     if args.run_blocks:
         files = [f.resolve() for f in args.files] or [ROOT / "docs" / "cli.md"]
         errors.extend(run_blocks(files))
@@ -265,6 +344,8 @@ def main(argv: List[str]) -> int:
             checked.append(f"links in {len(doc_files())} file(s)")
         if args.removed_names:
             checked.append("no removed name mentioned")
+        if schema:
+            checked.append("report schema tables match the declarations")
         if args.run_blocks:
             checked.append("all sh blocks ran clean")
         print("docs ok: " + ", ".join(checked))
