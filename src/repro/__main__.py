@@ -18,7 +18,8 @@ Subcommands
     ``--save-trace FILE`` writes the winning schedule for later replay.
     ``--config FILE`` runs a campaign file instead
     (:meth:`TestConfig.save`'s versioned JSON) — the same artifact
-    ``serve`` ships to fleet workers.
+    ``serve`` ships to fleet workers; a flag typed next to it overrides
+    that field of the file, a flag not typed never does.
 
 ``serve --config FILE``
     Coordinate a distributed campaign fleet: shard the campaign across
@@ -38,11 +39,14 @@ Subcommands
     Attach N worker processes to a running coordinator and wait for the
     campaign to release them.
 
-``replay TARGET --trace FILE``
+``replay TARGET --trace FILE`` / ``replay --config FILE --trace FILE``
     Deterministically re-execute a schedule recorded by ``test
     --save-trace`` (or :meth:`ScheduleTrace.save`) and report what it
     reproduces — and ``diverged: yes`` when the execution left the
     recorded schedule, so whatever it reports is not the recorded bug.
+    Takes the per-execution flags ``test`` has (``--max-steps``,
+    ``--max-hot-steps``, ``--fault-*`` ...): replay under the bounds the
+    trace was recorded under.
 
 ``bench --list``
     Print the benchmark registry (suites, variants, monitors).
@@ -63,55 +67,90 @@ interrupted by Ctrl-C (partial report printed, checkpoint flushed).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from .errors import PSharpError
 from .testing.config import WORKER_MODES, Campaign, TestConfig
 from .testing.faults import FaultConfig
 from .testing.portfolio import StrategySpec, strategy_names
-from .testing.reduction import DEFAULT_STATE_CACHE_SIZE, REDUCTION_MODES
+from .testing.reduction import REDUCTION_MODES
 
 
-def _add_budget_arguments(parser: argparse.ArgumentParser) -> None:
+def _flag(parser: Any, *flags: str, sets: str, of: type = TestConfig, **kwargs: Any) -> None:
+    """A flag that sets the field ``sets`` of ``of``.  It has no default
+    of its own: it is absent from the parsed arguments unless typed, so
+    only what the user typed overrides the base config (TARGET's
+    defaults, or the ``--config`` file), and ``{default}`` in its help
+    quotes the one the field declares."""
+    default = of.__dataclass_fields__[sets].default
+    kwargs["help"] = kwargs["help"].format(default=default)
+    parser.add_argument(*flags, dest=sets, default=argparse.SUPPRESS, **kwargs)
+
+
+def _typed(args: argparse.Namespace, cls: type) -> Dict[str, Any]:
+    """The fields of ``cls`` the user typed a flag for."""
+    return {name: getattr(args, name) for name, _ in cls.FIELDS if hasattr(args, name)}
+
+
+def _add_config_source(parser: argparse.ArgumentParser, what: str) -> None:
     parser.add_argument(
-        "--max-steps", type=int, default=20_000, metavar="N",
-        help="depth bound on scheduling decisions per execution",
+        "target", nargs="?",
+        help=f"{what}: benchmark name/alias (e.g. Raft, 2PhaseCommit) or "
+        "module:Class; omit when passing --config",
     )
     parser.add_argument(
-        "--workers", choices=WORKER_MODES, default="auto",
-        help="worker back-end (default: auto = inline with pooled fallback)",
+        "--config", metavar="FILE",
+        help="take the campaign from a file (TestConfig JSON, see "
+        "docs/cli.md) instead of a TARGET; a flag typed next to it "
+        "overrides the file's field",
     )
 
 
-def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags that shape one execution — what `replay` must be given
+    again to reproduce what `test` recorded."""
+    _flag(
+        parser, "--max-steps", sets="max_steps", type=int, metavar="N",
+        help="depth bound on scheduling decisions per execution "
+        "(default: {default})",
+    )
+    _flag(
+        parser, "--workers", sets="workers", choices=WORKER_MODES,
+        help="worker back-end (default: {default} = inline with pooled fallback)",
+    )
+    _flag(
+        parser, "--max-hot-steps", sets="max_hot_steps", type=int, metavar="N",
+        help="liveness temperature threshold: fair steps a monitor may "
+        "stay hot (default: {default})",
+    )
+    _flag(
+        parser, "--livelock-as-bug", sets="livelock_as_bug", action="store_true",
+        help="report depth-bound cutoffs under fair strategies as potential livelocks",
+    )
     faults = parser.add_argument_group(
         "fault injection",
         "deterministic environment faults, recorded in the schedule trace "
-        "(replay a faulty trace with the same fault flags)",
+        "(replay a faulty trace with the same fault flags); a flag "
+        "overrides that field of the faults the campaign would run with",
     )
-    faults.add_argument(
-        "--fault-drop", type=float, default=0.0, metavar="P",
-        help="per-send probability of dropping the message",
-    )
-    faults.add_argument(
-        "--fault-duplicate", type=float, default=0.0, metavar="P",
-        help="per-send probability of delivering the message twice",
-    )
-    faults.add_argument(
-        "--fault-delay", type=float, default=0.0, metavar="P",
-        help="per-send probability of reordering the message behind the "
-        "target's newest pending event",
-    )
-    faults.add_argument(
-        "--fault-crash", type=float, default=0.0, metavar="P",
-        help="per-step probability of crash-restarting a machine "
-        "(persistent fields survive, the rest reboots)",
-    )
-    faults.add_argument(
-        "--fault-budget", type=int, default=16, metavar="N",
-        help="max injected faults per execution (default: 16)",
+    for name, help_ in (
+        ("drop", "per-send probability of dropping the message"),
+        ("duplicate", "per-send probability of delivering the message twice"),
+        ("delay", "per-send probability of reordering the message behind "
+         "the target's newest pending event"),
+        ("crash", "per-step probability of crash-restarting a machine "
+         "(persistent fields survive, the rest reboots)"),
+    ):
+        _flag(
+            faults, f"--fault-{name}", sets=name, of=FaultConfig, type=float,
+            metavar="P", help=help_,
+        )
+    _flag(
+        faults, "--fault-budget", sets="max_faults", of=FaultConfig, type=int,
+        metavar="N", help="max injected faults per execution (default: {default})",
     )
     faults.add_argument(
         "--no-faults", action="store_true",
@@ -120,22 +159,24 @@ def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _fault_config_from_args(args: argparse.Namespace) -> Optional[FaultConfig]:
-    """The --fault-* flags as a FaultConfig: None defers to the registry
-    variant's default; --no-faults is the explicit all-off config."""
+def _config_from_args(args: argparse.Namespace, **overrides: Any) -> TestConfig:
+    """The one way a command gets its config: the base from TARGET or
+    from ``--config FILE``, then exactly the flags the user typed."""
+    if (args.target is None) == (args.config is None):
+        raise PSharpError("pass exactly one of TARGET or --config FILE")
+    config = (
+        TestConfig.load(args.config) if args.target is None
+        else TestConfig(args.target)
+    )
+    overrides.update(_typed(args, TestConfig))
+    faults = _typed(args, FaultConfig)
     if args.no_faults:
-        return FaultConfig()
-    if any(
-        (args.fault_drop, args.fault_duplicate, args.fault_delay, args.fault_crash)
-    ):
-        return FaultConfig(
-            drop=args.fault_drop,
-            duplicate=args.fault_duplicate,
-            delay=args.fault_delay,
-            crash=args.fault_crash,
-            max_faults=args.fault_budget,
+        overrides["faults"] = FaultConfig()  # explicit all-off, registry default included
+    elif faults:
+        overrides["faults"] = dataclasses.replace(
+            config.resolved_faults() or FaultConfig(), **faults
         )
-    return None
+    return config.with_overrides(**overrides)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -148,51 +189,33 @@ def _build_parser() -> argparse.ArgumentParser:
     test = sub.add_parser(
         "test", help="run a bug-finding campaign against a target program"
     )
+    _add_config_source(test, "the program to test")
     test.add_argument(
-        "target",
-        nargs="?",
-        help="benchmark name/alias (e.g. Raft, 2PhaseCommit) or "
-        "module:Class; omit when passing --config",
-    )
-    test.add_argument(
-        "--config", metavar="FILE",
-        help="run a campaign file (TestConfig JSON, see docs/cli.md) "
-        "instead of a TARGET; only --seed, --portfolio, --expect-bug, "
-        "--save-trace, --checkpoint/--resume and the observability "
-        "flags may be combined with it",
-    )
-    test.add_argument(
-        "--strategy", action="append", metavar="NAME[,KW=V...]",
+        "--strategy", action="append", dest="strategies", metavar="NAME[,KW=V...]",
         help=f"scheduling strategy ({', '.join(strategy_names())}); "
-        "repeat for a portfolio of explicit strategies",
+        "repeat for a portfolio of explicit strategies (not with --config: "
+        "put the mix in the file's 'specs')",
     )
-    test.add_argument(
-        "--portfolio", type=int, metavar="N",
+    _flag(
+        test, "--portfolio", sets="portfolio_workers", type=int, metavar="N",
         help="run the default diverse portfolio mix across N worker processes",
     )
-    test.add_argument("--seed", type=int, help="campaign seed")
-    test.add_argument(
-        "--max-iterations", type=int, default=10_000, metavar="N",
-        help="schedules to explore (default: 10000, the paper's budget)",
+    _flag(test, "--seed", sets="seed", type=int, help="campaign seed")
+    _flag(
+        test, "--max-iterations", sets="max_iterations", type=int, metavar="N",
+        help="schedules to explore (default: {default}, the paper's budget)",
     )
-    test.add_argument(
-        "--time-limit", type=float, default=300.0, metavar="SECONDS",
-        help="wall-clock budget (default: 300, the paper's 5 minutes)",
+    _flag(
+        test, "--time-limit", sets="time_limit", type=float, metavar="SECONDS",
+        help="wall-clock budget (default: {default}, the paper's 5 minutes)",
     )
-    test.add_argument(
-        "--max-hot-steps", type=int, default=1000, metavar="N",
-        help="liveness temperature threshold (fair steps a monitor may stay hot)",
-    )
-    test.add_argument(
-        "--livelock-as-bug", action="store_true",
-        help="report depth-bound cutoffs under fair strategies as potential livelocks",
-    )
-    test.add_argument(
-        "--keep-going", action="store_true",
+    _flag(
+        test, "--keep-going", sets="stop_on_first_bug", action="store_false",
         help="keep exploring after the first bug (estimate bug density)",
     )
-    test.add_argument(
-        "--iteration-timeout", type=float, metavar="SECONDS",
+    _flag(
+        test, "--iteration-timeout", sets="iteration_timeout", type=float,
+        metavar="SECONDS",
         help="per-iteration watchdog: cancel an execution stuck longer "
         "than this and continue the campaign (counted as watchdog hits)",
     )
@@ -200,17 +223,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "schedule-space reduction",
         "explore fewer schedules without missing bugs (docs/reduction.md)",
     )
-    reduction.add_argument(
-        "--reduction", choices=REDUCTION_MODES, default=None,
+    _flag(
+        reduction, "--reduction", sets="reduction", choices=REDUCTION_MODES,
         help="reduction mode: dpor (dynamic partial-order reduction on "
         "DFS-family strategies), dpor+state-cache (adds fingerprint "
         "state caching for every strategy), dpor+state-cache+clauses "
-        "(learns prefix clauses from cache hits); default: none",
+        "(learns prefix clauses from cache hits); default: {default}",
     )
-    reduction.add_argument(
-        "--state-cache-size", type=int, metavar="N", default=None,
-        help="bound on the state cache (entries, LRU-evicted; default: "
-        f"{DEFAULT_STATE_CACHE_SIZE})",
+    _flag(
+        reduction, "--state-cache-size", sets="state_cache_size", type=int,
+        metavar="N",
+        help="bound on the state cache (entries, LRU-evicted; default: {default})",
     )
     test.add_argument(
         "--checkpoint", metavar="FILE",
@@ -222,14 +245,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="resume a killed portfolio campaign from its checkpoint, "
         "skipping shards whose reports were already persisted",
     )
-    _add_budget_arguments(test)
-    _add_fault_arguments(test)
+    _add_execution_arguments(test)
     observability = test.add_argument_group(
         "observability",
         "see what the campaign explored, not just what it found",
     )
-    observability.add_argument(
-        "--coverage", action="store_true",
+    _flag(
+        observability, "--coverage", sets="coverage", action="store_true",
         help="collect activity coverage (states entered, transitions "
         "taken, events sent/dequeued) and print the coverage table",
     )
@@ -239,8 +261,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "included) to FILE for 'python -m repro report' (implies "
         "--coverage)",
     )
-    observability.add_argument(
-        "--events", metavar="FILE",
+    _flag(
+        observability, "--events", sets="events_path", metavar="FILE",
         help="append a JSONL event stream (campaign/shard/iteration "
         "spans, watchdog hits, worker supervision) to FILE",
     )
@@ -256,13 +278,12 @@ def _build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser(
         "replay", help="deterministically re-execute a recorded schedule"
     )
-    rep.add_argument("target", help="the program the trace was recorded against")
+    _add_config_source(rep, "the program the trace was recorded against")
     rep.add_argument(
         "--trace", required=True, metavar="FILE",
         help="trace file written by 'test --save-trace' or ScheduleTrace.save",
     )
-    _add_budget_arguments(rep)
-    _add_fault_arguments(rep)
+    _add_execution_arguments(rep)
     rep.add_argument(
         "--expect-bug", action="store_true",
         help="exit 1 unless the replay reproduced a bug",
@@ -392,98 +413,41 @@ def _report_lines(report) -> List[str]:
 
 
 def _cmd_test(args: argparse.Namespace) -> int:
-    if (args.target is None) == (args.config is None):
-        raise PSharpError("pass exactly one of TARGET or --config FILE")
-    specs = [StrategySpec.parse(text) for text in args.strategy or []]
-    if args.portfolio is not None and specs:
+    specs = [StrategySpec.parse(text) for text in args.strategies or []]
+    if hasattr(args, "portfolio_workers") and specs:
         raise PSharpError(
             "pass either --portfolio N (the default mix) or repeated "
             "--strategy entries (an explicit mix), not both"
         )
-    if args.config is not None:
-        if specs:
-            raise PSharpError(
-                "--strategy cannot be combined with --config; put the "
-                "mix in the campaign file's 'specs' field instead"
-            )
-        config = TestConfig.load(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.portfolio is not None:
-            overrides["portfolio_workers"] = args.portfolio
-        if args.coverage or args.coverage_report is not None:
-            overrides["coverage"] = True
-        if args.events is not None:
-            overrides["events_path"] = args.events
-        if args.reduction is not None:
-            overrides["reduction"] = args.reduction
-        if args.state_cache_size is not None:
-            overrides["state_cache_size"] = args.state_cache_size
-        if overrides:
-            config = config.with_overrides(**overrides)
-        portfolio = (
-            args.portfolio is not None
-            or config.specs is not None
-            or args.checkpoint is not None
-            or args.resume is not None
+    if args.config is not None and specs:
+        raise PSharpError(
+            "--strategy cannot be combined with --config; put the "
+            "mix in the campaign file's 'specs' field instead"
         )
-        campaign = Campaign(config)
-        report = (
-            campaign.portfolio(checkpoint=args.checkpoint, resume=args.resume)
-            if portfolio
-            else campaign.run()
-        )
-        return _finish_test(args, report)
     # Checkpoint/resume are portfolio-campaign features: asking for them
     # promotes a single-strategy invocation to a 1-shard portfolio.
-    portfolio = (
-        args.portfolio is not None
-        or len(specs) > 1
-        or args.checkpoint is not None
-        or args.resume is not None
-    )
-    config = TestConfig(
-        program=args.target,
-        strategy=specs[0] if len(specs) == 1 else None,
-        specs=tuple(specs) if len(specs) > 1 else None,
-        seed=args.seed,
-        max_iterations=args.max_iterations,
-        time_limit=args.time_limit,
-        max_steps=args.max_steps,
-        stop_on_first_bug=not args.keep_going,
-        livelock_as_bug=args.livelock_as_bug,
-        workers=args.workers,
-        max_hot_steps=args.max_hot_steps,
-        # None -> the facade default; explicit values (0 included) go
-        # through TestConfig validation so --portfolio 0 is rejected.
-        portfolio_workers=args.portfolio if args.portfolio is not None else 4,
-        faults=_fault_config_from_args(args),
-        iteration_timeout=args.iteration_timeout,
-        coverage=args.coverage or args.coverage_report is not None,
-        events_path=args.events,
-        reduction=args.reduction if args.reduction is not None else "none",
-        state_cache_size=(
-            args.state_cache_size
-            if args.state_cache_size is not None
-            else DEFAULT_STATE_CACHE_SIZE
-        ),
-    )
-    if portfolio and len(specs) == 1 and args.portfolio is None:
-        # --checkpoint/--resume with one --strategy: that one spec is the
-        # whole (resumable) mix rather than the default 4-worker blend.
-        config = config.with_overrides(specs=(specs[0],), portfolio_workers=1)
+    resumable = args.checkpoint is not None or args.resume is not None
+    overrides: Dict[str, Any] = {}
+    if len(specs) > 1:
+        overrides["specs"] = tuple(specs)
+    elif specs and resumable:
+        # That one spec is the whole (resumable) mix, not the default blend.
+        overrides.update(specs=tuple(specs), portfolio_workers=1)
+    elif specs:
+        overrides["strategy"] = specs[0]
+    if args.coverage_report is not None:
+        overrides["coverage"] = True
+    config = _config_from_args(args, **overrides)
     campaign = Campaign(config)
-    report = (
-        campaign.portfolio(checkpoint=args.checkpoint, resume=args.resume)
-        if portfolio
-        else campaign.run()
-    )
+    if hasattr(args, "portfolio_workers") or config.specs is not None or resumable:
+        report = campaign.portfolio(checkpoint=args.checkpoint, resume=args.resume)
+    else:
+        report = campaign.run()
     return _finish_test(args, report)
 
 
 def _finish_test(args: argparse.Namespace, report) -> int:
-    """Shared `test` epilogue: print the report, save artifacts, map the
+    """The `test` epilogue: print the report, save artifacts, map the
     outcome to the exit-code convention."""
     for line in _report_lines(report):
         print(line)
@@ -517,13 +481,7 @@ def _finish_test(args: argparse.Namespace, report) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    config = TestConfig(
-        program=args.target,
-        max_steps=args.max_steps,
-        workers=args.workers,
-        faults=_fault_config_from_args(args),
-    )
-    result = Campaign(config).replay(args.trace)
+    result = Campaign(_config_from_args(args)).replay(args.trace)
     assert result is not None  # an explicit trace always replays
     print(f"status: {result.status}")
     if result.bug is not None:

@@ -21,9 +21,10 @@ class PSharpError(Exception):
     """Base class for all errors raised by this library."""
 
 
-class DocumentError(PSharpError):
-    """A report document (a ``result`` frame's ``report``, a checkpoint
-    entry, a report file) does not match the schema its class declares
+class DocumentError(PSharpError, ValueError):
+    """A document (a ``result`` frame's ``report``, a checkpoint entry, a
+    report file, a campaign file) — or a value handed to a configuration
+    class's constructor — does not match the schema its class declares
     (:mod:`repro.testing.record`).  The message names the offending
     ``Class.field``; readers turn it into their own boundary's error — a
     protocol error on the wire, exit 2 on a file."""

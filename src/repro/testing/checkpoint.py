@@ -23,13 +23,15 @@ The checkpoint file is one JSON document, ``{"version": 2,
 shards' ``result`` frames carried (:mod:`repro.testing.record`) — written
 atomically (temp file + ``os.replace``), so a kill mid-write leaves the
 previous checkpoint intact.  A fingerprint of the campaign identity
-(program spelling, budgets, seed) guards against resuming someone else's
+(:func:`config_fingerprint`: every declared ``TestConfig`` field but the
+few in :data:`NOT_IDENTITY`) guards against resuming someone else's
 checkpoint.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
@@ -47,32 +49,35 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 CHECKPOINT_VERSION = 2
 
 
-def config_fingerprint(config: "TestConfig") -> str:
-    """A stable digest of the campaign identity a checkpoint belongs to.
+#: The declared fields that are *not* campaign identity — changing one
+#: does not change what a completed shard's report means.  The mix
+#: (``strategy``, ``specs``, ``portfolio_workers``) is materialized once
+#: at campaign start and rides *inside* the checkpoint (the default mix
+#: draws fresh random seeds per call, so it is reused verbatim on resume,
+#: not regenerated); the rest say how long to wait, how to start workers
+#: and where to log.  Every other declared field is identity, a field
+#: added later included.  (``runtime_factory`` is not declared at all.)
+NOT_IDENTITY = frozenset({
+    "strategy", "specs", "portfolio_workers", "time_limit",
+    "iteration_timeout", "start_method", "events_path",
+})
 
-    Covers the program spelling and the budget knobs that define what a
-    "completed shard" means — not the strategy mix itself, which is
-    materialized once at campaign start and carried *inside* the
-    checkpoint (the default mix draws fresh random seeds per call, so it
-    must be reused verbatim on resume, not regenerated)."""
-    program = config.program
-    if not isinstance(program, str):
-        program = f"{program.__module__}:{program.__qualname__}"
-    key = repr(
-        (
-            program,
-            config.seed,
-            config.max_iterations,
-            config.max_steps,
-            config.stop_on_first_bug,
-            config.workers,
-            config.faults,
-            # Coverage collection changes what a shard's report carries;
-            # resuming a plain campaign from a coverage checkpoint (or
-            # vice versa) would merge maps with holes.
-            config.coverage,
-        )
-    )
+
+def config_fingerprint(config: "TestConfig") -> str:
+    """A stable digest of the campaign identity a checkpoint belongs to:
+    the canonical encoding of every declared field outside
+    :data:`NOT_IDENTITY`.  A value campaign JSON refuses (a function-local
+    program class, a non-JSON payload) is identified by its ``repr``, so a
+    config that cannot serialize can still checkpoint."""
+    identity = {}
+    for name, rule in config.FIELDS:
+        if name not in NOT_IDENTITY:
+            value = getattr(config, name)
+            try:
+                identity[name] = rule.encode(value)
+            except PSharpError:
+                identity[name] = repr(value)
+    key = json.dumps(identity, sort_keys=True)
     return hashlib.sha256(key.encode("utf-8")).hexdigest()
 
 
@@ -108,9 +113,7 @@ def checkpoint_state(document: Dict[str, Any], path: str) -> Dict[str, Any]:
             f"corrupt checkpoint file {path!r}: not a campaign checkpoint"
         )
     try:
-        specs = array_of(lambda spec: StrategySpec.from_obj(spec, "a spec"))(
-            document["specs"]
-        )
+        specs = array_of(StrategySpec.decode)(document["specs"])
         completed = {
             shard: TestReport.decode(report)
             for shard, report in int_keyed(document["completed"]).items()
@@ -144,7 +147,9 @@ def verify_checkpoint(
     if state["fingerprint"] != expected:
         where = f" {path!r}" if path else ""
         raise PSharpError(
-            f"checkpoint{where} was recorded for a different campaign "
-            "(program, seed or budgets differ); re-run without --resume "
-            "or point it at the matching checkpoint file"
+            f"checkpoint{where} was recorded for a different campaign (a "
+            "field of its identity differs — program, seed, budgets, "
+            "reduction, monitors, faults... — or it was written by a build "
+            "that fingerprinted fewer fields); re-run without --resume or "
+            "point it at the matching checkpoint file"
         )

@@ -40,8 +40,9 @@ are integers on the hot path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Tuple
+
+from .record import CLASSES, COUNT, FLAG, PROBABILITY, Declared, field, keep, record
 
 #: Probability quantization: fault weights are integers in [0, FAULT_SCALE]
 #: (permille).  Strategies compare a draw against the weight.
@@ -69,12 +70,14 @@ def _weight(probability: float) -> int:
     return int(round(probability * FAULT_SCALE))
 
 
-@dataclass(frozen=True)
-class FaultConfig:
+@record(frozen=True)
+class FaultConfig(Declared):
     """Which faults the tester may inject, and how aggressively.
 
     Frozen and picklable so it travels inside a ``TestConfig`` to
-    portfolio worker processes unchanged.
+    portfolio worker processes unchanged.  Each field is declared once,
+    with its rule (:mod:`repro.testing.record`): a value out of range is
+    refused at construction with a ``ValueError`` naming the field.
 
     Parameters
     ----------
@@ -96,40 +99,17 @@ class FaultConfig:
         bounded, mirroring how P# tests bound failure counts.
     crash_classes:
         Restrict crash faults to machines of these classes (subclasses
-        included).  Empty means any machine may crash.
+        included; a list is normalized to a tuple).  Empty means any
+        machine may crash.
     """
 
-    drop: float = 0.0
-    duplicate: float = 0.0
-    delay: float = 0.0
-    crash: float = 0.0
-    persistent_state: bool = True
-    max_faults: int = 16
-    crash_classes: Tuple[type, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        for name in ("drop", "duplicate", "delay", "crash"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
-                raise ValueError(
-                    f"FaultConfig.{name} must be a probability in [0, 1], "
-                    f"got {value!r}"
-                )
-        if not isinstance(self.max_faults, int) or self.max_faults < 0:
-            raise ValueError(
-                f"FaultConfig.max_faults must be a non-negative int, "
-                f"got {self.max_faults!r}"
-            )
-        if not isinstance(self.crash_classes, tuple):
-            # Accept any iterable of classes but normalize to a tuple so
-            # the config stays hashable/picklable.
-            object.__setattr__(self, "crash_classes", tuple(self.crash_classes))
-        for cls in self.crash_classes:
-            if not isinstance(cls, type):
-                raise ValueError(
-                    f"FaultConfig.crash_classes must contain classes, "
-                    f"got {cls!r}"
-                )
+    drop: float = field(keep(PROBABILITY), 0.0)
+    duplicate: float = field(keep(PROBABILITY), 0.0)
+    delay: float = field(keep(PROBABILITY), 0.0)
+    crash: float = field(keep(PROBABILITY), 0.0)
+    persistent_state: bool = field(keep(FLAG), True)
+    max_faults: int = field(keep(COUNT), 16)
+    crash_classes: Tuple[type, ...] = field(CLASSES)
 
     # -- derived views ---------------------------------------------------
     @property

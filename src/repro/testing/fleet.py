@@ -70,7 +70,10 @@ from .checkpoint import (
 )
 from .engine import TestReport, resolved_program, run_campaign
 from .portfolio import StrategySpec, make_strategy, merge_shard_reports
-from .record import dumps, loads
+from .record import (
+    COUNT, FLAG, SECONDS, TEXT, Fields, Kind, Rule, decode_fields, dumps, keep,
+    loads, nullable, optional,
+)
 from .telemetry import EventLog
 
 # ---------------------------------------------------------------------------
@@ -306,6 +309,48 @@ def decode_report(document: Any) -> TestReport:
         raise ProtocolError(f"undecodable shard report: {exc}") from exc
 
 
+# ---------------------------------------------------------------------------
+# What a worker reads (§3–§5): each frame's fields, declared once
+# ---------------------------------------------------------------------------
+def _campaign(document: Any) -> "TestConfig":
+    from .config import TestConfig  # deferred: config is the layer above
+
+    return TestConfig.from_json_obj(document)
+
+
+_SPEAKS = Kind(
+    lambda v: type(v) is int and v == PROTOCOL_VERSION,
+    f"{PROTOCOL_VERSION} (the protocol version this worker speaks)", int,
+)
+COORDINATOR_FRAMES: Dict[str, Fields] = {
+    "welcome": (
+        ("protocol", keep(_SPEAKS)),
+        ("config", Rule(decode=nullable(_campaign), wire="campaign JSON object or null")),
+        ("events", keep(FLAG)),
+    ),
+    "error": (("message", keep(TEXT)),),
+    "work": (
+        ("shard", keep(COUNT)),
+        ("spec", Rule(decode=StrategySpec.decode, wire="strategy spec")),
+        ("time_limit", keep(optional(SECONDS))),
+    ),
+}
+
+
+def read_frame(message: Dict[str, Any], expected: str) -> Dict[str, Any]:
+    """The fields of the ``expected`` frame a coordinator sent, each
+    accepted by its rule — or a :class:`ProtocolError` naming the field:
+    what a worker reads is data from another process too."""
+    mtype = message["type"]  # a string: the frame parser saw to that
+    if mtype != expected:
+        raise ProtocolError(f"expected a {expected} frame, got {mtype!r}")
+    fields = {name: value for name, value in message.items() if name != "type"}
+    try:
+        return decode_fields(mtype, COORDINATOR_FRAMES[mtype], fields)
+    except DocumentError as exc:
+        raise ProtocolError(f"malformed frame from the coordinator: {exc}") from None
+
+
 def worker_environment() -> Dict[str, str]:
     """Environment for a ``python -m repro worker`` subprocess: the caller's
     environment with the running ``repro`` package's root prepended to
@@ -392,8 +437,6 @@ def worker_loop(
     (§3) — each ``work`` frame names a shard index and a strategy spec,
     and the shard's strategy is built fresh from the spec so nothing
     bleeds between shards (§5)."""
-    from .config import TestConfig  # deferred: config is the layer above
-
     conn.send(
         {
             "type": "hello",
@@ -407,44 +450,30 @@ def worker_loop(
         raise ProtocolError("coordinator did not answer the hello in time")
     if welcome["type"] == "error":
         raise ProtocolError(
-            f"coordinator rejected this worker: {welcome.get('message')}"
+            "coordinator rejected this worker: "
+            + read_frame(welcome, "error")["message"]
         )
-    if welcome["type"] != "welcome":
-        raise ProtocolError(
-            f"expected a welcome frame, got {welcome['type']!r}"
-        )
-    if welcome.get("protocol") != PROTOCOL_VERSION:
-        raise ProtocolError(
-            f"coordinator speaks protocol {welcome.get('protocol')!r}, "
-            f"this worker speaks {PROTOCOL_VERSION}"
-        )
-    if welcome.get("config") is not None:
-        config = TestConfig.from_json_obj(welcome["config"])
+    welcome = read_frame(welcome, "welcome")
+    if welcome["config"] is not None:
+        config = welcome["config"]
     elif config is None:
         raise ProtocolError(
             "the welcome frame carries no config and this worker was "
             "started without one"
         )
-    forward_events = bool(welcome.get("events"))
+    forward_events = welcome["events"]
     program = resolved_program(config)
 
     completed = 0
     shutdown = False
     while not shutdown:
         message = conn.recv(timeout=None)
-        mtype = message["type"]
-        if mtype == "shutdown":
+        if message["type"] == "shutdown":
             break
-        if mtype == "cancel":
+        if message["type"] == "cancel":
             continue  # no shard in flight; nothing to cancel
-        if mtype != "work":
-            raise ProtocolError(
-                f"unexpected {mtype!r} frame while idle (expected work, "
-                "cancel or shutdown)"
-            )
-        shard = int(message["shard"])
-        spec = StrategySpec.from_obj(message.get("spec"), "work frame 'spec'")
-        budget = message.get("time_limit")
+        work = read_frame(message, "work")
+        shard, spec, budget = work["shard"], work["spec"], work["time_limit"]
 
         # The shard's stop-check doubles as the wire pump: it stamps a
         # heartbeat roughly every HEARTBEAT_INTERVAL and polls for

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import ast
 import random
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import PSharpError
 from .engine import TestReport
-from .record import describe
+from .record import TEXT, Declared, Rule, field, keep, name_keyed, plain, record
 from .strategies import (
     DelayBoundingStrategy,
     DfsStrategy,
@@ -51,8 +50,8 @@ from .strategies import (
 # ---------------------------------------------------------------------------
 # Strategy specs + factory registry
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class StrategySpec:
+@record(frozen=True)
+class StrategySpec(Declared):
     """A plain-data recipe for constructing a scheduling strategy.
 
     Workers build strategies from specs instead of receiving live strategy
@@ -61,8 +60,11 @@ class StrategySpec:
     serializable anyway.
     """
 
-    name: str
-    params: Dict[str, Any] = field(default_factory=dict)
+    name: str = field(keep(TEXT), required=True)
+    params: Dict[str, Any] = field(Rule(
+        decode=lambda data: {} if data is None else name_keyed(data),
+        encode=plain("strategy params"), fresh=dict, wire="object or null",
+    ))
 
     def __hash__(self) -> int:
         # The auto-generated frozen-dataclass hash would raise on the dict
@@ -104,32 +106,20 @@ class StrategySpec:
                     params[key] = value.strip()
         return cls(name, params)
 
-    def to_obj(self) -> Dict[str, Any]:
-        """The one wire form of a spec — campaign JSON, ``work`` frames
-        and checkpoints all carry ``{"name", "params"}``."""
-        return {"name": self.name, "params": dict(self.params)}
+    #: The one wire form of a spec — campaign JSON, ``work`` frames and
+    #: checkpoints all carry ``{"name", "params"}``.
+    to_obj = Declared.encode
 
     @classmethod
-    def from_obj(cls, value: Any, where: str) -> "StrategySpec":
-        """The spec a wire form describes: the ``{"name", "params"}``
-        object, or the CLI spelling (``"pct,depth=10"``).  ``where`` names
-        the place in the error (``"campaign JSON 'strategy'"``)."""
+    def decode(cls, value: Any) -> "StrategySpec":
+        """The spec any of its spellings describes: the ``{"name",
+        "params"}`` object (``params`` may be null or absent), the CLI
+        string (``"pct,depth=10"``), a ``(name, params)`` pair, a spec."""
         if isinstance(value, str):
             return cls.parse(value)
-        fields = value if isinstance(value, dict) else {}
-        unknown = sorted(map(repr, fields.keys() - {"name", "params"}))
-        if unknown:
-            raise PSharpError(
-                f"unknown field(s) in {where}: {', '.join(unknown)}; a "
-                "strategy object carries only 'name' and 'params'"
-            )
-        params = fields.get("params") or {}
-        if not (isinstance(fields.get("name"), str) and isinstance(params, dict)):
-            raise PSharpError(
-                f"{where} must be a 'name,key=value' string or an object with "
-                f"a string 'name' and an object 'params', got {describe(value)}"
-            )
-        return cls(fields["name"], dict(params))
+        if type(value) is tuple and len(value) == 2:
+            return cls(*value)
+        return super().decode(value)
 
 
 StrategyFactory = Callable[..., SchedulingStrategy]

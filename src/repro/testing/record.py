@@ -18,7 +18,16 @@ update ``mine`` in place, never keeps a reference into ``theirs``),
 from another process, possibly a hostile one — and raises
 ``ValueError``/``TypeError``; :meth:`Record.decode` turns those into the
 one typed :class:`~repro.errors.DocumentError` naming ``Class.field``.
-Decoding never recurses deeper than the schema nests and never imports.
+Decoding a report never recurses deeper than the schema nests and never
+imports.
+
+Campaign configuration rides the same tables
+(:class:`~repro.testing.config.TestConfig`,
+:class:`~repro.testing.faults.FaultConfig`,
+:class:`~repro.testing.portfolio.StrategySpec`): a :class:`Declared`
+class is frozen, and its constructor *is* its decoder — see there.  Its
+one rule that does import, by design, is :data:`CLASSES`: a campaign file
+names its monitors by import path.
 
 The module also holds the one strict JSON parser (:func:`loads`), the one
 atomic file writer (:func:`write_atomic`) and the one document reader
@@ -28,10 +37,11 @@ atomic file writer (:func:`write_atomic`) and the one document reader
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 import operator
 import os
-from typing import Any, Callable, ClassVar, Dict, NamedTuple, Tuple
+from typing import Any, Callable, ClassVar, Container, Dict, NamedTuple, Tuple
 
 from ..errors import DocumentError, PSharpError
 
@@ -84,13 +94,29 @@ class Kind(NamedTuple):
 
 
 COUNT = Kind(lambda v: type(v) is int and v >= 0, "integer >= 0", int)
+POSITIVE = Kind(lambda v: type(v) is int and v >= 1, "integer >= 1", lambda: 1)
+INTEGER = Kind(lambda v: type(v) is int, "integer", int)
 INDEX = Kind(lambda v: type(v) is int and v >= -1, "integer >= -1", lambda: -1)
 SECONDS = Kind(
     lambda v: type(v) in (int, float) and 0 <= v < float("inf"),
     "finite number >= 0", float,
 )
+DURATION = Kind(
+    lambda v: type(v) in (int, float) and 0 < v < float("inf"),
+    "finite number > 0", lambda: 1.0,
+)
+PROBABILITY = Kind(
+    lambda v: type(v) in (int, float) and 0 <= v <= 1, "number in [0, 1]", float
+)
 FLAG = Kind(lambda v: type(v) is bool, "boolean", bool)
 TEXT = Kind(lambda v: type(v) is str, "string", str)
+
+
+def one_of(*choices: str) -> Kind:
+    return Kind(
+        lambda v: type(v) is str and v in choices,
+        "one of " + ", ".join(choices), lambda: choices[0],
+    )
 
 
 def optional(kind: Kind) -> Kind:
@@ -181,7 +207,7 @@ def _counts(wire: str, keyed: Callable[[Any], dict], encode=dict) -> Rule:
     )
 
 
-def _name_keyed(data: Any) -> Dict[str, Any]:
+def name_keyed(data: Any) -> Dict[str, Any]:
     if type(data) is not dict or not set(map(type, data)) <= {str}:
         raise ValueError(f"expected an object, got {describe(data)}")
     return dict(data)
@@ -207,7 +233,7 @@ def _triple_keyed(data: Any) -> Dict[Tuple[str, str, str], Any]:
 
 
 #: ``{name: n}`` — states visited, events sent, faults by kind.
-COUNTS = _counts("object, name: count", _name_keyed)
+COUNTS = _counts("object, name: count", name_keyed)
 #: ``{int: n}`` as ``{"<decimal>": n}`` — histogram buckets, per-second rates.
 INT_COUNTS = _counts(
     "object, decimal integer: count", int_keyed,
@@ -239,6 +265,71 @@ def _universe(wire: str, decode: Callable[[Any], Any], encode=list) -> Rule:
 #: A declared universe of names / of ``(state, event, target)`` triples.
 NAMES = _universe("array of strings", keep(TEXT).decode)
 TRIPLES = _universe("array of [state, event, target]", _triple, each(list))
+
+
+def plain(what: str) -> Callable[[Any], Any]:
+    """An ``encode`` for data carried as it is (a payload, strategy
+    parameters): the value when it is JSON, a loud error naming ``what``
+    when it is not — campaign files carry plain data only."""
+
+    def encode(value: Any) -> Any:
+        try:
+            json.dumps(value, sort_keys=True)
+        except (TypeError, ValueError, RecursionError) as exc:
+            raise PSharpError(
+                f"{what} is not JSON-serializable ({exc}); campaign JSON "
+                "carries plain data only"
+            ) from None
+        return value
+
+    return encode
+
+
+def class_path(cls: type) -> str:
+    """``cls`` as the importable ``"module:qualname"`` path a campaign
+    file stores a class by — refused loudly when the name would not
+    resolve from another process (``__main__`` classes, closures)."""
+    path = f"{cls.__module__}:{cls.__qualname__}"
+    if cls.__module__ == "__main__" or "<locals>" in cls.__qualname__:
+        raise PSharpError(
+            f"class {path!r} cannot be serialized to campaign JSON: the "
+            "name is not importable from another process (define it in a "
+            "module, not __main__ or a function body)"
+        )
+    return path
+
+
+def import_class(path: Any) -> type:
+    """The class a ``"module:Class"`` path names (a class passes)."""
+    if isinstance(path, type):
+        return path
+    parts = path.split(":") if type(path) is str else ()
+    if len(parts) != 2 or not all(parts):
+        raise ValueError(f"expected an importable 'module:Class' path, got {describe(path)}")
+    module_name, qualname = parts
+    try:
+        obj: Any = importlib.import_module(module_name)
+        for part in qualname.split("."):
+            obj = getattr(obj, part)
+    except (ImportError, AttributeError) as exc:
+        raise ValueError(f"cannot import {path!r}: {exc}") from None
+    if not isinstance(obj, type):
+        raise ValueError(f"{path!r} resolved to {describe(obj)}, not a class")
+    return obj
+
+
+def _class_tuple(data: Any) -> Tuple[type, ...]:
+    if type(data) not in (list, tuple):
+        raise ValueError(f"expected an array, got {describe(data)}")
+    return tuple(map(import_class, data))
+
+
+#: Classes (monitors, crash targets): ``"module:Class"`` paths in a
+#: document, imported on decode — what a campaign file names, it loads.
+CLASSES = Rule(
+    decode=_class_tuple, encode=each(class_path), fresh=tuple,
+    wire="array of `module:Class` strings",
+)
 
 
 def nested(cls: type, *, or_null: bool = False) -> Rule:
@@ -273,7 +364,7 @@ def records(cls: type) -> Rule:
 
     return Rule(
         merge=merge, fresh=dict, copy=values(cls.copy), encode=values(cls.encode),
-        decode=lambda data: values(cls.decode)(_name_keyed(data)),
+        decode=lambda data: values(cls.decode)(name_keyed(data)),
         wire=f"object, name: {cls.__name__} object", merged="merge per name",
     )
 
@@ -289,42 +380,57 @@ def encode_fields(source: Any, fields: Fields) -> Dict[str, Any]:
     return {name: rule.encode(getattr(source, name)) for name, rule in fields}
 
 
-def decode_fields(owner: str, fields: Fields, document: Any) -> Dict[str, Any]:
+def decode_fields(
+    owner: str, fields: Fields, document: Any, optional: Container[str] = (),
+) -> Dict[str, Any]:
     """The values a document holds for ``owner``'s table — it must be an
-    object with exactly the declared fields, each accepted by its rule —
-    or :class:`DocumentError`."""
+    object with exactly the declared fields (those named ``optional`` may
+    be absent), each accepted by its rule — or :class:`DocumentError`."""
     if type(document) is not dict:
         raise DocumentError(f"{owner}: expected an object, got {describe(document)}")
     values = {}
     try:
         for name, rule in fields:
-            values[name] = rule.decode(document[name])
+            if name in document or name not in optional:
+                values[name] = rule.decode(document[name])
     except KeyError:
         raise DocumentError(f"{owner}: field {name!r} is missing") from None
-    except (DocumentError, TypeError, ValueError, OverflowError) as exc:
+    except (PSharpError, TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(f"{owner}.{name}: {exc}") from None
-    if len(document) != len(fields):
+    if len(document) != len(values):
         unknown = sorted(map(describe, document.keys() - values.keys()))
         raise DocumentError(f"{owner}: unknown field(s) {', '.join(unknown[:8])}")
     return values
 
 
-def field(rule: Rule, *, required: bool = False) -> Any:
-    """The right-hand side of one field line: its rule, which also gives
-    its default (``required`` fields have none)."""
-    default = {} if required else {"default_factory": rule.fresh}
-    return dataclasses.field(metadata={"rule": rule}, **default)
+def field(
+    rule: Rule, default: Any = dataclasses.MISSING, *, required: bool = False
+) -> Any:
+    """The right-hand side of one field line: its rule and its default —
+    ``default``, or what the rule starts from (``required`` fields have
+    none)."""
+    if required:
+        return dataclasses.field(metadata={"rule": rule})
+    if default is dataclasses.MISSING:
+        return dataclasses.field(metadata={"rule": rule}, default_factory=rule.fresh)
+    return dataclasses.field(metadata={"rule": rule}, default=default)
 
 
-def record(cls: type) -> type:
-    """Class decorator: make ``cls`` a (slotted) dataclass and derive its
-    field table from that one declaration, so the two cannot disagree.
+def record(cls: Any = None, **options: Any) -> Any:
+    """Class decorator: make ``cls`` a dataclass (slotted and compared by
+    :class:`Record` unless ``options`` say otherwise) and derive its field
+    table from that one declaration, so the two cannot disagree.
     Fields declared without :func:`field` are transient: not merged,
     copied, compared or shipped."""
-    cls = dataclasses.dataclass(eq=False, slots=True)(cls)
-    cls.FIELDS = tuple(
-        (f.name, f.metadata["rule"])
-        for f in dataclasses.fields(cls) if "rule" in f.metadata
+    if cls is None:
+        return lambda cls: record(cls, **options)
+    cls = dataclasses.dataclass(**(options or {"eq": False, "slots": True}))(cls)
+    declared = [f for f in dataclasses.fields(cls) if "rule" in f.metadata]
+    cls.FIELDS = tuple((f.name, f.metadata["rule"]) for f in declared)
+    cls.OPTIONAL = frozenset(
+        f.name for f in declared
+        if f.default is not dataclasses.MISSING
+        or f.default_factory is not dataclasses.MISSING
     )
     return cls
 
@@ -365,6 +471,40 @@ class Record:
     def decode(cls, document: Any) -> Any:
         """The record a document describes, or :class:`DocumentError`."""
         return cls(**decode_fields(cls.__name__, cls.FIELDS, document))
+
+
+class Declared:
+    """Base of a frozen configuration class (``@record(frozen=True)``)
+    whose constructor is its decoder: every field goes through its rule's
+    ``decode``, which reads each spelling the field has — the Python
+    value, the CLI string, the JSON form — into the one canonical value.
+    So a value is refused at construction with the very
+    :class:`DocumentError` (a ``ValueError`` too) its document is refused
+    with, and a document may leave out the fields that have defaults."""
+
+    __slots__ = ()
+    FIELDS: ClassVar[Fields] = ()
+    OPTIONAL: ClassVar[Container[str]] = ()
+
+    def __post_init__(self) -> None:
+        values = self.__dict__  # frozen: written past __setattr__
+        try:
+            for name, rule in self.FIELDS:
+                values[name] = rule.decode(values[name])
+        except (PSharpError, TypeError, ValueError, OverflowError) as exc:
+            raise DocumentError(f"{type(self).__name__}.{name}: {exc}") from None
+
+    def encode(self) -> Dict[str, Any]:
+        """The declared fields as plain JSON data."""
+        return encode_fields(self, self.FIELDS)
+
+    @classmethod
+    def decode(cls, document: Any) -> Any:
+        """The value a document describes (an instance passes), or
+        :class:`DocumentError`."""
+        if isinstance(document, cls):
+            return document
+        return cls(**decode_fields(cls.__name__, cls.FIELDS, document, cls.OPTIONAL))
 
 
 # ---------------------------------------------------------------------------

@@ -286,6 +286,32 @@ class TestCheckpointResume:
         with pytest.raises(PSharpError, match="different campaign"):
             Campaign(other).portfolio(resume=path)
 
+    def test_resume_rejects_what_the_hand_picked_fingerprint_was_blind_to(
+        self, tmp_path
+    ):
+        # Identity is every declared field but the few named in
+        # checkpoint.NOT_IDENTITY; at the parent each of these resumed as
+        # "complete" under settings no shard had run with.
+        from repro.bench.raft import ElectionSafetyMonitor
+
+        path = tmp_path / "campaign.ckpt"
+        Campaign(self._config()).portfolio(checkpoint=path)
+        for override in (
+            {"reduction": "dpor+state-cache"}, {"payload": {"rounds": 2}},
+            {"monitors": (ElectionSafetyMonitor,)}, {"max_hot_steps": 5},
+            {"livelock_as_bug": True}, {"state_cache_size": 64},
+            {"record_traces": False},
+        ):
+            other = self._config().with_overrides(**override)
+            with pytest.raises(PSharpError, match="different campaign.*fewer fields"):
+                Campaign(other).portfolio(resume=path)
+        # What is not identity still resumes: the mix rides in the file.
+        waiting = self._config().with_overrides(
+            time_limit=5.0, iteration_timeout=9.0, specs=("dfs",), portfolio_workers=1
+        )
+        resumed = Campaign(waiting).portfolio(resume=path)
+        assert len(resumed.sub_reports) == len(TWO_SHARDS)
+
 
 class TornWrite:
     """A file whose ``write`` lands half the text and then fails the way

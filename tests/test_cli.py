@@ -5,10 +5,13 @@ target resolution, campaign execution, trace files, exit codes) — the
 same invocations the CI smoke lane makes.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -94,6 +97,15 @@ class TestTestCommand:
             "replay", "TokenRing", "--trace", str(short), "--expect-bug"
         )
         assert gated.returncode == 1
+        # ...and given the bound it asks for, replay is faithful again.
+        bounded = run_cli(
+            "replay", "TokenRing", "--trace", str(short),
+            "--max-hot-steps", "100", "--expect-bug",
+        )
+        assert bounded.returncode == 0, bounded.stderr + bounded.stdout
+        assert "reproduced:" in bounded.stdout
+        assert "threshold 100" in bounded.stdout
+        assert "diverged" not in bounded.stdout
 
     def test_spawn_is_no_longer_a_workers_choice(self):
         proc = run_cli("test", "BoundedAsync", "--workers", "spawn")
@@ -266,7 +278,7 @@ class TestConfigFile:
         )
         proc = run_cli("test", "--config", str(path))
         assert proc.returncode == 2
-        assert "workers must be one of auto, inline, pool" in proc.stderr
+        assert "TestConfig.workers: expected one of auto, inline, pool" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
 
@@ -286,3 +298,107 @@ class TestConfigFile:
         proc = run_cli("test", "--config", str(path), "--strategy", "dfs")
         assert proc.returncode == 2
         assert "--strategy" in proc.stderr
+
+    def test_typed_flags_override_the_file(self, tmp_path):
+        # The file alone: BoundedAsync's bug at schedule 13, one backend line.
+        path = self._write(
+            tmp_path,
+            {"version": 1, "program": "BoundedAsync", "seed": 7, "max_iterations": 200},
+        )
+        alone = run_cli("test", "--config", str(path))
+        assert alone.returncode == 0, alone.stderr + alone.stdout
+        assert "random: 13 schedules" in alone.stdout and "bug:" in alone.stdout
+        # Three flags the parent ignored without a word: 3 schedules, not
+        # 200 (nor 13); 5 scheduling points each; no stop at a first bug.
+        proc = run_cli(
+            "test", "--config", str(path),
+            "--max-iterations", "3", "--max-steps", "5", "--keep-going",
+        )
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+        assert "random: 3 schedules" in proc.stdout
+        assert "#SP=5," in proc.stdout
+
+    def test_every_config_flag_overrides_and_an_untyped_one_never_does(self, tmp_path):
+        from repro import FaultConfig, TestConfig
+        from repro.__main__ import _build_parser, _config_from_args
+
+        base = TestConfig(
+            "RaftLossy", seed=7, max_iterations=200, time_limit=9.0, max_steps=300,
+            stop_on_first_bug=True, workers="pool", max_hot_steps=50,
+            iteration_timeout=4.0, faults=FaultConfig(drop=0.5, max_faults=3),
+            reduction="dpor", state_cache_size=99, events_path="/tmp/file.jsonl",
+        )
+        path = tmp_path / "campaign.json"
+        base.save(path)
+        parse = _build_parser().parse_args
+        assert _config_from_args(parse(["test", "--config", str(path)])) == base
+        typed = _config_from_args(parse([
+            "test", "--config", str(path), "--seed", "8", "--max-iterations", "3",
+            "--time-limit", "2", "--max-steps", "5", "--keep-going",
+            "--workers", "inline", "--max-hot-steps", "6", "--livelock-as-bug",
+            "--iteration-timeout", "1.5", "--fault-crash", "0.25",
+            "--fault-budget", "4", "--reduction", "dpor+state-cache",
+            "--state-cache-size", "7", "--coverage", "--events", "/tmp/typed.jsonl",
+            "--portfolio", "2",
+        ]))
+        assert typed == base.with_overrides(
+            seed=8, max_iterations=3, time_limit=2.0, max_steps=5,
+            stop_on_first_bug=False, workers="inline", max_hot_steps=6,
+            livelock_as_bug=True, iteration_timeout=1.5,
+            # A fault flag overrides that field of the file's faults.
+            faults=FaultConfig(drop=0.5, crash=0.25, max_faults=4),
+            reduction="dpor+state-cache", state_cache_size=7, coverage=True,
+            events_path="/tmp/typed.jsonl", portfolio_workers=2,
+        )
+        cleared = _config_from_args(parse(["test", "--config", str(path), "--no-faults"]))
+        assert cleared == base.with_overrides(faults=FaultConfig())
+        # By TARGET the base is the declared defaults — the parser has none.
+        assert _config_from_args(parse(["test", "Raft"])) == TestConfig("Raft")
+        assert vars(parse(["test", "Raft"])).keys().isdisjoint(
+            name for name, _ in TestConfig.FIELDS + FaultConfig.FIELDS
+        )
+        # ...and a fault flag overrides the registry variant's own faults.
+        lossy = _config_from_args(parse(["test", "RaftLossy", "--fault-budget", "2"]))
+        assert lossy.faults == dataclasses.replace(
+            TestConfig("RaftLossy").resolved_faults(), max_faults=2
+        )
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_iterations", 5.5), ("seed", "abc"), ("start_method", "bogus"),
+        ("coverage", "no"), ("stop_on_first_bug", "false"),
+    ])
+    def test_a_mistyped_campaign_field_exits_2_in_one_line(self, tmp_path, field, value):
+        path = self._write(
+            tmp_path, {"version": 1, "program": "BoundedAsync", field: value}
+        )
+        for command in (("test",), ("replay", "--trace", str(path)), ("serve", "--workers", "1")):
+            proc = run_cli(command[0], "--config", str(path), *command[1:])
+            assert proc.returncode == 2, proc.stdout + proc.stderr
+            assert proc.stdout == ""
+            assert proc.stderr.startswith(f"error: {path}: TestConfig.{field}: expected ")
+            assert "Traceback" not in proc.stderr
+            assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_a_config_file_bug_replays_from_the_same_file(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            {
+                "version": 1, "program": "TokenRing", "strategy": "fair-random",
+                "seed": 1, "max_hot_steps": 100,
+            },
+        )
+        trace = tmp_path / "ring.trace.json"
+        proc = run_cli(
+            "test", "--config", str(path), "--save-trace", str(trace), "--expect-bug"
+        )
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+        replayed = run_cli(
+            "replay", "--config", str(path), "--trace", str(trace), "--expect-bug"
+        )
+        assert replayed.returncode == 0, replayed.stderr + replayed.stdout
+        assert "reproduced:" in replayed.stdout and "diverged" not in replayed.stdout
+        # TARGET alone does not carry the file's bound: flagged, gated.
+        bare = run_cli("replay", "TokenRing", "--trace", str(trace), "--expect-bug")
+        assert bare.returncode == 1 and "diverged: yes" in bare.stdout
+        both = run_cli("replay", "TokenRing", "--config", str(path), "--trace", str(trace))
+        assert both.returncode == 2 and "exactly one" in both.stderr

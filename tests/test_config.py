@@ -645,7 +645,7 @@ class TestRemovedSurface:
         from repro.testing.config import WORKER_MODES
 
         assert WORKER_MODES == ("auto", "inline", "pool")
-        with pytest.raises(PSharpError, match="workers must be one of"):
+        with pytest.raises(PSharpError, match="TestConfig.workers: expected one of auto, inline, pool"):
             TestConfig(RacyCounter, workers="spawn")
         with pytest.raises(ValueError, match="workers must be"):
             BugFindingRuntime(RandomStrategy(seed=0), workers="spawn")
@@ -740,7 +740,7 @@ class TestConfigJson:
             TestConfig.from_json_obj({"version": 99, "program": "Raft"})
 
     def test_unknown_fault_field_is_loud(self):
-        with pytest.raises(PSharpError, match="'faults'.*'dorp'"):
+        with pytest.raises(PSharpError, match="TestConfig.faults: FaultConfig: unknown.*'dorp'"):
             TestConfig.from_json_obj(
                 {"version": 1, "program": "Raft", "faults": {"dorp": 0.1}}
             )
@@ -765,7 +765,7 @@ class TestConfigJson:
             config.to_json()
 
     def test_unimportable_monitor_is_loud(self):
-        with pytest.raises(PSharpError, match="cannot import monitor"):
+        with pytest.raises(PSharpError, match="TestConfig.monitors: cannot import"):
             TestConfig.from_json_obj(
                 {"version": 1, "program": "Raft", "monitors": ["nope.not:There"]}
             )

@@ -1,4 +1,4 @@
-"""Hostile input at every boundary a report document crosses.
+"""Hostile input at every boundary a report or campaign document crosses.
 
 A document is data from another process — a fleet peer that completed the
 handshake, a file someone edited or an older build wrote.  Whatever it
@@ -8,7 +8,12 @@ holds, the outcome is one of two: the boundary's *typed* error
 coordinator then drops the peer, requeues its shard and completes —
 ``PSharpError`` and exit 2 from a file reader), or a value that re-encodes
 to the very document that was read.  Never another exception, a hang, an
-import, or code execution.
+import, or code execution.  (A campaign file is the one reader that does
+import, by design: the classes its ``monitors`` / ``crash_classes`` name.)
+
+The same two outcomes hold on the worker's side of the wire: a live
+``worker_loop`` fed ``welcome`` / ``work`` / ``error`` frames by a scripted
+hostile coordinator ends in a ``ProtocolError`` naming the field.
 
 Hypothesis mutates valid documents (drop / add / retype at any depth,
 truncate the text, break the UTF-8); the named cases are the leaks the
@@ -18,9 +23,13 @@ and derandomized: the fast CI lane runs this module on three interpreters.
 
 import copy
 import json
+import os
 import pickle
+import re
 import struct
 import sys
+import threading
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -39,9 +48,12 @@ from repro.testing import (
 )
 from repro.testing.fleet import (
     MAX_FRAME,
+    PROTOCOL_VERSION,
+    Connection,
     ProtocolError,
     _encode_frame,
     decode_report,
+    worker_loop,
 )
 from repro.testing.record import dumps
 
@@ -81,6 +93,9 @@ CHECKPOINT = {
 }
 REPORT_FILE = {"version": 2, "kind": "campaign-report", "report": DOCUMENT}
 TRACE = DOCUMENT["first_bug"]["trace"]
+#: Every field off its default (tests/test_campaign_schema.py).
+CAMPAIGN_TEXT = (Path(__file__).parent / "golden_campaign.json").read_text("utf-8")
+CAMPAIGN = json.loads(CAMPAIGN_TEXT)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +264,71 @@ def test_broken_file_bytes(tmp_path_factory, data):
 def test_broken_frames(data):
     with pytest.raises(ProtocolError, match="undecodable frame"):
         parse_frame(data)
+
+
+# ---------------------------------------------------------------------------
+# Campaign documents: the typed error, or the very config the file spells
+# ---------------------------------------------------------------------------
+def spelled(document):
+    """``document`` with every strategy in the one spelling written."""
+    out = dict(document)
+    if out.get("strategy") is not None:
+        out["strategy"] = StrategySpec.decode(out["strategy"]).to_obj()
+    if out.get("specs") is not None:
+        out["specs"] = [StrategySpec.decode(spec).to_obj() for spec in out["specs"]]
+    return out
+
+
+def campaign_or_typed(document):
+    """``TestConfig.from_json_obj``: a one-line PSharpError, or a config
+    holding exactly what the document says — nothing coerced."""
+    try:
+        config = TestConfig.from_json_obj(document)
+    except PSharpError as exc:
+        assert "\n" not in str(exc) and len(str(exc)) < 400
+        return None
+    written = config.to_json_obj()
+    assert TestConfig.from_json_obj(written) == config
+    faults = document.get("faults")
+    if faults is not None:  # an object that may leave defaults out
+        assert written["faults"].items() >= faults.items()
+        written = {**written, "faults": faults}
+    assert {name: written[name] for name in document} == spelled(document)
+    return config
+
+
+@SETTINGS
+@given(document=mutations(CAMPAIGN))
+def test_mutated_campaign_documents(document):
+    campaign_or_typed(document)
+
+
+@SETTINGS
+@given(data=broken_bytes(CAMPAIGN_TEXT.rstrip()))
+def test_broken_campaign_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("campaign") / "c.json"
+    path.write_bytes(data)
+    assert loaded_or_typed(TestConfig.load, path) is None
+    with pytest.raises(PSharpError, match="does not parse"):
+        TestConfig.from_json(data)
+
+
+@pytest.mark.parametrize("name", ["100000-open-brackets", "not-an-object", "empty"])
+def test_named_text_is_not_a_campaign(name, tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(NAMED_TEXT[name], encoding="utf-8")
+    with pytest.raises(PSharpError, match="does not parse|must be an object"):
+        TestConfig.load(path)
+    proc = run_cli("test", "--config", str(path))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.strip().splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
+def test_a_campaign_with_nan_is_refused():
+    text = CAMPAIGN_TEXT.replace('"time_limit": 45.5', '"time_limit": NaN')
+    assert text != CAMPAIGN_TEXT
+    with pytest.raises(PSharpError, match="does not parse: NaN is not JSON"):
+        TestConfig.from_json(text)
 
 
 # ---------------------------------------------------------------------------
@@ -500,3 +580,124 @@ def test_coordinator_drops_the_peer_requeues_and_completes(tmp_path, name):
     assert [event["shard"] for event in requeued] == [work["shard"]]
     (lost,) = events_of(events_path, "fleet_worker_lost")
     assert "\n" not in lost["reason"] and len(lost["reason"]) < 400
+
+
+# ---------------------------------------------------------------------------
+# The other direction: a live worker fed frames by a hostile coordinator
+# ---------------------------------------------------------------------------
+WELCOME = {
+    "type": "welcome", "protocol": PROTOCOL_VERSION, "events": False,
+    "config": TestConfig("tests.machines:Ping", max_iterations=3).to_json_obj(),
+}
+WORK = {
+    "type": "work", "shard": 0, "time_limit": None,
+    "spec": {"name": "random", "params": {"seed": 1}},
+}
+
+
+def without(frame, name):
+    return {key: value for key, value in frame.items() if key != name}
+
+
+#: name -> (frames the coordinator sends after the hello, the error's text)
+HOSTILE_COORDINATORS = {
+    "welcome-without-a-protocol": ([without(WELCOME, "protocol")], "welcome: field 'protocol' is missing"),
+    "welcome-protocol-as-text": ([{**WELCOME, "protocol": "2"}], "welcome.protocol: expected 2 "),
+    "welcome-protocol-true": ([{**WELCOME, "protocol": True}], "welcome.protocol: expected 2 "),
+    "welcome-of-another-protocol": ([{**WELCOME, "protocol": 3}], r"welcome.protocol: expected 2 \(.*\), got 3"),
+    "welcome-config-not-an-object": ([{**WELCOME, "config": "Raft"}], "welcome.config: campaign JSON must be an object"),
+    "welcome-config-mistyped-inside": (
+        [{**WELCOME, "config": {**WELCOME["config"], "max_iterations": 5.5}}],
+        "welcome.config: TestConfig.max_iterations: expected integer >= 1, got 5.5",
+    ),
+    "welcome-config-without-a-version": (
+        [{**WELCOME, "config": without(WELCOME["config"], "version")}],
+        "welcome.config: campaign JSON carries no 'version'",
+    ),
+    "welcome-without-a-config": ([without(WELCOME, "config")], "welcome: field 'config' is missing"),
+    "welcome-null-config-and-none-held": ([{**WELCOME, "config": None}], "carries no config"),
+    "welcome-events-as-text": ([{**WELCOME, "events": "yes"}], "welcome.events: expected boolean, got 'yes'"),
+    "welcome-with-an-unknown-field": ([{**WELCOME, "zz": 1}], "welcome: unknown field.*'zz'"),
+    "error-without-a-message": ([{"type": "error"}], "error: field 'message' is missing"),
+    "error-message-not-text": ([{"type": "error", "message": {"a": 1}}], "error.message: expected string, got a dict"),
+    "error-said-politely": ([{"type": "error", "message": "go away"}], "coordinator rejected this worker: go away"),
+    "work-before-welcome": ([WORK], "expected a welcome frame, got 'work'"),
+    "work-without-a-shard": ([WELCOME, without(WORK, "shard")], "work: field 'shard' is missing"),
+    "work-shard-as-text": ([WELCOME, {**WORK, "shard": "1"}], "work.shard: expected integer >= 0, got '1'"),
+    "work-shard-true": ([WELCOME, {**WORK, "shard": True}], "work.shard: expected integer >= 0, got True"),
+    "work-shard-a-float": ([WELCOME, {**WORK, "shard": 1.0}], "work.shard: expected integer >= 0, got 1.0"),
+    "work-shard-negative": ([WELCOME, {**WORK, "shard": -1}], "work.shard: expected integer >= 0, got -1"),
+    "work-without-a-spec": ([WELCOME, without(WORK, "spec")], "work: field 'spec' is missing"),
+    "work-spec-not-an-object": ([WELCOME, {**WORK, "spec": 7}], "work.spec: StrategySpec: expected an object, got 7"),
+    "work-spec-name-not-text": ([WELCOME, {**WORK, "spec": {"name": 7}}], "work.spec: StrategySpec.name: expected string, got 7"),
+    "work-spec-params-a-list": (
+        [WELCOME, {**WORK, "spec": {"name": "dfs", "params": [1]}}],
+        "work.spec: StrategySpec.params: expected an object",
+    ),
+    "work-time-limit-as-text": ([WELCOME, {**WORK, "time_limit": "3"}], "work.time_limit: expected finite number >= 0 or null, got '3'"),
+    "work-without-a-time-limit": ([WELCOME, without(WORK, "time_limit")], "work: field 'time_limit' is missing"),
+    "work-with-an-unknown-field": ([WELCOME, {**WORK, "zz": 1}], "work: unknown field.*'zz'"),
+    "welcome-twice": ([WELCOME, WELCOME], "expected a work frame, got 'welcome'"),
+    "a-frame-with-no-type": ([WELCOME, {"shard": 0}], "not a typed message object"),
+    "a-frame-whose-type-is-a-number": ([{"type": 7}], "not a typed message object"),
+}
+
+
+def drive_worker(frames):
+    """Run :func:`worker_loop` on a thread over a pipe pair; play the
+    coordinator: read the hello, write ``frames``, answer a result with
+    shutdown.  Returns what the worker returned or raised, and the frames
+    it sent."""
+    to_worker_r, to_worker_w = os.pipe()
+    from_worker_r, from_worker_w = os.pipe()
+    worker_side = Connection(to_worker_r, from_worker_w, label="coordinator")
+    coordinator = Connection(from_worker_r, to_worker_w, label="worker")
+    outcome = {}
+
+    def work():
+        try:
+            outcome["returned"] = worker_loop(worker_side, handshake_timeout=30.0)
+        except BaseException as exc:  # noqa: BLE001 - the test inspects it
+            outcome["raised"] = exc
+        finally:
+            worker_side.close()
+
+    thread = threading.Thread(target=work, daemon=True)
+    thread.start()
+    sent = []
+    try:
+        sent.append(coordinator.recv(timeout=30.0))
+        for frame in frames:
+            payload = json.dumps(frame).encode()
+            os.write(to_worker_w, struct.pack(">I", len(payload)) + payload)
+        while True:
+            sent.append(coordinator.recv(timeout=30.0))
+            if sent[-1] is None or sent[-1]["type"] == "result":
+                coordinator.send({"type": "shutdown"})
+    except ProtocolError:
+        pass  # the worker hung up: it is done, one way or the other
+    finally:
+        thread.join(timeout=30.0)
+        coordinator.close()
+    assert not thread.is_alive()
+    return outcome, sent
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_COORDINATORS))
+def test_a_hostile_coordinator_gets_a_protocol_error_naming_the_field(name):
+    frames, message = HOSTILE_COORDINATORS[name]
+    outcome, sent = drive_worker(frames)
+    error = outcome.get("raised")
+    assert isinstance(error, ProtocolError), outcome
+    assert "\n" not in str(error) and len(str(error)) < 400
+    assert re.search(message, str(error)), str(error)
+    assert [frame["type"] for frame in sent] == ["hello"]
+
+
+def test_the_same_worker_runs_a_well_formed_shard():
+    outcome, sent = drive_worker([WELCOME, WORK])
+    assert outcome == {"returned": 1}
+    types = [frame["type"] for frame in sent if frame["type"] != "heartbeat"]
+    assert types == ["hello", "result", "goodbye"]
+    (result,) = [frame for frame in sent if frame["type"] == "result"]
+    assert decode_report(result["report"]).iterations == 3

@@ -28,10 +28,12 @@ Four checks, all run by the CI docs lane:
     across ``spawn``, and the docstrings may say so).
 
 ``--schema``
-    The report-object tables in ``docs/protocol.md`` §4 must be exactly
-    what the field declarations generate (``repro.testing.record``: each
-    record class declares a field once, with its JSON type and merge
-    rule).  ``--write-schema`` rewrites them.
+    The report-object tables in ``docs/protocol.md`` §4 and the campaign
+    field tables in ``docs/cli.md`` "Campaign files" must be exactly what
+    the field declarations generate (``repro.testing.record``: each
+    class declares a field once — a record with its JSON type and merge
+    rule, a config with its JSON type and default; the flag column is
+    read off the ``test`` parser).  ``--write-schema`` rewrites them.
 
 Exit code 0 when everything passes, 1 with one line per failure
 otherwise.  No third-party dependencies.
@@ -203,13 +205,11 @@ def check_removed_names() -> List[str]:
     return errors
 
 
-SCHEMA_DOC = ROOT / "docs" / "protocol.md"
 SCHEMA_BEGIN, SCHEMA_END = "<!-- schema:begin -->\n", "<!-- schema:end -->\n"
 
 
-def schema_markdown() -> str:
+def report_schema_markdown() -> str:
     """The report-object tables, from the declarations themselves."""
-    sys.path.insert(0, str(ROOT / "src"))
     from repro.testing import (
         CoverageMap, Histogram, MachineCoverage, TelemetryStats, TestReport,
     )
@@ -225,26 +225,86 @@ def schema_markdown() -> str:
     return "\n".join(out) + "\n"
 
 
+#: Fields no single flag sets (the flag column otherwise comes from the
+#: ``test`` parser: the flag whose ``dest`` is the field).
+FLAG_NOTES = {
+    "program": "`TARGET`",
+    "strategy": "`--strategy`, given once (not with `--config`)",
+    "specs": "`--strategy`, repeated (not with `--config`)",
+    "faults": "`--no-faults`; `--fault-*` set its fields",
+}
+
+
+def campaign_schema_markdown() -> str:
+    """The campaign-file tables: field, JSON type, default, flag."""
+    import dataclasses
+    import json
+
+    from repro import FaultConfig, StrategySpec, TestConfig
+    from repro.__main__ import _build_parser
+
+    subcommands = next(
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    flags = dict(FLAG_NOTES)
+    for action in subcommands.choices["test"]._actions:
+        if action.option_strings:
+            sets = " (sets false)" if action.const is False else ""
+            flags.setdefault(action.dest, f"`{action.option_strings[0]}`{sets}")
+
+    def default(cls: type, name: str) -> str:
+        declared = cls.__dataclass_fields__[name]
+        if declared.default_factory is not dataclasses.MISSING:
+            return f"`{json.dumps(declared.default_factory())}`"
+        if declared.default is dataclasses.MISSING:
+            return "required"
+        return f"`{json.dumps(declared.default)}`"
+
+    out = []
+    for cls, title in (
+        (TestConfig, "`TestConfig` (the file, next to `version`)"),
+        (FaultConfig, "`FaultConfig` (inside `faults`)"),
+        (StrategySpec, "`StrategySpec` (`strategy`, each entry of `specs`, as an object)"),
+    ):
+        out += [f"#### {title}", "", "| Field | JSON | Default | Flag |", "| - | - | - | - |"]
+        out += [
+            f"| `{name}` | {rule.wire} | {default(cls, name)} | {flags.get(name, '')} |"
+            for name, rule in cls.FIELDS
+        ]
+        out.append("")
+    return "\n".join(out)
+
+
+SCHEMAS = (
+    (ROOT / "docs" / "protocol.md", report_schema_markdown),
+    (ROOT / "docs" / "cli.md", campaign_schema_markdown),
+)
+
+
 def check_schema(write: bool) -> List[str]:
-    text = SCHEMA_DOC.read_text(encoding="utf-8")
-    rel = SCHEMA_DOC.relative_to(ROOT)
-    try:
-        head, rest = text.split(SCHEMA_BEGIN)
-        current, tail = rest.split(SCHEMA_END)
-    except ValueError:
-        return [f"{rel}: schema:begin / schema:end markers not found (once each)"]
-    expected = schema_markdown()
-    if current == expected:
-        return []
-    if write:
-        SCHEMA_DOC.write_text(
-            head + SCHEMA_BEGIN + expected + SCHEMA_END + tail, encoding="utf-8"
-        )
-        return []
-    return [
-        f"{rel}: the report-object tables differ from the field declarations "
-        "(run: python tools/check_docs.py --write-schema)"
-    ]
+    sys.path.insert(0, str(ROOT / "src"))
+    errors = []
+    for doc, generate in SCHEMAS:
+        text = doc.read_text(encoding="utf-8")
+        rel = doc.relative_to(ROOT)
+        try:
+            head, rest = text.split(SCHEMA_BEGIN)
+            current, tail = rest.split(SCHEMA_END)
+        except ValueError:
+            errors.append(f"{rel}: schema:begin / schema:end markers not found (once each)")
+            continue
+        expected = generate()
+        if current == expected:
+            continue
+        if write:
+            doc.write_text(head + SCHEMA_BEGIN + expected + SCHEMA_END + tail, encoding="utf-8")
+        else:
+            errors.append(
+                f"{rel}: the schema tables differ from the field declarations "
+                "(run: python tools/check_docs.py --write-schema)"
+            )
+    return errors
 
 
 def shell_blocks(path: Path) -> List[Tuple[int, str]]:
@@ -302,7 +362,8 @@ def main(argv: List[str]) -> int:
     parser.add_argument(
         "--schema",
         action="store_true",
-        help="docs/protocol.md's report-object tables match the field declarations",
+        help="the report-object tables (docs/protocol.md) and the campaign "
+        "field tables (docs/cli.md) match the field declarations",
     )
     parser.add_argument(
         "--write-schema",
@@ -345,7 +406,7 @@ def main(argv: List[str]) -> int:
         if args.removed_names:
             checked.append("no removed name mentioned")
         if schema:
-            checked.append("report schema tables match the declarations")
+            checked.append("report and campaign schema tables match the declarations")
         if args.run_blocks:
             checked.append("all sh blocks ran clean")
         print("docs ok: " + ", ".join(checked))
