@@ -1,8 +1,9 @@
 """Compiling machine handlers into resumable generator coroutines.
 
-The single-thread ``workers="inline"`` backend (:mod:`repro.testing
-.runtime`) runs every machine of a controlled execution on one thread, so
-a scheduling decision is a plain function call instead of an OS thread
+Primitives are calls; a carrier is the control transfer.  The
+single-thread ``workers="inline"`` carrier (:mod:`repro.testing.runtime`)
+runs every machine of a controlled execution on one thread, so a
+scheduling decision is a plain function call instead of an OS thread
 hand-off.  That requires machine actions to be *suspendable*: when the
 strategy picks another machine mid-action, the current action's frame
 must pause exactly at the scheduling point and resume later.  CPython has
@@ -13,17 +14,26 @@ the strategy but never transfers control, so it stays a plain call).
 
 This module therefore *reshapes* handler methods into generator
 coroutines at class granularity, once, lazily, the first time a machine
-class runs on the inline backend:
+class runs on the inline carrier:
 
 1. Every plain method reachable from the class's entry/exit/action
    handlers is analysed for scheduling calls; a method is **switchable**
    when it calls a scheduling primitive directly or calls another
    switchable method (the transitive closure over ``self.helper(...)``
    call sites).
-2. Each switchable method's AST is rewritten:
-   ``self.send(t, e)``            -> ``yield (OP_SEND, t, e)``
-   ``self.create_machine(c, p)``  -> ``(yield (OP_CREATE, c, p))``
-   ``self.helper(...)``           -> ``yield from self._inline__helper(...)``
+2. Each switchable method's AST is rewritten (``c`` is a local the
+   method does not use)::
+
+       self.send(t, e)
+         -> (yield c) if (c := self._runtime._send_point(self, t, e))
+                      is not None else None
+       self.create_machine(C, p)
+         -> (self._runtime._spawn(C, p),
+             (yield c) if (c := self._runtime._decide(self._id))
+                       is not None else None)[0]
+       self.helper(...)
+         -> yield from self._inline__helper(...)
+
    and recompiled against the original function's globals and closure
    cells, so event classes, module imports and test-local names resolve
    exactly as they did in the source method.
@@ -31,19 +41,22 @@ class runs on the inline backend:
    tables (``StateInfo.inline_dispatch`` / ``entry_inline`` /
    ``exit_inline``), mirroring the precompiled plain dispatch.
 
-The op tuples yielded by transformed code are interpreted by the inline
-scheduler (the op-interpreter loop of ``BugFindingRuntime._inline_body``,
-which serves start and step activations alike): it performs the send or
-create *effect*, consults the strategy for the decision the primitive
-implies, and either resumes the coroutine (the machine keeps running) or
-suspends it by yielding the chosen machine id to the trampoline.  Because
-the effect and the decision happen in exactly the order the pooled
-threads use, traces stay bit-identical across both carriers.
+A compiled handler *calls* the runtime at its scheduling primitives —
+the same send effect and the same decision the pooled threads reach
+through ``Machine.send`` — and the runtime *answers*: ``None`` when the
+running machine keeps the turn, else the machine the strategy picked.
+Only then does the handler suspend, yielding that choice through its
+``yield from`` chain to the trampoline.  Whatever a scheduling point
+raises (a monitor failure, the depth bound, a liveness report,
+cancellation) surfaces at the user's call site by ordinary unwinding,
+with its ``try``/``finally`` semantics intact; the end-of-execution
+cancellation of a suspended handler is thrown in at the ``yield``, the
+same place.
 
 Non-switchable methods are untouched and run as plain calls.  Handlers
 whose source is unavailable (``exec``-defined code) are conservatively
 treated as non-switchable; if such a handler does reach a scheduling
-primitive on the inline backend, the runtime raises a descriptive error
+primitive on the inline carrier, the runtime raises a descriptive error
 instead of deadlocking.  Constructs that cannot host a ``yield`` —
 scheduling calls inside lambdas, comprehensions or nested functions,
 handlers that are already generators, ``super()`` dispatch, and starred
@@ -69,19 +82,18 @@ from .machine import (
 )
 from .source import function_def
 
-# Opcodes of the tuples yielded by transformed handler coroutines.  The
-# inline scheduler switches on index 0; the remaining elements are the
-# primitive's (already evaluated) arguments.
-OP_SEND = 0
-OP_CREATE = 1
+# The scheduling primitives: name -> (parameter names, how many of them
+# are required).
+_PRIMITIVES = {
+    "send": (("target", "event"), 2),
+    "create_machine": (("machine_cls", "payload"), 1),
+}
 
 # Transformed helper coroutines are published on the class under this
 # prefix, so `self._inline__helper(...)` dispatches virtually: a subclass
 # that overrides `helper` (and is compiled itself) shadows the base
 # class's compiled coroutine the same way the plain call would.
 INLINE_PREFIX = "_inline__"
-
-_PRIMITIVES = ("send", "create_machine")
 
 # Methods inherited from the framework base classes never reach a
 # scheduling primitive through `self.X(...)` calls (Machine.send goes
@@ -259,14 +271,47 @@ def _normalize_args(
     ]
 
 
-class _InlineTransformer(ast.NodeTransformer):
-    """Rewrite scheduling primitives to yields and switchable helper
-    calls to ``yield from`` delegations.  Nested scopes are left alone
-    (verified hazard-free before the transform runs)."""
+def _load(name: str) -> ast.expr:
+    return ast.Name(id=name, ctx=ast.Load())
 
-    def __init__(self, switchable: Set[str], owner: str) -> None:
+
+def _runtime_call(method: str, args: List[ast.expr]) -> ast.expr:
+    """``self._runtime.method(*args)``"""
+    runtime = ast.Attribute(value=_load("self"), attr="_runtime", ctx=ast.Load())
+    return ast.Call(
+        func=ast.Attribute(value=runtime, attr=method, ctx=ast.Load()),
+        args=args,
+        keywords=[],
+    )
+
+
+def _point(answer: ast.expr, choice: str) -> ast.expr:
+    """``(yield c) if (c := answer) is not None else None``: a scheduling
+    point as a call the runtime answers with the machine to switch to
+    (None: keep running), and a suspension only in the first case."""
+    return ast.IfExp(
+        test=ast.Compare(
+            left=ast.NamedExpr(
+                target=ast.Name(id=choice, ctx=ast.Store()), value=answer
+            ),
+            ops=[ast.IsNot()],
+            comparators=[ast.Constant(value=None)],
+        ),
+        body=ast.Yield(value=_load(choice)),
+        orelse=ast.Constant(value=None),
+    )
+
+
+class _InlineTransformer(ast.NodeTransformer):
+    """Rewrite scheduling primitives to runtime calls that suspend on a
+    switch, and switchable helper calls to ``yield from`` delegations.
+    Nested scopes are left alone (verified hazard-free before the
+    transform runs)."""
+
+    def __init__(self, switchable: Set[str], owner: str, choice: str) -> None:
         self._switchable = switchable
         self._owner = owner
+        self._choice = choice
 
     # Yields cannot live in nested scopes; their hazard-freedom was
     # checked up front, so skip them entirely.
@@ -295,29 +340,29 @@ class _InlineTransformer(ast.NodeTransformer):
         ):
             return node
         name = func.attr
-        if name == "send":
-            args = _normalize_args(node, ("target", "event"), self._owner, 2)
-            return ast.Yield(
+        if name in _PRIMITIVES:
+            names, required = _PRIMITIVES[name]
+            args = _normalize_args(node, names, self._owner, required)
+            if name == "send":
+                send = _runtime_call("_send_point", [_load("self"), *args])
+                return _point(send, self._choice)
+            # (spawn, the scheduling point after it)[0]: the new machine
+            # is a branch the decision may choose.
+            my_id = ast.Attribute(value=_load("self"), attr="_id", ctx=ast.Load())
+            decide = _runtime_call("_decide", [my_id])
+            return ast.Subscript(
                 value=ast.Tuple(
-                    elts=[ast.Constant(value=OP_SEND), *args],
+                    elts=[_runtime_call("_spawn", args), _point(decide, self._choice)],
                     ctx=ast.Load(),
-                )
-            )
-        if name == "create_machine":
-            args = _normalize_args(
-                node, ("machine_cls", "payload"), self._owner, 1
-            )
-            return ast.Yield(
-                value=ast.Tuple(
-                    elts=[ast.Constant(value=OP_CREATE), *args],
-                    ctx=ast.Load(),
-                )
+                ),
+                slice=ast.Constant(value=0),
+                ctx=ast.Load(),
             )
         if name in self._switchable:
             return ast.YieldFrom(
                 value=ast.Call(
                     func=ast.Attribute(
-                        value=ast.Name(id="self", ctx=ast.Load()),
+                        value=_load("self"),
                         attr=INLINE_PREFIX + name,
                         ctx=ast.Load(),
                     ),
@@ -326,6 +371,24 @@ class _InlineTransformer(ast.NodeTransformer):
                 )
             )
         return node
+
+
+def _fresh_name(code: types.CodeType) -> str:
+    """A local name for a scheduling point's choice that no scope of the
+    method mentions (a nested function naming a global must not find the
+    new local instead)."""
+    taken: Set[str] = set()
+    scopes = [code]
+    while scopes:
+        code = scopes.pop()
+        taken.update(
+            code.co_names, code.co_varnames, code.co_freevars, code.co_cellvars
+        )
+        scopes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+    name = "_choice"
+    while name in taken:
+        name += "_"
+    return name
 
 
 def _check_transformable(
@@ -378,7 +441,9 @@ def _transform(
     # other (class, resolution) pairs sharing this function.
     new_def = copy.deepcopy(info.tree)
     new_def.decorator_list = []
-    transformer = _InlineTransformer(switchable, f"{cls_name}.{fn.__name__}")
+    transformer = _InlineTransformer(
+        switchable, f"{cls_name}.{fn.__name__}", _fresh_name(fn.__code__)
+    )
     new_def.body = [transformer.visit(stmt) for stmt in new_def.body]
 
     freevars = fn.__code__.co_freevars

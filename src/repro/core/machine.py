@@ -523,9 +523,11 @@ class Machine:
             return True
         return self._deliverable_index() is not None
 
-    def _start(self) -> None:
-        """Enter the initial state (runs its entry handler)."""
+    def _start(self) -> bool:
+        """Enter the initial state (runs its entry handler).  ``True``,
+        like a :meth:`_step` that progressed."""
         self._transition_to(self._initial_state, self._current_event)
+        return True
 
     def _step(self) -> bool:
         """Handle one event (raised or dequeued).  Returns False when there
@@ -585,13 +587,13 @@ class Machine:
     # ------------------------------------------------------------------
     # Coroutine stepping (the single-thread inline backend)
     # ------------------------------------------------------------------
-    # Mirrors of _start/_step/_handle/_enter that delegate to the
-    # compiled coroutine variants of handlers (see
-    # repro.core.continuations): a handler reshaped into a generator
-    # yields (OP_*, ...) tuples at its scheduling primitives, which
-    # bubble up through these delegating generators to the inline
-    # scheduler.  Plain (non-scheduling) handlers are called directly, so
-    # they pay no generator overhead.
+    # _start/_step/_handle/_enter over the compiled coroutine variants of
+    # handlers (see repro.core.continuations): a handler reshaped into a
+    # generator yields the machine to switch to whenever one of its
+    # scheduling primitives picked another machine, and that choice
+    # bubbles up through these delegating generators to the trampoline.
+    # Plain (non-scheduling) handlers are called directly, so they pay no
+    # generator overhead.
 
     def _start_inline(self):
         """Inline variant of :meth:`_start`: ``True`` when the initial

@@ -71,8 +71,8 @@ from .checkpoint import (
 from .engine import TestReport, resolved_program, run_campaign
 from .portfolio import StrategySpec, make_strategy, merge_shard_reports
 from .record import (
-    COUNT, FLAG, SECONDS, TEXT, Fields, Kind, Rule, decode_fields, dumps, keep,
-    loads, nullable, optional,
+    COUNT, FLAG, INTEGER, SECONDS, TEXT, Fields, Kind, Rule, decode_fields,
+    describe, dumps, keep, loads, nullable, optional,
 )
 from .telemetry import EventLog
 
@@ -310,12 +310,20 @@ def decode_report(document: Any) -> TestReport:
 
 
 # ---------------------------------------------------------------------------
-# What a worker reads (§3–§5): each frame's fields, declared once
+# What each side reads (§3–§5): every frame's fields, declared once
 # ---------------------------------------------------------------------------
 def _campaign(document: Any) -> "TestConfig":
     from .config import TestConfig  # deferred: config is the layer above
 
     return TestConfig.from_json_obj(document)
+
+
+def _event_record(value: Any) -> Dict[str, Any]:
+    if type(value) is not dict or type(value.get("type")) is not str:
+        raise ValueError(
+            f"expected an object with a string 'type', got {describe(value)}"
+        )
+    return value
 
 
 _SPEAKS = Kind(
@@ -335,20 +343,37 @@ COORDINATOR_FRAMES: Dict[str, Fields] = {
         ("time_limit", keep(optional(SECONDS))),
     ),
 }
+WORKER_FRAMES: Dict[str, Fields] = {
+    # Any integer: a foreign version is answered with an error frame (§3).
+    "hello": (("protocol", keep(INTEGER)), ("pid", keep(COUNT)), ("host", keep(TEXT))),
+    "heartbeat": (("shard", keep(COUNT)),),
+    "event": (("record", Rule(decode=_event_record, wire="object with a string `type`")),),
+    "result": (
+        ("shard", keep(COUNT)),
+        ("canceled", keep(FLAG)),
+        ("report", Rule(decode=TestReport.decode, wire="report object")),
+    ),
+    "goodbye": (),
+}
 
 
-def read_frame(message: Dict[str, Any], expected: str) -> Dict[str, Any]:
-    """The fields of the ``expected`` frame a coordinator sent, each
-    accepted by its rule — or a :class:`ProtocolError` naming the field:
-    what a worker reads is data from another process too."""
+def read_frame(
+    message: Dict[str, Any],
+    expected: str,
+    frames: Dict[str, Fields] = COORDINATOR_FRAMES,
+    sender: str = "the coordinator",
+) -> Dict[str, Any]:
+    """The fields of the ``expected`` frame ``sender`` sent, each accepted
+    by its rule in ``frames`` — or a :class:`ProtocolError` naming the
+    field: what either side reads is data from another process."""
     mtype = message["type"]  # a string: the frame parser saw to that
     if mtype != expected:
         raise ProtocolError(f"expected a {expected} frame, got {mtype!r}")
     fields = {name: value for name, value in message.items() if name != "type"}
     try:
-        return decode_fields(mtype, COORDINATOR_FRAMES[mtype], fields)
+        return decode_fields(mtype, frames[mtype], fields)
     except DocumentError as exc:
-        raise ProtocolError(f"malformed frame from the coordinator: {exc}") from None
+        raise ProtocolError(f"malformed frame from {sender}: {exc}") from None
 
 
 def worker_environment() -> Dict[str, str]:
@@ -635,8 +660,6 @@ def run_fleet(
     resume: Optional[str] = None,
     grace: float = DEFAULT_GRACE,
     worker_timeout: float = DEFAULT_WORKER_TIMEOUT,
-    max_requeues: int = DEFAULT_MAX_REQUEUES,
-    max_respawns: int = DEFAULT_MAX_RESPAWNS,
     on_listen: Optional[Callable[[str, int], None]] = None,
 ) -> TestReport:
     """Coordinate one sharded campaign over a fleet of workers.
@@ -886,7 +909,7 @@ def run_fleet(
         shard = peer.shard
         if shard is not None and shard not in collected:
             count = requeues.get(shard, 0)
-            if cancelled or count >= max_requeues:
+            if cancelled or count >= DEFAULT_MAX_REQUEUES:
                 abandoned.add(shard)
                 emit("fleet_shard_abandoned", shard=shard, requeues=count)
             else:
@@ -901,7 +924,7 @@ def run_fleet(
                 not clean
                 and not cancelled
                 and total_done() < len(specs)
-                and respawns_by_slot.get(slot, 0) < max_respawns
+                and respawns_by_slot.get(slot, 0) < DEFAULT_MAX_RESPAWNS
             ):
                 respawns_by_slot[slot] = respawns_by_slot.get(slot, 0) + 1
                 emit(
@@ -914,19 +937,17 @@ def run_fleet(
     def handle(peer: _Peer, message: Dict[str, Any]) -> None:
         peer.last_seen = time.monotonic()
         mtype = message["type"]
+        label = peer.conn.label
         if peer.stage == "handshake":
-            if mtype != "hello":
-                raise ProtocolError(
-                    f"expected hello from {peer.conn.label}, got {mtype!r}"
-                )
-            if message.get("protocol") != PROTOCOL_VERSION:
+            hello = read_frame(message, "hello", WORKER_FRAMES, label)
+            if hello["protocol"] != PROTOCOL_VERSION:
                 try:
                     peer.conn.send(
                         {
                             "type": "error",
                             "message": (
                                 f"protocol version "
-                                f"{message.get('protocol')!r} not supported;"
+                                f"{hello['protocol']!r} not supported;"
                                 f" coordinator speaks {PROTOCOL_VERSION}"
                             ),
                         }
@@ -934,10 +955,10 @@ def run_fleet(
                 except ProtocolError:
                     pass
                 raise ProtocolError(
-                    f"{peer.conn.label} speaks protocol "
-                    f"{message.get('protocol')!r}, not {PROTOCOL_VERSION}"
+                    f"{label} speaks protocol "
+                    f"{hello['protocol']!r}, not {PROTOCOL_VERSION}"
                 )
-            peer.pid = message.get("pid")
+            peer.pid = hello["pid"]
             peer.conn.send(
                 {
                     "type": "welcome",
@@ -948,43 +969,34 @@ def run_fleet(
                 }
             )
             peer.stage = "idle"
-            emit("fleet_worker_ready", worker=peer.conn.label, pid=peer.pid)
+            emit("fleet_worker_ready", worker=label, pid=peer.pid)
             if cancelled:
                 peer.conn.send({"type": "shutdown"})
             else:
                 assign(peer)
-        elif mtype == "heartbeat":
-            pass  # last_seen already stamped
-        elif mtype == "event":
+            return
+        if mtype == "hello" or mtype not in WORKER_FRAMES:
+            raise ProtocolError(f"unexpected {mtype!r} frame from {label}")
+        fields = read_frame(message, mtype, WORKER_FRAMES, label)
+        if mtype == "event":
             if events is not None:
-                record = message.get("record")
-                if isinstance(record, dict):
-                    events.forward(record)
+                events.forward(fields["record"])
         elif mtype == "result":
-            shard = message.get("shard")
-            if type(shard) is not int or type(message.get("report")) is not dict:
-                raise ProtocolError(
-                    f"malformed result frame from {peer.conn.label}"
-                )
+            shard = fields["shard"]
             if shard != peer.shard:
                 raise ProtocolError(
-                    f"{peer.conn.label} sent a result for shard {shard}, "
+                    f"{label} sent a result for shard {shard}, "
                     "which it was not assigned"
                 )
-            report = decode_report(message["report"])
             peer.shard = None
             peer.stage = "idle"
             peer.results += 1
-            partial = bool(message.get("canceled")) or cancelled
-            accept_result(shard, report, partial)
+            accept_result(shard, fields["report"], fields["canceled"] or cancelled)
             if not cancelled:
                 assign(peer)
         elif mtype == "goodbye":
             drop(peer, "goodbye", clean=True)
-        else:
-            raise ProtocolError(
-                f"unexpected {mtype!r} frame from {peer.conn.label}"
-            )
+        # heartbeat: last_seen is already stamped
 
     timed_out = False
     try:
@@ -1025,7 +1037,7 @@ def run_fleet(
                 and listener is None
                 and not peers
                 and all(
-                    respawns_by_slot.get(slot, 0) >= max_respawns
+                    respawns_by_slot.get(slot, 0) >= DEFAULT_MAX_RESPAWNS
                     for slot in range(max(1, local_workers))
                 )
             ):

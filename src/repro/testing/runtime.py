@@ -7,20 +7,36 @@ exploring a (potentially) different schedule. ... In bug-finding mode, the
 send and create-machine methods call the runtime method Schedule, which
 blocks the current thread and releases another thread."
 
-Implementation: one cooperative worker thread per machine, a single
-"running" token passed via per-worker signals.  Scheduling points occur
-exactly at ``send`` and ``create_machine`` (receives need no scheduling
-point — the simple partial-order reduction inherited from P [6]); a forced
-hand-off additionally happens when a machine goes idle.  Exactly one
-thread is runnable at any moment, so runtime state needs no locking.
+Primitives are calls; a carrier is the control transfer.  Scheduling
+points occur exactly at ``send`` and ``create_machine`` (receives need no
+scheduling point — the simple partial-order reduction inherited from
+P [6]); a forced hand-off additionally happens when a machine goes idle
+or finishes.  Each piece of a scheduling point is written once:
 
-Two carriers drive the cooperative machines:
+* :meth:`BugFindingRuntime._send_effect` — what a send does (monitor
+  mirroring, coverage, footprint, fault consult, enqueue, idle wake,
+  visible-operation hook);
+* :meth:`BugFindingRuntime._decide` — the paper's Schedule: count the
+  step, consult the state cache, read the enabled set, let the strategy
+  pick (``_choose``), and answer with the machine to switch to, or
+  ``None`` when the running machine keeps the turn;
+* :meth:`BugFindingRuntime._pick_successor` — the same ``_choose`` for a
+  machine that gives the turn up (idle or done);
+* :meth:`BugFindingRuntime._machine_body` — one machine's life (start,
+  step loop, crash consult, idle / done hand-off) as a generator over its
+  control transfers.
+
+A *carrier* only moves control to the machine those decisions name.
+Exactly one machine runs at any moment, so runtime state needs no
+locking.
 
 ``workers="inline"``
     The single-thread continuation runtime: machine handlers are
     compiled into resumable generator coroutines
-    (:mod:`repro.core.continuations`) and a flat trampoline switches
-    between them, so a scheduling decision is a plain function call — no
+    (:mod:`repro.core.continuations`) whose scheduling primitives call
+    ``_send_point`` / ``_spawn`` + ``_decide`` and suspend only when the
+    answer is another machine; a flat trampoline
+    (:meth:`BugFindingRuntime._run_inline`) resumes the chosen body — no
     locks, no hand-offs, no permits, and no ~3-7us OS thread switch per
     non-forced decision.
 
@@ -29,21 +45,19 @@ Two carriers drive the cooperative machines:
     execution checks workers out, binds machines to them, and checks them
     back in when the schedule completes, so a 10k-iteration campaign
     reuses a handful of threads instead of spawning and joining tens of
-    thousands.  Hand-offs ride raw ``threading.Lock`` primitives (C
-    implemented) instead of ``threading.Semaphore`` (pure-Python
-    condition variables).  The carrier for handlers the coroutine
-    compiler cannot reshape, and for :class:`~repro.chess.ChessRuntime`.
+    thousands.  A pooled thread drives its own machine's body; plain
+    handlers reach the decision through ``send`` / ``create_machine`` ->
+    :meth:`BugFindingRuntime._schedule`, and every switch is one
+    ``release(choice) / acquire(self)`` on raw ``threading.Lock``
+    primitives (:meth:`BugFindingRuntime._switch`).  The carrier for
+    handlers the coroutine compiler cannot reshape, and for
+    :class:`~repro.chess.ChessRuntime`.
 
 ``workers="auto"`` resolves to ``inline`` when the main machine class
-compiles and to ``pool`` otherwise.  Both carriers make the *same*
-scheduling decisions in the same order, so for a fixed strategy seed they
-produce bit-identical :class:`ScheduleTrace` records — DFS backtracking,
-replay and PCT semantics are independent of the carrier.  The decision
-itself is written three times: inlined in the op-interpreter loop of
-:meth:`BugFindingRuntime._inline_body` (the hot path), in
-:meth:`BugFindingRuntime._schedule` (the blocking form pooled threads
-call) and in :meth:`BugFindingRuntime._pick_successor` (the hand-off of
-an idle or finished machine, shared by both carriers).
+compiles and to ``pool`` otherwise.  Both carriers run the same decisions
+in the same order, so for a fixed strategy seed they produce
+bit-identical :class:`ScheduleTrace` records — DFS backtracking, replay
+and PCT semantics are independent of the carrier.
 
 The runtime is reusable: :meth:`BugFindingRuntime.reset` (called
 automatically at the top of :meth:`~BugFindingRuntime.execute`) returns
@@ -59,15 +73,10 @@ import time
 from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
-from ..core.continuations import (
-    OP_SEND,
-    InlineCompileError,
-    compile_inline_machine,
-)
+from ..core.continuations import InlineCompileError, compile_inline_machine
 from ..core.events import Event, MachineId
 from ..core.machine import Machine
 from ..core.runtime import RuntimeBase
@@ -107,13 +116,9 @@ from .trace import (
 # Sentinel "no hot monitor" deadline: any real step count compares below.
 _NO_DEADLINE = float("inf")
 
-# Sentinel for "nothing to send into an inline activation" (None is a
-# legitimate send value: it resumes a plain send's yield).
-_NO_VALUE = object()
-
 # Sort key for the incrementally-maintained enabled set: machine ids are
-# ordered by their allocation counter, matching the seat order the full
-# _schedulable_walk produces (ids have no __lt__ of their own).
+# ordered by their allocation counter, i.e. seat order (ids have no
+# __lt__ of their own).
 _MID_VALUE = attrgetter("value")
 
 
@@ -296,7 +301,7 @@ class _InlineWorker:
     """One machine's seat on the single-thread inline backend.
 
     ``gen`` is the machine's cooperative body
-    (:meth:`BugFindingRuntime._inline_body`): a generator that yields the
+    (:meth:`BugFindingRuntime._machine_body`): a generator that yields the
     next machine id at every control transfer.  The trampoline resumes
     it when the strategy picks this machine; between resumptions the
     machine's entire action stack sits suspended inside the generator.
@@ -310,7 +315,7 @@ class _InlineWorker:
         self.machine = machine
         self.mid = machine.id
         self.state = _NEW
-        self.gen = runtime._inline_body(self)
+        self.gen = runtime._machine_body(self)
 
 
 _shared_pool = WorkerPool()
@@ -541,11 +546,11 @@ class BugFindingRuntime(RuntimeBase):
         self._workers: Dict[MachineId, Any] = {}
         self._worker_list: List[Any] = []  # in machine-creation order
         # The schedulable set, maintained incrementally (sorted by machine
-        # id, i.e. creation order — the order the old per-point walk
-        # produced): _spawn adds, idle-entry and halt remove, and
-        # _idle_pending holds idle seats whose deliverability must be
-        # re-checked (an enqueue landed since they idled) at the next
-        # scheduling point.  See _schedulable.
+        # id, i.e. creation order — the order of the seat walk that
+        # tests/reference_runtime.py keeps as the oracle): _spawn adds,
+        # idle-entry and halt remove, and _idle_pending holds idle seats
+        # whose deliverability must be re-checked (an enqueue landed since
+        # they idled) at the next scheduling point.  See _schedulable.
         self._enabled: List[MachineId] = []
         self._idle_pending: List[Any] = []
         # Per-machine log of nondeterministic outcomes (bool/int/fault)
@@ -684,6 +689,10 @@ class BugFindingRuntime(RuntimeBase):
             # Resolve before reset(): the worker plumbing reset() builds
             # (the _done lock, pooled bookkeeping) is back-end specific.
             self.effective_workers = self.resolve_workers(main_cls)
+        if self.effective_workers == "inline":
+            # A main class the coroutine compiler rejects fails here,
+            # before anything runs (idempotent once compiled).
+            compile_inline_machine(main_cls)
         self.reset()
         if self.iteration_timeout is not None:
             self._iter_deadline = time.monotonic() + self.iteration_timeout
@@ -711,6 +720,8 @@ class BugFindingRuntime(RuntimeBase):
             self._done.acquire()
             self._cancel_all()
             self._release_pool_workers()
+        if self._error is not None:
+            raise self._error  # recorded by _abort; everything has unwound
         consulted = self._consulted
         if red is not None:
             red.end_execution(trace)
@@ -764,6 +775,21 @@ class BugFindingRuntime(RuntimeBase):
     def send(
         self, target: MachineId, event: Event, sender: Optional[Machine] = None
     ) -> None:
+        self._send_effect(target, event)
+        if sender is not None:
+            self._schedule(sender.id)
+
+    def _send_point(self, sender: Machine, target: MachineId, event: Event):
+        """``self.send(target, event)`` as a compiled handler calls it:
+        the effect, then the decision — answered, not blocked on (see
+        :meth:`_decide`)."""
+        self._send_effect(target, event)
+        return self._decide(sender._id)
+
+    def _send_effect(self, target: MachineId, event: Event) -> None:
+        """What a send does, scheduling aside: mirror the event to the
+        monitors observing it, then enqueue it (under the message fault
+        the strategy picks, if any) and wake an idle target."""
         if self._monitors_attached:
             observers = self._observers_for(type(event), self._send_observers, "observes")
             if observers:
@@ -772,27 +798,27 @@ class BugFindingRuntime(RuntimeBase):
         cov = self._cov
         if cov is not None:
             cov.record_send(event, machine is None or machine._halted)
-        if machine is not None and not machine._halted:
-            if self._red is not None:
-                # Independence oracle: the target inbox is part of this
-                # step's footprint (with or without a fault — the fault
-                # decision never commutes with its own send).
-                self._red.effects.append(target.value)
-            # Message-fault consultation point (kept in sync with the
-            # inlined OP_SEND block of _inline_body).
-            if self._send_fault_active and (fault := self._consult_send_fault()):
-                self._apply_send_fault(machine, event, fault)
-            else:
-                machine._inbox.append(event)
-                if not machine._inbox_dirty:
-                    machine._inbox_dirty = True
-                    worker = self._worker_list[target.value]
-                    if worker.state is _IDLE:
-                        self._idle_pending.append(worker)
-                if self._hook_visible:
-                    self.on_visible_operation(machine, "enqueue")
-        if sender is not None:
-            self._schedule(sender.id)
+        if machine is None or machine._halted:
+            return
+        if self._red is not None:
+            # Independence oracle: the target inbox is part of this
+            # step's footprint (with or without a fault — the fault
+            # decision never commutes with its own send).
+            self._red.effects.append(target.value)
+        if self._send_fault_active and (fault := self._consult_send_fault()):
+            if not self._apply_send_fault(machine, event, fault):
+                return  # dropped: nothing reached the inbox
+        else:
+            machine._inbox.append(event)
+        if not machine._inbox_dirty:
+            machine._inbox_dirty = True
+            # An idle seat has its deliverability re-checked at the next
+            # scheduling point (see _schedulable).
+            worker = self._worker_list[target.value]
+            if worker.state is _IDLE:
+                self._idle_pending.append(worker)
+        if self._hook_visible:
+            self.on_visible_operation(machine, "enqueue")
 
     def nondet(self, machine: Machine) -> bool:
         if self._canceled:
@@ -863,31 +889,25 @@ class BugFindingRuntime(RuntimeBase):
                 self._crash_fault_active = False
         return outcome
 
-    def _apply_send_fault(self, target: Machine, event: Event, outcome: int) -> None:
-        """Deliver ``event`` to ``target`` under a non-trivial fault
-        outcome.  Drop loses the message entirely; duplicate enqueues it
-        twice; delay makes it overtake the previously queued message
-        (pairwise reordering — a no-op on an empty inbox)."""
+    def _apply_send_fault(self, target: Machine, event: Event, outcome: int) -> bool:
+        """Enqueue ``event`` to ``target`` under a non-trivial fault
+        outcome; False when nothing was enqueued.  Drop loses the message
+        entirely; duplicate enqueues it twice; delay makes it overtake the
+        previously queued message (pairwise reordering — a no-op on an
+        empty inbox)."""
         if outcome == FAULT_DROP:
             if self._cov is not None:
                 self._cov.record_drop(event)
-            return
+            return False
         inbox = target._inbox
         if outcome == FAULT_DUPLICATE:
             inbox.append(event)
             inbox.append(event)
-        else:  # FAULT_DELAY
-            if inbox:
-                inbox.insert(len(inbox) - 1, event)
-            else:
-                inbox.append(event)
-        if not target._inbox_dirty:
-            target._inbox_dirty = True
-            worker = self._worker_list[target.id.value]
-            if worker.state is _IDLE:
-                self._idle_pending.append(worker)
-        if self._hook_visible:
-            self.on_visible_operation(target, "enqueue")
+        elif inbox:  # FAULT_DELAY
+            inbox.insert(len(inbox) - 1, event)
+        else:
+            inbox.append(event)
+        return True
 
     def _consult_crash_fault(self) -> bool:
         """One crash-fault consultation for the machine about to take its
@@ -1123,7 +1143,10 @@ class BugFindingRuntime(RuntimeBase):
     def _spawn(self, machine_cls: Type[Machine], payload: Any) -> MachineId:
         inline = self.effective_workers == "inline"
         if inline and "_inline_ready" not in machine_cls.__dict__:
-            compile_inline_machine(machine_cls)
+            try:
+                compile_inline_machine(machine_cls)
+            except InlineCompileError as exc:
+                self._abort(exc)
         machine = self._instantiate(machine_cls, payload)
         if self._cov is not None:
             self._cov.record_machine(machine_cls)
@@ -1160,68 +1183,103 @@ class BugFindingRuntime(RuntimeBase):
             if self._live == 0:
                 self._all_retired.set()
 
-    def _worker_body(self, worker: Any) -> None:
-        """Run one machine to completion under the cooperative schedule.
-        Entered with the signal permit held (this worker was scheduled)."""
+    def _abort(self, error: InlineCompileError) -> None:
+        """Give the execution up on a configuration error of the campaign
+        (a handler the coroutine compiler cannot reshape) — not a bug in
+        the program under test, so no BugReport is fabricated.  Called
+        from inside a handler's frame, where raising ``error`` itself
+        would let a user ``except Exception`` swallow it: record it,
+        finish, and unwind with :class:`ExecutionCanceled` (a
+        ``BaseException``); :meth:`execute` raises the recorded error once
+        every machine has unwound."""
+        if self._error is None:
+            self._error = error
+        self._finish("stopped")
+        raise ExecutionCanceled()
+
+    def _machine_body(self, worker: Any):
+        """One machine's life under the schedule, on either carrier: a
+        generator that *yields* the machine to run next when this one
+        idles (it is resumed once it is scheduled again), *returns* it
+        when this one is done, and returns ``None`` when nobody is left
+        to run — the execution is over.
+
+        The carrier supplies the stepping pair.  On pooled threads
+        ``_start`` / ``_step`` run handlers plain; their scheduling
+        points block in :meth:`_schedule`.  Inline, ``_start_inline`` /
+        ``_step_inline`` hand back ``True`` / ``False`` like the plain
+        pair, or the coroutine of a compiled handler, which is delegated
+        to: it yields exactly where one of its scheduling points picked
+        another machine, and whatever a scheduling point raises unwinds
+        through the user's frames into the carrier, which classifies it.
+        """
         machine = worker.machine
+        mid = worker.mid
+        if self.effective_workers == "inline":
+            start, step = machine._start_inline, machine._step_inline
+        else:
+            start, step = machine._start, machine._step
+        count_step = self._count_step
+        hook_visible = self._hook_visible
+        poll = self._poll
+        max_steps = self.max_steps
+        crash_eligible = self._crash_weight > 0 and (
+            not self._crash_classes or isinstance(machine, self._crash_classes)
+        )
         worker.state = _RUNNING
-        self._current = machine.id
-        try:
-            machine._start()
-            count_step = self._count_step
-            step = machine._step
-            hook_visible = self._hook_visible
-            poll = self._poll
-            max_steps = self.max_steps
-            crash_eligible = self._crash_weight > 0 and (
-                not self._crash_classes
-                or isinstance(machine, self._crash_classes)
-            )
-            while not machine._halted:
-                # Crash-fault consultation point, between steps so every
-                # handler stays atomic with respect to its own crash
-                # (kept in sync with _inline_body).
-                if (
-                    crash_eligible
-                    and self._crash_fault_active
-                    and self._consult_crash_fault()
-                ):
-                    self._crash_restart(machine)
-                    machine._start()
-                    continue
-                # Fast path of _count_step (kept in sync with the inline
-                # body): bump the counter, fall back to the real method
-                # whenever any of its checks could fire.
-                steps = self._steps + 1
-                if poll or steps > self._hot_deadline or steps > max_steps:
-                    count_step()
-                else:
-                    self._steps = steps
-                if hook_visible:
-                    self.on_visible_operation(machine, "dequeue")
-                progressed = step()
-                if machine._halted:
-                    break
-                if not progressed:
-                    self._become_idle(worker)
-            worker.state = _DONE
-            self._handoff(worker, voluntary=False)
-        except BaseException as exc:  # noqa: BLE001 - classified below
-            self._report_worker_exception(machine, exc)
+        activation = start()
+        while True:
+            if activation is not True and activation is not False:
+                yield from activation
+                activation = True
+            if machine._halted:
+                break
+            if activation is False:
+                worker.state = _IDLE
+                # The step that just returned False scanned the inbox and
+                # found nothing deliverable; nothing can have been
+                # enqueued since (only one machine runs at a time), so
+                # that verdict seeds the memo.
+                machine._idle_deliverable = False
+                machine._inbox_dirty = False
+                self._enabled.remove(mid)
+                choice = self._pick_successor(mid)
+                if choice is None:
+                    return None
+                yield choice
+                # Scheduled again: there is a deliverable event.
+                worker.state = _RUNNING
+            # Crash-fault consultation point, between steps so every
+            # handler stays atomic with respect to its own crash.
+            if (
+                crash_eligible
+                and self._crash_fault_active
+                and self._consult_crash_fault()
+            ):
+                self._crash_restart(machine)
+                activation = start()
+                continue
+            # Fast path of _count_step: bump the counter, fall back to
+            # the real method whenever any of its checks could fire.
+            steps = self._steps + 1
+            if poll or steps > self._hot_deadline or steps > max_steps:
+                count_step()
+            else:
+                self._steps = steps
+            if hook_visible:
+                self.on_visible_operation(machine, "dequeue")
+            activation = step()
+        worker.state = _DONE
+        # Returning (instead of yielding) finishes this generator, making
+        # its end-of-execution cleanup free.
+        return self._pick_successor(mid)
 
     def _report_worker_exception(self, machine: Machine, exc: BaseException) -> None:
-        """Classify an exception that escaped a machine's cooperative body
-        into the paper's bug kinds.  Shared verbatim by the threaded
-        worker bodies and the inline trampoline so a given failure is
-        reported identically on every back-end."""
+        """Classify an exception that escaped a machine's body into the
+        paper's bug kinds.  Shared by both carriers so a given failure is
+        reported identically on each."""
         if isinstance(exc, ExecutionCanceled):
             return
-        if isinstance(exc, InlineCompileError):
-            # A handler the coroutine compiler cannot reshape is a
-            # configuration error of the campaign, not a bug in the
-            # program under test: surface it to the caller instead of
-            # fabricating a BugReport no other backend can reproduce.
-            raise exc
         if isinstance(exc, MonitorError):
             self._report_bug("monitor", str(exc), exc.monitor, exc)
         elif isinstance(exc, AssertionFailure):
@@ -1237,33 +1295,15 @@ class BugFindingRuntime(RuntimeBase):
             # KeyboardInterrupt and friends are not bugs; let them fly.
             raise exc
 
-    def _become_idle(self, worker: Any) -> None:
-        worker.state = _IDLE
-        # The step that just returned False scanned the inbox and found
-        # nothing deliverable; nothing can have been enqueued since (only
-        # one machine runs at a time), so that verdict seeds the memo.
-        machine = worker.machine
-        machine._idle_deliverable = False
-        machine._inbox_dirty = False
-        self._enabled.remove(machine.id)
-        self._handoff(worker, voluntary=True)
-        # Woken up: either canceled, or we have a deliverable event.
-        if self._canceled:
-            worker.final_wake_consumed = True
-            raise ExecutionCanceled()
-        worker.state = _RUNNING
-        self._current = worker.machine.id
-
     # ------------------------------------------------------------------
-    # The inline scheduler (single-thread continuation back-end)
+    # The carriers: moving control to the machine a decision named
     # ------------------------------------------------------------------
     def _run_inline(self, first: _InlineWorker) -> None:
-        """The trampoline: resume one machine's cooperative body at a
-        time; each ``gen.send`` runs the machine up to its next control
-        transfer, which arrives back here as the chosen machine id.  One
-        flat loop replaces the pooled carrier's signal hand-offs, so a
-        non-forced scheduling decision costs a strategy call plus a
-        generator resume instead of an OS thread switch."""
+        """The inline carrier, a trampoline: resume one machine's body at
+        a time; it runs up to its next control transfer, which arrives
+        back here as the chosen machine.  A non-forced scheduling decision
+        thus costs a strategy call plus a generator resume instead of an
+        OS thread switch."""
         current = first
         # Machine ids are allocated in creation order and every machine
         # owns exactly one seat, so _worker_list[mid.value] is the seat —
@@ -1271,11 +1311,12 @@ class BugFindingRuntime(RuntimeBase):
         workers = self._worker_list
         try:
             while True:
+                self._current = current.mid
                 try:
                     choice = current.gen.send(None)
                 except StopIteration as stop:
                     # A finished body hands over its final choice (machine
-                    # done); a bare return means the execution is over.
+                    # done); None means the execution is over.
                     choice = stop.value
                     if choice is None:
                         break
@@ -1288,11 +1329,10 @@ class BugFindingRuntime(RuntimeBase):
             if not self._finished:
                 self._finish("ok")
         finally:
-            # Mirror _cancel_all: unwind every still-suspended machine
-            # with ExecutionCanceled so user try/finally blocks run
-            # exactly as they do when the pooled carrier cancels
-            # its workers.  Runs even when a hard error (e.g.
-            # InlineCompileError) propagates to the caller.
+            # What _cancel_all does to pooled threads: unwind every
+            # still-suspended machine with ExecutionCanceled, thrown in
+            # at the scheduling point it is suspended at, so user
+            # try/finally blocks run.
             self._canceled = True
             for worker in self._worker_list:
                 gen, worker.gen = worker.gen, None
@@ -1302,229 +1342,36 @@ class BugFindingRuntime(RuntimeBase):
                     gen.throw(ExecutionCanceled())
                 except (StopIteration, ExecutionCanceled):
                     pass
-                except InlineCompileError:
-                    pass  # the primary error is already propagating
                 except BaseException as exc:  # noqa: BLE001 - classified
                     self._report_worker_exception(worker.machine, exc)
                 finally:
                     gen.close()
 
-    def _inline_body(self, worker: _InlineWorker):
-        """Cooperative body of one machine: the inline counterpart of
-        :meth:`_worker_body`.  A generator that yields the next machine
-        id whenever the schedule transfers control away; exceptions
-        propagate to the trampoline, which classifies them.
+    def _worker_body(self, worker: _PoolWorker) -> None:
+        """The pooled carrier: this thread drives its own machine's body.
+        Entered with the signal permit held (this worker was scheduled)."""
+        self._current = worker.mid
+        body = self._machine_body(worker)
+        try:
+            while True:
+                self._switch(worker, body.send(None))
+        except StopIteration as done:
+            # Pass the turn on for good.  The end-of-execution permit is
+            # still owed to this worker; _PoolWorker._main waits for it.
+            if done.value is not None:
+                self._worker_list[done.value.value].signal.release()
+        except BaseException as exc:  # noqa: BLE001 - classified
+            self._report_worker_exception(worker.machine, exc)
 
-        An *activation* is what ``_start_inline`` / ``_step_inline`` hand
-        back: ``True`` (ran plain, progressed), ``False`` (nothing to
-        handle) or a coroutine to interpret.  The coroutine yields
-        ``(OP_SEND, target, event)`` / ``(OP_CREATE, cls, payload)``
-        tuples at its scheduling primitives; the op-interpreter loop
-        below performs the effect, then makes the scheduling decision
-        the primitive implies — the exact sequence :meth:`send` +
-        :meth:`_schedule` produce on the pooled carrier, so traces stay
-        bit-identical.  Control transfers are yielded upward to the
-        trampoline; exceptions raised by the effect or the decision
-        (monitor failures, bound cutoffs, cancellation) are thrown *into*
-        the activation so they surface at the user's call site with its
-        try/finally semantics intact.
-
-        The interpreter loop is written once, inline (it is the hottest
-        code in an inline campaign — a per-step delegating generator
-        measurably caps #Sch/sec), and serves the start activation, the
-        crash-restart start and every step activation alike.  It
-        iterates the activation with ``for`` — a generator that returns
-        (all of ours return None) exhausts a for-loop without the cost of
-        materializing and catching StopIteration — and drops to explicit
-        ``send``/``throw`` only when a create needs its result delivered
-        or an exception must surface at the user's call site.
-        """
-        machine = worker.machine
-        worker.state = _RUNNING
-        count_step = self._count_step
-        step_inline = machine._step_inline
-        hook_visible = self._hook_visible
-        strategy = self.strategy
-        observe_forced = strategy.observe_forced
-        pick_machine = strategy.pick_machine
-        schedulable = self._schedulable
-        pick_successor = self._pick_successor
-        machines_get = self._machines.get
-        monitors_attached = self._monitors_attached
-        cov = self._cov
-        red = self._red
-        workers_list = self._worker_list
-        idle_pending = self._idle_pending
-        trace = self._trace
-        trace_append = None if trace is None else trace.append
-        mid = machine.id
-        mid_value = mid.value
-        poll = self._poll
-        max_steps = self.max_steps
-        crash_eligible = self._crash_weight > 0 and (
-            not self._crash_classes or isinstance(machine, self._crash_classes)
-        )
-        self._current = mid
-        activation = machine._start_inline()
-        while True:
-            # True / False mirror _step's plain-handler result; anything
-            # else is a coroutine activation to interpret (it progressed).
-            if activation is not True and activation is not False:
-                gen = activation
-                value = _NO_VALUE
-                error: Optional[BaseException] = None
-                while True:
-                    if error is not None or value is not _NO_VALUE:
-                        # Slow advance: deliver a create result or throw
-                        # an exception into the activation, then resume
-                        # iterating from the op it yields next (if any).
-                        try:
-                            if error is not None:
-                                exc, error = error, None
-                                op = gen.throw(exc)
-                            else:
-                                sent, value = value, _NO_VALUE
-                                op = gen.send(sent)
-                        except StopIteration:
-                            break
-                        ops = chain((op,), gen)
-                    else:
-                        ops = gen
-                    completed = True
-                    for op in ops:
-                        try:
-                            if op[0] == OP_SEND:
-                                # The send effect, mirroring self.send(
-                                # sender=None): monitor mirroring,
-                                # enqueue, hook.
-                                event = op[2]
-                                if monitors_attached:
-                                    observers = self._observers_for(
-                                        type(event), self._send_observers, "observes"
-                                    )
-                                    if observers:
-                                        self._deliver_to_monitors(observers, event)
-                                target = machines_get(op[1])
-                                if cov is not None:
-                                    cov.record_send(
-                                        event,
-                                        target is None or target._halted,
-                                    )
-                                if target is not None and not target._halted:
-                                    if red is not None:
-                                        red.effects.append(op[1].value)
-                                    # Message-fault consultation point
-                                    # (kept in sync with send()).
-                                    if self._send_fault_active and (
-                                        fault := self._consult_send_fault()
-                                    ):
-                                        self._apply_send_fault(
-                                            target, event, fault
-                                        )
-                                    else:
-                                        target._inbox.append(event)
-                                        if not target._inbox_dirty:
-                                            target._inbox_dirty = True
-                                            seat = workers_list[op[1].value]
-                                            if seat.state is _IDLE:
-                                                idle_pending.append(seat)
-                                        if hook_visible:
-                                            self.on_visible_operation(
-                                                target, "enqueue"
-                                            )
-                            else:  # OP_CREATE
-                                value = self._spawn(op[1], op[2])
-                            # The scheduling point (mirrors _schedule).
-                            if self._canceled:
-                                raise ExecutionCanceled()
-                            steps = self._steps + 1
-                            if poll or steps > self._hot_deadline or steps > max_steps:
-                                count_step()
-                            else:
-                                self._steps = steps
-                            if red is not None:
-                                self._reduction_check()
-                            enabled = schedulable()
-                            self._sched_points += 1
-                            if len(enabled) == 1:
-                                choice = enabled[0]
-                                observe_forced(choice)
-                                if trace_append is not None:
-                                    trace_append(SCHED_TAG, choice.value)
-                                if red is not None:
-                                    self._reduction_chose(choice, enabled)
-                            else:
-                                choice = pick_machine(enabled, mid)
-                                self._consulted += 1
-                                if trace_append is not None:
-                                    trace_append(SCHED_TAG, choice.value)
-                                if red is not None:
-                                    self._reduction_chose(choice, enabled)
-                                if choice.value != mid_value:
-                                    yield choice
-                                    if self._canceled:
-                                        raise ExecutionCanceled()
-                                    self._current = mid
-                            if value is not _NO_VALUE:
-                                completed = False
-                                break
-                        except InlineCompileError:
-                            raise  # configuration error, never a bug
-                        except BaseException as exc:  # noqa: BLE001 - rethrown
-                            error = exc
-                            completed = False
-                            break
-                    if completed:
-                        break
-                activation = True
-            if machine._halted:
-                break
-            if activation is False:
-                worker.state = _IDLE
-                # The failed step scan doubles as the idle memo (nothing
-                # was enqueued since); mirrors _become_idle.
-                machine._idle_deliverable = False
-                machine._inbox_dirty = False
-                self._enabled.remove(mid)
-                choice = pick_successor(mid)
-                if choice is None:
-                    # The pooled worker parks here until cancellation
-                    # unwinds it; inline, the unwind is immediate.
-                    raise ExecutionCanceled()
-                yield choice
-                # Resumed: either canceled, or we have a deliverable event.
-                if self._canceled:
-                    raise ExecutionCanceled()
-                worker.state = _RUNNING
-                self._current = mid
-            # Crash-fault consultation point, between steps (kept in sync
-            # with _worker_body).
-            if (
-                crash_eligible
-                and self._crash_fault_active
-                and self._consult_crash_fault()
-            ):
-                self._crash_restart(machine)
-                activation = machine._start_inline()
-                continue
-            # Fast path of _count_step: bump the counter and fall back to
-            # the real method whenever any of its checks could fire.
-            steps = self._steps + 1
-            if poll or steps > self._hot_deadline or steps > max_steps:
-                count_step()
-            else:
-                self._steps = steps
-            if hook_visible:
-                self.on_visible_operation(machine, "dequeue")
-            activation = step_inline()
-        worker.state = _DONE
-        choice = pick_successor(mid)
-        if choice is None:
+    def _switch(self, worker: _PoolWorker, choice: MachineId) -> None:
+        """One OS hand-off: wake ``choice``'s thread and park this one
+        until the schedule (or the end of the execution) wakes it."""
+        self._worker_list[choice.value].signal.release()
+        worker.signal.acquire()
+        if self._canceled:
+            worker.final_wake_consumed = True
             raise ExecutionCanceled()
-        # Returning (instead of yielding) finishes this generator, making
-        # its end-of-execution cleanup free; the trampoline reads the
-        # final choice out of StopIteration.
-        return choice
+        self._current = worker.mid
 
     # ------------------------------------------------------------------
     # The scheduler
@@ -1563,52 +1410,35 @@ class BugFindingRuntime(RuntimeBase):
             pending.clear()
         return self._enabled[:]
 
-    def _schedulable_walk(self) -> List[MachineId]:
-        """Reference implementation of :meth:`_schedulable`: the full
-        O(#machines) seat walk the incremental enabled set replaced.
-        Side-effect free (it neither clears dirty bits nor updates the
-        memo), so equivalence tests can call it next to the incremental
-        path without corrupting the invariant."""
-        enabled = []
-        append = enabled.append
-        for worker in self._worker_list:
-            state = worker.state
-            if state is _RUNNING or state is _NEW:
-                append(worker.mid)
-            elif state is _IDLE:
-                machine = worker.machine
-                if machine._inbox_dirty:
-                    # Deliverability is monotone under enqueue: a
-                    # standing True memo needs no rescan.
-                    if machine._idle_deliverable or machine._has_deliverable():
-                        append(worker.mid)
-                elif machine._idle_deliverable:
-                    append(worker.mid)
-        return enabled
-
     def _schedule(self, current: MachineId) -> None:
-        """A scheduling point: the strategy picks the next machine among
-        the enabled ones; the current thread blocks if not chosen.
-
-        When only one machine is enabled the decision is forced: the
-        strategy is not consulted (``observe_forced`` keeps replay
-        aligned) and — since the running machine is always enabled here —
-        no hand-off happens.  The forced decision is still recorded, so
-        traces are identical whether or not the fast path fires.
-        """
+        """A scheduling point in its blocking form, as plain handlers on
+        pooled threads reach it through ``send`` / ``create_machine`` (and
+        :class:`~repro.chess.ChessRuntime` at every visible operation):
+        decide, and park this thread if another machine was picked."""
         if self.effective_workers == "inline":
             # Reached only when a handler the coroutine compiler could not
             # analyse (source unavailable, or resolved through a
             # static/classmethod shim) calls a scheduling primitive
             # directly: there is no thread to block here.
-            machine = self._machines.get(current)
-            raise InlineCompileError(
-                f"{machine} hit a blocking scheduling point on the inline "
-                "backend: its handler was not compiled to a coroutine "
-                "(handler source unavailable, or resolved through a "
-                "static/classmethod shim); use workers='pool' for this "
-                "program"
-            )
+            self._abort(InlineCompileError(
+                f"{self._machines.get(current)} hit a blocking scheduling "
+                "point on the inline backend: its handler was not compiled "
+                "to a coroutine (handler source unavailable, or resolved "
+                "through a static/classmethod shim); use workers='pool' "
+                "for this program"
+            ))
+        choice = self._decide(current)
+        if choice is not None:
+            self._switch(self._worker_list[current.value], choice)
+
+    def _decide(self, current: MachineId) -> Optional[MachineId]:
+        """The scheduling point of a running machine (the paper's
+        ``Schedule``): the strategy picks the next machine among the
+        enabled ones.  Answers with the machine to transfer control to,
+        or ``None`` when ``current`` keeps running; the carrier does the
+        transfer.  Everything a scheduling point can end the execution
+        with (cancellation, a bound, a liveness report, a pruned state)
+        is raised from here, into the frame that called the primitive."""
         if self._canceled:
             raise ExecutionCanceled()
         steps = self._steps + 1
@@ -1618,32 +1448,8 @@ class BugFindingRuntime(RuntimeBase):
             self._steps = steps
         if self._red is not None:
             self._reduction_check()
-        enabled = self._schedulable()
-        self._sched_points += 1
-        trace = self._trace
-        if len(enabled) == 1:
-            choice = enabled[0]
-            self.strategy.observe_forced(choice)
-            if trace is not None:
-                trace.append(SCHED_TAG, choice.value)
-            if self._red is not None:
-                self._reduction_chose(choice, enabled)
-            return  # the only enabled machine is the running one
-        choice = self.strategy.pick_machine(enabled, current)
-        self._consulted += 1
-        if trace is not None:
-            trace.append(SCHED_TAG, choice.value)
-        if self._red is not None:
-            self._reduction_chose(choice, enabled)
-        if choice == current:
-            return
-        current_worker = self._workers[current]
-        self._workers[choice].signal.release()
-        current_worker.signal.acquire()
-        if self._canceled:
-            current_worker.final_wake_consumed = True
-            raise ExecutionCanceled()
-        self._current = current
+        choice = self._choose(self._schedulable(), current)
+        return None if choice.value == current.value else choice
 
     def _pick_successor(self, mid: MachineId) -> Optional[MachineId]:
         """The hand-off decision: who runs next when machine ``mid`` gives
@@ -1663,32 +1469,26 @@ class BugFindingRuntime(RuntimeBase):
         # checks above must run — so the reduction check sits after it.
         if self._red is not None:
             self._reduction_check()
+        return self._choose(enabled, mid)
+
+    def _choose(self, enabled: List[MachineId], current: MachineId) -> MachineId:
+        """Pick among ``enabled`` and put the pick on record.  With one
+        machine enabled the decision is forced: the strategy is not
+        consulted (``observe_forced`` keeps replay aligned), but the
+        decision is recorded all the same, so traces do not depend on
+        whether it was."""
         self._sched_points += 1
         if len(enabled) == 1:
             choice = enabled[0]
             self.strategy.observe_forced(choice)
         else:
-            choice = self.strategy.pick_machine(enabled, mid)
+            choice = self.strategy.pick_machine(enabled, current)
             self._consulted += 1
         if self._trace is not None:
             self._trace.append(SCHED_TAG, choice.value)
         if self._red is not None:
             self._reduction_chose(choice, enabled)
         return choice
-
-    def _handoff(self, worker: Any, voluntary: bool) -> None:
-        """Give up control without remaining schedulable (idle or done)."""
-        choice = self._pick_successor(worker.mid)
-        if choice is None:
-            # Block until cancellation unwinds this thread; the only wake
-            # that can arrive here is the end-of-execution permit.
-            worker.signal.acquire()
-            worker.final_wake_consumed = True
-            self._check_canceled()
-            return
-        self._workers[choice].signal.release()
-        if voluntary:
-            worker.signal.acquire()
 
     def _count_step(self) -> None:
         steps = self._steps + 1
@@ -1833,10 +1633,6 @@ class BugFindingRuntime(RuntimeBase):
     # ------------------------------------------------------------------
     # Termination plumbing
     # ------------------------------------------------------------------
-    def _check_canceled(self) -> None:
-        if self._canceled:
-            raise ExecutionCanceled()
-
     def _report_bug(
         self,
         kind: str,

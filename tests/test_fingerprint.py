@@ -15,9 +15,9 @@ BaseException``, and the oracle would pass vacuously.
 Mutation checks (each made by hand in ``src/`` and run against this file;
 the tests named are the ones that turned red):
 
-* dropping the send-target footprint append (``red.effects.append(op[1]
-  .value)`` in ``_inline_body`` and ``self._red.effects.append(target
-  .value)`` in ``send``) — ``test_memo_equals_from_scratch_on_the_registry``
+* dropping the send-target footprint append (``self._red.effects.append(
+  target.value)`` in ``_send_effect``) —
+  ``test_memo_equals_from_scratch_on_the_registry``
   on MultiPaxos, ``test_a_drained_inbox_and_the_enqueue_after_it_are_both
   _seen`` and the pinned counters of ``TestCounters``.  Few cells, because
   the inbox-length comparison below catches every enqueue that is not

@@ -42,7 +42,6 @@ from repro.testing.fleet import (
     ProtocolError,
     _encode_frame,
     decode_report,
-    encode_report,
     run_fleet,
     worker_environment,
 )
@@ -320,7 +319,7 @@ class TestFleetFailureModes:
         # error frame and a closed connection; the campaign is
         # unaffected.
         config = fleet_config(max_iterations=20)
-        hello = {"type": "hello", "protocol": 999, "pid": os.getpid()}
+        hello = {**HELLO_FRAME, "protocol": 999}
         thread, box, (sock,) = start_fleet_with_clients(
             config, [_encode_frame(hello)], local_workers=1
         )
@@ -350,9 +349,11 @@ class TestFleetFailureModes:
             run_fleet(fleet_config())
 
 
-HELLO = _encode_frame(
-    {"type": "hello", "protocol": PROTOCOL_VERSION, "pid": os.getpid()}
-)
+HELLO_FRAME = {
+    "type": "hello", "protocol": PROTOCOL_VERSION, "pid": os.getpid(),
+    "host": "imposter",
+}
+HELLO = _encode_frame(HELLO_FRAME)
 
 
 def await_work(sock):
@@ -385,13 +386,19 @@ class TestHostileResults:
     @pytest.mark.parametrize(
         "forge",
         [
-            lambda work, report: {"type": "result", "report": report},
             lambda work, report: {
-                "type": "result", "shard": str(work["shard"]), "report": report,
+                "type": "result", "canceled": False, "report": report,
             },
-            lambda work, report: {"type": "result", "shard": work["shard"]},
             lambda work, report: {
-                "type": "result", "shard": work["shard"] + 1, "report": report,
+                "type": "result", "shard": str(work["shard"]),
+                "canceled": False, "report": report,
+            },
+            lambda work, report: {
+                "type": "result", "shard": work["shard"], "canceled": False,
+            },
+            lambda work, report: {
+                "type": "result", "shard": work["shard"] + 1,
+                "canceled": False, "report": report,
             },
         ],
         ids=["no-shard", "non-integer-shard", "no-report", "unassigned-shard"],
@@ -403,7 +410,7 @@ class TestHostileResults:
         port = sock.getpeername()[1]
         imposter, work = await_work(sock)
         # A well-formed report, so only the frame around it is at fault.
-        imposter.send(forge(work, encode_report(TestReport(strategy="forged"))))
+        imposter.send(forge(work, TestReport(strategy="forged").encode()))
         expect_dropped(imposter)
 
         worker = spawn_tcp_worker(port)

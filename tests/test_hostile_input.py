@@ -61,12 +61,14 @@ from .test_cli import run_cli
 from .test_fleet import (
     FOUR_SHARDS,
     HELLO,
+    HELLO_FRAME,
     await_work,
     events_of,
     expect_dropped,
     fingerprints,
     finish_fleet,
     fleet_config,
+    read_events,
     socket_pair,
     start_fleet_with_clients,
 )
@@ -539,11 +541,16 @@ def test_version_1_documents_are_refused_with_the_version_message(tmp_path):
 # A coordinator fed the frame: peer dropped, shard requeued, campaign whole
 # ---------------------------------------------------------------------------
 def result_frame(work, report):
-    return _encode_frame({"type": "result", "shard": work["shard"], "report": report})
+    return _encode_frame(
+        {"type": "result", "shard": work["shard"], "canceled": False, "report": report}
+    )
 
 
 def raw_result(work, report_text):
-    payload = ('{"type":"result","shard":%d,"report":%s}' % (work["shard"], report_text))
+    payload = (
+        '{"type":"result","shard":%d,"canceled":false,"report":%s}'
+        % (work["shard"], report_text)
+    )
     return struct.pack(">I", len(payload)) + payload.encode()
 
 
@@ -582,6 +589,101 @@ def test_coordinator_drops_the_peer_requeues_and_completes(tmp_path, name):
     assert "\n" not in lost["reason"] and len(lost["reason"]) < 400
 
 
+def without(frame, name):
+    return {key: value for key, value in frame.items() if key != name}
+
+
+#: What a worker sends, field by field (``WORKER_FRAMES``): name -> (the
+#: frame, sent in place of the hello or — ``work`` is the shard the peer
+#: holds by then — after it; the reason the peer is dropped with).
+FORGED = {"type": "fleet_shard_done", "shard": 0, "forged": True}
+HOSTILE_HELLOS = {
+    "hello-without-a-protocol": (without(HELLO_FRAME, "protocol"), "hello: field 'protocol' is missing"),
+    "hello-protocol-as-text": ({**HELLO_FRAME, "protocol": "2"}, "hello.protocol: expected integer, got '2'"),
+    "hello-without-a-pid": (without(HELLO_FRAME, "pid"), "hello: field 'pid' is missing"),
+    "hello-pid-an-object": ({**HELLO_FRAME, "pid": FORGED}, "hello.pid: expected integer >= 0, got a dict"),
+    "hello-pid-true": ({**HELLO_FRAME, "pid": True}, "hello.pid: expected integer >= 0, got True"),
+    "hello-without-a-host": (without(HELLO_FRAME, "host"), "hello: field 'host' is missing"),
+    "hello-host-a-list": ({**HELLO_FRAME, "host": ["forged"]}, "hello.host: expected string, got a list"),
+    "hello-with-an-unknown-field": ({**HELLO_FRAME, "forged": 1}, "hello: unknown field.*'forged'"),
+}
+HOSTILE_WORKERS = {
+    "heartbeat-without-a-shard": (lambda work: {"type": "heartbeat"}, "heartbeat: field 'shard' is missing"),
+    "heartbeat-shard-as-text": (lambda work: {"type": "heartbeat", "shard": "forged"}, "heartbeat.shard: expected integer >= 0, got 'forged'"),
+    "event-without-a-record": (lambda work: {"type": "event"}, "event: field 'record' is missing"),
+    "event-record-as-text": (lambda work: {"type": "event", "record": "forged"}, "event.record: expected an object with a string 'type', got 'forged'"),
+    "event-record-a-list": (lambda work: {"type": "event", "record": [FORGED]}, "event.record: expected an object .*, got a list"),
+    "event-record-without-a-type": (lambda work: {"type": "event", "record": without(FORGED, "type")}, "event.record: expected an object .*, got a dict"),
+    "event-record-type-a-number": (lambda work: {"type": "event", "record": {**FORGED, "type": 7}}, "event.record: expected an object .*, got a dict"),
+    "event-with-an-unknown-field": (lambda work: {"type": "event", "record": FORGED, "zz": 1}, "event: unknown field.*'zz'"),
+    "result-without-a-shard": (lambda work: without(forged_result(work), "shard"), "result: field 'shard' is missing"),
+    "result-shard-true": (lambda work: {**forged_result(work), "shard": True}, "result.shard: expected integer >= 0, got True"),
+    "result-without-canceled": (lambda work: without(forged_result(work), "canceled"), "result: field 'canceled' is missing"),
+    "result-canceled-as-text": (lambda work: {**forged_result(work), "canceled": "no"}, "result.canceled: expected boolean, got 'no'"),
+    "result-without-a-report": (lambda work: without(forged_result(work), "report"), "result: field 'report' is missing"),
+    "result-report-as-text": (lambda work: {**forged_result(work), "report": TEXT}, "result.report: TestReport: expected an object"),
+    "result-for-another-shard": (lambda work: {**forged_result(work), "shard": work["shard"] + 1}, "which it was not assigned"),
+    "goodbye-with-a-field": (lambda work: {"type": "goodbye", "forged": 1}, "goodbye: unknown field.*'forged'"),
+    "a-second-hello": (lambda work: HELLO_FRAME, "unexpected 'hello' frame"),
+    "a-coordinator-frame": (lambda work: {**WORK, "shard": work["shard"]}, "unexpected 'work' frame"),
+}
+
+
+def forged_result(work):
+    return {
+        "type": "result", "shard": work["shard"], "canceled": False,
+        "report": TestReport(strategy="forged").encode(),
+    }
+
+
+def assert_whole_and_nothing_forged(fleet, events_path, message, requeued):
+    local = Campaign(fleet_config(max_iterations=20)).portfolio()
+    assert fleet.iterations == local.iterations == 20 * len(FOUR_SHARDS)
+    assert fingerprints(fleet) == fingerprints(local)
+    assert [
+        event["shard"] for event in events_of(events_path, "fleet_shard_requeued")
+    ] == requeued
+    (lost,) = events_of(events_path, "fleet_worker_lost")
+    assert "\n" not in lost["reason"] and len(lost["reason"]) < 400
+    assert re.search(message, lost["reason"]), lost["reason"]
+    # Only the coordinator's own account of the drop may quote the peer.
+    others = [event for event in read_events(events_path) if event != lost]
+    assert "forged" not in json.dumps(others)
+    assert all(
+        type(event["pid"]) is int
+        for event in others if event["type"] == "fleet_worker_ready"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_HELLOS))
+def test_coordinator_reads_the_hello_field_by_field(tmp_path, name):
+    frame, message = HOSTILE_HELLOS[name]
+    events_path = tmp_path / "fleet.events.jsonl"
+    config = fleet_config(max_iterations=20, events_path=str(events_path))
+    thread, box, (sock,) = start_fleet_with_clients(
+        config, [_encode_frame(frame)], local_workers=1
+    )
+    expect_dropped(Connection.from_socket(sock, label="imposter"))
+    # Never welcomed, so never given a shard: nothing to requeue.
+    assert_whole_and_nothing_forged(finish_fleet(thread, box), events_path, message, [])
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_WORKERS))
+def test_coordinator_reads_worker_frames_field_by_field(tmp_path, name):
+    forge, message = HOSTILE_WORKERS[name]
+    events_path = tmp_path / "fleet.events.jsonl"
+    config = fleet_config(max_iterations=20, events_path=str(events_path))
+    thread, box, (sock,) = start_fleet_with_clients(
+        config, [HELLO], local_workers=1
+    )
+    imposter, work = await_work(sock)
+    imposter.send(forge(work))
+    expect_dropped(imposter)
+    assert_whole_and_nothing_forged(
+        finish_fleet(thread, box), events_path, message, [work["shard"]]
+    )
+
+
 # ---------------------------------------------------------------------------
 # The other direction: a live worker fed frames by a hostile coordinator
 # ---------------------------------------------------------------------------
@@ -593,10 +695,6 @@ WORK = {
     "type": "work", "shard": 0, "time_limit": None,
     "spec": {"name": "random", "params": {"seed": 1}},
 }
-
-
-def without(frame, name):
-    return {key: value for key, value in frame.items() if key != name}
 
 
 #: name -> (frames the coordinator sends after the hello, the error's text)

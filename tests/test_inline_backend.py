@@ -3,8 +3,10 @@
 Cross-backend trace parity lives in ``test_runtime_reuse.py``; this file
 covers what is specific to the inline runtime: the handler-to-coroutine
 compiler (helper chains, closures, keyword arguments, failure modes),
-cancellation unwind semantics (user ``try/finally`` blocks), and the
-engine / portfolio / replay integrations.
+cancellation unwind semantics (user ``try/finally`` blocks), the
+expression positions and unwinds the primitives-are-calls template must
+survive (each held to the pooled carrier's trace and log), and the engine
+/ portfolio / replay integrations.
 """
 
 import pytest
@@ -15,6 +17,7 @@ from repro import (
     Event,
     FairRandomStrategy,
     Machine,
+    Monitor,
     RandomStrategy,
     State,
     StrategySpec,
@@ -300,6 +303,297 @@ class TestInlineUnwind:
         assert result.buggy
         assert result.bug.kind == "assertion-failure"
         assert "boom" in result.bug.message
+
+
+# ---------------------------------------------------------------------------
+# Primitives are calls: the template, position by position, on both carriers
+# ---------------------------------------------------------------------------
+CARRIERS = ("inline", "pool")
+SEEDS = range(8)
+
+
+def _run_on(workers, main_cls, seed, max_steps=2_000, **kwargs):
+    strategy = RandomStrategy(seed=seed)
+    runtime = BugFindingRuntime(
+        strategy, max_steps=max_steps, workers=workers, **kwargs
+    )
+    strategy.prepare_iteration()
+    return runtime.execute(main_cls)
+
+
+def _on_both(make, seed, **kwargs):
+    """Run the program ``make(log)`` builds on each carrier; the traces and
+    what the handlers logged must not tell the carriers apart.  Returns
+    the (shared) result and log."""
+    outcomes = []
+    for workers in CARRIERS:
+        log = []
+        result = _run_on(workers, make(log), seed, **kwargs)
+        outcomes.append((result.status, result.trace.fingerprint(), log))
+    assert outcomes[0] == outcomes[1], seed
+    return result, log
+
+
+class Leaf(Machine):
+    """A child with a scheduling point of its own, so creations interleave."""
+
+    class Init(State):
+        initial = True
+        entry = "boot"
+        actions = {EStop: "stop"}
+
+    def boot(self):
+        self.send(self.id, EStop())
+
+    def stop(self):
+        self.halt()
+
+
+class OtherLeaf(Leaf):
+    pass
+
+
+class TestPrimitivesAreCalls:
+    def test_expression_positions(self):
+        def make(log):
+            class Positions(Machine):
+                class Init(State):
+                    initial = True
+                    entry = "go"
+
+                def go(self):
+                    flag = self.nondet()
+                    a = self.create_machine(Leaf) if flag else self.create_machine(OtherLeaf)
+                    ids = [self.create_machine(Leaf), self.create_machine(OtherLeaf)]
+                    noted = self.note(self.create_machine(Leaf), self.send(a, EStop()))
+                    label = f"<{self.create_machine(OtherLeaf)}|{self.send(a, EStop())}>"
+                    made = self.outer()
+                    self.send(made, EStop())
+                    log.append((flag, repr(a), [repr(i) for i in ids], noted, label, repr(made)))
+
+                def note(self, mid, sent):  # plain: never reshaped
+                    return (repr(mid), sent)
+
+                def outer(self):
+                    return self.inner()
+
+                def inner(self):
+                    return self.create_machine(Leaf)
+
+            return Positions
+
+        seen = set()
+        for seed in SEEDS:
+            result, ((flag, a, ids, noted, label, made),) = _on_both(make, seed)
+            assert result.status == "ok", result.bug
+            # Creation order is evaluation order; a send evaluates to None.
+            first = "Leaf(1)" if flag else "OtherLeaf(1)"
+            assert (a, ids) == (first, ["Leaf(2)", "OtherLeaf(3)"])
+            assert noted == ("Leaf(4)", None)
+            assert (label, made) == ("<OtherLeaf(5)|None>", "Leaf(6)")
+            seen.add(flag)
+        assert seen == {True, False}
+
+    def test_a_local_named_like_the_choice_variable_is_left_alone(self):
+        def make(log):
+            class Shadow(Machine):
+                class Init(State):
+                    initial = True
+                    entry = "go"
+
+                def go(self):
+                    _choice = 41
+                    _choice_ = 1
+                    child = self.create_machine(Leaf)
+                    self.send(child, EStop())
+                    log.append(_choice + _choice_)
+
+            return Shadow
+
+        for seed in SEEDS:
+            result, log = _on_both(make, seed)
+            assert result.status == "ok" and log == [42], result.bug
+
+    def test_depth_bound_unwinds_through_the_call_site(self):
+        def make(log):
+            class Spin(Machine):
+                class Init(State):
+                    initial = True
+                    entry = "spin"
+                    actions = {EKick: "spin"}
+
+                def spin(self):
+                    try:
+                        self.send(self.id, EKick())
+                        log.append("returned")
+                    except Exception:
+                        log.append("caught")
+                        raise
+                    finally:
+                        log.append("finally")
+
+            return Spin
+
+        result, log = _on_both(make, seed=0, max_steps=30)
+        assert result.status == "depth-bound"
+        assert "caught" not in log
+        # The send that hit the bound never returned; its finally ran.
+        assert log[-3:] == ["returned", "finally", "finally"]
+        assert log.count("finally") == log.count("returned") + 1
+
+    def test_monitor_assertion_unwinds_through_the_call_site(self):
+        class Third(Monitor):
+            observes = (EKick,)
+
+            class Counting(State):
+                initial = True
+                entry = "setup"
+                actions = {EKick: "count"}
+
+            def setup(self):
+                self.seen = 0
+
+            def count(self):
+                self.seen += 1
+                self.assert_that(self.seen < 3, "third kick")
+
+        def make(log):
+            class Kicker(Machine):
+                class Init(State):
+                    initial = True
+                    entry = "kick"
+                    actions = {EKick: "kick"}
+
+                def kick(self):
+                    try:
+                        self.send(self.id, EKick())
+                        log.append("returned")
+                    except Exception as exc:
+                        log.append(f"caught {type(exc).__name__}")
+                        raise
+                    finally:
+                        log.append("finally")
+
+            return Kicker
+
+        result, log = _on_both(make, seed=0, monitors=[Third])
+        assert result.buggy and result.bug.kind == "monitor"
+        assert "third kick" in result.bug.message
+        assert log[-2:] == ["caught MonitorError", "finally"]
+        assert log.count("returned") == 2
+
+    def test_cancellation_unwinds_through_the_call_site(self):
+        def make(log):
+            class Bomb(Machine):
+                class Init(State):
+                    initial = True
+                    actions = {EKick: "boom"}
+
+                def boom(self):
+                    self.assert_that(False, "boom")
+
+            class Waiter(Machine):
+                class Init(State):
+                    initial = True
+                    entry = "go"
+
+                def go(self):
+                    bomb = self.create_machine(Bomb)
+                    try:
+                        self.send(bomb, EKick())
+                        log.append("returned")
+                    except Exception:
+                        log.append("caught")
+                    finally:
+                        log.append("finally")
+
+            return Waiter
+
+        logs = set()
+        for seed in SEEDS:
+            result, log = _on_both(make, seed)
+            assert result.buggy and "boom" in result.bug.message
+            logs.add(tuple(log))
+        # Either the send returned and the bomb went off later, or the
+        # waiter was suspended in it when the execution was canceled.
+        assert logs == {("returned", "finally"), ("finally",)}
+
+
+class TestUncompilableClassMidExecution:
+    """A class created mid-execution that does not compile ends the
+    execution with ``InlineCompileError`` — from ``execute()``, after every
+    machine has unwound — whatever the creating handler catches."""
+
+    @staticmethod
+    def make(log):
+        class BadChild(Machine):
+            class Init(State):
+                initial = True
+                entry = "go"
+
+            def go(self):
+                burst = lambda: self.send(self.id, EKick())  # noqa: E731
+                burst()
+
+        class Sibling(Machine):
+            class Init(State):
+                initial = True
+                actions = {EKick: "on_kick"}
+
+            def on_kick(self):
+                try:
+                    self.send(self.payload, EReply())
+                    log.append("sibling returned")
+                finally:
+                    log.append("sibling finally")
+
+        class Parent(Machine):
+            class Init(State):
+                initial = True
+                entry = "go"
+                actions = {EReply: "on_reply"}
+
+            def go(self):
+                self.send(self.create_machine(Sibling), EKick(self.id))
+
+            def on_reply(self):
+                try:
+                    self.create_machine(BadChild)
+                except Exception:
+                    log.append("swallowed")
+
+        return Parent
+
+    def test_inline_raises_after_unwinding_everyone(self):
+        logs = set()
+        for seed in SEEDS:
+            log = []
+            with pytest.raises(InlineCompileError, match="lambda"):
+                _run_on("inline", self.make(log), seed)
+            logs.add(tuple(log))
+        # Never swallowed; a sibling suspended in its send ran its finally.
+        assert logs == {("sibling returned", "sibling finally"), ("sibling finally",)}
+
+    def test_auto_restarts_on_the_pool(self):
+        def campaign(workers):
+            report = Campaign(
+                TestConfig(
+                    self.make([]),
+                    max_iterations=10,
+                    time_limit=30.0,
+                    stop_on_first_bug=False,
+                    workers=workers,
+                    record_traces=True,
+                ),
+                strategy=RandomStrategy(seed=3),
+            ).run()
+            return report
+
+        auto, pool = campaign("auto"), campaign("pool")
+        assert auto.effective_backend == pool.effective_backend == "pool"
+        assert auto.iterations == pool.iterations == 10
+        assert auto.total_steps == pool.total_steps
+        assert auto.total_scheduling_points == pool.total_scheduling_points
 
 
 # ---------------------------------------------------------------------------

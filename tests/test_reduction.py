@@ -43,6 +43,7 @@ from repro.testing.reporting import report_json
 from repro.testing.trace import REDUCTION, SCHED
 
 from .machines import EPing, EPong, Ping
+from .reference_runtime import schedulable_walk
 from .test_config import MidCampaignRacer
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -486,7 +487,7 @@ class _CheckedRuntime(BugFindingRuntime):
     checks = 0
 
     def _schedulable(self):
-        expected = self._schedulable_walk()
+        expected = schedulable_walk(self)
         got = super()._schedulable()
         assert got == expected, (got, expected)
         _CheckedRuntime.checks += 1

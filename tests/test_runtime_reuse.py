@@ -16,10 +16,13 @@ from repro import (
     BugFindingRuntime,
     Campaign,
     DfsStrategy,
+    Event,
     FairRandomStrategy,
+    Machine,
     PctStrategy,
     RandomStrategy,
     ScheduleTrace,
+    State,
     TestConfig,
     replay,
 )
@@ -400,6 +403,45 @@ class TestWorkerPool:
         assert pool.idle == 3
         runtime.close()
         assert pool.size == 0
+
+    def test_worker_idling_with_nobody_enabled_leaves_its_lock_clean(self):
+        # Every execution of Lingerers ends with its last machine going
+        # idle and finding nobody enabled: that worker unwinds without a
+        # hand-off and must still consume exactly its end-of-execution
+        # permit.  One owed would taint the runtime; one left over would
+        # start the worker out of turn in the next binding.
+        class ENudge(Event):
+            pass
+
+        class Lingerer(Machine):
+            class Init(State):
+                initial = True
+                ignored = (ENudge,)
+
+        class Lingerers(Machine):
+            class Init(State):
+                initial = True
+                entry = "go"
+
+            def go(self):
+                for _ in range(2):
+                    self.send(self.create_machine(Lingerer), ENudge())
+
+        pool = WorkerPool()
+        strategy = RandomStrategy(seed=1)
+        runtime = BugFindingRuntime(strategy, workers="pool", pool=pool)
+        pooled = []
+        for _ in range(20):
+            strategy.prepare_iteration()
+            result = runtime.execute(Lingerers)
+            assert result.status == "ok" and not runtime.tainted
+            assert pool.idle == pool.size == 3
+            assert all(w.signal.locked() and w.retired for w in pool._free)
+            pooled.append(result.trace)
+        inline = _traces(Lingerers, RandomStrategy(seed=1), "inline", 20)
+        assert pooled == inline
+        assert len({trace.fingerprint() for trace in pooled}) > 1
+        runtime.close()
 
     def test_shared_pool_is_default_and_reused(self):
         shared = shared_worker_pool()
