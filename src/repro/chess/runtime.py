@@ -160,8 +160,7 @@ class ChessRuntime(BugFindingRuntime):
         current = self._current
         if current is None or self._canceled or self._finished:
             return
-        worker = self._workers.get(current)
-        if worker is None or worker.state is not _WorkerState.RUNNING:
+        if self._worker_list[current.value].state is not _WorkerState.RUNNING:
             return
         self._schedule(current)
 

@@ -25,11 +25,11 @@ class runs on the inline carrier:
    method does not use)::
 
        self.send(t, e)
-         -> (yield c) if (c := self._runtime._send_point(self, t, e))
+         -> (yield c) if (c := self._runtime._point(self._id, t, e))
                       is not None else None
        self.create_machine(C, p)
          -> (self._runtime._spawn(C, p),
-             (yield c) if (c := self._runtime._decide(self._id))
+             (yield c) if (c := self._runtime._point(self._id))
                        is not None else None)[0]
        self.helper(...)
          -> yield from self._inline__helper(...)
@@ -42,8 +42,8 @@ class runs on the inline carrier:
    ``exit_inline``), mirroring the precompiled plain dispatch.
 
 A compiled handler *calls* the runtime at its scheduling primitives —
-the same send effect and the same decision the pooled threads reach
-through ``Machine.send`` — and the runtime *answers*: ``None`` when the
+the same scheduling point the pooled threads reach through
+``Machine.send`` — and the runtime *answers*: ``None`` when the
 running machine keeps the turn, else the machine the strategy picked.
 Only then does the handler suspend, yielding that choice through its
 ``yield from`` chain to the trampoline.  Whatever a scheduling point
@@ -343,16 +343,16 @@ class _InlineTransformer(ast.NodeTransformer):
         if name in _PRIMITIVES:
             names, required = _PRIMITIVES[name]
             args = _normalize_args(node, names, self._owner, required)
+            my_id = ast.Attribute(value=_load("self"), attr="_id", ctx=ast.Load())
             if name == "send":
-                send = _runtime_call("_send_point", [_load("self"), *args])
+                send = _runtime_call("_point", [my_id, *args])
                 return _point(send, self._choice)
             # (spawn, the scheduling point after it)[0]: the new machine
             # is a branch the decision may choose.
-            my_id = ast.Attribute(value=_load("self"), attr="_id", ctx=ast.Load())
-            decide = _runtime_call("_decide", [my_id])
+            after = _runtime_call("_point", [my_id])
             return ast.Subscript(
                 value=ast.Tuple(
-                    elts=[_runtime_call("_spawn", args), _point(decide, self._choice)],
+                    elts=[_runtime_call("_spawn", args), _point(after, self._choice)],
                     ctx=ast.Load(),
                 ),
                 slice=ast.Constant(value=0),

@@ -37,6 +37,7 @@ from __future__ import annotations
 import inspect
 import types
 from collections import deque
+from operator import attrgetter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple, Type
 
@@ -358,9 +359,9 @@ class Machine:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def id(self) -> MachineId:
-        return self._id
+    #: This machine's :class:`MachineId`.  Read on nearly every send
+    #: (``self.id`` in a payload), so the getter is C-level: no frame.
+    id = property(attrgetter("_id"))
 
     @property
     def payload(self) -> Any:
@@ -537,21 +538,32 @@ class Machine:
         if self._raised is not None:
             event, self._raised = self._raised, None
         else:
-            index = self._deliverable_index()
-            if index is None:
+            inbox = self._inbox
+            if not inbox:
                 return False
-            event = self._inbox[index]
-            del self._inbox[index]
-            runtime = self._runtime
-            if runtime._hook_dequeued:
-                runtime.on_event_dequeued(self, event)
+            # The head of the inbox nearly always is the event
+            # _deliverable_index() would name: probe its disposition
+            # before paying for the scan.
+            event = inbox[0]
+            entry = self._current_state.dispatch.get(type(event))
+            if entry is not None and entry[0] <= DISP_HALT:
+                inbox.popleft()
+            else:
+                index = self._deliverable_index()
+                if index is None:
+                    return False
+                event = inbox[index]
+                del inbox[index]
+            hook = self._runtime._hook_dequeued
+            if hook is not None:
+                hook(self, event)
         self._handle(event)
         return True
 
     def _handle(self, event: Event) -> None:
         state = self._current_state
         assert state is not None
-        code, payload = state.disposition(type(event))
+        code, payload = state.dispatch.get(type(event)) or state.disposition(type(event))
         if code == DISP_ACTION:
             self._current_event = event
             payload(self)
@@ -568,9 +580,9 @@ class Machine:
             old.exit_fn(self)
         self._current_state = info
         self._current_event = event
-        runtime = self._runtime
-        if runtime._hook_state:
-            runtime.on_state_entered(self, old, event)
+        hook = self._runtime._hook_state
+        if hook is not None:
+            hook(self, old, event)
         entry_fn = info.entry_fn
         if entry_fn is not None:
             entry_fn(self)
@@ -614,21 +626,34 @@ class Machine:
         """
         if self._halted:
             return False
+        state = self._current_state
+        entry = None
         if self._raised is not None:
             event, self._raised = self._raised, None
         else:
-            index = self._deliverable_index()
-            if index is None:
+            inbox = self._inbox
+            if not inbox:
                 return False
-            event = self._inbox[index]
-            del self._inbox[index]
-            runtime = self._runtime
-            if runtime._hook_dequeued:
-                runtime.on_event_dequeued(self, event)
-        state = self._current_state
-        entry = state.inline_dispatch.get(type(event))
+            # As in _step: the head first, the scan only when the head
+            # is deferred, ignored or not yet in the table.
+            event = inbox[0]
+            entry = state.inline_dispatch.get(type(event))
+            if entry is not None and entry[0] <= DISP_HALT:
+                inbox.popleft()
+            else:
+                index = self._deliverable_index()
+                if index is None:
+                    return False
+                event = inbox[index]
+                del inbox[index]
+                entry = None
+            hook = self._runtime._hook_dequeued
+            if hook is not None:
+                hook(self, event)
         if entry is None:
-            entry = state.inline_disposition(type(event))
+            entry = state.inline_dispatch.get(type(event))
+            if entry is None:
+                entry = state.inline_disposition(type(event))
         code, payload, is_coroutine = entry
         if code == DISP_ACTION:
             self._current_event = event
@@ -657,9 +682,9 @@ class Machine:
                 exit_handler[0](self)
             self._current_state = info
             self._current_event = event
-            runtime = self._runtime
-            if runtime._hook_state:
-                runtime.on_state_entered(self, old, event)
+            hook = self._runtime._hook_state
+            if hook is not None:
+                hook(self, old, event)
             if entry_handler is not None:
                 entry_handler[0](self)
             return True
@@ -675,9 +700,9 @@ class Machine:
                 fn(self)
         self._current_state = info
         self._current_event = event
-        runtime = self._runtime
-        if runtime._hook_state:
-            runtime.on_state_entered(self, old, event)
+        hook = self._runtime._hook_state
+        if hook is not None:
+            hook(self, old, event)
         handler = info.entry_inline
         if handler is not None:
             fn, is_coroutine = handler

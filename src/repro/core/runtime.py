@@ -25,13 +25,16 @@ from .machine import Machine
 class RuntimeBase:
     """State and behaviour shared by all runtimes."""
 
-    # State-entry hook flag, mirroring the ``_hook_dequeued`` pattern:
-    # machines check this one boolean before calling
-    # :meth:`on_state_entered`, so runtimes without activity-coverage
-    # collection (this default) pay a single attribute test per state
-    # change.  The bug-finding runtime overrides it *per instance* when
-    # a CoverageMap is attached.
-    _hook_state = False
+    # The hooks machines call when they are not None, so a runtime
+    # without listeners pays one attribute test per state change / per
+    # dequeue and a runtime with one pays a single call:
+    # ``_hook_state(machine, old_info, event)`` after a machine (or
+    # monitor) entered a state — ``old_info`` is the previous
+    # :class:`StateInfo` (None on the initial entry) and ``event`` the
+    # trigger; the bug-finding runtime points it at its CoverageMap —
+    # and ``_hook_dequeued(machine, event)``, which is
+    # :meth:`on_event_dequeued` for the runtimes that override it.
+    _hook_state: Optional[Callable[[Machine, Any, Optional[Event]], None]] = None
 
     def __init__(self) -> None:
         self._machines: Dict[MachineId, Machine] = {}
@@ -41,11 +44,14 @@ class RuntimeBase:
         # Registered specification monitor instances (repro.testing
         # .monitors); empty for runtimes without monitor support.
         self._monitors: List[Any] = []
-        # Precomputed so machines can skip the no-op dequeue hook call on
-        # the hot path; True only for runtimes that override it (CHESS).
-        self._hook_dequeued = (
-            type(self).on_event_dequeued is not RuntimeBase.on_event_dequeued
-        )
+        self._hook_dequeued = self._overridden_dequeue_hook(RuntimeBase)
+
+    def _overridden_dequeue_hook(self, base: type) -> Optional[Callable]:
+        """:meth:`on_event_dequeued` when a subclass of ``base`` overrides
+        it (CHESS), else None."""
+        if type(self).on_event_dequeued is base.on_event_dequeued:
+            return None
+        return self.on_event_dequeued
 
     # -- registry -------------------------------------------------------
     def _allocate_id(self, machine_cls: Type[Machine]) -> MachineId:
@@ -111,17 +117,6 @@ class RuntimeBase:
         """Hook invoked when a machine dequeues an event (used by the
         CHESS baseline to add happens-before edges and visible ops)."""
 
-    def on_state_entered(
-        self,
-        machine: Machine,
-        old_info: Optional[Any],
-        event: Optional[Event],
-    ) -> None:
-        """Hook invoked after a machine (or monitor) entered a state —
-        ``old_info`` is the previous :class:`StateInfo` (None on the
-        initial entry) and ``event`` the trigger.  Guarded by the
-        ``_hook_state`` flag; used for activity-coverage collection."""
-
     def log(self, message: str) -> None:
         if self._log_sink is not None:
             self._log_sink(message)
@@ -149,9 +144,7 @@ class Runtime(RuntimeBase):
         # but the hook only needs to run once a dequeue-observing monitor
         # is registered — keep the no-monitor hot path unhooked while
         # preserving the base contract for further subclass overrides.
-        self._hook_dequeued = (
-            type(self).on_event_dequeued is not Runtime.on_event_dequeued
-        )
+        self._hook_dequeued = self._overridden_dequeue_hook(Runtime)
 
     # ------------------------------------------------------------------
     def run(self, main_cls: Type[Machine], payload: Any = None) -> "Runtime":
@@ -206,7 +199,7 @@ class Runtime(RuntimeBase):
             self._send_observer_cache = {}
             self._dequeue_observer_cache = {}
             if instance.observes_dequeue:
-                self._hook_dequeued = True
+                self._hook_dequeued = self.on_event_dequeued
             instance._boot()
 
     def invoke_monitor(

@@ -27,8 +27,9 @@ which is how the cross-backend bit-identity guarantee is tested: for a
 fixed strategy seed, inline and pool campaigns produce *equal* maps.
 
 Collection costs one pointer-is-None check per hook when disabled (the
-runtime's ``_hook_state``/``_cov`` flags); nothing here is imported on
-the runtime's hot paths.
+runtime's ``_hook_state``/``_hook_dequeued``/``_cov``) and one call per
+observed event when enabled: the state-entry and dequeue hooks point
+straight at the map's recorders.
 """
 
 from __future__ import annotations
@@ -175,19 +176,20 @@ class CoverageMap(Record):
             record = self.ensure_class(cls)
         record.halts += 1
 
-    def record_entry(
-        self, cls: type, old: Optional[str], event, new: str
-    ) -> None:
-        """One state entry of an instance of ``cls``: ``old`` is the
-        previous state's name (None for the initial entry, which counts
-        as a state visit but not a transition)."""
-        record = self._classes.get(cls)
+    def record_entry(self, machine, old_info, event) -> None:
+        """One state entry, with the signature of the runtimes'
+        ``_hook_state`` so machines call the map directly: ``machine``
+        just entered its current state from ``old_info`` (None for the
+        initial entry, which counts as a state visit but not a
+        transition) on ``event``."""
+        record = self._classes.get(type(machine))
         if record is None:
-            record = self.ensure_class(cls)
+            record = self.ensure_class(type(machine))
+        new = machine._current_state.name
         visited = record.states_visited
         visited[new] = visited.get(new, 0) + 1
-        if old is not None and event is not None:
-            key = (old, type(event).__name__, new)
+        if old_info is not None and event is not None:
+            key = (old_info.name, type(event).__name__, new)
             taken = record.transitions_taken
             taken[key] = taken.get(key, 0) + 1
 
@@ -204,7 +206,8 @@ class CoverageMap(Record):
         drops = self.events_dropped
         drops[name] = drops.get(name, 0) + 1
 
-    def record_dequeue(self, event) -> None:
+    def record_dequeue(self, machine, event) -> None:
+        """With the signature of the runtimes' ``_hook_dequeued``."""
         name = type(event).__name__
         dequeued = self.events_dequeued
         dequeued[name] = dequeued.get(name, 0) + 1

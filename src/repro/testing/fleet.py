@@ -98,6 +98,10 @@ HEARTBEAT_INTERVAL = 1.0
 #: sit quietly in recv() until work arrives.
 DEFAULT_WORKER_TIMEOUT = 30.0
 
+#: Seconds the coordinator's select waits, and between two is_alive()
+#: polls of its local worker processes.
+LIVENESS_TICK = 0.25
+
 #: Times one shard is re-queued after worker loss before being abandoned.
 DEFAULT_MAX_REQUEUES = 2
 
@@ -1018,6 +1022,10 @@ def run_fleet(
         for slot in range(local_workers):
             spawn_local(slot)
 
+        # is_alive() is a waitpid syscall per local peer: asked on the
+        # select tick, not on every loop turn (a dead worker's pipe
+        # reports EOF at once; this is for a pipe a grandchild holds open).
+        next_liveness_check = 0.0
         while True:
             now = time.monotonic()
             if total_done() >= len(specs):
@@ -1051,7 +1059,7 @@ def run_fleet(
             if listener is not None:
                 read_fds.append(listener)
             try:
-                ready, _, _ = select.select(read_fds, [], [], 0.25)
+                ready, _, _ = select.select(read_fds, [], [], LIVENESS_TICK)
             except (OSError, ValueError):
                 # A bad fd in the set: probe each source individually so
                 # one torn-down peer cannot wedge the whole loop.
@@ -1093,6 +1101,9 @@ def run_fleet(
                     drop(peer, str(exc))
 
             now = time.monotonic()
+            check_liveness = now >= next_liveness_check
+            if check_liveness:
+                next_liveness_check = now + LIVENESS_TICK
             for peer in list(peers):
                 if peer.stage == "handshake" and (
                     now - peer.last_seen > HANDSHAKE_TIMEOUT
@@ -1102,7 +1113,11 @@ def run_fleet(
                     now - peer.last_seen > worker_timeout
                 ):
                     drop(peer, "heartbeat went stale")
-                elif peer.proc is not None and not peer.proc.is_alive():
+                elif (
+                    check_liveness
+                    and peer.proc is not None
+                    and not peer.proc.is_alive()
+                ):
                     # A dead local process also surfaces as EOF on its
                     # pipe, but reap it promptly even if the pipe
                     # lingers open in a grandchild.

@@ -171,11 +171,12 @@ class Monitor(Machine):
         class — an :class:`UnhandledEventError`)."""
         state = self._current_state
         assert state is not None
-        code = state.disposition(type(event))[0]
-        if code == DISP_IGNORE or code == DISP_DEFER:
+        entry = state.dispatch.get(type(event)) or state.disposition(type(event))
+        if entry[0] == DISP_IGNORE or entry[0] == DISP_DEFER:
             return
         self._handle(event)
-        self._drain_raised()
+        if self._raised is not None:
+            self._drain_raised()
 
     def _drain_raised(self) -> None:
         while self._raised is not None:

@@ -13,18 +13,25 @@ scheduling point — the simple partial-order reduction inherited from
 P [6]); a forced hand-off additionally happens when a machine goes idle
 or finishes.  Each piece of a scheduling point is written once:
 
-* :meth:`BugFindingRuntime._send_effect` — what a send does (monitor
-  mirroring, coverage, footprint, fault consult, enqueue, idle wake,
-  visible-operation hook);
-* :meth:`BugFindingRuntime._decide` — the paper's Schedule: count the
-  step, consult the state cache, read the enabled set, let the strategy
-  pick (``_choose``), and answer with the machine to switch to, or
-  ``None`` when the running machine keeps the turn;
-* :meth:`BugFindingRuntime._pick_successor` — the same ``_choose`` for a
-  machine that gives the turn up (idle or done);
+* :meth:`BugFindingRuntime._point` — the scheduling point, whole, in one
+  frame: what the send that caused it does (monitor mirroring, coverage,
+  footprint, fault consult, enqueue, idle wake, visible-operation hook),
+  then the paper's Schedule — count the step, consult the state cache,
+  read the enabled set, let the strategy pick, record the pick — answered
+  with the machine to switch to, or ``None`` when the running machine
+  keeps the turn;
+* :meth:`BugFindingRuntime._pick_successor` — the hand-off of a machine
+  that gives the turn up (idle or done): termination when nobody is
+  enabled, else the same point, entered past the step count;
 * :meth:`BugFindingRuntime._machine_body` — one machine's life (start,
   step loop, crash consult, idle / done hand-off) as a generator over its
   control transfers.
+
+The hot path looks machines up by one key, the seat index
+(``MachineId.value`` is the position in ``_worker_list``), and every
+table it reads — the enabled set's order, the monitor-observer tables —
+is keyed or compared by that int; ``MachineId`` objects are for the
+program and the strategy API.
 
 A *carrier* only moves control to the machine those decisions name.
 Exactly one machine runs at any moment, so runtime state needs no
@@ -34,7 +41,7 @@ locking.
     The single-thread continuation runtime: machine handlers are
     compiled into resumable generator coroutines
     (:mod:`repro.core.continuations`) whose scheduling primitives call
-    ``_send_point`` / ``_spawn`` + ``_decide`` and suspend only when the
+    ``_point`` (after ``_spawn``, for a create) and suspend only when the
     answer is another machine; a flat trampoline
     (:meth:`BugFindingRuntime._run_inline`) resumes the chosen body — no
     locks, no hand-offs, no permits, and no ~3-7us OS thread switch per
@@ -46,7 +53,7 @@ locking.
     back in when the schedule completes, so a 10k-iteration campaign
     reuses a handful of threads instead of spawning and joining tens of
     thousands.  A pooled thread drives its own machine's body; plain
-    handlers reach the decision through ``send`` / ``create_machine`` ->
+    handlers reach the same point through ``send`` / ``create_machine`` ->
     :meth:`BugFindingRuntime._schedule`, and every switch is one
     ``release(choice) / acquire(self)`` on raw ``threading.Lock``
     primitives (:meth:`BugFindingRuntime._switch`).  The carrier for
@@ -70,7 +77,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
@@ -318,6 +325,25 @@ class _InlineWorker:
         self.gen = runtime._machine_body(self)
 
 
+class _Observers(dict):
+    """Event class -> registration indices of the monitors observing it,
+    filled the first time an event class is looked up: the monitor
+    classes whose ``attr`` tuple (``observes`` / ``observes_dequeue``)
+    lists it or a base of it.  Built once per runtime — the classes are
+    fixed for a campaign — so a lookup on the hot path is one C call."""
+
+    def __init__(self, monitors: Sequence[Type[Monitor]], attr: str) -> None:
+        self._listed = [tuple(getattr(cls, attr)) for cls in monitors]
+
+    def __missing__(self, event_cls: type) -> Tuple[int, ...]:
+        observers = self[event_cls] = tuple(
+            index
+            for index, listed in enumerate(self._listed)
+            if issubclass(event_cls, listed)
+        )
+        return observers
+
+
 _shared_pool = WorkerPool()
 
 
@@ -486,6 +512,20 @@ class BugFindingRuntime(RuntimeBase):
             self._crash_classes = ()
             self._fault_budget = 0
         self._has_liveness_monitors = any(has_hot_states(m) for m in self.monitors)
+        # What follows from the monitor classes alone is computed once per
+        # runtime, not per execution (the classes are fixed for a
+        # campaign): their ids, the class -> registration index map, and
+        # the observer tables.
+        self._monitors_attached = bool(self.monitors)
+        self._monitor_ids = tuple(
+            MachineId(-(index + 1), monitor_cls.__name__)
+            for index, monitor_cls in enumerate(self.monitors)
+        )
+        self._monitor_index = {
+            monitor_cls: index for index, monitor_cls in enumerate(self.monitors)
+        }
+        self._observing_send = _Observers(self.monitors, "observes")
+        self._observing_dequeue = _Observers(self.monitors, "observes_dequeue")
         self._pool = pool if pool is not None else _shared_pool
         self._hook_visible = (
             type(self).on_visible_operation
@@ -506,12 +546,26 @@ class BugFindingRuntime(RuntimeBase):
         # accumulates across every execution this runtime runs, so the
         # engine reads one campaign-level map at the end.  Armed before
         # the construction-time reset() below — monitor boots during
-        # reset are state entries too.  When None (the default), the
-        # class-level ``_hook_state = False`` keeps every hook dark.
+        # reset are state entries too.  The machines' state-entry hook
+        # is the map's recorder itself; None (the default) keeps it dark.
         if coverage is not None and not isinstance(coverage, CoverageMap):
             raise ValueError(f"coverage must be a CoverageMap, got {coverage!r}")
         self._cov = coverage
-        self._hook_state = coverage is not None
+        if coverage is not None:
+            self._hook_state = coverage.record_entry
+            # Monitors visited in no execution must still contribute
+            # their declared states to the uncovered report.
+            for monitor_cls in self.monitors:
+                coverage.ensure_class(monitor_cls, monitor=True)
+        # The dequeue hook: on_event_dequeued for subclasses that
+        # override it (CHESS) and when some monitor observes at dequeue
+        # time; the map's recorder itself when only coverage listens.
+        if self._overridden_dequeue_hook(BugFindingRuntime) is not None or any(
+            m.observes_dequeue for m in self.monitors
+        ):
+            self._hook_dequeued = self.on_event_dequeued
+        else:
+            self._hook_dequeued = None if coverage is None else coverage.record_dequeue
         # Schedule-space reduction (repro.testing.reduction): like the
         # coverage map, the engine spans the whole campaign while the
         # runtime feeds it per-execution facts.  Armed before the
@@ -542,9 +596,10 @@ class BugFindingRuntime(RuntimeBase):
         self._machines.clear()
         self._next_id = 0
         self._error = None
-        # Execution state.
-        self._workers: Dict[MachineId, Any] = {}
-        self._worker_list: List[Any] = []  # in machine-creation order
+        # Execution state.  The seats, in machine-creation order: a
+        # machine's id value is its index here, and the only key the hot
+        # path looks a machine up by.
+        self._worker_list: List[Any] = []
         # The schedulable set, maintained incrementally (sorted by machine
         # id, i.e. creation order — the order of the seat walk that
         # tests/reference_runtime.py keeps as the oracle): _spawn adds,
@@ -576,7 +631,11 @@ class BugFindingRuntime(RuntimeBase):
         self._finished = False
         self._status = "ok"
         self._bug: Optional[BugReport] = None
+        # The trace and its two bound appends (ScheduleTrace.appenders),
+        # set by execute() when traces are recorded.
         self._trace: Optional[ScheduleTrace] = None
+        self._record_tag: Optional[Callable[[int], None]] = None
+        self._record_value: Optional[Callable[[int], None]] = None
         self._sched_points = 0
         self._steps = 0
         self._current: Optional[MachineId] = None
@@ -604,14 +663,11 @@ class BugFindingRuntime(RuntimeBase):
         self._live = 0
         self._all_retired.clear()
         # Specification monitors: fresh instances per execution (their
-        # state is per-schedule), lazily memoized event->observers tables,
-        # and temperature bookkeeping.  ``_hot_deadline`` is the earliest
-        # step at which some hot monitor exceeds the threshold — a single
-        # comparison on the counting hot path.
+        # state is per-schedule) and temperature bookkeeping.
+        # ``_hot_deadline`` is the earliest step at which some hot monitor
+        # exceeds the threshold — a single comparison on the counting hot
+        # path.
         self._monitors = []
-        self._monitor_by_class: Dict[type, Monitor] = {}
-        self._send_observers: Dict[type, tuple] = {}
-        self._dequeue_observers: Dict[type, tuple] = {}
         self._hot_since: Dict[Monitor, int] = {}
         self._hot_deadline = _NO_DEADLINE
         # Temperature detection needs fairness: under an unfair strategy a
@@ -623,27 +679,10 @@ class BugFindingRuntime(RuntimeBase):
         # temperature check to fire exactly where the recorded run did
         # (see _count_step).
         self._replay_probe = getattr(self.strategy, "temperature_may_fire", None)
-        self._monitors_attached = bool(self.monitors)
-        # Dequeue mirroring rides the existing hook flag; keep it hot only
-        # for subclasses that override the hook (CHESS) or when some
-        # attached monitor observes at dequeue time.
-        self._hook_dequeued = (
-            type(self).on_event_dequeued is not BugFindingRuntime.on_event_dequeued
-            or any(m.observes_dequeue for m in self.monitors)
-            or self._cov is not None  # dequeue counting rides the hook
-        )
-        if self._cov is not None:
-            # Monitors visited in no execution must still contribute
-            # their declared states to the uncovered report.
-            for monitor_cls in self.monitors:
-                self._cov.ensure_class(monitor_cls, monitor=True)
         for index, monitor_cls in enumerate(self.monitors):
-            instance = monitor_cls(
-                self, MachineId(-(index + 1), monitor_cls.__name__)
-            )
+            instance = monitor_cls(self, self._monitor_ids[index])
             instance._monitor_index = index
             self._monitors.append(instance)
-            self._monitor_by_class[monitor_cls] = instance
         for instance in self._monitors:
             instance._boot()
             if self._temp_enabled and instance.is_hot:
@@ -696,8 +735,10 @@ class BugFindingRuntime(RuntimeBase):
         self.reset()
         if self.iteration_timeout is not None:
             self._iter_deadline = time.monotonic() + self.iteration_timeout
-        trace = ScheduleTrace() if self.record_trace else None
-        self._trace = trace
+        trace = None
+        if self.record_trace:
+            trace = self._trace = ScheduleTrace()
+            self._record_tag, self._record_value = trace.appenders()
         red = self._red
         if red is not None:
             red.begin_execution()
@@ -714,9 +755,9 @@ class BugFindingRuntime(RuntimeBase):
         if red is not None:
             red.chose(mid.value, (mid.value,))
         if self.effective_workers == "inline":
-            self._run_inline(self._workers[mid])
+            self._run_inline(self._worker_list[mid.value])
         else:
-            self._workers[mid].signal.release()
+            self._worker_list[mid.value].signal.release()
             self._done.acquire()
             self._cancel_all()
             self._release_pool_workers()
@@ -769,63 +810,127 @@ class BugFindingRuntime(RuntimeBase):
         if creator is not None:
             # Scheduling point *after* creation: the new machine is now a
             # branch the strategy may choose.
-            self._schedule(creator.id)
+            self._schedule(creator._id)
         return mid
 
     def send(
         self, target: MachineId, event: Event, sender: Optional[Machine] = None
     ) -> None:
-        self._send_effect(target, event)
-        if sender is not None:
-            self._schedule(sender.id)
-
-    def _send_point(self, sender: Machine, target: MachineId, event: Event):
-        """``self.send(target, event)`` as a compiled handler calls it:
-        the effect, then the decision — answered, not blocked on (see
-        :meth:`_decide`)."""
-        self._send_effect(target, event)
-        return self._decide(sender._id)
-
-    def _send_effect(self, target: MachineId, event: Event) -> None:
-        """What a send does, scheduling aside: mirror the event to the
-        monitors observing it, then enqueue it (under the message fault
-        the strategy picks, if any) and wake an idle target."""
-        if self._monitors_attached:
-            observers = self._observers_for(type(event), self._send_observers, "observes")
-            if observers:
-                self._deliver_to_monitors(observers, event)
-        machine = self._machines.get(target)
-        cov = self._cov
-        if cov is not None:
-            cov.record_send(event, machine is None or machine._halted)
-        if machine is None or machine._halted:
-            return
-        if self._red is not None:
-            # Independence oracle: the target inbox is part of this
-            # step's footprint (with or without a fault — the fault
-            # decision never commutes with its own send).
-            self._red.effects.append(target.value)
-        if self._send_fault_active and (fault := self._consult_send_fault()):
-            if not self._apply_send_fault(machine, event, fault):
-                return  # dropped: nothing reached the inbox
+        if sender is None:
+            self._point(None, target, event)  # nobody runs: the effect alone
         else:
-            machine._inbox.append(event)
-        if not machine._inbox_dirty:
-            machine._inbox_dirty = True
-            # An idle seat has its deliverability re-checked at the next
-            # scheduling point (see _schedulable).
-            worker = self._worker_list[target.value]
-            if worker.state is _IDLE:
-                self._idle_pending.append(worker)
-        if self._hook_visible:
-            self.on_visible_operation(machine, "enqueue")
+            self._schedule(sender._id, target, event)
+
+    def _point(
+        self,
+        current: Optional[MachineId],
+        target: Optional[MachineId] = None,
+        event: Optional[Event] = None,
+        running: bool = True,
+    ) -> Optional[MachineId]:
+        """A scheduling point, whole, in this one frame: the effect of
+        the send that caused it, then the paper's ``Schedule``.
+
+        *The send* (``event`` is None at the point after a
+        ``create_machine`` and at a hand-off): mirror the event to the
+        monitors observing it, then enqueue it — under the message fault
+        the strategy picks, if any — and note an idle target for the
+        next drain.  The target is found by its seat index; an id that
+        names no machine of this execution (a monitor's, another
+        runtime's, a stale one whose seat holds another class now)
+        reaches nothing, like a send to a halted machine.
+
+        *The decision*: count the step, consult the state cache, let the
+        strategy pick among the enabled machines and put the pick on
+        record.  With one machine enabled the decision is forced: the
+        strategy is not consulted (``observe_forced`` keeps replay
+        aligned) but the decision is recorded all the same, so traces do
+        not depend on whether it was.  ``running=False`` is
+        :meth:`_pick_successor`'s entry: ``current`` gave the turn up,
+        so no step is counted.
+
+        Answers with the machine to transfer control to, or ``None``
+        when ``current`` keeps running; the carrier does the transfer.
+        Everything a scheduling point can end the execution with
+        (cancellation, a bound, a liveness report, a pruned state, a
+        monitor failure) is raised from here, into the frame that called
+        the primitive."""
+        red = self._red
+        if event is not None:
+            if self._monitors_attached:
+                observers = self._observing_send[type(event)]
+                if observers:
+                    self._deliver_to_monitors(observers, event)
+            machine = None
+            if target.__class__ is MachineId:
+                index = target.value
+                if 0 <= index < len(self._worker_list):
+                    seat = self._worker_list[index]
+                    if seat.mid is target or seat.mid.name == target.name:
+                        machine = seat.machine
+                        if machine is not None and machine._halted:
+                            machine = None
+            if self._cov is not None:
+                self._cov.record_send(event, machine is None)
+            if machine is not None:
+                if red is not None:
+                    # Independence oracle: the target inbox is part of
+                    # this step's footprint (with or without a fault —
+                    # the fault decision never commutes with its own
+                    # send).
+                    red.effects.append(index)
+                if self._send_fault_active and (fault := self._consult_send_fault()):
+                    delivered = self._apply_send_fault(machine, event, fault)
+                else:
+                    machine._inbox.append(event)
+                    delivered = True
+                if delivered:
+                    if not machine._inbox_dirty:
+                        machine._inbox_dirty = True
+                        # An idle seat has its deliverability re-checked
+                        # at the next scheduling point (see _schedulable).
+                        if seat.state is _IDLE:
+                            self._idle_pending.append(seat)
+                    if self._hook_visible:
+                        self.on_visible_operation(machine, "enqueue")
+            if current is None:
+                return None
+        if running:
+            if self._canceled:
+                raise ExecutionCanceled()
+            steps = self._steps + 1
+            if self._poll or steps > self._hot_deadline or steps > self.max_steps:
+                self._count_step()
+            else:
+                self._steps = steps
+            if red is not None:
+                self._reduction_check()
+            if self._idle_pending:
+                self._schedulable()
+        elif red is not None:
+            self._reduction_check()
+        enabled = self._enabled
+        self._sched_points += 1
+        if len(enabled) == 1:
+            choice = enabled[0]
+            self.strategy.observe_forced(choice)
+        else:
+            choice = self.strategy.pick_machine(enabled[:], current)
+            self._consulted += 1
+        if self._record_tag is not None:
+            self._record_tag(SCHED_TAG)
+            self._record_value(choice.value)
+        if red is not None:
+            self._reduction_chose(choice, enabled)
+        return None if choice.value == current.value else choice
 
     def nondet(self, machine: Machine) -> bool:
         if self._canceled:
             raise ExecutionCanceled()
         value = self.strategy.pick_bool()
-        if self._trace is not None:
-            self._trace.append(BOOL_TAG, int(value))
+        if self._record_tag is not None:
+            self._record_tag(BOOL_TAG)
+            self._record_value(int(value))
         log = self._nondet_log
         if log is not None:
             log.setdefault(machine.id.value, []).append(int(value))
@@ -835,8 +940,9 @@ class BugFindingRuntime(RuntimeBase):
         if self._canceled:
             raise ExecutionCanceled()
         value = self.strategy.pick_int(bound)
-        if self._trace is not None:
-            self._trace.append(INT_TAG, value)
+        if self._record_tag is not None:
+            self._record_tag(INT_TAG)
+            self._record_value(value)
         log = self._nondet_log
         if log is not None:
             log.setdefault(machine.id.value, []).append(value)
@@ -873,8 +979,9 @@ class BugFindingRuntime(RuntimeBase):
                 outcome = FAULT_DELAY
             else:
                 outcome = FAULT_NONE
-        if self._trace is not None:
-            self._trace.append(FAULT_TAG, outcome)
+        if self._record_tag is not None:
+            self._record_tag(FAULT_TAG)
+            self._record_value(outcome)
         log = self._nondet_log
         if log is not None and self._current is not None:
             # Part of the sender's consumed-nondeterminism fingerprint: a
@@ -918,8 +1025,9 @@ class BugFindingRuntime(RuntimeBase):
             fire = probe() == FAULT_CRASH
         else:
             fire = self.strategy.pick_fault(self._crash_weight)
-        if self._trace is not None:
-            self._trace.append(FAULT_TAG, FAULT_CRASH if fire else FAULT_NONE)
+        if self._record_tag is not None:
+            self._record_tag(FAULT_TAG)
+            self._record_value(FAULT_CRASH if fire else FAULT_NONE)
         log = self._nondet_log
         if log is not None and self._current is not None:
             log.setdefault(self._current.value, []).append(
@@ -959,45 +1067,30 @@ class BugFindingRuntime(RuntimeBase):
             machine.__dict__.update(saved)
 
     def on_machine_halted(self, machine: Machine) -> None:
-        worker = self._workers.get(machine.id)
-        if worker is not None:
-            worker.state = _DONE
-            try:
-                # A machine only halts while running, so it is in the
-                # enabled set; discard-style removal keeps double halts
-                # (or exotic subclass call orders) harmless.
-                self._enabled.remove(machine.id)
-            except ValueError:
-                pass
+        value = machine._id.value
+        if value >= 0:  # a monitor (negative id) holds no seat
+            self._worker_list[value].state = _DONE
+            # A machine only halts while running, so it is in the enabled
+            # set; the guard keeps double halts (or exotic subclass call
+            # orders) harmless.
+            enabled = self._enabled
+            index = bisect_left(enabled, value, key=_MID_VALUE)
+            if index < len(enabled) and enabled[index].value == value:
+                del enabled[index]
         if self._cov is not None:
             self._cov.record_halt(type(machine))
         if self._monitors_attached:
-            observers = self._observers_for(
-                EMachineHalted, self._send_observers, "observes"
-            )
+            observers = self._observing_send[EMachineHalted]
             if observers:
-                self._deliver_to_monitors(observers, EMachineHalted(machine.id))
+                self._deliver_to_monitors(observers, EMachineHalted(machine._id))
 
     def on_event_dequeued(self, machine: Machine, event: Event) -> None:
         if self._cov is not None:
-            self._cov.record_dequeue(event)
+            self._cov.record_dequeue(machine, event)
         if self._monitors_attached:
-            observers = self._observers_for(
-                type(event), self._dequeue_observers, "observes_dequeue"
-            )
+            observers = self._observing_dequeue[type(event)]
             if observers:
                 self._deliver_to_monitors(observers, event)
-
-    def on_state_entered(self, machine, old_info, event) -> None:
-        """Activity-coverage hook (see :mod:`repro.testing.coverage`).
-        Called from the machine's state-entry paths only while
-        ``_hook_state`` is armed, i.e. ``_cov`` is attached."""
-        self._cov.record_entry(
-            type(machine),
-            None if old_info is None else old_info.name,
-            event,
-            machine._current_state.name,
-        )
 
     # ------------------------------------------------------------------
     # Specification monitors
@@ -1009,39 +1102,32 @@ class BugFindingRuntime(RuntimeBase):
 
         A no-op when ``monitor_cls`` is not attached, so instrumented
         programs run unchanged without their specifications."""
-        instance = self._monitor_by_class.get(monitor_cls)
-        if instance is not None:
-            self._deliver_to_monitors((instance,), event)
+        index = self._monitor_index.get(monitor_cls)
+        if index is not None:
+            self._deliver_to_monitors((index,), event)
 
-    def _observers_for(self, event_cls: type, table: Dict[type, tuple], attr: str) -> tuple:
-        observers = table.get(event_cls)
-        if observers is None:
-            observers = tuple(
-                m for m in self._monitors
-                if any(issubclass(event_cls, o) for o in getattr(m, attr))
-            )
-            table[event_cls] = observers
-        return observers
-
-    def _deliver_to_monitors(self, observers: tuple, event: Event) -> None:
-        """Run ``event`` through each observing monitor synchronously.
+    def _deliver_to_monitors(self, observers: Tuple[int, ...], event: Event) -> None:
+        """Run ``event`` through each observing monitor (named by
+        registration index) synchronously.
 
         Every invocation is recorded in the trace (kind ``"monitor"``,
         value: the monitor's registration index) so traces with
         specifications attached stay bit-identical across worker back-ends
         and replays.  Monitor assertion failures surface as
         :class:`MonitorError` (bug kind ``"monitor"``)."""
-        trace = self._trace
+        monitors = self._monitors
         red = self._red
-        for instance in observers:
-            if trace is not None:
-                trace.append(MONITOR_TAG, instance._monitor_index)
+        for index in observers:
+            instance = monitors[index]
+            if self._record_tag is not None:
+                self._record_tag(MONITOR_TAG)
+                self._record_value(index)
             if red is not None:
                 # Independence oracle: monitor state is order-sensitive,
                 # so two steps observed by the same monitor never commute
                 # even when their send targets differ.  Monitors get the
                 # negative keys (machine inboxes are >= 0).
-                red.effects.append(-(instance._monitor_index + 1))
+                red.effects.append(-(index + 1))
             try:
                 instance._observe(event)
             except AssertionFailure as exc:
@@ -1155,8 +1241,7 @@ class BugFindingRuntime(RuntimeBase):
             # else can have, yet).
             self._red.effects.append(machine.id.value)
         if inline:
-            worker = self._workers[machine.id] = _InlineWorker(self, machine)
-            self._worker_list.append(worker)
+            self._worker_list.append(_InlineWorker(self, machine))
             # New ids are allocated in increasing order, so appending
             # keeps the enabled set sorted.
             self._enabled.append(machine.id)
@@ -1171,7 +1256,6 @@ class BugFindingRuntime(RuntimeBase):
         with self._retire_lock:
             self._live += 1
         self._bound.append(worker)
-        self._workers[machine.id] = worker
         self._worker_list.append(worker)
         self._enabled.append(machine.id)
         return machine.id
@@ -1242,7 +1326,8 @@ class BugFindingRuntime(RuntimeBase):
                 # that verdict seeds the memo.
                 machine._idle_deliverable = False
                 machine._inbox_dirty = False
-                self._enabled.remove(mid)
+                enabled = self._enabled
+                del enabled[bisect_left(enabled, mid.value, key=_MID_VALUE)]
                 choice = self._pick_successor(mid)
                 if choice is None:
                     return None
@@ -1385,11 +1470,13 @@ class BugFindingRuntime(RuntimeBase):
         here: an enqueue to an *idle* machine parks its seat on
         ``_idle_pending`` instead of re-scanning its inbox at send time,
         and this drain settles the deliverability verdict once per
-        scheduling point.  The common scheduling point (no idle wake-ups
-        pending) is thus a single list copy instead of an O(#machines)
-        seat walk.  Invariant: an IDLE machine with a dirty inbox is on
-        ``_idle_pending``; deliverability is monotone under enqueue, so
-        an already-deliverable machine never needs rechecking.
+        scheduling point.  A scheduling point enters it only when a seat
+        is pending; the common one reads ``_enabled`` as it stands
+        instead of walking O(#machines) seats.  Invariant: an IDLE
+        machine with a dirty inbox is on ``_idle_pending``;
+        deliverability is monotone under enqueue, so an
+        already-deliverable machine never needs rechecking.  Returns
+        ``_enabled`` itself, not a copy.
         """
         pending = self._idle_pending
         if pending:
@@ -1402,19 +1489,28 @@ class BugFindingRuntime(RuntimeBase):
                     if machine._inbox_dirty:
                         machine._inbox_dirty = False
                         if not machine._idle_deliverable:
+                            # An idle machine is started, not halted and
+                            # has nothing raised: the inbox scan is all
+                            # of _has_deliverable() that applies.
                             machine._idle_deliverable = (
-                                machine._has_deliverable()
+                                machine._deliverable_index() is not None
                             )
                             if machine._idle_deliverable:
                                 insort(enabled, seat.mid, key=_MID_VALUE)
             pending.clear()
-        return self._enabled[:]
+        return self._enabled
 
-    def _schedule(self, current: MachineId) -> None:
+    def _schedule(
+        self,
+        current: MachineId,
+        target: Optional[MachineId] = None,
+        event: Optional[Event] = None,
+    ) -> None:
         """A scheduling point in its blocking form, as plain handlers on
         pooled threads reach it through ``send`` / ``create_machine`` (and
         :class:`~repro.chess.ChessRuntime` at every visible operation):
-        decide, and park this thread if another machine was picked."""
+        the point itself, then park this thread if another machine was
+        picked."""
         if self.effective_workers == "inline":
             # Reached only when a handler the coroutine compiler could not
             # analyse (source unavailable, or resolved through a
@@ -1427,37 +1523,18 @@ class BugFindingRuntime(RuntimeBase):
                 "through a static/classmethod shim); use workers='pool' "
                 "for this program"
             ))
-        choice = self._decide(current)
+        choice = self._point(current, target, event)
         if choice is not None:
             self._switch(self._worker_list[current.value], choice)
-
-    def _decide(self, current: MachineId) -> Optional[MachineId]:
-        """The scheduling point of a running machine (the paper's
-        ``Schedule``): the strategy picks the next machine among the
-        enabled ones.  Answers with the machine to transfer control to,
-        or ``None`` when ``current`` keeps running; the carrier does the
-        transfer.  Everything a scheduling point can end the execution
-        with (cancellation, a bound, a liveness report, a pruned state)
-        is raised from here, into the frame that called the primitive."""
-        if self._canceled:
-            raise ExecutionCanceled()
-        steps = self._steps + 1
-        if self._poll or steps > self._hot_deadline or steps > self.max_steps:
-            self._count_step()
-        else:
-            self._steps = steps
-        if self._red is not None:
-            self._reduction_check()
-        choice = self._choose(self._schedulable(), current)
-        return None if choice.value == current.value else choice
 
     def _pick_successor(self, mid: MachineId) -> Optional[MachineId]:
         """The hand-off decision: who runs next when machine ``mid`` gives
         up control without remaining schedulable (idle or done).  ``None``
         means nobody can — the execution has been finished ("ok", or a
         liveness bug) and the caller unwinds."""
-        enabled = self._schedulable()
-        if not enabled:
+        if self._idle_pending:
+            self._schedulable()
+        if not self._enabled:
             if self._monitors_attached:
                 # Terminal quiescence: a still-hot liveness monitor turns
                 # the "ok" outcome into a liveness bug (_finish("ok")
@@ -1466,29 +1543,9 @@ class BugFindingRuntime(RuntimeBase):
             self._finish("ok")
             return None
         # Termination (empty enabled set) is never pruned — the monitor
-        # checks above must run — so the reduction check sits after it.
-        if self._red is not None:
-            self._reduction_check()
-        return self._choose(enabled, mid)
-
-    def _choose(self, enabled: List[MachineId], current: MachineId) -> MachineId:
-        """Pick among ``enabled`` and put the pick on record.  With one
-        machine enabled the decision is forced: the strategy is not
-        consulted (``observe_forced`` keeps replay aligned), but the
-        decision is recorded all the same, so traces do not depend on
-        whether it was."""
-        self._sched_points += 1
-        if len(enabled) == 1:
-            choice = enabled[0]
-            self.strategy.observe_forced(choice)
-        else:
-            choice = self.strategy.pick_machine(enabled, current)
-            self._consulted += 1
-        if self._trace is not None:
-            self._trace.append(SCHED_TAG, choice.value)
-        if self._red is not None:
-            self._reduction_chose(choice, enabled)
-        return choice
+        # checks above must run — so the point's reduction check sits
+        # after it.
+        return self._point(mid, running=False)
 
     def _count_step(self) -> None:
         steps = self._steps + 1
@@ -1619,7 +1676,7 @@ class BugFindingRuntime(RuntimeBase):
         learned prefix clause: a choice known to lead into an explored
         state prunes immediately instead of running to the cache hit."""
         red = self._red
-        red.chose(choice.value, tuple(m.value for m in enabled))
+        red.chose(choice.value, tuple(map(_MID_VALUE, enabled)))
         blocked = red.cur_blocked
         if blocked is not None and choice.value in blocked:
             red.cur_blocked = None
@@ -1661,7 +1718,7 @@ class BugFindingRuntime(RuntimeBase):
 
     def _cancel_all(self) -> None:
         self._canceled = True
-        for worker in self._workers.values():
+        for worker in self._worker_list:
             # Wake everyone; awakened workers observe _canceled and unwind.
             try:
                 worker.signal.release()

@@ -11,11 +11,19 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
+from bisect import bisect_left
+from operator import attrgetter
 from typing import List, Optional, Sequence
 
 from ..core.events import MachineId
 from .faults import FAULT_SCALE
 from .trace import BOOL, FAULT, INT, LIVENESS, MONITOR, REDUCTION, SCHED, ScheduleTrace
+
+# Everything a strategy keeps per machine is keyed by ``MachineId.value``
+# (an int: hashed and compared in C), never by the MachineId, whose
+# ``__hash__`` / ``__eq__`` are Python frames; this reads the key in C too.
+_MID_VALUE = attrgetter("value")
+_FAULT_BITS = FAULT_SCALE.bit_length()
 
 
 class SchedulingStrategy(ABC):
@@ -271,7 +279,7 @@ class DfsStrategy(SchedulingStrategy):
         cursor = self._cursor
         if cursor == len(self._stack):
             self._stack.append(
-                _DporFrame(tuple(m.value for m in enabled), enabled[0].value)
+                _DporFrame(tuple(map(_MID_VALUE, enabled)), enabled[0].value)
             )
         frame = self._stack[cursor]
         self._cursor = cursor + 1
@@ -376,12 +384,9 @@ class IterativeDeepeningDfsStrategy(SchedulingStrategy):
         return self._dfs.pick_fault(weight)
 
 
-class RandomStrategy(SchedulingStrategy):
-    """"The random scheduler chooses a random machine to execute after each
-    send and does not keep track of already explored schedules.  Thus,
-    random machine choices do not need to be controlled" (Section 6.2)."""
-
-    name = "random"
+class _SeededStrategy(SchedulingStrategy):
+    """What the randomized strategies share: one ``random.Random``
+    reseeded per iteration, and the value draws, each in one frame."""
 
     def __init__(self, seed: Optional[int] = None) -> None:
         self._seed = seed if seed is not None else random.randrange(2**31)
@@ -391,33 +396,65 @@ class RandomStrategy(SchedulingStrategy):
     def reset(self) -> None:
         self._iteration = -1
 
-    def prepare_iteration(self) -> bool:
-        self._iteration += 1
+    def _reseed(self) -> None:
         # Reseed deterministically per iteration (equivalent to a fresh
         # ``random.Random(seed)`` but without the allocation): iteration k
         # of a seeded run is reproducible in isolation.
+        self._iteration += 1
         self._rng.seed(self._seed * 1_000_003 + self._iteration)
+
+    def pick_bool(self) -> bool:
+        return bool(self._rng.getrandbits(1))
+
+    def pick_int(self, bound: int) -> int:
+        # ``self._rng.randrange(bound)`` without its two Python frames:
+        # the same rejection sampling over the same ``getrandbits`` draws,
+        # so a seed's schedules are what they were (tests/
+        # test_step_budget.py holds values and generator state equal).
+        if bound <= 0:
+            raise ValueError("empty range for pick_int()")
+        getrandbits = self._rng.getrandbits
+        bits = bound.bit_length()
+        value = getrandbits(bits)
+        while value >= bound:
+            value = getrandbits(bits)
+        return value
+
+    def pick_fault(self, weight: int) -> bool:
+        # ``pick_int(FAULT_SCALE) < weight``, drawn in this frame.
+        if weight <= 0:
+            return False
+        getrandbits = self._rng.getrandbits
+        value = getrandbits(_FAULT_BITS)
+        while value >= FAULT_SCALE:
+            value = getrandbits(_FAULT_BITS)
+        return value < weight
+
+
+class RandomStrategy(_SeededStrategy):
+    """"The random scheduler chooses a random machine to execute after each
+    send and does not keep track of already explored schedules.  Thus,
+    random machine choices do not need to be controlled" (Section 6.2)."""
+
+    name = "random"
+
+    def prepare_iteration(self) -> bool:
+        self._reseed()
         return True
 
     def pick_machine(
         self, enabled: Sequence[MachineId], current: Optional[MachineId]
     ) -> MachineId:
         # int(random() * n) instead of randrange(n): one C call on the
-        # hottest strategy path (randrange pays two Python frames); the
-        # 2^-53 float bias is irrelevant at enabled-set sizes.
+        # hottest strategy path; the 2^-53 float bias is irrelevant at
+        # enabled-set sizes.
         return enabled[int(self._rng.random() * len(enabled))]
-
-    def pick_bool(self) -> bool:
-        return bool(self._rng.getrandbits(1))
-
-    def pick_int(self, bound: int) -> int:
-        return self._rng.randrange(bound)
 
     def is_fair(self) -> bool:
         return True
 
 
-class FairRandomStrategy(SchedulingStrategy):
+class FairRandomStrategy(_SeededStrategy):
     """A round-robin-biased random walk that satisfies :meth:`is_fair`.
 
     At every decision the strategy flips a (seeded) coin: with probability
@@ -436,21 +473,18 @@ class FairRandomStrategy(SchedulingStrategy):
     def __init__(self, seed: Optional[int] = None, bias: float = 0.5) -> None:
         if not 0.0 <= bias <= 1.0:
             raise ValueError(f"bias must be in [0, 1], got {bias}")
-        self._seed = seed if seed is not None else random.randrange(2**31)
+        super().__init__(seed)
         self._bias = bias
-        self._iteration = -1
-        self._rng = random.Random(self._seed)
-        self._last_run: dict = {}  # MachineId -> step it last ran
+        self._last_run: dict = {}  # machine id value -> step it last ran
         self._step = 0
 
     def reset(self) -> None:
-        self._iteration = -1
+        super().reset()
         self._last_run = {}
         self._step = 0
 
     def prepare_iteration(self) -> bool:
-        self._iteration += 1
-        self._rng.seed(self._seed * 1_000_003 + self._iteration)
+        self._reseed()
         self._last_run = {}
         self._step = 0
         return True
@@ -460,27 +494,27 @@ class FairRandomStrategy(SchedulingStrategy):
         # round-robin ordering reflects actual execution recency whether
         # or not the runtime's forced-decision fast path fired.
         self._step += 1
-        self._last_run[choice] = self._step
+        self._last_run[choice.value] = self._step
 
     def pick_machine(
         self, enabled: Sequence[MachineId], current: Optional[MachineId]
     ) -> MachineId:
         self._step += 1
         if self._rng.random() < self._bias:
-            last = self._last_run
-            # Never-scheduled machines (default -1) win; ties break on id,
-            # keeping the choice deterministic for a fixed seed.
-            choice = min(enabled, key=lambda m: (last.get(m, -1), m.value))
+            # Least recently run; never-scheduled machines (-1) win and
+            # ties break on id, keeping the choice deterministic for a
+            # fixed seed.
+            last_run = self._last_run.get
+            choice = enabled[0]
+            oldest = (last_run(choice.value, -1), choice.value)
+            for mid in enabled:
+                ran = (last_run(mid.value, -1), mid.value)
+                if ran < oldest:
+                    choice, oldest = mid, ran
         else:
             choice = enabled[int(self._rng.random() * len(enabled))]
-        self._last_run[choice] = self._step
+        self._last_run[choice.value] = self._step
         return choice
-
-    def pick_bool(self) -> bool:
-        return bool(self._rng.getrandbits(1))
-
-    def pick_int(self, bound: int) -> int:
-        return self._rng.randrange(bound)
 
     def is_fair(self) -> bool:
         return True
@@ -600,7 +634,7 @@ class ReplayStrategy(SchedulingStrategy):
         return self._liveness_recorded and self._pos >= len(self._trace)
 
 
-class PctStrategy(SchedulingStrategy):
+class PctStrategy(_SeededStrategy):
     """Probabilistic concurrency testing (Burckhardt et al. [4]).
 
     Machines get random priorities; the highest-priority enabled machine
@@ -614,12 +648,10 @@ class PctStrategy(SchedulingStrategy):
     def __init__(
         self, seed: Optional[int] = None, depth: int = 3, max_steps: int = 5_000
     ) -> None:
-        self._seed = seed if seed is not None else random.randrange(2**31)
+        super().__init__(seed)
         self._depth = depth
         self._max_steps = max_steps
-        self._iteration = -1
-        self._rng = random.Random(self._seed)
-        self._priorities: dict = {}
+        self._priorities: dict = {}  # machine id value -> priority
         self._change_points: set = set()
         self._step = 0
         # Change points are sampled from the observed execution length of
@@ -627,16 +659,15 @@ class PctStrategy(SchedulingStrategy):
         self._horizon = 32
 
     def reset(self) -> None:
-        self._iteration = -1
+        super().reset()
         self._priorities = {}
         self._change_points = set()
         self._step = 0
         self._horizon = 32
 
     def prepare_iteration(self) -> bool:
-        self._iteration += 1
         self._horizon = max(self._horizon, self._step, 2)
-        self._rng.seed(self._seed * 1_000_003 + self._iteration)
+        self._reseed()
         self._priorities = {}
         self._step = 0
         horizon = min(self._horizon, self._max_steps)
@@ -650,40 +681,44 @@ class PctStrategy(SchedulingStrategy):
             self._change_points = set()
         return True
 
-    def _priority(self, mid: MachineId) -> float:
-        if mid not in self._priorities:
-            self._priorities[mid] = self._rng.random() + 1.0
-        return self._priorities[mid]
-
     def observe_forced(self, choice: MachineId) -> None:
         # A forced point is still a step: change points may land on it
         # (deprioritizing the sole runnable machine for *later*
         # decisions), exactly as picking from a one-element enabled set
         # did before the runtime grew the forced-decision fast path.
         self._step += 1
-        self._priority(choice)
+        priorities = self._priorities
+        if choice.value not in priorities:
+            priorities[choice.value] = self._rng.random() + 1.0
         if self._step in self._change_points:
-            self._priorities[choice] = self._rng.random() * 1e-6
+            priorities[choice.value] = self._rng.random() * 1e-6
 
     def pick_machine(
         self, enabled: Sequence[MachineId], current: Optional[MachineId]
     ) -> MachineId:
         self._step += 1
-        best = max(enabled, key=self._priority)
-        if self._step in self._change_points:
-            # Deprioritize the would-be winner below every other machine.
-            self._priorities[best] = self._rng.random() * 1e-6
-            best = max(enabled, key=self._priority)
-        return best
+        priorities = self._priorities
+        changing = self._step in self._change_points
+        while True:
+            # The enabled machine of highest priority; a machine draws
+            # its priority the first time it is looked at.
+            best = None
+            best_priority = -1.0
+            for mid in enabled:
+                priority = priorities.get(mid.value)
+                if priority is None:
+                    priority = priorities[mid.value] = self._rng.random() + 1.0
+                if priority > best_priority:
+                    best, best_priority = mid, priority
+            if not changing:
+                return best
+            # Deprioritize the would-be winner below every other machine
+            # and look again.
+            priorities[best.value] = self._rng.random() * 1e-6
+            changing = False
 
-    def pick_bool(self) -> bool:
-        return bool(self._rng.getrandbits(1))
 
-    def pick_int(self, bound: int) -> int:
-        return self._rng.randrange(bound)
-
-
-class DelayBoundingStrategy(SchedulingStrategy):
+class DelayBoundingStrategy(_SeededStrategy):
     """Randomized delay-bounded scheduling (Emmi et al. [9], randomized as
     in Thomson et al. [25]).
 
@@ -697,11 +732,9 @@ class DelayBoundingStrategy(SchedulingStrategy):
     def __init__(
         self, seed: Optional[int] = None, delays: int = 2, max_steps: int = 5_000
     ) -> None:
-        self._seed = seed if seed is not None else random.randrange(2**31)
+        super().__init__(seed)
         self._delays = delays
         self._max_steps = max_steps
-        self._iteration = -1
-        self._rng = random.Random(self._seed)
         self._delay_points: set = set()
         self._step = 0
         # Like PCT, delay points are sampled within the observed execution
@@ -709,15 +742,14 @@ class DelayBoundingStrategy(SchedulingStrategy):
         self._horizon = 32
 
     def reset(self) -> None:
-        self._iteration = -1
+        super().reset()
         self._delay_points = set()
         self._step = 0
         self._horizon = 32
 
     def prepare_iteration(self) -> bool:
-        self._iteration += 1
         self._horizon = max(self._horizon, self._step, 2)
-        self._rng.seed(self._seed * 1_000_003 + self._iteration)
+        self._reseed()
         self._step = 0
         horizon = min(self._horizon, self._max_steps)
         count = self._rng.randint(0, min(self._delays, horizon))
@@ -738,18 +770,12 @@ class DelayBoundingStrategy(SchedulingStrategy):
         self._step += 1
         # Deterministic base order: keep running `current` if enabled,
         # else lowest id.
-        ordered = sorted(enabled, key=lambda m: m.value)
-        if current in enabled:
-            choice = current
-        else:
-            choice = ordered[0]
+        ordered = sorted(enabled, key=_MID_VALUE)
+        index = 0
+        if current is not None:
+            at = bisect_left(ordered, current.value, key=_MID_VALUE)
+            if at < len(ordered) and ordered[at].value == current.value:
+                index = at
         if self._step in self._delay_points and len(ordered) > 1:
-            index = ordered.index(choice)
-            choice = ordered[(index + 1) % len(ordered)]
-        return choice
-
-    def pick_bool(self) -> bool:
-        return bool(self._rng.getrandbits(1))
-
-    def pick_int(self, bound: int) -> int:
-        return self._rng.randrange(bound)
+            index = (index + 1) % len(ordered)
+        return ordered[index]

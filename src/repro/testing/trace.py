@@ -23,7 +23,7 @@ import hashlib
 import json
 import os
 from array import array
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import PSharpError
 from .record import loads, write_atomic
@@ -94,11 +94,13 @@ class ScheduleTrace:
     list-of-tuples representation.
     """
 
-    __slots__ = ("_tags", "_values")
+    __slots__ = ("_tags", "_values", "_digest")
 
     def __init__(self, decisions: Optional[Iterable[Decision]] = None) -> None:
         self._tags = array("b")
         self._values = array("q")
+        # (length, hex digest) of the last fingerprint() — see there.
+        self._digest: Optional[Tuple[int, str]] = None
         if decisions:
             for kind, value in decisions:
                 self._tags.append(_TAG_OF[kind])
@@ -111,9 +113,15 @@ class ScheduleTrace:
         self._values.append(value)
 
     def append(self, tag: int, value: int) -> None:
-        """Hot-path append by integer kind tag (no dict lookup)."""
+        """Append by integer kind tag (no dict lookup)."""
         self._tags.append(tag)
         self._values.append(value)
+
+    def appenders(self) -> Tuple[Callable[[int], None], Callable[[int], None]]:
+        """The bound ``append`` of each array, ``(tag, value)``: what the
+        runtime binds once per execution so that recording a decision is
+        two C calls and no Python frame.  Call them in pairs."""
+        return self._tags.append, self._values.append
 
     # -- sequence protocol ---------------------------------------------
     @property
@@ -160,11 +168,18 @@ class ScheduleTrace:
         the compact form of the cross-carrier parity contract (inline
         and pool must produce the same digest per strategy seed),
         cheap enough to assert over whole benchmark registries and to
-        record alongside benchmark results.
+        record alongside benchmark results.  The digest is kept with the
+        length it was computed at (a trace only grows), so the bug dedup
+        of a shard-report fold hashes each held trace once, not once per
+        merge.
         """
+        kept = self._digest
+        if kept is not None and kept[0] == len(self._tags):
+            return kept[1]
         digest = hashlib.sha256(bytes(self._tags))
         digest.update(self._values.tobytes())
-        return digest.hexdigest()
+        self._digest = (len(self._tags), digest.hexdigest())
+        return self._digest[1]
 
     # -- serialization (traces can be stored alongside bug reports) -----
     def to_pairs(self) -> List[List[object]]:

@@ -235,6 +235,35 @@ class TestReportSatellites:
         assert len(first.bugs) == 2
         assert first.distinct_bugs == 2
 
+    def test_a_fold_of_shard_reports_hashes_each_trace_once(self, monkeypatch):
+        # Every merge looks at every bug already held; the digest is kept
+        # on the trace, so 30 reports cost 30 hashes, not 30 * 31 / 2.
+        import repro.testing.trace as trace_module
+
+        hashed = []
+        real = trace_module.hashlib.sha256
+        monkeypatch.setattr(
+            trace_module.hashlib, "sha256",
+            lambda data=b"": hashed.append(1) or real(data),
+        )
+        shards = []
+        for index in range(30):
+            shard = TestReport(strategy=f"s{index}")
+            shard.bugs.append(
+                BugReport(kind="assert", message="x", trace=_trace([index, 1]))
+            )
+            shards.append(shard)
+        merged = TestReport.merged(shards)
+        assert len(merged.bugs) == 30 and merged.distinct_bugs == 30
+        assert len(hashed) == 30
+
+    def test_a_kept_digest_does_not_outlive_an_append(self):
+        trace = _trace([1, 2])
+        before = trace.fingerprint()
+        assert trace.fingerprint() == before == _trace([1, 2]).fingerprint()
+        trace.record("sched", 3)
+        assert trace.fingerprint() == _trace([1, 2, 3]).fingerprint() != before
+
     def test_traceless_bugs_each_count(self):
         report = TestReport(strategy="a")
         report.bugs.append(BugReport(kind="assert", message="x"))

@@ -15,16 +15,16 @@ BaseException``, and the oracle would pass vacuously.
 Mutation checks (each made by hand in ``src/`` and run against this file;
 the tests named are the ones that turned red):
 
-* dropping the send-target footprint append (``self._red.effects.append(
-  target.value)`` in ``_send_effect``) —
+* dropping the send-target footprint append (``red.effects.append(index)``
+  in ``_point``) —
   ``test_memo_equals_from_scratch_on_the_registry``
   on MultiPaxos, ``test_a_drained_inbox_and_the_enqueue_after_it_are_both
   _seen`` and the pinned counters of ``TestCounters``.  Few cells, because
   the inbox-length comparison below catches every enqueue that is not
   balanced by a drain: the footprint alone carries the memo only where an
   ignored event was deleted in between (``Feeder`` builds that case);
-* dropping the monitor append (``red.effects.append(-(instance
-  ._monitor_index + 1))`` in ``_deliver_to_monitors``) —
+* dropping the monitor append (``red.effects.append(-(index + 1))`` in
+  ``_deliver_to_monitors``) —
   ``test_memo_equals_from_scratch_on_the_registry`` on Raft, RaftLossy,
   TwoPhaseCommit, TwoPhaseCommitCrash, ProcessScheduler and TokenRing (the
   six programs with a registry monitor), the TokenRing sweep and

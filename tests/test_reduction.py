@@ -479,10 +479,10 @@ class TestIterativeDeepening:
 # Incremental enabled set == reference walk
 # ---------------------------------------------------------------------------
 class _CheckedRuntime(BugFindingRuntime):
-    """Asserts, at every scheduling point, that the incremental enabled
-    set agrees with the O(#machines) reference walk.  The walk runs
-    first — it is side-effect free, while the incremental drain clears
-    dirty bits."""
+    """Asserts that the incremental enabled set agrees with the
+    O(#machines) reference walk: across every drain (the walk runs first
+    — it is side-effect free, while the drain clears dirty bits) and
+    after every scheduling point, drained or not."""
 
     checks = 0
 
@@ -492,6 +492,13 @@ class _CheckedRuntime(BugFindingRuntime):
         assert got == expected, (got, expected)
         _CheckedRuntime.checks += 1
         return got
+
+    def _point(self, current, target=None, event=None, running=True):
+        answer = super()._point(current, target, event, running)
+        if current is not None:
+            assert self._enabled == schedulable_walk(self)
+            _CheckedRuntime.checks += 1
+        return answer
 
 
 class TestEnabledSetEquivalence:

@@ -33,7 +33,10 @@ Four checks, all run by the CI docs lane:
     the field declarations generate (``repro.testing.record``: each
     class declares a field once — a record with its JSON type and merge
     rule, a config with its JSON type and default; the flag column is
-    read off the ``test`` parser).  ``--write-schema`` rewrites them.
+    read off the ``test`` parser), and the call-census table in
+    ``docs/architecture.md`` "Cost of one scheduling step" exactly what
+    ``tools/step_census.py`` counts (on CPython 3.11, the docs lane's).
+    ``--write-schema`` rewrites them.
 
 Exit code 0 when everything passes, 1 with one line per failure
 otherwise.  No third-party dependencies.
@@ -179,9 +182,23 @@ REMOVED_FROM_SRC = (
     (re.compile(r"\bb64(?:en|de)code\b"), "nest the JSON object in the frame"),
     (
         re.compile(r"\bOP_(?:SEND|CREATE)\b|\b_inline_body\b"),
-        "primitives are calls: BugFindingRuntime._send_point / _spawn + _decide",
+        "primitives are calls: BugFindingRuntime._point (after _spawn, for a create)",
     ),
     (re.compile(r"\b_schedulable_walk\b"), "tests/reference_runtime.py: schedulable_walk"),
+    (
+        re.compile(r"\b_send_(?:point|effect)\b|\b_decide\b"),
+        "the scheduling point is one frame: BugFindingRuntime._point",
+    ),
+    (re.compile(r"\._workers\b"), "seats are found by index: _worker_list[mid.value]"),
+    (
+        re.compile(r"\b_(?:send|dequeue)_observers\b|\b_observers_for\b|\b_monitor_by_class\b"),
+        "per-runtime tables of monitor indices: _observing_send / "
+        "_observing_dequeue / _monitor_index",
+    ),
+    (
+        re.compile(r"\bon_state_entered\b"),
+        "the _hook_state callable (CoverageMap.record_entry)",
+    ),
 )
 
 #: Removed from one file only: a second copy of a scheduling-point piece
@@ -292,9 +309,56 @@ def campaign_schema_markdown() -> str:
     return "\n".join(out)
 
 
+#: ``tools/step_census.py``'s calls per step at the commit before the
+#: step loop was cut to one frame per scheduling point (e134085).
+CENSUS_BEFORE = {
+    "random": 11.03,
+    "RaftLossy:random": 17.67,
+    "TwoPhaseCommitCrash:random": 16.61,
+    "ProcessScheduler:fair-random": 11.55,
+    "TokenRing:fair-random": 10.85,
+    "Raft:pct": 19.18,
+    "TwoPhaseCommit:delay-bounding": 17.67,
+}
+
+
+def census_markdown() -> str:
+    """The call-census table: before (recorded above), now (counted)."""
+    import step_census  # next to this file
+
+    layers = (
+        ("runtime", ("repro.testing.runtime",)),
+        ("machine", ("repro.core.machine", "repro.core.events", "repro.core.runtime")),
+        ("strategy", ("repro.testing.strategies", "stdlib:random.py")),
+        ("hooks", ("repro.testing.coverage", "repro.testing.monitors", "repro.testing.trace")),
+        ("program", ("program",)),
+    )
+    out = [
+        "| Configuration | Steps | Before | Now | " + " | ".join(n for n, _ in layers) + " | rest |",
+        "| - | - | - | - | " + " | ".join("-" for _ in layers) + " | - |",
+    ]
+    document = step_census.document()
+    for row in document["rows"]:
+        split = [sum(row["by_module"].get(m, 0.0) for m in modules) for _, modules in layers]
+        rest = row["calls_per_step"] - sum(split)
+        out.append(
+            f"| `{row['configuration']}` | {row['steps']} "
+            f"| {CENSUS_BEFORE[row['configuration']]:.2f} | **{row['calls_per_step']:.2f}** | "
+            + " | ".join(f"{value:.2f}" for value in split)
+            + f" | {rest:.2f} |"
+        )
+    before = [CENSUS_BEFORE[name] for name in step_census.HOOKS_ROWS]
+    out.append(
+        f"| mean of the six `soak_hooks` rows | | {sum(before) / len(before):.2f} "
+        f"| **{document['soak_hooks_mean']:.2f}** | " + " | ".join("" for _ in layers) + " | |"
+    )
+    return "\n".join(out) + "\n"
+
+
 SCHEMAS = (
     (ROOT / "docs" / "protocol.md", report_schema_markdown),
     (ROOT / "docs" / "cli.md", campaign_schema_markdown),
+    (ROOT / "docs" / "architecture.md", census_markdown),
 )
 
 
@@ -317,7 +381,7 @@ def check_schema(write: bool) -> List[str]:
             doc.write_text(head + SCHEMA_BEGIN + expected + SCHEMA_END + tail, encoding="utf-8")
         else:
             errors.append(
-                f"{rel}: the schema tables differ from the field declarations "
+                f"{rel}: the generated tables differ from what the code says "
                 "(run: python tools/check_docs.py --write-schema)"
             )
     return errors
@@ -379,7 +443,8 @@ def main(argv: List[str]) -> int:
         "--schema",
         action="store_true",
         help="the report-object tables (docs/protocol.md) and the campaign "
-        "field tables (docs/cli.md) match the field declarations",
+        "field tables (docs/cli.md) match the field declarations, the "
+        "call-census table (docs/architecture.md) tools/step_census.py",
     )
     parser.add_argument(
         "--write-schema",
@@ -422,7 +487,10 @@ def main(argv: List[str]) -> int:
         if args.removed_names:
             checked.append("no removed name mentioned")
         if schema:
-            checked.append("report and campaign schema tables match the declarations")
+            checked.append(
+                "report and campaign schema tables match the declarations, "
+                "the call-census table the census"
+            )
         if args.run_blocks:
             checked.append("all sh blocks ran clean")
         print("docs ok: " + ", ".join(checked))
