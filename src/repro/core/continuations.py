@@ -37,9 +37,13 @@ class runs on the inline carrier:
    and recompiled against the original function's globals and closure
    cells, so event classes, module imports and test-local names resolve
    exactly as they did in the source method.
-3. The compiled coroutines are linked into the class's per-state dispatch
-   tables (``StateInfo.inline_dispatch`` / ``entry_inline`` /
-   ``exit_inline``), mirroring the precompiled plain dispatch.
+3. The compiled coroutines are linked into the class's one per-state
+   dispatch table, in place: the coroutine slot of an action's
+   ``StateInfo.dispatch`` entry, and ``StateInfo.entry_co`` /
+   ``exit_co`` next to ``entry_fn`` / ``exit_fn``.  ``Machine._start`` /
+   ``_step`` read those slots only on a machine the inline carrier marked
+   suspendable, so the pooled threads, CHESS, the production runtime and
+   monitors keep calling the plain handlers of a compiled class.
 
 A compiled handler *calls* the runtime at its scheduling primitives —
 the same scheduling point the pooled threads reach through
@@ -72,14 +76,7 @@ import weakref
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import PSharpError
-from .events import Halt
-from .machine import (
-    DISP_ACTION,
-    DISP_DEFER,
-    DISP_HALT,
-    DISP_IGNORE,
-    DISP_TRANSITION,
-)
+from .machine import DISP_ACTION
 from .source import function_def
 
 # The scheduling primitives: name -> (parameter names, how many of them
@@ -542,21 +539,8 @@ def _switchable_names(
     return switchable
 
 
-def _inline_handler(
-    name: Optional[str],
-    plain_fn,
-    coroutines: Dict[str, types.FunctionType],
-) -> Optional[tuple]:
-    if name is None:
-        return None
-    gen_fn = coroutines.get(name)
-    if gen_fn is not None:
-        return (gen_fn, True)
-    return (plain_fn, False)
-
-
 def compile_inline_machine(cls: type) -> None:
-    """Idempotently compile ``cls``'s inline dispatch tables.
+    """Idempotently fill the coroutine slots of ``cls``'s dispatch table.
 
     Lazily invoked by the inline backend's ``_spawn``; costs one AST
     round-trip per switchable method per class, amortized over every
@@ -577,20 +561,11 @@ def compile_inline_machine(cls: type) -> None:
         setattr(cls, INLINE_PREFIX + name, gen_fn)
 
     for state in cls._state_infos.values():  # type: ignore[attr-defined]
-        table: Dict[type, tuple] = {}
-        for evt in state.actions:
-            code, plain_fn = state.dispatch[evt]
-            handler = _inline_handler(state.actions[evt], plain_fn, coroutines)
-            assert handler is not None
-            table[evt] = (DISP_ACTION, handler[0], handler[1])
-        for evt in state.transitions:
-            table[evt] = (DISP_TRANSITION, state.dispatch[evt][1], False)
-        for evt in state.deferred:
-            table[evt] = (DISP_DEFER, None, False)
-        for evt in state.ignored:
-            table[evt] = (DISP_IGNORE, None, False)
-        table[Halt] = (DISP_HALT, None, False)
-        state.inline_dispatch = table
-        state.entry_inline = _inline_handler(state.entry, state.entry_fn, coroutines)
-        state.exit_inline = _inline_handler(state.exit, state.exit_fn, coroutines)
+        dispatch = state.dispatch
+        for evt, name in state.actions.items():
+            code, plain_fn, _co = dispatch[evt]
+            if code == DISP_ACTION and name in coroutines:
+                dispatch[evt] = (code, plain_fn, coroutines[name])
+        state.entry_co = coroutines.get(state.entry)
+        state.exit_co = coroutines.get(state.exit)
     cls._inline_ready = True

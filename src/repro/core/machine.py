@@ -87,8 +87,11 @@ class StateInfo:
     dispatch for its machine class: entry/exit/action names resolved to
     functions at class-preprocess time, transition targets resolved to
     their ``StateInfo`` objects, and a memoized ``event class ->
-    (disposition, payload)`` table, so the per-event hot path does zero
-    ``getattr`` and a single dict probe.
+    (disposition, payload, coroutine)`` table, so the per-event hot path
+    does zero ``getattr`` and a single dict probe.  Every runtime steps
+    through this one table; the coroutine slots are filled in place by
+    :func:`repro.core.continuations.compile_inline_machine` and read only
+    on a machine the inline carrier marked suspendable.
     """
 
     name: str
@@ -104,27 +107,15 @@ class StateInfo:
     owner: Optional[type] = None
     entry_fn: Optional[Callable] = None
     exit_fn: Optional[Callable] = None
-    # event class -> (DISP_* code, payload); payload is the bound-to-class
-    # action function for DISP_ACTION, the target StateInfo for
-    # DISP_TRANSITION, None otherwise.
+    # The coroutine variants of entry_fn / exit_fn, when the inline
+    # compiler reshaped them (they reach a scheduling primitive); else None.
+    entry_co: Optional[Callable] = None
+    exit_co: Optional[Callable] = None
+    # event class -> (DISP_* code, payload, coroutine); payload is the
+    # bound-to-class action function for DISP_ACTION, the target StateInfo
+    # for DISP_TRANSITION, None otherwise; coroutine is the action's
+    # compiled variant, or None.
     dispatch: Dict[type, tuple] = field(default_factory=dict)
-    # Compiled lazily by repro.core.continuations.compile_inline_machine
-    # for the single-thread inline backend: ``inline_dispatch`` maps event
-    # class -> (DISP_* code, payload, is_coroutine); entry/exit handlers
-    # become (fn, is_coroutine) pairs.  None until the class first runs
-    # inline.
-    inline_dispatch: Optional[Dict[type, tuple]] = None
-    entry_inline: Optional[tuple] = None
-    exit_inline: Optional[tuple] = None
-
-    def handles(self, event_cls: Type[Event]) -> bool:
-        return event_cls in self.transitions or event_cls in self.actions
-
-    def defers(self, event_cls: Type[Event]) -> bool:
-        return event_cls in self.deferred
-
-    def ignores(self, event_cls: Type[Event]) -> bool:
-        return event_cls in self.ignored
 
     def disposition(self, event_cls: type) -> tuple:
         """Memoized disposition of ``event_cls`` in this state.
@@ -138,34 +129,22 @@ class StateInfo:
             self.dispatch[event_cls] = disp
         return disp
 
-    def inline_disposition(self, event_cls: type) -> tuple:
-        """Like :meth:`disposition` but for the inline backend's compiled
-        tables: returns ``(code, payload, is_coroutine)``.  Lazily seeds
-        entries for event classes outside the declared handler set (those
-        are never coroutine actions — declared actions are pre-seeded by
-        ``compile_inline_machine``)."""
-        entry = self.inline_dispatch.get(event_cls)
-        if entry is None:
-            code, payload = self.disposition(event_cls)
-            entry = (code, payload, False)
-            self.inline_dispatch[event_cls] = entry
-        return entry
-
     def _compute_disposition(self, event_cls: type) -> tuple:
         if issubclass(event_cls, Halt):
-            return (DISP_HALT, None)
+            return (DISP_HALT, None, None)
         if event_cls in self.ignored:
-            return (DISP_IGNORE, None)
+            return (DISP_IGNORE, None, None)
         if event_cls in self.deferred:
-            return (DISP_DEFER, None)
+            return (DISP_DEFER, None, None)
         # Declared handlers are pre-seeded by _link_states; these probes
         # only matter for StateInfos inspected outside a linked machine.
         if event_cls in self.actions and self.owner is not None:
             return (
                 DISP_ACTION,
                 _resolve_handler(self.owner, self.actions[event_cls]),
+                None,
             )
-        return (DISP_UNHANDLED, None)
+        return (DISP_UNHANDLED, None, None)
 
 
 def _collect_states(cls: type) -> Dict[str, StateInfo]:
@@ -272,14 +251,14 @@ def _link_states(cls: type, states: Dict[str, StateInfo]) -> None:
         info.exit_fn = _resolve_handler(cls, info.exit) if info.exit else None
         dispatch: Dict[type, tuple] = {}
         for evt, action in info.actions.items():
-            dispatch[evt] = (DISP_ACTION, _resolve_handler(cls, action))
+            dispatch[evt] = (DISP_ACTION, _resolve_handler(cls, action), None)
         for evt, target in info.transitions.items():
-            dispatch[evt] = (DISP_TRANSITION, states[target])
+            dispatch[evt] = (DISP_TRANSITION, states[target], None)
         for evt in info.deferred:
-            dispatch[evt] = (DISP_DEFER, None)
+            dispatch[evt] = (DISP_DEFER, None, None)
         for evt in info.ignored:
-            dispatch[evt] = (DISP_IGNORE, None)
-        dispatch[Halt] = (DISP_HALT, None)
+            dispatch[evt] = (DISP_IGNORE, None, None)
+        dispatch[Halt] = (DISP_HALT, None, None)
         info.dispatch = dispatch
 
 
@@ -322,6 +301,7 @@ class Machine:
         "_inbox_dirty",
         "_idle_deliverable",
         "_boot_event",
+        "_suspendable",
         "__dict__",
         "__weakref__",
     )
@@ -354,6 +334,10 @@ class Machine:
         # crash-restart re-enters the initial state with this event, so a
         # rebooted machine sees its original creation payload.
         self._boot_event: Optional[Event] = None
+        # Set by the inline carrier alone (BugFindingRuntime._spawn): the
+        # machine runs its handlers' compiled coroutines, so _start /
+        # _step may hand one back.  Everywhere else they run plain.
+        self._suspendable = False
         del self._psharp_internal
 
     # ------------------------------------------------------------------
@@ -524,20 +508,36 @@ class Machine:
             return True
         return self._deliverable_index() is not None
 
-    def _start(self) -> bool:
-        """Enter the initial state (runs its entry handler).  ``True``,
-        like a :meth:`_step` that progressed."""
-        self._transition_to(self._initial_state, self._current_event)
-        return True
+    def _start(self):
+        """Enter the initial state (runs its entry handler): what
+        :meth:`_enter` returns."""
+        return self._enter(
+            self._state_infos[self._initial_state], self._current_event
+        )
 
-    def _step(self) -> bool:
-        """Handle one event (raised or dequeued).  Returns False when there
-        was nothing to handle or the machine has halted."""
-        if self._halted:
-            return False
-        if self._raised is not None:
-            event, self._raised = self._raised, None
+    def _step(self):
+        """Handle one event: the raised one, else the first deliverable
+        one in the inbox (the dequeue hook then sees it).
+
+        ``False`` when there was nothing to handle or the machine has
+        halted, ``True`` when the event was handled.  On a machine the
+        inline carrier marked suspendable, a step that reaches a handler
+        :mod:`repro.core.continuations` reshaped hands back that handler's
+        coroutine instead (or :meth:`_enter_co`), for the carrier to drive.
+
+        The raised event is taken before the halted test: a halted machine
+        never has one, but a halted monitor keeps observing, and
+        :meth:`~repro.testing.monitors.Monitor._observe` delivers through
+        that slot.
+        """
+        state = self._current_state
+        event = self._raised
+        if event is not None:
+            self._raised = None
+            entry = state.dispatch.get(type(event)) or state.disposition(type(event))
         else:
+            if self._halted:
+                return False
             inbox = self._inbox
             if not inbox:
                 return False
@@ -545,7 +545,7 @@ class Machine:
             # _deliverable_index() would name: probe its disposition
             # before paying for the scan.
             event = inbox[0]
-            entry = self._current_state.dispatch.get(type(event))
+            entry = state.dispatch.get(type(event))
             if entry is not None and entry[0] <= DISP_HALT:
                 inbox.popleft()
             else:
@@ -554,28 +554,34 @@ class Machine:
                     return False
                 event = inbox[index]
                 del inbox[index]
+                entry = state.dispatch[type(event)]  # the scan filled it
             hook = self._runtime._hook_dequeued
             if hook is not None:
                 hook(self, event)
-        self._handle(event)
-        return True
-
-    def _handle(self, event: Event) -> None:
-        state = self._current_state
-        assert state is not None
-        code, payload = state.dispatch.get(type(event)) or state.disposition(type(event))
+        code, payload, co = entry
         if code == DISP_ACTION:
             self._current_event = event
+            if co is not None and self._suspendable:
+                return co(self)
             payload(self)
-        elif code == DISP_TRANSITION:
-            self._enter(payload, event)
-        elif code == DISP_HALT:
+            return True
+        if code == DISP_TRANSITION:
+            return self._enter(payload, event)
+        if code == DISP_HALT:
             self._do_halt()
-        else:
-            raise UnhandledEventError(self, state.name, event)
+            return True
+        raise UnhandledEventError(self, state.name, event)
 
-    def _enter(self, info: StateInfo, event: Optional[Event]) -> None:
+    def _enter(self, info: StateInfo, event: Optional[Event]):
+        """Change state to ``info`` on ``event``: the old state's exit
+        handler, the state hook, the new state's entry handler.  ``True``,
+        or :meth:`_enter_co` on a suspendable machine when the exit or the
+        entry handler was reshaped."""
         old = self._current_state
+        if (
+            info.entry_co is not None or (old is not None and old.exit_co is not None)
+        ) and self._suspendable:
+            return self._enter_co(info, event)
         if old is not None and old.exit_fn is not None:
             old.exit_fn(self)
         self._current_state = info
@@ -583,133 +589,37 @@ class Machine:
         hook = self._runtime._hook_state
         if hook is not None:
             hook(self, old, event)
-        entry_fn = info.entry_fn
-        if entry_fn is not None:
-            entry_fn(self)
+        if info.entry_fn is not None:
+            info.entry_fn(self)
+        return True
 
-    def _transition_to(self, state_name: str, event: Optional[Event]) -> None:
-        self._enter(self._state_infos[state_name], event)
+    def _enter_co(self, info: StateInfo, event: Optional[Event]):
+        """:meth:`_enter` as a coroutine, delegating to the reshaped exit
+        and entry handlers: it yields wherever one of their scheduling
+        points picked another machine, and the choice bubbles up the
+        ``yield from`` chain to the trampoline."""
+        old = self._current_state
+        if old is not None and old.exit_fn is not None:
+            if old.exit_co is not None:
+                yield from old.exit_co(self)
+            else:
+                old.exit_fn(self)
+        self._current_state = info
+        self._current_event = event
+        hook = self._runtime._hook_state
+        if hook is not None:
+            hook(self, old, event)
+        if info.entry_fn is not None:
+            if info.entry_co is not None:
+                yield from info.entry_co(self)
+            else:
+                info.entry_fn(self)
 
     def _do_halt(self) -> None:
         self._halted = True
         self._inbox.clear()
         self._raised = None
         self._runtime.on_machine_halted(self)
-
-    # ------------------------------------------------------------------
-    # Coroutine stepping (the single-thread inline backend)
-    # ------------------------------------------------------------------
-    # _start/_step/_handle/_enter over the compiled coroutine variants of
-    # handlers (see repro.core.continuations): a handler reshaped into a
-    # generator yields the machine to switch to whenever one of its
-    # scheduling primitives picked another machine, and that choice
-    # bubbles up through these delegating generators to the trampoline.
-    # Plain (non-scheduling) handlers are called directly, so they pay no
-    # generator overhead.
-
-    def _start_inline(self):
-        """Inline variant of :meth:`_start`: ``True`` when the initial
-        entry ran entirely plain, else a coroutine for the scheduler to
-        drive."""
-        return self._enter_inline_fast(
-            self._state_infos[self._initial_state], self._current_event
-        )
-
-    def _step_inline(self):
-        """Inline variant of :meth:`_step`.
-
-        Returns ``False`` when there was nothing to handle, ``True`` when
-        the step completed without touching a scheduling primitive (the
-        common case — it then cost no generator machinery at all), or a
-        coroutine the inline scheduler must drive (the step reached
-        handlers reshaped by :mod:`repro.core.continuations`).
-        """
-        if self._halted:
-            return False
-        state = self._current_state
-        entry = None
-        if self._raised is not None:
-            event, self._raised = self._raised, None
-        else:
-            inbox = self._inbox
-            if not inbox:
-                return False
-            # As in _step: the head first, the scan only when the head
-            # is deferred, ignored or not yet in the table.
-            event = inbox[0]
-            entry = state.inline_dispatch.get(type(event))
-            if entry is not None and entry[0] <= DISP_HALT:
-                inbox.popleft()
-            else:
-                index = self._deliverable_index()
-                if index is None:
-                    return False
-                event = inbox[index]
-                del inbox[index]
-                entry = None
-            hook = self._runtime._hook_dequeued
-            if hook is not None:
-                hook(self, event)
-        if entry is None:
-            entry = state.inline_dispatch.get(type(event))
-            if entry is None:
-                entry = state.inline_disposition(type(event))
-        code, payload, is_coroutine = entry
-        if code == DISP_ACTION:
-            self._current_event = event
-            if is_coroutine:
-                return payload(self)
-            payload(self)
-            return True
-        if code == DISP_TRANSITION:
-            return self._enter_inline_fast(payload, event)
-        if code == DISP_HALT:
-            self._do_halt()
-            return True
-        raise UnhandledEventError(self, state.name, event)
-
-    def _enter_inline_fast(self, info: StateInfo, event: Optional[Event]):
-        """Perform a state entry plain when neither the exit nor the
-        entry handler can suspend; otherwise hand back the suspendable
-        :meth:`_enter_inline` coroutine."""
-        old = self._current_state
-        exit_handler = old.exit_inline if old is not None else None
-        entry_handler = info.entry_inline
-        if (exit_handler is None or not exit_handler[1]) and (
-            entry_handler is None or not entry_handler[1]
-        ):
-            if exit_handler is not None:
-                exit_handler[0](self)
-            self._current_state = info
-            self._current_event = event
-            hook = self._runtime._hook_state
-            if hook is not None:
-                hook(self, old, event)
-            if entry_handler is not None:
-                entry_handler[0](self)
-            return True
-        return self._enter_inline(info, event)
-
-    def _enter_inline(self, info: StateInfo, event: Optional[Event]):
-        old = self._current_state
-        if old is not None and old.exit_inline is not None:
-            fn, is_coroutine = old.exit_inline
-            if is_coroutine:
-                yield from fn(self)
-            else:
-                fn(self)
-        self._current_state = info
-        self._current_event = event
-        hook = self._runtime._hook_state
-        if hook is not None:
-            hook(self, old, event)
-        handler = info.entry_inline
-        if handler is not None:
-            fn, is_coroutine = handler
-            if is_coroutine:
-                yield from fn(self)
-            else:
-                fn(self)
 
     # ------------------------------------------------------------------
     # Optional field-access instrumentation (CHESS baseline, Section 7.2.2)

@@ -15,11 +15,31 @@ from __future__ import annotations
 
 import random
 import threading
-from typing import Any, Callable, Dict, List, Optional, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from ..errors import ActionError, PSharpError
 from .events import Event, MachineId
 from .machine import Machine
+
+
+class _Observers(dict):
+    """Event class -> registration indices of the monitors observing it,
+    filled the first time an event class is looked up: the monitor
+    classes whose ``attr`` tuple (``observes`` / ``observes_dequeue``)
+    lists it or a base of it.  Built from a runtime's monitor classes —
+    once per campaign by the bug-finding runtime, at every registration by
+    the production one — so a lookup on the hot path is one C call."""
+
+    def __init__(self, monitors: Sequence[type], attr: str) -> None:
+        self._listed = [tuple(getattr(cls, attr)) for cls in monitors]
+
+    def __missing__(self, event_cls: type) -> Tuple[int, ...]:
+        observers = self[event_cls] = tuple(
+            index
+            for index, listed in enumerate(self._listed)
+            if issubclass(event_cls, listed)
+        )
+        return observers
 
 
 class RuntimeBase:
@@ -131,15 +151,18 @@ class Runtime(RuntimeBase):
 
     def __init__(self, seed: Optional[int] = None) -> None:
         super().__init__()
-        self._lock = threading.Lock()
+        # Re-entrant: monitors run under this lock, and a monitor that
+        # halts re-enters it to mirror its own EMachineHalted.
+        self._lock = threading.RLock()
         self._cv = threading.Condition(self._lock)
         self._threads: List[threading.Thread] = []
         self._stopping = False
         self._rng = random.Random(seed)
         self._idle = 0
-        # Memoized event-class -> observing-monitor tables (send/dequeue).
-        self._send_observer_cache: Dict[type, tuple] = {}
-        self._dequeue_observer_cache: Dict[type, tuple] = {}
+        # Event class -> indices of the monitors observing it at send /
+        # dequeue time; rebuilt by register_monitor.
+        self._observing_send = _Observers((), "observes")
+        self._observing_dequeue = _Observers((), "observes_dequeue")
         # This class overrides on_event_dequeued for monitor mirroring,
         # but the hook only needs to run once a dequeue-observing monitor
         # is registered — keep the no-monitor hot path unhooked while
@@ -176,7 +199,7 @@ class Runtime(RuntimeBase):
     ) -> None:
         with self._cv:
             if self._monitors:
-                self._mirror_to_monitors(event)
+                self._deliver_to_monitors(self._observing_send[type(event)], event)
             machine = self._machines.get(target)
             if machine is None or machine.is_halted:
                 return  # events to halted machines are dropped
@@ -194,10 +217,9 @@ class Runtime(RuntimeBase):
             index = len(self._monitors)
             instance = monitor_cls(self, MachineId(-(index + 1), monitor_cls.__name__))
             self._monitors.append(instance)
-            # Observer matching is memoized per event class; a fresh
-            # registration invalidates the tables.
-            self._send_observer_cache = {}
-            self._dequeue_observer_cache = {}
+            classes = [type(monitor) for monitor in self._monitors]
+            self._observing_send = _Observers(classes, "observes")
+            self._observing_dequeue = _Observers(classes, "observes_dequeue")
             if instance.observes_dequeue:
                 self._hook_dequeued = self.on_event_dequeued
             instance._boot()
@@ -213,10 +235,7 @@ class Runtime(RuntimeBase):
 
     def on_event_dequeued(self, machine: Machine, event: Event) -> None:
         with self._cv:
-            for instance in self._matching_monitors(
-                type(event), self._dequeue_observer_cache, "observes_dequeue"
-            ):
-                instance._observe(event)
+            self._deliver_to_monitors(self._observing_dequeue[type(event)], event)
 
     def on_machine_halted(self, machine: Machine) -> None:
         if not self._monitors:
@@ -224,28 +243,16 @@ class Runtime(RuntimeBase):
         from ..testing.monitors import EMachineHalted
 
         with self._cv:
-            for instance in self._matching_monitors(
-                EMachineHalted, self._send_observer_cache, "observes"
-            ):
-                instance._observe(EMachineHalted(machine.id))
-
-    def _matching_monitors(
-        self, event_cls: type, cache: Dict[type, tuple], attr: str
-    ) -> tuple:
-        observers = cache.get(event_cls)
-        if observers is None:
-            observers = tuple(
-                m for m in self._monitors
-                if any(issubclass(event_cls, obs) for obs in getattr(m, attr))
+            self._deliver_to_monitors(
+                self._observing_send[EMachineHalted], EMachineHalted(machine.id)
             )
-            cache[event_cls] = observers
-        return observers
 
-    def _mirror_to_monitors(self, event: Event) -> None:
-        for instance in self._matching_monitors(
-            type(event), self._send_observer_cache, "observes"
-        ):
-            instance._observe(event)
+    def _deliver_to_monitors(self, observers: Tuple[int, ...], event: Event) -> None:
+        """Run ``event`` through each observing monitor (named by
+        registration index); the caller holds the runtime lock."""
+        monitors = self._monitors
+        for index in observers:
+            monitors[index]._observe(event)
 
     def nondet(self, machine: Machine) -> bool:
         return bool(self._rng.getrandbits(1))

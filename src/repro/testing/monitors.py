@@ -161,27 +161,23 @@ class Monitor(Machine):
     def _boot(self) -> None:
         """Enter the initial state and run any raised-event cascade."""
         self._start()
-        self._drain_raised()
+        while self._raised is not None and self._step():
+            pass
 
     def _observe(self, event: Event) -> None:
         """Process one observed event synchronously.
 
-        Ignored events are dropped; anything else goes through the normal
-        dispatch (action, transition, or — the specification's own error
-        class — an :class:`UnhandledEventError`)."""
+        Ignored events are dropped; anything else is handled like a raised
+        event — a monitor has no inbox — through the machines' own
+        :meth:`_step` (action, transition, or — the specification's own
+        error class — an :class:`UnhandledEventError`), halted or not."""
         state = self._current_state
-        assert state is not None
-        entry = state.dispatch.get(type(event)) or state.disposition(type(event))
-        if entry[0] == DISP_IGNORE or entry[0] == DISP_DEFER:
+        code = (state.dispatch.get(type(event)) or state.disposition(type(event)))[0]
+        if code == DISP_IGNORE or code == DISP_DEFER:
             return
-        self._handle(event)
-        if self._raised is not None:
-            self._drain_raised()
-
-    def _drain_raised(self) -> None:
-        while self._raised is not None:
-            event, self._raised = self._raised, None
-            self._handle(event)
+        self._raised = event
+        while self._step() and self._raised is not None:
+            pass  # the handler raised another event: handle it too
 
 
 def has_hot_states(monitor_cls: Type[Monitor]) -> bool:

@@ -86,7 +86,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 from ..core.continuations import InlineCompileError, compile_inline_machine
 from ..core.events import Event, MachineId
 from ..core.machine import Machine
-from ..core.runtime import RuntimeBase
+from ..core.runtime import RuntimeBase, _Observers
 from ..errors import (
     ActionError,
     AssertionFailure,
@@ -323,25 +323,6 @@ class _InlineWorker:
         self.mid = machine.id
         self.state = _NEW
         self.gen = runtime._machine_body(self)
-
-
-class _Observers(dict):
-    """Event class -> registration indices of the monitors observing it,
-    filled the first time an event class is looked up: the monitor
-    classes whose ``attr`` tuple (``observes`` / ``observes_dequeue``)
-    lists it or a base of it.  Built once per runtime — the classes are
-    fixed for a campaign — so a lookup on the hot path is one C call."""
-
-    def __init__(self, monitors: Sequence[Type[Monitor]], attr: str) -> None:
-        self._listed = [tuple(getattr(cls, attr)) for cls in monitors]
-
-    def __missing__(self, event_cls: type) -> Tuple[int, ...]:
-        observers = self[event_cls] = tuple(
-            index
-            for index, listed in enumerate(self._listed)
-            if issubclass(event_cls, listed)
-        )
-        return observers
 
 
 _shared_pool = WorkerPool()
@@ -1241,6 +1222,9 @@ class BugFindingRuntime(RuntimeBase):
             # else can have, yet).
             self._red.effects.append(machine.id.value)
         if inline:
+            # The one place a machine is made suspendable: its _start /
+            # _step may now hand back compiled coroutines.
+            machine._suspendable = True
             self._worker_list.append(_InlineWorker(self, machine))
             # New ids are allocated in increasing order, so appending
             # keeps the enabled set sorted.
@@ -1288,21 +1272,19 @@ class BugFindingRuntime(RuntimeBase):
         when this one is done, and returns ``None`` when nobody is left
         to run — the execution is over.
 
-        The carrier supplies the stepping pair.  On pooled threads
-        ``_start`` / ``_step`` run handlers plain; their scheduling
-        points block in :meth:`_schedule`.  Inline, ``_start_inline`` /
-        ``_step_inline`` hand back ``True`` / ``False`` like the plain
-        pair, or the coroutine of a compiled handler, which is delegated
-        to: it yields exactly where one of its scheduling points picked
-        another machine, and whatever a scheduling point raises unwinds
-        through the user's frames into the carrier, which classifies it.
+        The stepping pair is the machine's ``_start`` / ``_step`` on both
+        carriers.  On pooled threads they run handlers plain; their
+        scheduling points block in :meth:`_schedule`.  Inline (the machine
+        is suspendable, see :meth:`_spawn`) they hand back ``True`` /
+        ``False`` the same way, or the coroutine of a compiled handler,
+        which is delegated to: it yields exactly where one of its
+        scheduling points picked another machine, and whatever a
+        scheduling point raises unwinds through the user's frames into the
+        carrier, which classifies it.
         """
         machine = worker.machine
         mid = worker.mid
-        if self.effective_workers == "inline":
-            start, step = machine._start_inline, machine._step_inline
-        else:
-            start, step = machine._start, machine._step
+        start, step = machine._start, machine._step
         count_step = self._count_step
         hook_visible = self._hook_visible
         poll = self._poll

@@ -676,3 +676,119 @@ class TestInlineIntegrations:
 
         with pytest.raises(ValueError, match="inline"):
             ChessRuntime(RandomStrategy(seed=0), workers="inline")
+
+
+# ---------------------------------------------------------------------------
+# One dispatch table: a compiled class stays plain everywhere but inline
+# ---------------------------------------------------------------------------
+def _relay_twin():
+    """A fresh relay program (new classes, new handler functions): a
+    sending action, a sending exit handler, a create, and a halting entry."""
+
+    class RelayPeer(Machine):
+        class Init(State):
+            initial = True
+            actions = {EKick: "on_kick"}
+            transitions = {EStop: "Gone"}
+
+        class Gone(State):
+            entry = "bye"
+
+        def on_kick(self):
+            self.send(self.payload, EReply())
+
+        def bye(self):
+            self.halt()
+
+    class Relay(Machine):
+        sends = 8  # three kicks and replies, two stops
+
+        class Init(State):
+            initial = True
+            entry = "boot"
+            exit = "leave"
+            actions = {EReply: "on_reply"}
+            transitions = {EStop: "Done"}
+
+        class Done(State):
+            entry = "finish"
+
+        def boot(self):
+            self.peer = self.create_machine(RelayPeer)
+            self.replies = 0
+            self.send(self.peer, EKick(self.id))
+
+        def on_reply(self):
+            self.replies += 1
+            if self.replies < 3:
+                self.send(self.peer, EKick(self.id))
+            else:
+                self.send(self.id, EStop())
+
+        def leave(self):
+            self.send(self.peer, EStop())
+
+        def finish(self):
+            self.halt()
+
+    return Relay
+
+
+class TestCompiledClassStaysPlain:
+    def test_pool_chess_and_production_never_see_a_coroutine(self, monkeypatch):
+        from repro import Runtime
+        from repro.chess import ChessRuntime
+        from repro.core.machine import Machine as Base
+
+        compiled, twin = _relay_twin(), _relay_twin()
+        inline = _run_on("inline", compiled, seed=5)
+        assert inline.status == "ok", inline.bug
+        init = compiled._state_infos["Init"]
+        assert init.exit_co is not None and init.entry_co is not None
+        assert init.dispatch[EReply][2] is not None
+        assert "_inline_ready" not in twin.__dict__
+
+        returned = []
+
+        def recording(method):
+            def wrapper(self):
+                result = method(self)
+                returned.append(result)
+                return result
+            return wrapper
+
+        monkeypatch.setattr(Base, "_start", recording(Base._start))
+        monkeypatch.setattr(Base, "_step", recording(Base._step))
+
+        pooled = _run_on("pool", compiled, seed=5)
+        assert pooled.status == "ok", pooled.bug
+        assert pooled.trace == inline.trace
+
+        class CountingChess(ChessRuntime):
+            def reset(self):
+                super().reset()
+                self.sends = 0
+
+            def send(self, target, event, sender=None):
+                self.sends += 1
+                super().send(target, event, sender=sender)
+
+        def chess(main_cls):
+            strategy = RandomStrategy(seed=5)
+            strategy.prepare_iteration()
+            runtime = CountingChess(strategy, race_detection=True)
+            result = runtime.execute(main_cls)
+            assert result.status == "ok", result.bug
+            clocks = {mid: clock.clocks for mid, clock in runtime._clocks.items()}
+            return runtime.sends, len(runtime.races), clocks, result.trace
+
+        # CHESS's send override ran for every send of the compiled class,
+        # exactly as for the twin that was never compiled.
+        assert chess(compiled) == chess(twin)
+        assert chess(compiled)[0] == compiled.sends
+
+        production = Runtime(seed=5)
+        production.run(compiled).join()
+        assert all(machine.is_halted for machine in production.machines)
+
+        assert returned and all(r is True or r is False for r in returned)

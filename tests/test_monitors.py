@@ -676,3 +676,162 @@ class TestMirroringHooks:
         detached = result.bug.detached()
         assert "ProgressMonitor" in detached.machine
         assert detached.trace == result.bug.trace
+
+
+# ----------------------------------------------------------------------
+# The production Runtime decides who observes an event with the same
+# tables as the tester (event class -> monitor registration indices),
+# rebuilt at every registration.
+class EObs(Event):
+    pass
+
+
+class EObsChild(EObs):
+    """Observed through its base: monitors list EObs only."""
+
+
+class EClose(Event):
+    pass
+
+
+class Receiver(Machine):
+    class Open(State):
+        initial = True
+        actions = {EObs: "noop", EObsChild: "noop", EClose: "close"}
+
+    def noop(self):
+        pass
+
+    def close(self):
+        self.halt()
+
+
+class _Recorder(Monitor):
+    class Recording(State):
+        initial = True
+        entry = "setup"
+        actions = {
+            EObs: "on_obs", EObsChild: "on_child", EMachineHalted: "on_halt",
+        }
+
+    def setup(self):
+        self.seen = []
+
+    def on_obs(self):
+        self.seen.append("obs")
+
+    def on_child(self):
+        self.seen.append("child")
+
+    def on_halt(self):
+        self.seen.append(("halted", self.payload))
+
+
+class SendRecorder(_Recorder):
+    observes = (EObs, EMachineHalted)
+
+
+class DequeueRecorder(_Recorder):
+    observes_dequeue = (EObs,)
+
+
+class LateSendRecorder(_Recorder):
+    observes = (EObs,)
+
+
+class TestProductionRuntimeObservers:
+    def test_send_dequeue_and_halt_observers_across_registrations(self):
+        from repro import Runtime
+
+        runtime = Runtime(seed=0)
+        runtime.register_monitor(SendRecorder)
+        receiver = runtime.create_machine(Receiver)
+        runtime.send(receiver, EObsChild())  # a subclass of an observed class
+        assert runtime.wait_quiescence()
+        # Registered after the first observation: the tables are rebuilt,
+        # so both see what follows and neither sees what came before.
+        runtime.register_monitor(DequeueRecorder)
+        runtime.register_monitor(LateSendRecorder)
+        runtime.send(receiver, EObs())
+        runtime.send(receiver, EObsChild())
+        runtime.send(receiver, EClose())
+        runtime.join()
+        sent, dequeued, late = runtime._monitors
+        assert sent.seen == ["child", "obs", "child", ("halted", receiver)]
+        assert dequeued.seen == ["obs", "child"]
+        assert late.seen == ["obs", "child"]
+
+
+# ----------------------------------------------------------------------
+# A monitor that raised Halt keeps observing: it is halted, but monitors
+# have no inbox to close, and every observation still reaches its current
+# state's handlers.
+class EA(Event):
+    pass
+
+
+class EB(Event):
+    pass
+
+
+class HaltsOnA(Monitor):
+    observes = (EA, EB)
+
+    class Watching(State):
+        initial = True
+        entry = "setup"
+        actions = {EA: "on_a", EB: "on_b"}
+
+    def setup(self):
+        self.bs = []
+
+    def on_a(self):
+        self.halt()
+
+    def on_b(self):
+        self.bs.append(self.payload)
+
+
+class SendsBAB(Machine):
+    class Init(State):
+        initial = True
+        entry = "go"
+        ignored = (EA, EB)
+
+    def go(self):
+        self.send(self.id, EB(1))
+        self.send(self.id, EA())
+        self.send(self.id, EB(2))
+        self.halt()
+
+
+class TestHaltedMonitor:
+    @pytest.mark.parametrize("workers", ["inline", "pool"])
+    def test_a_halted_monitor_keeps_observing(self, workers):
+        strategy = RandomStrategy(seed=0)
+        strategy.prepare_iteration()
+        runtime = BugFindingRuntime(strategy, workers=workers, monitors=[HaltsOnA])
+        result = runtime.execute(SendsBAB)
+        assert result.status == "ok", result.bug
+        monitor = runtime._monitors[0]
+        assert monitor.is_halted
+        assert monitor.bs == [1, 2]
+
+    def test_a_halting_monitor_under_the_production_runtime(self):
+        # The halt mirrors EMachineHalted from under the runtime lock the
+        # observation holds: the lock is re-entrant, so this finishes.
+        import threading
+
+        from repro import Runtime
+
+        runtime = Runtime(seed=0)
+        runtime.register_monitor(HaltsOnA)
+        runner = threading.Thread(
+            target=lambda: runtime.run(SendsBAB).join(), daemon=True
+        )
+        runner.start()
+        runner.join(timeout=10)
+        assert not runner.is_alive(), "the production runtime deadlocked"
+        monitor = runtime._monitors[0]
+        assert monitor.is_halted
+        assert monitor.bs == [1, 2]

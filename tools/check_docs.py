@@ -199,6 +199,18 @@ REMOVED_FROM_SRC = (
         re.compile(r"\bon_state_entered\b"),
         "the _hook_state callable (CoverageMap.record_entry)",
     ),
+    (
+        re.compile(r"\b_(?:step|start)_inline\b|\b_enter_inline\w*|\b_handle\b|\b_transition_to\b"),
+        "one Machine._start / _step / _enter (+ _enter_co) under every runtime",
+    ),
+    (
+        re.compile(r"\binline_dispatch\b|\b(?:entry|exit)_inline\b|\binline_disposition\b|\b_inline_handler\b"),
+        "StateInfo.dispatch's coroutine slot and StateInfo.entry_co / exit_co",
+    ),
+    (
+        re.compile(r"\b_matching_monitors\b|\b_(?:send|dequeue)_observer_cache\b|\b_mirror_to_monitors\b"),
+        "core.runtime._Observers: _observing_send / _observing_dequeue",
+    ),
 )
 
 #: Removed from one file only: a second copy of a scheduling-point piece

@@ -14,7 +14,7 @@ repeat exactly on any host, which is what lets
 
 The configurations are the benchmark's two step-loop workloads at small,
 fixed sizes: ``random`` is ``soak`` (bare random campaigns on the eight
-Table-2 programs, pooled), the other six are ``soak_hooks``'s (registry
+Table-2 programs), the other six are ``soak_hooks``'s (registry
 faults and monitors, coverage and the event log on, under random,
 fair-random, pct and delay-bounding).  Every campaign runs on the inline
 carrier after a two-schedule warm-up, so compilation is not counted.
