@@ -5,9 +5,9 @@ never reaches it within bounds).  This example compares the DFS and
 random schedulers on it and replays the found trace — the Section 6.2
 workflow end to end, written against the declarative
 ``TestConfig``/``Campaign`` facade: one frozen config describes the
-campaign, ``with_overrides`` derives the strategy variations, and the
-worker back-end resolves automatically (``workers="auto"`` — inline
-when the program compiles for it, reported as ``effective_backend``).
+campaign, ``with_overrides`` derives the strategy variations, and every
+machine runs on the one single-thread carrier (reported as
+``effective_backend``).
 
 The command-line twin of this script:
 

@@ -6,9 +6,9 @@ and random needs the right seed.  Here ``Campaign.portfolio()`` races a
 portfolio of diverse strategies — random, PCT at several priority-change
 budgets, delay-bounding at several delay budgets, iterative-deepening
 DFS — in separate processes; the first worker to hit the bug cancels the
-rest and hands back a replayable trace.  Every worker inherits the
-inline-first back-end from ``workers="auto"`` (the campaign report's
-``effective_backend`` says what actually ran).
+rest and hands back a replayable trace.  Every worker runs its machines
+on the one single-thread carrier (the campaign report's
+``effective_backend`` says so).
 
 The command-line twin: ``python -m repro test Raft --portfolio 4 --seed 7``
 

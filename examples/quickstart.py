@@ -95,7 +95,7 @@ def main():
     )
     report = campaign.run()
     print(f"   {report.summary()}")
-    print(f"   backend: {report.effective_backend}")  # resolved from 'auto'
+    print(f"   backend: {report.effective_backend}")  # the carrier it ran on
     assert report.bug_found
 
     print("\n3. deterministic replay of the recorded buggy schedule")

@@ -12,8 +12,9 @@ Systematic concurrency testing (:mod:`repro.testing`):
     frozen config over runtime, strategies and monitors; also the core
     of the ``python -m repro`` command-line tester: ``.run()``,
     ``.portfolio()`` for the parallel strategy portfolio, ``.replay()``)
-    — plus the pieces it is built from: ``BugFindingRuntime``,
-    ``DfsStrategy``, ``IterativeDeepeningDfsStrategy``,
+    — plus the pieces it is built from: ``BugFindingRuntime`` (and
+    ``ThreadedRuntime``, the fallback carrier for handler shapes the
+    coroutine compiler refuses), ``DfsStrategy``, ``IterativeDeepeningDfsStrategy``,
     ``RandomStrategy``, ``FairRandomStrategy``, ``ReplayStrategy``,
     ``PctStrategy``, ``DelayBoundingStrategy``, ``StrategySpec``,
     ``replay``
@@ -76,6 +77,7 @@ from .testing import (
     ScheduleTrace,
     StrategySpec,
     TestReport,
+    ThreadedRuntime,
     cold,
     default_portfolio,
     hot,
@@ -116,6 +118,7 @@ __all__ = [
     "make_strategy",
     "register_strategy",
     "BugFindingRuntime",
+    "ThreadedRuntime",
     "ExecutionResult",
     "DfsStrategy",
     "IterativeDeepeningDfsStrategy",

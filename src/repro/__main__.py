@@ -73,7 +73,7 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from .errors import PSharpError
-from .testing.config import WORKER_MODES, Campaign, TestConfig
+from .testing.config import Campaign, TestConfig
 from .testing.faults import FaultConfig
 from .testing.portfolio import StrategySpec, strategy_names
 from .testing.reduction import REDUCTION_MODES
@@ -116,10 +116,6 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         parser, "--max-steps", sets="max_steps", type=int, metavar="N",
         help="depth bound on scheduling decisions per execution "
         "(default: {default})",
-    )
-    _flag(
-        parser, "--workers", sets="workers", choices=WORKER_MODES,
-        help="worker back-end (default: {default} = inline with pooled fallback)",
     )
     _flag(
         parser, "--max-hot-steps", sets="max_hot_steps", type=int, metavar="N",

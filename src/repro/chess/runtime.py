@@ -1,4 +1,10 @@
-"""The CHESS-style runtime: visible-operation scheduling + optional RD."""
+"""The CHESS-style runtime: visible-operation scheduling + optional RD.
+
+It schedules inside field-access hooks, from plain attribute reads and
+writes deep in user frames, where a generator coroutine cannot suspend:
+so it is a :class:`~repro.testing.threads.ThreadedRuntime`, one OS thread
+per machine.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +14,9 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.events import Event
 from ..core.machine import Machine, install_field_access_hook
 from ..testing.config import Campaign, TargetLike, TestConfig
-from ..testing.runtime import BugFindingRuntime, _WorkerState
+from ..testing.runtime import _WorkerState
 from ..testing.strategies import SchedulingStrategy
+from ..testing.threads import ThreadedRuntime
 
 
 class _VectorClock:
@@ -33,7 +40,7 @@ class _VectorClock:
         return all(c <= other.clocks.get(m, 0) for m, c in self.clocks.items())
 
 
-class ChessRuntime(BugFindingRuntime):
+class ChessRuntime(ThreadedRuntime):
     """Bug-finding runtime that schedules at memory-access granularity.
 
     ``race_detection`` toggles the RD-on / RD-off configurations compared
@@ -46,19 +53,6 @@ class ChessRuntime(BugFindingRuntime):
         race_detection: bool = True,
         **kwargs: Any,
     ) -> None:
-        if kwargs.get("workers") == "inline":
-            # CHESS schedules inside field-access hooks, i.e. from plain
-            # attribute writes deep inside user frames — positions a
-            # generator coroutine cannot suspend at.
-            raise ValueError(
-                "ChessRuntime does not support workers='inline'; its "
-                "visible-operation scheduling points cannot suspend a "
-                "coroutine — use 'pool'"
-            )
-        if kwargs.get("workers") == "auto":
-            # The automatic backend resolution can never pick inline here
-            # (see above), so "auto" collapses to the pooled threads.
-            kwargs["workers"] = "pool"
         if kwargs.get("faults") is not None:
             # CHESS models shared-memory programs: its visible operations
             # are field accesses, not a network that can drop or a node

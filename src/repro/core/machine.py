@@ -334,9 +334,9 @@ class Machine:
         # crash-restart re-enters the initial state with this event, so a
         # rebooted machine sees its original creation payload.
         self._boot_event: Optional[Event] = None
-        # Set by the inline carrier alone (BugFindingRuntime._spawn): the
-        # machine runs its handlers' compiled coroutines, so _start /
-        # _step may hand one back.  Everywhere else they run plain.
+        # Set by the bug-finding runtime's seat alone (testing.runtime
+        # ._Seat): the machine runs its handlers' compiled coroutines, so
+        # _start / _step may hand one back.  Everywhere else they run plain.
         self._suspendable = False
         del self._psharp_internal
 
@@ -368,17 +368,17 @@ class Machine:
     # ------------------------------------------------------------------
     @classmethod
     def inline_compatible(cls) -> bool:
-        """Whether this machine class compiles on the single-thread inline
-        continuation backend.
+        """Whether this machine class compiles into coroutines for the
+        tester's single-thread carrier (a class that does not runs on
+        ``runtime_factory=ThreadedRuntime``).
 
-        The backend-resolution hook behind ``workers="auto"``: the testing
-        layers call it on a campaign's main machine class to decide between
-        the inline backend and the pooled-thread fallback.  The verdict is
-        the coroutine compiler's own (:func:`repro.core.continuations
-        .compile_inline_machine`) and is memoized per class either way —
-        a successful compile is reused by the inline backend itself, and a
-        failure is cached in ``_inline_incompatible`` (the compiler's
-        message) so repeated resolution costs one dict probe.
+        The verdict is the coroutine compiler's own
+        (:func:`repro.core.continuations.compile_inline_machine`) and is
+        memoized per class either way — a successful compile is reused by
+        the carrier itself, and a failure is cached in
+        ``_inline_incompatible`` (the compiler's message) so asking again
+        costs one dict probe.  The fleet calls it to compile a campaign's
+        main class before forking its workers.
         """
         if cls.__dict__.get("_inline_ready"):
             return True

@@ -36,12 +36,8 @@ from .reporting import (
     save_report,
 )
 from .telemetry import EventLog, Histogram, TelemetryStats
-from .runtime import (
-    BugFindingRuntime,
-    ExecutionResult,
-    WorkerPool,
-    shared_worker_pool,
-)
+from .runtime import BugFindingRuntime, ExecutionResult
+from .threads import ThreadedRuntime
 from .strategies import (
     DelayBoundingStrategy,
     DfsStrategy,
@@ -98,8 +94,7 @@ __all__ = [
     "strategy_names",
     "BugFindingRuntime",
     "ExecutionResult",
-    "WorkerPool",
-    "shared_worker_pool",
+    "ThreadedRuntime",
     "SchedulingStrategy",
     "DfsStrategy",
     "IterativeDeepeningDfsStrategy",

@@ -5,7 +5,7 @@ command-line tester — over its runtime, strategies and monitors
 (Section 7).  This module is that surface for the reproduction: a single
 frozen, picklable :class:`TestConfig` captures the *complete* campaign
 specification (program target, strategy spec(s), iteration/time/step
-budgets, worker back-end, specification monitors, liveness threshold,
+budgets, specification monitors, liveness threshold,
 trace recording, seeds), and :class:`Campaign` executes it:
 
 * ``Campaign(config).run()`` — a single-strategy campaign
@@ -26,12 +26,13 @@ it), its use in the engine's one runtime builder, and a flag in
 :mod:`repro.__main__` if the command line should set it.  The ``python
 -m repro`` CLI is built entirely on this module.
 
-``workers="auto"`` is the default back-end: campaigns run on the
-single-thread inline continuation runtime whenever the program compiles
-for it and transparently fall back to pooled threads when it does not
-(``InlineCompileError``), with the resolved choice recorded as
-``TestReport.effective_backend`` — every facade user inherits the
-inline speedup without opting in.
+Campaigns run on the one single-thread carrier, machine handlers
+compiled into coroutines; a handler shape the compiler refuses stops the
+campaign with an ``InlineCompileError`` naming the method and the
+fallback, ``runtime_factory=ThreadedRuntime`` — Python API only: a
+config with a ``runtime_factory`` does not serialize, so no campaign
+file, checkpoint or fleet job can carry it.  The carrier a campaign ran
+on is recorded as ``TestReport.effective_backend``.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ from .strategies import SchedulingStrategy
 from .telemetry import EventLog
 from .trace import ScheduleTrace
 
-#: carriers a config may name; "auto" resolves per program.
-WORKER_MODES = ("auto", "inline", "pool")
+#: What ``TestConfig.workers`` accepts; both name the one carrier.
+WORKER_MODES = ("auto", "inline")
 
 StrategyLike = Union[StrategySpec, str, Tuple[str, dict], None]
 TargetLike = Union[str, Type[Machine]]
@@ -187,9 +188,11 @@ class TestConfig(Declared):
         Campaign seed, folded into ``strategy``/``specs`` entries that
         are seedable and carry no explicit seed of their own.
     workers:
-        Worker back-end: ``"auto"`` (default — inline continuation
-        runtime with transparent pooled fallback), ``"inline"`` or
-        ``"pool"``.
+        ``"auto"`` (default) or ``"inline"``: both name the one carrier,
+        and neither changes anything.  Kept only because the benchmark
+        passes both; a ``[benchmark]`` change removes it.  The threaded
+        carrier is a runtime, ``runtime_factory=ThreadedRuntime``, set
+        from Python only.
     monitors:
         Specification monitor classes; empty defers to the registry
         variant's monitors when the target is a benchmark name.
@@ -198,7 +201,9 @@ class TestConfig(Declared):
         heuristic toggle (see :class:`~repro.testing.runtime
         .BugFindingRuntime`).
     runtime_factory:
-        Advanced hook for substitute runtimes (e.g. the CHESS baseline),
+        Advanced hook for substitute runtimes (the threaded carrier
+        :class:`~repro.testing.threads.ThreadedRuntime`, the CHESS
+        baseline),
         used by campaigns and by replay alike; note a non-module-level
         factory makes the config unpicklable (it crosses the process
         boundary to portfolio workers under the ``spawn``/``forkserver``
@@ -425,7 +430,7 @@ class Campaign:
     ) -> TestReport:
         """Run the single-strategy campaign; returns the
         :class:`~repro.testing.engine.TestReport` (with
-        ``effective_backend`` resolved from ``workers="auto"``)."""
+        ``effective_backend``, the carrier it ran on)."""
         config = self.config
         strategy = self._strategy_override or config.build_strategy()
         events = (

@@ -23,8 +23,9 @@ Uncovered states/transitions are simply declared minus visited, so the
 report (``python -m repro report``) can *name* what a campaign never
 reached.  Maps merge associatively (portfolio shards, checkpoint
 resume, future distributed fleets) and fingerprint deterministically,
-which is how the cross-backend bit-identity guarantee is tested: for a
-fixed strategy seed, inline and pool campaigns produce *equal* maps.
+which is how the cross-carrier bit-identity guarantee is tested: for a
+fixed strategy seed, inline and ``ThreadedRuntime`` campaigns produce
+*equal* maps.
 
 Collection costs one pointer-is-None check per hook when disabled (the
 runtime's ``_hook_state``/``_hook_dequeued``/``_cov``) and one call per

@@ -12,18 +12,10 @@ its per-execution fields are read, :func:`run_campaign` the one iteration
 loop: ``Campaign.run`` and every shard of a sharded campaign call it, so
 a 1-worker portfolio is, by construction, the plain campaign; and
 :func:`replay_trace` re-executes a recorded schedule on a runtime built
-the same way.
-
-This is also where ``workers="auto"`` (the default everywhere above the
-raw runtime) is made *total*: the runtime resolves "auto" per main class
-(inline when it compiles, pool otherwise), and :func:`run_campaign`
-catches the one case resolution cannot see — a machine class created
-mid-campaign that the coroutine compiler rejects — by restarting the
-campaign on the pooled carrier from a :meth:`~repro.testing.strategies
-.SchedulingStrategy.reset` strategy, so the traces are bit-identical to
-an explicit ``workers="pool"`` run with the same seed.  The carrier a
-campaign actually ran on is recorded as
-:attr:`TestReport.effective_backend`.
+the same way.  The carrier a campaign ran on — the runtime class's
+``carrier``: ``"inline"``, or ``"threads"`` for
+:class:`~repro.testing.threads.ThreadedRuntime` and CHESS — is recorded
+as :attr:`TestReport.effective_backend`.
 """
 
 from __future__ import annotations
@@ -39,7 +31,6 @@ from typing import (
 if TYPE_CHECKING:  # circular at runtime: config is the layer above
     from .config import TestConfig
 
-from ..core.continuations import InlineCompileError
 from ..core.machine import Machine
 from ..errors import BugReport
 from .coverage import CoverageMap
@@ -188,9 +179,8 @@ class TestReport(Record):
     # flushes a final checkpoint and returns the partial merge).
     interrupted: bool = field(ANY)
     sub_reports: List["TestReport"] = field(SUB_REPORTS)
-    # The carrier the campaign actually ran on ("inline" or "pool"),
-    # resolved from workers="auto" — how the inline-first fallback stays
-    # honest in A/B comparisons.  Merged campaign reports show "mixed"
+    # The carrier the campaign ran on ("inline", or "threads" for
+    # ThreadedRuntime and CHESS).  Merged campaign reports show "mixed"
     # when sub-reports disagree.
     effective_backend: Optional[str] = field(BACKEND)
     # Observability (PR 8): injected-fault totals by outcome name,
@@ -347,7 +337,6 @@ def build_runtime(
         livelock_as_bug=config.livelock_as_bug,
         deadline=deadline,
         stop_check=stop_check,
-        workers=config.workers,
         monitors=monitors,
         max_hot_steps=config.max_hot_steps,
         faults=faults,
@@ -378,13 +367,10 @@ def run_campaign(
     One runtime object is constructed for the whole campaign and reused
     across iterations (``BugFindingRuntime.reset`` runs at the top of
     every ``execute``), so per-iteration cost is the schedule itself, not
-    runtime construction.  Under ``workers="auto"`` a machine class
-    created mid-campaign that the coroutine compiler rejects triggers a
-    transparent restart of the whole campaign on the pooled carrier (the
-    strategy is :meth:`~repro.testing.strategies.SchedulingStrategy
-    .reset`, so the restarted campaign's traces are bit-identical to an
-    explicit ``workers="pool"`` run; ``report.elapsed`` then covers only
-    the pooled rerun).
+    runtime construction.  A handler the coroutine compiler refuses
+    ends the campaign with its :class:`~repro.core.continuations
+    .InlineCompileError`, which names the fallback,
+    ``runtime_factory=ThreadedRuntime``.
 
     ``program`` is the target already resolved by
     :func:`resolved_program`; omitted, it is resolved here.
@@ -404,42 +390,11 @@ def run_campaign(
         program = resolved_program(config)
     if deadline is None and config.time_limit is not None:
         deadline = time.monotonic() + config.time_limit
-    try:
-        return _campaign_loop(config, strategy, program, deadline, stop_check, events)
-    except InlineCompileError:
-        if config.workers != "auto":
-            raise
-        # The main class compiled (else "auto" would have resolved to
-        # pool before the strategy was ever consulted) but a machine
-        # class created mid-campaign did not.  Restart bit-identically on
-        # the pooled carrier: reset() returns the strategy to its
-        # post-construction decision sequence.
-        strategy.reset()
-        return _campaign_loop(
-            config.with_overrides(workers="pool"),
-            strategy, program, deadline, stop_check, events,
-        )
-
-
-def _campaign_loop(
-    config: "TestConfig",
-    strategy: SchedulingStrategy,
-    program: Program,
-    deadline: Optional[float],
-    stop_check: Optional[Callable[[], bool]],
-    events: Optional[EventLog],
-) -> TestReport:
     main_cls, payload = program[:2]
     max_iterations = config.max_iterations
     stop_on_first_bug = config.stop_on_first_bug
     report = TestReport(strategy=strategy.name)
-    # A fresh map per loop entry: the auto→pool restart re-enters here
-    # and must not double-count the aborted inline attempt's coverage
-    # (so it stays bit-identical to an explicit pooled run).
     cov = CoverageMap() if config.coverage else None
-    # Likewise a fresh reduction engine: the restarted pooled campaign
-    # must make every caching decision from scratch (same schedule, empty
-    # cache) to stay bit-identical to an explicit workers="pool" run.
     red = (
         ReductionEngine(config.reduction, config.state_cache_size)
         if config.reduction != "none"
@@ -459,12 +414,7 @@ def _campaign_loop(
         )
 
     runtime = fresh_runtime()
-    # Custom runtime factories may resolve "auto" themselves (ChessRuntime
-    # collapses it to pool); ask the runtime what will actually run.
-    resolve = getattr(runtime, "resolve_workers", None)
-    report.effective_backend = (
-        resolve(main_cls) if resolve is not None else config.workers
-    )
+    report.effective_backend = runtime.carrier
     if events is not None:
         events.emit(
             "shard_start",
@@ -484,7 +434,7 @@ def _campaign_loop(
                 report.exhausted = True
                 break
             if runtime.tainted:
-                # A straggler worker thread from the previous iteration
+                # A straggler machine thread from the previous iteration
                 # never unwound; that runtime (and its thread) is written
                 # off so the straggler cannot corrupt later iterations.
                 runtime = fresh_runtime()
@@ -586,9 +536,8 @@ def replay_trace(
     live :class:`ScheduleTrace` or the path of a file written by
     :meth:`ScheduleTrace.save` (how the ``python -m repro replay`` CLI
     hands traces around).  Replay is carrier agnostic: a trace recorded
-    under either worker mode replays under either (the default ``"auto"``
-    picks the inline runtime when the program compiles for it, falling
-    back to pooled threads otherwise).
+    on the inline carrier replays on :class:`~repro.testing.threads
+    .ThreadedRuntime` and the other way round.
 
     The runtime comes from :func:`build_runtime`, exactly as the campaign
     loop's does, so everything that decides *where* decisions are
@@ -608,38 +557,27 @@ def replay_trace(
     if program is None:
         program = resolved_program(config)
 
-    def attempt(config: "TestConfig") -> ExecutionResult:
-        strategy = ReplayStrategy(trace)
-        strategy.prepare_iteration()
-        try:
-            runtime = build_runtime(config, strategy, program)
-        except (AttributeError, TypeError) as exc:
-            if config.runtime_factory is None:
-                raise
-            # A factory written against its campaign's own live strategy
-            # (an instrumenting subclass reading attributes off it)
-            # cannot host a ReplayStrategy.  Replay on the stock runtime,
-            # loudly: if the factory also moved scheduling points the
-            # result will come back diverged.
-            warnings.warn(
-                f"runtime_factory {config.runtime_factory!r} cannot be built "
-                f"over a ReplayStrategy ({exc}); replaying on the stock runtime",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            runtime = build_runtime(
-                config.with_overrides(runtime_factory=None), strategy, program
-            )
-        return runtime.execute(*program[:2])
-
     # The point of a replay is the re-recorded trace.
     config = config.with_overrides(record_traces=True)
+    strategy = ReplayStrategy(trace)
+    strategy.prepare_iteration()
     try:
-        return attempt(config)
-    except InlineCompileError:
-        if config.workers != "auto":
+        runtime = build_runtime(config, strategy, program)
+    except (AttributeError, TypeError) as exc:
+        if config.runtime_factory is None:
             raise
-        # A machine created mid-replay does not compile inline: replay the
-        # whole schedule on the pooled carrier (fresh ReplayStrategy, so
-        # no recorded decision is lost to the aborted inline attempt).
-        return attempt(config.with_overrides(workers="pool"))
+        # A factory written against its campaign's own live strategy (an
+        # instrumenting subclass reading attributes off it) cannot host a
+        # ReplayStrategy.  Replay on the stock runtime, loudly: if the
+        # factory also moved scheduling points the result will come back
+        # diverged.
+        warnings.warn(
+            f"runtime_factory {config.runtime_factory!r} cannot be built "
+            f"over a ReplayStrategy ({exc}); replaying on the stock runtime",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        runtime = build_runtime(
+            config.with_overrides(runtime_factory=None), strategy, program
+        )
+    return runtime.execute(*program[:2])

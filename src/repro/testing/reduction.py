@@ -18,7 +18,7 @@ created, and every specification monitor that observed one of its events
 monitor do not commute even when their targets differ).  Two steps
 commute iff their object footprints are disjoint.  Footprints are derived
 from trace-visible facts only, so the oracle is identical on the inline
-and pool carriers.
+and threaded carriers.
 
 **Dynamic partial-order reduction** (:class:`~repro.testing.strategies
 .DfsStrategy` / ``IterativeDeepeningDfsStrategy``).  Machine-choice
@@ -458,10 +458,7 @@ class ReductionEngine:
     .run_campaign` constructs it next to the coverage map, hands it to the
     runtime (``BugFindingRuntime(reduction=...)``) and attaches it to the
     strategy (:meth:`~repro.testing.strategies.SchedulingStrategy
-    .attach_reduction`).  The ``workers="auto"`` inline→pool restart
-    re-enters the loop and builds a fresh engine, so a restarted
-    campaign's pruning decisions are bit-identical to an explicit pooled
-    run — exactly the coverage-map contract.
+    .attach_reduction`).
 
     The step log (``_points``/``_bounds``/``effects``) covers the most
     recent execution only; the seen-set, the clause store and the

@@ -35,36 +35,22 @@ program and the strategy API.
 
 A *carrier* only moves control to the machine those decisions name.
 Exactly one machine runs at any moment, so runtime state needs no
-locking.
+locking.  This runtime has one: machine handlers are compiled into
+resumable generator coroutines (:mod:`repro.core.continuations`) whose
+scheduling primitives call ``_point`` (after ``_spawn``, for a create)
+and suspend only when the answer is another machine, and a flat
+trampoline (:meth:`BugFindingRuntime._run`) resumes the chosen body — no
+locks, no hand-offs, no OS thread switch per decision.
 
-``workers="inline"``
-    The single-thread continuation runtime: machine handlers are
-    compiled into resumable generator coroutines
-    (:mod:`repro.core.continuations`) whose scheduling primitives call
-    ``_point`` (after ``_spawn``, for a create) and suspend only when the
-    answer is another machine; a flat trampoline
-    (:meth:`BugFindingRuntime._run_inline`) resumes the chosen body — no
-    locks, no hand-offs, no permits, and no ~3-7us OS thread switch per
-    non-forced decision.
-
-``workers="pool"``
-    A process-lifetime :class:`WorkerPool` of reusable OS threads.  Each
-    execution checks workers out, binds machines to them, and checks them
-    back in when the schedule completes, so a 10k-iteration campaign
-    reuses a handful of threads instead of spawning and joining tens of
-    thousands.  A pooled thread drives its own machine's body; plain
-    handlers reach the same point through ``send`` / ``create_machine`` ->
-    :meth:`BugFindingRuntime._schedule`, and every switch is one
-    ``release(choice) / acquire(self)`` on raw ``threading.Lock``
-    primitives (:meth:`BugFindingRuntime._switch`).  The carrier for
-    handlers the coroutine compiler cannot reshape, and for
-    :class:`~repro.chess.ChessRuntime`.
-
-``workers="auto"`` resolves to ``inline`` when the main machine class
-compiles and to ``pool`` otherwise.  Both carriers run the same decisions
-in the same order, so for a fixed strategy seed they produce
-bit-identical :class:`ScheduleTrace` records — DFS backtracking, replay
-and PCT semantics are independent of the carrier.
+A handler shape the compiler refuses (listed in
+:mod:`repro.core.continuations`) runs on
+:class:`~repro.testing.threads.ThreadedRuntime`, the subclass that
+carries each machine's body on its own OS thread and blocks at the
+same points (:class:`~repro.chess.ChessRuntime` is one too: it
+schedules inside field-access hooks).  Both make the same decisions in
+the same order, so for a fixed strategy seed they produce bit-identical
+:class:`ScheduleTrace` records — DFS backtracking, replay and PCT
+semantics are independent of the carrier.
 
 The runtime is reusable: :meth:`BugFindingRuntime.reset` (called
 automatically at the top of :meth:`~BugFindingRuntime.execute`) returns
@@ -74,8 +60,7 @@ whole campaign instead of reconstructing it per iteration.
 
 from __future__ import annotations
 
-import os
-import threading
+import sys
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass
@@ -83,7 +68,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
-from ..core.continuations import InlineCompileError, compile_inline_machine
+from ..core.continuations import InlineCompileError, compile_inline_machine, refusal
 from ..core.events import Event, MachineId
 from ..core.machine import Machine
 from ..core.runtime import RuntimeBase, _Observers
@@ -172,169 +157,45 @@ class ExecutionResult:
         return self.bug is not None
 
 
-class _PoolWorker:
-    """A reusable cooperative worker thread.
-
-    Between executions the thread parks on its pre-acquired ``signal``
-    lock.  Binding a machine and scheduling it for the first time are the
-    same operation as a mid-schedule hand-off: a ``signal.release()``.
-
-    Permit accounting is exact: during one binding the worker consumes
-    every scheduler wake sent to it plus *exactly one* end-of-execution
-    wake (the cancellation permit from ``_cancel_all``, or a pending
-    scheduler permit that cancellation found unconsumed).  Workers that
-    unwind on their own — the bug-throwing machine, or a machine that
-    halted while others continue — have not consumed that final wake yet,
-    so they park on it *before* retiring (``final_wake_consumed``
-    distinguishes the two unwind shapes).  The worker's lock is therefore
-    provably locked-and-permit-free when it returns to the pool, which is
-    what makes rebinding it to the next execution safe.
-    """
-
-    __slots__ = ("thread", "signal", "machine", "mid", "state", "runtime",
-                 "retired", "shutdown", "final_wake_consumed")
-
-    def __init__(self, index: int) -> None:
-        # A raw lock used as a binary semaphore: created "empty" so the
-        # first release wakes the thread.  Lock beats Semaphore here —
-        # hand-offs happen at every scheduling point and Lock is a C
-        # primitive while Semaphore is condition-variable Python.
-        self.signal = threading.Lock()
-        self.signal.acquire()
-        self.machine: Optional[Machine] = None
-        self.mid: Optional[MachineId] = None
-        self.state = _DONE
-        self.runtime: Optional["BugFindingRuntime"] = None
-        self.retired = True
-        self.shutdown = False
-        self.final_wake_consumed = False
-        self.thread = threading.Thread(
-            target=self._main, daemon=True, name=f"sct-pool-{index}"
-        )
-        self.thread.start()
-
-    def _main(self) -> None:
-        while True:
-            self.signal.acquire()
-            if self.shutdown:
-                return
-            runtime = self.runtime
-            if runtime is None:
-                continue  # defensive: re-park on an unexplained wake
-            try:
-                if runtime._canceled:
-                    # Bound but never scheduled: this wake *is* the
-                    # cancellation permit.
-                    self.final_wake_consumed = True
-                else:
-                    runtime._worker_body(self)
-            finally:
-                if not self.final_wake_consumed:
-                    # Unwound spontaneously: the end-of-execution permit
-                    # is still owed to this worker.  Wait for it so the
-                    # lock is clean before the pool can rebind us.
-                    self.signal.acquire()
-                self.runtime = None
-                self.machine = None
-                runtime._worker_retired(self)
-
-
-class WorkerPool:
-    """A pool of reusable cooperative worker threads.
-
-    Sized by the maximum number of machines ever simultaneously bound;
-    workers are parked (blocked on their signal lock) between executions.
-    One shared process-wide pool serves every pooled runtime by default —
-    workers carry no runtime state between bindings.
-
-    Fork-safe: ``fork`` only duplicates the forking thread, so parked
-    worker threads do not exist in a child process (e.g. a portfolio
-    worker).  The pool detects the new pid and rebuilds itself empty
-    before handing out workers there.
-    """
-
-    def __init__(self) -> None:
-        self._free: List[_PoolWorker] = []
-        self._created = 0
-        self._lock = threading.Lock()
-        self._pid = os.getpid()
-
-    def _repair_after_fork(self) -> None:
-        # Runs on the child's (still single) thread: inherited workers are
-        # threadless shells and the inherited lock may be stuck mid-hold.
-        self._lock = threading.Lock()
-        self._free = []
-        self._created = 0
-        self._pid = os.getpid()
-
-    def checkout(self) -> _PoolWorker:
-        if self._pid != os.getpid():
-            self._repair_after_fork()
-        with self._lock:
-            if self._free:
-                return self._free.pop()
-            index = self._created
-            self._created += 1
-        return _PoolWorker(index)
-
-    def checkin(self, worker: _PoolWorker) -> None:
-        if self._pid != os.getpid():
-            self._repair_after_fork()
-            return  # the worker being returned is a pre-fork shell: drop it
-        with self._lock:
-            self._free.append(worker)
-
-    @property
-    def size(self) -> int:
-        return self._created
-
-    @property
-    def idle(self) -> int:
-        return len(self._free)
-
-    def shutdown(self) -> None:
-        """Terminate all parked workers (bound workers are left alone)."""
-        with self._lock:
-            workers, self._free = self._free, []
-            self._created -= len(workers)
-        for worker in workers:
-            worker.shutdown = True
-            worker.signal.release()
-        for worker in workers:
-            worker.thread.join(timeout=1.0)
-
-
-class _InlineWorker:
-    """One machine's seat on the single-thread inline backend.
+class _Seat:
+    """One machine's seat in an execution.
 
     ``gen`` is the machine's cooperative body
     (:meth:`BugFindingRuntime._machine_body`): a generator that yields the
     next machine id at every control transfer.  The trampoline resumes
     it when the strategy picks this machine; between resumptions the
     machine's entire action stack sits suspended inside the generator.
-    The ``state`` field carries the same :class:`_WorkerState` protocol
-    the threaded workers use, so ``_schedulable`` is back-end agnostic.
+    ``state`` is what the enabled set and CHESS read: new, running, idle
+    or done.  Seating a machine of a class not compiled yet compiles it
+    (a refusal ends the execution with the compiler's error).
     """
 
     __slots__ = ("machine", "mid", "state", "gen")
 
     def __init__(self, runtime: "BugFindingRuntime", machine: Machine) -> None:
+        if "_inline_ready" not in type(machine).__dict__:
+            try:
+                runtime._prepare(type(machine))
+            except InlineCompileError as exc:
+                runtime._abort(exc)
+        # The one place a machine is made suspendable: its _start / _step
+        # may now hand back compiled coroutines.
+        machine._suspendable = True
         self.machine = machine
         self.mid = machine.id
         self.state = _NEW
         self.gen = runtime._machine_body(self)
 
 
-_shared_pool = WorkerPool()
-
-
-def shared_worker_pool() -> WorkerPool:
-    """The process-wide default pool used by pooled runtimes."""
-    return _shared_pool
-
-
 class BugFindingRuntime(RuntimeBase):
     """A runtime whose interleavings are decided by a scheduling strategy.
+
+    Every machine runs on the calling thread as compiled coroutines; a
+    class the compiler refuses ends the execution with
+    :class:`~repro.core.continuations.InlineCompileError` (from
+    :meth:`execute`, after every machine has unwound), whose message
+    names the method, the line and the fallback,
+    :class:`~repro.testing.threads.ThreadedRuntime`.
 
     Parameters
     ----------
@@ -356,23 +217,6 @@ class BugFindingRuntime(RuntimeBase):
         Polled periodically; when it returns True the execution aborts
         with status ``"stopped"``.  Portfolio workers pass the shared
         first-bug-wins cancellation event here.
-    workers:
-        ``"inline"`` runs every machine on this thread as resumable
-        generator coroutines (the continuation runtime — fastest, but
-        handlers must be source-analysable; see
-        :mod:`repro.core.continuations`); ``"pool"`` binds machines to
-        reusable pooled threads (default); ``"auto"`` resolves per
-        campaign at :meth:`execute` time — inline when the main machine
-        class compiles (``Machine.inline_compatible``), pool otherwise —
-        with the resolved choice readable as :attr:`effective_workers`.
-        (A machine class *created mid-execution* that fails to compile
-        still raises :class:`InlineCompileError` out of ``execute``;
-        the engine layer catches it and restarts the campaign on the
-        pooled carrier.)  Both carriers produce identical traces for
-        the same strategy seed.
-    pool:
-        The :class:`WorkerPool` to draw pooled workers from; defaults to
-        the shared process-wide pool.
     monitors:
         Specification monitor classes (:class:`~repro.testing.monitors
         .Monitor` subclasses) attached to every execution.  Each execution
@@ -392,7 +236,7 @@ class BugFindingRuntime(RuntimeBase):
         fault injection (message drop/duplicate/delay, machine
         crash-restart).  Every injected fault is a strategy decision
         recorded in the trace under the ``"fault"`` kind, so faulty
-        executions replay bit-identically on every back-end.  ``None``
+        executions replay bit-identically on every carrier.  ``None``
         (the default) explores failure-free executions only.
     iteration_timeout:
         Per-execution wall-clock watchdog, in seconds: an execution that
@@ -407,9 +251,9 @@ class BugFindingRuntime(RuntimeBase):
         activity coverage into, across every execution this runtime
         runs: states entered, transitions taken, events
         sent/dequeued/dropped, machine instances and halts.  Collection
-        rides the existing hook points at identical positions on both
-        carriers, so for a fixed strategy seed the resulting map is
-        bit-identical across inline/pool.  ``None`` (default)
+        rides the existing hook points at identical positions on every
+        carrier, so for a fixed strategy seed the resulting map is
+        bit-identical across them.  ``None`` (default)
         disables collection; the hooks then cost one boolean/None test.
     reduction:
         A :class:`~repro.testing.reduction.ReductionEngine` arming
@@ -426,9 +270,13 @@ class BugFindingRuntime(RuntimeBase):
     # checks must not dominate the hot handoff path.
     _POLL_MASK = 31
 
-    # How long execute() waits for workers to unwind at end-of-execution
-    # before declaring the runtime tainted (see ``tainted``).
-    _retire_timeout = 5.0
+    #: The carrier, as ``TestReport.effective_backend`` reports it.
+    carrier = "inline"
+    #: What a machine is seated in (see :meth:`_spawn`).
+    _Seat = _Seat
+    #: Set by a threaded subclass whose machine thread outlived an
+    #: execution; the campaign loop then builds a fresh runtime.
+    tainted = False
 
     def __init__(
         self,
@@ -438,8 +286,6 @@ class BugFindingRuntime(RuntimeBase):
         livelock_as_bug: bool = False,
         deadline: Optional[float] = None,
         stop_check: Optional[Callable[[], bool]] = None,
-        workers: str = "pool",
-        pool: Optional[WorkerPool] = None,
         monitors: Sequence[Type[Monitor]] = (),
         max_hot_steps: int = 1000,
         faults: Optional[FaultConfig] = None,
@@ -448,10 +294,6 @@ class BugFindingRuntime(RuntimeBase):
         reduction: Optional[ReductionEngine] = None,
     ) -> None:
         super().__init__()
-        if workers not in ("auto", "inline", "pool"):
-            raise ValueError(
-                f"workers must be 'auto', 'inline' or 'pool', got {workers!r}"
-            )
         if faults is not None and not isinstance(faults, FaultConfig):
             raise ValueError(f"faults must be a FaultConfig, got {faults!r}")
         if iteration_timeout is not None and iteration_timeout <= 0:
@@ -469,12 +311,6 @@ class BugFindingRuntime(RuntimeBase):
         self.livelock_as_bug = livelock_as_bug
         self.deadline = deadline
         self.stop_check = stop_check
-        self.workers = workers
-        # The back-end actually driving executions: equal to ``workers``
-        # when concrete, re-resolved per main class at execute() time when
-        # "auto" (provisionally a threaded mode so construction-time
-        # reset() builds the _done lock).
-        self.effective_workers = workers if workers != "auto" else "pool"
         self.monitors: Tuple[Type[Monitor], ...] = tuple(monitors)
         self.max_hot_steps = max_hot_steps
         self.faults = faults
@@ -507,22 +343,10 @@ class BugFindingRuntime(RuntimeBase):
         }
         self._observing_send = _Observers(self.monitors, "observes")
         self._observing_dequeue = _Observers(self.monitors, "observes_dequeue")
-        self._pool = pool if pool is not None else _shared_pool
         self._hook_visible = (
             type(self).on_visible_operation
             is not BugFindingRuntime.on_visible_operation
         )
-        self._retire_lock = threading.Lock()
-        self._all_retired = threading.Event()
-        # True once a worker thread outlived the end-of-execution barrier
-        # (non-terminating or slow-unwinding user code).  A tainted
-        # runtime must not be reused: reset() would clear _canceled and
-        # the straggler thread, on resuming, would mutate the *next*
-        # execution's state.  Leaving the runtime canceled forever makes
-        # the straggler unwind harmlessly — the same benign leak the old
-        # runtime-per-iteration design had.  The campaign loop constructs
-        # a fresh runtime when it sees the flag.
-        self.tainted = False
         # Activity-coverage collection (repro.testing.coverage): the map
         # accumulates across every execution this runtime runs, so the
         # engine reads one campaign-level map at the end.  Armed before
@@ -580,7 +404,7 @@ class BugFindingRuntime(RuntimeBase):
         # Execution state.  The seats, in machine-creation order: a
         # machine's id value is its index here, and the only key the hot
         # path looks a machine up by.
-        self._worker_list: List[Any] = []
+        self._worker_list: List[_Seat] = []
         # The schedulable set, maintained incrementally (sorted by machine
         # id, i.e. creation order — the order of the seat walk that
         # tests/reference_runtime.py keeps as the oracle): _spawn adds,
@@ -588,7 +412,7 @@ class BugFindingRuntime(RuntimeBase):
         # whose deliverability must be re-checked (an enqueue landed since
         # they idled) at the next scheduling point.  See _schedulable.
         self._enabled: List[MachineId] = []
-        self._idle_pending: List[Any] = []
+        self._idle_pending: List[_Seat] = []
         # Per-machine log of nondeterministic outcomes (bool/int/fault)
         # consumed this execution, keyed by machine id value.  Part of the
         # state fingerprint: two states are only equivalent if every
@@ -601,13 +425,6 @@ class BugFindingRuntime(RuntimeBase):
         self._nondet_log: Optional[Dict[int, List[int]]] = (
             {} if self._red is not None and self._red.cache_on else None
         )
-        if self.effective_workers == "inline":
-            # No waiting thread to signal: the trampoline runs the whole
-            # execution synchronously inside execute().
-            self._done = None
-        else:
-            self._done = threading.Lock()
-            self._done.acquire()
         self._canceled = False
         self._finished = False
         self._status = "ok"
@@ -639,10 +456,6 @@ class BugFindingRuntime(RuntimeBase):
         # strategy-consulted (non-forced) scheduling decisions.
         self._fault_kinds = [0, 0, 0, 0, 0]
         self._consulted = 0
-        # Pooled-worker bookkeeping.
-        self._bound: List[_PoolWorker] = []
-        self._live = 0
-        self._all_retired.clear()
         # Specification monitors: fresh instances per execution (their
         # state is per-schedule) and temperature bookkeeping.
         # ``_hot_deadline`` is the earliest step at which some hot monitor
@@ -670,26 +483,12 @@ class BugFindingRuntime(RuntimeBase):
                 self._note_temperature(instance)
 
     def close(self) -> None:
-        """Shut down a privately owned worker pool (no-op for the shared
-        pool, whose parked threads are reused process-wide)."""
-        if self._pool is not _shared_pool:
-            self._pool.shutdown()
+        """Release what the runtime holds between executions: nothing, on
+        this carrier; the campaign loop calls it once, at the end."""
 
     # ==================================================================
     # Public entry point
     # ==================================================================
-    def resolve_workers(self, main_cls: Type[Machine]) -> str:
-        """The back-end :meth:`execute` will use for ``main_cls``.
-
-        Concrete ``workers`` values are themselves; ``"auto"`` resolves
-        through the backend-resolution hook
-        (:meth:`~repro.core.machine.Machine.inline_compatible`): the
-        inline continuation runtime when the main class compiles, the
-        pooled-thread backend otherwise."""
-        if self.workers != "auto":
-            return self.workers
-        return "inline" if main_cls.inline_compatible() else "pool"
-
     @property
     def machine_count(self) -> int:
         """Number of machines the current (or most recent) execution has
@@ -699,20 +498,10 @@ class BugFindingRuntime(RuntimeBase):
     def execute(self, main_cls: Type[Machine], payload: Any = None) -> ExecutionResult:
         """Run the program once, from start to completion, under the
         strategy's schedule.  Reusable: each call starts from a reset
-        runtime and releases its workers before returning."""
-        if self.tainted:
-            raise PSharpError(
-                "runtime is tainted: a worker thread from a previous "
-                "execution never unwound; construct a fresh runtime"
-            )
-        if self.workers == "auto":
-            # Resolve before reset(): the worker plumbing reset() builds
-            # (the _done lock, pooled bookkeeping) is back-end specific.
-            self.effective_workers = self.resolve_workers(main_cls)
-        if self.effective_workers == "inline":
-            # A main class the coroutine compiler rejects fails here,
-            # before anything runs (idempotent once compiled).
-            compile_inline_machine(main_cls)
+        runtime and has unwound every machine before returning."""
+        # A main class the coroutine compiler refuses fails here, before
+        # anything runs (idempotent once compiled).
+        self._prepare(main_cls)
         self.reset()
         if self.iteration_timeout is not None:
             self._iter_deadline = time.monotonic() + self.iteration_timeout
@@ -735,13 +524,7 @@ class BugFindingRuntime(RuntimeBase):
             trace.append(SCHED_TAG, mid.value)
         if red is not None:
             red.chose(mid.value, (mid.value,))
-        if self.effective_workers == "inline":
-            self._run_inline(self._worker_list[mid.value])
-        else:
-            self._worker_list[mid.value].signal.release()
-            self._done.acquire()
-            self._cancel_all()
-            self._release_pool_workers()
+        self._run(self._worker_list[mid.value])
         if self._error is not None:
             raise self._error  # recorded by _abort; everything has unwound
         consulted = self._consulted
@@ -763,20 +546,6 @@ class BugFindingRuntime(RuntimeBase):
             consulted=consulted,
             diverged=getattr(self.strategy, "diverged", False),
         )
-
-    def _release_pool_workers(self) -> None:
-        """Wait for every bound worker to unwind, then return them to the
-        pool.  Retirement implies the worker consumed its end-of-execution
-        permit, so its lock is clean for the next binding."""
-        if not self._all_retired.wait(timeout=self._retire_timeout):
-            # A straggler is still unwinding; it and this runtime are
-            # written off (leaked worker, tainted runtime) so it can
-            # never corrupt a later execution.
-            self.tainted = True
-        bound, self._bound = self._bound, []
-        for worker in bound:
-            if worker.retired:
-                self._pool.checkin(worker)
 
     # ==================================================================
     # RuntimeBase interface (called from inside running actions)
@@ -1029,7 +798,7 @@ class BugFindingRuntime(RuntimeBase):
         rebooted.  Fields named in the class's ``persistent_fields``
         survive when the fault config models durable storage
         (``persistent_state=True``).  The caller re-enters the initial
-        state through the back-end-appropriate start path."""
+        state through the machine's start path."""
         saved = None
         faults = self.faults
         if faults is not None and faults.persistent_state:
@@ -1093,7 +862,7 @@ class BugFindingRuntime(RuntimeBase):
 
         Every invocation is recorded in the trace (kind ``"monitor"``,
         value: the monitor's registration index) so traces with
-        specifications attached stay bit-identical across worker back-ends
+        specifications attached stay bit-identical across carriers
         and replays.  Monitor assertion failures surface as
         :class:`MonitorError` (bug kind ``"monitor"``)."""
         monitors = self._monitors
@@ -1208,12 +977,6 @@ class BugFindingRuntime(RuntimeBase):
     # Worker machinery
     # ==================================================================
     def _spawn(self, machine_cls: Type[Machine], payload: Any) -> MachineId:
-        inline = self.effective_workers == "inline"
-        if inline and "_inline_ready" not in machine_cls.__dict__:
-            try:
-                compile_inline_machine(machine_cls)
-            except InlineCompileError as exc:
-                self._abort(exc)
         machine = self._instantiate(machine_cls, payload)
         if self._cov is not None:
             self._cov.record_machine(machine_cls)
@@ -1221,35 +984,16 @@ class BugFindingRuntime(RuntimeBase):
             # Independence oracle: creating a machine touches it (nothing
             # else can have, yet).
             self._red.effects.append(machine.id.value)
-        if inline:
-            # The one place a machine is made suspendable: its _start /
-            # _step may now hand back compiled coroutines.
-            machine._suspendable = True
-            self._worker_list.append(_InlineWorker(self, machine))
-            # New ids are allocated in increasing order, so appending
-            # keeps the enabled set sorted.
-            self._enabled.append(machine.id)
-            return machine.id
-        worker = self._pool.checkout()
-        worker.machine = machine
-        worker.mid = machine.id
-        worker.state = _NEW
-        worker.retired = False
-        worker.final_wake_consumed = False
-        worker.runtime = self
-        with self._retire_lock:
-            self._live += 1
-        self._bound.append(worker)
-        self._worker_list.append(worker)
+        self._worker_list.append(self._Seat(self, machine))
+        # New ids are allocated in increasing order, so appending keeps
+        # the enabled set sorted.
         self._enabled.append(machine.id)
         return machine.id
 
-    def _worker_retired(self, worker: _PoolWorker) -> None:
-        with self._retire_lock:
-            worker.retired = True
-            self._live -= 1
-            if self._live == 0:
-                self._all_retired.set()
+    def _prepare(self, machine_cls: Type[Machine]) -> None:
+        """Compile ``machine_cls`` for this carrier (idempotent); raises
+        :class:`InlineCompileError` when the compiler refuses it."""
+        compile_inline_machine(machine_cls)
 
     def _abort(self, error: InlineCompileError) -> None:
         """Give the execution up on a configuration error of the campaign
@@ -1265,22 +1009,21 @@ class BugFindingRuntime(RuntimeBase):
         self._finish("stopped")
         raise ExecutionCanceled()
 
-    def _machine_body(self, worker: Any):
-        """One machine's life under the schedule, on either carrier: a
+    def _machine_body(self, worker: _Seat):
+        """One machine's life under the schedule, on every carrier: a
         generator that *yields* the machine to run next when this one
         idles (it is resumed once it is scheduled again), *returns* it
         when this one is done, and returns ``None`` when nobody is left
         to run — the execution is over.
 
-        The stepping pair is the machine's ``_start`` / ``_step`` on both
-        carriers.  On pooled threads they run handlers plain; their
-        scheduling points block in :meth:`_schedule`.  Inline (the machine
-        is suspendable, see :meth:`_spawn`) they hand back ``True`` /
-        ``False`` the same way, or the coroutine of a compiled handler,
-        which is delegated to: it yields exactly where one of its
-        scheduling points picked another machine, and whatever a
-        scheduling point raises unwinds through the user's frames into the
-        carrier, which classifies it.
+        The stepping pair is the machine's ``_start`` / ``_step``.  On a
+        suspendable machine (see :class:`_Seat`) they hand back ``True`` /
+        ``False``, or the coroutine of a compiled handler, which is
+        delegated to: it yields exactly where one of its scheduling points
+        picked another machine, and whatever a scheduling point raises
+        unwinds through the user's frames into the carrier, which
+        classifies it.  A threaded carrier's machines run their handlers
+        plain, blocking at scheduling points in :meth:`_schedule`.
         """
         machine = worker.machine
         mid = worker.mid
@@ -1343,7 +1086,7 @@ class BugFindingRuntime(RuntimeBase):
 
     def _report_worker_exception(self, machine: Machine, exc: BaseException) -> None:
         """Classify an exception that escaped a machine's body into the
-        paper's bug kinds.  Shared by both carriers so a given failure is
+        paper's bug kinds.  Shared by every carrier so a given failure is
         reported identically on each."""
         if isinstance(exc, ExecutionCanceled):
             return
@@ -1363,14 +1106,14 @@ class BugFindingRuntime(RuntimeBase):
             raise exc
 
     # ------------------------------------------------------------------
-    # The carriers: moving control to the machine a decision named
+    # The carrier: moving control to the machine a decision named
     # ------------------------------------------------------------------
-    def _run_inline(self, first: _InlineWorker) -> None:
-        """The inline carrier, a trampoline: resume one machine's body at
-        a time; it runs up to its next control transfer, which arrives
-        back here as the chosen machine.  A non-forced scheduling decision
-        thus costs a strategy call plus a generator resume instead of an
-        OS thread switch."""
+    def _run(self, first: _Seat) -> None:
+        """The carrier, a trampoline: resume one machine's body at a
+        time; it runs up to its next control transfer, which arrives back
+        here as the chosen machine.  A non-forced scheduling decision thus
+        costs a strategy call plus a generator resume instead of an OS
+        thread switch."""
         current = first
         # Machine ids are allocated in creation order and every machine
         # owns exactly one seat, so _worker_list[mid.value] is the seat —
@@ -1396,10 +1139,9 @@ class BugFindingRuntime(RuntimeBase):
             if not self._finished:
                 self._finish("ok")
         finally:
-            # What _cancel_all does to pooled threads: unwind every
-            # still-suspended machine with ExecutionCanceled, thrown in
-            # at the scheduling point it is suspended at, so user
-            # try/finally blocks run.
+            # Unwind every still-suspended machine with ExecutionCanceled,
+            # thrown in at the scheduling point it is suspended at, so
+            # user try/finally blocks run.
             self._canceled = True
             for worker in self._worker_list:
                 gen, worker.gen = worker.gen, None
@@ -1413,32 +1155,6 @@ class BugFindingRuntime(RuntimeBase):
                     self._report_worker_exception(worker.machine, exc)
                 finally:
                     gen.close()
-
-    def _worker_body(self, worker: _PoolWorker) -> None:
-        """The pooled carrier: this thread drives its own machine's body.
-        Entered with the signal permit held (this worker was scheduled)."""
-        self._current = worker.mid
-        body = self._machine_body(worker)
-        try:
-            while True:
-                self._switch(worker, body.send(None))
-        except StopIteration as done:
-            # Pass the turn on for good.  The end-of-execution permit is
-            # still owed to this worker; _PoolWorker._main waits for it.
-            if done.value is not None:
-                self._worker_list[done.value.value].signal.release()
-        except BaseException as exc:  # noqa: BLE001 - classified
-            self._report_worker_exception(worker.machine, exc)
-
-    def _switch(self, worker: _PoolWorker, choice: MachineId) -> None:
-        """One OS hand-off: wake ``choice``'s thread and park this one
-        until the schedule (or the end of the execution) wakes it."""
-        self._worker_list[choice.value].signal.release()
-        worker.signal.acquire()
-        if self._canceled:
-            worker.final_wake_consumed = True
-            raise ExecutionCanceled()
-        self._current = worker.mid
 
     # ------------------------------------------------------------------
     # The scheduler
@@ -1488,26 +1204,32 @@ class BugFindingRuntime(RuntimeBase):
         target: Optional[MachineId] = None,
         event: Optional[Event] = None,
     ) -> None:
-        """A scheduling point in its blocking form, as plain handlers on
-        pooled threads reach it through ``send`` / ``create_machine`` (and
-        :class:`~repro.chess.ChessRuntime` at every visible operation):
-        the point itself, then park this thread if another machine was
-        picked."""
-        if self.effective_workers == "inline":
-            # Reached only when a handler the coroutine compiler could not
-            # analyse (source unavailable, or resolved through a
-            # static/classmethod shim) calls a scheduling primitive
-            # directly: there is no thread to block here.
-            self._abort(InlineCompileError(
-                f"{self._machines.get(current)} hit a blocking scheduling "
-                "point on the inline backend: its handler was not compiled "
-                "to a coroutine (handler source unavailable, or resolved "
-                "through a static/classmethod shim); use workers='pool' "
-                "for this program"
-            ))
-        choice = self._point(current, target, event)
-        if choice is not None:
-            self._switch(self._worker_list[current.value], choice)
+        """A scheduling point reached by a plain call of ``Machine.send``
+        / ``create_machine``: what a threaded carrier blocks in.  Here
+        only code the compiler never reshaped gets this far (a handler
+        with no source, one that is not a plain method, a ``super()``
+        call, a method or field lambda reached other than by a direct
+        ``self.<name>(...)`` call), and there is no thread to block: the
+        execution ends with the refusal, naming the caller's frame."""
+        self._refuse_here(current, "a scheduling call the compiler did not reshape "
+                          "(no source, not a plain method, super(), or reached "
+                          "other than by a direct self.<name>(...) call)")
+
+    def _unreshaped_lambda(self, *_args: Any, **_kwargs: Any) -> None:
+        """What a compiled call of a sending field runs when the field
+        holds a lambda without a generator twin — one bound by code the
+        compiler did not reshape: the execution ends with the refusal."""
+        self._refuse_here(self._current, "a call of a sending lambda bound by code "
+                          "the compiler did not reshape")
+
+    def _refuse_here(self, current: MachineId, what: str) -> None:
+        frame = sys._getframe(1)
+        while frame.f_back is not None and frame.f_globals.get("__name__") in (
+            __name__, "repro.core.machine",
+        ):
+            frame = frame.f_back
+        where = f"{type(self._machines[current]).__name__}.{frame.f_code.co_name}:{frame.f_lineno}"
+        self._abort(refusal(where, what))
 
     def _pick_successor(self, mid: MachineId) -> Optional[MachineId]:
         """The hand-off decision: who runs next when machine ``mid`` gives
@@ -1618,8 +1340,8 @@ class BugFindingRuntime(RuntimeBase):
         computed from scratch: every machine in creation order, every
         monitor, the step budget already spent and the fault count (see
         :func:`repro.testing.reduction.state_fingerprint` for what each
-        contributes).  Independent of ``PYTHONHASHSEED``, worker back-end
-        and process — equal digests across inline/pool are part of the
+        contributes).  Independent of ``PYTHONHASHSEED``, carrier and
+        process — equal digests across carriers are part of the
         parity contract and are asserted in the test-suite.  The state
         cache consults :meth:`ReductionEngine.fingerprint`, which reuses
         the digests of the machines the step log says were not touched
@@ -1695,16 +1417,3 @@ class BugFindingRuntime(RuntimeBase):
         if not self._finished:
             self._finished = True
             self._status = status
-            if self._done is not None:
-                self._done.release()
-
-    def _cancel_all(self) -> None:
-        self._canceled = True
-        for worker in self._worker_list:
-            # Wake everyone; awakened workers observe _canceled and unwind.
-            try:
-                worker.signal.release()
-            except RuntimeError:
-                # Raw-lock signal already holds a pending wake-up (e.g. a
-                # scheduler release the worker has not consumed yet).
-                pass

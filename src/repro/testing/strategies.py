@@ -74,10 +74,10 @@ class SchedulingStrategy(ABC):
         strategies accept it and switch their machine-choice frames to
         DPOR backtrack sets; everything else ignores it (state caching,
         the strategy-agnostic layer, lives in the runtime).  Called by
-        :func:`repro.testing.engine.run_campaign` before the first iteration —
-        and called again with a fresh engine after an ``auto`` backend
-        restart, so implementations must simply replace any previous
-        attachment."""
+        :func:`repro.testing.engine.run_campaign` before the first
+        iteration of every campaign loop — a strategy reused across
+        campaigns is attached again, so implementations must simply
+        replace any previous attachment."""
 
     def pick_fault(self, weight: int) -> bool:
         """Decide whether a candidate fault fires at this consultation
@@ -96,25 +96,6 @@ class SchedulingStrategy(ABC):
     def is_fair(self) -> bool:
         """Whether long executions remain meaningful under this strategy."""
         return False
-
-    def reset(self) -> None:
-        """Return the strategy to its pristine post-construction state.
-
-        Campaign restarts rely on this being *exact*: after ``reset()``
-        the strategy must make the same decision sequence a freshly
-        constructed twin would.  ``workers="auto"``'s mid-campaign
-        inline-to-pool fallback (:func:`repro.testing.engine.run_campaign`)
-        resets the strategy and re-runs the campaign on the pooled
-        backend so its traces are bit-identical to an explicit
-        ``workers="pool"`` run with the same seed.  Custom strategies
-        that cannot restart should keep this default, which refuses
-        loudly rather than silently resuming mid-state.
-        """
-        raise NotImplementedError(
-            f"strategy {self.name!r} does not implement reset(); pass an "
-            "explicit workers= backend instead of 'auto' (the automatic "
-            "inline-to-pool fallback restarts the campaign via reset())"
-        )
 
 
 class _DfsFrame:
@@ -177,13 +158,6 @@ class DfsStrategy(SchedulingStrategy):
         # but reduction predetermined the answer.  The runtime subtracts
         # this from consulted_decisions so the consulted-vs-forced
         # telemetry ratio keeps meaning "real branching" under reduction.
-        self.reduction_forced = 0
-
-    def reset(self) -> None:
-        self._stack = []
-        self._cursor = 0
-        self._started = False
-        self.depth_cap_hit = False
         self.reduction_forced = 0
 
     def attach_reduction(self, engine) -> None:
@@ -338,13 +312,6 @@ class IterativeDeepeningDfsStrategy(SchedulingStrategy):
         # whose counter restarts at zero).
         self._forced_base = 0
 
-    def reset(self) -> None:
-        self.depth = self._initial_depth
-        self._dfs = DfsStrategy(max_depth=self._initial_depth)
-        self._forced_base = 0
-        if self._engine is not None:
-            self._dfs.attach_reduction(self._engine)
-
     def attach_reduction(self, engine) -> None:
         self._engine = engine
         self._dfs.attach_reduction(engine)
@@ -392,9 +359,6 @@ class _SeededStrategy(SchedulingStrategy):
         self._seed = seed if seed is not None else random.randrange(2**31)
         self._iteration = -1
         self._rng = random.Random(self._seed)
-
-    def reset(self) -> None:
-        self._iteration = -1
 
     def _reseed(self) -> None:
         # Reseed deterministically per iteration (equivalent to a fresh
@@ -478,11 +442,6 @@ class FairRandomStrategy(_SeededStrategy):
         self._last_run: dict = {}  # machine id value -> step it last ran
         self._step = 0
 
-    def reset(self) -> None:
-        super().reset()
-        self._last_run = {}
-        self._step = 0
-
     def prepare_iteration(self) -> bool:
         self._reseed()
         self._last_run = {}
@@ -546,11 +505,6 @@ class ReplayStrategy(SchedulingStrategy):
         self._liveness_recorded = any(
             kind == LIVENESS for kind, _ in trace.decisions
         )
-        self._pos = 0
-        self._ran = False
-        self.diverged = False
-
-    def reset(self) -> None:
         self._pos = 0
         self._ran = False
         self.diverged = False
@@ -658,13 +612,6 @@ class PctStrategy(_SeededStrategy):
         # the previous iteration, so short programs still see them.
         self._horizon = 32
 
-    def reset(self) -> None:
-        super().reset()
-        self._priorities = {}
-        self._change_points = set()
-        self._step = 0
-        self._horizon = 32
-
     def prepare_iteration(self) -> bool:
         self._horizon = max(self._horizon, self._step, 2)
         self._reseed()
@@ -739,12 +686,6 @@ class DelayBoundingStrategy(_SeededStrategy):
         self._step = 0
         # Like PCT, delay points are sampled within the observed execution
         # length so they actually land inside short runs.
-        self._horizon = 32
-
-    def reset(self) -> None:
-        super().reset()
-        self._delay_points = set()
-        self._step = 0
         self._horizon = 32
 
     def prepare_iteration(self) -> bool:

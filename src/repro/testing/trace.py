@@ -166,7 +166,7 @@ class ScheduleTrace:
 
         Two traces have equal fingerprints iff they are bit-identical —
         the compact form of the cross-carrier parity contract (inline
-        and pool must produce the same digest per strategy seed),
+        and threaded must produce the same digest per strategy seed),
         cheap enough to assert over whole benchmark registries and to
         record alongside benchmark results.  The digest is kept with the
         length it was computed at (a trace only grows), so the bug dedup

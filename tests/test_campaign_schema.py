@@ -58,7 +58,7 @@ def golden_config():
         ),
         seed=7, max_iterations=123, time_limit=45.5, max_steps=999,
         stop_on_first_bug=False, livelock_as_bug=True, record_traces=False,
-        workers="pool", monitors=(ElectionSafetyMonitor,), max_hot_steps=77,
+        workers="inline", monitors=(ElectionSafetyMonitor,), max_hot_steps=77,
         portfolio_workers=3, start_method="spawn",
         faults=FaultConfig(
             drop=0.1, duplicate=0.2, delay=0.3, crash=0.05,
@@ -121,7 +121,7 @@ CONFIGS = st.fixed_dictionaries(
         "stop_on_first_bug": st.booleans(),
         "livelock_as_bug": st.booleans(),
         "record_traces": st.booleans(),
-        "workers": st.sampled_from(["auto", "inline", "pool"]),
+        "workers": st.sampled_from(["auto", "inline"]),
         "monitors": st.lists(st.just(ElectionSafetyMonitor), max_size=1),
         "max_hot_steps": st.integers(1, 5000),
         "portfolio_workers": st.integers(1, 9),
@@ -321,7 +321,7 @@ def test_a_field_added_in_one_line_validates_ships_and_fingerprints():
 IDENTITY = {
     "program": "BoundedAsync", "payload": [1], "seed": 3, "max_iterations": 9,
     "max_steps": 9, "stop_on_first_bug": False, "livelock_as_bug": True,
-    "record_traces": False, "workers": "pool",
+    "record_traces": False, "workers": "inline",
     "monitors": (ElectionSafetyMonitor,), "max_hot_steps": 5,
     "faults": FaultConfig(drop=0.5), "coverage": True,
     "reduction": "dpor+state-cache", "state_cache_size": 7,

@@ -107,10 +107,11 @@ class TestTestCommand:
         assert "threshold 100" in bounded.stdout
         assert "diverged" not in bounded.stdout
 
-    def test_spawn_is_no_longer_a_workers_choice(self):
-        proc = run_cli("test", "BoundedAsync", "--workers", "spawn")
+    @pytest.mark.parametrize("mode", ["spawn", "pool", "inline"])
+    def test_workers_is_no_longer_a_test_flag(self, mode):
+        proc = run_cli("test", "BoundedAsync", "--workers", mode)
         assert proc.returncode == 2
-        assert "invalid choice: 'spawn'" in proc.stderr
+        assert f"unrecognized arguments: --workers {mode}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_module_class_target(self):
@@ -278,7 +279,7 @@ class TestConfigFile:
         )
         proc = run_cli("test", "--config", str(path))
         assert proc.returncode == 2
-        assert "TestConfig.workers: expected one of auto, inline, pool" in proc.stderr
+        assert "TestConfig.workers: expected one of auto, inline, got" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
 
@@ -324,7 +325,7 @@ class TestConfigFile:
 
         base = TestConfig(
             "RaftLossy", seed=7, max_iterations=200, time_limit=9.0, max_steps=300,
-            stop_on_first_bug=True, workers="pool", max_hot_steps=50,
+            stop_on_first_bug=True, workers="inline", max_hot_steps=50,
             iteration_timeout=4.0, faults=FaultConfig(drop=0.5, max_faults=3),
             reduction="dpor", state_cache_size=99, events_path="/tmp/file.jsonl",
         )
@@ -335,7 +336,7 @@ class TestConfigFile:
         typed = _config_from_args(parse([
             "test", "--config", str(path), "--seed", "8", "--max-iterations", "3",
             "--time-limit", "2", "--max-steps", "5", "--keep-going",
-            "--workers", "inline", "--max-hot-steps", "6", "--livelock-as-bug",
+            "--max-hot-steps", "6", "--livelock-as-bug",
             "--iteration-timeout", "1.5", "--fault-crash", "0.25",
             "--fault-budget", "4", "--reduction", "dpor+state-cache",
             "--state-cache-size", "7", "--coverage", "--events", "/tmp/typed.jsonl",
@@ -343,13 +344,15 @@ class TestConfigFile:
         ]))
         assert typed == base.with_overrides(
             seed=8, max_iterations=3, time_limit=2.0, max_steps=5,
-            stop_on_first_bug=False, workers="inline", max_hot_steps=6,
+            stop_on_first_bug=False, max_hot_steps=6,
             livelock_as_bug=True, iteration_timeout=1.5,
             # A fault flag overrides that field of the file's faults.
             faults=FaultConfig(drop=0.5, crash=0.25, max_faults=4),
             reduction="dpor+state-cache", state_cache_size=7, coverage=True,
             events_path="/tmp/typed.jsonl", portfolio_workers=2,
         )
+        with pytest.raises(SystemExit):  # the carrier is not a flag
+            parse(["test", "--config", str(path), "--workers", "inline"])
         cleared = _config_from_args(parse(["test", "--config", str(path), "--no-faults"]))
         assert cleared == base.with_overrides(faults=FaultConfig())
         # By TARGET the base is the declared defaults — the parser has none.

@@ -1,11 +1,10 @@
 """Tests for the declarative campaign facade (``TestConfig``/``Campaign``)
-and the ``workers="auto"`` inline-first back-end resolution.
+and the carrier a campaign reports.
 
-The load-bearing property here is *bit-identity under fallback*: a
-campaign that starts on the inline backend and transparently falls back
-to pooled threads (because some machine class cannot be compiled to a
-coroutine) must explore exactly the schedules an explicit
-``workers="pool"`` campaign with the same seed explores.
+The machines below send from a lambda, once from the main class and once
+from a child created mid-execution.  Both compile to coroutines, and a
+campaign on them must explore exactly the schedules the same campaign on
+``ThreadedRuntime`` explores.
 """
 
 import dataclasses
@@ -15,7 +14,6 @@ import pytest
 
 from repro import (
     Campaign,
-    DfsStrategy,
     Event,
     Machine,
     RandomStrategy,
@@ -26,13 +24,8 @@ from repro import (
 )
 from repro.bench.registry import resolve_target
 from repro.errors import PSharpError
-from repro.testing import BugFindingRuntime, ScheduleTrace
-from repro.testing.strategies import (
-    DelayBoundingStrategy,
-    FairRandomStrategy,
-    IterativeDeepeningDfsStrategy,
-    PctStrategy,
-)
+from repro.core.continuations import InlineCompileError
+from repro.testing import BugFindingRuntime, ScheduleTrace, ThreadedRuntime
 
 from .machines import Ping, RacyCounter
 
@@ -73,9 +66,8 @@ class _RacerMixin(Machine):
 
 
 class LambdaRacer(_RacerMixin):
-    """Non-reshapeable *main* class: sends hide inside a lambda, which the
-    coroutine compiler rejects, so ``workers="auto"`` must resolve to the
-    pooled backend before the strategy is ever consulted."""
+    """The *main* class sends from a lambda bound to a local name, with a
+    default argument, rebound on every loop turn."""
 
     class Init(State):
         initial = True
@@ -91,8 +83,8 @@ class LambdaRacer(_RacerMixin):
 
 
 class MidCampaignRacer(_RacerMixin):
-    """Compiles fine itself but creates a child that does not: the
-    failure surfaces mid-execution, forcing the transparent restart."""
+    """Plain itself, but creates children that send from a lambda: the
+    child's class compiles mid-execution."""
 
     class Init(State):
         initial = True
@@ -117,7 +109,7 @@ class LambdaEcho(Machine):
         self.halt()
 
 
-def _campaign_fingerprints(main_cls, workers, seed=3, iterations=40):
+def _campaign_fingerprints(main_cls, factory=None, seed=3, iterations=40):
     """Drive a fixed-budget campaign and fingerprint every buggy trace."""
     report = Campaign(
         TestConfig(
@@ -126,7 +118,7 @@ def _campaign_fingerprints(main_cls, workers, seed=3, iterations=40):
             time_limit=30.0,
             max_steps=2_000,
             stop_on_first_bug=False,
-            workers=workers,
+            runtime_factory=factory,
         ),
         strategy=RandomStrategy(seed=seed),
     ).run()
@@ -295,73 +287,15 @@ class TestStrategySpecParse:
 
 
 # ---------------------------------------------------------------------------
-# Strategy reset(): the exactness the fallback restart relies on
+# Sends from lambdas compile: same schedules as the threaded carrier
 # ---------------------------------------------------------------------------
-class TestStrategyReset:
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda: RandomStrategy(seed=11),
-            lambda: FairRandomStrategy(seed=11),
-            lambda: PctStrategy(seed=11, depth=5),
-            lambda: DelayBoundingStrategy(seed=11, delays=3),
-            lambda: DfsStrategy(),
-            lambda: IterativeDeepeningDfsStrategy(initial_depth=4),
-        ],
-        ids=["random", "fair-random", "pct", "delay-bounding", "dfs", "iddfs"],
-    )
-    def test_reset_restores_initial_decision_sequence(self, factory):
-        def fingerprints(strategy):
-            report = Campaign(
-                TestConfig(
-                    RacyCounter,
-                    max_iterations=25,
-                    time_limit=30.0,
-                    max_steps=500,
-                    stop_on_first_bug=False,
-                    workers="pool",
-                ),
-                strategy=strategy,
-            ).run()
-            return [bug.trace.fingerprint() for bug in report.bugs], report.iterations
-
-        strategy = factory()
-        first = fingerprints(strategy)
-        strategy.reset()
-        again = fingerprints(strategy)
-        fresh = fingerprints(factory())
-        assert again == first == fresh
-
-    def test_base_reset_refuses(self):
-        from repro.testing.strategies import SchedulingStrategy
-
-        with pytest.raises(NotImplementedError):
-            SchedulingStrategy.reset(RandomStrategy(seed=1))
-
-
-# ---------------------------------------------------------------------------
-# workers="auto": resolution, fallback, bit-identity
-# ---------------------------------------------------------------------------
-class TestAutoBackend:
+class TestLambdaShapes:
     def test_compiler_verdicts(self):
-        assert LambdaRacer.inline_compatible() is False
-        assert LambdaRacer.inline_compatible() is False  # memoized path
-        assert "_inline_incompatible" in LambdaRacer.__dict__
-        assert MidCampaignRacer.inline_compatible() is True
-        assert LambdaEcho.inline_compatible() is False
-        assert Echo.inline_compatible() is True
+        for cls in (LambdaRacer, MidCampaignRacer, LambdaEcho, Echo):
+            assert cls.inline_compatible() is True
+            assert "_inline_incompatible" not in cls.__dict__
 
-    def test_runtime_resolves_auto_per_main_class(self):
-        strategy = RandomStrategy(seed=1)
-        runtime = BugFindingRuntime(strategy, workers="auto")
-        assert runtime.resolve_workers(Echo) == "inline"
-        assert runtime.resolve_workers(LambdaRacer) == "pool"
-        strategy.prepare_iteration()
-        result = runtime.execute(LambdaRacer)
-        assert runtime.effective_workers == "pool"
-        assert result.status in ("ok", "bug")
-
-    def test_registry_benchmark_runs_inline_under_auto(self):
+    def test_registry_benchmark_runs_inline(self):
         from repro.bench import buggy_main
 
         report = Campaign(
@@ -376,51 +310,41 @@ class TestAutoBackend:
         assert report.effective_backend == "inline"
         assert report.iterations == 20
 
-    def test_incompatible_main_falls_back_bit_identically(self):
-        auto_report, auto_prints = _campaign_fingerprints(LambdaRacer, "auto")
-        pool_report, pool_prints = _campaign_fingerprints(LambdaRacer, "pool")
-        assert auto_report.effective_backend == "pool"
-        assert pool_report.effective_backend == "pool"
-        assert auto_report.iterations == pool_report.iterations
-        assert auto_report.buggy_iterations == pool_report.buggy_iterations
-        assert auto_report.total_scheduling_points == pool_report.total_scheduling_points
-        assert auto_prints == pool_prints and auto_prints  # found some bugs
+    @pytest.mark.parametrize("main_cls", [LambdaRacer, MidCampaignRacer], ids=lambda c: c.__name__)
+    def test_lambda_shapes_match_the_threaded_carrier(self, main_cls):
+        inline_report, inline_prints = _campaign_fingerprints(main_cls)
+        threads_report, threads_prints = _campaign_fingerprints(main_cls, ThreadedRuntime)
+        assert inline_report.effective_backend == "inline"
+        assert threads_report.effective_backend == "threads"
+        assert inline_report.iterations == threads_report.iterations
+        assert inline_report.buggy_iterations == threads_report.buggy_iterations
+        assert inline_report.total_steps == threads_report.total_steps
+        assert inline_report.total_scheduling_points == threads_report.total_scheduling_points
+        assert inline_prints == threads_prints and inline_prints  # found some bugs
 
-    def test_mid_campaign_failure_restarts_bit_identically(self):
-        auto_report, auto_prints = _campaign_fingerprints(MidCampaignRacer, "auto")
-        pool_report, pool_prints = _campaign_fingerprints(MidCampaignRacer, "pool")
-        assert auto_report.effective_backend == "pool"
-        assert auto_report.iterations == pool_report.iterations
-        assert auto_report.total_steps == pool_report.total_steps
-        assert auto_prints == pool_prints and auto_prints
+    def test_refused_shape_raises_from_the_campaign(self):
+        class GeneratorSender(Machine):
+            class Init(State):
+                initial = True
+                entry = "go"
+                ignored = (EKick,)
 
-    def test_explicit_inline_still_raises(self):
-        from repro.core.continuations import InlineCompileError
+            def go(self):
+                any(self.send(self.id, EKick()) for _ in range(2))
 
-        with pytest.raises(InlineCompileError):
-            Campaign(
-                TestConfig(
-                    MidCampaignRacer,
-                    max_iterations=5,
-                    time_limit=30.0,
-                    workers="inline",
-                ),
-                strategy=RandomStrategy(seed=3),
-            ).run()
+        config = TestConfig(GeneratorSender, max_iterations=5, time_limit=30.0)
+        with pytest.raises(InlineCompileError, match="GeneratorSender.go:.*runtime_factory=ThreadedRuntime"):
+            Campaign(config, strategy=RandomStrategy(seed=3)).run()
+        config = config.with_overrides(runtime_factory=ThreadedRuntime)
+        assert Campaign(config, strategy=RandomStrategy(seed=3)).run().iterations == 5
 
-    def test_replay_of_fallback_bug_reproduces(self):
-        report, _ = _campaign_fingerprints(MidCampaignRacer, "auto")
+    def test_replay_of_a_lambda_shape_bug_reproduces(self):
+        report, _ = _campaign_fingerprints(MidCampaignRacer)
         assert report.first_bug is not None
-        result = replay(MidCampaignRacer, report.first_bug.trace)
-        assert result.buggy and result.diverged is False
-        assert result.trace.fingerprint() == report.first_bug.trace.fingerprint()
-
-    def test_chess_runtime_collapses_auto_to_pool(self):
-        from repro.chess import ChessRuntime
-
-        runtime = ChessRuntime(RandomStrategy(seed=0), workers="auto")
-        assert runtime.workers == "pool"
-        assert runtime.resolve_workers(Ping) == "pool"
+        for factory in (None, ThreadedRuntime):
+            result = replay(MidCampaignRacer, report.first_bug.trace, runtime_factory=factory)
+            assert result.buggy and result.diverged is False
+            assert result.trace.fingerprint() == report.first_bug.trace.fingerprint()
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +464,7 @@ class TestEffectiveBackend:
         from repro.testing.engine import TestReport
 
         a = TestReport(strategy="a", effective_backend="inline")
-        b = TestReport(strategy="b", effective_backend="pool")
+        b = TestReport(strategy="b", effective_backend="threads")
         merged = TestReport.merged([a, b])
         assert merged.effective_backend == "mixed"
         assert merged.detached().effective_backend == "mixed"
@@ -641,14 +565,15 @@ class TestDivergedReplay:
 
 
 class TestRemovedSurface:
-    def test_spawn_is_not_a_worker_mode(self):
+    @pytest.mark.parametrize("mode", ["spawn", "pool"])
+    def test_spawn_and_pool_are_not_worker_modes(self, mode):
         from repro.testing.config import WORKER_MODES
 
-        assert WORKER_MODES == ("auto", "inline", "pool")
-        with pytest.raises(PSharpError, match="TestConfig.workers: expected one of auto, inline, pool"):
-            TestConfig(RacyCounter, workers="spawn")
-        with pytest.raises(ValueError, match="workers must be"):
-            BugFindingRuntime(RandomStrategy(seed=0), workers="spawn")
+        assert WORKER_MODES == ("auto", "inline")
+        with pytest.raises(PSharpError, match="TestConfig.workers: expected one of auto, inline, got"):
+            TestConfig(RacyCounter, workers=mode)
+        with pytest.raises(TypeError, match="workers"):
+            BugFindingRuntime(RandomStrategy(seed=0), workers=mode)
 
     def test_shims_are_gone_from_the_package(self):
         import repro

@@ -4,7 +4,7 @@ Covers the three surfaces the layer adds:
 
 * the :class:`~repro.testing.coverage.CoverageMap` itself — merge,
   the wire round-trip, fingerprints, declared-vs-visited deltas, and the headline
-  guarantee that the map is bit-identical across the inline and pool
+  guarantee that the map is bit-identical across the inline and threaded
   carriers for a given seed;
 * telemetry counters and the JSONL event stream;
 * the report/checkpoint persistence round-trip and the ``python -m
@@ -23,6 +23,7 @@ from repro.testing import (
     CoverageMap,
     TestConfig,
     TestReport,
+    ThreadedRuntime,
 )
 from repro.testing.checkpoint import load_checkpoint, save_checkpoint
 from repro.testing.fleet import decode_report, encode_report
@@ -133,19 +134,19 @@ class TestBackendIdentity:
         benchmark = next(b for b in all_benchmarks() if b.name == name)
         variant = benchmark.buggy or benchmark.correct
         assert variant.main.inline_compatible()
-        backends = ["pool", "inline"]
         maps = {
-            backend: _campaign(name, workers=backend, iterations=3).coverage
-            for backend in backends
+            carrier: _campaign(name, runtime_factory=factory, iterations=3).coverage
+            for carrier, factory in (("threads", ThreadedRuntime), ("inline", None))
         }
         fingerprints = {cov.fingerprint() for cov in maps.values()}
         assert len(fingerprints) == 1, (
             f"{name}: coverage diverged across backends {sorted(maps)}"
         )
 
-    def test_auto_matches_explicit_backend(self):
+    def test_auto_and_inline_are_the_same_carrier(self):
         auto = _campaign("Raft", workers="auto")
-        explicit = _campaign("Raft", workers=auto.effective_backend)
+        explicit = _campaign("Raft", workers="inline")
+        assert auto.effective_backend == explicit.effective_backend == "inline"
         assert auto.coverage.fingerprint() == explicit.coverage.fingerprint()
 
 
@@ -279,7 +280,7 @@ class TestReportSatellites:
         report.elapsed = 1.0
         report.watchdog_hits = 2
         report.faults_injected = 5
-        report.effective_backend = "pool"
+        report.effective_backend = "threads"
         report.bugs.append(
             BugReport(kind="assert", message="boom", trace=_trace([1]))
         )
@@ -288,7 +289,7 @@ class TestReportSatellites:
         summary = report.summary()
         assert "watchdog=2" in summary
         assert "faults=5" in summary
-        assert "[pool]" in summary
+        assert "[threads]" in summary
         assert "distinct=1" in summary
 
     def test_detached_carries_coverage_and_telemetry(self):

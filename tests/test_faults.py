@@ -5,7 +5,7 @@ The invariants under test:
 * a ``FaultConfig`` validates its probabilities and budget;
 * every injected fault is a strategy decision recorded in the schedule
   trace, so faulty executions are bit-identical across the inline and
-  pool carriers and replay exactly;
+  threaded carriers and replay exactly;
 * the fault-enabled registry variants (``RaftLossy``,
   ``TwoPhaseCommitCrash``) expose bugs that are reachable *only* with
   faults enabled;
@@ -27,6 +27,7 @@ from repro.testing.faults import (
     outcome_name,
 )
 from repro.testing.runtime import BugFindingRuntime
+from repro.testing.threads import ThreadedRuntime
 from repro.testing.strategies import (
     DfsStrategy,
     RandomStrategy,
@@ -36,7 +37,8 @@ from repro.testing.trace import FAULT
 
 from .machines import CrashCounter, CrashDriver, Ping
 
-BACKENDS = ("inline", "pool")
+#: The runtime class per carrier.
+BACKENDS = {"inline": BugFindingRuntime, "threads": ThreadedRuntime}
 FAULT_TARGETS = ("RaftLossy", "TwoPhaseCommitCrash")
 
 
@@ -122,13 +124,12 @@ class TestRecordingDeterminism:
     def test_backends_record_identical_faulty_traces(self, target):
         variant = resolve_target(target)
         fingerprints = set()
-        for backend in BACKENDS:
-            runtime = BugFindingRuntime(
+        for runtime_cls in BACKENDS.values():
+            runtime = runtime_cls(
                 RandomStrategy(seed=7),
                 max_steps=5000,
                 monitors=variant.monitors,
                 faults=variant.faults,
-                workers=backend,
             )
             result = runtime.execute(variant.main, variant.payload)
             fingerprints.add((result.trace.fingerprint(), result.status))
@@ -143,15 +144,13 @@ class TestRecordingDeterminism:
             max_steps=5000,
             monitors=variant.monitors,
             faults=variant.faults,
-            workers="inline",
         )
         recorded = runtime.execute(variant.main, variant.payload)
-        replay_rt = BugFindingRuntime(
+        replay_rt = BACKENDS[backend](
             ReplayStrategy(recorded.trace),
             max_steps=5000,
             monitors=variant.monitors,
             faults=variant.faults,
-            workers=backend,
         )
         replayed = replay_rt.execute(variant.main, variant.payload)
         assert replayed.trace.fingerprint() == recorded.trace.fingerprint()

@@ -55,7 +55,7 @@ from repro import Event, Machine, State
 from repro.analysis import analyze_program
 from repro.analysis.frontend import lower_machines
 from repro.bench import all_benchmarks
-from repro.testing import BugFindingRuntime, Campaign, TestConfig
+from repro.testing import BugFindingRuntime, Campaign, TestConfig, ThreadedRuntime
 from repro.testing.reduction import (
     DIGEST_SIZE,
     machine_update,
@@ -64,6 +64,8 @@ from repro.testing.reduction import (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
+#: The runtime class per carrier.
+CARRIERS = {"inline": BugFindingRuntime, "threads": ThreadedRuntime}
 
 BUGGY = [b.name for b in all_benchmarks() if b.buggy is not None]
 STRATEGIES = [
@@ -88,14 +90,14 @@ def count_line(text):
     print(f"\nfingerprint-counts: {text}")
 
 
-def checked_runtime(record, streams=None):
-    """A runtime class whose engine compares, at every cache
-    consultation, the memoized fingerprint with the one computed from
-    scratch, appending the verdict to ``record``; with ``streams`` it
-    also keeps the canonical byte stream of each state next to its
+def checked_runtime(record, streams=None, carrier="inline"):
+    """A runtime class on ``carrier`` whose engine compares, at every
+    cache consultation, the memoized fingerprint with the one computed
+    from scratch, appending the verdict to ``record``; with ``streams``
+    it also keeps the canonical byte stream of each state next to its
     digest."""
 
-    class CheckedRuntime(BugFindingRuntime):
+    class CheckedRuntime(CARRIERS[carrier]):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             memoized = self._red.fingerprint
@@ -125,21 +127,21 @@ def checked_runtime(record, streams=None):
     return CheckedRuntime
 
 
-def checked_campaign(program, strategy, streams=None, **overrides):
+def checked_campaign(program, strategy, streams=None, carrier="inline", **overrides):
     record = []
     kwargs = dict(
         program=program, strategy=strategy, max_iterations=12, max_steps=300,
         stop_on_first_bug=False, reduction="dpor+state-cache+clauses",
-        runtime_factory=checked_runtime(record, streams),
+        runtime_factory=checked_runtime(record, streams, carrier),
     )
     kwargs.update(overrides)
     return Campaign(TestConfig(**kwargs)).run(), record
 
 
-def exhaustive(program, depth, max_steps, workers, streams=None):
+def exhaustive(program, depth, max_steps, carrier, streams=None):
     return checked_campaign(
-        program, ("dfs", {"max_depth": depth}), streams,
-        max_iterations=1_000_000, max_steps=max_steps, workers=workers,
+        program, ("dfs", {"max_depth": depth}), streams, carrier,
+        max_iterations=1_000_000, max_steps=max_steps,
         reduction="dpor+state-cache",
     )
 
@@ -152,11 +154,11 @@ def audit():
     ``PYTHONHASHSEED`` values, all of it must repeat exactly."""
     rows = {}
     for program, depth, max_steps in RECALL_CASES:
-        for workers in ("inline", "pool"):
+        for carrier in CARRIERS:
             streams = []
-            report, record = exhaustive(program, depth, max_steps, workers, streams)
+            report, record = exhaustive(program, depth, max_steps, carrier, streams)
             assert report.exhausted
-            rows[f"{program}:d{depth}:{workers}"] = [
+            rows[f"{program}:d{depth}:{carrier}"] = [
                 len(record),
                 record.count(False),
                 len({stream for stream, _ in streams}),
@@ -180,27 +182,27 @@ def matrix():
     riding along with the name."""
     cells = {}
     for program in BUGGY:
-        for workers in ("inline", "pool"):
-            cell = cells[program, workers] = []
+        for carrier in CARRIERS:
+            cell = cells[program, carrier] = []
             for strategy in STRATEGIES:
-                report, record = checked_campaign(program, strategy, workers=workers)
-                assert report.effective_backend == workers
+                report, record = checked_campaign(program, strategy, carrier=carrier)
+                assert report.effective_backend == carrier
                 cell.append((strategy[0], len(record), record.count(False)))
     return cells
 
 
 class TestMemoIsExact:
-    @pytest.mark.parametrize("workers", ["inline", "pool"])
+    @pytest.mark.parametrize("carrier", list(CARRIERS))
     @pytest.mark.parametrize("program", BUGGY)
-    def test_memo_equals_from_scratch_on_the_registry(self, matrix, program, workers):
-        for strategy, checks, disagreements in matrix[program, workers]:
+    def test_memo_equals_from_scratch_on_the_registry(self, matrix, program, carrier):
+        for strategy, checks, disagreements in matrix[program, carrier]:
             assert checks > 0, f"{strategy}: the cache was never consulted"
             assert disagreements == 0, (
                 f"{strategy}: {disagreements} of {checks} memoized "
                 "fingerprints differ from the from-scratch one"
             )
-        total = sum(checks for _, checks, _ in matrix[program, workers])
-        count_line(f"{program} {workers} checks={total}")
+        total = sum(checks for _, checks, _ in matrix[program, carrier])
+        count_line(f"{program} {carrier} checks={total}")
 
     def test_the_registry_matrix_is_not_vacuous(self, matrix):
         total = sum(checks for cell in matrix.values() for _, checks, _ in cell)
@@ -272,15 +274,15 @@ class Feeder(Machine):
 
 
 class TestInvalidationSources:
-    @pytest.mark.parametrize("workers", ["inline", "pool"])
+    @pytest.mark.parametrize("carrier", list(CARRIERS))
     @pytest.mark.parametrize(
         "strategy", [("random", {"seed": 3}), ("dfs", {"max_depth": 12})]
     )
     def test_a_drained_inbox_and_the_enqueue_after_it_are_both_seen(
-        self, strategy, workers
+        self, strategy, carrier
     ):
         _, record = checked_campaign(
-            Feeder, strategy, workers=workers, max_iterations=40
+            Feeder, strategy, carrier=carrier, max_iterations=40
         )
         assert len(record) > 50
         assert record.count(False) == 0
@@ -373,7 +375,7 @@ class TestHonesty:
             assert checks == row[5], case
             count_line(f"{case} {row[:7]}")
         for case in ("BoundedAsync:d8", "TwoPhaseCommit:d8", "TokenRing:d7", "German:d8"):
-            assert outputs[0][f"{case}:inline"] == outputs[0][f"{case}:pool"]
+            assert outputs[0][f"{case}:inline"] == outputs[0][f"{case}:threads"]
 
     def test_digest_width(self):
         runtime_digest = state_fingerprint([], [], None, 0, 0)

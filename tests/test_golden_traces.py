@@ -5,8 +5,8 @@ commit*; a change that moves both carriers the same way passes them all.
 ``golden_traces.json`` holds what a fixed set of small campaigns produced
 when it was generated — schedule, step and scheduling-point counts, the
 first bug's iteration and trace fingerprint, and the exhaustive-sweep
-counters per reduction mode — and this module asserts them on ``inline``
-and on ``pool``.  Its ``portfolio`` section does the same for three
+counters per reduction mode — and this module asserts them on the
+inline carrier and on ``ThreadedRuntime``.  Its ``portfolio`` section does the same for three
 sharded ``Campaign.portfolio()`` campaigns (per-shard counts and
 bug-trace fingerprints, the merged distinct-bug set), asserted under the
 ``fork`` and ``spawn`` start methods; it was written by the
@@ -27,6 +27,7 @@ import pytest
 from repro.bench import registry
 from repro.testing import (
     REDUCTION_MODES, Campaign, FaultConfig, StrategySpec, TestConfig,
+    ThreadedRuntime,
 )
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_traces.json")
@@ -42,7 +43,8 @@ SWEEP = dict(
     max_iterations=1_000_000, max_steps=2_000, time_limit=None,
     stop_on_first_bug=False,
 )
-CARRIERS = ("inline", "pool")
+#: ``runtime_factory`` per carrier: the inline one, then the threaded one.
+CARRIERS = (None, ThreadedRuntime)
 #: Sharded campaigns, every shard run to its full iteration budget.
 PORTFOLIOS = {
     "Raft/2xrandom": dict(
@@ -74,10 +76,10 @@ def programs():
     return [b.name for b in registry.all_benchmarks() if b.buggy is not None]
 
 
-def campaign_row(program, strategy, workers):
+def campaign_row(program, strategy, factory=None):
     report = Campaign(
         TestConfig(program=program, strategy=strategy, seed=SEED,
-                   workers=workers, **BUDGET)
+                   runtime_factory=factory, **BUDGET)
     ).run()
     bug = report.first_bug
     return [
@@ -89,9 +91,9 @@ def campaign_row(program, strategy, workers):
     ]
 
 
-def sweep_row(reduction, workers):
+def sweep_row(reduction, factory=None):
     report = Campaign(
-        TestConfig(reduction=reduction, workers=workers, **SWEEP)
+        TestConfig(reduction=reduction, runtime_factory=factory, **SWEEP)
     ).run()
     assert report.exhausted
     return [report.iterations, report.distinct_states, report.schedules_pruned]
@@ -116,16 +118,16 @@ def portfolio_row(name, start_method=None):
     }
 
 
-def generate(workers="inline"):
-    """The golden document, computed from scratch on ``workers``."""
+def generate():
+    """The golden document, computed from scratch on the inline carrier."""
     return {
         "campaigns": {
-            f"{program}/{strategy}": campaign_row(program, strategy, workers)
+            f"{program}/{strategy}": campaign_row(program, strategy)
             for program in programs()
             for strategy in STRATEGIES
         },
         "sweeps": {
-            reduction: sweep_row(reduction, workers)
+            reduction: sweep_row(reduction)
             for reduction in REDUCTION_MODES
         },
         "portfolio": {name: portfolio_row(name) for name in PORTFOLIOS},
@@ -157,18 +159,18 @@ def test_golden_file_covers_the_registry(golden):
     assert all(row["distinct_bugs"] for row in golden["portfolio"].values())
 
 
-@pytest.mark.parametrize("workers", CARRIERS)
+@pytest.mark.parametrize("factory", CARRIERS, ids=("inline", "threads"))
 @pytest.mark.parametrize("program", programs())
-def test_campaign_rows_match_the_golden_file(golden, program, workers):
+def test_campaign_rows_match_the_golden_file(golden, program, factory):
     for strategy in STRATEGIES:
         key = f"{program}/{strategy}"
-        assert campaign_row(program, strategy, workers) == golden["campaigns"][key], key
+        assert campaign_row(program, strategy, factory) == golden["campaigns"][key], key
 
 
-@pytest.mark.parametrize("workers", CARRIERS)
+@pytest.mark.parametrize("factory", CARRIERS, ids=("inline", "threads"))
 @pytest.mark.parametrize("reduction", REDUCTION_MODES)
-def test_sweep_rows_match_the_golden_file(golden, reduction, workers):
-    assert sweep_row(reduction, workers) == golden["sweeps"][reduction]
+def test_sweep_rows_match_the_golden_file(golden, reduction, factory):
+    assert sweep_row(reduction, factory) == golden["sweeps"][reduction]
 
 
 @pytest.mark.parametrize("start_method", START_METHODS)

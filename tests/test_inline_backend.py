@@ -1,12 +1,14 @@
-"""Tests for the single-thread continuation back-end (``workers="inline"``).
+"""Tests for the single-thread continuation carrier.
 
-Cross-backend trace parity lives in ``test_runtime_reuse.py``; this file
+Cross-carrier trace parity lives in ``test_runtime_reuse.py``; this file
 covers what is specific to the inline runtime: the handler-to-coroutine
-compiler (helper chains, closures, keyword arguments, failure modes),
+compiler (helper chains, closures, keyword arguments, comprehensions and
+sending lambdas, and one input per shape it refuses — each refusal naming
+the method, the line and ``ThreadedRuntime``, which runs the same class),
 cancellation unwind semantics (user ``try/finally`` blocks), the
 expression positions and unwinds the primitives-are-calls template must
-survive (each held to the pooled carrier's trace and log), and the engine
-/ portfolio / replay integrations.
+survive (each held to the threaded carrier's trace and log), and the
+engine / portfolio / replay integrations.
 """
 
 import pytest
@@ -29,6 +31,7 @@ from repro.core.continuations import (
     InlineCompileError,
     compile_inline_machine,
 )
+from repro.testing import ThreadedRuntime
 
 from .machines import NondetBug, Ping, RacyCounter
 
@@ -88,7 +91,7 @@ class Echo(Machine):
 
 def _run_inline(main_cls, seed=1, max_steps=2_000, iterations=1):
     strategy = RandomStrategy(seed=seed)
-    runtime = BugFindingRuntime(strategy, max_steps=max_steps, workers="inline")
+    runtime = BugFindingRuntime(strategy, max_steps=max_steps)
     result = None
     for _ in range(iterations):
         strategy.prepare_iteration()
@@ -100,11 +103,11 @@ class TestCoroutineCompiler:
     def test_helper_chain_and_keyword_primitives(self):
         result = _run_inline(HelperChain)
         assert result.status == "ok", result.bug
-        # The same program produces the same trace on the pooled backend.
+        # The same program produces the same trace on the threaded carrier.
         strategy = RandomStrategy(seed=1)
         strategy.prepare_iteration()
-        pooled = BugFindingRuntime(strategy, workers="pool").execute(HelperChain)
-        assert pooled.trace.fingerprint() == result.trace.fingerprint()
+        threaded = ThreadedRuntime(strategy).execute(HelperChain)
+        assert threaded.trace.fingerprint() == result.trace.fingerprint()
 
     def test_closure_handlers_compile(self):
         # Machines declared inside a function close over local names; the
@@ -139,45 +142,6 @@ class TestCoroutineCompiler:
         assert HelperChain._inline__boot is first
         # Subclasses compile separately (most-derived resolution).
         assert "_inline_ready" not in Echo.__dict__ or Echo is not HelperChain
-
-    def test_send_inside_lambda_is_rejected(self):
-        class Lambdaist(Machine):
-            class Init(State):
-                initial = True
-                entry = "go"
-
-            def go(self):
-                fire = lambda: self.send(self.id, EKick())  # noqa: E731
-                fire()
-
-        with pytest.raises(InlineCompileError, match="lambda"):
-            compile_inline_machine(Lambdaist)
-
-    def test_generator_handler_is_rejected(self):
-        class Generatorist(Machine):
-            class Init(State):
-                initial = True
-                entry = "go"
-
-            def go(self):
-                self.send(self.id, EKick())
-                yield  # pragma: no cover - never driven
-
-        with pytest.raises(InlineCompileError, match="generator"):
-            compile_inline_machine(Generatorist)
-
-    def test_starred_primitive_arguments_are_rejected(self):
-        class Splatter(Machine):
-            class Init(State):
-                initial = True
-                entry = "go"
-
-            def go(self):
-                args = (self.id, EKick())
-                self.send(*args)
-
-        with pytest.raises(InlineCompileError, match="args"):
-            compile_inline_machine(Splatter)
 
     def test_closure_cells_stay_live_after_compilation(self):
         # The compiled coroutine must share the original closure cells:
@@ -221,8 +185,7 @@ class TestCoroutineCompiler:
                 entry = "go"
 
             def go(self):
-                burst = lambda: self.send(self.id, EKick())  # noqa: E731
-                burst()
+                any(self.send(self.id, EKick()) for _ in range(1))
 
         class Parent(Machine):
             class Init(State):
@@ -233,9 +196,9 @@ class TestCoroutineCompiler:
                 self.create_machine(BadChild)
 
         strategy = RandomStrategy(seed=0)
-        runtime = BugFindingRuntime(strategy, workers="inline")
+        runtime = BugFindingRuntime(strategy)
         strategy.prepare_iteration()
-        with pytest.raises(InlineCompileError, match="lambda"):
+        with pytest.raises(InlineCompileError, match="BadChild.go:.*generator expression"):
             runtime.execute(Parent)
         # The failed execution was unwound; the runtime is reusable.
         strategy.prepare_iteration()
@@ -249,6 +212,377 @@ class TestCoroutineCompiler:
         )
         result = _run_inline(NondetBug, seed=2, iterations=20)
         assert result is not None
+
+
+# ---------------------------------------------------------------------------
+# Comprehensions and lambdas that schedule compile, to nested generators
+# ---------------------------------------------------------------------------
+class TestComprehensionsAndLambdas:
+    """Each program runs on both carriers (``_on_both``): the compiled
+    comprehension or lambda must make the decisions, in the order, and
+    evaluate to the values the plain one does."""
+
+    def test_comprehensions(self):
+        def make(log):
+            class Comprehending(Machine):
+                class Init(State):
+                    initial = True
+                    entry = "go"
+                    actions = {EStop: "noted"}
+
+                def go(self):
+                    leaf = "outer"
+                    iter = None  # noqa: A001 - the lowering looks up no name
+                    leaves = [self.create_machine(Leaf) for leaf in range(3) if leaf != 1]
+                    sent = [self.send(t, EStop()) for t in leaves + [self.id] if self.nondet()]
+                    pairs = {self.tag(n): self.create_machine(OtherLeaf) for n in range(2)}
+                    kinds = {self.create_machine(Leaf).name for _ in range(2)}
+                    grid = [[self.send(self.id, EStop()) for _ in row] for row in [[1], [2, 3]]]
+                    while [self.send(self.id, EStop()) for _ in range(1)] and len(log) < 1:
+                        log.append((leaf, [repr(m) for m in leaves], sent, pairs, kinds, grid))
+
+                def tag(self, n):
+                    self.send(self.id, EStop())
+                    return f"k{n}"
+
+                def noted(self):
+                    pass
+
+            return Comprehending
+
+        for seed in SEEDS:
+            result, log = _on_both(make, seed)
+            assert result.status == "ok", result.bug
+            ((leaf, leaves, sent, pairs, kinds, grid),) = log
+            assert leaf == "outer"  # the loop variable stayed in the comprehension
+            assert leaves == ["Leaf(1)", "Leaf(2)"]
+            assert set(sent) <= {None}
+            # A dict comprehension evaluates each key before its value.
+            assert {k: repr(v) for k, v in pairs.items()} == {"k0": "OtherLeaf(3)", "k1": "OtherLeaf(4)"}
+            assert kinds == {"Leaf"} and grid == [[None], [None, None]]
+
+    def test_lambdas_bound_to_locals_and_fields(self):
+        def make(log):
+            class Lambdas(Machine):
+                class Init(State):
+                    initial = True
+                    entry = "go"
+                    actions = {EKick: "kicked", EStop: "stop"}
+
+                def go(self):
+                    self.arm()
+                    spawn = lambda cls=Leaf: self.create_machine(cls)  # noqa: E731
+                    made = [spawn(), spawn(OtherLeaf)]
+                    for target in made:
+                        poke = lambda t=target: self.send(t, EStop())  # noqa: E731
+                        poke()
+                    self.fire(EKick())
+                    log.append([repr(m) for m in made])
+
+                def arm(self):  # only binds: still a coroutine to go()
+                    # Defaults are evaluated once, and the compiled calls
+                    # see them too.
+                    self.fire = lambda e, to=self.whom(), *, seen=log: seen.append(type(e).__name__) or self.send(to, e)
+
+                def whom(self):
+                    log.append("whom")
+                    return self.id
+
+                def kicked(self):
+                    log.append("kicked")
+                    [self.fire(EStop()) for _ in range(2)]
+
+                def stop(self):
+                    log.append("stop")
+
+            return Lambdas
+
+        for seed in SEEDS:
+            result, log = _on_both(make, seed)
+            assert result.status == "ok", result.bug
+            assert log == [
+                "whom", "EKick", ["Leaf(1)", "OtherLeaf(2)"],
+                "kicked", "EStop", "EStop", "stop", "stop",
+            ]
+
+    def test_the_benchmark_shapes_run_inline(self):
+        from benchmarks.perf.programs import FanOutCoordinator, LambdaRelay
+
+        from .test_config import LambdaRacer, MidCampaignRacer
+
+        for cls in (FanOutCoordinator, LambdaRelay, LambdaRacer, MidCampaignRacer):
+            assert cls.inline_compatible(), cls.__dict__.get("_inline_incompatible")
+            inline = _run_on("inline", cls, seed=3)
+            assert inline.status in ("ok", "bug")
+            assert inline.trace == _run_on("threads", cls, seed=3).trace
+
+
+# ---------------------------------------------------------------------------
+# What stays refused: one line naming the method, the line and the fallback
+# ---------------------------------------------------------------------------
+FALLBACK = "; run it with runtime_factory=ThreadedRuntime (Python API only)"
+
+
+def _refused_line(name):
+    with open(__file__, encoding="utf-8") as fh:
+        return next(n for n, text in enumerate(fh, 1) if f"# refused: {name}" in text)
+
+
+class _Base(Machine):
+    def go(self):
+        self.based = True
+
+
+def _refused_shapes():
+    class Starred(Machine):
+        class Init(State):
+            initial = True
+            entry = "go"
+            ignored = (EKick,)
+
+        def go(self):
+            args = (self.id, EKick())
+            self.send(*args)  # refused: starred
+
+    class DoubleStarred(Machine):
+        class Init(State):
+            initial = True
+            entry = "go"
+            ignored = (EKick,)
+
+        def go(self):
+            kwargs = {"target": self.id, "event": EKick()}
+            self.send(**kwargs)  # refused: double-starred
+
+    class Super(_Base):
+        class Init(State):
+            initial = True
+            entry = "go"
+            ignored = (EKick,)
+
+        def go(self):
+            super().go()  # refused: super
+            self.send(self.id, EKick())
+
+    class Generator(Machine):
+        class Init(State):
+            initial = True
+            entry = "go"
+            ignored = (EKick,)
+
+        def go(self):  # refused: generator
+            self.send(self.id, EKick())
+            yield  # pragma: no cover - never driven
+
+    class GeneratorExpression(Machine):
+        class Init(State):
+            initial = True
+            entry = "go"
+            ignored = (EKick,)
+
+        def go(self):
+            any(self.send(self.id, EKick()) for _ in range(1))  # refused: genexp
+
+    class NestedFunction(Machine):
+        class Init(State):
+            initial = True
+            entry = "go"
+            ignored = (EKick,)
+
+        def go(self):
+            def later():
+                self.send(self.id, EKick())  # refused: nested
+
+            later()
+
+    class UnboundLambda(Machine):
+        class Init(State):
+            initial = True
+            entry = "go"
+            ignored = (EKick,)
+
+        def go(self):
+            list(map(lambda t: self.send(t, EKick()), [self.id]))  # refused: unbound
+
+    class LambdaInLambda(Machine):
+        class Init(State):
+            initial = True
+            entry = "go"
+            ignored = (EKick,)
+
+        def go(self):
+            fire = lambda: [self.send(t, EKick()) for t in [self.id]]  # noqa: E731  # refused: comp-in-lambda
+            fire()
+
+    class EscapingLocal(Machine):
+        class Init(State):
+            initial = True
+            entry = "go"
+            ignored = (EKick,)
+
+        def go(self):
+            fire = lambda: self.send(self.id, EKick())  # noqa: E731
+            self.later(fire)  # refused: escaping-local
+
+        def later(self, callback):
+            callback()
+
+    class EscapingField(Machine):
+        class Init(State):
+            initial = True
+            entry = "go"
+            actions = {EKick: "kicked"}
+
+        def go(self):
+            self.fire = lambda: self.send(self.id, EKick())
+            self.fire()
+
+        def kicked(self):
+            callbacks = [self.fire]  # refused: escaping-field
+            self.halt()
+            return callbacks
+
+    return {
+        "starred": (Starred, "go"),
+        "double-starred": (DoubleStarred, "go"),
+        "super": (Super, "go"),
+        "generator": (Generator, "go"),
+        "genexp": (GeneratorExpression, "go"),
+        "nested": (NestedFunction, "go"),
+        "unbound": (UnboundLambda, "go"),
+        "comp-in-lambda": (LambdaInLambda, "go"),
+        "escaping-local": (EscapingLocal, "go"),
+        "escaping-field": (EscapingField, "kicked"),
+    }
+
+
+def _fire_through(machine):
+    machine.fire()
+
+
+def _indirect_shapes():
+    """A sending field reached other than by ``self.fire(...)`` in a
+    compiled method: the compiler cannot see these paths, so the field's
+    plain lambda must refuse when it runs instead of dropping its send."""
+
+    class AliasedSelf(Machine):
+        class Init(State):
+            initial = True
+            entry = "go"
+            ignored = (EKick,)
+
+        def go(self):
+            self.fire = lambda: self.send(self.id, EKick())  # refused: aliased-self
+            m = self
+            m.fire()
+
+    class PassedSelf(Machine):
+        class Init(State):
+            initial = True
+            entry = "go"
+            ignored = (EKick,)
+
+        def go(self):
+            self.fire = lambda: self.send(self.id, EKick())  # refused: passed-self
+            _fire_through(self)
+
+    class MethodReference(Machine):
+        class Init(State):
+            initial = True
+            entry = "go"
+            ignored = (EKick,)
+
+        def go(self):
+            self.fire = lambda: self.send(self.id, EKick())  # refused: method-reference
+            relay = self.relay
+            relay()
+
+        def relay(self):
+            self.fire()
+
+    class GetattrReference(Machine):
+        class Init(State):
+            initial = True
+            entry = "go"
+            ignored = (EKick,)
+
+        def go(self):
+            self.fire = lambda: self.send(self.id, EKick())  # refused: getattr
+            getattr(self, "relay")()
+
+        def relay(self):
+            self.fire()
+
+    class PlainBinding(Machine):
+        class Init(State):
+            initial = True
+            entry = "go"
+            ignored = (EKick,)
+
+        def go(self):
+            arm = self.arm
+            arm()  # binds a plain lambda: no twin for the call below
+            self.fire()  # refused: plain-binding
+
+        def arm(self):
+            self.fire = lambda: self.send(self.id, EKick())
+
+    return {
+        "aliased-self": (AliasedSelf, "<lambda>"),
+        "passed-self": (PassedSelf, "<lambda>"),
+        "method-reference": (MethodReference, "<lambda>"),
+        "getattr": (GetattrReference, "<lambda>"),
+        "plain-binding": (PlainBinding, "go"),
+    }
+
+
+class TestRefusedShapes:
+    @pytest.mark.parametrize("name", sorted(_refused_shapes()))
+    def test_refusal_names_the_method_and_the_fallback(self, name):
+        cls, method = _refused_shapes()[name]
+        where = f"{cls.__name__}.{method}:{_refused_line(name)}: "
+        with pytest.raises(InlineCompileError) as refused:
+            compile_inline_machine(cls)
+        message = str(refused.value)
+        assert message.startswith(where) and "\n" not in message, message
+        assert message.endswith(FALLBACK)
+        with pytest.raises(InlineCompileError, match=where):
+            _run_on("inline", cls, seed=0)
+        assert _run_on("threads", cls, seed=0).status == "ok"
+
+    @pytest.mark.parametrize("name", sorted(_indirect_shapes()))
+    def test_a_sending_field_reached_indirectly_is_refused_when_it_runs(self, name):
+        # These compile: the plain lambda (or, for plain-binding, the
+        # missing twin) refuses at run time instead of dropping the send.
+        cls, method = _indirect_shapes()[name]
+        compile_inline_machine(cls)
+        with pytest.raises(InlineCompileError) as refused:
+            _run_on("inline", cls, seed=0)
+        message = str(refused.value)
+        assert message.startswith(f"{cls.__name__}.{method}:{_refused_line(name)}: "), message
+        assert "\n" not in message and message.endswith(FALLBACK)
+        assert _run_on("threads", cls, seed=0).status == "ok"
+
+    def test_a_handler_without_source_is_refused_when_it_schedules(self):
+        source = (
+            "class Sourceless(Machine):\n"
+            "    class Init(State):\n"
+            "        initial = True\n"
+            "        entry = 'go'\n"
+            "        ignored = (EKick,)\n"
+            "    def go(self):\n"
+            "        self.send(self.id, EKick())\n"
+        )
+        namespace = {"Machine": Machine, "State": State, "EKick": EKick}
+        exec(source, namespace)
+        cls = namespace["Sourceless"]
+        compile_inline_machine(cls)  # nothing to read: nothing reshaped
+        with pytest.raises(InlineCompileError) as refused:
+            _run_on("inline", cls, seed=0)
+        message = str(refused.value)
+        assert message.startswith("Sourceless.go:7: ")
+        assert message.endswith(FALLBACK)
+        assert _run_on("threads", cls, seed=0).status == "ok"
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +611,7 @@ class TestInlineUnwind:
                     log.append("unwound")
 
         strategy = RandomStrategy(seed=0)
-        runtime = BugFindingRuntime(strategy, max_steps=30, workers="inline")
+        runtime = BugFindingRuntime(strategy, max_steps=30)
         strategy.prepare_iteration()
         result = runtime.execute(Careful)
         assert result.status == "depth-bound"
@@ -308,15 +642,14 @@ class TestInlineUnwind:
 # ---------------------------------------------------------------------------
 # Primitives are calls: the template, position by position, on both carriers
 # ---------------------------------------------------------------------------
-CARRIERS = ("inline", "pool")
+#: The runtime class per carrier.
+CARRIERS = {"inline": BugFindingRuntime, "threads": ThreadedRuntime}
 SEEDS = range(8)
 
 
-def _run_on(workers, main_cls, seed, max_steps=2_000, **kwargs):
+def _run_on(carrier, main_cls, seed, max_steps=2_000, **kwargs):
     strategy = RandomStrategy(seed=seed)
-    runtime = BugFindingRuntime(
-        strategy, max_steps=max_steps, workers=workers, **kwargs
-    )
+    runtime = CARRIERS[carrier](strategy, max_steps=max_steps, **kwargs)
     strategy.prepare_iteration()
     return runtime.execute(main_cls)
 
@@ -326,9 +659,9 @@ def _on_both(make, seed, **kwargs):
     what the handlers logged must not tell the carriers apart.  Returns
     the (shared) result and log."""
     outcomes = []
-    for workers in CARRIERS:
+    for carrier in CARRIERS:
         log = []
-        result = _run_on(workers, make(log), seed, **kwargs)
+        result = _run_on(carrier, make(log), seed, **kwargs)
         outcomes.append((result.status, result.trace.fingerprint(), log))
     assert outcomes[0] == outcomes[1], seed
     return result, log
@@ -530,10 +863,10 @@ class TestUncompilableClassMidExecution:
             class Init(State):
                 initial = True
                 entry = "go"
+                ignored = (EKick,)
 
             def go(self):
-                burst = lambda: self.send(self.id, EKick())  # noqa: E731
-                burst()
+                any(self.send(self.id, EKick()) for _ in range(1))
 
         class Sibling(Machine):
             class Init(State):
@@ -568,32 +901,30 @@ class TestUncompilableClassMidExecution:
         logs = set()
         for seed in SEEDS:
             log = []
-            with pytest.raises(InlineCompileError, match="lambda"):
+            with pytest.raises(InlineCompileError, match="BadChild.go:"):
                 _run_on("inline", self.make(log), seed)
             logs.add(tuple(log))
         # Never swallowed; a sibling suspended in its send ran its finally.
         assert logs == {("sibling returned", "sibling finally"), ("sibling finally",)}
 
-    def test_auto_restarts_on_the_pool(self):
-        def campaign(workers):
-            report = Campaign(
+    def test_the_threaded_runtime_runs_it(self):
+        def campaign(factory):
+            return Campaign(
                 TestConfig(
                     self.make([]),
                     max_iterations=10,
                     time_limit=30.0,
                     stop_on_first_bug=False,
-                    workers=workers,
-                    record_traces=True,
+                    runtime_factory=factory,
                 ),
                 strategy=RandomStrategy(seed=3),
             ).run()
-            return report
 
-        auto, pool = campaign("auto"), campaign("pool")
-        assert auto.effective_backend == pool.effective_backend == "pool"
-        assert auto.iterations == pool.iterations == 10
-        assert auto.total_steps == pool.total_steps
-        assert auto.total_scheduling_points == pool.total_scheduling_points
+        with pytest.raises(InlineCompileError, match="runtime_factory=ThreadedRuntime"):
+            campaign(None)
+        report = campaign(ThreadedRuntime)
+        assert report.effective_backend == "threads"
+        assert report.iterations == 10 and not report.bug_found
 
 
 # ---------------------------------------------------------------------------
@@ -671,11 +1002,11 @@ class TestInlineIntegrations:
         assert replayed.buggy and replayed.diverged is False
         assert replayed.bug.kind == "liveness"
 
-    def test_chess_runtime_rejects_inline(self):
+    def test_chess_runtime_is_threaded(self):
         from repro.chess import ChessRuntime
 
-        with pytest.raises(ValueError, match="inline"):
-            ChessRuntime(RandomStrategy(seed=0), workers="inline")
+        assert issubclass(ChessRuntime, ThreadedRuntime)
+        assert ChessRuntime.carrier == "threads"
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +1066,7 @@ def _relay_twin():
 
 
 class TestCompiledClassStaysPlain:
-    def test_pool_chess_and_production_never_see_a_coroutine(self, monkeypatch):
+    def test_threads_chess_and_production_never_see_a_coroutine(self, monkeypatch):
         from repro import Runtime
         from repro.chess import ChessRuntime
         from repro.core.machine import Machine as Base
@@ -760,9 +1091,9 @@ class TestCompiledClassStaysPlain:
         monkeypatch.setattr(Base, "_start", recording(Base._start))
         monkeypatch.setattr(Base, "_step", recording(Base._step))
 
-        pooled = _run_on("pool", compiled, seed=5)
-        assert pooled.status == "ok", pooled.bug
-        assert pooled.trace == inline.trace
+        threaded = _run_on("threads", compiled, seed=5)
+        assert threaded.status == "ok", threaded.bug
+        assert threaded.trace == inline.trace
 
         class CountingChess(ChessRuntime):
             def reset(self):

@@ -2,7 +2,7 @@
 monitors, temperature-based livelock detection under fair schedules,
 safety monitors mirrored at scheduling points, and the determinism
 contracts (monitors never perturb strategy decisions; the inline and
-pooled carriers produce bit-identical traces with monitors attached — the
+threaded carriers produce bit-identical traces with monitors attached — the
 carrier contract of tests/test_runtime_reuse.py extended to monitors)."""
 
 import pytest
@@ -33,10 +33,13 @@ from repro import (
     replay,
 )
 from repro.bench import get
-from repro.testing import strategy_names
+from repro.testing import ThreadedRuntime, strategy_names
 from repro.testing.monitors import has_hot_states
 
 from .machines import Ping, SelfLoop
+
+#: The runtime class per carrier.
+CARRIERS = {"inline": BugFindingRuntime, "threads": ThreadedRuntime}
 
 
 class EReq(Event):
@@ -222,9 +225,9 @@ class TestTemperatureLiveness:
             max_steps=5_000, monitors=[ProgressMonitor], max_hot_steps=100,
         )
         assert found.buggy
-        for mode in ("inline", "pool"):
+        for runtime_cls in CARRIERS.values():
             replayed = replay(
-                Spinner, found.trace, max_steps=5_000, workers=mode,
+                Spinner, found.trace, max_steps=5_000, runtime_factory=runtime_cls,
                 monitors=[ProgressMonitor], max_hot_steps=100,
             )
             assert replayed.buggy and replayed.diverged is False
@@ -384,9 +387,7 @@ class TestMonitorDeterminism:
 
     def _decision_traces(self, main_cls, seed, mode, monitors, iterations=5):
         strategy = RandomStrategy(seed=seed)
-        runtime = BugFindingRuntime(
-            strategy, max_steps=5_000, workers=mode, monitors=monitors,
-        )
+        runtime = CARRIERS[mode](strategy, max_steps=5_000, monitors=monitors)
         traces = []
         for _ in range(iterations):
             strategy.prepare_iteration()
@@ -395,9 +396,9 @@ class TestMonitorDeterminism:
 
     def test_monitors_do_not_perturb_strategy_decisions(self):
         raft = get("Raft")
-        bare = self._decision_traces(raft.correct.main, 22, "pool", ())
+        bare = self._decision_traces(raft.correct.main, 22, "threads", ())
         monitored = self._decision_traces(
-            raft.correct.main, 22, "pool", raft.correct.monitors
+            raft.correct.main, 22, "threads", raft.correct.monitors
         )
         for plain, with_spec in zip(bare, monitored):
             filtered = [d for d in with_spec.decisions if d[0] != "monitor"]
@@ -406,15 +407,15 @@ class TestMonitorDeterminism:
             assert len(with_spec) > len(plain)
 
     @pytest.mark.parametrize("bench_name", ["ProcessScheduler", "TokenRing"])
-    def test_pool_and_inline_traces_identical_with_monitors(self, bench_name):
+    def test_threads_and_inline_traces_identical_with_monitors(self, bench_name):
         benchmark = get(bench_name)
-        pool = self._decision_traces(
-            benchmark.buggy.main, 17, "pool", benchmark.buggy.monitors, 3
+        threads = self._decision_traces(
+            benchmark.buggy.main, 17, "threads", benchmark.buggy.monitors, 3
         )
         inline = self._decision_traces(
             benchmark.buggy.main, 17, "inline", benchmark.buggy.monitors, 3
         )
-        for a, b in zip(pool, inline):
+        for a, b in zip(threads, inline):
             assert a == b
             assert a.decisions == b.decisions
 
@@ -806,11 +807,11 @@ class SendsBAB(Machine):
 
 
 class TestHaltedMonitor:
-    @pytest.mark.parametrize("workers", ["inline", "pool"])
-    def test_a_halted_monitor_keeps_observing(self, workers):
+    @pytest.mark.parametrize("carrier", list(CARRIERS))
+    def test_a_halted_monitor_keeps_observing(self, carrier):
         strategy = RandomStrategy(seed=0)
         strategy.prepare_iteration()
-        runtime = BugFindingRuntime(strategy, workers=workers, monitors=[HaltsOnA])
+        runtime = CARRIERS[carrier](strategy, monitors=[HaltsOnA])
         result = runtime.execute(SendsBAB)
         assert result.status == "ok", result.bug
         monitor = runtime._monitors[0]

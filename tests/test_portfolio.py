@@ -338,16 +338,16 @@ class TestConfigCrossesTheProcessBoundary:
         forked, spawned = self._assert_same_campaign(
             self._config(runtime_factory=ChessRuntime, max_iterations=6)
         )
-        # CHESS collapses "auto" to pooled threads and schedules at every
-        # visible operation: both show the factory ran in the children.
-        assert spawned.effective_backend == "pool"
+        # CHESS runs on threads and schedules at every visible
+        # operation: both show the factory ran in the children.
+        assert spawned.effective_backend == "threads"
         plain = Campaign(self._config(max_iterations=6)).portfolio()
         assert spawned.total_scheduling_points > 2 * plain.total_scheduling_points
 
     @pytest.mark.parametrize(
         "kind, start_methods, backend, refusal",
         [
-            ("runtime-factory", ("fork", "spawn"), "pool",
+            ("runtime-factory", ("fork", "spawn"), "threads",
              "runtime_factory cannot be serialized"),
             ("local-class", ("fork",), "inline",
              "not importable from another process"),

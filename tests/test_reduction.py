@@ -3,9 +3,9 @@
 Covers the three layers of :mod:`repro.testing.reduction` end to end:
 the stable state hashing (``PYTHONHASHSEED``-proof, container-order
 independent), the exhaustive-DFS A/B contract (identical bug set, at
-most 0.6x the schedules), cross-back-end determinism of fingerprints
-and pruning decisions (including the ``workers="auto"`` mid-campaign
-restart), replay fidelity of bug traces found under reduction, the
+most 0.6x the schedules), cross-carrier determinism of fingerprints
+and pruning decisions (including a machine class compiled
+mid-execution), replay fidelity of bug traces found under reduction, the
 incremental enabled-set's equivalence to the reference seat walk, the
 ``consulted_decisions`` accounting fix for DPOR-forced choices, and the
 config/CLI/report plumbing that surfaces it all.
@@ -35,6 +35,7 @@ from repro.testing import (
     ScheduleTrace,
     TestConfig,
     TestReport,
+    ThreadedRuntime,
     normalize_reduction,
     replay,
 )
@@ -60,7 +61,11 @@ AB_CASES = [
 ]
 
 
-def _exhaustive(name, depth, max_steps, mode, workers="inline", **kwargs):
+#: ``runtime_factory`` per carrier.
+CARRIERS = {"inline": None, "threads": ThreadedRuntime}
+
+
+def _exhaustive(name, depth, max_steps, mode, carrier="inline", **kwargs):
     """Run a to-exhaustion DFS campaign over a buggy registry variant."""
     variant = get(name).buggy
     return Campaign(
@@ -71,7 +76,7 @@ def _exhaustive(name, depth, max_steps, mode, workers="inline", **kwargs):
             time_limit=240.0,
             max_steps=max_steps,
             stop_on_first_bug=False,
-            workers=workers,
+            runtime_factory=CARRIERS[carrier],
             monitors=tuple(variant.monitors),
             reduction=mode,
             **kwargs,
@@ -302,13 +307,13 @@ class TestCrossBackendDeterminism:
     )
     def test_backends_agree_on_everything(self, mode):
         reports = {
-            workers: _exhaustive("TwoPhaseCommit", 7, 2_000, mode, workers)
-            for workers in ("inline", "pool")
+            carrier: _exhaustive("TwoPhaseCommit", 7, 2_000, mode, carrier)
+            for carrier in CARRIERS
         }
         inline = reports["inline"]
         assert inline.iterations > 0
-        other = reports["pool"]
-        assert other.effective_backend == "pool"
+        other = reports["threads"]
+        assert other.effective_backend == "threads"
         assert other.iterations == inline.iterations
         assert other.distinct_states == inline.distinct_states
         assert other.schedules_pruned == inline.schedules_pruned
@@ -317,13 +322,11 @@ class TestCrossBackendDeterminism:
             b.trace.fingerprint() for b in inline.bugs
         ]
 
-    def test_auto_restart_matches_explicit_pool(self):
-        # MidCampaignRacer spawns an inline-incompatible child
-        # mid-execution: workers="auto" restarts the campaign on the
-        # pooled backend with a *fresh* reduction engine, so fingerprints
-        # and pruning decisions must be bit-identical to an explicit
-        # pooled run.
-        def campaign(workers):
+    def test_a_class_compiled_mid_execution_matches_threads(self):
+        # MidCampaignRacer creates children whose class sends from a
+        # lambda: it compiles mid-execution, and fingerprints and pruning
+        # decisions must be bit-identical to the threaded run.
+        def campaign(factory):
             return Campaign(
                 TestConfig(
                     MidCampaignRacer,
@@ -331,38 +334,37 @@ class TestCrossBackendDeterminism:
                     time_limit=60.0,
                     max_steps=2_000,
                     stop_on_first_bug=False,
-                    workers=workers,
+                    runtime_factory=factory,
                     reduction="dpor+state-cache",
                 ),
                 strategy=RandomStrategy(seed=3),
             ).run()
 
-        auto = campaign("auto")
-        pool = campaign("pool")
-        assert auto.effective_backend == "pool"
-        assert auto.iterations == pool.iterations
-        assert auto.distinct_states == pool.distinct_states
-        assert auto.schedules_pruned == pool.schedules_pruned
-        assert [b.trace.fingerprint() for b in auto.bugs] == [
-            b.trace.fingerprint() for b in pool.bugs
+        inline = campaign(None)
+        threads = campaign(ThreadedRuntime)
+        assert inline.effective_backend == "inline"
+        assert inline.iterations == threads.iterations
+        assert inline.distinct_states == threads.distinct_states
+        assert inline.schedules_pruned == threads.schedules_pruned
+        assert [b.trace.fingerprint() for b in inline.bugs] == [
+            b.trace.fingerprint() for b in threads.bugs
         ]
 
     def test_state_fingerprint_stable_across_backends(self):
         variant = get("TwoPhaseCommit").buggy
 
-        def initial_fingerprint(workers):
+        def initial_fingerprint(runtime_cls):
             strategy = DfsStrategy(max_depth=1)
             strategy.prepare_iteration()
-            runtime = BugFindingRuntime(
-                strategy, max_steps=50, workers=workers,
-                monitors=tuple(variant.monitors),
+            runtime = runtime_cls(
+                strategy, max_steps=50, monitors=tuple(variant.monitors),
             )
             runtime.execute(variant.main, variant.payload)
             # Post-execution state: every machine settled, same digest
             # expected whichever backend drove the handlers.
             return runtime.state_fingerprint()
 
-        prints = {initial_fingerprint(w) for w in ("inline", "pool")}
+        prints = {initial_fingerprint(c) for c in (BugFindingRuntime, ThreadedRuntime)}
         assert len(prints) == 1
 
 
@@ -388,13 +390,13 @@ class TestReducedTraceReplay:
         ).run()
         bug = report.first_bug
         assert bug is not None
-        for workers in ("inline", "pool"):
+        for factory in CARRIERS.values():
             result = replay(
                 variant.main,
                 bug.trace,
                 payload=variant.payload,
                 max_steps=2_000,
-                workers=workers,
+                runtime_factory=factory,
                 monitors=tuple(variant.monitors),
             )
             assert result.status == "bug" and result.diverged is False
@@ -432,7 +434,7 @@ class TestReductionTraceRecords:
         engine = ReductionEngine("dpor+state-cache")
         strategy.attach_reduction(engine)
         runtime = BugFindingRuntime(
-            strategy, max_steps=2_000, workers="inline",
+            strategy, max_steps=2_000,
             monitors=tuple(variant.monitors), reduction=engine,
         )
         pruned = []
@@ -501,9 +503,15 @@ class _CheckedRuntime(BugFindingRuntime):
         return answer
 
 
+class _CheckedThreadedRuntime(_CheckedRuntime, ThreadedRuntime):
+    """The same checks on the threaded carrier."""
+
+
 class TestEnabledSetEquivalence:
-    @pytest.mark.parametrize("workers", ["inline", "pool"])
-    def test_agrees_with_walk(self, workers):
+    @pytest.mark.parametrize(
+        "runtime_cls", [_CheckedRuntime, _CheckedThreadedRuntime], ids=["inline", "threads"]
+    )
+    def test_agrees_with_walk(self, runtime_cls):
         variant = get("TwoPhaseCommit").buggy
         before = _CheckedRuntime.checks
         report = Campaign(
@@ -514,9 +522,8 @@ class TestEnabledSetEquivalence:
                 time_limit=60.0,
                 max_steps=2_000,
                 stop_on_first_bug=False,
-                workers=workers,
                 monitors=tuple(variant.monitors),
-                runtime_factory=_CheckedRuntime,
+                runtime_factory=runtime_cls,
             ),
             strategy=RandomStrategy(seed=5),
         ).run()

@@ -186,7 +186,7 @@ def reports(draw, nest=True):
         report.first_bug_iteration = draw(st.integers(0, 50))
     for name in ("exhausted", "timed_out", "interrupted"):
         setattr(report, name, draw(st.booleans()))
-    report.effective_backend = draw(st.sampled_from([None, "inline", "pool"]))
+    report.effective_backend = draw(st.sampled_from([None, "inline", "threads"]))
     report.fault_kinds = draw(counts(st.sampled_from(["drop", "delay", "crash"])))
     report.coverage = draw(st.one_of(st.none(), coverages()))
     report.telemetry = draw(st.one_of(st.none(), telemetries()))
@@ -259,8 +259,8 @@ def test_effective_backend_none_equal_differing():
 
     assert backend() is None and backend(None, None) is None
     assert backend(None, "inline", None) == backend("inline", "inline") == "inline"
-    assert backend("inline", "pool") == backend("pool", None, "inline") == "mixed"
-    assert backend("inline", "pool", "inline") == "mixed"
+    assert backend("inline", "threads") == backend("threads", None, "inline") == "mixed"
+    assert backend("inline", "threads", "inline") == "mixed"
 
 
 def test_first_bug_precedence_is_fold_order():

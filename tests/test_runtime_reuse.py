@@ -1,14 +1,16 @@
 """Tests for the two carriers: cross-carrier trace determinism, runtime
-reuse via ``reset()``, and worker-pool hygiene.
+reuse via ``reset()``, and thread hygiene.
 
-The contract under test is the acceptance criterion shared by the pooled
-runtime and the single-thread continuation runtime: for a fixed strategy
-seed, the inline and pooled carriers produce bit-identical schedule
+The contract under test is the acceptance criterion shared by the
+single-thread runtime and ``ThreadedRuntime``: for a fixed strategy
+seed, the inline and threaded carriers produce bit-identical schedule
 traces — with and without specification monitors attached — so DFS
 backtracking, replay, PCT semantics and monitor-based liveness detection
 are provably independent of the carrier.  (``test_golden_traces.py`` pins
 the same traces across commits.)
 """
+
+import sys
 
 import pytest
 
@@ -27,12 +29,14 @@ from repro import (
     replay,
 )
 from repro.bench import buggy_main, get, table2_suite
-from repro.testing import WorkerPool, shared_worker_pool
+from repro.testing import ThreadedRuntime
 
 from .machines import Ping, RacyCounter, SelfLoop
 
 BENCH_NAMES = [b.name for b in table2_suite()]
-BACKENDS = ("inline", "pool")
+#: The runtime class per carrier.
+CARRIERS = {"inline": BugFindingRuntime, "threads": ThreadedRuntime}
+BACKENDS = tuple(CARRIERS)
 
 # Registry variants that ship specification monitors: the safety-monitor
 # retrofits plus the liveness suite (hot/cold temperature detection).
@@ -41,8 +45,8 @@ MONITORED = ["Raft", "TwoPhaseCommit", "ProcessScheduler", "TokenRing"]
 
 def _traces(main_cls, strategy, mode, iterations, max_steps=2_000,
             monitors=(), max_hot_steps=1000):
-    runtime = BugFindingRuntime(
-        strategy, max_steps=max_steps, workers=mode,
+    runtime = CARRIERS[mode](
+        strategy, max_steps=max_steps,
         monitors=monitors, max_hot_steps=max_hot_steps,
     )
     collected = []
@@ -58,10 +62,10 @@ class TestBackendTraceDeterminism:
     @pytest.mark.parametrize("mode", ["inline"])
     def test_backend_traces_identical_across_registry(self, bench_name, mode):
         main_cls = buggy_main(bench_name)
-        pool = _traces(main_cls, RandomStrategy(seed=11), "pool", 5)
+        threads = _traces(main_cls, RandomStrategy(seed=11), "threads", 5)
         other = _traces(main_cls, RandomStrategy(seed=11), mode, 5)
-        assert len(pool) == len(other) == 5
-        for a, b in zip(pool, other):
+        assert len(threads) == len(other) == 5
+        for a, b in zip(threads, other):
             assert a == b  # flat-array equality
             assert a.decisions == b.decisions  # tuple-level equality
             assert a.fingerprint() == b.fingerprint()
@@ -78,15 +82,15 @@ class TestBackendTraceDeterminism:
         kwargs = dict(
             monitors=variant.monitors, max_hot_steps=150, max_steps=5_000
         )
-        pool = _traces(
-            variant.main, FairRandomStrategy(seed=3), "pool", 5, **kwargs
+        threads = _traces(
+            variant.main, FairRandomStrategy(seed=3), "threads", 5, **kwargs
         )
         other = _traces(
             variant.main, FairRandomStrategy(seed=3), mode, 5, **kwargs
         )
-        assert len(pool) == len(other) == 5
-        assert any(len(trace) for trace in pool)
-        for a, b in zip(pool, other):
+        assert len(threads) == len(other) == 5
+        assert any(len(trace) for trace in threads)
+        for a, b in zip(threads, other):
             assert a.decisions == b.decisions
             assert a.fingerprint() == b.fingerprint()
 
@@ -101,14 +105,14 @@ class TestBackendTraceDeterminism:
     )
     @pytest.mark.parametrize("mode", ["inline"])
     def test_strategies_agree_between_backends(self, strategy_factory, mode):
-        pool = _traces(RacyCounter, strategy_factory(), "pool", 20)
+        threads = _traces(RacyCounter, strategy_factory(), "threads", 20)
         other = _traces(RacyCounter, strategy_factory(), mode, 20)
-        assert pool == other
+        assert threads == other
 
     @pytest.mark.parametrize("found_in", BACKENDS)
     def test_bug_found_in_any_mode_replays_in_every_mode(self, found_in):
         strategy = RandomStrategy(seed=3)
-        runtime = BugFindingRuntime(strategy, max_steps=2_000, workers=found_in)
+        runtime = CARRIERS[found_in](strategy, max_steps=2_000)
         result = None
         for _ in range(500):
             strategy.prepare_iteration()
@@ -117,7 +121,7 @@ class TestBackendTraceDeterminism:
                 break
         assert result is not None and result.buggy
         for mode in BACKENDS:
-            replayed = replay(RacyCounter, result.trace, workers=mode)
+            replayed = replay(RacyCounter, result.trace, runtime_factory=CARRIERS[mode])
             assert replayed.buggy and replayed.diverged is False
             assert replayed.bug.message == result.bug.message
             assert replayed.trace.fingerprint() == result.trace.fingerprint()
@@ -142,10 +146,10 @@ class TestRuntimeReuse:
         def fresh():
             strategy = RandomStrategy(seed=9)
             strategy.prepare_iteration()
-            return BugFindingRuntime(strategy, workers=mode).execute(Ping)
+            return CARRIERS[mode](strategy).execute(Ping)
 
         strategy = RandomStrategy(seed=9)
-        runtime = BugFindingRuntime(strategy, workers=mode)
+        runtime = CARRIERS[mode](strategy)
         strategy.prepare_iteration()
         first = runtime.execute(Ping)
         strategy = RandomStrategy(seed=9)
@@ -166,7 +170,7 @@ class TestRuntimeReuse:
         # unwound by cancellation, counters are non-zero, _current points
         # at the canceled machine.  The next execute() must start clean.
         strategy = RandomStrategy(seed=0)
-        runtime = BugFindingRuntime(strategy, max_steps=50, workers=mode)
+        runtime = CARRIERS[mode](strategy, max_steps=50)
         strategy.prepare_iteration()
         bounded = runtime.execute(SelfLoop)
         assert bounded.status == "depth-bound"
@@ -186,9 +190,8 @@ class TestRuntimeReuse:
     def test_stop_check_cancellation_then_reuse(self, mode):
         stop = {"now": True}
         strategy = RandomStrategy(seed=0)
-        runtime = BugFindingRuntime(
+        runtime = CARRIERS[mode](
             strategy, max_steps=10**9, stop_check=lambda: stop["now"],
-            workers=mode,
         )
         strategy.prepare_iteration()
         stopped = runtime.execute(SelfLoop)
@@ -201,7 +204,7 @@ class TestRuntimeReuse:
 
     def test_buggy_then_clean_execution_reuse(self):
         strategy = RandomStrategy(seed=3)
-        runtime = BugFindingRuntime(strategy, workers="pool")
+        runtime = ThreadedRuntime(strategy)
         buggy = None
         for _ in range(500):
             strategy.prepare_iteration()
@@ -217,11 +220,11 @@ class TestRuntimeReuse:
 
     def test_inline_canceled_execution_unwinds_generators_then_reuses(self):
         # Inline reset() regression: a depth-bounded execution leaves
-        # suspended coroutine bodies behind; _run_inline must unwind
-        # every one of them (worker.gen cleared) so the next execute()
-        # starts from a clean seat list.
+        # suspended coroutine bodies behind; _run must unwind every one
+        # of them (worker.gen cleared) so the next execute() starts from
+        # a clean seat list.
         strategy = RandomStrategy(seed=0)
-        runtime = BugFindingRuntime(strategy, max_steps=50, workers="inline")
+        runtime = BugFindingRuntime(strategy, max_steps=50)
         strategy.prepare_iteration()
         bounded = runtime.execute(SelfLoop)
         assert bounded.status == "depth-bound"
@@ -289,14 +292,13 @@ class TestDispatchCompilation:
 
 
 class TestTaintedRuntime:
-    """A worker thread that outlives the end-of-execution barrier taints
+    """A machine thread that outlives the end-of-execution barrier taints
     the runtime: reusing it would clear ``_canceled`` under the straggler
     and let it corrupt the next execution's state.  A tainted runtime
     refuses execute(); the campaign loop transparently rebuilds a fresh
     one."""
 
-    @pytest.mark.parametrize("mode", ["pool"])
-    def test_slow_unwinding_worker_taints_runtime(self, mode):
+    def test_slow_unwinding_worker_taints_runtime(self):
         import time as time_module
 
         from repro import Event, Machine, PSharpError, State
@@ -332,7 +334,7 @@ class TestTaintedRuntime:
                 self.assert_that(False, "seeded bug")
 
         strategy = RandomStrategy(seed=2)
-        runtime = BugFindingRuntime(strategy, workers=mode)
+        runtime = ThreadedRuntime(strategy)
         runtime._retire_timeout = 0.05
         tainted_seen = False
         for _ in range(20):
@@ -389,27 +391,12 @@ class TestTaintedRuntime:
         assert len(built) == 2  # original + post-taint replacement
 
 
-class TestWorkerPool:
-    def test_pool_size_stays_bounded_across_iterations(self):
-        pool = WorkerPool()
-        strategy = RandomStrategy(seed=1)
-        runtime = BugFindingRuntime(strategy, workers="pool", pool=pool)
-        for _ in range(30):
-            strategy.prepare_iteration()
-            runtime.execute(RacyCounter)
-        # RacyCounter binds 3 machines per execution; 30 iterations must
-        # reuse the same 3 pooled threads, not grow the pool.
-        assert pool.size == 3
-        assert pool.idle == 3
-        runtime.close()
-        assert pool.size == 0
-
-    def test_worker_idling_with_nobody_enabled_leaves_its_lock_clean(self):
+class TestThreadHygiene:
+    def test_no_machine_thread_outlives_its_execution(self):
         # Every execution of Lingerers ends with its last machine going
-        # idle and finding nobody enabled: that worker unwinds without a
-        # hand-off and must still consume exactly its end-of-execution
-        # permit.  One owed would taint the runtime; one left over would
-        # start the worker out of turn in the next binding.
+        # idle and finding nobody enabled: that thread unwinds without a
+        # hand-off, and execute() must still have joined every thread of
+        # the execution before it returns.
         class ENudge(Event):
             pass
 
@@ -427,34 +414,39 @@ class TestWorkerPool:
                 for _ in range(2):
                     self.send(self.create_machine(Lingerer), ENudge())
 
-        pool = WorkerPool()
         strategy = RandomStrategy(seed=1)
-        runtime = BugFindingRuntime(strategy, workers="pool", pool=pool)
-        pooled = []
+        runtime = ThreadedRuntime(strategy)
+        threaded = []
         for _ in range(20):
             strategy.prepare_iteration()
             result = runtime.execute(Lingerers)
             assert result.status == "ok" and not runtime.tainted
-            assert pool.idle == pool.size == 3
-            assert all(w.signal.locked() and w.retired for w in pool._free)
-            pooled.append(result.trace)
+            assert len(runtime._worker_list) == 3
+            assert not any(seat.thread.is_alive() for seat in runtime._worker_list)
+            threaded.append(result.trace)
         inline = _traces(Lingerers, RandomStrategy(seed=1), "inline", 20)
-        assert pooled == inline
-        assert len({trace.fingerprint() for trace in pooled}) > 1
-        runtime.close()
+        assert threaded == inline
+        assert len({trace.fingerprint() for trace in threaded}) > 1
 
-    def test_shared_pool_is_default_and_reused(self):
-        shared = shared_worker_pool()
-        strategy = RandomStrategy(seed=1)
-        runtime = BugFindingRuntime(strategy, workers="pool")
-        assert runtime._pool is shared
-        strategy.prepare_iteration()
-        runtime.execute(Ping)
-        before = shared.size
-        strategy.prepare_iteration()
-        runtime.execute(Ping)
-        assert shared.size == before  # no growth on reuse
+    def test_traces_hold_under_a_short_switch_interval(self):
+        # Six machine threads, more than this host's cores, and the
+        # interpreter offering to switch threads every microsecond: only
+        # the scheduler's hand-off may move control, so a lost update
+        # shows as a trace that differs from the inline one.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = _traces(buggy_main("Raft"), RandomStrategy(seed=4), "threads", 10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == _traces(buggy_main("Raft"), RandomStrategy(seed=4), "inline", 10)
 
-    def test_invalid_workers_mode_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            BugFindingRuntime(RandomStrategy(seed=0), workers="greenlet")
+    def test_the_pool_is_gone(self):
+        import repro.testing
+        import repro.testing.runtime
+
+        for name in ("WorkerPool", "shared_worker_pool"):
+            assert not hasattr(repro.testing, name)
+            assert not hasattr(repro.testing.runtime, name)
+        with pytest.raises(TypeError, match="workers"):
+            BugFindingRuntime(RandomStrategy(seed=0), workers="pool")

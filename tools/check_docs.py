@@ -19,7 +19,8 @@ Four checks, all run by the CI docs lane:
     No file under ``README.md``, ``docs/``, ``examples/`` or ``src/``
     may mention an API this repo deleted (the engine shims, the
     thread-per-execution worker mode, the process-per-spec portfolio
-    supervisor): a doc or docstring must not
+    supervisor; under ``src/`` also the worker pool and the ``workers``
+    resolution): a doc or docstring must not
     teach a name that no longer imports.  ``CHANGES.md`` and
     ``ROADMAP.md`` are history and are not scanned.  Under ``src/`` the
     pickle and base64 codecs are removed names too — JSON is the only
@@ -169,8 +170,8 @@ REMOVED_NAMES = (
     (re.compile(r"\bPortfolioEngine\b"), "Campaign(config).portfolio()"),
     (re.compile(r"\bengine\.drive\b"), "engine.run_campaign"),
     (re.compile(r"\brun_portfolio\b"), "Campaign(config).portfolio()"),
-    (re.compile(r"""workers\s*=\s*["']spawn["']"""), 'workers="pool"'),
-    (re.compile(r"--workers[ =]spawn\b"), "--workers pool"),
+    (re.compile(r"""workers\s*=\s*["']spawn["']"""), "runtime_factory=ThreadedRuntime"),
+    (re.compile(r"--workers[ =]spawn\b"), "runtime_factory=ThreadedRuntime"),
 )
 
 #: Removed from ``src/`` only (docs may name what was deleted).
@@ -210,6 +211,13 @@ REMOVED_FROM_SRC = (
     (
         re.compile(r"\b_matching_monitors\b|\b_(?:send|dequeue)_observer_cache\b|\b_mirror_to_monitors\b"),
         "core.runtime._Observers: _observing_send / _observing_dequeue",
+    ),
+    (
+        re.compile(
+            r"\bWorkerPool\b|\b_PoolWorker\b|\bshared_worker_pool\b|\b_release_pool_workers\b"
+            r"|\b_worker_retired\b|\bresolve_workers\b|\beffective_workers\b"
+        ),
+        "one carrier; threads per execution in testing.threads.ThreadedRuntime",
     ),
 )
 
@@ -322,7 +330,8 @@ def campaign_schema_markdown() -> str:
 
 
 #: ``tools/step_census.py``'s calls per step at the commit before the
-#: step loop was cut to one frame per scheduling point (e134085).
+#: step loop was cut to one frame per scheduling point (e134085).  The
+#: rows not named here ran on pooled threads then: no count to compare.
 CENSUS_BEFORE = {
     "random": 11.03,
     "RaftLossy:random": 17.67,
@@ -353,9 +362,10 @@ def census_markdown() -> str:
     for row in document["rows"]:
         split = [sum(row["by_module"].get(m, 0.0) for m in modules) for _, modules in layers]
         rest = row["calls_per_step"] - sum(split)
+        before = CENSUS_BEFORE.get(row["configuration"])
         out.append(
             f"| `{row['configuration']}` | {row['steps']} "
-            f"| {CENSUS_BEFORE[row['configuration']]:.2f} | **{row['calls_per_step']:.2f}** | "
+            f"| {'—' if before is None else f'{before:.2f}'} | **{row['calls_per_step']:.2f}** | "
             + " | ".join(f"{value:.2f}" for value in split)
             + f" | {rest:.2f} |"
         )

@@ -14,10 +14,13 @@ repeat exactly on any host, which is what lets
 
 The configurations are the benchmark's two step-loop workloads at small,
 fixed sizes: ``random`` is ``soak`` (bare random campaigns on the eight
-Table-2 programs), the other six are ``soak_hooks``'s (registry
+Table-2 programs), the next six are ``soak_hooks``'s (registry
 faults and monitors, coverage and the event log on, under random,
-fair-random, pct and delay-bounding).  Every campaign runs on the inline
-carrier after a two-schedule warm-up, so compilation is not counted.
+fair-random, pct and delay-bounding), and the last two are the programs
+of ``runtime.threads_ns_per_step`` (``benchmarks/perf/programs.py``: a
+send in a comprehension, a send from a lambda in a field) as bare random
+campaigns.  Every campaign runs on the inline carrier after a
+two-schedule warm-up, so compilation is not counted.
 """
 
 from __future__ import annotations
@@ -46,16 +49,18 @@ CONFIGURATIONS: Tuple[Tuple[str, Tuple[Tuple[str, str], ...], int], ...] = (
     ("TokenRing:fair-random", (("TokenRing", "fair-random"),), 4),
     ("Raft:pct", (("Raft", "pct,depth=3"),), 20),
     ("TwoPhaseCommit:delay-bounding", (("TwoPhaseCommit", "delay-bounding,delays=2"),), 40),
+    ("FanOutCoordinator:random", (("benchmarks.perf.programs:FanOutCoordinator", "random"),), 20),
+    ("LambdaRelay:random", (("benchmarks.perf.programs:LambdaRelay", "random"),), 20),
 )
 #: The rows whose mean is the ``soak_hooks`` figure.
-HOOKS_ROWS = tuple(name for name, _, _ in CONFIGURATIONS[1:])
+HOOKS_ROWS = tuple(name for name, _, _ in CONFIGURATIONS[1:7])
 
 
 def _module_of(filename: str, cache: Dict[str, str]) -> str:
     module = cache.get(filename)
     if module is None:
         path = filename.replace(os.sep, "/")
-        if "/repro/bench/" in path:
+        if "/repro/bench/" in path or path.endswith("/benchmarks/perf/programs.py"):
             module = "program"  # the machines under test
         elif "/repro/" in path:
             module = "repro." + path.rsplit("/repro/", 1)[1][:-3].replace("/", ".")
@@ -69,6 +74,8 @@ def census(name: str) -> Dict[str, Any]:
     """Run configuration ``name`` under the call counter: its row."""
     from repro.testing import Campaign, TestConfig
 
+    if str(ROOT) not in sys.path:
+        sys.path.append(str(ROOT))  # benchmarks.perf.programs
     programs, schedules = next(
         (programs, schedules) for row, programs, schedules in CONFIGURATIONS if row == name
     )
