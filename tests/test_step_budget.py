@@ -44,7 +44,10 @@ _spec.loader.exec_module(step_census)
 #: (registry faults and monitors, coverage and the event log on; their
 #: mean, 7.5, was 15.6), then the two benchmark programs that send from a
 #: comprehension and from a lambda (5.28 and 4.91 when they first
-#: compiled; they ran on threads before).
+#: compiled; they ran on threads before), then systematic search: DFS
+#: without reduction, under ``dpor+state-cache``, iterative deepening
+#: under ``dpor+state-cache``, and DFS over crash-fault choice points
+#: (5.71, 26.46, 27.19 and 7.47 when they were added).
 BUDGETS = {
     "random": 7.0,
     "RaftLossy:random": 10.0,
@@ -55,12 +58,16 @@ BUDGETS = {
     "TwoPhaseCommit:delay-bounding": 8.0,
     "FanOutCoordinator:random": 5.5,
     "LambdaRelay:random": 5.0,
+    "BoundedAsync:dfs": 6.0,
+    "BoundedAsync:dfs+dpor+state-cache": 26.5,
+    "BoundedAsync:iddfs+dpor+state-cache": 27.5,
+    "TwoPhaseCommitCrash:dfs": 7.5,
 }
 
 
 class TestStepBudget:
     def test_every_configuration_has_a_budget(self):
-        assert set(BUDGETS) == {name for name, _, _ in step_census.CONFIGURATIONS}
+        assert set(BUDGETS) == {name for name, *_ in step_census.CONFIGURATIONS}
 
     @pytest.mark.parametrize("name", sorted(BUDGETS))
     def test_calls_per_step(self, name):

@@ -16,11 +16,16 @@ The configurations are the benchmark's two step-loop workloads at small,
 fixed sizes: ``random`` is ``soak`` (bare random campaigns on the eight
 Table-2 programs), the next six are ``soak_hooks``'s (registry
 faults and monitors, coverage and the event log on, under random,
-fair-random, pct and delay-bounding), and the last two are the programs
-of ``runtime.threads_ns_per_step`` (``benchmarks/perf/programs.py``: a
-send in a comprehension, a send from a lambda in a field) as bare random
-campaigns.  Every campaign runs on the inline carrier after a
-two-schedule warm-up, so compilation is not counted.
+fair-random, pct and delay-bounding), the next two are the programs of
+``runtime.threads_ns_per_step`` (``benchmarks/perf/programs.py``: a send
+in a comprehension, a send from a lambda in a field) as bare random
+campaigns, and the last four are ``sweep``'s systematic search: ``dfs``
+on BoundedAsync (depth 8, the first 300 schedules), the same to
+exhaustion under ``dpor+state-cache`` and as ``iddfs`` from depth 2 to
+8, and ``dfs`` on TwoPhaseCommitCrash (depth 6, its registry crash
+faults making fault choice points) to exhaustion.  Every campaign runs
+on the inline carrier after a two-schedule warm-up, so compilation is
+not counted.
 """
 
 from __future__ import annotations
@@ -35,25 +40,33 @@ from typing import Any, Dict, List, Tuple
 ROOT = Path(__file__).resolve().parents[1]
 
 SEED = 7
-#: (row name, [(program, strategy)], schedules per program)
-CONFIGURATIONS: Tuple[Tuple[str, Tuple[Tuple[str, str], ...], int], ...] = (
+#: Enough schedules to run a DFS row to exhaustion.
+EXHAUST = 1_000_000
+#: (row name, [(program, strategy)], schedules per program, reduction)
+CONFIGURATIONS: Tuple[Tuple[str, Tuple[Tuple[str, str], ...], int, str], ...] = (
     ("random", tuple(
         (program, "random") for program in (
             "BasicPaxos", "BoundedAsync", "ChainReplication", "Chord", "Raft",
             "TwoPhaseCommit", "German", "MultiPaxos",
         )
-    ), 10),
-    ("RaftLossy:random", (("RaftLossy", "random"),), 20),
-    ("TwoPhaseCommitCrash:random", (("TwoPhaseCommitCrash", "random"),), 40),
-    ("ProcessScheduler:fair-random", (("ProcessScheduler", "fair-random"),), 2),
-    ("TokenRing:fair-random", (("TokenRing", "fair-random"),), 4),
-    ("Raft:pct", (("Raft", "pct,depth=3"),), 20),
-    ("TwoPhaseCommit:delay-bounding", (("TwoPhaseCommit", "delay-bounding,delays=2"),), 40),
-    ("FanOutCoordinator:random", (("benchmarks.perf.programs:FanOutCoordinator", "random"),), 20),
-    ("LambdaRelay:random", (("benchmarks.perf.programs:LambdaRelay", "random"),), 20),
+    ), 10, "none"),
+    ("RaftLossy:random", (("RaftLossy", "random"),), 20, "none"),
+    ("TwoPhaseCommitCrash:random", (("TwoPhaseCommitCrash", "random"),), 40, "none"),
+    ("ProcessScheduler:fair-random", (("ProcessScheduler", "fair-random"),), 2, "none"),
+    ("TokenRing:fair-random", (("TokenRing", "fair-random"),), 4, "none"),
+    ("Raft:pct", (("Raft", "pct,depth=3"),), 20, "none"),
+    ("TwoPhaseCommit:delay-bounding", (("TwoPhaseCommit", "delay-bounding,delays=2"),), 40, "none"),
+    ("FanOutCoordinator:random", (("benchmarks.perf.programs:FanOutCoordinator", "random"),), 20, "none"),
+    ("LambdaRelay:random", (("benchmarks.perf.programs:LambdaRelay", "random"),), 20, "none"),
+    ("BoundedAsync:dfs", (("BoundedAsync", "dfs,max_depth=8"),), 300, "none"),
+    ("BoundedAsync:dfs+dpor+state-cache", (("BoundedAsync", "dfs,max_depth=8"),), EXHAUST,
+     "dpor+state-cache"),
+    ("BoundedAsync:iddfs+dpor+state-cache",
+     (("BoundedAsync", "iddfs,initial_depth=2,max_depth=8"),), EXHAUST, "dpor+state-cache"),
+    ("TwoPhaseCommitCrash:dfs", (("TwoPhaseCommitCrash", "dfs,max_depth=6"),), EXHAUST, "none"),
 )
 #: The rows whose mean is the ``soak_hooks`` figure.
-HOOKS_ROWS = tuple(name for name, _, _ in CONFIGURATIONS[1:7])
+HOOKS_ROWS = tuple(name for name, _, _, _ in CONFIGURATIONS[1:7])
 
 
 def _module_of(filename: str, cache: Dict[str, str]) -> str:
@@ -76,8 +89,9 @@ def census(name: str) -> Dict[str, Any]:
 
     if str(ROOT) not in sys.path:
         sys.path.append(str(ROOT))  # benchmarks.perf.programs
-    programs, schedules = next(
-        (programs, schedules) for row, programs, schedules in CONFIGURATIONS if row == name
+    programs, schedules, reduction = next(
+        (programs, schedules, reduction)
+        for row, programs, schedules, reduction in CONFIGURATIONS if row == name
     )
     hooks = name in HOOKS_ROWS
     by_code: Dict[Any, int] = {}
@@ -93,7 +107,7 @@ def census(name: str) -> Dict[str, Any]:
             kwargs = dict(
                 program=program, strategy=strategy, seed=SEED,
                 max_iterations=schedules, time_limit=None, max_steps=5_000,
-                stop_on_first_bug=False, workers="inline",
+                stop_on_first_bug=False, workers="inline", reduction=reduction,
             )
             if hooks:
                 kwargs.update(
@@ -129,7 +143,7 @@ def census(name: str) -> Dict[str, Any]:
 
 
 def document() -> Dict[str, Any]:
-    rows = [census(name) for name, _, _ in CONFIGURATIONS]
+    rows = [census(name) for name, _, _, _ in CONFIGURATIONS]
     by_name = {row["configuration"]: row["calls_per_step"] for row in rows}
     return {
         "seed": SEED,
