@@ -255,9 +255,6 @@ class _Lowerer:
         self.var_types[name] = ftjoin(self.var_types.get(name), ft) or ft
         self.field_alias.pop(name, None)
 
-    def ft_of(self, operand: str) -> Optional[FType]:
-        return self.env.get(operand)
-
     def _annotation_type(self, annotation: Optional[ast.expr]) -> Optional[FType]:
         if isinstance(annotation, ast.Name):
             name = annotation.id

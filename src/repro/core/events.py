@@ -11,7 +11,7 @@ analysis of Section 5 necessary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 
 class Event:
@@ -70,13 +70,3 @@ class MachineId:
         if other.__class__ is MachineId:
             return self.value == other.value and self.name == other.name
         return NotImplemented
-
-
-def event_name(event: "Event | type") -> str:
-    """Readable name for an event instance or event class."""
-    cls = event if isinstance(event, type) else type(event)
-    return cls.__name__
-
-
-def payload_of(event: Optional[Event]) -> Any:
-    return None if event is None else event.payload

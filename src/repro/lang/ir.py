@@ -323,9 +323,6 @@ class MethodDecl:
     body: List[Stmt] = field(default_factory=list)
     ret_type: str = "void"
 
-    def param_names(self) -> List[str]:
-        return [p.name for p in self.params]
-
     def reference_params(self) -> List[str]:
         return [p.name for p in self.params if p.is_reference]
 
@@ -352,9 +349,6 @@ class ClassDecl:
     fields: List[VarDecl] = field(default_factory=list)
     methods: Dict[str, MethodDecl] = field(default_factory=dict)
     taint_summary: Optional[Dict[str, Dict[str, frozenset]]] = None
-
-    def field_names(self) -> List[str]:
-        return [f.name for f in self.fields]
 
 
 @dataclass
@@ -404,9 +398,6 @@ class MachineDecl:
                     names.append(state)
         return names
 
-    def handled_events(self, state: str) -> List[str]:
-        return [h.event for h in self.handlers if h.state == state]
-
 
 @dataclass
 class Program:
@@ -424,9 +415,6 @@ class Program:
         if klass is None:
             return None
         return klass.methods.get(method_name)
-
-    def machine_class(self, machine_name: str) -> ClassDecl:
-        return self.classes[self.machines[machine_name].class_name]
 
 
 def flatten(body: List[Stmt]) -> List[Stmt]:

@@ -21,21 +21,22 @@ from trace-visible facts only, so the oracle is identical on the inline
 and threaded carriers.
 
 **Dynamic partial-order reduction** (:class:`~repro.testing.strategies
-.DfsStrategy` / ``IterativeDeepeningDfsStrategy``).  Machine-choice
-stack frames carry an explicit backtrack list instead of enumerating
-every enabled machine: a frame starts with a single branch, and after
-each execution the engine scans the step log for *races* — a step whose
-footprint intersects the footprint of the last earlier step by a
-different machine touching the same object — and inserts the racing
-machine as a backtrack point at that earlier decision (falling back to
-the whole enabled set when the racer was not yet enabled there, the
-classic conservative case).  A frame's explored prefix ``values[:pos+1]``
-is its sleep set: a branch that has been explored (or deliberately
-skipped) at this node is never re-added.  Branches never materialized are
-counted as ``branches_pruned`` when the frame pops.  Pruning decisions
-never touch recorded schedule decisions, so a bug trace found under
-reduction replays bit-identically — on any back-end — via
-``ReplayStrategy``.
+.DfsStrategy`, which ``IterativeDeepeningDfsStrategy`` is).  A
+machine-choice frame of the DFS stack carries an explicit backtrack list
+instead of enumerating every enabled machine: it starts with a single
+branch, and after each execution the engine scans the step log — the
+chosen machine and the frame depth of every decision, and the objects
+each step touched — for *races*: a step whose footprint intersects the
+footprint of the last earlier step by a different machine touching the
+same object.  The racing machine is offered to that earlier decision's
+frame, the one record of what was enabled there, which adds it, or the
+whole enabled set when the racer was not yet enabled (the classic
+conservative case).  A frame's explored prefix ``values[:pos+1]`` is its
+sleep set: a branch that has been explored (or deliberately skipped) at
+this node is never re-added.  Branches never materialized are counted as
+``branches_pruned`` when the frame pops.  Pruning decisions never touch
+recorded schedule decisions, so a bug trace found under reduction
+replays bit-identically — on any back-end — via ``ReplayStrategy``.
 
 **State caching.**  A program state is a product of machine-local
 states (machines own their heap and affect each other only through the
@@ -87,7 +88,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.events import Event, MachineId
 from ..errors import PSharpError
-from .trace import ScheduleTrace
+from .trace import REASON_CLAUSE, REASON_STATE, ScheduleTrace
 
 __all__ = [
     "DIGEST_SIZE",
@@ -109,10 +110,6 @@ __all__ = [
 #: revisited states for *every* strategy; "+clauses" opts into the
 #: learned blocked-edge store on top.
 REDUCTION_MODES = ("none", "dpor", "dpor+state-cache", "dpor+state-cache+clauses")
-
-#: Trace-record reason codes for ``"reduction"`` entries.
-REASON_STATE = 1   # state-cache hit: this exact state was already explored
-REASON_CLAUSE = 2  # learned clause: this edge re-enters explored territory
 
 #: Default LRU bound of the campaign-level seen-set.
 DEFAULT_STATE_CACHE_SIZE = 1 << 16
@@ -503,7 +500,7 @@ class ReductionEngine:
         self.prev_trace: Optional[ScheduleTrace] = None
         # Per-execution step log (see begin_execution).
         self.effects: List[int] = []
-        self._points: List[Tuple[int, Tuple[int, ...], int]] = []
+        self._points: List[Tuple[int, int]] = []  # (chosen value, frame depth)
         self._bounds: List[int] = []
         self._pending_depth = -1
         self.diverged = False
@@ -560,9 +557,9 @@ class ReductionEngine:
         """Forget everything tied to the *current* systematic search
         (seen states, learned clauses, the alignment trace) while keeping
         the campaign counters.  Iterative deepening calls this at every
-        depth increase: the deepened DFS re-explores the whole tree, and
-        states cached by the shallower pass would otherwise prune it to
-        nothing."""
+        depth increase, from its one ``prepare_iteration``: the deepened
+        DFS re-explores the whole tree, and states cached by the
+        shallower pass would otherwise prune it to nothing."""
         self._seen.clear()
         self._blocked.clear()
         self.prev_trace = None
@@ -574,30 +571,30 @@ class ReductionEngine:
         analysis can insert backtrack points at it."""
         self._pending_depth = depth
 
-    def chose(self, value: int, enabled: Tuple[int, ...]) -> None:
+    def chose(self, value: int) -> None:
         """A scheduling decision was recorded: machine ``value`` starts a
-        new step at a point whose enabled set was ``enabled``.  The
-        stepping machine itself is always part of the step's footprint
-        (its program counter and inbox advance)."""
+        new step.  The stepping machine itself is always part of the
+        step's footprint (its program counter and inbox advance).  What
+        was enabled there is the strategy's frame's to know."""
         depth, self._pending_depth = self._pending_depth, -1
         self._bounds.append(len(self.effects))
         self.effects.append(value)
-        self._points.append((value, enabled, depth))
+        self._points.append((value, depth))
 
     # -- DPOR analysis (strategy side) ---------------------------------
-    def analyze(self, add_backtrack: Callable[[int, Optional[int]], None]) -> None:
+    def analyze(self, add_backtrack: Callable[[int, int], None]) -> None:
         """Scan the last execution's step log for races and insert
-        backtrack points via ``add_backtrack(frame_depth, machine_value
-        or None)``.
+        backtrack points via ``add_backtrack(frame_depth, racer)``.
 
         For each object a step touched, the *last* earlier step by a
         different machine touching the same object is a race: the racing
-        machine is added as a backtrack branch at that step's decision
-        frame (or the whole enabled set when it was not enabled there).
-        Races shadowed by a nearer access are found transitively over
-        subsequent iterations, the standard last-access argument.  Steps
-        whose decision was forced (``depth == -1``) had no alternative to
-        insert, so they are skipped."""
+        machine is offered as a backtrack branch to that step's decision
+        frame, which holds the enabled set and adds the racer if it was
+        enabled there, else every machine that was.  Races shadowed by a
+        nearer access are found transitively over subsequent iterations,
+        the standard last-access argument.  Steps whose decision was
+        forced (``depth == -1``) had no alternative to insert, so they
+        are skipped."""
         points = self._points
         if not points:
             return
@@ -607,18 +604,15 @@ class ReductionEngine:
         total = len(effects)
         last: dict = {}
         for i in range(n):
-            chosen, _enabled, _depth = points[i]
+            chosen = points[i][0]
             start = bounds[i]
             stop = bounds[i + 1] if i + 1 < n else total
             for obj in effects[start:stop]:
                 j = last.get(obj)
                 if j is not None:
-                    prev_chosen, prev_enabled, prev_depth = points[j]
+                    prev_chosen, prev_depth = points[j]
                     if prev_chosen != chosen and prev_depth >= 0:
-                        add_backtrack(
-                            prev_depth,
-                            chosen if chosen in prev_enabled else None,
-                        )
+                        add_backtrack(prev_depth, chosen)
                 last[obj] = i
 
     def count_skipped(self, count: int) -> None:

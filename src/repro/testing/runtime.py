@@ -315,19 +315,28 @@ class BugFindingRuntime(RuntimeBase):
         self.max_hot_steps = max_hot_steps
         self.faults = faults
         self.iteration_timeout = iteration_timeout
-        # Fault weights quantized once (the config is frozen); zeros when
-        # fault injection is off, so the armed flags reset() derives from
-        # them keep the hot paths on their fault-free branch.
+        # The fault choices of a send (drop, duplicate, delay, consulted
+        # in that order) and of a step (crash), as (outcome, weight) pairs
+        # with the weights quantized once (the config is frozen) and the
+        # zero ones left out; empty when fault injection is off, so the
+        # armed flags reset() derives from them keep the hot paths on
+        # their fault-free branch.
+        self._send_faults: Tuple[Tuple[int, int], ...] = ()
+        self._crash_faults: Tuple[Tuple[int, int], ...] = ()
+        self._crash_classes: Tuple[type, ...] = ()
+        self._fault_budget = 0
         if faults is not None and faults.enabled:
-            self._msg_weights = faults.message_weights
-            self._crash_weight = faults.crash_weight
+            self._send_faults = tuple(
+                (outcome, weight)
+                for outcome, weight in zip(
+                    (FAULT_DROP, FAULT_DUPLICATE, FAULT_DELAY), faults.message_weights
+                )
+                if weight
+            )
+            if faults.crash_weight:
+                self._crash_faults = ((FAULT_CRASH, faults.crash_weight),)
             self._crash_classes = faults.crash_classes
             self._fault_budget = faults.max_faults
-        else:
-            self._msg_weights = (0, 0, 0)
-            self._crash_weight = 0
-            self._crash_classes = ()
-            self._fault_budget = 0
         self._has_liveness_monitors = any(has_hot_states(m) for m in self.monitors)
         # What follows from the monitor classes alone is computed once per
         # runtime, not per execution (the classes are fixed for a
@@ -449,8 +458,8 @@ class BugFindingRuntime(RuntimeBase):
         # and the replay probe that re-fires recorded outcomes instead of
         # consulting probabilities.
         self._faults_injected = 0
-        self._send_fault_active = any(self._msg_weights) and self._fault_budget > 0
-        self._crash_fault_active = self._crash_weight > 0 and self._fault_budget > 0
+        self._send_fault_active = bool(self._send_faults) and self._fault_budget > 0
+        self._crash_fault_active = bool(self._crash_faults) and self._fault_budget > 0
         self._fault_probe = getattr(self.strategy, "next_fault_outcome", None)
         # Telemetry counters: injected-fault outcomes by FAULT_* code and
         # strategy-consulted (non-forced) scheduling decisions.
@@ -523,7 +532,7 @@ class BugFindingRuntime(RuntimeBase):
         if trace is not None:
             trace.append(SCHED_TAG, mid.value)
         if red is not None:
-            red.chose(mid.value, (mid.value,))
+            red.chose(mid.value)
         self._run(self._worker_list[mid.value])
         if self._error is not None:
             raise self._error  # recorded by _abort; everything has unwound
@@ -629,7 +638,9 @@ class BugFindingRuntime(RuntimeBase):
                     # the fault decision never commutes with its own
                     # send).
                     red.effects.append(index)
-                if self._send_fault_active and (fault := self._consult_send_fault()):
+                if self._send_fault_active and (
+                    fault := self._consult_fault(self._send_faults)
+                ):
                     delivered = self._apply_send_fault(machine, event, fault)
                 else:
                     machine._inbox.append(event)
@@ -671,7 +682,7 @@ class BugFindingRuntime(RuntimeBase):
             self._record_tag(SCHED_TAG)
             self._record_value(choice.value)
         if red is not None:
-            self._reduction_chose(choice, enabled)
+            self._reduction_chose(choice)
         return None if choice.value == current.value else choice
 
     def nondet(self, machine: Machine) -> bool:
@@ -701,32 +712,34 @@ class BugFindingRuntime(RuntimeBase):
     # ------------------------------------------------------------------
     # Fault injection (see repro.testing.faults)
     # ------------------------------------------------------------------
-    def _consult_send_fault(self) -> int:
-        """One message-fault consultation: decide (via the strategy) and
-        record the fault outcome for the send being performed.
+    def _consult_fault(self, choices: Tuple[Tuple[int, int], ...]) -> int:
+        """One fault consultation: decide (via the strategy) and record
+        the fault outcome of the point being performed — a send, whose
+        ``choices`` are ``_send_faults``, or a machine's next step, whose
+        are ``_crash_faults``.  The strategy is asked ``pick_fault(weight)``
+        for each choice in order, and the first that fires is the outcome.
 
-        Called only while send faults are armed and budget remains.  The
-        outcome — including "no fault" — is appended to the trace under
-        the ``"fault"`` kind, so replay re-fires exactly the recorded
-        faults: consultation points are positionally aligned because the
-        replaying runtime runs with the same :class:`FaultConfig`.
+        Called only while that point's faults are armed and budget
+        remains.  The outcome — including "no fault" — is appended to the
+        trace under the ``"fault"`` kind, so replay re-fires exactly the
+        recorded faults: consultation points are positionally aligned
+        because the replaying runtime runs with the same
+        :class:`FaultConfig`.  A recorded outcome this point cannot take
+        means the replayed schedule diverged: it falls back to no fault.
         """
         probe = self._fault_probe
         if probe is not None:
-            outcome = probe()
-            if outcome == FAULT_CRASH:
-                # A crash outcome cannot apply to a send: the replayed
-                # schedule diverged, fall back to fault-free delivery.
-                outcome = FAULT_NONE
+            recorded = probe()
+            outcome = FAULT_NONE
+            for candidate, _ in choices:
+                if candidate == recorded:
+                    outcome = recorded
+                    break
         else:
-            drop_w, dup_w, delay_w = self._msg_weights
             pick_fault = self.strategy.pick_fault
-            if drop_w and pick_fault(drop_w):
-                outcome = FAULT_DROP
-            elif dup_w and pick_fault(dup_w):
-                outcome = FAULT_DUPLICATE
-            elif delay_w and pick_fault(delay_w):
-                outcome = FAULT_DELAY
+            for outcome, weight in choices:
+                if pick_fault(weight):
+                    break
             else:
                 outcome = FAULT_NONE
         if self._record_tag is not None:
@@ -734,7 +747,7 @@ class BugFindingRuntime(RuntimeBase):
             self._record_value(outcome)
         log = self._nondet_log
         if log is not None and self._current is not None:
-            # Part of the sender's consumed-nondeterminism fingerprint: a
+            # Part of the machine's consumed-nondeterminism fingerprint: a
             # dropped send leaves the same inboxes as no send at all, so
             # the fault outcome itself must distinguish the two states.
             log.setdefault(self._current.value, []).append(outcome)
@@ -765,31 +778,6 @@ class BugFindingRuntime(RuntimeBase):
         else:
             inbox.append(event)
         return True
-
-    def _consult_crash_fault(self) -> bool:
-        """One crash-fault consultation for the machine about to take its
-        next step.  Returns True when the machine should crash-restart
-        now; the outcome is recorded like every other fault decision."""
-        probe = self._fault_probe
-        if probe is not None:
-            fire = probe() == FAULT_CRASH
-        else:
-            fire = self.strategy.pick_fault(self._crash_weight)
-        if self._record_tag is not None:
-            self._record_tag(FAULT_TAG)
-            self._record_value(FAULT_CRASH if fire else FAULT_NONE)
-        log = self._nondet_log
-        if log is not None and self._current is not None:
-            log.setdefault(self._current.value, []).append(
-                FAULT_CRASH if fire else FAULT_NONE
-            )
-        if fire:
-            self._faults_injected += 1
-            self._fault_kinds[FAULT_CRASH] += 1
-            if self._faults_injected >= self._fault_budget:
-                self._send_fault_active = False
-                self._crash_fault_active = False
-        return fire
 
     def _crash_restart(self, machine: Machine) -> None:
         """Crash ``machine`` in place: wipe its volatile state (fields,
@@ -1032,7 +1020,7 @@ class BugFindingRuntime(RuntimeBase):
         hook_visible = self._hook_visible
         poll = self._poll
         max_steps = self.max_steps
-        crash_eligible = self._crash_weight > 0 and (
+        crash_eligible = bool(self._crash_faults) and (
             not self._crash_classes or isinstance(machine, self._crash_classes)
         )
         worker.state = _RUNNING
@@ -1064,7 +1052,7 @@ class BugFindingRuntime(RuntimeBase):
             if (
                 crash_eligible
                 and self._crash_fault_active
-                and self._consult_crash_fault()
+                and self._consult_fault(self._crash_faults)
             ):
                 self._crash_restart(machine)
                 activation = start()
@@ -1374,13 +1362,13 @@ class BugFindingRuntime(RuntimeBase):
             self._finish("pruned")
             raise ExecutionCanceled()
 
-    def _reduction_chose(self, choice: MachineId, enabled: List[MachineId]) -> None:
+    def _reduction_chose(self, choice: MachineId) -> None:
         """Record a scheduling decision with the reduction engine (DPOR
-        race analysis needs every chosen/enabled pair), then apply any
-        learned prefix clause: a choice known to lead into an explored
-        state prunes immediately instead of running to the cache hit."""
+        race analysis needs every choice), then apply any learned prefix
+        clause: a choice known to lead into an explored state prunes
+        immediately instead of running to the cache hit."""
         red = self._red
-        red.chose(choice.value, tuple(map(_MID_VALUE, enabled)))
+        red.chose(choice.value)
         blocked = red.cur_blocked
         if blocked is not None and choice.value in blocked:
             red.cur_blocked = None

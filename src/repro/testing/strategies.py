@@ -98,33 +98,24 @@ class SchedulingStrategy(ABC):
         return False
 
 
-class _DfsFrame:
-    __slots__ = ("options", "index")
+class _Frame:
+    """One choice point on the DFS stack: a machine, value or fault choice.
 
-    def __init__(self, options: int) -> None:
-        self.options = options
-        self.index = 0
-
-
-class _DporFrame:
-    """A machine-choice stack frame under dynamic partial-order reduction.
-
-    Where a plain :class:`_DfsFrame` enumerates every branch ``0..options``,
-    a DPOR frame enumerates only ``values`` — the branches the race
-    analysis proved (or conservatively assumed) necessary, starting from a
-    single arbitrary one.  ``values[:pos+1]`` is the frame's sleep set:
-    backtrack insertion checks membership against the whole list, so a
-    branch explored or already queued here is never re-added.  ``enabled``
-    remembers the machine values enabled at this point, both for the
-    "racer not enabled here" conservative fallback and for counting the
-    branches never materialized when the frame pops.
+    ``values`` are the frame's branches and ``pos`` the one being
+    explored; ``values[:pos+1]`` is the frame's sleep set (a branch
+    explored or already queued here is never re-added).  A machine choice
+    keeps ``enabled``, the machine values enabled at that point: the
+    branches themselves without DPOR, and under DPOR what backtrack
+    insertion may add (the racer when it was enabled here, else all of
+    them) and what the frame counts as pruned when it pops.  A value or
+    fault choice has ``enabled`` None and ``values`` ``range(options)``.
     """
 
-    __slots__ = ("enabled", "values", "pos")
+    __slots__ = ("values", "enabled", "pos")
 
-    def __init__(self, enabled: tuple, first: int) -> None:
+    def __init__(self, values: Sequence[int], enabled: Optional[tuple] = None) -> None:
+        self.values = values
         self.enabled = enabled
-        self.values = [first]
         self.pos = 0
 
 
@@ -134,14 +125,21 @@ class DfsStrategy(SchedulingStrategy):
     "Each node is a schedule prefix and the branches are the enabled
     machines in the program state reached by the schedule prefix"
     (Section 6.2).  Nondeterministic boolean/integer choices made by
-    machines are explored systematically as well — the limitation the
-    paper notes for machines that model nondeterministic environments.
+    machines, and injected faults, are explored systematically as well —
+    the limitation the paper notes for machines that model
+    nondeterministic environments.  Every kind of choice point is one
+    :class:`_Frame` on one stack, advanced by one backtrack rule.
+
+    With a reduction engine attached (:meth:`attach_reduction`), a
+    machine frame starts with the one branch taken and grows by the
+    engine's race analysis (dynamic partial-order reduction); value and
+    fault frames stay exhaustive.
     """
 
     name = "dfs"
 
     def __init__(self, max_depth: int = 100_000) -> None:
-        self._stack: List[_DfsFrame] = []
+        self._stack: List[_Frame] = []
         self._cursor = 0
         self._started = False
         self._max_depth = max_depth
@@ -149,9 +147,8 @@ class DfsStrategy(SchedulingStrategy):
         # below the cap is then incomplete (iterative deepening keys off
         # this to decide whether deepening can uncover anything new).
         self.depth_cap_hit = False
-        # Dynamic partial-order reduction, armed by attach_reduction():
-        # machine-choice frames become _DporFrames with explicit backtrack
-        # sets; bool/int/fault frames stay exhaustive _DfsFrames.
+        # The reduction engine whose race analysis grows machine frames,
+        # armed by attach_reduction().
         self._dpor = None
         # Scheduling points where the DPOR frame offered exactly one branch
         # while more than one machine was enabled: the runtime consulted us
@@ -174,43 +171,27 @@ class DfsStrategy(SchedulingStrategy):
             # backtrack branches into the still-standing frames *before*
             # unwinding them.
             dpor.analyze(self._add_backtrack)
-        # Backtrack: drop exhausted suffix, advance the deepest frame that
-        # still has unexplored branches.
+        # Backtrack: drop the exhausted suffix, advance the deepest frame
+        # that still has a branch to explore.
         stack = self._stack
-        advanced = False
         while stack:
             top = stack[-1]
-            if type(top) is _DporFrame:
-                if top.pos < len(top.values) - 1:
-                    top.pos += 1
-                    advanced = True
-                    break
-                if dpor is not None:
-                    dpor.count_skipped(len(top.enabled) - len(top.values))
-                stack.pop()
-            else:
-                if top.index < top.options - 1:
-                    top.index += 1
-                    advanced = True
-                    break
-                stack.pop()
-        if not advanced:
-            return False
-        self._cursor = 0
-        return True
+            if top.pos < len(top.values) - 1:
+                top.pos += 1
+                self._cursor = 0
+                return True
+            if dpor is not None and top.enabled is not None:
+                dpor.count_skipped(len(top.enabled) - len(top.values))
+            stack.pop()
+        return False
 
-    def _add_backtrack(self, depth: int, value: Optional[int]) -> None:
-        """DPOR callback: ensure the frame at ``depth`` will explore
-        ``value`` (or, when None, every machine enabled there)."""
-        stack = self._stack
-        if depth >= len(stack):
-            return
-        frame = stack[depth]
-        if type(frame) is not _DporFrame:
-            return
+    def _add_backtrack(self, depth: int, value: int) -> None:
+        """DPOR callback: make the machine frame at ``depth`` explore
+        ``value`` if it was enabled there, else every machine that was."""
+        frame = self._stack[depth]
         values = frame.values
-        if value is not None:
-            if value not in values and value in frame.enabled:
+        if value in frame.enabled:
+            if value not in values:
                 values.append(value)
         else:
             for v in frame.enabled:
@@ -220,49 +201,47 @@ class DfsStrategy(SchedulingStrategy):
     def _choose(self, options: int) -> int:
         if options <= 0:
             raise ValueError("no options to choose from")
-        if self._cursor >= self._max_depth:
+        cursor = self._cursor
+        self._cursor = cursor + 1
+        if cursor >= self._max_depth:
             # Beyond the depth cap the search degenerates to "first branch";
             # the runtime's step bound terminates such runs.
             self.depth_cap_hit = True
-            self._cursor += 1
             return 0
-        if self._cursor == len(self._stack):
-            self._stack.append(_DfsFrame(options))
-        frame = self._stack[self._cursor]
-        if type(frame) is _DporFrame:
-            # Divergence guard: a value choice landed where a machine
-            # choice used to be; take the first branch like min() below.
-            self._cursor += 1
+        stack = self._stack
+        if cursor == len(stack):
+            stack.append(_Frame(range(options)))
             return 0
+        frame = stack[cursor]
+        if frame.enabled is not None:
+            return 0  # divergence guard: a machine choice was here
         # The schedule prefix replays deterministically, so the branching
         # factor matches what was recorded; min() guards divergence.
-        index = min(frame.index, options - 1)
-        self._cursor += 1
-        return index
+        return min(frame.pos, options - 1)
 
     def pick_machine(
         self, enabled: Sequence[MachineId], current: Optional[MachineId]
     ) -> MachineId:
-        dpor = self._dpor
-        if dpor is None:
-            return enabled[self._choose(len(enabled))]
-        if self._cursor >= self._max_depth:
-            self.depth_cap_hit = True
-            self._cursor += 1
-            return enabled[0]
         cursor = self._cursor
-        if cursor == len(self._stack):
-            self._stack.append(
-                _DporFrame(tuple(map(_MID_VALUE, enabled)), enabled[0].value)
-            )
-        frame = self._stack[cursor]
         self._cursor = cursor + 1
-        if type(frame) is not _DporFrame:
-            # Divergence guard (machine choice where a value choice was).
-            return enabled[min(frame.index, len(enabled) - 1)]
-        dpor.bind_frame(cursor)
-        if len(frame.values) == 1:
-            self.reduction_forced += 1
+        if cursor >= self._max_depth:
+            self.depth_cap_hit = True
+            return enabled[0]
+        stack = self._stack
+        dpor = self._dpor
+        if cursor == len(stack):
+            values = tuple(map(_MID_VALUE, enabled))
+            frame = _Frame(values if dpor is None else [values[0]], values)
+            stack.append(frame)
+        else:
+            frame = stack[cursor]
+            if frame.enabled is None:
+                # Divergence guard: a value choice was here.
+                return enabled[min(frame.pos, len(enabled) - 1)]
+        if dpor is not None:
+            dpor.bind_frame(cursor)
+            if len(frame.values) == 1:
+                self.reduction_forced += 1
         value = frame.values[frame.pos]
         for mid in enabled:
             if mid.value == value:
@@ -283,7 +262,7 @@ class DfsStrategy(SchedulingStrategy):
         return weight > 0 and bool(self._choose(2))
 
 
-class IterativeDeepeningDfsStrategy(SchedulingStrategy):
+class IterativeDeepeningDfsStrategy(DfsStrategy):
     """Iterative-deepening DFS: restart the systematic search with a
     geometrically growing depth cap.
 
@@ -291,7 +270,9 @@ class IterativeDeepeningDfsStrategy(SchedulingStrategy):
     drowning in the deep subtrees a plain DFS would enumerate — the
     classic IDDFS trade, here applied to the schedule tree.  Deepening
     stops once a full pass never hits the cap (the tree is finite and
-    fully explored) or the cap reaches ``max_depth``.
+    fully explored) or the cap reaches ``max_depth``.  A pass is the
+    plain DFS search; deepening clears its stack, raises the cap, and
+    resets the reduction engine's search in this one place.
     """
 
     name = "iddfs"
@@ -301,54 +282,26 @@ class IterativeDeepeningDfsStrategy(SchedulingStrategy):
     ) -> None:
         if initial_depth < 1 or factor < 2:
             raise ValueError("initial_depth must be >= 1 and factor >= 2")
-        self._initial_depth = initial_depth
+        super().__init__(max_depth=initial_depth)
         self._factor = factor
-        self._max_depth = max_depth
+        self._depth_limit = max_depth
         self.depth = initial_depth
-        self._dfs = DfsStrategy(max_depth=initial_depth)
-        self._engine = None
-        # reduction_forced accumulated by inner DFS instances already
-        # retired by deepening (each deepening swaps in a fresh inner DFS
-        # whose counter restarts at zero).
-        self._forced_base = 0
-
-    def attach_reduction(self, engine) -> None:
-        self._engine = engine
-        self._dfs.attach_reduction(engine)
-
-    @property
-    def reduction_forced(self) -> int:
-        return self._forced_base + self._dfs.reduction_forced
 
     def prepare_iteration(self) -> bool:
-        if self._dfs.prepare_iteration():
+        if super().prepare_iteration():
             return True
-        if not self._dfs.depth_cap_hit or self.depth >= self._max_depth:
+        if not self.depth_cap_hit or self.depth >= self._depth_limit:
             return False
-        self.depth = min(self.depth * self._factor, self._max_depth)
-        self._forced_base += self._dfs.reduction_forced
-        self._dfs = DfsStrategy(max_depth=self.depth)
-        if self._engine is not None:
+        self.depth = self._max_depth = min(self.depth * self._factor, self._depth_limit)
+        self._stack.clear()
+        self._started = False
+        self.depth_cap_hit = False
+        if self._dpor is not None:
             # The deepened pass re-explores the whole tree from scratch;
             # states (and clauses) cached by the shallower pass would
             # prune it to nothing.
-            self._engine.reset_search()
-            self._dfs.attach_reduction(self._engine)
-        return self._dfs.prepare_iteration()
-
-    def pick_machine(
-        self, enabled: Sequence[MachineId], current: Optional[MachineId]
-    ) -> MachineId:
-        return self._dfs.pick_machine(enabled, current)
-
-    def pick_bool(self) -> bool:
-        return self._dfs.pick_bool()
-
-    def pick_int(self, bound: int) -> int:
-        return self._dfs.pick_int(bound)
-
-    def pick_fault(self, weight: int) -> bool:
-        return self._dfs.pick_fault(weight)
+            self._dpor.reset_search()
+        return super().prepare_iteration()
 
 
 class _SeededStrategy(SchedulingStrategy):
@@ -552,7 +505,10 @@ class ReplayStrategy(SchedulingStrategy):
 
     def pick_int(self, bound: int) -> int:
         value = self._next(INT)
-        if value is None or value >= bound:
+        if value is None:
+            return 0
+        if value >= bound:
+            self.diverged = True  # recorded under a wider bound
             return 0
         return value
 

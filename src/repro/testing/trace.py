@@ -26,6 +26,7 @@ from array import array
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import PSharpError
+from .faults import FAULT_CRASH, FAULT_NONE
 from .record import loads, write_atomic
 
 SCHED = "sched"
@@ -60,6 +61,10 @@ FAULT = "fault"
 # replay bit-identically with reduction off.
 REDUCTION = "reduction"
 
+#: Reason codes of ``"reduction"`` entries.
+REASON_STATE = 1   # state-cache hit: this exact state was already explored
+REASON_CLAUSE = 2  # learned clause: this edge re-enters explored territory
+
 # Compact kind tags used in the flat encoding; the string kinds above
 # remain the public vocabulary (and the wire format).
 SCHED_TAG = 0
@@ -80,6 +85,13 @@ _TAG_OF = {
     REDUCTION: REDUCTION_TAG,
 }
 _KIND_OF = (SCHED, BOOL, INT, MONITOR, LIVENESS, FAULT, REDUCTION)
+#: The values a decision of each kind may hold, by tag: ``_LOW[tag] <=
+#: value <= _HIGH[tag]``.  Machine ids, ``nondet_int`` results and monitor
+#: indices are any non-negative 64-bit integer (an id no machine of the
+#: execution has is a replay divergence, not a corrupt trace).
+_INT64 = 2 ** 63 - 1
+_LOW = (0, 0, 0, 0, 0, FAULT_NONE, REASON_STATE)
+_HIGH = (_INT64, 1, _INT64, _INT64, _INT64, FAULT_CRASH, REASON_CLAUSE)
 #: How ``str(trace)`` prefixes a value of each kind (a bool reads T / F).
 _SHORT_OF = ("m", "", "i", "obs", "hot!", "x", "cut")
 
@@ -191,18 +203,32 @@ class ScheduleTrace:
     def from_pairs(cls, pairs: object) -> "ScheduleTrace":
         """The trace :meth:`to_pairs` data describes.  Anything else —
         not a list of two-element lists, an unknown kind, a value that is
-        not a 64-bit integer (``1.5`` and ``true`` are not) — raises
-        ``ValueError``/``TypeError``/``OverflowError``."""
+        not an integer (``1.5`` and ``true`` are not), or one its kind
+        cannot hold (a negative machine id, a bool of 2, a fault outcome
+        or reduction reason with no code) — raises ``ValueError`` /
+        ``TypeError``.  Trace files, report documents and fleet frames
+        all decode a trace here."""
         if type(pairs) is not list:
             raise TypeError("expected a list of [kind, value] pairs")
         values = [value for _, value in pairs]
         if not set(map(type, values)) <= {int}:
             raise TypeError("a decision's value must be an integer")
-        trace = cls()
         try:
-            trace._tags = array("b", [_TAG_OF[kind] for kind, _ in pairs])
+            tags = [_TAG_OF[kind] for kind, _ in pairs]
         except KeyError as exc:
             raise ValueError(f"unknown decision kind {exc}") from None
+        bad = [
+            index for index, (tag, value) in enumerate(zip(tags, values))
+            if not _LOW[tag] <= value <= _HIGH[tag]
+        ]
+        if bad:
+            tag = tags[bad[0]]
+            raise ValueError(
+                f"decision {bad[0]} ({_KIND_OF[tag]!r}) holds a value "
+                f"outside {_LOW[tag]}..{_HIGH[tag]}"
+            )
+        trace = cls()
+        trace._tags = array("b", tags)
         trace._values = array("q", values)
         return trace
 

@@ -128,6 +128,20 @@ class TestRuntimeEdges:
         assert result.status == "depth-bound"
 
 
+class IntChooser(Machine):
+    """Draws one ``nondet_int(4)`` and halts."""
+
+    chosen = None
+
+    class S(State):
+        initial = True
+        entry = "go"
+
+    def go(self):
+        type(self).chosen = self.nondet_int(4)
+        self.halt()
+
+
 class TestReplayEdges:
     def test_replay_of_empty_trace_terminates(self):
         from .machines import Ping
@@ -138,6 +152,15 @@ class TestReplayEdges:
         result = runtime.execute(Ping)
         assert result.status == "ok"
         assert strategy.diverged  # fell back to first-enabled
+
+    @pytest.mark.parametrize("recorded, diverged", [(3, False), (4, True), (99, True)])
+    def test_recorded_int_beyond_the_bound_diverges(self, recorded, diverged):
+        strategy = ReplayStrategy(ScheduleTrace([("sched", 0), ("int", recorded)]))
+        strategy.prepare_iteration()
+        result = BugFindingRuntime(strategy).execute(IntChooser)
+        assert result.status == "ok"
+        assert IntChooser.chosen == (recorded if not diverged else 0)
+        assert result.diverged is diverged
 
     def test_replay_with_garbage_machine_ids(self):
         from .machines import Ping

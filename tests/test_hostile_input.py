@@ -36,9 +36,13 @@ import pytest
 from hypothesis import given, settings
 
 from repro import PSharpError, StrategySpec, TestConfig
+from repro.bench import buggy_main
 from repro.errors import DocumentError
 from repro.testing import (
+    BugFindingRuntime,
     Campaign,
+    FaultConfig,
+    RandomStrategy,
     ScheduleTrace,
     TestReport,
     load_campaign,
@@ -386,6 +390,17 @@ NAMED = {
     "unknown-field": edited("widgets", value=1),
     "machine-that-is-not-text": edited("first_bug", "machine", value={"id": 3}),
 }
+#: A decision its kind cannot hold, each one past a boundary.
+OUT_OF_RANGE = {
+    "fault-outcome-past-crash": ["fault", 5],
+    "negative-fault-outcome": ["fault", -1],
+    "bool-of-two": ["bool", 2],
+    "negative-machine-id": ["sched", -1],
+    "reduction-reason-zero": ["reduction", 0],
+}
+NAMED.update(
+    (name, edited("first_bug", "trace", 0, value=pair)) for name, pair in OUT_OF_RANGE.items()
+)
 NAMED_TEXT = {
     "100000-open-brackets": "[" * 100_000,
     "3000-deep-sub-reports-as-text": None,  # built below: dumps recurses
@@ -431,6 +446,36 @@ def test_named_text_is_refused_with_the_typed_error(name, tmp_path):
         return  # refused by the frame parser already
     with pytest.raises(ProtocolError):
         decode_report(frame.get("report"))
+
+
+def faulty_german_trace():
+    """One German execution under every fault kind: its trace pairs."""
+    strategy = RandomStrategy(seed=3)
+    strategy.prepare_iteration()
+    runtime = BugFindingRuntime(
+        strategy, faults=FaultConfig(drop=0.05, duplicate=0.05, delay=0.1, crash=0.01),
+    )
+    pairs = runtime.execute(buggy_main("German")).trace.to_pairs()
+    assert ["fault", 0] in pairs
+    return pairs
+
+
+@pytest.mark.parametrize("value", [99, 7, 5, -1])
+def test_a_fault_outcome_with_no_code_is_refused_not_replayed(tmp_path, value):
+    pairs = faulty_german_trace()
+    pairs[pairs.index(["fault", 0])] = ["fault", value]
+    path = tmp_path / "edited.trace"
+    path.write_text(json.dumps(pairs), encoding="utf-8")
+    with pytest.raises(PSharpError, match=r"corrupt schedule trace: decision \d+ \('fault'\)"):
+        ScheduleTrace.load(path)
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+def test_a_value_out_of_its_kind_range_is_a_corrupt_trace(tmp_path, name):
+    path = tmp_path / "edited.trace"
+    path.write_text(json.dumps([["sched", 0], OUT_OF_RANGE[name]]), encoding="utf-8")
+    with pytest.raises(PSharpError, match=r"decision 1 \(.*\) holds a value outside"):
+        ScheduleTrace.load(path)
 
 
 def test_the_error_names_the_field_and_the_path_to_it():

@@ -69,8 +69,10 @@ def test_dfs_enumerates_all_leaves_exactly_once(arity, depth):
 # ---------------------------------------------------------------------------
 # Traces round-trip through JSON
 # ---------------------------------------------------------------------------
-decision = st.tuples(
-    st.sampled_from(["sched", "bool", "int"]), st.integers(min_value=0, max_value=50)
+decision = st.one_of(
+    st.tuples(st.sampled_from(["sched", "int"]), st.integers(min_value=0, max_value=50)),
+    st.tuples(st.just("bool"), st.integers(min_value=0, max_value=1)),
+    st.tuples(st.just("fault"), st.integers(min_value=0, max_value=4)),
 )
 
 

@@ -48,7 +48,7 @@ from repro.testing import (
 from repro.testing import checkpoint, engine, fleet, reporting
 from repro.testing.fleet import decode_report, encode_report, worker_loop
 from repro.testing.record import SUM, Record, field, record
-from repro.testing.trace import _KIND_OF, ScheduleTrace
+from repro.testing.trace import _HIGH, _KIND_OF, _LOW, ScheduleTrace
 
 from . import reference_report as reference
 
@@ -99,7 +99,10 @@ COUNT = st.integers(0, 10_000)
 NAME = st.sampled_from(["Server", "Client", "Timer", "ESync", "EAck", "Idle"])
 #: A small pool, so two operands of a merge find the same schedule.
 TRACES = st.lists(
-    st.tuples(st.sampled_from(_KIND_OF), st.integers(0, 3)), max_size=3
+    st.sampled_from(range(len(_KIND_OF))).flatmap(lambda tag: st.tuples(
+        st.just(_KIND_OF[tag]), st.integers(_LOW[tag], min(_HIGH[tag], 3))
+    )),
+    max_size=3,
 ).map(ScheduleTrace)
 
 

@@ -20,7 +20,8 @@ Four checks, all run by the CI docs lane:
     may mention an API this repo deleted (the engine shims, the
     thread-per-execution worker mode, the process-per-spec portfolio
     supervisor; under ``src/`` also the worker pool and the ``workers``
-    resolution): a doc or docstring must not
+    resolution, helpers that had no caller, and the second frame class
+    and fault consultation of the DFS stack): a doc or docstring must not
     teach a name that no longer imports.  ``CHANGES.md`` and
     ``ROADMAP.md`` are history and are not scanned.  Under ``src/`` the
     pickle and base64 codecs are removed names too — JSON is the only
@@ -218,6 +219,19 @@ REMOVED_FROM_SRC = (
             r"|\b_worker_retired\b|\bresolve_workers\b|\beffective_workers\b"
         ),
         "one carrier; threads per execution in testing.threads.ThreadedRuntime",
+    ),
+    (
+        re.compile(
+            r"\bevent_name\b|\bpayload_of\b|\bparam_names\b|\bfield_names\b"
+            r"|\bhandled_events\b|\bmachine_class\b|\bft_of\b"
+        ),
+        "nothing: these helpers had no caller",
+    ),
+    (
+        re.compile(
+            r"\b_DfsFrame\b|\b_DporFrame\b|\b_consult_(?:send|crash)_fault\b|\b_forced_base\b"
+        ),
+        "one strategies._Frame per choice point, one BugFindingRuntime._consult_fault",
     ),
 )
 
