@@ -4,7 +4,7 @@
 ``Campaign.portfolio()``: one worker process per strategy.  ``run_fleet``
 is the coordinator underneath it with the worker sources spelled out
 (``docs/protocol.md``): it streams work units to warm worker processes
-— local children forked from it, each on an inherited pipe pair, here,
+— local children forked from it, each on a socketpair of its own, here,
 but the identical protocol carries TCP workers attached from other
 shells or hosts with ``python -m repro submit``.  Workers heartbeat while busy;
 a worker that dies mid-shard has its shard re-queued, so the merged

@@ -28,12 +28,11 @@ Subcommands
     ``--port`` (``python -m repro worker`` / ``submit``), merge their
     reports, checkpoint progress.  See docs/protocol.md.
 
-``worker (--stdio | --host H --port P)``
-    One fleet worker process: handshake with a coordinator, run shards
-    until told to shut down.  ``serve --workers`` starts its own over
-    inherited pipes; remote hosts run this command (usually via
-    ``submit``), and ``--stdio`` is the entry point for any launcher
-    that hands the worker a pipe pair, such as ssh.
+``worker --host H --port P``
+    One fleet worker process: connect to a coordinator over TCP,
+    handshake, run shards until told to shut down.  ``serve --workers``
+    forks its own instead, each on a socketpair; remote hosts run this
+    command (usually via ``submit``).
 
 ``submit --host H --port P --workers N``
     Attach N worker processes to a running coordinator and wait for the
@@ -353,15 +352,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "worker", help="run one fleet worker process (docs/protocol.md)"
     )
     worker.add_argument(
-        "--stdio", action="store_true",
-        help="speak the protocol over stdin/stdout (for launchers that "
-        "hand the worker a pipe pair, such as ssh)",
+        "--host", required=True, help="coordinator host to connect to over TCP"
     )
     worker.add_argument(
-        "--host", help="coordinator host to connect to over TCP"
-    )
-    worker.add_argument(
-        "--port", type=int, metavar="PORT", help="coordinator port"
+        "--port", type=int, required=True, metavar="PORT",
+        help="coordinator port",
     )
     worker.add_argument(
         "--connect-timeout", type=float, default=10.0, metavar="SECONDS",
@@ -528,6 +523,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         report_json,
     )
 
+    if args.json and args.dot == "-":
+        raise PSharpError(
+            "--json and --dot - both write to stdout; send the digraph to a file"
+        )
     report = load_campaign(args.file)
     if args.json:
         print(json_module.dumps(report_json(report), indent=2, sort_keys=True))
@@ -601,22 +600,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    from .testing.fleet import Connection, connect_worker, worker_loop
+    from .testing.fleet import connect_worker, worker_loop
 
-    if args.stdio == (args.host is not None):
-        raise PSharpError("pass exactly one of --stdio or --host/--port")
-    if args.stdio:
-        # stdout is the protocol channel: keep its raw fd for frames and
-        # point fd 1 at stderr so any stray print() cannot corrupt it.
-        wire_out = os.dup(sys.stdout.fileno())
-        os.dup2(sys.stderr.fileno(), sys.stdout.fileno())
-        conn = Connection(sys.stdin.fileno(), wire_out, label="stdio")
-    else:
-        if args.port is None:
-            raise PSharpError("--host needs --port")
-        conn = connect_worker(
-            args.host, args.port, connect_timeout=args.connect_timeout
-        )
+    conn = connect_worker(
+        args.host, args.port, connect_timeout=args.connect_timeout
+    )
     try:
         completed = worker_loop(conn)
     finally:

@@ -54,12 +54,12 @@ CHECKPOINT_VERSION = 2
 #: (``strategy``, ``specs``, ``portfolio_workers``) is materialized once
 #: at campaign start and rides *inside* the checkpoint (the default mix
 #: draws fresh random seeds per call, so it is reused verbatim on resume,
-#: not regenerated); the rest say how long to wait, how to start workers
-#: and where to log.  Every other declared field is identity, a field
-#: added later included.  (``runtime_factory`` is not declared at all.)
+#: not regenerated); the rest say how long to wait and where to log.
+#: Every other declared field is identity, a field added later included.
+#: (``runtime_factory`` is not declared at all.)
 NOT_IDENTITY = frozenset({
     "strategy", "specs", "portfolio_workers", "time_limit",
-    "iteration_timeout", "start_method", "events_path",
+    "iteration_timeout", "events_path",
 })
 
 

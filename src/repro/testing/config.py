@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import multiprocessing
 import os
 from typing import Any, Callable, Dict, Optional, Tuple, Type, Union
 
@@ -91,7 +90,8 @@ def _fold_seed(spec: StrategySpec, seed: Optional[int]) -> StrategySpec:
 
 #: Bumped whenever the campaign JSON schema changes incompatibly; a
 #: reader only accepts files carrying exactly the version it speaks.
-CONFIG_SCHEMA_VERSION = 1
+#: Version 2 is version 1 without the local workers' start method.
+CONFIG_SCHEMA_VERSION = 2
 
 
 def _program(value: Any) -> TargetLike:
@@ -155,8 +155,8 @@ class TestConfig(Declared):
     Everything the runtime/strategy/monitor stack can be told rides in
     this one object, validated at construction; derive variations with
     :meth:`with_overrides` (frozen configs never mutate, so sharing one
-    across threads/processes is safe — picklability is what lets
-    portfolio workers receive their campaign spec by value).
+    across threads/processes is safe — forked portfolio workers inherit
+    their campaign spec by value).
 
     Each field is declared once, below, with its default and its rule
     (:mod:`repro.testing.record`); construction-time validation (a
@@ -204,10 +204,8 @@ class TestConfig(Declared):
         Advanced hook for substitute runtimes (the threaded carrier
         :class:`~repro.testing.threads.ThreadedRuntime`, the CHESS
         baseline),
-        used by campaigns and by replay alike; note a non-module-level
-        factory makes the config unpicklable (it crosses the process
-        boundary to portfolio workers under the ``spawn``/``forkserver``
-        start methods).
+        used by campaigns and by replay alike.  Portfolio workers are
+        forked, so they inherit it with the rest of the config.
     faults:
         A :class:`~repro.testing.faults.FaultConfig` arming deterministic
         fault injection.  ``None`` defers to the registry variant's fault
@@ -261,9 +259,6 @@ class TestConfig(Declared):
     monitors: Tuple[Type[Monitor], ...] = field(CLASSES)
     max_hot_steps: int = field(keep(POSITIVE), 1000)
     portfolio_workers: int = field(keep(POSITIVE), 4)
-    start_method: Optional[str] = field(
-        keep(optional(one_of(*multiprocessing.get_all_start_methods()))), None
-    )
     runtime_factory: Optional[Callable[..., Any]] = None
     faults: Optional[FaultConfig] = field(FAULTS, None)
     iteration_timeout: Optional[float] = field(keep(optional(DURATION)), None)

@@ -8,18 +8,18 @@ supervisor that does it: a **coordinator** (``Campaign.portfolio()``,
 campaign.json``) streams work units — shard index ×
 :class:`~repro.testing.portfolio.StrategySpec` — to **workers** (its own
 child processes, ``python -m repro worker`` / ``submit --host``) over a
-length-prefixed JSON protocol that runs identically over TCP sockets
-and stdio pipes.
+length-prefixed JSON protocol on one stream socket per worker.
 
 The wire format is specified normatively in ``docs/protocol.md``; the
 tests cite its section numbers.  The load-bearing choices:
 
-* **One framing, two transports.**  :class:`Connection` speaks 4-byte
-  big-endian length-prefixed UTF-8 JSON frames over a pair of raw file
-  descriptors, polled with ``select``.  A TCP socket and a
-  stdin/stdout pipe pair look identical above that line, so every
-  coordinator feature (requeue, cancel, heartbeats, telemetry
-  forwarding) is tested once and works for both.
+* **One framing, one kind of connection.**  :class:`Connection` speaks
+  4-byte big-endian length-prefixed UTF-8 JSON frames over one stream
+  socket, polled with ``select``: a TCP connection, or the end of a
+  ``socket.socketpair()`` a forked local worker inherits.  Both look
+  identical above that line, so every coordinator feature (requeue,
+  cancel, heartbeats, telemetry forwarding) is tested once and works
+  for both.
 * **Warm workers, batched specs.**  A worker process handshakes once,
   then runs *many* shards back to back — each shard constructs a fresh
   strategy from its plain-data spec, so there is no fork per spec and no
@@ -55,7 +55,6 @@ import time
 import traceback
 from typing import (
     TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Sequence, Set,
-    Tuple,
 )
 
 if TYPE_CHECKING:  # circular at runtime: config is the layer above
@@ -120,7 +119,8 @@ class ProtocolError(PSharpError):
 
 
 class ConnectionClosed(ProtocolError):
-    """The peer went away (EOF or a dead pipe/socket)."""
+    """The peer went away (EOF or a dead socket), or this side closed the
+    connection already."""
 
 
 # ---------------------------------------------------------------------------
@@ -139,65 +139,46 @@ def _encode_frame(message: Dict[str, Any]) -> bytes:
 
 
 class Connection:
-    """One framed-message peer over a pair of raw file descriptors.
+    """One framed-message peer over one stream socket.
 
-    Works identically for a TCP socket (both fds are the socket's) and a
-    pipe pair (a local worker's, or stdin/stdout) — reads go through
-    ``select`` + ``os.read`` with an internal reassembly buffer, so
-    partial frames, coalesced frames and timeouts behave the same on
-    both transports.  Single-threaded use only; the fleet never shares a
-    connection across threads.
+    The socket is a TCP connection or one end of the
+    ``socket.socketpair()`` a forked local worker shares with its
+    coordinator; the connection owns it and closes it.  Reads go through
+    ``select`` + ``recv`` with an internal reassembly buffer, so partial
+    frames, coalesced frames and timeouts behave the same on both.
+    Single-threaded use only; the fleet never shares a connection across
+    threads.
     """
 
-    def __init__(
-        self,
-        read_fd: int,
-        write_fd: int,
-        *,
-        sock: Optional[socket.socket] = None,
-        files: Optional[Tuple[Any, ...]] = None,
-        label: str = "",
-    ) -> None:
-        self._read_fd = read_fd
-        self._write_fd = write_fd
-        self._sock = sock  # kept alive (and closed) with the connection
-        # Objects that OWN the fds (e.g. a local worker's pipe ends).
-        # close() must go through them, never os.close() the raw
-        # numbers: a raw double-close races fd reuse and can tear down
-        # an unrelated socket that inherited the number.
-        self._files = files
+    def __init__(self, sock: socket.socket, label: str = "") -> None:
+        sock.setblocking(True)  # reads are select-gated, writes may block
+        self._sock = sock
         self._buffer = bytearray()
-        self.label = label or f"fd{read_fd}"
+        self.label = label or f"fd{sock.fileno()}"
         self.closed = False
 
     @classmethod
     def from_socket(cls, sock: socket.socket, label: str = "") -> "Connection":
-        sock.setblocking(True)  # reads are select-gated, writes may block
-        fd = sock.fileno()
-        return cls(fd, fd, sock=sock, label=label)
+        return cls(sock, label)
 
     def fileno(self) -> int:
-        return self._read_fd
+        return self._sock.fileno()
 
-    def filenos(self) -> Set[int]:
-        """Every descriptor this connection holds open."""
-        return {self._read_fd, self._write_fd}
+    def _closed_error(self) -> ConnectionClosed:
+        return ConnectionClosed(f"connection to {self.label} is closed")
 
     # -- sending -------------------------------------------------------
     def send(self, message: Dict[str, Any]) -> None:
         """Write one frame; raises :class:`ConnectionClosed` when the
         peer is gone (EPIPE/ECONNRESET)."""
         if self.closed:
-            raise ConnectionClosed(f"connection to {self.label} is closed")
-        view = memoryview(_encode_frame(message))
-        while view:
-            try:
-                written = os.write(self._write_fd, view)
-            except OSError as exc:
-                raise ConnectionClosed(
-                    f"peer {self.label} went away mid-send: {exc}"
-                ) from exc
-            view = view[written:]
+            raise self._closed_error()
+        try:
+            self._sock.sendall(_encode_frame(message))
+        except OSError as exc:
+            raise ConnectionClosed(
+                f"peer {self.label} went away mid-send: {exc}"
+            ) from exc
 
     # -- receiving -----------------------------------------------------
     def _parse_frame(self) -> Optional[Dict[str, Any]]:
@@ -232,19 +213,14 @@ class Connection:
         """Wait up to ``timeout`` for bytes (``None`` = forever); returns
         whether any arrived.  Raises :class:`ConnectionClosed` on EOF."""
         try:
-            ready, _, _ = select.select([self._read_fd], [], [], timeout)
-        except OSError as exc:
-            raise ConnectionClosed(
-                f"cannot poll {self.label}: {exc}"
-            ) from exc
-        if not ready:
-            return False
-        try:
-            chunk = os.read(self._read_fd, 65536)
+            ready, _, _ = select.select([self._sock], [], [], timeout)
+            chunk = self._sock.recv(65536) if ready else None
         except OSError as exc:
             raise ConnectionClosed(
                 f"peer {self.label} went away mid-read: {exc}"
             ) from exc
+        if chunk is None:
+            return False
         if not chunk:
             raise ConnectionClosed(f"peer {self.label} closed the connection")
         self._buffer.extend(chunk)
@@ -252,7 +228,12 @@ class Connection:
 
     def recv(self, timeout: Optional[float] = None) -> Optional[Dict[str, Any]]:
         """Next message, or ``None`` when ``timeout`` elapses first.
-        ``timeout=None`` blocks; ``timeout=0`` is a non-blocking poll."""
+        ``timeout=None`` blocks; ``timeout=0`` is a non-blocking poll.
+        On a connection this side closed — a peer dropped for its own
+        ``goodbye`` in the middle of a pump — it raises
+        :class:`ConnectionClosed`."""
+        if self.closed:
+            raise self._closed_error()
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             message = self._parse_frame()
@@ -270,26 +251,8 @@ class Connection:
         return self.recv(timeout=0.0)
 
     def close(self) -> None:
-        if self.closed:
-            return
         self.closed = True
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-        elif self._files is not None:
-            for fh in self._files:
-                try:
-                    fh.close()
-                except OSError:
-                    pass
-        else:
-            for fd in self.filenos():
-                try:
-                    os.close(fd)
-                except OSError:
-                    pass
+        self._sock.close()
 
 
 # ---------------------------------------------------------------------------
@@ -556,20 +519,18 @@ def worker_loop(
 
 
 def _local_worker(
-    reader: Any, writer: Any, inherited: Sequence[int], config: "TestConfig"
+    sock: socket.socket, inherited: Sequence[int], config: "TestConfig"
 ) -> None:
-    """Process target of one coordinator-started worker (§1): speak the
-    worker half of the protocol over the pipe pair ``reader``/``writer``.
+    """Process target of one coordinator-forked worker (§1): speak the
+    worker half of the protocol over ``sock``, its end of a socketpair.
 
-    ``config`` crosses the process boundary by value — inherited under
-    ``fork``, pickled under ``spawn``/``forkserver`` (so a
-    ``runtime_factory`` it carries must then be module-level) — which is
-    why a local campaign may hold what campaign JSON refuses: a runtime
-    factory, a function-local program class, a non-JSON payload.
+    ``config`` is inherited by value, which is why a local campaign may
+    hold what campaign JSON refuses: a runtime factory, a function-local
+    program class, a non-JSON payload.
 
-    ``inherited`` are the coordinator's own descriptors a *forked* child
-    holds copies of — other peers' connections, the parent's ends of this
-    very pipe pair, the TCP listener, the event log.  They are closed
+    ``inherited`` are the coordinator's own descriptors the child holds
+    copies of — other peers' connections, the coordinator's end of this
+    very socketpair, the TCP listener, the event log.  They are closed
     first: a copy kept open here would hide EOF from whoever is at the
     other end (a peer the coordinator dropped, or this worker itself once
     the coordinator is gone).
@@ -583,10 +544,7 @@ def _local_worker(
                 os.close(fd)
             except OSError:
                 pass
-        worker_loop(
-            Connection(reader.fileno(), writer.fileno(), label="coordinator"),
-            config=config,
-        )
+        worker_loop(Connection(sock, "coordinator"), config=config)
         code = 0
     except (ConnectionClosed, KeyboardInterrupt):
         pass  # the coordinator is gone or interrupted; it reports, not us
@@ -599,19 +557,6 @@ def _local_worker(
 # ---------------------------------------------------------------------------
 # Coordinator side (§3–§7)
 # ---------------------------------------------------------------------------
-def worker_context(config: "TestConfig") -> Any:
-    """The ``multiprocessing`` context the coordinator's own workers
-    start from: ``config.start_method``, defaulting to ``fork`` (workers
-    share the already-imported program modules and compiled machine
-    classes) where the platform has it and to the platform default
-    elsewhere."""
-    start_method = config.start_method
-    if start_method is None:
-        methods = multiprocessing.get_all_start_methods()
-        start_method = "fork" if "fork" in methods else methods[0]
-    return multiprocessing.get_context(start_method)
-
-
 def _reap(children: Sequence[Any], window: float) -> None:
     """Collect every local worker process.  All of them share one
     ``window`` of seconds to exit on their own, the stragglers one more
@@ -641,7 +586,7 @@ class _Peer:
         self,
         conn: Connection,
         *,
-        proc: Any = None,  # multiprocessing Process of a local worker
+        proc: Any = None,  # the forked Process of a local worker
         slot: Optional[int] = None,
     ) -> None:
         self.conn = conn
@@ -652,6 +597,9 @@ class _Peer:
         self.slot = slot
         self.pid: Optional[int] = None
         self.results = 0  # result frames this peer delivered
+
+    def fileno(self) -> int:  # the coordinator selects over peers
+        return self.conn.fileno()
 
 
 def run_fleet(
@@ -671,10 +619,9 @@ def run_fleet(
     Work sources: a TCP listener on ``host:port`` (``port=0`` binds an
     ephemeral port, reported through ``on_listen``) accepting remote
     ``python -m repro worker`` processes, and/or ``local_workers`` worker
-    processes started (and respawned, bounded) directly: children of the
-    ``config.start_method`` multiprocessing context, each on a pipe pair
-    of its own, never more of them than there are shards to run.  Where
-    that is ``fork`` they inherit the resolved program and compiled main
+    processes started (and respawned, bounded) directly: forked from it,
+    each on a socketpair of its own, never more of them than there are
+    shards to run.  They inherit the resolved program and compiled main
     machine class and are ready within milliseconds; every one is joined
     before this returns.  At least one source is required.
 
@@ -757,7 +704,6 @@ def run_fleet(
         start + config.time_limit if config.time_limit is not None else None
     )
     hard_stop: Optional[float] = None
-    ctx = worker_context(config)
 
     listener: Optional[socket.socket] = None
     if port is not None:
@@ -797,35 +743,22 @@ def run_fleet(
             )
 
     def spawn_local(slot: int) -> None:
-        """Start one local worker on a fresh pipe pair (§1)."""
-        work_r, work_w = ctx.Pipe(duplex=False)  # coordinator -> worker
-        back_r, back_w = ctx.Pipe(duplex=False)  # worker -> coordinator
-        inherited: List[int] = []
-        if ctx.get_start_method() == "fork":
-            # Only a forked child holds copies of our descriptors; a
-            # spawned one is handed its pipe pair and nothing else.
-            inherited = [work_w.fileno(), back_r.fileno()]
-            for peer in peers:
-                inherited.extend(peer.conn.filenos())
-            if listener is not None:
-                inherited.append(listener.fileno())
-            if events is not None:
-                inherited.append(events.fileno())
-        proc = ctx.Process(
+        """Fork one local worker onto a fresh socketpair (§1)."""
+        ours, theirs = socket.socketpair()
+        inherited = [ours.fileno(), *(peer.fileno() for peer in peers)]
+        if listener is not None:
+            inherited.append(listener.fileno())
+        if events is not None:
+            inherited.append(events.fileno())
+        proc = multiprocessing.get_context("fork").Process(
             target=_local_worker,
-            args=(work_r, back_w, inherited, worker_config),
+            args=(theirs, inherited, worker_config),
             daemon=True,
             name=f"fleet-worker-{slot}",
         )
         proc.start()
-        work_r.close()
-        back_w.close()
-        conn = Connection(
-            back_r.fileno(),
-            work_w.fileno(),
-            files=(back_r, work_w),
-            label=f"local-{slot}(pid {proc.pid})",
-        )
+        theirs.close()
+        conn = Connection(ours, f"local-{slot}(pid {proc.pid})")
         peer = _Peer(conn, proc=proc, slot=slot)
         peers.append(peer)
         local_peers.append(peer)
@@ -1002,6 +935,18 @@ def run_fleet(
             drop(peer, "goodbye", clean=True)
         # heartbeat: last_seen is already stamped
 
+    def pump(peer: _Peer) -> None:
+        """Handle every frame ``peer`` has sent so far; drop it when its
+        connection breaks or it breaks the protocol."""
+        try:
+            while True:
+                message = peer.conn.poll()
+                if message is None:
+                    return
+                handle(peer, message)
+        except ProtocolError as exc:  # ConnectionClosed included
+            drop(peer, str(exc))
+
     timed_out = False
     try:
         emit(
@@ -1023,8 +968,8 @@ def run_fleet(
             spawn_local(slot)
 
         # is_alive() is a waitpid syscall per local peer: asked on the
-        # select tick, not on every loop turn (a dead worker's pipe
-        # reports EOF at once; this is for a pipe a grandchild holds open).
+        # select tick, not on every loop turn (a dead worker's socket
+        # reports EOF at once; this is for one a grandchild holds open).
         next_liveness_check = 0.0
         while True:
             now = time.monotonic()
@@ -1055,50 +1000,22 @@ def run_fleet(
                     emit("fleet_shard_abandoned", shard=shard, requeues=requeues.get(shard, 0))
                 continue
 
-            read_fds: List[Any] = [p.conn for p in peers]
-            if listener is not None:
-                read_fds.append(listener)
-            try:
-                ready, _, _ = select.select(read_fds, [], [], LIVENESS_TICK)
-            except (OSError, ValueError):
-                # A bad fd in the set: probe each source individually so
-                # one torn-down peer cannot wedge the whole loop.
-                for peer in list(peers):
-                    try:
-                        select.select([peer.conn], [], [], 0)
-                    except (OSError, ValueError):
-                        drop(peer, "connection descriptor went bad")
-                if listener is not None:
-                    try:
-                        select.select([listener], [], [], 0)
-                    except (OSError, ValueError):
-                        listener = None
-                continue
-
+            # A peer leaves `peers` before its connection closes, so every
+            # descriptor selected here is open.
+            sources: List[Any] = [*peers, *([listener] if listener else [])]
+            ready, _, _ = select.select(sources, [], [], LIVENESS_TICK)
             for source in ready:
-                if source is listener:
-                    while True:
-                        try:
-                            sock, addr = listener.accept()
-                        except (BlockingIOError, OSError):
-                            break
-                        conn = Connection.from_socket(
-                            sock, label=f"{addr[0]}:{addr[1]}"
-                        )
-                        peers.append(_Peer(conn))
-                        emit("fleet_worker_connect", worker=conn.label)
+                if source is not listener:
+                    pump(source)
                     continue
-                peer = next((p for p in peers if p.conn is source), None)
-                if peer is None:
-                    continue
-                try:
-                    while True:
-                        message = peer.conn.poll()
-                        if message is None:
-                            break
-                        handle(peer, message)
-                except (ConnectionClosed, ProtocolError) as exc:
-                    drop(peer, str(exc))
+                while True:
+                    try:
+                        sock, addr = listener.accept()
+                    except OSError:  # BlockingIOError: none left
+                        break
+                    conn = Connection(sock, f"{addr[0]}:{addr[1]}")
+                    peers.append(_Peer(conn))
+                    emit("fleet_worker_connect", worker=conn.label)
 
             now = time.monotonic()
             check_liveness = now >= next_liveness_check
@@ -1119,7 +1036,7 @@ def run_fleet(
                     and not peer.proc.is_alive()
                 ):
                     # A dead local process also surfaces as EOF on its
-                    # pipe, but reap it promptly even if the pipe
+                    # socket, but reap it promptly even if the socket
                     # lingers open in a grandchild.
                     drop(
                         peer,
@@ -1138,24 +1055,9 @@ def run_fleet(
         # Short drain so busy workers can flush partial shard reports.
         drain_until = time.monotonic() + min(grace, 2.0)
         while busy_peers() and time.monotonic() < drain_until:
-            try:
-                ready, _, _ = select.select(
-                    [p.conn for p in peers], [], [], 0.1
-                )
-            except (OSError, ValueError):
-                break
-            for source in ready:
-                peer = next((p for p in peers if p.conn is source), None)
-                if peer is None:
-                    continue
-                try:
-                    while True:
-                        message = peer.conn.poll()
-                        if message is None:
-                            break
-                        handle(peer, message)
-                except (ConnectionClosed, ProtocolError) as exc:
-                    drop(peer, str(exc))
+            ready, _, _ = select.select(peers, [], [], 0.1)
+            for peer in ready:
+                pump(peer)
     finally:
         for peer in peers:
             try:

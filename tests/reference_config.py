@@ -8,7 +8,9 @@ the literal dict of ``to_json_obj``, in ``from_json_obj``'s ladder and in
 (:mod:`repro.testing.record`) and derive all of it.  The bodies below are
 the deleted code verbatim — ``self`` / ``cls`` became the first argument,
 ``StrategySpec.to_obj`` / ``from_obj`` became ``spec_to_obj`` /
-``spec_from_obj``; nothing else changed.  ``tests/test_campaign_schema.py``
+``spec_from_obj``; nothing else changed, but for the lines of the local
+workers' start-method field, deleted from both codecs together with the
+field (campaign JSON version 2).  ``tests/test_campaign_schema.py``
 holds the table-driven codec against them on generated configs (the
 ``reference_report.py`` / ``reference_taint.py`` pattern).
 """
@@ -41,7 +43,6 @@ _JSON_FIELDS = (
     "monitors",
     "max_hot_steps",
     "portfolio_workers",
-    "start_method",
     "faults",
     "iteration_timeout",
     "coverage",
@@ -198,7 +199,6 @@ def to_json_obj(self) -> Dict[str, Any]:
         "monitors": [_class_path(m, "monitor") for m in self.monitors],
         "max_hot_steps": self.max_hot_steps,
         "portfolio_workers": self.portfolio_workers,
-        "start_method": self.start_method,
         "faults": faults,
         "iteration_timeout": self.iteration_timeout,
         "coverage": self.coverage,

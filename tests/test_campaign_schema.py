@@ -46,7 +46,9 @@ SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
 
 def golden_config():
     """Every field off its default.  ``tests/golden_campaign.json`` is
-    what ``golden_config().save(...)`` wrote at the parent commit."""
+    what ``golden_config().save(...)`` wrote at the parent commit, less
+    the start-method line and with ``version`` 2: the one schema change
+    since the file was written deleted that field."""
     return TestConfig(
         program="tests.machines:Ping",
         payload={"rounds": 3, "names": ["a", "b"], "nested": {"z": None, "a": 1.5}},
@@ -59,7 +61,7 @@ def golden_config():
         seed=7, max_iterations=123, time_limit=45.5, max_steps=999,
         stop_on_first_bug=False, livelock_as_bug=True, record_traces=False,
         workers="inline", monitors=(ElectionSafetyMonitor,), max_hot_steps=77,
-        portfolio_workers=3, start_method="spawn",
+        portfolio_workers=3,
         faults=FaultConfig(
             drop=0.1, duplicate=0.2, delay=0.3, crash=0.05,
             persistent_state=False, max_faults=5, crash_classes=(Ping,),
@@ -125,7 +127,6 @@ CONFIGS = st.fixed_dictionaries(
         "monitors": st.lists(st.just(ElectionSafetyMonitor), max_size=1),
         "max_hot_steps": st.integers(1, 5000),
         "portfolio_workers": st.integers(1, 9),
-        "start_method": st.sampled_from([None, "fork", "spawn"]),
         "faults": st.one_of(st.none(), FAULTS),
         "iteration_timeout": st.one_of(st.none(), DURATIONS),
         "coverage": st.booleans(),
@@ -181,7 +182,7 @@ def test_golden_campaign_is_byte_identical(tmp_path):
     golden_config().save(tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == GOLDEN.read_bytes()
     assert TestConfig.load(GOLDEN) == golden_config()
-    assert json.loads(text)["version"] == 1
+    assert json.loads(text)["version"] == 2
 
 
 @pytest.mark.parametrize("dropped", [name for name, _ in TestConfig.FIELDS])
@@ -242,7 +243,6 @@ def test_documented_campaign_files_load_as_they_did(where):
 MISTYPED = {
     "max_iterations": (5.5, "TestConfig.max_iterations: expected integer >= 1, got 5.5"),
     "seed": ("abc", "TestConfig.seed: expected integer or null, got 'abc'"),
-    "start_method": ("bogus", "TestConfig.start_method: expected one of .* or null, got 'bogus'"),
     "coverage": ("no", "TestConfig.coverage: expected boolean, got 'no'"),
     "stop_on_first_bug": ("false", "TestConfig.stop_on_first_bug: expected boolean, got 'false'"),
     "max_steps": (True, "TestConfig.max_steps: expected integer >= 1, got True"),
@@ -258,13 +258,13 @@ MISTYPED = {
 def test_a_mistyped_field_is_one_typed_line_never_a_coercion(name, tmp_path):
     value, message = MISTYPED[name]
     with pytest.raises(PSharpError, match=message) as document_error:
-        TestConfig.from_json_obj({"version": 1, "program": "Raft", name: value})
+        TestConfig.from_json_obj({"version": 2, "program": "Raft", name: value})
     assert "\n" not in str(document_error.value)
     with pytest.raises(PSharpError, match=message) as constructor_error:
         TestConfig("Raft", **{name: value})
     assert str(constructor_error.value) == str(document_error.value)
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"version": 1, "program": "Raft", name: value}))
+    path.write_text(json.dumps({"version": 2, "program": "Raft", name: value}))
     with pytest.raises(PSharpError, match=message):
         TestConfig.load(path)
 
@@ -272,7 +272,7 @@ def test_a_mistyped_field_is_one_typed_line_never_a_coercion(name, tmp_path):
 def test_nested_errors_name_the_path_to_the_field():
     with pytest.raises(DocumentError) as info:
         TestConfig.from_json_obj(
-            {"version": 1, "program": "Raft", "faults": {"crash": 2}}
+            {"version": 2, "program": "Raft", "faults": {"crash": 2}}
         )
     assert str(info.value) == (
         "TestConfig.faults: FaultConfig.crash: expected number in [0, 1], got 2"
@@ -280,7 +280,7 @@ def test_nested_errors_name_the_path_to_the_field():
     with pytest.raises(DocumentError, match=r"TestConfig.specs: StrategySpec.params: "):
         TestConfig("Raft", specs=[{"name": "pct", "params": [1]}])
     with pytest.raises(DocumentError, match="TestConfig: field 'program' is missing"):
-        TestConfig.from_json_obj({"version": 1})
+        TestConfig.from_json_obj({"version": 2})
     with pytest.raises(ValueError, match="FaultConfig.max_faults: expected integer >= 0"):
         FaultConfig(max_faults=1.0)
     with pytest.raises(PSharpError, match="StrategySpec.name: expected string, got 3"):
@@ -305,7 +305,7 @@ def test_a_field_added_in_one_line_validates_ships_and_fingerprints():
     assert document["retries"] == 3
     assert Extended.from_json_obj(document) == config
     assert Extended.from_json(config.to_json()) == config
-    assert Extended.from_json_obj({"version": 1, "program": "Raft"}).retries == 0
+    assert Extended.from_json_obj({"version": 2, "program": "Raft"}).retries == 0
     with pytest.raises(PSharpError, match="Extended.retries"):
         Extended.from_json_obj({**document, "retries": True})
     with pytest.raises(PSharpError, match="unknown field.*'retries'"):
@@ -333,7 +333,7 @@ BLIND_AT_THE_PARENT = {
 }
 NOT_IDENTITY_VALUES = {
     "strategy": "dfs", "specs": ("dfs",), "portfolio_workers": 2, "time_limit": 3,
-    "iteration_timeout": 2.0, "start_method": "spawn", "events_path": "/tmp/x",
+    "iteration_timeout": 2.0, "events_path": "/tmp/x",
 }
 
 
@@ -385,3 +385,18 @@ def test_a_config_that_cannot_serialize_still_fingerprints():
     assert config_fingerprint(TestConfig("Raft", payload={"a": 1, "b": 2})) == (
         config_fingerprint(TestConfig("Raft", payload={"b": 2, "a": 1}))
     )
+
+
+#: ``config_fingerprint`` as the build that still had a start-method field
+#: computed it.  That field was never identity, so a checkpoint written
+#: then resumes now: these digests must not move when a field that is not
+#: identity comes or goes.
+PINNED_FINGERPRINTS = {
+    "golden": "4c192f9ed0e54f726c691ea13986925e4c0727fccfbb5ae8288034ebf145ed3d",
+    "Raft": "9af21e97de2e75c5680b0bf3ace38461c0d487df7fc4cbf25da16383f9dd8f8a",
+}
+
+
+def test_the_fingerprint_is_pinned_across_commits():
+    assert config_fingerprint(golden_config()) == PINNED_FINGERPRINTS["golden"]
+    assert config_fingerprint(TestConfig("Raft")) == PINNED_FINGERPRINTS["Raft"]

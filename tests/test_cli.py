@@ -160,6 +160,30 @@ class TestTestCommand:
         assert "not both" in proc.stderr
 
 
+class TestReportCommand:
+    def test_json_and_a_stdout_digraph_are_refused_together(self, tmp_path):
+        # Two documents on one stdout parse as neither: refused in one line.
+        saved = tmp_path / "campaign.report"
+        proc = run_cli(
+            "test", "BoundedAsync", "--max-iterations", "5", "--seed", "7",
+            "--coverage-report", str(saved),
+        )
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+        refused = run_cli("report", str(saved), "--json", "--dot", "-")
+        assert refused.returncode == 2
+        assert refused.stdout == ""
+        assert refused.stderr.startswith("error: --json and --dot - ")
+        assert len(refused.stderr.strip().splitlines()) == 1
+        # Each alone, or the digraph to a file next to the JSON, still works.
+        dot = tmp_path / "campaign.dot"
+        both = run_cli("report", str(saved), "--json", "--dot", str(dot))
+        assert both.returncode == 0, both.stderr
+        assert both.stdout.startswith("{")
+        assert dot.read_text(encoding="utf-8").startswith("digraph")
+        alone = run_cli("report", str(saved), "--dot", "-")
+        assert alone.returncode == 0 and alone.stdout.startswith("digraph")
+
+
 class TestMainInProcess:
     """The same flows through ``repro.__main__.main`` directly — fast,
     and visible to in-process coverage measurement."""
@@ -254,7 +278,7 @@ class TestConfigFile:
         path = self._write(
             tmp_path,
             {
-                "version": 1,
+                "version": 2,
                 "program": "BoundedAsync",
                 "strategy": "random",
                 "seed": 7,
@@ -267,7 +291,7 @@ class TestConfigFile:
 
     def test_unknown_field_exits_2(self, tmp_path):
         path = self._write(
-            tmp_path, {"version": 1, "program": "Raft", "max_iteratons": 5}
+            tmp_path, {"version": 2, "program": "Raft", "max_iteratons": 5}
         )
         proc = run_cli("test", "--config", str(path))
         assert proc.returncode == 2
@@ -275,7 +299,7 @@ class TestConfigFile:
 
     def test_spawn_workers_in_a_campaign_file_exits_2(self, tmp_path):
         path = self._write(
-            tmp_path, {"version": 1, "program": "Raft", "workers": "spawn"}
+            tmp_path, {"version": 2, "program": "Raft", "workers": "spawn"}
         )
         proc = run_cli("test", "--config", str(path))
         assert proc.returncode == 2
@@ -283,8 +307,19 @@ class TestConfigFile:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
 
-    def test_target_and_config_conflict(self, tmp_path):
+    def test_a_version_1_campaign_file_is_refused_in_one_line(self, tmp_path):
+        # Version 1 had the local workers' start method; a file of it is
+        # named as such, never read as if it were the current schema.
         path = self._write(tmp_path, {"version": 1, "program": "Raft"})
+        proc = run_cli("test", "--config", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"error: {path}: campaign JSON is schema version 1; "
+            "this build reads version 2\n"
+        )
+
+    def test_target_and_config_conflict(self, tmp_path):
+        path = self._write(tmp_path, {"version": 2, "program": "Raft"})
         proc = run_cli("test", "BoundedAsync", "--config", str(path))
         assert proc.returncode == 2
         assert "exactly one" in proc.stderr
@@ -295,7 +330,7 @@ class TestConfigFile:
         assert "exactly one" in proc.stderr
 
     def test_strategy_flag_conflicts_with_config(self, tmp_path):
-        path = self._write(tmp_path, {"version": 1, "program": "Raft"})
+        path = self._write(tmp_path, {"version": 2, "program": "Raft"})
         proc = run_cli("test", "--config", str(path), "--strategy", "dfs")
         assert proc.returncode == 2
         assert "--strategy" in proc.stderr
@@ -304,7 +339,7 @@ class TestConfigFile:
         # The file alone: BoundedAsync's bug at schedule 13, one backend line.
         path = self._write(
             tmp_path,
-            {"version": 1, "program": "BoundedAsync", "seed": 7, "max_iterations": 200},
+            {"version": 2, "program": "BoundedAsync", "seed": 7, "max_iterations": 200},
         )
         alone = run_cli("test", "--config", str(path))
         assert alone.returncode == 0, alone.stderr + alone.stdout
@@ -367,12 +402,12 @@ class TestConfigFile:
         )
 
     @pytest.mark.parametrize("field, value", [
-        ("max_iterations", 5.5), ("seed", "abc"), ("start_method", "bogus"),
+        ("max_iterations", 5.5), ("seed", "abc"), ("reduction", "bogus"),
         ("coverage", "no"), ("stop_on_first_bug", "false"),
     ])
     def test_a_mistyped_campaign_field_exits_2_in_one_line(self, tmp_path, field, value):
         path = self._write(
-            tmp_path, {"version": 1, "program": "BoundedAsync", field: value}
+            tmp_path, {"version": 2, "program": "BoundedAsync", field: value}
         )
         for command in (("test",), ("replay", "--trace", str(path)), ("serve", "--workers", "1")):
             proc = run_cli(command[0], "--config", str(path), *command[1:])
@@ -386,7 +421,7 @@ class TestConfigFile:
         path = self._write(
             tmp_path,
             {
-                "version": 1, "program": "TokenRing", "strategy": "fair-random",
+                "version": 2, "program": "TokenRing", "strategy": "fair-random",
                 "seed": 1, "max_hot_steps": 100,
             },
         )

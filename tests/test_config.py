@@ -586,8 +586,10 @@ class TestRemovedSurface:
             assert not hasattr(repro, name)
             assert name not in repro.testing.__all__
 
-    def test_config_still_has_its_23_fields(self):
-        assert len(dataclasses.fields(TestConfig)) == 23
+    def test_config_has_its_22_fields_and_no_start_method(self):
+        # Local workers are always forked: nothing left to choose.
+        names = [f.name for f in dataclasses.fields(TestConfig)]
+        assert len(names) == 22 and "start_method" not in names
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +640,7 @@ class TestConfigJson:
     def test_cli_style_strategy_strings_accepted(self):
         restored = TestConfig.from_json_obj(
             {
-                "version": 1,
+                "version": 2,
                 "program": "BoundedAsync",
                 "strategy": "pct,depth=10",
                 "specs": ["random,seed=1", "dfs"],
@@ -653,7 +655,7 @@ class TestConfigJson:
     def test_unknown_field_is_loud(self):
         with pytest.raises(PSharpError, match="unknown field.*'max_iteratons'"):
             TestConfig.from_json_obj(
-                {"version": 1, "program": "Raft", "max_iteratons": 5}
+                {"version": 2, "program": "Raft", "max_iteratons": 5}
             )
 
     def test_missing_version_is_loud(self):
@@ -667,7 +669,7 @@ class TestConfigJson:
     def test_unknown_fault_field_is_loud(self):
         with pytest.raises(PSharpError, match="TestConfig.faults: FaultConfig: unknown.*'dorp'"):
             TestConfig.from_json_obj(
-                {"version": 1, "program": "Raft", "faults": {"dorp": 0.1}}
+                {"version": 2, "program": "Raft", "faults": {"dorp": 0.1}}
             )
 
     def test_runtime_factory_refuses_to_serialize(self):
@@ -692,7 +694,7 @@ class TestConfigJson:
     def test_unimportable_monitor_is_loud(self):
         with pytest.raises(PSharpError, match="TestConfig.monitors: cannot import"):
             TestConfig.from_json_obj(
-                {"version": 1, "program": "Raft", "monitors": ["nope.not:There"]}
+                {"version": 2, "program": "Raft", "monitors": ["nope.not:There"]}
             )
 
     def test_corrupt_file_is_loud(self, tmp_path):
@@ -704,5 +706,5 @@ class TestConfigJson:
     def test_wrong_scalar_type_is_loud(self):
         with pytest.raises(PSharpError):
             TestConfig.from_json_obj(
-                {"version": 1, "program": "Raft", "max_iterations": "ten"}
+                {"version": 2, "program": "Raft", "max_iterations": "ten"}
             )

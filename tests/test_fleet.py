@@ -41,9 +41,7 @@ from repro.testing.fleet import (
     ConnectionClosed,
     ProtocolError,
     _encode_frame,
-    decode_report,
     run_fleet,
-    worker_environment,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -230,12 +228,29 @@ class TestFraming:
         assert time.monotonic() - start < 2.0
         a.close(), b.close()
 
+    def test_a_read_after_close_raises_connection_closed(self):
+        # The coordinator drops a peer for its own `goodbye` in the middle
+        # of a pump, then polls it once more: that poll must end the pump
+        # the way any lost connection does, not with select's ValueError.
+        a, b, _ = socket_pair()
+        b.send({"type": "goodbye"})
+        b.send({"type": "heartbeat", "shard": 0})
+        assert a.recv(timeout=5.0) == {"type": "goodbye"}
+        a.close()
+        a.close()  # idempotent
+        for read in (a.poll, lambda: a.recv(timeout=None)):
+            with pytest.raises(ConnectionClosed, match="is closed"):
+                read()
+        with pytest.raises(ConnectionClosed, match="is closed"):
+            a.send({"type": "heartbeat", "shard": 0})
+        b.close()
+
 
 # ---------------------------------------------------------------------------
 # Transport parity + the acceptance property
 # ---------------------------------------------------------------------------
 class TestFleetMatchesPortfolio:
-    def test_stdio_fleet_equals_local_portfolio(self):
+    def test_forked_fleet_equals_local_portfolio(self):
         config = fleet_config()
         fleet = run_fleet(config, local_workers=2)
         local = Campaign(config).portfolio()
@@ -244,9 +259,9 @@ class TestFleetMatchesPortfolio:
         assert len(fleet.sub_reports) == len(FOUR_SHARDS)
         assert fleet.strategy == "fleet"
 
-    def test_socket_fleet_equals_stdio_fleet(self):
-        # The same campaign over both transports merges identically —
-        # the framing layer is the only thing that differs (§2).
+    def test_tcp_fleet_equals_forked_fleet(self):
+        # The same campaign over TCP workers and over forked workers on
+        # socketpairs merges identically (§1).
         config = fleet_config()
         ports = []
         thread, box = start_fleet(
@@ -259,9 +274,9 @@ class TestFleetMatchesPortfolio:
         finally:
             for proc in workers:
                 proc.communicate(timeout=30)
-        stdio_report = run_fleet(config, local_workers=2)
-        assert fingerprints(socket_report) == fingerprints(stdio_report)
-        assert socket_report.iterations == stdio_report.iterations
+        forked_report = run_fleet(config, local_workers=2)
+        assert fingerprints(socket_report) == fingerprints(forked_report)
+        assert socket_report.iterations == forked_report.iterations
         assert all(proc.returncode == 0 for proc in workers)
 
     def test_first_bug_wins_cancels_fleet(self):
@@ -439,27 +454,24 @@ def reapable_child():
 
 
 class TestLocalWorkers:
-    """§1: local workers are started from the coordinator through
-    ``config.start_method`` (fork by default) on inherited pipe pairs."""
+    """§1: local workers are forked from the coordinator, each onto a
+    socketpair of its own."""
 
-    def test_forked_fleet_equals_in_process_run_and_spawned_fleet(self):
+    def test_forked_fleet_equals_in_process_run(self):
         specs = tuple(
             StrategySpec("random", {"seed": seed}) for seed in range(40)
         )
         config = fleet_config(specs=specs, max_iterations=5)
         forked = run_fleet(config, local_workers=2)
-        spawned = run_fleet(
-            config.with_overrides(start_method="spawn"), local_workers=2
-        )
         in_process = [
             Campaign(config.with_overrides(specs=None, strategy=spec)).run()
             for spec in specs
         ]
         reference = set().union(*map(fingerprints, in_process))
         assert reference, "the comparison needs bugs to compare"
-        assert forked.iterations == spawned.iterations == 40 * 5
+        assert forked.iterations == 40 * 5
         assert forked.iterations == sum(r.iterations for r in in_process)
-        assert fingerprints(forked) == fingerprints(spawned) == reference
+        assert fingerprints(forked) == reference
         assert [sub.iterations for sub in forked.sub_reports] == [5] * 40
 
     def test_run_fleet_leaves_no_descriptor_child_or_output(
@@ -776,71 +788,22 @@ class TestFleetCli:
         assert serve.returncode == 0, stdout + stderr
         assert sorted(load_checkpoint(ckpt)["completed"]) == [0, 1, 2, 3]
 
-    def test_stdio_worker_serves_a_foreign_launcher(self):
-        # §1: `worker --stdio` is the entry point for launchers that hand
-        # the worker a pipe pair (ssh, a container runtime); the
-        # coordinator's own local workers no longer go through it, so
-        # drive it here with a hand-rolled coordinator half.
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker", "--stdio"],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            bufsize=0,
-            env=worker_environment(),
-            cwd=ROOT,
-        )
-        conn = Connection(
-            proc.stdout.fileno(),
-            proc.stdin.fileno(),
-            files=(proc.stdout, proc.stdin),
-            label="stdio worker",
-        )
-        try:
-            hello = conn.recv(timeout=30.0)
-            assert hello["type"] == "hello"
-            assert hello["protocol"] == PROTOCOL_VERSION
-            assert hello["pid"] == proc.pid
-            config = fleet_config(max_iterations=7)
-            conn.send(
-                {
-                    "type": "welcome",
-                    "protocol": PROTOCOL_VERSION,
-                    "config": config.to_json_obj(),
-                    "events": False,
-                }
-            )
-            conn.send(
-                {
-                    "type": "work",
-                    "shard": 3,
-                    "spec": {"name": "random", "params": {"seed": 1}},
-                    "time_limit": None,
-                }
-            )
-            while True:
-                message = conn.recv(timeout=30.0)
-                if message["type"] != "heartbeat":
-                    break
-            assert message["type"] == "result" and message["shard"] == 3
-            assert decode_report(message["report"]).iterations == 7
-            conn.send({"type": "shutdown"})
-            assert conn.recv(timeout=30.0) == {"type": "goodbye"}
-            stderr = proc.stderr.read().decode()
-            assert proc.wait(timeout=30) == 0
-        finally:
-            conn.close()
-            proc.stderr.close()
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-        assert stderr == "worker: 1 shard(s) completed\n"
+    def test_a_stdio_worker_is_refused_in_one_line(self):
+        # §1: a worker reaches its coordinator over TCP only.  The flag
+        # that served it stdin/stdout is gone: exit 2, one error line.
+        for args in (("--stdio",), ("--stdio", "--host", "127.0.0.1", "--port", "1")):
+            proc = run_cli_process("worker", *args)
+            stdout, stderr = proc.communicate(timeout=30)
+            assert proc.returncode == 2
+            assert stdout == "" and "Traceback" not in stderr
+            (error,) = [line for line in stderr.splitlines() if "error:" in line]
+            assert error.startswith("python -m repro") and ": error: " in error
 
-    def test_worker_requires_exactly_one_transport(self):
-        proc = run_cli_process("worker")
+    def test_a_worker_needs_host_and_port(self):
+        proc = run_cli_process("worker", "--host", "127.0.0.1")
         _, stderr = proc.communicate(timeout=30)
         assert proc.returncode == 2
-        assert "exactly one of --stdio or --host" in stderr
+        assert "the following arguments are required: --port" in stderr
 
     def test_serve_requires_a_worker_source(self, tmp_path):
         campaign_file = tmp_path / "campaign.json"

@@ -8,9 +8,9 @@ first bug's iteration and trace fingerprint, and the exhaustive-sweep
 counters per reduction mode — and this module asserts them on the
 inline carrier and on ``ThreadedRuntime``.  Its ``portfolio`` section does the same for three
 sharded ``Campaign.portfolio()`` campaigns (per-shard counts and
-bug-trace fingerprints, the merged distinct-bug set), asserted under the
-``fork`` and ``spawn`` start methods; it was written by the
-process-per-spec supervisor the fleet coordinator replaced.  A refactor
+bug-trace fingerprints, the merged distinct-bug set), asserted on forked
+workers; it was written by the process-per-spec supervisor the fleet
+coordinator replaced.  A refactor
 of the runtime or of the sharding supervisor must leave the file
 byte-for-byte unchanged.
 
@@ -67,7 +67,6 @@ PORTFOLIOS = {
         faults=FaultConfig(drop=0.05, duplicate=0.05, delay=0.1, crash=0.01),
     ),
 }
-START_METHODS = ("fork", "spawn")
 
 
 def programs():
@@ -99,10 +98,8 @@ def sweep_row(reduction, factory=None):
     return [report.iterations, report.distinct_states, report.schedules_pruned]
 
 
-def portfolio_row(name, start_method=None):
-    report = Campaign(
-        TestConfig(start_method=start_method, **PORTFOLIOS[name], **BUDGET)
-    ).portfolio()
+def portfolio_row(name):
+    report = Campaign(TestConfig(**PORTFOLIOS[name], **BUDGET)).portfolio()
     return {
         "shards": [
             [
@@ -173,7 +170,6 @@ def test_sweep_rows_match_the_golden_file(golden, reduction, factory):
     assert sweep_row(reduction, factory) == golden["sweeps"][reduction]
 
 
-@pytest.mark.parametrize("start_method", START_METHODS)
 @pytest.mark.parametrize("name", sorted(PORTFOLIOS))
-def test_portfolio_rows_match_the_golden_file(golden, name, start_method):
-    assert portfolio_row(name, start_method) == golden["portfolio"][name]
+def test_portfolio_rows_match_the_golden_file(golden, name):
+    assert portfolio_row(name) == golden["portfolio"][name]

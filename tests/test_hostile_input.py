@@ -23,9 +23,9 @@ and derandomized: the fast CI lane runs this module on three interpreters.
 
 import copy
 import json
-import os
 import pickle
 import re
+import socket
 import struct
 import sys
 import threading
@@ -757,6 +757,10 @@ HOSTILE_COORDINATORS = {
         [{**WELCOME, "config": without(WELCOME["config"], "version")}],
         "welcome.config: campaign JSON carries no 'version'",
     ),
+    "welcome-with-a-version-1-config": (
+        [{**WELCOME, "config": {**WELCOME["config"], "version": 1}}],
+        "welcome.config: campaign JSON is schema version 1; this build reads version 2$",
+    ),
     "welcome-without-a-config": ([without(WELCOME, "config")], "welcome: field 'config' is missing"),
     "welcome-null-config-and-none-held": ([{**WELCOME, "config": None}], "carries no config"),
     "welcome-events-as-text": ([{**WELCOME, "events": "yes"}], "welcome.events: expected boolean, got 'yes'"),
@@ -787,14 +791,13 @@ HOSTILE_COORDINATORS = {
 
 
 def drive_worker(frames):
-    """Run :func:`worker_loop` on a thread over a pipe pair; play the
-    coordinator: read the hello, write ``frames``, answer a result with
-    shutdown.  Returns what the worker returned or raised, and the frames
-    it sent."""
-    to_worker_r, to_worker_w = os.pipe()
-    from_worker_r, from_worker_w = os.pipe()
-    worker_side = Connection(to_worker_r, from_worker_w, label="coordinator")
-    coordinator = Connection(from_worker_r, to_worker_w, label="worker")
+    """Run :func:`worker_loop` on a thread over a socketpair, the
+    transport a forked local worker has; play the coordinator: read the
+    hello, write ``frames``, answer a result with shutdown.  Returns what
+    the worker returned or raised, and the frames it sent."""
+    worker_end, coordinator_end = socket.socketpair()
+    worker_side = Connection(worker_end, "coordinator")
+    coordinator = Connection(coordinator_end, "worker")
     outcome = {}
 
     def work():
@@ -812,7 +815,7 @@ def drive_worker(frames):
         sent.append(coordinator.recv(timeout=30.0))
         for frame in frames:
             payload = json.dumps(frame).encode()
-            os.write(to_worker_w, struct.pack(">I", len(payload)) + payload)
+            coordinator_end.sendall(struct.pack(">I", len(payload)) + payload)
         while True:
             sent.append(coordinator.recv(timeout=30.0))
             if sent[-1] is None or sent[-1]["type"] == "result":

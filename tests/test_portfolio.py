@@ -28,7 +28,6 @@ from repro.testing.portfolio import strategy_names
 
 from .machines import NondetBug, Ping, RacyCounter
 from .test_chaos import _drain_children
-from .test_fleet import fingerprints
 
 
 class TestStrategyRegistry:
@@ -301,11 +300,9 @@ class PayloadCheck(Machine):
 
 
 class TestConfigCrossesTheProcessBoundary:
-    """Portfolio workers receive the campaign's ``TestConfig`` by value.
-    Under ``fork`` that is a memory copy; under ``spawn`` it is pickled,
-    unpickled in a fresh interpreter and must drive the identical
-    campaign there.  Only a coordinator that listens for wire peers has
-    to express the config as campaign JSON."""
+    """Portfolio workers are forked, so they inherit the campaign's
+    ``TestConfig`` by value, whatever it holds.  Only a coordinator that
+    listens for wire peers has to express the config as campaign JSON."""
 
     def _config(self, **overrides):
         kwargs = dict(
@@ -322,40 +319,26 @@ class TestConfigCrossesTheProcessBoundary:
         kwargs.update(overrides)
         return TestConfig(**kwargs)
 
-    def _assert_same_campaign(self, config):
+    def test_runtime_factory_reaches_the_forked_child(self):
+        config = self._config(runtime_factory=ChessRuntime, max_iterations=6)
         forked = Campaign(config).portfolio()
-        spawned = Campaign(config.with_overrides(start_method="spawn")).portfolio()
-        assert forked.iterations == spawned.iterations == 2 * config.max_iterations
-        assert forked.total_steps == spawned.total_steps > 0
-        assert fingerprints(forked) == fingerprints(spawned)
-        return forked, spawned
-
-    def test_spawn_start_method_runs_the_same_portfolio(self):
-        forked, spawned = self._assert_same_campaign(self._config())
-        assert spawned.effective_backend == forked.effective_backend == "inline"
-
-    def test_runtime_factory_reaches_the_spawned_child(self):
-        forked, spawned = self._assert_same_campaign(
-            self._config(runtime_factory=ChessRuntime, max_iterations=6)
-        )
+        assert forked.iterations == 2 * config.max_iterations
         # CHESS runs on threads and schedules at every visible
         # operation: both show the factory ran in the children.
-        assert spawned.effective_backend == "threads"
+        assert forked.effective_backend == "threads"
         plain = Campaign(self._config(max_iterations=6)).portfolio()
-        assert spawned.total_scheduling_points > 2 * plain.total_scheduling_points
+        assert forked.total_scheduling_points > 2 * plain.total_scheduling_points
 
     @pytest.mark.parametrize(
-        "kind, start_methods, backend, refusal",
+        "kind, backend, refusal",
         [
-            ("runtime-factory", ("fork", "spawn"), "threads",
-             "runtime_factory cannot be serialized"),
-            ("local-class", ("fork",), "inline",
-             "not importable from another process"),
-            ("object-payload", ("fork",), "inline", "not JSON-serializable"),
+            ("runtime-factory", "threads", "runtime_factory cannot be serialized"),
+            ("local-class", "inline", "not importable from another process"),
+            ("object-payload", "inline", "not JSON-serializable"),
         ],
     )
     def test_what_campaign_json_refuses_still_runs_locally(
-        self, kind, start_methods, backend, refusal
+        self, kind, backend, refusal
     ):
         class LocalPing(Ping):
             rounds = 2
@@ -369,17 +352,14 @@ class TestConfigCrossesTheProcessBoundary:
                 program=PayloadCheck, payload=(2, frozenset({"a", "b"}))
             ),
         }[kind]
-        for start_method in start_methods:
-            report = Campaign(
-                config.with_overrides(start_method=start_method)
-            ).portfolio()
-            assert report.iterations == 2 * config.max_iterations
-            assert report.effective_backend == backend
-            assert [sub.iterations for sub in report.sub_reports] == (
-                [config.max_iterations] * 2
-            )
-            if kind != "runtime-factory":
-                assert not report.bug_found, report.first_bug
+        report = Campaign(config).portfolio()
+        assert report.iterations == 2 * config.max_iterations
+        assert report.effective_backend == backend
+        assert [sub.iterations for sub in report.sub_reports] == (
+            [config.max_iterations] * 2
+        )
+        if kind != "runtime-factory":
+            assert not report.bug_found, report.first_bug
         # A listening coordinator would have to ship the config to wire
         # peers as campaign JSON: refused before it binds or forks.
         listening = []

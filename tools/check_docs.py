@@ -19,15 +19,16 @@ Four checks, all run by the CI docs lane:
     No file under ``README.md``, ``docs/``, ``examples/`` or ``src/``
     may mention an API this repo deleted (the engine shims, the
     thread-per-execution worker mode, the process-per-spec portfolio
-    supervisor; under ``src/`` also the worker pool and the ``workers``
-    resolution, helpers that had no caller, and the second frame class
-    and fault consultation of the DFS stack): a doc or docstring must not
-    teach a name that no longer imports.  ``CHANGES.md`` and
-    ``ROADMAP.md`` are history and are not scanned.  Under ``src/`` the
-    pickle and base64 codecs are removed names too — JSON is the only
-    format of frames, checkpoints and report files — matched as imports
-    and calls, not as words (``multiprocessing`` pickles a ``TestConfig``
-    across ``spawn``, and the docstrings may say so).
+    supervisor, the stdio worker, the local workers' start method and the
+    pipe-pair connection; under ``src/`` also the worker pool and the
+    ``workers`` resolution, helpers that had no caller, and the second
+    frame class and fault consultation of the DFS stack): a doc or
+    docstring must not teach a name that no longer imports.
+    ``CHANGES.md`` and ``ROADMAP.md`` are history and are not scanned.
+    Under ``src/`` the pickle and base64 codecs are removed names too —
+    JSON is the only format of frames, checkpoints and report files —
+    matched as imports and calls, not as words (a docstring may say what
+    is never unpickled).
 
 ``--schema``
     The report-object tables in ``docs/protocol.md`` §4 and the campaign
@@ -173,6 +174,10 @@ REMOVED_NAMES = (
     (re.compile(r"\brun_portfolio\b"), "Campaign(config).portfolio()"),
     (re.compile(r"""workers\s*=\s*["']spawn["']"""), "runtime_factory=ThreadedRuntime"),
     (re.compile(r"--workers[ =]spawn\b"), "runtime_factory=ThreadedRuntime"),
+    (re.compile(r"--stdio\b"), "worker --host H --port P"),
+    (re.compile(r"\bstart_method\b"), "nothing: local workers are always forked"),
+    (re.compile(r"\bworker_context\b"), 'multiprocessing.get_context("fork") in fleet.run_fleet'),
+    (re.compile(r"\bfilenos\b"), "Connection.fileno(): a connection is one socket"),
 )
 
 #: Removed from ``src/`` only (docs may name what was deleted).
