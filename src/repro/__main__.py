@@ -54,8 +54,9 @@ Subcommands
     Render a saved campaign report (``test --coverage-report FILE``) or
     a crash checkpoint (``test --checkpoint FILE``): the summary, the
     activity-coverage table naming every declared-but-unvisited state
-    and transition, telemetry, ``--json`` for machines, ``--dot FILE``
-    for a Graphviz view of the explored state space.
+    and transition, telemetry; ``--json`` prints the report document (a
+    report file this command reads back), ``--dot FILE`` a Graphviz view
+    of the explored state space.
 
 Exit status: 0 on success, 1 when ``--expect-bug`` was passed and no bug
 was found (or a replay reproduced none, or diverged), 2 on configuration errors (a
@@ -299,7 +300,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--json", action="store_true",
-        help="emit the machine-readable report as JSON on stdout",
+        help="print the report document (what a report file holds, so "
+        "'report' reads the output back) as JSON on stdout",
     )
     report.add_argument(
         "--dot", metavar="FILE",
@@ -384,23 +386,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_lines(report) -> List[str]:
-    lines = [report.summary(), f"backend: {report.effective_backend}"]
+def _print_report(report) -> None:
+    """How `test`, `serve` and `report` print a campaign report, each
+    fact once: the summary line (counters, watchdog hits, carrier), one
+    line per worker, the outcome — the first bug on its own `bug:` line,
+    not also at the end of the summary — and the coverage table when
+    the campaign collected coverage."""
+    bug = report.first_bug
+    print(report.summary().removesuffix(f", first bug: {bug}"))
     for sub in report.sub_reports:
-        lines.append(f"  worker {sub.summary()}")
-    if report.watchdog_hits:
-        lines.append(
-            f"watchdog: {report.watchdog_hits} stuck execution(s) canceled"
-        )
+        print(f"  worker {sub.summary()}")
     if report.interrupted:
-        lines.append("campaign interrupted (partial results)")
-    if report.first_bug is not None:
-        lines.append(f"bug: {report.first_bug}")
+        print("campaign interrupted (partial results)")
+    if bug is not None:
+        print(f"bug: {bug}")
     elif report.exhausted:
-        lines.append("search space exhausted, no bug found")
+        print("search space exhausted, no bug found")
     else:
-        lines.append("no bug found within the budget")
-    return lines
+        print("no bug found within the budget")
+    if report.coverage is not None:
+        from .testing.reporting import coverage_table
+
+        for line in coverage_table(report.coverage):
+            print(line)
+
+
+def _exit_status(args: argparse.Namespace, report) -> int:
+    """A campaign's exit code (`test`, `serve`): 130 when it was
+    interrupted, 1 when `--expect-bug` found none, else 0."""
+    if report.interrupted:
+        # The conventional 128+SIGINT code: scripts watching the campaign
+        # can tell "killed mid-flight, checkpoint written" from failure.
+        return 130
+    if args.expect_bug and not report.bug_found:
+        return 1
+    return 0
 
 
 def _cmd_test(args: argparse.Namespace) -> int:
@@ -440,13 +460,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
 def _finish_test(args: argparse.Namespace, report) -> int:
     """The `test` epilogue: print the report, save artifacts, map the
     outcome to the exit-code convention."""
-    for line in _report_lines(report):
-        print(line)
-    if report.coverage is not None:
-        from .testing.reporting import coverage_table
-
-        for line in coverage_table(report.coverage):
-            print(line)
+    _print_report(report)
     if args.coverage_report:
         from .testing.reporting import save_report
 
@@ -462,13 +476,7 @@ def _finish_test(args: argparse.Namespace, report) -> int:
                 f"trace saved to {args.save_trace} "
                 f"({len(bug.trace)} decisions)"
             )
-    if report.interrupted:
-        # The conventional 128+SIGINT code: scripts watching the campaign
-        # can tell "killed mid-flight, checkpoint written" from failure.
-        return 130
-    if args.expect_bug and not report.bug_found:
-        return 1
-    return 0
+    return _exit_status(args, report)
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -514,14 +522,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    from .testing.reporting import (
-        coverage_table,
-        coverage_dot,
-        load_campaign,
-        report_json,
-    )
+    from .testing.record import dumps
+    from .testing.reporting import coverage_dot, load_campaign, report_document
 
     if args.json and args.dot == "-":
         raise PSharpError(
@@ -529,16 +531,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
         )
     report = load_campaign(args.file)
     if args.json:
-        print(json_module.dumps(report_json(report), indent=2, sort_keys=True))
+        # The report file's own document (a checkpoint's merged shards):
+        # what this prints is a file `report` reads back.
+        print(dumps(report_document(report)))
     elif args.dot == "-":
         pass  # stdout carries only the digraph, pipeable into `dot -Tsvg`
     else:
-        for line in _report_lines(report):
-            print(line)
-        if report.coverage is not None:
-            for line in coverage_table(report.coverage):
-                print(line)
-        else:
+        _print_report(report)
+        if report.coverage is None:
             print("no activity coverage recorded (run test with --coverage)")
         if report.telemetry is not None:
             for line in report.telemetry.summary_lines():
@@ -557,7 +557,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
         else:
             with open(args.dot, "w", encoding="utf-8") as fh:
                 fh.write(dot)
-            print(f"coverage digraph written to {args.dot}")
+            # With --json, stdout carries the document and nothing else.
+            print(
+                f"coverage digraph written to {args.dot}",
+                file=sys.stderr if args.json else sys.stdout,
+            )
     return 0
 
 
@@ -585,18 +589,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         resume=args.resume,
         on_listen=on_listen,
     )
-    for line in _report_lines(report):
-        print(line)
-    if report.coverage is not None:
-        from .testing.reporting import coverage_table
-
-        for line in coverage_table(report.coverage):
-            print(line)
-    if report.interrupted:
-        return 130
-    if args.expect_bug and not report.bug_found:
-        return 1
-    return 0
+    _print_report(report)
+    return _exit_status(args, report)
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:

@@ -32,7 +32,6 @@ from .reporting import (
     coverage_dot,
     coverage_table,
     load_campaign,
-    report_json,
     save_report,
 )
 from .telemetry import EventLog, Histogram, TelemetryStats
@@ -72,7 +71,6 @@ __all__ = [
     "save_report",
     "load_campaign",
     "coverage_table",
-    "report_json",
     "coverage_dot",
     "ReductionEngine",
     "REDUCTION_MODES",

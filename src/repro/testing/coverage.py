@@ -22,7 +22,7 @@ Two universes per machine class make the *deltas* reportable by name:
 Uncovered states/transitions are simply declared minus visited, so the
 report (``python -m repro report``) can *name* what a campaign never
 reached.  Maps merge associatively (portfolio shards, checkpoint
-resume, future distributed fleets) and fingerprint deterministically,
+resume, distributed fleets) and compare by content (record ``==``),
 which is how the cross-carrier bit-identity guarantee is tested: for a
 fixed strategy seed, inline and ``ThreadedRuntime`` campaigns produce
 *equal* maps.
@@ -36,9 +36,7 @@ straight at the map's recorders.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .record import (
     ANY, COUNTS, NAMES, SUM, TRIPLE_COUNTS, TRIPLES, Record, field, record,
@@ -77,40 +75,13 @@ class MachineCoverage(Record):
         return [t for t in self.declared_transitions if t not in taken]
 
     @property
-    def state_coverage(self) -> float:
-        """Fraction of declared states entered at least once (1.0 when
-        the class declares none — vacuously covered)."""
-        declared = len(self.declared_states)
-        if not declared:
-            return 1.0
-        return (declared - len(self.uncovered_states())) / declared
-
-    @property
     def transition_coverage(self) -> float:
+        """Fraction of declared transitions taken at least once (1.0 when
+        the class declares none — vacuously covered)."""
         declared = len(self.declared_transitions)
         if not declared:
             return 1.0
         return (declared - len(self.uncovered_transitions())) / declared
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "monitor": self.is_monitor,
-            "instances": self.instances,
-            "halts": self.halts,
-            "declared_states": len(self.declared_states),
-            "declared_transitions": len(self.declared_transitions),
-            "state_coverage": round(self.state_coverage, 4),
-            "transition_coverage": round(self.transition_coverage, 4),
-            "states_visited": dict(sorted(self.states_visited.items())),
-            "transitions_taken": {
-                f"{s} --{e}--> {t}": n
-                for (s, e, t), n in sorted(self.transitions_taken.items())
-            },
-            "uncovered_states": self.uncovered_states(),
-            "uncovered_transitions": [
-                f"{s} --{e}--> {t}" for s, e, t in self.uncovered_transitions()
-            ],
-        }
 
 
 @record
@@ -216,27 +187,7 @@ class CoverageMap(Record):
     def __bool__(self) -> bool:
         return bool(self.machines or self.events_sent)
 
-    def fingerprint(self) -> str:
-        """Deterministic digest of the map's *content* (insertion order
-        excluded): equal maps — e.g. the same seeded campaign run on
-        different worker back-ends — produce equal fingerprints."""
-        canonical = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
     # -- reporting ----------------------------------------------------
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "machines": {
-                name: record.to_json()
-                for name, record in sorted(self.machines.items())
-            },
-            "events": {
-                "sent": dict(sorted(self.events_sent.items())),
-                "dequeued": dict(sorted(self.events_dequeued.items())),
-                "dropped": dict(sorted(self.events_dropped.items())),
-            },
-        }
-
     def totals(self) -> Dict[str, int]:
         """Campaign-wide declared/visited tallies (the report header)."""
         declared_states = visited_states = 0

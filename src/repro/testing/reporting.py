@@ -5,16 +5,18 @@ A campaign's :class:`~repro.testing.engine.TestReport` — including its
 :class:`~repro.testing.telemetry.TelemetryStats` — can be saved to disk
 (:func:`save_report`), loaded back (:func:`load_campaign`, which also
 reads crash checkpoints and merges their completed shards), and rendered
-three ways:
+two ways:
 
 * :func:`coverage_table` — a plain-text table of per-machine state and
   transition coverage plus the *names* of everything declared but never
   visited, so "what did this campaign fail to explore?" has a concrete
   answer;
-* :func:`report_json` — a machine-readable dict for CI round-trips and
-  dashboards;
 * :func:`coverage_dot` — a Graphviz rendering of the explored state
   space, visited states filled and unvisited ones dashed.
+
+Its one JSON form is the document a report file holds
+(:func:`report_document`): ``report --json`` prints it, so what a
+machine reads is a report file ``report`` reads back.
 
 Everything here is read-side: no function in this module mutates the
 report it is handed.
@@ -42,16 +44,18 @@ _REPORT_KIND = "campaign-report"
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
-def save_report(path: "str | os.PathLike", report: TestReport) -> None:
-    """Atomically persist ``report`` to ``path``.
-
-    The file is one JSON document, ``{"version": 2, "kind":
+def report_document(report: TestReport) -> Dict[str, Any]:
+    """What a report file holds: ``{"version": 2, "kind":
     "campaign-report", "report": <report document>}`` — the document a
     ``result`` frame or a checkpoint would carry for the same report
-    (:mod:`repro.testing.record`); :func:`load_campaign` reads it back."""
-    write_atomic(path, dumps({
-        "version": REPORT_VERSION, "kind": _REPORT_KIND, "report": report.encode(),
-    }))
+    (:mod:`repro.testing.record`)."""
+    return {"version": REPORT_VERSION, "kind": _REPORT_KIND, "report": report.encode()}
+
+
+def save_report(path: "str | os.PathLike", report: TestReport) -> None:
+    """Atomically persist ``report`` to ``path`` as one JSON document,
+    :func:`report_document`; :func:`load_campaign` reads it back."""
+    write_atomic(path, dumps(report_document(report)))
 
 
 def load_campaign(path: "str | os.PathLike") -> TestReport:
@@ -118,10 +122,8 @@ def coverage_table(
             str(mc.halts),
         ))
     header = ("machine", "states", "transitions", "instances", "halts")
-    widths = [
-        max(len(header[col]), *(len(row[col]) for row in rows))
-        for col in range(len(header))
-    ]
+    # (A map that recorded sends but no machine row has no rows at all.)
+    widths = [max(len(row[col]) for row in (header, *rows)) for col in range(5)]
     lines = ["activity coverage:"]
     lines.append(
         "  " + "  ".join(header[col].ljust(widths[col]) for col in range(5))
@@ -162,55 +164,6 @@ def coverage_table(
     if not uncovered_states and not uncovered_transitions:
         lines.append("  every declared state and transition was visited")
     return lines
-
-
-# ---------------------------------------------------------------------------
-# JSON rendering
-# ---------------------------------------------------------------------------
-def report_json(report: TestReport) -> Dict[str, Any]:
-    """A machine-readable view of ``report`` for CI and dashboards."""
-    out: Dict[str, Any] = {
-        "strategy": report.strategy,
-        "iterations": report.iterations,
-        "buggy_iterations": report.buggy_iterations,
-        "bugs": len(report.bugs),
-        "distinct_bugs": report.distinct_bugs,
-        "total_scheduling_points": report.total_scheduling_points,
-        "elapsed": report.elapsed,
-        "exhausted": report.exhausted,
-        "timed_out": report.timed_out,
-        "interrupted": report.interrupted,
-        "watchdog_hits": report.watchdog_hits,
-        "effective_backend": report.effective_backend,
-        "faults_injected": report.faults_injected,
-        "fault_kinds": dict(report.fault_kinds),
-        "consulted_decisions": report.consulted_decisions,
-        # Schedule-space reduction: distinct fingerprinted states, pruned
-        # schedules/subtrees, and the redundancy they imply.  Summed
-        # across shards by TestReport.merge (per-shard caches are
-        # private, so the merged distinct-state figure is an upper
-        # bound); all zero when the campaign ran with reduction="none".
-        "distinct_states": report.distinct_states,
-        "schedules_pruned": report.schedules_pruned,
-        "redundancy_ratio": report.redundancy_ratio,
-        # Exact cost of the state cache: states hashed, and machine and
-        # monitor digests computed for them (the rest were reused).
-        "fingerprints": report.fingerprints,
-        "machine_digests": report.machine_digests,
-        "first_bug": (
-            None if report.first_bug is None else {
-                "kind": report.first_bug.kind,
-                "message": report.first_bug.message,
-                "iteration": report.first_bug_iteration,
-            }
-        ),
-    }
-    if report.coverage is not None:
-        out["coverage"] = report.coverage.to_json()
-        out["coverage_fingerprint"] = report.coverage.fingerprint()
-    if report.telemetry is not None:
-        out["telemetry"] = report.telemetry.to_json()
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -72,29 +72,6 @@ class Histogram(Record):
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def rows(self) -> List[str]:
-        """Human-readable bucket rows (largest first capped implicitly by
-        the power-of-two bucketing)."""
-        if not self.count:
-            return ["  (no samples)"]
-        out = []
-        for bucket in sorted(self.buckets):
-            low = 0 if bucket == 0 else 1 << (bucket - 1)
-            high = (1 << bucket) - 1 if bucket else 0
-            label = f"{low}" if low == high else f"{low}-{high}"
-            out.append(f"  {label:>15}: {self.buckets[bucket]}")
-        return out
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "mean": round(self.mean, 2),
-            "buckets": {str(k): v for k, v in sorted(self.buckets.items())},
-        }
-
 
 @record
 class TelemetryStats(Record):
@@ -163,22 +140,6 @@ class TelemetryStats(Record):
             )
             lines.append(f"faults injected: {kinds}")
         return lines
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "iterations": self.iterations,
-            "steps_per_iteration": self.steps.to_json(),
-            "iteration_wall_us": self.iteration_us.to_json(),
-            "schedules_per_second": {
-                str(k): v for k, v in sorted(self.rate.items())
-            },
-            "fault_kinds": dict(sorted(self.fault_kinds.items())),
-            "decisions": {
-                "consulted": self.consulted,
-                "forced": self.forced,
-                "consult_ratio": round(self.consult_ratio, 4),
-            },
-        }
 
 
 class EventLog:

@@ -6,6 +6,7 @@ same invocations the CI smoke lane makes.
 """
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -48,8 +49,12 @@ class TestTestCommand:
             "--expect-bug", "--save-trace", str(trace),
         )
         assert proc.returncode == 0, proc.stderr + proc.stdout
-        assert "backend: inline" in proc.stdout
-        assert "bug:" in proc.stdout
+        # Each fact once: the carrier ends the summary line, and the
+        # first bug has its own line, not a second copy in the summary.
+        summary, bug = proc.stdout.splitlines()[:2]
+        assert summary.endswith(" [inline]") and "backend:" not in proc.stdout
+        assert bug.startswith("bug: ") and "first bug" not in proc.stdout
+        assert proc.stdout.count(bug[len("bug: "):]) == 1
         assert trace.exists()
 
         replayed = run_cli(
@@ -178,10 +183,43 @@ class TestReportCommand:
         dot = tmp_path / "campaign.dot"
         both = run_cli("report", str(saved), "--json", "--dot", str(dot))
         assert both.returncode == 0, both.stderr
-        assert both.stdout.startswith("{")
+        # stdout is the document alone; the notice goes to stderr.
+        assert json.loads(both.stdout) == json.loads(saved.read_text(encoding="utf-8"))
+        assert both.stderr == f"coverage digraph written to {dot}\n"
         assert dot.read_text(encoding="utf-8").startswith("digraph")
         alone = run_cli("report", str(saved), "--dot", "-")
         assert alone.returncode == 0 and alone.stdout.startswith("digraph")
+
+    def test_json_prints_the_report_document_and_reads_back(self, tmp_path):
+        from repro.testing import load_campaign, save_report
+
+        saved, ckpt = tmp_path / "campaign.report", tmp_path / "campaign.ckpt"
+        for args in (
+            ("--coverage-report", str(saved)),
+            ("--portfolio", "2", "--checkpoint", str(ckpt), "--coverage"),
+        ):
+            proc = run_cli(
+                "test", "BoundedAsync", "--max-iterations", "5", "--seed", "7",
+                "--keep-going", *args,
+            )
+            assert proc.returncode == 0, proc.stderr + proc.stdout
+        # A checkpoint prints the document save_report writes for its
+        # merged shards; a report file prints itself.
+        written = tmp_path / "written.report"
+        save_report(written, load_campaign(ckpt))
+        for source, expected in ((saved, saved), (ckpt, written)):
+            printed = run_cli("report", str(source), "--json")
+            assert printed.returncode == 0, printed.stderr
+            document = json.loads(printed.stdout)
+            assert document == json.loads(expected.read_text(encoding="utf-8"))
+            assert document["version"] == 2 and document["kind"] == "campaign-report"
+            # The output is a report file: `report` reads it back, equal.
+            again = tmp_path / "again.report"
+            again.write_text(printed.stdout, encoding="utf-8")
+            rendered = run_cli("report", str(again))
+            assert rendered.returncode == 0, rendered.stderr
+            assert "activity coverage:" in rendered.stdout
+            assert load_campaign(again) == load_campaign(source)
 
 
 class TestMainInProcess:

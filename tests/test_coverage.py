@@ -3,7 +3,7 @@
 Covers the three surfaces the layer adds:
 
 * the :class:`~repro.testing.coverage.CoverageMap` itself — merge,
-  the wire round-trip, fingerprints, declared-vs-visited deltas, and the headline
+  the wire round-trip, equality, declared-vs-visited deltas, and the headline
   guarantee that the map is bit-identical across the inline and threaded
   carriers for a given seed;
 * telemetry counters and the JSONL event stream;
@@ -32,7 +32,7 @@ from repro.testing.reporting import (
     coverage_dot,
     coverage_table,
     load_campaign,
-    report_json,
+    report_document,
     save_report,
 )
 from repro.testing.telemetry import EventLog, Histogram, TelemetryStats
@@ -113,14 +113,14 @@ class TestCoverageMap:
         cov = _campaign("Raft").coverage
         clone = CoverageMap.decode(json.loads(json.dumps(cov.encode())))
         assert clone == cov
-        assert clone.fingerprint() == cov.fingerprint()
+        assert clone.encode() == cov.encode()
 
     def test_fingerprint_distinguishes_different_campaigns(self):
         a = _campaign("Raft", iterations=2, seed=1).coverage
         b = _campaign("Raft", iterations=2, seed=2).coverage
         c = _campaign("Raft", iterations=2, seed=1).coverage
-        assert a.fingerprint() == c.fingerprint()
-        assert a.fingerprint() != b.fingerprint()
+        assert a == c
+        assert a != b
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +138,7 @@ class TestBackendIdentity:
             carrier: _campaign(name, runtime_factory=factory, iterations=3).coverage
             for carrier, factory in (("threads", ThreadedRuntime), ("inline", None))
         }
-        fingerprints = {cov.fingerprint() for cov in maps.values()}
-        assert len(fingerprints) == 1, (
+        assert maps["threads"] == maps["inline"], (
             f"{name}: coverage diverged across backends {sorted(maps)}"
         )
 
@@ -147,7 +146,7 @@ class TestBackendIdentity:
         auto = _campaign("Raft", workers="auto")
         explicit = _campaign("Raft", workers="inline")
         assert auto.effective_backend == explicit.effective_backend == "inline"
-        assert auto.coverage.fingerprint() == explicit.coverage.fingerprint()
+        assert auto.coverage == explicit.coverage
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +196,6 @@ class TestPortfolioCoverage:
         resumed = Campaign(_portfolio_config()).portfolio(resume=ckpt)
         assert resumed.iterations == baseline.iterations
         assert resumed.coverage == baseline.coverage
-        assert resumed.coverage.fingerprint() == baseline.coverage.fingerprint()
 
     def test_checkpoint_fingerprint_covers_coverage_flag(self, tmp_path):
         from repro.errors import PSharpError
@@ -421,11 +419,11 @@ class TestReporting:
 
     def test_report_json_shape(self):
         report = _campaign("Raft")
-        data = report_json(report)
-        json.dumps(data)  # must be serializable
-        assert data["iterations"] == report.iterations
-        assert data["coverage_fingerprint"] == report.coverage.fingerprint()
-        assert data["telemetry"]["iterations"] == report.iterations
+        data = json.loads(json.dumps(report_document(report)))  # plain JSON
+        assert data["version"] == 2 and data["kind"] == "campaign-report"
+        assert data["report"]["iterations"] == report.iterations
+        assert data["report"]["telemetry"]["iterations"] == report.iterations
+        assert TestReport.decode(data["report"]) == report.detached()
 
     def test_coverage_dot_marks_unvisited_dashed(self):
         dot = coverage_dot(_campaign("Raft").coverage)
@@ -461,8 +459,9 @@ class TestCoverageCli:
         capsys.readouterr()
         assert main(["report", str(saved), "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["coverage"]["machines"]["BuggyRaftServer"]
-        assert data["iterations"] == 5
+        assert data == json.loads(saved.read_text(encoding="utf-8"))
+        assert data["report"]["coverage"]["machines"]["BuggyRaftServer"]
+        assert data["report"]["iterations"] == 5
 
     def test_report_dot_output(self, tmp_path, capsys):
         from repro.__main__ import main

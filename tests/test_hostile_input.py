@@ -448,6 +448,24 @@ def test_named_text_is_refused_with_the_typed_error(name, tmp_path):
         decode_report(frame.get("report"))
 
 
+#: Documents the schema accepts that a renderer once died on.
+RENDERED = {
+    # Sends recorded, no machine row: the coverage table had no widths.
+    "coverage-with-no-machine-rows": edited(*SERVER[:2], value={}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RENDERED))
+def test_named_document_is_rendered_without_a_traceback(name, tmp_path):
+    assert decoded_or_typed(RENDERED[name]) is not None
+    path = tmp_path / "odd.report"
+    path.write_text(dumps({**REPORT_FILE, "report": RENDERED[name]}), encoding="utf-8")
+    for args in ((), ("--json",), ("--dot", "-")):
+        proc = run_cli("report", str(path), *args)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert proc.stdout and ("total: 0/0 states" in proc.stdout or args)
+
+
 def faulty_german_trace():
     """One German execution under every fault kind: its trace pairs."""
     strategy = RandomStrategy(seed=3)

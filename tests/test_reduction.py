@@ -40,7 +40,7 @@ from repro.testing import (
     replay,
 )
 from repro.testing.reduction import REASON_STATE, stable_update
-from repro.testing.reporting import report_json
+from repro.testing.reporting import report_document
 from repro.testing.trace import REDUCTION, SCHED
 
 from .machines import EPing, EPong, Ping
@@ -604,12 +604,14 @@ class TestReportSurface:
 
     def test_report_json_carries_reduction_stats(self):
         report = _exhaustive("BoundedAsync", 8, 2_000, "dpor+state-cache")
-        payload = report_json(report)
+        payload = report_document(report)["report"]
         assert payload["distinct_states"] == report.distinct_states
         assert payload["schedules_pruned"] == report.schedules_pruned
         assert payload["fingerprints"] == report.fingerprints > 0
         assert payload["machine_digests"] == report.machine_digests > 0
-        assert payload["redundancy_ratio"] == pytest.approx(
+        # The ratio is derived, not carried: the decoded report has it.
+        assert "redundancy_ratio" not in payload
+        assert TestReport.decode(payload).redundancy_ratio == pytest.approx(
             report.redundancy_ratio
         )
 

@@ -391,10 +391,10 @@ def test_real_reports_round_trip(real_shards):
         assert decode_report(text) == report.detached()
         assert encode_report(decode_report(text)) == text
     restored = decode_report(encode_report(campaign))
-    assert restored.coverage.fingerprint() == campaign.coverage.fingerprint()
+    assert restored.coverage == campaign.coverage
     assert restored.summary() == campaign.summary()
     assert restored.distinct_bugs == campaign.distinct_bugs
-    assert reporting.report_json(restored) == reporting.report_json(campaign)
+    assert reporting.report_document(restored) == reporting.report_document(campaign)
 
 
 def run_one_shard_over_the_wire(config, spec):

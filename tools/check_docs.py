@@ -178,6 +178,10 @@ REMOVED_NAMES = (
     (re.compile(r"\bstart_method\b"), "nothing: local workers are always forked"),
     (re.compile(r"\bworker_context\b"), 'multiprocessing.get_context("fork") in fleet.run_fleet'),
     (re.compile(r"\bfilenos\b"), "Connection.fileno(): a connection is one socket"),
+    (
+        re.compile(r"\breport_json\b"),
+        "report --json / reporting.report_document: the report document",
+    ),
 )
 
 #: Removed from ``src/`` only (docs may name what was deleted).
@@ -241,7 +245,12 @@ REMOVED_FROM_SRC = (
 )
 
 #: Removed from one file only: a second copy of a scheduling-point piece
-#: announces itself with this phrase.
+#: announces itself with this phrase, and a record's second JSON form or
+#: digest with these names.
+_SECOND_JSON_FORM = (
+    (re.compile(r"\bto_json\b"), "Record.encode: the report document"),
+    (re.compile(r"fingerprint"), "record == (Record.__eq__)"),
+)
 REMOVED_FROM_FILE = {
     "src/repro/testing/runtime.py": (
         (
@@ -249,6 +258,8 @@ REMOVED_FROM_FILE = {
             "the one _send_effect / _decide / _choose / _machine_body",
         ),
     ),
+    "src/repro/testing/coverage.py": _SECOND_JSON_FORM,
+    "src/repro/testing/telemetry.py": _SECOND_JSON_FORM,
 }
 
 
