@@ -12,16 +12,23 @@ This baseline reproduces both structural properties on top of the same
 cooperative-thread engine as the P# runtime:
 
 * scheduling points at every *visible operation* — every machine field
-  write (intercepted via ``Machine.__setattr__``), every queue enqueue /
-  dequeue (the runtime's blocking-queue lock operations), in addition to
-  sends and machine creations;
+  write (intercepted by the ``Machine.__setattr__`` that
+  :class:`ChessRuntime` installs for each execution), every queue
+  enqueue / dequeue (the runtime's blocking-queue lock operations), in
+  addition to sends and machine creations;
 * an optional happens-before race detector (``race_detection=True``, the
-  RD-on configuration): vector clocks per machine with edges at
-  send/receive/create, checked on every intercepted field access.
+  RD-on configuration): the core calculus's
+  :class:`~repro.lang.interp.RaceDetector`, with vector clocks per
+  machine and edges at send/receive/create, checked on every intercepted
+  field write.
 
-P# programs are race-free by construction of the machine-local state
-model, so — exactly as the paper reports — the detector finds no races
-while still charging its bookkeeping to every access.
+The detector sees machine fields only, keyed by the machine that owns
+them, and only that machine writes them: so, as the paper reports, it
+finds no races while still charging its bookkeeping to every access.
+P# programs are not race-free by construction, though.  A machine that
+keeps writing an object it sent races with the receiver (Section 5); the
+static analysis reports that, but payload objects are not instrumented,
+so this detector does not (``tests/test_chess.py::TestWriteAfterSend``).
 """
 
 from .runtime import ChessRuntime, chess_campaign

@@ -1,43 +1,27 @@
 """The CHESS-style runtime: visible-operation scheduling + optional RD.
 
-It schedules inside field-access hooks, from plain attribute reads and
-writes deep in user frames, where a generator coroutine cannot suspend:
-so it is a :class:`~repro.testing.threads.ThreadedRuntime`, one OS thread
-per machine.
+It schedules inside a field-write hook, from plain attribute writes deep
+in user frames, where a generator coroutine cannot suspend: so it is a
+:class:`~repro.testing.threads.ThreadedRuntime`, one OS thread per
+machine.  The hook is its own: :meth:`ChessRuntime.execute` swaps an
+instrumented ``Machine.__setattr__`` in for the execution and deletes it
+afterwards, so no other runtime pays for the interception.  Race
+detection is the core calculus's
+:class:`~repro.lang.interp.RaceDetector`.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..core.events import Event
-from ..core.machine import Machine, install_field_access_hook
+from ..core.machine import Machine
+from ..lang.interp import RaceDetector, RaceReport
 from ..testing.config import Campaign, TargetLike, TestConfig
 from ..testing.runtime import _WorkerState
 from ..testing.strategies import SchedulingStrategy
 from ..testing.threads import ThreadedRuntime
-
-
-class _VectorClock:
-    __slots__ = ("clocks",)
-
-    def __init__(self, clocks: Optional[Dict[int, int]] = None) -> None:
-        self.clocks: Dict[int, int] = dict(clocks or {})
-
-    def tick(self, mid: int) -> None:
-        self.clocks[mid] = self.clocks.get(mid, 0) + 1
-
-    def join(self, other: "_VectorClock") -> None:
-        for mid, clock in other.clocks.items():
-            if clock > self.clocks.get(mid, 0):
-                self.clocks[mid] = clock
-
-    def copy(self) -> "_VectorClock":
-        return _VectorClock(self.clocks)
-
-    def happens_before(self, other: "_VectorClock") -> bool:
-        return all(c <= other.clocks.get(m, 0) for m, c in self.clocks.items())
 
 
 class ChessRuntime(ThreadedRuntime):
@@ -64,30 +48,34 @@ class ChessRuntime(ThreadedRuntime):
             )
         super().__init__(strategy, **kwargs)
         self.race_detection = race_detection
-        self.races: List[str] = []
-        self._clocks: Dict[int, _VectorClock] = {}
-        self._event_clocks: Dict[int, _VectorClock] = {}
-        # (machine id value, field) -> last write / reads since last write
-        self._writes: Dict[Tuple[int, str], Tuple[int, _VectorClock]] = {}
-        self._reads: Dict[Tuple[int, str], List[Tuple[int, _VectorClock]]] = {}
+        self.detector: Optional[RaceDetector] = None
+        # id(event) -> the sender's clock at the send (RaceDetector.on_send)
+        self._event_clocks: Dict[int, Any] = {}
 
     def reset(self) -> None:
         super().reset()
-        # Per-execution race-detection state (the runtime is reused across
-        # iterations by the engine; clocks must not leak between them).
-        self.races = []
-        self._clocks = {}
+        # One detector per execution: the engine reuses the runtime across
+        # iterations, and clocks must not leak between them.
+        self.detector = RaceDetector() if self.race_detection else None
         self._event_clocks = {}
-        self._writes = {}
-        self._reads = {}
+
+    @property
+    def races(self) -> List[RaceReport]:
+        """The races the current (or most recent) execution reported."""
+        return self.detector.races if self.detector is not None else []
 
     # ------------------------------------------------------------------
     def execute(self, main_cls, payload=None):
-        install_field_access_hook(self._on_field_access)
+        def instrumented_setattr(machine, name, value):
+            if not name.startswith("_"):  # the runtime's own slots
+                self._on_field_write(machine, name)
+            object.__setattr__(machine, name, value)
+
+        Machine.__setattr__ = instrumented_setattr
         try:
             return super().execute(main_cls, payload)
         finally:
-            install_field_access_hook(None)
+            del Machine.__setattr__
 
     # ------------------------------------------------------------------
     # Visible operations: every queue op is a scheduling point
@@ -97,58 +85,33 @@ class ChessRuntime(ThreadedRuntime):
 
     def on_event_dequeued(self, machine: Machine, event: Event) -> None:
         super().on_event_dequeued(machine, event)  # monitor dequeue mirroring
-        if self.race_detection:
-            snapshot = self._event_clocks.pop(id(event), None)
-            clock = self._clock(machine.id.value)
-            if snapshot is not None:
-                clock.join(snapshot)
-            clock.tick(machine.id.value)
+        if self.detector is not None:
+            self.detector.on_receive(
+                machine.id.value, self._event_clocks.pop(id(event), None)
+            )
         self._schedule_if_running()
 
     def send(self, target, event, sender=None):
-        if self.race_detection and sender is not None:
-            clock = self._clock(sender.id.value)
-            clock.tick(sender.id.value)
-            self._event_clocks[id(event)] = clock.copy()
+        if self.detector is not None and sender is not None:
+            self._event_clocks[id(event)] = self.detector.on_send(sender.id.value)
         super().send(target, event, sender=sender)
 
     def create_machine(self, machine_cls, payload=None, creator=None):
         mid = super().create_machine(machine_cls, payload, creator=creator)
-        if self.race_detection and creator is not None:
-            clock = self._clock(creator.id.value)
-            clock.tick(creator.id.value)
-            self._clock(mid.value).join(clock)
+        if self.detector is not None and creator is not None:
+            self.detector.on_create(creator.id.value, mid.value)
         return mid
 
     # ------------------------------------------------------------------
-    # Field accesses: scheduling point + optional race check
+    # Field writes: scheduling point + optional race check
     # ------------------------------------------------------------------
-    def _on_field_access(self, machine: Machine, name: str, is_write: bool) -> None:
-        if self.race_detection:
-            self._check_access(machine.id.value, name, is_write)
+    def _on_field_write(self, machine: Machine, name: str) -> None:
+        if self.detector is not None:
+            # A machine's field is keyed by its owner, and only the owner
+            # writes it: payload objects are not instrumented.
+            mid = machine.id.value
+            self.detector.on_access(mid, mid, machine, name, True, "field write")
         self._schedule_if_running()
-
-    def _check_access(self, mid: int, field: str, is_write: bool) -> None:
-        key = (mid, field)  # machine fields: the owner id identifies the object
-        clock = self._clock(mid)
-        last_write = self._writes.get(key)
-        if last_write is not None:
-            writer, write_clock = last_write
-            if writer != mid and not write_clock.happens_before(clock):
-                self.races.append(f"race on field {field!r} of machine {mid}")
-        if is_write:
-            for reader, read_clock in self._reads.get(key, []):
-                if reader != mid and not read_clock.happens_before(clock):
-                    self.races.append(f"race on field {field!r} of machine {mid}")
-            self._writes[key] = (mid, clock.copy())
-            self._reads[key] = []
-        else:
-            self._reads.setdefault(key, []).append((mid, clock.copy()))
-
-    def _clock(self, mid: int) -> _VectorClock:
-        if mid not in self._clocks:
-            self._clocks[mid] = _VectorClock({mid: 0})
-        return self._clocks[mid]
 
     def _schedule_if_running(self) -> None:
         current = self._current

@@ -276,11 +276,6 @@ class Machine:
     _state_infos: Dict[str, StateInfo] = {}
     _initial_state: str = ""
 
-    # When non-None, every field read/write on any machine goes through
-    # this callback: (machine, field_name, is_write) -> None.  Used by the
-    # CHESS-style baseline to schedule at memory-access granularity.
-    _field_access_hook: Optional[Callable[["Machine", str, bool], None]] = None
-
     # Fields that survive a fault-injected crash-restart (see
     # repro.testing.faults): the machine's model of durable storage.
     # Everything else in __dict__ is volatile memory, wiped when the
@@ -315,7 +310,6 @@ class Machine:
         cls._state_infos = states
 
     def __init__(self, runtime: Any, mid: MachineId) -> None:
-        object.__setattr__(self, "_psharp_internal", True)
         self._runtime = runtime
         self._id = mid
         self._inbox: deque = deque()
@@ -338,7 +332,6 @@ class Machine:
         # ._Seat): the machine runs its handlers' compiled coroutines, so
         # _start / _step may hand one back.  Everywhere else they run plain.
         self._suspendable = False
-        del self._psharp_internal
 
     # ------------------------------------------------------------------
     # Introspection
@@ -620,54 +613,6 @@ class Machine:
         self._inbox.clear()
         self._raised = None
         self._runtime.on_machine_halted(self)
-
-    # ------------------------------------------------------------------
-    # Optional field-access instrumentation (CHESS baseline, Section 7.2.2)
-    # ------------------------------------------------------------------
-    # ``__setattr__`` is NOT defined on the class by default: machines
-    # write fields constantly (it is the single most frequent operation
-    # in a controlled execution), and a Python-level interception hook
-    # taxes every one of those writes even when no instrumentation is
-    # active.  The CHESS baseline installs ``_instrumented_setattr`` as
-    # ``Machine.__setattr__`` for the duration of its executions via
-    # :func:`install_field_access_hook`.
-
-    def _instrumented_setattr(self, name: str, value: Any) -> None:
-        hook = Machine._field_access_hook
-        if (
-            hook is not None
-            and not name.startswith("_")
-            and "_psharp_internal" not in self.__dict__
-        ):
-            hook(self, name, True)
-        object.__setattr__(self, name, value)
-
-    def read(self, name: str) -> Any:
-        """Instrumented field read.  Plain attribute reads are not hooked
-        (hooking ``__getattribute__`` would tax production mode); the CHESS
-        baseline additionally schedules at dequeue/enqueue operations so
-        the visible-operation density is still far above the P# runtime's.
-        """
-        hook = Machine._field_access_hook
-        if hook is not None and not name.startswith("_"):
-            hook(self, name, False)
-        return getattr(self, name)
-
-
-def install_field_access_hook(
-    hook: Optional[Callable[[Machine, str, bool], None]]
-) -> None:
-    """Install (or, with ``None``, remove) the global field-access hook.
-
-    Installing also swaps the instrumented ``__setattr__`` into the
-    ``Machine`` class; removing deletes it so ordinary field writes go
-    straight to ``object.__setattr__`` with zero interception cost.
-    """
-    Machine._field_access_hook = hook
-    if hook is not None:
-        Machine.__setattr__ = Machine._instrumented_setattr  # type: ignore[method-assign]
-    elif "__setattr__" in Machine.__dict__:
-        del Machine.__setattr__
 
 
 def machine_statistics(machine_cls: Type[Machine]) -> Dict[str, int]:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from .ir import (
     Assert,
@@ -84,7 +84,7 @@ class MachineVal:
 class RaceReport:
     """Two causally-unordered conflicting accesses to the same field."""
 
-    ref: Ref
+    label: Any  # names the accessed object: its Ref, or a CHESS machine
     field: str
     first_machine: int
     first_stmt: str
@@ -95,7 +95,7 @@ class RaceReport:
     def __str__(self) -> str:
         kind = "write" if self.second_is_write else "read"
         return (
-            f"race on {self.ref}.{self.field}: machine {self.first_machine} "
+            f"race on {self.label}.{self.field}: machine {self.first_machine} "
             f"({self.first_stmt}) vs machine {self.second_machine} "
             f"{kind} ({self.second_stmt})"
         )
@@ -124,14 +124,18 @@ class _VectorClock:
 
 
 class RaceDetector:
-    """Vector-clock based detector for the paper's data race definition."""
+    """Vector-clock based detector for the paper's data race definition.
+
+    The core-calculus interpreter drives it, and so does the CHESS
+    baseline (:class:`repro.chess.ChessRuntime`) with race detection on.
+    """
 
     def __init__(self) -> None:
         self._clocks: Dict[int, _VectorClock] = {}
         self.races: List[RaceReport] = []
-        # (ref.id, field) -> (last write, reads since then)
-        self._writes: Dict[Tuple[int, str], Tuple[int, _VectorClock, str]] = {}
-        self._reads: Dict[Tuple[int, str], List[Tuple[int, _VectorClock, str]]] = {}
+        # (object key, field) -> (last write, reads since then)
+        self._writes: Dict[Tuple[Hashable, str], Tuple[int, _VectorClock, str]] = {}
+        self._reads: Dict[Tuple[Hashable, str], List[Tuple[int, _VectorClock, str]]] = {}
 
     def clock_of(self, mid: int) -> _VectorClock:
         if mid not in self._clocks:
@@ -154,21 +158,25 @@ class RaceDetector:
         snapshot.tick(creator)
         self.clock_of(created).join(snapshot)
 
-    def on_access(self, mid: int, ref: Ref, field: str, is_write: bool, stmt: str) -> None:
-        key = (ref.id, field)
+    def on_access(
+        self, mid: int, obj: Hashable, label: Any, field: str, is_write: bool, stmt: str
+    ) -> None:
+        """Machine ``mid`` accesses ``field`` of the object ``obj``
+        identifies and reports name ``label``."""
+        key = (obj, field)
         clock = self.clock_of(mid)
         last_write = self._writes.get(key)
         if last_write is not None:
             write_mid, write_clock, write_stmt = last_write
             if write_mid != mid and not write_clock.happens_before(clock):
                 self.races.append(
-                    RaceReport(ref, field, write_mid, write_stmt, mid, stmt, is_write)
+                    RaceReport(label, field, write_mid, write_stmt, mid, stmt, is_write)
                 )
         if is_write:
             for read_mid, read_clock, read_stmt in self._reads.get(key, []):
                 if read_mid != mid and not read_clock.happens_before(clock):
                     self.races.append(
-                        RaceReport(ref, field, read_mid, read_stmt, mid, stmt, True)
+                        RaceReport(label, field, read_mid, read_stmt, mid, stmt, True)
                     )
             self._writes[key] = (mid, clock.copy(), stmt)
             self._reads[key] = []
@@ -465,7 +473,7 @@ class Interpreter:
     ) -> None:
         if self.detector is not None:
             self.detector.on_access(
-                machine.mid.id, ref, field, is_write, f"{stmt} @{stmt.loc or '?'}"
+                machine.mid.id, ref.id, ref, field, is_write, f"{stmt} @{stmt.loc or '?'}"
             )
 
     def _call(self, machine: _MachineConfig, frame: _Frame, stmt: Call) -> None:

@@ -47,7 +47,7 @@ A handler shape the compiler refuses (listed in
 :class:`~repro.testing.threads.ThreadedRuntime`, the subclass that
 carries each machine's body on its own OS thread and blocks at the
 same points (:class:`~repro.chess.ChessRuntime` is one too: it
-schedules inside field-access hooks).  Both make the same decisions in
+schedules inside a field-write hook).  Both make the same decisions in
 the same order, so for a fixed strategy seed they produce bit-identical
 :class:`ScheduleTrace` records — DFS backtracking, replay and PCT
 semantics are independent of the carrier.
@@ -956,7 +956,7 @@ class BugFindingRuntime(RuntimeBase):
                 return
 
     # Hook for the CHESS baseline: called on extra visible operations
-    # (queue ops, field accesses).  The base runtime ignores them — this is
+    # (queue ops; CHESS hooks field writes itself).  The base runtime ignores them — this is
     # precisely the P# optimization of Section 6.2.
     def on_visible_operation(self, machine: Machine, kind: str) -> None:
         pass

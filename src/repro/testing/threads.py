@@ -7,8 +7,8 @@ that way, and run here instead:
 * handler shapes the coroutine compiler refuses
   (:mod:`repro.core.continuations` lists them; each refusal names this
   class as ``runtime_factory=ThreadedRuntime``);
-* :class:`~repro.chess.ChessRuntime`, which schedules inside field-access
-  hooks — from plain attribute reads and writes deep in user frames,
+* :class:`~repro.chess.ChessRuntime`, which schedules inside its
+  field-write hook — from plain attribute writes deep in user frames,
   where a generator cannot suspend.
 
 What changes is only the control transfer.  Each machine's thread drives

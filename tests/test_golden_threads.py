@@ -89,7 +89,7 @@ def chess_row(program, strategy, race_detection):
         ),
         strategy=CHESS_STRATEGIES[strategy](),
     ).run()
-    return _counters(report) + [len(races), sorted(set(races))]
+    return _counters(report) + [len(races), sorted({str(race) for race in races})]
 
 
 def shape_row(program, **overrides):

@@ -1110,7 +1110,7 @@ class TestCompiledClassStaysPlain:
             runtime = CountingChess(strategy, race_detection=True)
             result = runtime.execute(main_cls)
             assert result.status == "ok", result.bug
-            clocks = {mid: clock.clocks for mid, clock in runtime._clocks.items()}
+            clocks = {mid: clock.clocks for mid, clock in runtime.detector._clocks.items()}
             return runtime.sends, len(runtime.races), clocks, result.trace
 
         # CHESS's send override ran for every send of the compiled class,

@@ -245,8 +245,9 @@ REMOVED_FROM_SRC = (
 )
 
 #: Removed from one file only: a second copy of a scheduling-point piece
-#: announces itself with this phrase, and a record's second JSON form or
-#: digest with these names.
+#: announces itself with this phrase, a record's second JSON form or
+#: digest with these names, and CHESS's field hook and private race
+#: detector with theirs.
 _SECOND_JSON_FORM = (
     (re.compile(r"\bto_json\b"), "Record.encode: the report document"),
     (re.compile(r"fingerprint"), "record == (Record.__eq__)"),
@@ -260,6 +261,21 @@ REMOVED_FROM_FILE = {
     ),
     "src/repro/testing/coverage.py": _SECOND_JSON_FORM,
     "src/repro/testing/telemetry.py": _SECOND_JSON_FORM,
+    "src/repro/core/machine.py": (
+        (
+            re.compile(
+                r"\b_field_access_hook\b|\b_instrumented_setattr\b"
+                r"|\binstall_field_access_hook\b|\b_psharp_internal\b|\bdef read\("
+            ),
+            "nothing: repro.chess.runtime installs its own Machine.__setattr__",
+        ),
+    ),
+    "src/repro/chess/runtime.py": (
+        (
+            re.compile(r"\b_VectorClock\b|\b_check_access\b"),
+            "repro.lang.interp.RaceDetector, the one vector-clock detector",
+        ),
+    ),
 }
 
 
