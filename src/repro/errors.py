@@ -126,7 +126,14 @@ class ExecutionCanceled(BaseException):
 
 @dataclass
 class BugReport:
-    """A bug found during testing, with enough information to replay it."""
+    """A bug found during testing, with enough information to replay it.
+
+    It has two forms.  The live one, ``ExecutionResult.bug``, holds the
+    raised exception and the machine object.  Everything a campaign
+    hands back — ``TestReport.bugs`` and ``first_bug``, in process as on
+    the wire — holds the :meth:`detached` one, made when the bug is
+    recorded.
+    """
 
     kind: str
     message: str

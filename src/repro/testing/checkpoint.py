@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from ..errors import PSharpError
 from .engine import TestReport
@@ -86,19 +86,22 @@ def save_checkpoint(
     *,
     fingerprint: str,
     specs: List["StrategySpec"],
-    completed: Dict[int, "TestReport"],
+    completed: Dict[int, Union["TestReport", Dict[str, Any]]],
 ) -> None:
     """Atomically persist campaign progress to ``path``.
 
-    ``completed`` maps shard index -> the shard's final report.  The
-    write goes through :func:`~repro.testing.record.write_atomic`, so
-    readers never observe a torn checkpoint."""
+    ``completed`` maps shard index -> the shard's final report, or its
+    document (``report.encode()``) — what the fleet coordinator keeps, so
+    each shard is encoded once however many checkpoints it rides in.
+    The write goes through :func:`~repro.testing.record.write_atomic`,
+    so readers never observe a torn checkpoint."""
     write_atomic(path, dumps({
         "version": CHECKPOINT_VERSION,
         "fingerprint": fingerprint,
         "specs": [spec.to_obj() for spec in specs],
         "completed": {
-            str(shard): report.encode() for shard, report in completed.items()
+            str(shard): report if type(report) is dict else report.encode()
+            for shard, report in completed.items()
         },
     }))
 
@@ -106,7 +109,8 @@ def save_checkpoint(
 def checkpoint_state(document: Dict[str, Any], path: str) -> Dict[str, Any]:
     """A checkpoint document decoded: ``specs`` as
     :class:`~repro.testing.portfolio.StrategySpec`\\ s, ``completed`` as
-    ``{shard: TestReport}``.  Anything off-schema is a
+    ``{shard: TestReport}`` and ``documents`` as ``{shard: the report
+    document it was decoded from}``.  Anything off-schema is a
     :class:`PSharpError`."""
     if set(document) != {"version", "fingerprint", "specs", "completed"}:
         raise PSharpError(
@@ -114,9 +118,9 @@ def checkpoint_state(document: Dict[str, Any], path: str) -> Dict[str, Any]:
         )
     try:
         specs = array_of(StrategySpec.decode)(document["specs"])
+        documents = int_keyed(document["completed"])
         completed = {
-            shard: TestReport.decode(report)
-            for shard, report in int_keyed(document["completed"]).items()
+            shard: TestReport.decode(report) for shard, report in documents.items()
         }
         if type(document["fingerprint"]) is not str or any(
             shard >= len(specs) for shard in completed
@@ -124,7 +128,7 @@ def checkpoint_state(document: Dict[str, Any], path: str) -> Dict[str, Any]:
             raise ValueError("no fingerprint, or a shard that is not the campaign's")
     except (PSharpError, ValueError) as exc:
         raise PSharpError(f"corrupt checkpoint file {path!r}: {exc}") from exc
-    return {**document, "specs": specs, "completed": completed}
+    return {**document, "specs": specs, "completed": completed, "documents": documents}
 
 
 def load_checkpoint(path: "str | os.PathLike") -> Dict[str, Any]:

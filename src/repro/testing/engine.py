@@ -301,9 +301,10 @@ class TestReport(Record):
         return campaign
 
     def detached(self) -> "TestReport":
-        """A plain-data copy: bug reports lose their live machine and
-        exception references (kept as strings / dropped), traces are
-        preserved for replay."""
+        """A copy sharing no mutable part with this report.  Its bugs are
+        in their wire form, as a campaign records them; one built by
+        hand with live ones gets them detached (the machine as its
+        string, the exception dropped), the traces kept for replay."""
         return self.copy()
 
 
@@ -484,23 +485,30 @@ def run_campaign(
                     steps=report.total_steps,
                 )
             if result.buggy:
+                # Recorded in its wire form: the live bug's exception
+                # pins the execution's frames and machines, and this
+                # frame too.
                 assert result.bug is not None
-                result.bug.iteration = iteration
+                bug = result.bug.detached()
+                bug.iteration = iteration
                 report.buggy_iterations += 1
-                report.bugs.append(result.bug)
+                report.bugs.append(bug)
                 if report.first_bug is None:
-                    report.first_bug = result.bug
+                    report.first_bug = bug
                     report.first_bug_iteration = iteration
                 if events is not None:
                     events.emit(
                         "bug_found",
                         iteration=iteration,
-                        kind=result.bug.kind,
-                        message=str(result.bug.message),
+                        kind=bug.kind,
+                        message=str(bug.message),
                     )
                 if stop_on_first_bug:
                     break
     finally:
+        # The last result's live bug reaches this frame through its
+        # exception's traceback: a cycle, unless it is let go here.
+        result = None
         runtime.close()
     report.elapsed = time.perf_counter() - start
     report.coverage = cov

@@ -659,13 +659,15 @@ def run_fleet(
     fingerprint = config_fingerprint(config)
 
     collected: Dict[int, TestReport] = {}
-    checkpointed: Dict[int, TestReport] = {}
+    # The documents of the completed shards a checkpoint holds: encoded
+    # once, on acceptance (or as loaded on resume), for every write.
+    checkpointed: Dict[int, Dict[str, Any]] = {}
     if resume is not None:
         state = load_checkpoint(resume)
         verify_checkpoint(state, config, str(resume))
         specs = list(state["specs"])
-        checkpointed = dict(state["completed"])
-        collected = dict(checkpointed)
+        checkpointed = state["documents"]
+        collected = dict(state["completed"])
         if checkpoint is None:
             checkpoint = resume  # the resumed campaign keeps checkpointing
 
@@ -793,8 +795,8 @@ def run_fleet(
             iterations=report.iterations,
             bugs=len(report.bugs),
         )
-        if not partial:
-            checkpointed[shard] = report
+        if not partial and checkpoint is not None:
+            checkpointed[shard] = report.encode()
             save_progress()
         if (
             winner_index is None

@@ -138,6 +138,8 @@ class ExecutionResult:
     steps: int
     scheduling_points: int
     trace: Optional[ScheduleTrace]
+    # The bug's live form, the one place a bug keeps its raised exception
+    # and machine object: a campaign report records its detached copy.
     bug: Optional[BugReport] = None
     # Telemetry: faults injected this execution, their outcomes indexed
     # by FAULT_* code, and how many scheduling points actually consulted
@@ -492,8 +494,17 @@ class BugFindingRuntime(RuntimeBase):
                 self._note_temperature(instance)
 
     def close(self) -> None:
-        """Release what the runtime holds between executions: nothing, on
-        this carrier; the campaign loop calls it once, at the end."""
+        """Release the last execution: its machines, seats, bug, trace
+        and monitors, so that nothing a campaign hands back is kept
+        alive by the runtime that ran it.  The campaign loop calls it
+        once, at the end; :meth:`execute` still works after it."""
+        self._machines.clear()
+        self._worker_list = []
+        self._idle_pending = []
+        self._bug = self._error = None
+        self._trace = self._record_tag = self._record_value = None
+        self._monitors = []
+        self._hot_since = {}
 
     # ==================================================================
     # Public entry point

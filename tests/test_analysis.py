@@ -601,7 +601,7 @@ class ListBoxSender(Machine):
                 reason="TaintEngine._summarize seeds each role forward only: "
                 "`self.items.append(item)` taints the loaded temporary, never "
                 "`this`, so keep's summary has no item->this flow and the "
-                "caller does not see buf inside the sent box (ROADMAP item 5)",
+                "caller does not see buf inside the sent box (ROADMAP item 4)",
             ),
         ),
         (FieldBoxSender, [FieldBox]),

@@ -630,6 +630,40 @@ class TestFleetCheckpoint:
         assert 2 in assigned
         assert fingerprints(resumed) == full_fingerprints
 
+    def test_each_shard_is_encoded_once(self, tmp_path, monkeypatch):
+        # The coordinator keeps a completed shard's document, encoded on
+        # acceptance, and every later checkpoint write reuses it: N
+        # encodes for N shards, not one per shard per write.  Forked
+        # workers encode in their own processes and are not counted.
+        encodes = []
+        encode = TestReport.encode
+
+        def counted(report):
+            encodes.append(report.strategy)
+            return encode(report)
+
+        monkeypatch.setattr(TestReport, "encode", counted)
+        config = fleet_config()
+        ckpt = tmp_path / "fleet.ckpt"
+        events_path = tmp_path / "fleet.events.jsonl"
+        first = Campaign(
+            config.with_overrides(events_path=str(events_path))
+        ).portfolio(checkpoint=str(ckpt))
+        assert len(encodes) == len(FOUR_SHARDS)
+        assert len(events_of(events_path, "checkpoint")) == len(FOUR_SHARDS) + 1
+        # Resuming writes the loaded documents back and re-runs nothing.
+        resume_events = tmp_path / "resume.events.jsonl"
+        resumed = Campaign(
+            config.with_overrides(events_path=str(resume_events))
+        ).portfolio(resume=str(ckpt))
+        assert len(encodes) == len(FOUR_SHARDS)
+        assert events_of(
+            resume_events, "fleet_worker_spawn", "fleet_work_assigned"
+        ) == []
+        assert resumed.iterations == first.iterations
+        assert fingerprints(resumed) == fingerprints(first)
+        assert sorted(load_checkpoint(ckpt)["completed"]) == [0, 1, 2, 3]
+
     def test_resume_keeps_checkpointing_to_the_resume_file(self, tmp_path):
         # §7: `resume=` without `checkpoint=` persists the re-run shards
         # to the file it resumed from — a campaign killed a second time
