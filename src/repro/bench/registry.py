@@ -20,11 +20,11 @@ seeded bugs.
 from __future__ import annotations
 
 import importlib
-import inspect
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from ..core.machine import Machine, program_statistics
+from ..core.source import class_lines
 from ..errors import PSharpError
 
 
@@ -70,7 +70,7 @@ class Benchmark:
                 if klass.__module__.startswith("repro.core"):
                     continue
                 seen.add(klass)
-                total += len(inspect.getsource(klass).splitlines())
+                total += class_lines(klass)[0]
         return total
 
     def statistics(self) -> Dict[str, int]:

@@ -113,7 +113,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import PSharpError
 from .machine import DISP_ACTION
-from .source import function_def
+from .source import function_source, parse_def
 
 # The scheduling primitives: name -> (parameter names, how many of them
 # are required).
@@ -168,8 +168,10 @@ class _FnInfo(ast.NodeVisitor):
     """What compiling one method needs to know about its source, from one
     walk over it.  Lines are absolute (the defining file's)."""
 
-    def __init__(self, fn: types.FunctionType, tree: ast.FunctionDef) -> None:
-        self.tree = tree
+    def __init__(self, fn: types.FunctionType, source: str, tree: ast.FunctionDef) -> None:
+        # The text the tree parsed from: a compile re-parses it (a fresh
+        # tree to rewrite costs less than a deep copy of this one).
+        self.source = source
         self.filename = fn.__code__.co_filename
         self.firstlineno = fn.__code__.co_firstlineno
         # `self.X(...)` names called where a yield can go (the method's own
@@ -273,10 +275,10 @@ def _fn_info(fn: types.FunctionType) -> Optional[_FnInfo]:
     if fn in _fn_info_cache:
         return _fn_info_cache[fn]
     try:
-        func_def, _cut = function_def(fn)
+        source, func_def, _cut = function_source(fn)
     except (OSError, TypeError, SyntaxError, IndentationError):
         func_def = None
-    info = _fn_info_cache[fn] = None if func_def is None else _FnInfo(fn, func_def)
+    info = _fn_info_cache[fn] = None if func_def is None else _FnInfo(fn, source, func_def)
     return info
 
 
@@ -610,28 +612,18 @@ _transform_cache: "weakref.WeakKeyDictionary[types.FunctionType, Dict[tuple, typ
 )
 
 
-def _transform(
+def _coroutine_module(
     fn: types.FunctionType,
     info: _FnInfo,
+    new_def: ast.FunctionDef,
     switchable: Set[str],
     fields: Set[str],
-    cls_name: str,
-) -> types.FunctionType:
-    """Compile the coroutine variant of ``fn``.  Cached on the function
-    plus the switchable methods and sending fields it actually calls or
-    binds — the compiled code is class-independent (helper delegation is
-    a virtual attribute lookup), so base-class methods compile once per
-    distinct resolution."""
-    relevant = (frozenset(switchable & info.names), frozenset(fields & info.names))
-    cached = _transform_cache.get(fn, {}).get(relevant)
-    if cached is not None:
-        return cached
-    owner = f"{cls_name}.{fn.__name__}"
-    local_lambdas = _check_transformable(owner, info, {*_PRIMITIVES, *switchable, *fields})
-
-    # Transform a deep copy so the cached pristine tree can be reused for
-    # other (class, resolution) pairs sharing this function.
-    new_def = copy.deepcopy(info.tree)
+    local_lambdas: Set[str],
+    owner: str,
+) -> ast.Module:
+    """The module that defines ``fn``'s coroutine, rewritten from
+    ``new_def`` — a tree of ``info.source`` of its own, which this
+    consumes — with the defining file's line numbers."""
     new_def.decorator_list = []
     transformer = _InlineTransformer(
         switchable, fields, local_lambdas, owner, info.firstlineno - 1,
@@ -665,12 +657,37 @@ def _transform(
     # Line numbers map back to the defining file so tracebacks from
     # transformed coroutines point at the real handler source.
     ast.increment_lineno(module, info.firstlineno - 1)
+    return module
+
+
+def _transform(
+    fn: types.FunctionType,
+    info: _FnInfo,
+    switchable: Set[str],
+    fields: Set[str],
+    cls_name: str,
+) -> types.FunctionType:
+    """Compile the coroutine variant of ``fn``.  Cached on the function
+    plus the switchable methods and sending fields it actually calls or
+    binds — the compiled code is class-independent (helper delegation is
+    a virtual attribute lookup), so base-class methods compile once per
+    distinct resolution."""
+    relevant = (frozenset(switchable & info.names), frozenset(fields & info.names))
+    cached = _transform_cache.get(fn, {}).get(relevant)
+    if cached is not None:
+        return cached
+    owner = f"{cls_name}.{fn.__name__}"
+    local_lambdas = _check_transformable(owner, info, {*_PRIMITIVES, *switchable, *fields})
+    new_def = parse_def(info.source)
+    assert new_def is not None  # the text info was built from
+    module = _coroutine_module(fn, info, new_def, switchable, fields, local_lambdas, owner)
     code = compile(module, info.filename, "exec")
     namespace: Dict[str, object] = {}
     # Executing with a separate locals dict keeps the definition out of
     # the module's real globals while the new function still *binds* them
     # (event classes, imports) exactly like the original.
     exec(code, fn.__globals__, namespace)
+    freevars = fn.__code__.co_freevars
     if freevars:
         cells = [cell.cell_contents for cell in fn.__closure__ or ()]
         new_fn = namespace["__inline_factory__"](*cells)
@@ -689,7 +706,7 @@ def _transform(
             )
             new_fn.__kwdefaults__ = fn.__kwdefaults__
     else:
-        new_fn = namespace[new_def.name]
+        new_fn = namespace[module.body[0].name]  # type: ignore[attr-defined]
     new_fn.__qualname__ = fn.__qualname__ + "[inline]"
     _transform_cache.setdefault(fn, {})[relevant] = new_fn
     return new_fn
@@ -700,13 +717,14 @@ def _transform(
 # ---------------------------------------------------------------------------
 def _eligible_methods(cls: type) -> Dict[str, types.FunctionType]:
     """Plain functions reachable on ``cls``, resolved most-derived-wins,
-    excluding the framework base classes (they never schedule via self)."""
+    excluding the framework base classes (they never schedule via self)
+    and the coroutines a compiled base class published."""
     methods: Dict[str, types.FunctionType] = {}
     for klass in reversed(cls.__mro__):
         if klass is object or klass.__module__ in _FRAMEWORK_MODULES:
             continue
         for name, attr in vars(klass).items():
-            if isinstance(attr, types.FunctionType):
+            if isinstance(attr, types.FunctionType) and not name.startswith(INLINE_PREFIX):
                 methods[name] = attr
     return methods
 

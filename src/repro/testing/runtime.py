@@ -375,13 +375,15 @@ class BugFindingRuntime(RuntimeBase):
                 coverage.ensure_class(monitor_cls, monitor=True)
         # The dequeue hook: on_event_dequeued for subclasses that
         # override it (CHESS) and when some monitor observes at dequeue
-        # time; the map's recorder itself when only coverage listens.
-        if self._overridden_dequeue_hook(BugFindingRuntime) is not None or any(
-            m.observes_dequeue for m in self.monitors
-        ):
-            self._hook_dequeued = self.on_event_dequeued
-        else:
-            self._hook_dequeued = None if coverage is None else coverage.record_dequeue
+        # time — armed by reset() and dropped by close(), since the bound
+        # method is a cycle through the runtime; the map's recorder
+        # itself when only coverage listens.
+        self._dequeue_bound = self._overridden_dequeue_hook(
+            BugFindingRuntime
+        ) is not None or any(m.observes_dequeue for m in self.monitors)
+        self._hook_dequeued = (
+            None if coverage is None or self._dequeue_bound else coverage.record_dequeue
+        )
         # Schedule-space reduction (repro.testing.reduction): like the
         # coverage map, the engine spans the whole campaign while the
         # runtime feeds it per-execution facts.  Armed before the
@@ -408,6 +410,8 @@ class BugFindingRuntime(RuntimeBase):
         Subclasses with per-execution state (e.g. the CHESS baseline's
         vector clocks) must override this and call ``super().reset()``.
         """
+        if self._dequeue_bound:
+            self._hook_dequeued = self.on_event_dequeued
         # Registry state from RuntimeBase.
         self._machines.clear()
         self._next_id = 0
@@ -495,8 +499,9 @@ class BugFindingRuntime(RuntimeBase):
 
     def close(self) -> None:
         """Release the last execution: its machines, seats, bug, trace
-        and monitors, so that nothing a campaign hands back is kept
-        alive by the runtime that ran it.  The campaign loop calls it
+        and monitors, and the bound dequeue hook (``reset`` arms it
+        again), so that nothing a campaign hands back is kept alive by
+        the runtime that ran it, and the runtime is in no cycle.  The campaign loop calls it
         once, at the end; :meth:`execute` still works after it."""
         self._machines.clear()
         self._worker_list = []
@@ -505,6 +510,8 @@ class BugFindingRuntime(RuntimeBase):
         self._trace = self._record_tag = self._record_value = None
         self._monitors = []
         self._hot_since = {}
+        if self._dequeue_bound:
+            self._hook_dequeued = None
 
     # ==================================================================
     # Public entry point

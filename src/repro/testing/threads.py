@@ -109,22 +109,28 @@ class ThreadedRuntime(BugFindingRuntime):
         """A machine's thread: wait to be scheduled, then run its body,
         switching wherever the body yields the next machine."""
         seat.signal.acquire()
-        if self._canceled:
-            return  # the execution ended before this machine ever ran
-        self._current = seat.mid
-        body = seat.gen
+        # The body's frame holds the seat: the thread owns it from here
+        # and closes it on the way out — never started, or parked at its
+        # idle yield when the end of the execution woke it.
+        body, seat.gen = seat.gen, None
         try:
-            while True:
-                self._switch(seat, body.send(None))
-        except StopIteration as done:
-            if done.value is not None:  # done: pass the turn on for good
-                self._worker_list[done.value.value].signal.release()
-                return
-        except ExecutionCanceled:
             if self._canceled:
-                return  # woken by the end of the execution, unwound
-        except BaseException as exc:  # noqa: BLE001 - classified
-            self._report_worker_exception(seat.machine, exc)
+                return  # the execution ended before this machine ever ran
+            self._current = seat.mid
+            try:
+                while True:
+                    self._switch(seat, body.send(None))
+            except StopIteration as done:
+                if done.value is not None:  # done: pass the turn on for good
+                    self._worker_list[done.value.value].signal.release()
+                    return
+            except ExecutionCanceled:
+                if self._canceled:
+                    return  # woken by the end of the execution, unwound
+            except BaseException as exc:  # noqa: BLE001 - classified
+                self._report_worker_exception(seat.machine, exc)
+        finally:
+            body.close()
         # This thread ended the execution and is out of the user's frames.
         self._done.release()
 

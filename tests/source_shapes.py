@@ -1,8 +1,10 @@
 """Functions laid out every way the indentation cut of
-``repro.core.source.function_def`` has to survive.  Not a test module:
-``tests/test_frontend_replay.py`` parses each function here by the cut and
-by ``inspect.getsource`` and compares the trees.  The odd formatting IS the
-fixture — do not run a formatter over this file.
+``repro.core.source.function_def`` has to survive, and classes laid out
+every way the class index of ``repro.core.source.class_lines`` has to.
+Not a test module: ``tests/test_frontend_replay.py`` parses each function
+here by the cut and by ``inspect.getsource`` and compares the trees, and
+counts each class's lines both ways.  The odd formatting IS the fixture —
+do not run a formatter over this file.
 """
 
 import functools
@@ -149,3 +151,88 @@ else:
 
 def last_function_of_the_module():
     return 21
+
+
+# ----------------------------------------------------------------------
+# Classes
+# ----------------------------------------------------------------------
+def class_decorator(cls):
+    return cls
+
+
+@class_decorator
+@decorator_with_args(
+    "spread",
+)
+class DecoratedClass:
+    value = 22
+
+
+class Outer:
+    class Inner:
+        value = 23
+
+        class Innermost:
+            value = 24
+    after_inner = 25
+
+
+def make_local_class():
+    class Local:
+        value = 26
+
+        def method(self):
+            return self.value
+    return Local
+
+
+LocalClass = make_local_class()
+
+
+class TrailingCommentKept:
+    value = 27
+    # at the body's depth: inspect keeps it
+        # deeper: kept too
+
+
+class TrailingCommentDropped:
+    value = 28
+  # left of the body: dropped
+# column zero: dropped
+
+
+class TrailingCommentsMixed:
+    value = 29
+# column zero, by itself dropped...
+    # ...but this one is at the body's depth, so the class reaches it
+
+
+class TrailingBlankLines:
+    value = 30
+
+
+
+class OneLineBody: value = 31
+    # a body on the header's line has no depth: dropped
+
+
+class SpreadHeader(
+    Outer,
+):
+    """A docstring first."""
+
+    value = 32
+
+
+if True:
+    class DefinedTwice:
+        value = 33
+else:
+    class DefinedTwice:
+        value = 34
+        longer = 35
+
+
+class Tabbed2:
+	value = 36
+	# tab-indented comment at the body's depth

@@ -49,6 +49,19 @@ class TestRegistry:
             assert stats["transitions"] + stats["action_bindings"] > 0
             assert benchmark.loc() > 30
 
+    def test_loc_is_pinned(self):
+        # Table 1's LoC column, and the numerator of the `analyze`
+        # benchmark workload's throughput: `inspect.getsource` line counts
+        # of each class in the correct variant's machine and helper MROs.
+        assert {b.name: b.loc() for b in all_benchmarks()} == {
+            "AsyncSystem": 131, "BasicPaxos": 145, "BoundedAsync": 81,
+            "ChainReplication": 136, "Chord": 94, "Raft": 224,
+            "TwoPhaseCommit": 144, "RaftLossy": 226, "TwoPhaseCommitCrash": 186,
+            "German": 130, "MultiPaxos": 167, "ProcessScheduler": 60,
+            "Leader": 49, "Pi": 40, "Chameneos": 50, "Swordfish": 63,
+            "TokenRing": 76,
+        }
+
 
 @pytest.mark.parametrize("name", PSHARPBENCH + SOTER)
 def test_correct_variant_runs_clean(name):

@@ -10,13 +10,16 @@ in both machine orders (the order within a pass decides what a lookup
 sees), on the machines of ``tests/test_frontend.py`` and on the ``faults``
 suite; that mutants of the replay rule are caught; that the source cut
 parses every function the repo analyses or compiles, and every layout in
-``tests/source_shapes.py``, to the tree ``inspect.getsource`` gives; and it
-pins the frontend's exact counters.
+``tests/source_shapes.py``, to the tree ``inspect.getsource`` gives; that
+the class index counts every registry class and every class layout there
+as ``inspect.getsource`` does, parsing each file once; and it pins the
+frontend's exact counters.
 """
 
 import ast
 import importlib.util
 import inspect
+import sys
 
 import pytest
 
@@ -34,7 +37,7 @@ from repro.analysis.frontend import (
     lower_machines,
 )
 from repro.bench import registry
-from repro.core.source import function_def
+from repro.core.source import class_lines, function_def
 
 from . import source_shapes, test_frontend
 from .reference_frontend import ReferenceFrontend, getsource_function_def
@@ -351,6 +354,14 @@ def registry_classes():
                 yield from variant.monitors
 
 
+def registry_class_mros():
+    """Every class reachable from a registry variant: its machines,
+    helpers and monitors, and their bases (``object`` aside)."""
+    return list(dict.fromkeys(
+        klass for cls in registry_classes() for klass in cls.__mro__ if klass is not object
+    ))
+
+
 def test_cut_parses_what_getsource_parses_across_the_repo():
     functions = functions_of(
         *registry_classes(),
@@ -441,3 +452,127 @@ def test_stale_line_number_falls_back(tmp_path):
     path.write_text("# swapped\ndef second():\n    return 2\n\n\ndef first():\n    return 1\n")
     assert source_module._cut(module.second) is None
     assert outcome(by_cut, module.second) == outcome(getsource_function_def, module.second)
+
+
+# ----------------------------------------------------------------------
+# The class index
+# ----------------------------------------------------------------------
+def getsource_lines(cls):
+    """Table 1's count of a class, as ``Benchmark.loc`` made it before."""
+    return len(inspect.getsource(cls).splitlines())
+
+
+def by_index(cls):
+    return class_lines(cls)[0]
+
+
+def counted(route, cls):
+    """What a route counts for ``cls`` — or the exception it raises."""
+    try:
+        return route(cls)
+    except (OSError, TypeError, SyntaxError) as error:
+        return f"{type(error).__name__}: {error}"
+
+
+@pytest.fixture
+def fresh_index(monkeypatch):
+    """The class index as a new process has it: empty, nothing counted."""
+    monkeypatch.setattr(source_module, "_class_index", {})
+    monkeypatch.setattr(source_module, "counters", dict.fromkeys(source_module.counters, 0))
+    return source_module
+
+
+def test_index_counts_what_getsource_counts_on_every_registry_class(fresh_index):
+    classes = registry_class_mros()
+    # Machines, helpers and monitors of every variant, with the framework
+    # bases (Machine, Monitor) they share.
+    assert len(classes) == 96
+    files = {inspect.getsourcefile(cls) for cls in classes}
+    for cls in classes:
+        assert class_lines(cls) == (getsource_lines(cls), True), cls
+    assert fresh_index.counters == {"class_files_parsed": len(files), "class_fallbacks": 0}
+
+
+def test_loc_parses_each_file_once(fresh_index):
+    before = {b.name: b.loc() for b in registry.all_benchmarks()}
+    parsed = fresh_index.counters["class_files_parsed"]
+    assert parsed == len(fresh_index._class_index)
+    assert fresh_index.counters["class_fallbacks"] == 0
+    # Answered from the index from then on: no file is parsed again.
+    assert {b.name: b.loc() for b in registry.all_benchmarks()} == before
+    assert fresh_index.counters == {"class_files_parsed": parsed, "class_fallbacks": 0}
+
+
+CLASS_SHAPES = [
+    source_shapes.DecoratedClass,
+    source_shapes.Outer,
+    source_shapes.Outer.Inner,
+    source_shapes.Outer.Inner.Innermost,
+    source_shapes.LocalClass,
+    source_shapes.TrailingCommentKept,
+    source_shapes.TrailingCommentDropped,
+    source_shapes.TrailingCommentsMixed,
+    source_shapes.TrailingBlankLines,
+    source_shapes.OneLineBody,
+    source_shapes.SpreadHeader,
+    source_shapes.DefinedTwice,
+    source_shapes.Shapes,
+    source_shapes.Tabbed,
+    source_shapes.Tabbed2,
+]
+
+
+@pytest.mark.parametrize("cls", CLASS_SHAPES, ids=lambda cls: cls.__qualname__)
+def test_index_counts_every_hand_written_class_as_getsource_does(cls):
+    assert counted(by_index, cls) == counted(getsource_lines, cls)
+
+
+def test_the_class_shapes_cover_both_roads(fresh_index):
+    assert source_shapes.LocalClass.__qualname__ == "make_local_class.<locals>.Local"
+    # The comment rule, both ways.
+    assert by_index(source_shapes.TrailingCommentKept) == 4
+    assert by_index(source_shapes.TrailingCommentDropped) == 2
+    assert by_index(source_shapes.TrailingCommentsMixed) == 4
+    assert by_index(source_shapes.OneLineBody) == 1
+    for cls in CLASS_SHAPES:
+        assert class_lines(cls)[1] is (cls is not source_shapes.DefinedTwice), cls
+    # Defined twice: the index does not guess, inspect answers (its first).
+    assert class_lines(source_shapes.DefinedTwice) == (2, False)
+    assert fresh_index.counters["class_files_parsed"] == 1
+
+
+def test_a_class_without_source_raises_what_inspect_raises():
+    built_by_type = type("BuiltByType", (), {})
+    namespace = {}
+    exec("class BuiltByExec:\n    value = 1\n", namespace)
+    for cls in (built_by_type, namespace["BuiltByExec"]):
+        message = counted(getsource_lines, cls)
+        assert isinstance(message, str)  # no source on either route
+        assert counted(by_index, cls) == message
+
+
+def imported(path, monkeypatch):
+    """The module at ``path``, in ``sys.modules`` (where ``inspect`` looks
+    a class's file up) for the test's duration."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, path.stem, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_class_at_end_of_file_with_comments_and_no_newline(tmp_path, monkeypatch):
+    path = tmp_path / "class_at_eof.py"
+    path.write_text("class Last:\n    value = 1\n\n    # kept\n# dropped\n    # kept")
+    module = imported(path, monkeypatch)
+    assert class_lines(module.Last) == (getsource_lines(module.Last), True) == (6, True)
+
+
+def test_a_file_edited_after_import_is_indexed_again(tmp_path, monkeypatch, fresh_index):
+    path = tmp_path / "class_edited_after_import.py"
+    path.write_text("class First:\n    value = 1\n\n\nclass Second:\n    value = 2\n")
+    module = imported(path, monkeypatch)
+    assert class_lines(module.Second) == (2, True)
+    path.write_text("class Second:\n    value = 2\n    more = 3\n    # and more\n")
+    assert counted(by_index, module.Second) == counted(getsource_lines, module.Second) == 4
+    assert fresh_index.counters["class_files_parsed"] == 2

@@ -11,8 +11,13 @@ survive (each held to the threaded carrier's trace and log), and the
 engine / portfolio / replay integrations.
 """
 
+import ast
+import copy
+import inspect
+
 import pytest
 
+import repro.core.continuations as continuations
 from repro import (
     BugFindingRuntime,
     Campaign,
@@ -26,11 +31,12 @@ from repro import (
     TestConfig,
     replay,
 )
-from repro.bench import get
+from repro.bench import all_benchmarks, get
 from repro.core.continuations import (
     InlineCompileError,
     compile_inline_machine,
 )
+from repro.core.source import function_def
 from repro.testing import ThreadedRuntime
 
 from .machines import NondetBug, Ping, RacyCounter
@@ -97,6 +103,33 @@ def _run_inline(main_cls, seed=1, max_steps=2_000, iterations=1):
         strategy.prepare_iteration()
         result = runtime.execute(main_cls)
     return result
+
+
+def _registry_machine_classes():
+    """Every machine class of every registry variant, once."""
+    return list(dict.fromkeys(
+        cls
+        for benchmark in all_benchmarks()
+        for variant in (benchmark.correct, benchmark.racy, benchmark.buggy)
+        if variant is not None
+        for cls in variant.machines
+    ))
+
+
+def _coroutine_modules(cls, fresh_tree):
+    """``(Class.method, ast.dump)`` of the module the compiler builds for
+    each switchable method of ``cls``, from ``fresh_tree(fn, info)``."""
+    methods = continuations._eligible_methods(cls)
+    infos = {name: continuations._fn_info(fn) for name, fn in methods.items()}
+    switchable, fields = continuations._switchable_names(infos)
+    suspends = {*continuations._PRIMITIVES, *switchable, *fields}
+    for name in sorted(switchable):
+        fn, info, owner = methods[name], infos[name], f"{cls.__name__}.{name}"
+        local_lambdas = continuations._check_transformable(owner, info, suspends)
+        module = continuations._coroutine_module(
+            fn, info, fresh_tree(fn, info), switchable, fields, local_lambdas, owner
+        )
+        yield owner, ast.dump(module, include_attributes=True)
 
 
 class TestCoroutineCompiler:
@@ -203,6 +236,62 @@ class TestCoroutineCompiler:
         # The failed execution was unwound; the runtime is reusable.
         strategy.prepare_iteration()
         assert runtime.execute(Ping).status == "ok"
+
+    def test_a_fresh_parse_rewrites_to_what_a_deep_copy_did(self):
+        # The compiler re-parses a method's text for every coroutine it
+        # builds; it used to deep-copy one cached tree.  Both trees give
+        # the same module, positions included, on every registry class.
+        pristine = {}
+
+        def deep_copy(fn, _info):
+            if fn not in pristine:
+                pristine[fn] = function_def(fn)[0]
+            return copy.deepcopy(pristine[fn])
+
+        def reparse(_fn, info):
+            return continuations.parse_def(info.source)
+
+        compiled = 0
+        for cls in _registry_machine_classes():
+            by_copy = dict(_coroutine_modules(cls, deep_copy))
+            assert dict(_coroutine_modules(cls, reparse)) == by_copy, cls
+            compiled += len(by_copy)
+        assert compiled == 219
+
+    def test_a_subclass_does_not_recompile_its_base_coroutines(self):
+        # The coroutines a compiled base class published are not methods
+        # of the subclass to compile again.
+        class Child(HelperChain):
+            pass
+
+        compile_inline_machine(HelperChain)
+        compile_inline_machine(Child)
+        prefix = continuations.INLINE_PREFIX
+        assert not [name for name in vars(Child) if name.startswith(prefix * 2)]
+        assert Child._inline__boot is HelperChain._inline__boot
+
+    def test_a_traceback_points_at_the_handler_source(self):
+        class Faulty(Machine):
+            class Init(State):
+                initial = True
+                entry = "go"
+
+            def go(self):
+                self.send(self.id, EKick())
+                raise ValueError("from the handler")
+
+        result = _run_inline(Faulty)
+        lines, first = inspect.getsourcelines(Faulty.go)
+        raise_line = first + next(i for i, line in enumerate(lines) if "raise" in line)
+        tb, frames = result.bug.exception.cause.__traceback__, []
+        while tb is not None:
+            frames.append((tb.tb_frame.f_code, tb.tb_lineno))
+            tb = tb.tb_next
+        # The frame that raised is the compiled coroutine's, at the line
+        # and in the file of the plain method.
+        code, line = frames[-1]
+        assert code is Faulty._inline__go.__code__
+        assert (code.co_filename, line) == (__file__, raise_line)
 
     def test_plain_handlers_pay_no_reshaping(self):
         compile_inline_machine(NondetBug)

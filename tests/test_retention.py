@@ -10,8 +10,10 @@ return, is the one live form of a bug.  ``tools/retention.py`` measures
 the bytes this keeps from being pinned.
 
 The carriers with an OS thread per machine (``ThreadedRuntime``, CHESS)
-are not in the table: when a machine thread outlives its execution, the
-runtime is tainted and the thread keeps it reachable by design.
+are in the table too: each thread closes its machine's body on the way
+out, and CHESS's bound dequeue hook lives from ``reset()`` to ``close()``.
+(A machine thread that outlives its execution taints its runtime and
+keeps it reachable by design; no configuration here has one.)
 """
 
 import gc
@@ -20,11 +22,14 @@ import types
 import pytest
 
 from repro import Campaign, TestConfig
+from repro.chess import ChessRuntime
 from repro.core.machine import Machine
 from repro.testing.engine import TestReport
 from repro.testing.runtime import BugFindingRuntime
+from repro.testing.threads import ThreadedRuntime
 
-#: Inline configurations, each finding at least one bug.
+#: Configurations, each finding at least one bug: inline unless they name
+#: a threaded carrier.
 CONFIGS = {
     "random": dict(program="BoundedAsync", strategy="random", max_iterations=20),
     "pct": dict(program="BoundedAsync", strategy="pct,depth=3", max_iterations=20),
@@ -42,6 +47,10 @@ CONFIGS = {
                          max_iterations=40),
     "coverage+events": dict(program="Raft", strategy="pct,depth=3",
                             max_iterations=100, coverage=True),
+    "threads": dict(program="TwoPhaseCommitCrash", strategy="random",
+                    max_iterations=40, runtime_factory=ThreadedRuntime),
+    "chess": dict(program="BoundedAsync", strategy="random", seed=3,
+                  max_iterations=230, runtime_factory=ChessRuntime),
 }
 
 #: What no finished report may reach.
