@@ -217,14 +217,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     reduction = test.add_argument_group(
         "schedule-space reduction",
-        "explore fewer schedules without missing bugs (docs/reduction.md)",
+        "explore fewer DFS schedules (docs/reduction.md)",
     )
     _flag(
         reduction, "--reduction", sets="reduction", choices=REDUCTION_MODES,
-        help="reduction mode: dpor (dynamic partial-order reduction on "
-        "DFS-family strategies), dpor+state-cache (adds fingerprint "
-        "state caching for every strategy), dpor+state-cache+clauses "
-        "(learns prefix clauses from cache hits); default: {default}",
+        help="reduction mode, for the dfs and iddfs strategies only (any "
+        "other strategy refuses it): dpor (dynamic partial-order "
+        "reduction), dpor+state-cache (adds fingerprint state caching), "
+        "dpor+state-cache+clauses (another name for dpor+state-cache); "
+        "default: {default}",
     )
     _flag(
         reduction, "--state-cache-size", sets="state_cache_size", type=int,

@@ -47,7 +47,7 @@ from ..errors import PSharpError
 from .engine import TestReport, replay_trace, run_campaign
 from .faults import FaultConfig
 from .fleet import run_fleet
-from .reduction import DEFAULT_STATE_CACHE_SIZE, REDUCTION_MODES
+from .reduction import DEFAULT_STATE_CACHE_SIZE, REDUCTION_MODES, ReductionEngine
 from .monitors import Monitor
 from .portfolio import (
     _SEEDED,
@@ -231,11 +231,15 @@ class TestConfig(Declared):
     reduction:
         Schedule-space reduction mode (:mod:`repro.testing.reduction`):
         ``"none"`` (default), ``"dpor"`` (dynamic partial-order
-        reduction on the DFS-family strategies), ``"dpor+state-cache"``
-        (adds fingerprint-based state caching for every strategy), or
-        ``"dpor+state-cache+clauses"`` (additionally learns prefix
-        clauses from cache hits).  Reduction stats surface as
-        ``TestReport.distinct_states`` / ``schedules_pruned``.
+        reduction) or ``"dpor+state-cache"`` (adds fingerprint-based
+        state caching); ``"dpor+state-cache+clauses"`` is another name
+        for ``"dpor+state-cache"``.  Every active mode is for the
+        DFS-family strategies (``dfs``, ``iddfs``) only: the campaign
+        refuses it under any other strategy before the first execution
+        (``SchedulingStrategy.attach_reduction``; not here, since a
+        strategy object passed to a campaign overrides ``strategy``).
+        Reduction stats surface as ``TestReport.distinct_states`` /
+        ``schedules_pruned``.
     state_cache_size:
         Bound on the state cache (entries; least-recently-seen states
         are evicted).  Only meaningful when ``reduction`` includes the
@@ -315,6 +319,13 @@ class TestConfig(Declared):
     def build_strategy(self) -> SchedulingStrategy:
         """Construct the single-strategy campaign's scheduler."""
         return make_strategy(self.strategy_spec())
+
+    def build_reduction(self) -> Optional[ReductionEngine]:
+        """A fresh reduction engine for one campaign loop, or ``None``
+        when ``reduction`` is ``"none"``."""
+        if self.reduction == "none":
+            return None
+        return ReductionEngine(self.reduction, self.state_cache_size)
 
     # -- campaign JSON (versioned schema, see CONFIG_SCHEMA_VERSION) ----
     def to_json_obj(self) -> Dict[str, Any]:

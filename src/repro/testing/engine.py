@@ -396,13 +396,10 @@ def run_campaign(
     stop_on_first_bug = config.stop_on_first_bug
     report = TestReport(strategy=strategy.name)
     cov = CoverageMap() if config.coverage else None
-    red = (
-        ReductionEngine(config.reduction, config.state_cache_size)
-        if config.reduction != "none"
-        else None
-    )
+    red = config.build_reduction()
     # Always (re)attached, so a strategy reused across campaigns never
-    # keeps a stale engine from a previous one.
+    # keeps a stale engine from a previous one; a strategy outside the
+    # DFS family refuses an engine here, before any runtime is built.
     strategy.attach_reduction(red)
     stats = TelemetryStats()
     start = time.perf_counter()

@@ -648,8 +648,6 @@ def run_fleet(
         )
 
     specs = list(config.portfolio_specs())
-    for spec in specs:
-        make_strategy(spec)  # fail fast on unbuildable specs
     # Workers never open the coordinator's event log path themselves —
     # telemetry travels back over the wire (event frames) instead.  Our
     # own children get this object by value; only wire peers need it as
@@ -670,6 +668,14 @@ def run_fleet(
         collected = dict(state["completed"])
         if checkpoint is None:
             checkpoint = resume  # the resumed campaign keeps checkpointing
+    # Fail fast, before anything forks or listens, on a shard that could
+    # not run: a spec that does not build, or a strategy that refuses the
+    # campaign's reduction (run_campaign's own check, made here too so it
+    # is one error line rather than one traceback per worker).
+    reduction = config.build_reduction()
+    for index, spec in enumerate(specs):
+        if index not in collected:
+            make_strategy(spec).attach_reduction(reduction)
 
     events = (
         EventLog(config.events_path) if config.events_path is not None else None

@@ -1,12 +1,16 @@
-"""Schedule-space reduction: DPOR, state caching, learned prefix clauses.
+"""Schedule-space reduction for the DFS family: DPOR and state caching.
 
 Raw schedule throughput stopped being the bottleneck once the inline
 backend landed; the next multiplier is exploring *fewer* schedules.  The
 P#-style tester (Section 6.2) enumerates interleavings whose vast
 majority are equivalent, because the only visible effects of a scheduling
 step are the messages it enqueues — and sends targeting distinct inboxes
-commute.  This module shrinks the schedule tree itself, in three
-cooperating layers:
+commute.  This module shrinks the DFS schedule tree itself, in two
+cooperating layers on one independence oracle.  Both are arguments about
+depth-first order, so only :class:`~repro.testing.strategies.DfsStrategy`
+(and ``IterativeDeepeningDfsStrategy``, which is one) accepts an engine:
+every other strategy refuses it in ``attach_reduction``, before the
+campaign's first execution.
 
 **Independence oracle.**  The runtime reports, per scheduling step, the
 set of *objects* the step touched: the stepping machine itself (its
@@ -20,23 +24,22 @@ commute iff their object footprints are disjoint.  Footprints are derived
 from trace-visible facts only, so the oracle is identical on the inline
 and threaded carriers.
 
-**Dynamic partial-order reduction** (:class:`~repro.testing.strategies
-.DfsStrategy`, which ``IterativeDeepeningDfsStrategy`` is).  A
-machine-choice frame of the DFS stack carries an explicit backtrack list
-instead of enumerating every enabled machine: it starts with a single
-branch, and after each execution the engine scans the step log — the
-chosen machine and the frame depth of every decision, and the objects
-each step touched — for *races*: a step whose footprint intersects the
-footprint of the last earlier step by a different machine touching the
-same object.  The racing machine is offered to that earlier decision's
-frame, the one record of what was enabled there, which adds it, or the
-whole enabled set when the racer was not yet enabled (the classic
-conservative case).  A frame's explored prefix ``values[:pos+1]`` is its
-sleep set: a branch that has been explored (or deliberately skipped) at
-this node is never re-added.  Branches never materialized are counted as
-``branches_pruned`` when the frame pops.  Pruning decisions never touch
-recorded schedule decisions, so a bug trace found under reduction
-replays bit-identically — on any back-end — via ``ReplayStrategy``.
+**Dynamic partial-order reduction.**  A machine-choice frame of the DFS
+stack carries an explicit backtrack list instead of enumerating every
+enabled machine: it starts with a single branch, and after each execution
+the engine scans the step log — the chosen machine and the frame depth of
+every decision, and the objects each step touched — for *races*: a step
+whose footprint intersects the footprint of the last earlier step by a
+different machine touching the same object.  The racing machine is
+offered to that earlier decision's frame, the one record of what was
+enabled there, which adds it, or the whole enabled set when the racer was
+not yet enabled (the classic conservative case).  A frame's explored
+prefix ``values[:pos+1]`` is its sleep set: a branch that has been
+explored (or deliberately skipped) at this node is never re-added.
+Branches never materialized are counted as ``branches_pruned`` when the
+frame pops.  Pruning decisions never touch recorded schedule decisions,
+so a bug trace found under reduction replays bit-identically — on any
+back-end — via ``ReplayStrategy``.
 
 **State caching.**  A program state is a product of machine-local
 states (machines own their heap and affect each other only through the
@@ -48,34 +51,29 @@ digests plus the step count and the fault count
 the digests of the current execution and recomputes only those whose
 machine the step log above names since the last consultation — the same
 value, about two digests a point instead of all of them.  The engine
-keeps an LRU-bounded seen-set across the campaign and the runtime
-abandons an execution (status ``"pruned"``, trace kind ``"reduction"``)
-when it reaches a state the campaign has already explored.  Two guards
-make this sound for DFS-order search:
+keeps an LRU-bounded seen-set across the search and the runtime abandons
+an execution (status ``"pruned"``, trace kind ``"reduction"``) when it
+reaches a state the search has already explored.  Two guards make this
+sound in DFS order:
 
 * *Divergence gating* — a DFS iteration re-executes the previous
   iteration's schedule prefix decision-for-decision, and every prefix
-  state is by construction already cached; fingerprints are therefore
-  only checked (and inserted) once the current trace has diverged from
-  the previous iteration's.  Under depth-first order every reachable
-  cache hit then refers to a node strictly left of the current path,
-  whose subtree is fully explored — pruning it drops only redundant
-  work.
+  state is by construction already cached.  The DFS stack knows where
+  that prefix ends: ``prepare_iteration`` clears :attr:`ReductionEngine
+  .diverged` when it advances a frame, and the strategy sets it again
+  when the decision at that frame is taken (a fresh search starts with
+  it set).  The runtime consults the cache only while it is set.  Under
+  depth-first order every reachable cache hit then refers to a node
+  strictly left of the current path, whose subtree is fully explored —
+  pruning it drops only redundant work.
 * *Step-count inclusion* — the fingerprint includes the step counter, so
   a state reached by a longer path (different remaining ``max_steps``
   budget) or a cycle within one execution never aliases a cached entry.
 
-For randomized strategies the cache is a redundancy heuristic, not an
-equivalence argument; see ``docs/reduction.md`` for the caveats
-(liveness temperature, fairness) and when to use which mode.
-
-**Learned prefix clauses** (the opt-in CDCL-flavored stretch,
-``"dpor+state-cache+clauses"``).  Every state-cache prune learns the
-implication "from fingerprint *F*, scheduling machine *m* re-enters
-explored territory" — a blocked edge, the one-step analogue of a learned
-clause over schedule prefixes.  On later visits to *F* the runtime
-consults the store right after the decision and prunes *before*
-executing the step, saving the step plus the child fingerprint.
+A random walk has neither guard: a state it passed through is not an
+explored subtree, and a cache fed by walks prunes almost every later
+execution after a few points (``docs/reduction.md``).  That is why the
+refusal exists.
 """
 
 from __future__ import annotations
@@ -88,13 +86,12 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.events import Event, MachineId
 from ..errors import PSharpError
-from .trace import REASON_CLAUSE, REASON_STATE, ScheduleTrace
+from .trace import REASON_STATE
 
 __all__ = [
     "DIGEST_SIZE",
     "REDUCTION_MODES",
     "REASON_STATE",
-    "REASON_CLAUSE",
     "ReductionEngine",
     "machine_digest",
     "machine_update",
@@ -105,10 +102,11 @@ __all__ = [
     "state_fingerprint",
 ]
 
-#: Reduction modes a campaign may name.  "dpor" arms the race analysis
-#: for DFS-family strategies; "+state-cache" additionally prunes
-#: revisited states for *every* strategy; "+clauses" opts into the
-#: learned blocked-edge store on top.
+#: Reduction modes a campaign may name, each for the DFS family only.
+#: "dpor" arms the race analysis; "+state-cache" additionally prunes
+#: revisited states.  "+clauses" is another name for
+#: "dpor+state-cache": its learned-clause store never pruned a schedule
+#: and is gone, the name stays because benchmark configurations pass it.
 REDUCTION_MODES = ("none", "dpor", "dpor+state-cache", "dpor+state-cache+clauses")
 
 #: Default LRU bound of the campaign-level seen-set.
@@ -449,17 +447,19 @@ def state_fingerprint(
 class ReductionEngine:
     """Campaign-lifetime reduction state shared by the runtime (step
     footprints, state cache) and the DFS-family strategies (race
-    analysis, backtrack insertion).
+    analysis, backtrack insertion, prefix gating).
 
     One engine serves one campaign loop: :func:`repro.testing.engine
-    .run_campaign` constructs it next to the coverage map, hands it to the
-    runtime (``BugFindingRuntime(reduction=...)``) and attaches it to the
-    strategy (:meth:`~repro.testing.strategies.SchedulingStrategy
-    .attach_reduction`).
+    .run_campaign` constructs it next to the coverage map, attaches it to
+    the strategy (:meth:`~repro.testing.strategies.SchedulingStrategy
+    .attach_reduction`, which refuses it off the DFS family) and hands it
+    to the runtime (``BugFindingRuntime(reduction=...)``).
 
     The step log (``_points``/``_bounds``/``effects``) covers the most
-    recent execution only; the seen-set, the clause store and the
-    counters span the campaign.
+    recent execution only; the seen-set and the counters span the
+    campaign.  ``diverged`` — whether the cache may be consulted at the
+    current scheduling point — is the DFS strategy's to set; it starts
+    set, as a fresh search has no prefix to replay.
     """
 
     def __init__(
@@ -479,34 +479,27 @@ class ReductionEngine:
                 f"state_cache_size must be >= 1, got {state_cache_size!r}"
             )
         self.mode = mode
-        self.dpor = True  # every active mode includes the race analysis
         self.cache_on = mode != "dpor"
-        self.clauses_on = mode == "dpor+state-cache+clauses"
         self.state_cache_size = state_cache_size
         # Campaign-level counters (telemetry; see TestReport).
         self.distinct_states = 0
         self.state_prunes = 0
-        self.clause_prunes = 0
         self.branches_pruned = 0
-        self.clauses_learned = 0
         # Exact cost counters of the state cache: consultations that
         # hashed, and machine/monitor digests actually computed for them
         # (reused = parts x fingerprints - computed).
         self.fingerprints = 0
         self.machine_digests = 0
-        # Campaign-level stores.
+        # Campaign-level store.
         self._seen: "OrderedDict[bytes, bool]" = OrderedDict()
-        self._blocked: dict = {}  # fingerprint -> set of blocked machine values
-        self.prev_trace: Optional[ScheduleTrace] = None
+        # Past the replayed prefix of a DFS iteration (see the module
+        # docstring's divergence gating).
+        self.diverged = True
         # Per-execution step log (see begin_execution).
         self.effects: List[int] = []
         self._points: List[Tuple[int, int]] = []  # (chosen value, frame depth)
         self._bounds: List[int] = []
         self._pending_depth = -1
-        self.diverged = False
-        self.checked = 0
-        self.cur_blocked: Optional[set] = None
-        self._cur_fp: Optional[bytes] = None
         # Per-execution digest memo (see fingerprint): effects key ->
         # (digest, inbox length when digested), current up to
         # effects[:_digested].
@@ -516,9 +509,8 @@ class ReductionEngine:
     @property
     def schedules_pruned(self) -> int:
         """Schedules the reduction avoided exploring: DPOR branches never
-        materialized plus executions cut short by the state cache or a
-        learned clause."""
-        return self.branches_pruned + self.state_prunes + self.clause_prunes
+        materialized plus executions cut short by the state cache."""
+        return self.branches_pruned + self.state_prunes
 
     def counters(self) -> Dict[str, int]:
         """The campaign counters a :class:`TestReport` (and its
@@ -538,31 +530,16 @@ class ReductionEngine:
         self._points.clear()
         self._bounds.clear()
         self._pending_depth = -1
-        # The first execution (no previous trace) has nothing to stay
-        # aligned with: every point checks the (initially empty) cache.
-        self.diverged = self.prev_trace is None
-        self.checked = 0
-        self.cur_blocked = None
-        self._cur_fp = None
         self._digests.clear()
         self._digested = 0
 
-    def end_execution(self, trace: Optional[ScheduleTrace]) -> None:
-        """Record the completed execution's trace as the prefix-alignment
-        reference for the next one."""
-        if trace is not None:
-            self.prev_trace = trace
-
     def reset_search(self) -> None:
-        """Forget everything tied to the *current* systematic search
-        (seen states, learned clauses, the alignment trace) while keeping
-        the campaign counters.  Iterative deepening calls this at every
-        depth increase, from its one ``prepare_iteration``: the deepened
-        DFS re-explores the whole tree, and states cached by the
-        shallower pass would otherwise prune it to nothing."""
+        """Forget the seen states of the *current* systematic search
+        while keeping the campaign counters.  Iterative deepening calls
+        this at every depth increase, from its one ``prepare_iteration``:
+        the deepened DFS re-explores the whole tree, and states cached by
+        the shallower pass would otherwise prune it to nothing."""
         self._seen.clear()
-        self._blocked.clear()
-        self.prev_trace = None
 
     # -- step log (runtime side) ---------------------------------------
     def bind_frame(self, depth: int) -> None:
@@ -676,25 +653,14 @@ class ReductionEngine:
     def check_state(self, fingerprint: bytes) -> int:
         """Consult (and update) the seen-set for the state at the current
         scheduling point.  Returns a prune reason code (0: fresh state,
-        keep executing).  On a hit with clause learning armed, the edge
-        that led here — (previous point's fingerprint, last scheduled
-        machine) — is recorded as blocked."""
+        keep executing)."""
         seen = self._seen
         if fingerprint in seen:
             seen.move_to_end(fingerprint)
             self.state_prunes += 1
-            if self.clauses_on and self._cur_fp is not None and self._points:
-                blocked = self._blocked.setdefault(self._cur_fp, set())
-                edge = self._points[-1][0]
-                if edge not in blocked:
-                    blocked.add(edge)
-                    self.clauses_learned += 1
             return REASON_STATE
         seen[fingerprint] = True
         if len(seen) > self.state_cache_size:
             seen.popitem(last=False)
         self.distinct_states += 1
-        if self.clauses_on:
-            self._cur_fp = fingerprint
-            self.cur_blocked = self._blocked.get(fingerprint)
         return 0

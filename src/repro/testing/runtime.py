@@ -92,7 +92,7 @@ from .faults import (
     FaultConfig,
 )
 from .monitors import EMachineHalted, Monitor, has_hot_states
-from .reduction import REASON_CLAUSE, ReductionEngine, state_fingerprint
+from .reduction import ReductionEngine, state_fingerprint
 from .strategies import SchedulingStrategy
 from .trace import (
     BOOL_TAG,
@@ -261,11 +261,13 @@ class BugFindingRuntime(RuntimeBase):
         A :class:`~repro.testing.reduction.ReductionEngine` arming
         schedule-space reduction.  The runtime reports each step's
         object footprint to it (the independence oracle), consults its
-        state cache at every scheduling point — abandoning executions
-        that reach an already-explored state with status ``"pruned"``
-        and a ``"reduction"`` trace record — and feeds it the step log
-        the DFS strategies' DPOR analysis mines for races.  ``None``
-        (the default) keeps every reduction hook dark.
+        state cache at every scheduling point past the replayed prefix
+        of a DFS iteration — abandoning executions that reach an
+        already-explored state with status ``"pruned"`` (and a
+        ``"reduction"`` trace record when a trace is recorded) — and
+        feeds it the step log the DFS strategies' DPOR analysis mines
+        for races.  ``None`` (the default) keeps every reduction hook
+        dark.
     """
 
     # How many scheduling steps between deadline/stop_check polls: the
@@ -556,7 +558,6 @@ class BugFindingRuntime(RuntimeBase):
             raise self._error  # recorded by _abort; everything has unwound
         consulted = self._consulted
         if red is not None:
-            red.end_execution(trace)
             reduction_forced = (
                 getattr(self.strategy, "reduction_forced", 0) - forced_base
             )
@@ -700,7 +701,7 @@ class BugFindingRuntime(RuntimeBase):
             self._record_tag(SCHED_TAG)
             self._record_value(choice.value)
         if red is not None:
-            self._reduction_chose(choice)
+            red.chose(choice.value)
         return None if choice.value == current.value else choice
 
     def nondet(self, machine: Machine) -> bool:
@@ -1356,44 +1357,18 @@ class BugFindingRuntime(RuntimeBase):
 
     def _reduction_check(self) -> None:
         """State-cache consultation, run at every non-terminal scheduling
-        point before the strategy is consulted.  Dark until the current
-        trace diverges from the previous execution's (a DFS iteration
-        re-executes the previous schedule's prefix decision-for-decision,
-        and the replayed prefix must not prune itself); from the first
-        divergent point on, a fingerprint already in the cache proves the
-        subtree ahead was fully explored, so the execution is cut with an
-        auditable trace record."""
+        point before the strategy is consulted.  Dark while the engine's
+        ``diverged`` flag is clear: the DFS strategy clears it while an
+        iteration replays the previous schedule's prefix, which must not
+        prune itself.  Past it, a fingerprint already in the cache proves
+        the subtree ahead was fully explored, so the execution is cut."""
         red = self._red
-        trace = self._trace
-        if trace is None or not red.cache_on:
+        if not (red.diverged and red.cache_on):
             return
-        if not red.diverged:
-            n = len(trace)
-            prev = red.prev_trace
-            if prev is not None and trace.range_equal(prev, red.checked, n):
-                red.checked = n
-                return
-            red.diverged = True
         reason = red.check_state(red.fingerprint(*self._fingerprint_inputs()))
         if reason:
-            trace.append(REDUCTION_TAG, reason)
-            self._finish("pruned")
-            raise ExecutionCanceled()
-
-    def _reduction_chose(self, choice: MachineId) -> None:
-        """Record a scheduling decision with the reduction engine (DPOR
-        race analysis needs every choice), then apply any learned prefix
-        clause: a choice known to lead into an explored state prunes
-        immediately instead of running to the cache hit."""
-        red = self._red
-        red.chose(choice.value)
-        blocked = red.cur_blocked
-        if blocked is not None and choice.value in blocked:
-            red.cur_blocked = None
-            red.clause_prunes += 1
-            trace = self._trace
-            if trace is not None:
-                trace.append(REDUCTION_TAG, REASON_CLAUSE)
+            if self._trace is not None:
+                self._trace.append(REDUCTION_TAG, reason)
             self._finish("pruned")
             raise ExecutionCanceled()
 

@@ -16,6 +16,7 @@ from operator import attrgetter
 from typing import List, Optional, Sequence
 
 from ..core.events import MachineId
+from ..errors import PSharpError
 from .faults import FAULT_SCALE
 from .trace import BOOL, FAULT, INT, LIVENESS, MONITOR, REDUCTION, SCHED, ScheduleTrace
 
@@ -70,14 +71,22 @@ class SchedulingStrategy(ABC):
 
     def attach_reduction(self, engine) -> None:
         """Offer the strategy a :class:`repro.testing.reduction
-        .ReductionEngine` for the current campaign loop.  DFS-family
-        strategies accept it and switch their machine-choice frames to
-        DPOR backtrack sets; everything else ignores it (state caching,
-        the strategy-agnostic layer, lives in the runtime).  Called by
-        :func:`repro.testing.engine.run_campaign` before the first
-        iteration of every campaign loop — a strategy reused across
+        .ReductionEngine` (or ``None``) for the current campaign loop.
+        Called by :func:`repro.testing.engine.run_campaign` before the
+        first iteration of every campaign loop — a strategy reused across
         campaigns is attached again, so implementations must simply
-        replace any previous attachment."""
+        replace any previous attachment.
+
+        Reduction is an argument about depth-first order: only the DFS
+        family accepts an engine.  Everywhere else a state the walk
+        passed through would be cached as an explored subtree, so any
+        active mode is refused here, before anything runs."""
+        if engine is not None:
+            raise PSharpError(
+                f"reduction {engine.mode!r} needs a DFS-family strategy "
+                f"(dfs, iddfs), not {self.name!r}; run it with "
+                "reduction='none'"
+            )
 
     def pick_fault(self, weight: int) -> bool:
         """Decide whether a candidate fault fires at this consultation
@@ -133,7 +142,10 @@ class DfsStrategy(SchedulingStrategy):
     With a reduction engine attached (:meth:`attach_reduction`), a
     machine frame starts with the one branch taken and grows by the
     engine's race analysis (dynamic partial-order reduction); value and
-    fault frames stay exhaustive.
+    fault frames stay exhaustive.  The stack also tells the engine where
+    an iteration's replayed prefix ends — the frame
+    :meth:`prepare_iteration` advanced, always the top one — so its state
+    cache is consulted only past it.
     """
 
     name = "dfs"
@@ -158,14 +170,18 @@ class DfsStrategy(SchedulingStrategy):
         self.reduction_forced = 0
 
     def attach_reduction(self, engine) -> None:
-        self._dpor = engine if engine is not None and engine.dpor else None
+        self._dpor = engine
 
     def prepare_iteration(self) -> bool:
+        dpor = self._dpor
         if not self._started:
+            # A fresh search: no prefix to replay, the cache is live from
+            # the first point.
             self._started = True
             self._cursor = 0
+            if dpor is not None:
+                dpor.diverged = True
             return True
-        dpor = self._dpor
         if dpor is not None:
             # Mine the execution that just finished for races and insert
             # backtrack branches into the still-standing frames *before*
@@ -179,6 +195,10 @@ class DfsStrategy(SchedulingStrategy):
             if top.pos < len(top.values) - 1:
                 top.pos += 1
                 self._cursor = 0
+                if dpor is not None:
+                    # Dark until the decision at ``top`` is taken: the
+                    # frames below it replay the previous schedule.
+                    dpor.diverged = False
                 return True
             if dpor is not None and top.enabled is not None:
                 dpor.count_skipped(len(top.enabled) - len(top.values))
@@ -212,6 +232,8 @@ class DfsStrategy(SchedulingStrategy):
         if cursor == len(stack):
             stack.append(_Frame(range(options)))
             return 0
+        if cursor == len(stack) - 1 and self._dpor is not None:
+            self._dpor.diverged = True  # the advanced frame: prefix ends
         frame = stack[cursor]
         if frame.enabled is not None:
             return 0  # divergence guard: a machine choice was here
@@ -234,6 +256,8 @@ class DfsStrategy(SchedulingStrategy):
             frame = _Frame(values if dpor is None else [values[0]], values)
             stack.append(frame)
         else:
+            if cursor == len(stack) - 1 and dpor is not None:
+                dpor.diverged = True  # the advanced frame: prefix ends
             frame = stack[cursor]
             if frame.enabled is None:
                 # Divergence guard: a value choice was here.
@@ -298,8 +322,8 @@ class IterativeDeepeningDfsStrategy(DfsStrategy):
         self.depth_cap_hit = False
         if self._dpor is not None:
             # The deepened pass re-explores the whole tree from scratch;
-            # states (and clauses) cached by the shallower pass would
-            # prune it to nothing.
+            # states cached by the shallower pass would prune it to
+            # nothing.
             self._dpor.reset_search()
         return super().prepare_iteration()
 

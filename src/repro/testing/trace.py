@@ -50,8 +50,8 @@ LIVENESS = "liveness"
 # outcomes and never invents new faults.
 FAULT = "fault"
 # A schedule-space-reduction cutoff (value: the reason code from
-# :mod:`repro.testing.reduction` — 1 state-cache hit, 2 learned prefix
-# clause).  Appended when the runtime abandons an execution whose state
+# :mod:`repro.testing.reduction` — 1, a state-cache hit, is the only
+# one).  Appended when the runtime abandons an execution whose state
 # was already explored, so reduced campaigns leave an auditable record
 # and checkpoint/merge tooling can tell a pruned schedule from a
 # completed one.  Like monitor/liveness entries it is a runtime
@@ -61,9 +61,9 @@ FAULT = "fault"
 # replay bit-identically with reduction off.
 REDUCTION = "reduction"
 
-#: Reason codes of ``"reduction"`` entries.
-REASON_STATE = 1   # state-cache hit: this exact state was already explored
-REASON_CLAUSE = 2  # learned clause: this edge re-enters explored territory
+#: The reason code of ``"reduction"`` entries: a state-cache hit, this
+#: exact state was already explored.
+REASON_STATE = 1
 
 # Compact kind tags used in the flat encoding; the string kinds above
 # remain the public vocabulary (and the wire format).
@@ -91,7 +91,7 @@ _KIND_OF = (SCHED, BOOL, INT, MONITOR, LIVENESS, FAULT, REDUCTION)
 #: execution has is a replay divergence, not a corrupt trace).
 _INT64 = 2 ** 63 - 1
 _LOW = (0, 0, 0, 0, 0, FAULT_NONE, REASON_STATE)
-_HIGH = (_INT64, 1, _INT64, _INT64, _INT64, FAULT_CRASH, REASON_CLAUSE)
+_HIGH = (_INT64, 1, _INT64, _INT64, _INT64, FAULT_CRASH, REASON_STATE)
 #: How ``str(trace)`` prefixes a value of each kind (a bool reads T / F).
 _SHORT_OF = ("m", "", "i", "obs", "hot!", "x", "cut")
 
@@ -155,23 +155,6 @@ class ScheduleTrace:
 
     def __hash__(self) -> int:
         return hash((bytes(self._tags), self._values.tobytes()))
-
-    def range_equal(self, other: "ScheduleTrace", start: int, end: int) -> bool:
-        """Whether ``self[start:end]`` matches ``other`` at the same
-        positions (False when ``other`` is shorter than ``end``).
-
-        The state cache's divergence test: a DFS iteration re-executes
-        the schedule prefix of the previous one decision-for-decision,
-        and fingerprint pruning must stay dark until the traces actually
-        part ways — otherwise the replayed prefix would prune itself.
-        Array slices compare element-wise in C, so the per-point cost is
-        two small slice copies."""
-        if end > len(other._tags):
-            return False
-        return (
-            self._tags[start:end] == other._tags[start:end]
-            and self._values[start:end] == other._values[start:end]
-        )
 
     def fingerprint(self) -> str:
         """A stable hex digest of the decision sequence.

@@ -7,7 +7,10 @@ since it was computed.  That is only worth having if it is *exact*, so
 this file follows the ``tests/reference_taint.py`` pattern: the
 from-scratch composition (``state_fingerprint``, every machine digested)
 is the oracle, and a checked runtime compares the two at every cache
-consultation of real campaigns.  Disagreements are *counted in a list*
+consultation: of DFS campaigns to exhaustion, and of walks under every
+strategy on a runtime built with an engine directly (a campaign refuses
+reduction off the DFS family; the runtime does not), whose cache is
+told never to prune.  Disagreements are *counted in a list*
 and asserted after the campaign: an ``assert`` inside a scheduling point
 is swallowed as a program bug by the inline carrier's ``except
 BaseException``, and the oracle would pass vacuously.
@@ -18,8 +21,9 @@ the tests named are the ones that turned red):
 * dropping the send-target footprint append (``red.effects.append(index)``
   in ``_point``) —
   ``test_memo_equals_from_scratch_on_the_registry``
-  on MultiPaxos, ``test_a_drained_inbox_and_the_enqueue_after_it_are_both
-  _seen`` and the pinned counters of ``TestCounters``.  Few cells, because
+  on AsyncSystem, ChainReplication and MultiPaxos,
+  ``test_a_drained_inbox_and_the_enqueue_after_it_are_both_seen`` and the
+  pinned counters of ``TestCounters``.  Few cells, because
   the inbox-length comparison below catches every enqueue that is not
   balanced by a drain: the footprint alone carries the memo only where an
   ignored event was deleted in between (``Feeder`` builds that case);
@@ -31,9 +35,9 @@ the tests named are the ones that turned red):
   ``TestHonesty``;
 * dropping the idle-drain invalidation (the ``entry[1] != size`` inbox
   length comparison in ``ReductionEngine.fingerprint``) —
-  ``test_memo_equals_from_scratch_on_the_registry`` on ChainReplication,
-  MultiPaxos and BasicPaxos, whose parked machines have ignored events
-  deleted by ``_schedulable``'s drain, and
+  ``test_memo_equals_from_scratch_on_the_registry`` on AsyncSystem,
+  ChainReplication, MultiPaxos and BasicPaxos, whose parked machines have
+  ignored events deleted by ``_schedulable``'s drain, and
   ``test_a_drained_inbox_and_the_enqueue_after_it_are_both_seen``.
 
 The documented boundary is ``Meddler`` below: it writes a list after
@@ -56,8 +60,10 @@ from repro.analysis import analyze_program
 from repro.analysis.frontend import lower_machines
 from repro.bench import all_benchmarks
 from repro.testing import BugFindingRuntime, Campaign, TestConfig, ThreadedRuntime
+from repro.testing.engine import build_runtime, resolved_program
 from repro.testing.reduction import (
     DIGEST_SIZE,
+    ReductionEngine,
     machine_update,
     monitor_update,
     state_fingerprint,
@@ -90,17 +96,20 @@ def count_line(text):
     print(f"\nfingerprint-counts: {text}")
 
 
-def checked_runtime(record, streams=None, carrier="inline"):
+def checked_runtime(record, streams=None, carrier="inline", prune=True):
     """A runtime class on ``carrier`` whose engine compares, at every
     cache consultation, the memoized fingerprint with the one computed
     from scratch, appending the verdict to ``record``; with ``streams``
     it also keeps the canonical byte stream of each state next to its
-    digest."""
+    digest.  With ``prune`` False every state counts as fresh, so an
+    execution runs to its end and is compared at every point."""
 
     class CheckedRuntime(CARRIERS[carrier]):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             memoized = self._red.fingerprint
+            if not prune:
+                self._red.check_state = lambda fingerprint: 0
 
             def fingerprint(machines, monitors, consumed, steps, faults):
                 digest = memoized(machines, monitors, consumed, steps, faults)
@@ -127,23 +136,45 @@ def checked_runtime(record, streams=None, carrier="inline"):
     return CheckedRuntime
 
 
-def checked_campaign(program, strategy, streams=None, carrier="inline", **overrides):
+def checked_walk(program, strategy, carrier="inline", iterations=12):
+    """``iterations`` executions of ``program`` (a registry name brings
+    its monitors and faults) under ``strategy`` on a checked runtime
+    built directly with a state-cache engine, pruning off: a campaign
+    refuses an engine for a randomized strategy, and the memo is to be
+    held against the oracle along whole walks all the same.  The engine
+    is attached to no strategy, so its cache is consulted at every
+    scheduling point, DFS's replayed prefixes included.  Returns the
+    runtime's carrier and the verdicts."""
     record = []
-    kwargs = dict(
-        program=program, strategy=strategy, max_iterations=12, max_steps=300,
-        stop_on_first_bug=False, reduction="dpor+state-cache+clauses",
-        runtime_factory=checked_runtime(record, streams, carrier),
+    config = TestConfig(
+        program=program, strategy=strategy, max_steps=300,
+        runtime_factory=checked_runtime(record, carrier=carrier, prune=False),
     )
-    kwargs.update(overrides)
-    return Campaign(TestConfig(**kwargs)).run(), record
+    resolved = resolved_program(config)
+    strategy = config.build_strategy()
+    runtime = build_runtime(
+        config, strategy, resolved,
+        reduction=ReductionEngine("dpor+state-cache"),
+    )
+    for _ in range(iterations):
+        if not strategy.prepare_iteration():
+            break
+        runtime.execute(*resolved[:2])
+    runtime.close()
+    return runtime.carrier, record
 
 
 def exhaustive(program, depth, max_steps, carrier, streams=None):
-    return checked_campaign(
-        program, ("dfs", {"max_depth": depth}), streams, carrier,
-        max_iterations=1_000_000, max_steps=max_steps,
+    """A DFS campaign to exhaustion under ``dpor+state-cache``, checked
+    at every cache consultation."""
+    record = []
+    report = Campaign(TestConfig(
+        program=program, strategy=("dfs", {"max_depth": depth}),
+        max_iterations=1_000_000, max_steps=max_steps, stop_on_first_bug=False,
         reduction="dpor+state-cache",
-    )
+        runtime_factory=checked_runtime(record, streams, carrier),
+    )).run()
+    return report, record
 
 
 def audit():
@@ -178,15 +209,15 @@ def audit():
 def matrix():
     """(program, carrier) -> [(strategy, comparisons, disagreements)]: the
     13 buggy registry programs under four strategies on both carriers,
-    ``dpor+state-cache+clauses``, registry monitors and fault configs
-    riding along with the name."""
+    checked walks with registry monitors and fault configs riding along
+    with the name."""
     cells = {}
     for program in BUGGY:
         for carrier in CARRIERS:
             cell = cells[program, carrier] = []
             for strategy in STRATEGIES:
-                report, record = checked_campaign(program, strategy, carrier=carrier)
-                assert report.effective_backend == carrier
+                ran_on, record = checked_walk(program, strategy, carrier)
+                assert ran_on == carrier
                 cell.append((strategy[0], len(record), record.count(False)))
     return cells
 
@@ -281,9 +312,7 @@ class TestInvalidationSources:
     def test_a_drained_inbox_and_the_enqueue_after_it_are_both_seen(
         self, strategy, carrier
     ):
-        _, record = checked_campaign(
-            Feeder, strategy, carrier=carrier, max_iterations=40
-        )
+        _, record = checked_walk(Feeder, strategy, carrier, iterations=40)
         assert len(record) > 50
         assert record.count(False) == 0
 
@@ -335,7 +364,7 @@ class TestOwnershipBoundary:
         "strategy", [("random", {"seed": 1}), ("dfs", {"max_depth": 10})]
     )
     def test_the_memo_is_stale_for_a_program_that_writes_what_it_sent(self, strategy):
-        _, record = checked_campaign(Meddler, strategy, max_iterations=20)
+        _, record = checked_walk(Meddler, strategy, iterations=20)
         assert 0 < record.count(False) < len(record)
 
     def test_the_static_analysis_rejects_the_same_program(self):

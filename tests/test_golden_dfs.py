@@ -13,7 +13,9 @@ consultation that moves one schedule anywhere in the tree turns it red.
 
 It also pins what the reduction loses under a depth bound today
 (German d8, TwoPhaseCommit d6): a fix to that regenerates the file on
-purpose, and says so.
+purpose, and says so.  And it holds the same campaigns with traces off
+to the same tree: whether a trace is recorded must not change what the
+state cache prunes.
 
 Regenerate (only when an exploration change is intended)::
 
@@ -97,3 +99,23 @@ def test_golden_file_covers_every_case(golden):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_exploration_matches_the_golden_file(golden, case, reduction):
     assert row(case, reduction) == golden[f"{case}/{reduction}"]
+
+
+def counters(case, reduction, record_traces):
+    program, strategy = CASES[case]
+    report = Campaign(TestConfig(
+        program=program, strategy=strategy, reduction=reduction,
+        max_iterations=1_000_000, max_steps=2_000, time_limit=None,
+        stop_on_first_bug=False, record_traces=record_traces,
+    )).run()
+    assert report.exhausted
+    return [
+        report.iterations, report.distinct_states, report.schedules_pruned,
+        report.fingerprints, report.machine_digests,
+    ]
+
+
+@pytest.mark.parametrize("reduction", ["dpor", "dpor+state-cache"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_traces_off_explores_the_same_tree(case, reduction):
+    assert counters(case, reduction, False) == counters(case, reduction, True)

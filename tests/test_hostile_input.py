@@ -397,6 +397,7 @@ OUT_OF_RANGE = {
     "bool-of-two": ["bool", 2],
     "negative-machine-id": ["sched", -1],
     "reduction-reason-zero": ["reduction", 0],
+    "reduction-reason-two": ["reduction", 2],  # the learned clause's, gone
 }
 NAMED.update(
     (name, edited("first_bug", "trace", 0, value=pair)) for name, pair in OUT_OF_RANGE.items()

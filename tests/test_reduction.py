@@ -1,6 +1,7 @@
-"""Schedule-space reduction: DPOR, state caching, learned clauses.
+"""Schedule-space reduction: DPOR and state caching, for the DFS family.
 
-Covers the three layers of :mod:`repro.testing.reduction` end to end:
+Covers :mod:`repro.testing.reduction` end to end: its refusal off the
+DFS family (before any runtime is built or any fleet worker forked),
 the stable state hashing (``PYTHONHASHSEED``-proof, container-order
 independent), the exhaustive-DFS A/B contract (identical bug set, at
 most 0.6x the schedules), cross-carrier determinism of fingerprints
@@ -39,6 +40,8 @@ from repro.testing import (
     normalize_reduction,
     replay,
 )
+from repro.testing import fleet
+from repro.testing.portfolio import StrategySpec, make_strategy
 from repro.testing.reduction import REASON_STATE, stable_update
 from repro.testing.reporting import report_document
 from repro.testing.trace import REDUCTION, SCHED
@@ -87,6 +90,14 @@ def _exhaustive(name, depth, max_steps, mode, carrier="inline", **kwargs):
 
 def _bug_set(report):
     return sorted({(bug.kind, bug.message) for bug in report.bugs})
+
+
+def _untimed(report):
+    """A report's document without its clock readings."""
+    document = report_document(report)["report"]
+    del document["elapsed"]
+    del document["telemetry"]["iteration_us"], document["telemetry"]["rate"]
+    return document
 
 
 class Box:
@@ -162,6 +173,56 @@ class TestModeValidation:
             TestConfig(program=Ping, reduction="bogus")
         with pytest.raises(PSharpError):
             TestConfig(program=Ping, state_cache_size=0)
+
+
+# ---------------------------------------------------------------------------
+# Reduction is for the DFS family: refused everywhere else
+# ---------------------------------------------------------------------------
+RANDOMIZED = ["random", "fair-random", "pct", "delay-bounding"]
+
+
+class TestRefusal:
+    @pytest.mark.parametrize("strategy", RANDOMIZED)
+    @pytest.mark.parametrize("mode", REDUCTION_MODES[1:])
+    def test_refused_before_any_runtime_is_built(self, mode, strategy):
+        built = []
+
+        def factory(*args, **kwargs):
+            built.append(kwargs)
+            return BugFindingRuntime(*args, **kwargs)
+
+        config = TestConfig(
+            program=Ping, strategy=(strategy, {}), reduction=mode,
+            max_iterations=3, runtime_factory=factory,
+        )
+        with pytest.raises(PSharpError) as info:
+            Campaign(config).run()
+        assert built == []
+        message = str(info.value)
+        assert "\n" not in message
+        assert repr(mode) in message and repr(strategy) in message
+        assert "reduction='none'" in message
+
+    def test_a_strategy_object_is_refused_too(self):
+        # The strategy that runs, not config.strategy (left at "random"):
+        # why the check is the strategy's and not the config's.
+        with pytest.raises(PSharpError, match="'dpor'.*'pct'"):
+            Campaign(
+                TestConfig(program=Ping, reduction="dpor", max_iterations=3),
+                strategy=make_strategy(StrategySpec("pct")),
+            ).run()
+
+    def test_a_portfolio_is_refused_before_a_worker_forks(self, monkeypatch):
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a worker was forked")
+
+        monkeypatch.setattr(fleet.multiprocessing, "get_context", no_fork)
+        config = TestConfig(
+            program="Raft", portfolio_workers=2, reduction="dpor", seed=1,
+            max_iterations=10,
+        )
+        with pytest.raises(PSharpError, match="'dpor'.*'random'"):
+            Campaign(config).portfolio()
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +342,15 @@ class TestExhaustiveAB:
         assert 0.0 < cached.redundancy_ratio < 1.0
 
     def test_clause_mode_same_bugs(self):
+        # "+clauses" is another name for "dpor+state-cache": the same
+        # campaign, down to every counter and bug trace.
         cached = _exhaustive("TwoPhaseCommit", 8, 2_000, "dpor+state-cache")
         clauses = _exhaustive(
             "TwoPhaseCommit", 8, 2_000, "dpor+state-cache+clauses"
         )
         assert clauses.exhausted
         assert _bug_set(clauses) == _bug_set(cached)
-        assert clauses.iterations <= cached.iterations
+        assert _untimed(clauses) == _untimed(cached)
 
     def test_consulted_accounting_shrinks_under_dpor(self):
         # The satellite bugfix: DPOR-forced one-branch frames must not be
@@ -330,19 +393,22 @@ class TestCrossBackendDeterminism:
             return Campaign(
                 TestConfig(
                     MidCampaignRacer,
-                    max_iterations=40,
+                    max_iterations=500_000,
                     time_limit=60.0,
                     max_steps=2_000,
                     stop_on_first_bug=False,
                     runtime_factory=factory,
                     reduction="dpor+state-cache",
                 ),
-                strategy=RandomStrategy(seed=3),
+                strategy=DfsStrategy(max_depth=8),
             ).run()
 
         inline = campaign(None)
         threads = campaign(ThreadedRuntime)
         assert inline.effective_backend == "inline"
+        assert inline.exhausted and threads.exhausted
+        assert inline.distinct_states > 0 and inline.schedules_pruned > 0
+        assert inline.bugs
         assert inline.iterations == threads.iterations
         assert inline.distinct_states == threads.distinct_states
         assert inline.schedules_pruned == threads.schedules_pruned
@@ -642,6 +708,37 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr + proc.stdout
         assert "states=" in proc.stdout
+        assert "pruned=" in proc.stdout
+
+    def test_refused_under_the_default_strategy(self):
+        proc = run_cli("test", "Raft", "--reduction", "dpor+state-cache")
+        assert proc.returncode == 2 and proc.stdout == ""
+        (line,) = proc.stderr.strip().splitlines()
+        assert line.startswith("error: reduction 'dpor+state-cache'")
+        assert "'random'" in line and "reduction='none'" in line
+
+    def test_refused_portfolio_forks_no_worker(self, tmp_path):
+        events = tmp_path / "events.jsonl"
+        proc = run_cli(
+            "test", "Raft", "--portfolio", "2", "--reduction", "dpor",
+            "--events", str(events),
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        (line,) = proc.stderr.strip().splitlines()
+        assert line.startswith("error: reduction 'dpor'")
+        assert not events.exists()
+
+    def test_a_dfs_family_portfolio_runs(self):
+        proc = run_cli(
+            "test", "BoundedAsync",
+            "--strategy", "dfs,max_depth=6",
+            "--strategy", "iddfs,initial_depth=2,max_depth=6",
+            "--reduction", "dpor+state-cache",
+            "--max-iterations", "500000",
+            "--max-steps", "2000",
+            "--expect-bug",
+        )
+        assert proc.returncode == 0, proc.stderr + proc.stdout
         assert "pruned=" in proc.stdout
 
     def test_unknown_reduction_rejected(self):

@@ -246,11 +246,22 @@ REMOVED_FROM_SRC = (
 
 #: Removed from one file only: a second copy of a scheduling-point piece
 #: announces itself with this phrase, a record's second JSON form or
-#: digest with these names, and CHESS's field hook and private race
-#: detector with theirs.
+#: digest with these names, the reduction's trace-compared prefix and
+#: learned-clause store with theirs, and CHESS's field hook and private
+#: race detector with theirs.
 _SECOND_JSON_FORM = (
     (re.compile(r"\bto_json\b"), "Record.encode: the report document"),
     (re.compile(r"fingerprint"), "record == (Record.__eq__)"),
+)
+_REDUCTION_PREFIX_AND_CLAUSES = (
+    (
+        re.compile(
+            r"\brange_equal\b|\bprev_trace\b|\bend_execution\b|\bREASON_CLAUSE\b"
+            r"|\b_blocked\b|\bclauses_learned\b|\bclause_prunes\b|\bcur_blocked\b"
+            r"|\b_reduction_chose\b"
+        ),
+        "ReductionEngine.diverged, set by the DFS stack; the clause store is gone",
+    ),
 )
 REMOVED_FROM_FILE = {
     "src/repro/testing/runtime.py": (
@@ -258,7 +269,9 @@ REMOVED_FROM_FILE = {
             re.compile(r"kept in sync with"),
             "the one _send_effect / _decide / _choose / _machine_body",
         ),
-    ),
+    ) + _REDUCTION_PREFIX_AND_CLAUSES,
+    "src/repro/testing/reduction.py": _REDUCTION_PREFIX_AND_CLAUSES,
+    "src/repro/testing/trace.py": _REDUCTION_PREFIX_AND_CLAUSES,
     "src/repro/testing/coverage.py": _SECOND_JSON_FORM,
     "src/repro/testing/telemetry.py": _SECOND_JSON_FORM,
     "src/repro/core/machine.py": (
