@@ -35,7 +35,15 @@ Core calculus (:mod:`repro.lang`):
 
 Baselines: :mod:`repro.chess` (CHESS-style SCT) and :mod:`repro.soter`
 (SOTER-style ownership inference).  Benchmarks: :mod:`repro.bench`.
+
+Importing the package loads the programming model and the errors only.
+The tester's names above, and every subpackage, are resolved on first
+attribute access (PEP 562), so a process that analyzes programs never
+imports the tester and ``python -m repro test`` never imports the
+analysis.
 """
+
+from importlib import import_module as _import_module
 
 from .core import (
     Event,
@@ -59,55 +67,9 @@ from .errors import (
     PSharpError,
     UnhandledEventError,
 )
-from .testing import (
-    BugFindingRuntime,
-    Campaign,
-    TestConfig,
-    FaultConfig,
-    DelayBoundingStrategy,
-    DfsStrategy,
-    EMachineHalted,
-    ExecutionResult,
-    FairRandomStrategy,
-    IterativeDeepeningDfsStrategy,
-    Monitor,
-    PctStrategy,
-    RandomStrategy,
-    ReplayStrategy,
-    ScheduleTrace,
-    StrategySpec,
-    TestReport,
-    ThreadedRuntime,
-    cold,
-    default_portfolio,
-    hot,
-    make_strategy,
-    register_strategy,
-    replay,
-    run_fleet,
-)
 
-__version__ = "1.0.0"
-
-__all__ = [
-    "Event",
-    "Halt",
-    "Machine",
-    "MachineId",
-    "Runtime",
-    "State",
-    "machine_statistics",
-    "program_statistics",
-    "PSharpError",
-    "MachineDeclarationError",
-    "UnhandledEventError",
-    "AssertionFailure",
-    "ActionError",
-    "LivenessError",
-    "MonitorError",
-    "BugReport",
-    "AnalysisDiagnostic",
-    "AnalysisReport",
+#: The tester's names, resolved from :mod:`repro.testing` on first use.
+_TESTING = (
     "TestConfig",
     "Campaign",
     "FaultConfig",
@@ -133,5 +95,46 @@ __all__ = [
     "hot",
     "cold",
     "replay",
+)
+#: The subpackages not imported above, reachable as attributes all the same.
+_SUBPACKAGES = frozenset({"analysis", "bench", "chess", "lang", "soter", "testing"})
+
+__version__ = "1.0.0"
+
+__all__ = [
+    "Event",
+    "Halt",
+    "Machine",
+    "MachineId",
+    "Runtime",
+    "State",
+    "machine_statistics",
+    "program_statistics",
+    "PSharpError",
+    "MachineDeclarationError",
+    "UnhandledEventError",
+    "AssertionFailure",
+    "ActionError",
+    "LivenessError",
+    "MonitorError",
+    "BugReport",
+    "AnalysisDiagnostic",
+    "AnalysisReport",
+    *_TESTING,
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name in _TESTING:
+        value = getattr(_import_module(".testing", __name__), name)
+    elif name in _SUBPACKAGES:
+        value = _import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | _SUBPACKAGES)

@@ -80,6 +80,29 @@ class Benchmark:
 
 _REGISTRY: Dict[str, Benchmark] = {}
 
+#: Canonical name -> the module that registers it, in the order
+#: :func:`all_benchmarks` lists the programs.  A lookup by name imports
+#: that one module; listing the registry imports them all.
+_MODULE_OF: Dict[str, str] = {
+    "AsyncSystem": "async_system",
+    "BasicPaxos": "basic_paxos",
+    "BoundedAsync": "bounded_async",
+    "ChainReplication": "chain_replication",
+    "Chord": "chord",
+    "Raft": "raft",
+    "TwoPhaseCommit": "two_phase_commit",
+    "RaftLossy": "fault_variants",
+    "TwoPhaseCommitCrash": "fault_variants",
+    "German": "german",
+    "MultiPaxos": "multi_paxos",
+    "ProcessScheduler": "process_scheduler",
+    "Leader": "soter_suite",
+    "Pi": "soter_suite",
+    "Chameneos": "soter_suite",
+    "Swordfish": "soter_suite",
+    "TokenRing": "token_ring",
+}
+
 # The paper's tables abbreviate two benchmark names; accept both spellings
 # everywhere a benchmark is looked up by name.
 ALIASES: Dict[str, str] = {
@@ -104,8 +127,9 @@ def all_benchmarks() -> List[Benchmark]:
 
 
 def get(name: str) -> Benchmark:
-    _ensure_loaded()
-    return _REGISTRY[resolve(name)]
+    canonical = resolve(name)
+    _load(canonical)
+    return _REGISTRY[canonical]
 
 
 def suite(name: str) -> List[Benchmark]:
@@ -160,8 +184,8 @@ def resolve_target(target: Union[str, Type[Machine]]) -> Variant:
                 "subclass"
             )
         return Variant(machines=[cls], main=cls)
-    _ensure_loaded()
     canonical = resolve(target)
+    _load(canonical)
     if canonical not in _REGISTRY:
         raise PSharpError(
             f"unknown benchmark {target!r}; known: {', '.join(names())} "
@@ -212,23 +236,29 @@ def coverage_smoke_suite() -> List[Benchmark]:
 _LOADED = False
 
 
+def _load(canonical: str) -> None:
+    """Import the module that registers ``canonical`` — every module
+    when the table names none, so an unknown name is looked up in the
+    whole registry."""
+    if canonical in _REGISTRY:
+        return
+    module = _MODULE_OF.get(canonical)
+    if module is None:
+        _ensure_loaded()
+    else:
+        importlib.import_module(f".{module}", __package__)
+
+
 def _ensure_loaded() -> None:
+    """Import every program module, then list the registry in the
+    table's order, whichever programs were looked up first."""
     global _LOADED
     if _LOADED:
         return
     _LOADED = True
-    from . import (  # noqa: F401  (importing registers the benchmarks)
-        async_system,
-        basic_paxos,
-        bounded_async,
-        chain_replication,
-        chord,
-        fault_variants,
-        german,
-        multi_paxos,
-        process_scheduler,
-        raft,
-        soter_suite,
-        token_ring,
-        two_phase_commit,
-    )
+    for module in dict.fromkeys(_MODULE_OF.values()):
+        importlib.import_module(f".{module}", __package__)
+    rank = {name: index for index, name in enumerate(_MODULE_OF)}
+    ordered = sorted(_REGISTRY.items(), key=lambda item: rank.get(item[0], len(rank)))
+    _REGISTRY.clear()
+    _REGISTRY.update(ordered)

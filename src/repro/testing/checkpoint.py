@@ -30,7 +30,6 @@ checkpoint.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
@@ -41,6 +40,7 @@ from .portfolio import StrategySpec
 from .record import (
     array_of, dumps, int_keyed, read_document, write_atomic,
 )
+from .trace import sha256
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .config import TestConfig
@@ -78,7 +78,7 @@ def config_fingerprint(config: "TestConfig") -> str:
             except PSharpError:
                 identity[name] = repr(value)
     key = json.dumps(identity, sort_keys=True)
-    return hashlib.sha256(key.encode("utf-8")).hexdigest()
+    return sha256(key.encode("utf-8")).hexdigest()
 
 
 def save_checkpoint(

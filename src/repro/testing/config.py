@@ -46,7 +46,6 @@ from ..core.machine import Machine
 from ..errors import PSharpError
 from .engine import TestReport, replay_trace, run_campaign
 from .faults import FaultConfig
-from .fleet import run_fleet
 from .reduction import DEFAULT_STATE_CACHE_SIZE, REDUCTION_MODES, ReductionEngine
 from .monitors import Monitor
 from .portfolio import (
@@ -478,6 +477,8 @@ class Campaign:
         ``resume`` restarts a killed campaign from such a file, skipping
         shards whose reports were already checkpointed.  See
         :mod:`repro.testing.checkpoint`."""
+        from .fleet import run_fleet  # a single campaign loads no fleet
+
         config = self.config
         if workers is not None:
             config = config.with_overrides(portfolio_workers=workers)

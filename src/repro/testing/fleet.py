@@ -470,8 +470,14 @@ def worker_loop(
         # The shard's stop-check doubles as the wire pump: it stamps a
         # heartbeat roughly every HEARTBEAT_INTERVAL and polls for
         # cancel/shutdown, throttled so a hot schedule loop is not
-        # paying a select() per scheduling point.
-        state = {"stop": False, "next_wire": 0.0, "next_beat": 0.0}
+        # paying a select() per scheduling point.  The heartbeat clock
+        # starts with the shard (the coordinator stamped the assignment),
+        # so a shard shorter than the interval sends none.
+        state = {
+            "stop": False,
+            "next_wire": 0.0,
+            "next_beat": time.monotonic() + HEARTBEAT_INTERVAL,
+        }
 
         def stop_check() -> bool:
             now = time.monotonic()
@@ -837,6 +843,10 @@ def run_fleet(
             raise
         peer.shard = shard
         peer.stage = "busy"
+        # A busy worker's silence is counted from here: it may have sat
+        # idle longer than worker_timeout, and it heartbeats only once
+        # a shard has run for HEARTBEAT_INTERVAL.
+        peer.last_seen = time.monotonic()
         emit(
             "fleet_work_assigned",
             shard=shard,

@@ -79,7 +79,7 @@ refusal exists.
 from __future__ import annotations
 
 from collections import OrderedDict
-from hashlib import blake2b
+from _blake2 import blake2b  # what hashlib.blake2b is, without OpenSSL
 from threading import get_ident
 from types import MemberDescriptorType
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple

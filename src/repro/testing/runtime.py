@@ -476,11 +476,12 @@ class BugFindingRuntime(RuntimeBase):
         # Specification monitors: fresh instances per execution (their
         # state is per-schedule) and temperature bookkeeping.
         # ``_hot_deadline`` is the earliest step at which some hot monitor
-        # exceeds the threshold — a single comparison on the counting hot
-        # path.
+        # exceeds the threshold, one of the bounds ``_arm_check`` folds
+        # into the counting hot path's single comparison.
         self._monitors = []
         self._hot_since: Dict[Monitor, int] = {}
         self._hot_deadline = _NO_DEADLINE
+        self._arm_check()
         # Temperature detection needs fairness: under an unfair strategy a
         # monitor can stay hot forever because the strategy starves the
         # machine that would cool it, not because the program livelocks.
@@ -679,7 +680,7 @@ class BugFindingRuntime(RuntimeBase):
             if self._canceled:
                 raise ExecutionCanceled()
             steps = self._steps + 1
-            if self._poll or steps > self._hot_deadline or steps > self.max_steps:
+            if steps > self._check_at:
                 self._count_step()
             else:
                 self._steps = steps
@@ -913,12 +914,14 @@ class BugFindingRuntime(RuntimeBase):
                 deadline = self._steps + self.max_hot_steps
                 if deadline < self._hot_deadline:
                     self._hot_deadline = deadline
+                    self._arm_check()
         elif instance in hot_since:
             del hot_since[instance]
             self._hot_deadline = (
                 min(hot_since.values()) + self.max_hot_steps
                 if hot_since else _NO_DEADLINE
             )
+            self._arm_check()
 
     def _report_hot_liveness(self) -> None:
         """A monitor exceeded the temperature threshold: report a liveness
@@ -1037,8 +1040,6 @@ class BugFindingRuntime(RuntimeBase):
         start, step = machine._start, machine._step
         count_step = self._count_step
         hook_visible = self._hook_visible
-        poll = self._poll
-        max_steps = self.max_steps
         crash_eligible = bool(self._crash_faults) and (
             not self._crash_classes or isinstance(machine, self._crash_classes)
         )
@@ -1077,9 +1078,9 @@ class BugFindingRuntime(RuntimeBase):
                 activation = start()
                 continue
             # Fast path of _count_step: bump the counter, fall back to
-            # the real method whenever any of its checks could fire.
+            # the real method at the step where one of its checks fires.
             steps = self._steps + 1
-            if poll or steps > self._hot_deadline or steps > max_steps:
+            if steps > self._check_at:
                 count_step()
             else:
                 self._steps = steps
@@ -1258,9 +1259,23 @@ class BugFindingRuntime(RuntimeBase):
         # after it.
         return self._point(mid, running=False)
 
+    def _arm_check(self) -> None:
+        """Set ``_check_at``, the last step the hot paths count without
+        :meth:`_count_step`: one below the earliest step at which one of
+        its checks fires — the hot-monitor deadline, ``max_steps``, or
+        the next deadline/stop_check poll.  Called whenever one of those
+        moves, so the hot paths compare one number."""
+        limit = self._hot_deadline if self._hot_deadline < self.max_steps else self.max_steps
+        if self._poll:
+            polled = self._steps | self._POLL_MASK  # the next poll is one above
+            if polled < limit:
+                limit = polled
+        self._check_at = limit
+
     def _count_step(self) -> None:
         steps = self._steps + 1
         self._steps = steps
+        self._arm_check()
         if steps > self._hot_deadline:
             # A liveness monitor stayed hot beyond the temperature
             # threshold under a fair schedule: the precise detection,

@@ -19,7 +19,6 @@ that list, and a bug inside a report document carries the same list
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from array import array
@@ -28,6 +27,13 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 from ..errors import PSharpError
 from .faults import FAULT_CRASH, FAULT_NONE
 from .record import loads, write_atomic
+
+# CPython's own SHA-256 (the digest ``hashlib.sha256`` returns, byte for
+# byte), so that no process maps OpenSSL's libcrypto for one hash.
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    from _sha256 import sha256
 
 SCHED = "sched"
 BOOL = "bool"
@@ -171,7 +177,7 @@ class ScheduleTrace:
         kept = self._digest
         if kept is not None and kept[0] == len(self._tags):
             return kept[1]
-        digest = hashlib.sha256(bytes(self._tags))
+        digest = sha256(bytes(self._tags))
         digest.update(self._values.tobytes())
         self._digest = (len(self._tags), digest.hexdigest())
         return self._digest[1]

@@ -3,6 +3,12 @@ clean, every buggy variant's bug is findable, every racy variant is
 flagged statically, and correct variants verify (possibly needing xSA or
 the read-only extension, as Table 1 reports)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import Campaign, RandomStrategy, TestConfig
@@ -20,6 +26,30 @@ PSHARPBENCH = [
     "ChainReplication",
 ]
 SOTER = ["Leader", "Pi", "Chameneos", "Swordfish"]
+
+#: Looks one program up first in a fresh interpreter, then lists the
+#: registry, noting which module registered each name.
+LOOKUP_FIRST = """
+import json, sys
+from repro.bench import registry
+
+registrar = {}
+register = registry.register
+
+def noting(benchmark):
+    registrar[benchmark.name] = sys._getframe(1).f_globals["__name__"]
+    return register(benchmark)
+
+registry.register = noting
+registry.resolve_target("TokenRing")
+first = sorted(registrar)
+print(json.dumps({
+    "first": first,
+    "order": [b.name for b in registry.all_benchmarks()],
+    "registrar": registrar,
+    "table": registry._MODULE_OF,
+}))
+"""
 
 
 def run_random(main, iterations=30, seed=0, stop_on_first_bug=False, max_steps=5000):
@@ -61,6 +91,27 @@ class TestRegistry:
             "Leader": 49, "Pi": 40, "Chameneos": 50, "Swordfish": 63,
             "TokenRing": 76,
         }
+
+    def test_a_lookup_loads_one_program_and_the_listing_keeps_its_order(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", LOOKUP_FIRST], capture_output=True, text=True,
+            timeout=120, check=True, cwd=root, env=env,
+        )
+        row = json.loads(done.stdout)
+        assert row["first"] == ["TokenRing"]
+        # Every registered name is in the table, under its registering module.
+        assert row["registrar"] == {
+            name: f"repro.bench.{module}" for name, module in row["table"].items()
+        }
+        # The listing's order does not depend on what was looked up first.
+        assert row["order"] == [
+            "AsyncSystem", "BasicPaxos", "BoundedAsync", "ChainReplication", "Chord",
+            "Raft", "TwoPhaseCommit", "RaftLossy", "TwoPhaseCommitCrash", "German",
+            "MultiPaxos", "ProcessScheduler", "Leader", "Pi", "Chameneos", "Swordfish",
+            "TokenRing",
+        ]
 
 
 @pytest.mark.parametrize("name", PSHARPBENCH + SOTER)

@@ -240,9 +240,9 @@ class TestReportSatellites:
         import repro.testing.trace as trace_module
 
         hashed = []
-        real = trace_module.hashlib.sha256
+        real = trace_module.sha256
         monkeypatch.setattr(
-            trace_module.hashlib, "sha256",
+            trace_module, "sha256",
             lambda data=b"": hashed.append(1) or real(data),
         )
         shards = []

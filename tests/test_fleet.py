@@ -41,7 +41,9 @@ from repro.testing.fleet import (
     ConnectionClosed,
     ProtocolError,
     _encode_frame,
+    connect_worker,
     run_fleet,
+    worker_loop,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -439,6 +441,75 @@ class TestHostileResults:
         requeued = events_of(events_path, "fleet_shard_requeued")
         assert [event["shard"] for event in requeued] == [work["shard"]]
         assert len(events_of(events_path, "fleet_worker_lost")) == 1
+
+
+class TestHeartbeatClock:
+    """§6: a shard's heartbeat clock starts with the shard, and a busy
+    worker's silence clock with the assignment of its shard."""
+
+    def test_a_shard_shorter_than_the_interval_sends_no_heartbeat(self, monkeypatch):
+        # An interval no shard reaches: any heartbeat would be one sent at
+        # the shard's start.
+        monkeypatch.setattr("repro.testing.fleet.HEARTBEAT_INTERVAL", 3600.0)
+        coordinator, worker_side, _ = socket_pair()
+        outcome = {}
+        thread = threading.Thread(
+            target=lambda: outcome.update(done=worker_loop(worker_side)), daemon=True
+        )
+        thread.start()
+        try:
+            sent = [coordinator.recv(timeout=30.0)]
+            coordinator.send({
+                "type": "welcome", "protocol": PROTOCOL_VERSION, "events": False,
+                "config": TestConfig("tests.machines:Ping", max_iterations=3).to_json_obj(),
+            })
+            coordinator.send({
+                "type": "work", "shard": 0, "time_limit": None,
+                "spec": {"name": "random", "params": {"seed": 1}},
+            })
+            while sent[-1]["type"] != "result":
+                sent.append(coordinator.recv(timeout=30.0))
+            coordinator.send({"type": "shutdown"})
+            sent.append(coordinator.recv(timeout=30.0))
+            thread.join(timeout=30.0)
+        finally:
+            coordinator.close()
+            worker_side.close()
+        assert outcome == {"done": 1}
+        assert [frame["type"] for frame in sent] == ["hello", "result", "goodbye"]
+        assert TestReport.decode(sent[1]["report"]).iterations == 3
+
+    def test_a_worker_idle_past_the_timeout_is_not_stale_when_given_a_shard(
+        self, monkeypatch
+    ):
+        # The real worker idles three times the worker timeout behind a
+        # heartbeating peer that holds the only shard, then inherits it
+        # when that peer hangs up.  Its first frame on that shard is a
+        # heartbeat one interval in (no event log: no event frames),
+        # after the coordinator's next liveness pass — only the stamp at
+        # assignment keeps it from being dropped as stale, which would
+        # leave the campaign with no worker to finish it.
+        worker_timeout = 1.2
+        monkeypatch.setattr("repro.testing.fleet.HEARTBEAT_INTERVAL", 0.4)
+        config = fleet_config(specs=FOUR_SHARDS[:1], max_iterations=3_000)
+        thread, box, (sock,) = start_fleet_with_clients(
+            config, [HELLO], worker_timeout=worker_timeout
+        )
+        port = sock.getpeername()[1]
+        holder, work = await_work(sock)
+        worker = threading.Thread(
+            target=lambda: worker_loop(connect_worker("127.0.0.1", port)), daemon=True
+        )
+        worker.start()
+        started = time.monotonic()
+        while time.monotonic() - started < 3 * worker_timeout:
+            holder.send({"type": "heartbeat", "shard": work["shard"]})
+            time.sleep(0.1)
+        holder.close()
+        report = finish_fleet(thread, box, timeout=30.0)
+        worker.join(timeout=30.0)
+        assert not worker.is_alive()
+        assert report.iterations == 3_000
 
 
 def open_descriptors():

@@ -242,6 +242,9 @@ REMOVED_FROM_SRC = (
         ),
         "one strategies._Frame per choice point, one BugFindingRuntime._consult_fault",
     ),
+    # hashlib maps OpenSSL's libcrypto into every process for two digests
+    # CPython also builds in (trace.sha256, reduction's blake2b).
+    (re.compile(r"^\s*(import|from)\s+hashlib\b"), "CPython's own digest modules"),
 )
 
 #: Removed from one file only: a second copy of a scheduling-point piece

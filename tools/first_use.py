@@ -14,7 +14,11 @@ this fresh interpreter, and prints one JSON object:
   what a tester process pays at its first execution of each);
 * ``counts``, exact: the programs and LoC counted, the files the class
   index parsed and the classes it left to ``inspect`` (0), the machine
-  classes compiled and the distinct coroutines that produced.
+  classes compiled and the distinct coroutines that produced;
+* ``loaded``, exact: the ``repro`` modules ``import repro`` loads and
+  which of :data:`HEAVY` it loaded (none), the program modules resolving
+  ``"Raft"`` loaded (``repro.bench.raft`` alone), and whether the whole
+  run mapped OpenSSL through ``_hashlib`` (it does not).
 
 The seconds vary with the host; the counts do not, and
 ``tests/test_first_use.py`` holds them.
@@ -31,6 +35,18 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: The suites the ``analyze`` workload lowers: every one but ``faults``.
 ANALYSIS_SUITES = ("psharpbench", "soter", "case-study")
+#: What ``import repro`` must not load: OpenSSL, the fleet's transport,
+#: the fleet itself, the analysis, the core calculus and the benchmarks
+#: (the programs among them).
+HEAVY = (
+    "_hashlib", "ssl", "multiprocessing", "socket", "repro.testing.fleet",
+    "repro.analysis", "repro.lang", "repro.bench",
+)
+
+
+def _loaded(prefix: str) -> set:
+    """The loaded modules that are ``prefix`` or inside it."""
+    return {name for name in sys.modules if name == prefix or name.startswith(prefix + ".")}
 
 
 def main() -> int:
@@ -38,10 +54,16 @@ def main() -> int:
     clock = time.perf_counter
     start = clock()
     import repro  # noqa: F401
+
+    package = _loaded("repro")
+    heavy = sorted(set().union(*map(_loaded, HEAVY)))
     from repro.bench import registry
     from repro.core import continuations, source
 
     imported = clock()
+    before = _loaded("repro.bench")
+    registry.resolve_target("Raft")
+    raft = sorted(_loaded("repro.bench") - before)
     benchmarks = registry.all_benchmarks()
     loaded = clock()
     loc = [b.loc() for suite in ANALYSIS_SUITES for b in registry.suite(suite)]
@@ -73,6 +95,12 @@ def main() -> int:
             "compiled_programs": sum(b.buggy is not None for b in benchmarks),
             "compiled_classes": len(classes),
             "methods_compiled": len(coroutines),
+        },
+        "loaded": {
+            "import_repro_modules": len(package),
+            "import_repro_heavy": heavy,
+            "resolve_raft_programs": raft,
+            "hashlib": "_hashlib" in sys.modules,
         },
     }))
     return 0

@@ -14,7 +14,9 @@ repeat exactly on any host, which is what lets
 
 The configurations are the benchmark's two step-loop workloads at small,
 fixed sizes: ``random`` is ``soak`` (bare random campaigns on the eight
-Table-2 programs), the next six are ``soak_hooks``'s (registry
+Table-2 programs), ``random:time_limit`` the same campaigns under
+``time_limit=300.0`` (the ``TestConfig`` default: the runtime polls a
+deadline), the next six are ``soak_hooks``'s (registry
 faults and monitors, coverage and the event log on, under random,
 fair-random, pct and delay-bounding), the next two are the programs of
 ``runtime.threads_ns_per_step`` (``benchmarks/perf/programs.py``: a send
@@ -42,14 +44,17 @@ ROOT = Path(__file__).resolve().parents[1]
 SEED = 7
 #: Enough schedules to run a DFS row to exhaustion.
 EXHAUST = 1_000_000
+#: ``soak``'s campaigns: the eight Table-2 programs under ``random``.
+_TABLE2_RANDOM = tuple(
+    (program, "random") for program in (
+        "BasicPaxos", "BoundedAsync", "ChainReplication", "Chord", "Raft",
+        "TwoPhaseCommit", "German", "MultiPaxos",
+    )
+)
 #: (row name, [(program, strategy)], schedules per program, reduction)
 CONFIGURATIONS: Tuple[Tuple[str, Tuple[Tuple[str, str], ...], int, str], ...] = (
-    ("random", tuple(
-        (program, "random") for program in (
-            "BasicPaxos", "BoundedAsync", "ChainReplication", "Chord", "Raft",
-            "TwoPhaseCommit", "German", "MultiPaxos",
-        )
-    ), 10, "none"),
+    ("random", _TABLE2_RANDOM, 10, "none"),
+    ("random:time_limit", _TABLE2_RANDOM, 10, "none"),
     ("RaftLossy:random", (("RaftLossy", "random"),), 20, "none"),
     ("TwoPhaseCommitCrash:random", (("TwoPhaseCommitCrash", "random"),), 40, "none"),
     ("ProcessScheduler:fair-random", (("ProcessScheduler", "fair-random"),), 2, "none"),
@@ -66,7 +71,9 @@ CONFIGURATIONS: Tuple[Tuple[str, Tuple[Tuple[str, str], ...], int, str], ...] = 
     ("TwoPhaseCommitCrash:dfs", (("TwoPhaseCommitCrash", "dfs,max_depth=6"),), EXHAUST, "none"),
 )
 #: The rows whose mean is the ``soak_hooks`` figure.
-HOOKS_ROWS = tuple(name for name, _, _, _ in CONFIGURATIONS[1:7])
+HOOKS_ROWS = tuple(name for name, _, _, _ in CONFIGURATIONS[2:8])
+#: The rows run under a time limit (every other row has none).
+TIME_LIMITS = {"random:time_limit": 300.0}
 
 
 def _module_of(filename: str, cache: Dict[str, str]) -> str:
@@ -106,7 +113,8 @@ def census(name: str) -> Dict[str, Any]:
         for program, strategy in programs:
             kwargs = dict(
                 program=program, strategy=strategy, seed=SEED,
-                max_iterations=schedules, time_limit=None, max_steps=5_000,
+                max_iterations=schedules, time_limit=TIME_LIMITS.get(name),
+                max_steps=5_000,
                 stop_on_first_bug=False, workers="inline", reduction=reduction,
             )
             if hooks:
