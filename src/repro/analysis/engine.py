@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import AnalysisDiagnostic, AnalysisReport
 from ..lang.ir import Program
@@ -104,7 +104,7 @@ def analyze_program(
     base_done = time.perf_counter()
 
     if xsa and analysis.violations:
-        _run_xsa(program, taint_engine, ownership, analysis)
+        _run_xsa(program, ownership, analysis)
     xsa_done = time.perf_counter()
 
     if readonly and analysis.surviving():
@@ -133,25 +133,28 @@ def analyze_program(
 
 def _run_xsa(
     program: Program,
-    taint: TaintEngine,
     ownership: OwnershipAnalysis,
     analysis: ProgramAnalysis,
 ) -> None:
-    """Re-judge machine-level violations on the overarching driver CFG."""
-    flagged_machines = {
-        machine
-        for machine, _violation in analysis.violations
-        if machine != "<helpers>"
-    }
-    for machine_name in sorted(flagged_machines):
-        driver = build_driver(program, taint, machine_name)
+    """Re-judge machine-level violations on the overarching driver CFG.
+
+    Only the driver sites a flagged violation matches are checked, each
+    ``loc_key`` until one copy of it survives: inlining may copy a site
+    many times, and one surviving copy keeps the base verdict."""
+    flagged: Dict[str, Set[str]] = {}
+    for index, (machine, violation) in enumerate(analysis.violations):
+        if machine != "<helpers>" and index not in analysis.suppressed:
+            flagged.setdefault(machine, set()).add(violation.site.loc_key)
+    for machine_name, keys in sorted(flagged.items()):
+        driver = build_driver(program, machine_name)
         if driver is None:
             continue  # outside the liftable fragment: keep base verdicts
         surviving_keys = set()
         for site in ownership.give_up_sites(driver.info):
-            violation = ownership.check_site(site)
-            if violation is not None:
-                surviving_keys.add(site.loc_key)
+            key = site.loc_key
+            if key in keys and key not in surviving_keys:
+                if ownership.check_site(site) is not None:
+                    surviving_keys.add(key)
         for index, (machine, violation) in enumerate(analysis.violations):
             if machine != machine_name or index in analysis.suppressed:
                 continue

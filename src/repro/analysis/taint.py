@@ -27,10 +27,13 @@ Two queries are provided, both answered by one sparse solver:
 Every transfer function is distributive (``f(S)`` is the union of
 ``f({v})`` over ``v`` in ``S``, and ``f({})`` is empty), so a node acts on
 each variable separately: a *row* ``var -> vars`` that is the identity
-except on the few variables the statement names.  Rows are compiled once
-per method and shared by every query on it; a query is then reachability
-over facts ``(node, in|out, var)``, which derives exactly the least fixed
-point of the dataflow equations while touching only the facts that hold
+except on the few variables the statement names.  The rows are the
+transfer functions: ``TaintEngine._rows`` writes them down per statement
+kind (``tests/reference_taint.py`` keeps the set-level functions as the
+test oracle they are checked against).  Rows are compiled once per method
+and shared by every query on it; a query is then reachability over facts
+``(node, in|out, var)``, which derives exactly the least fixed point of
+the dataflow equations while touching only the facts that hold
 (``docs/analysis.md`` has the argument).
 
 Context sensitivity comes from per-method summaries: for each input role
@@ -57,7 +60,6 @@ from ..lang.ir import (
     Assert,
     Assign,
     Call,
-    ClassDecl,
     Const,
     CreateMachine,
     External,
@@ -70,7 +72,6 @@ from ..lang.ir import (
     Program,
     Return,
     Send,
-    Stmt,
     StoreField,
     While,
     is_scalar,
@@ -156,6 +157,21 @@ class MethodInfo:
 
 # Statements that move no reference: the identity in both directions.
 _IDENTITY = (Send, Assert, If, While)
+# Statements that only give ``dst`` a fresh value: they kill it.
+_KILLS = (Const, New, Op, Nondet, External, CreateMachine)
+
+
+def _row(
+    kill: Tuple[str, ...], edges: List[Tuple[str, str]]
+) -> Optional[Dict[str, Tuple[str, ...]]]:
+    """The row ``var -> vars`` of a node that kills ``kill`` and adds
+    ``edges``; variables it maps to themselves are left out, and ``None``
+    stands for the identity."""
+    targets: Dict[str, Set[str]] = {var: set() for var in kill}
+    for source, target in edges:
+        targets.setdefault(source, {source}).add(target)
+    row = {var: tuple(to) for var, to in targets.items() if to != {var}}
+    return row or None
 
 
 class _Flow:
@@ -186,15 +202,13 @@ class _Flow:
 class TaintEngine:
     """Whole-program taint engine with memoized per-seed queries."""
 
-    def __init__(self, program: Program, extra_methods: Iterable[MethodInfo] = ()) -> None:
+    def __init__(self, program: Program) -> None:
         self.program = program
         self.methods: Dict[MethodKey, MethodInfo] = {}
         for cls in program.classes.values():
             for method in cls.methods.values():
                 info = MethodInfo(cls.name, method)
                 self.methods[info.key] = info
-        for info in extra_methods:
-            self.methods[info.key] = info
         self._machine_classes = frozenset(
             m.class_name for m in program.machines.values()
         )
@@ -212,7 +226,7 @@ class TaintEngine:
         self.summaries: Dict[MethodKey, Summary] = {}
         # Everything derived from summaries (call rows, memoized closures)
         # is stamped with the epoch it was built at; the epoch advances
-        # whenever a summary changes or a method is registered.
+        # whenever a summary changes.
         self._epoch = 0
         self._flows: Dict[MethodInfo, _Flow] = {}
         self.counters: Dict[str, int] = dict.fromkeys(
@@ -230,12 +244,6 @@ class TaintEngine:
     # ------------------------------------------------------------------
     # Call resolution
     # ------------------------------------------------------------------
-    def register(self, info: MethodInfo) -> None:
-        """Add a synthetic method (used by the cross-state analysis)."""
-        self.methods[info.key] = info
-        self._epoch += 1
-        self._summarize(info)  # callees' summaries already stable
-
     def _havoc(self, arity: int) -> Summary:
         summary = self._havoc_summaries.get(arity)
         if summary is None:
@@ -287,123 +295,61 @@ class TaintEngine:
         return pairs
 
     # ------------------------------------------------------------------
-    # Transfer functions
-    # ------------------------------------------------------------------
-    def _fwd(self, info: MethodInfo, node: Node, taints: FrozenSet[str]) -> FrozenSet[str]:
-        stmt = node.stmt
-        if stmt is None or isinstance(stmt, _IDENTITY):
-            return taints
-        if isinstance(stmt, CreateMachine):
-            # The destination is a machine id (scalar).
-            return taints - {stmt.dst}
-        if isinstance(stmt, Assign):
-            out = taints - {stmt.dst}
-            if stmt.src in taints and info.is_ref(stmt.dst):
-                out |= {stmt.dst}
-            return out
-        if isinstance(stmt, (Const, New, Op, Nondet, External)):
-            return taints - {stmt.dst}
-        if isinstance(stmt, LoadField):
-            out = taints - {stmt.dst}
-            if "this" in taints and info.is_ref(stmt.dst):
-                out |= {stmt.dst}
-            return out
-        if isinstance(stmt, StoreField):
-            if stmt.src in taints:
-                return taints | {"this"}
-            return taints
-        if isinstance(stmt, Return):
-            if stmt.var is not None and stmt.var in taints:
-                return taints | {RET}
-            return taints
-        if isinstance(stmt, Call):
-            summary, key = self.resolve_call(info, stmt)
-            out = set(taints)
-            if stmt.dst is not None:
-                out.discard(stmt.dst)
-            for role, actual in self.call_role_pairs(stmt, key):
-                if actual not in taints:
-                    continue
-                for out_role in summary.flow(role):
-                    target = self.role_to_actual(
-                        stmt, self.methods.get(key) if key else None, out_role
-                    )
-                    if target is not None and info.is_ref(target):
-                        out.add(target)
-            return frozenset(out)
-        return taints
-
-    def _bwd(self, info: MethodInfo, node: Node, taints: FrozenSet[str]) -> FrozenSet[str]:
-        stmt = node.stmt
-        if stmt is None or isinstance(stmt, _IDENTITY):
-            return taints
-        if isinstance(stmt, CreateMachine):
-            return taints - {stmt.dst}
-        if isinstance(stmt, Assign):
-            out = taints - {stmt.dst}
-            if stmt.dst in taints and info.is_ref(stmt.src):
-                out |= {stmt.src}
-            return out
-        if isinstance(stmt, (Const, New, Op, Nondet, External)):
-            return taints - {stmt.dst}
-        if isinstance(stmt, LoadField):
-            out = taints - {stmt.dst}
-            if stmt.dst in taints:
-                out |= {"this"}
-            return out
-        if isinstance(stmt, StoreField):
-            # this@after reaches old-this's heap *and* src's heap: either
-            # may hold the overlap object.
-            if "this" in taints and info.is_ref(stmt.src):
-                return taints | {stmt.src}
-            return taints
-        if isinstance(stmt, Return):
-            if RET in taints and stmt.var is not None and info.is_ref(stmt.var):
-                return taints | {stmt.var}
-            return taints
-        if isinstance(stmt, Call):
-            summary, key = self.resolve_call(info, stmt)
-            callee = self.methods.get(key) if key is not None else None
-            out = set(taints)
-            if stmt.dst is not None:
-                out.discard(stmt.dst)
-            for role, actual in self.call_role_pairs(stmt, key):
-                for out_role in summary.flow(role):
-                    target = self.role_to_actual(stmt, callee, out_role)
-                    tainted_after = (
-                        stmt.dst in taints if out_role == RET else (target in taints)
-                    )
-                    if tainted_after and info.is_ref(actual):
-                        out.add(actual)
-            return frozenset(out)
-        return taints
-
-    # ------------------------------------------------------------------
     # The flow relation
     # ------------------------------------------------------------------
     def _rows(self, info: MethodInfo, node: Node):
-        """Node's (forward, backward) rows.  A transfer function treats
-        only the variables its statement names specially (``return`` names
-        ``$ret``), so probing it on those singletons yields the whole
-        relation; every other variable maps to itself."""
+        """Node's (forward, backward) rows: the transfer functions, written
+        down once per statement kind.  A statement overwrites its ``kill``
+        variables and adds ``source -> target`` edges in each direction;
+        every other variable maps to itself."""
         stmt = node.stmt
         if stmt is None or isinstance(stmt, _IDENTITY):
             return None, None
         self.counters["rows_compiled"] += 1
-        named = set(stmt.vars_occurring())
-        if isinstance(stmt, Return):
-            named.add(RET)
-        fwd: Dict[str, Tuple[str, ...]] = {}
-        bwd: Dict[str, Tuple[str, ...]] = {}
-        for var in named:
-            single = frozenset((var,))
-            after = self._fwd(info, node, single)
-            if after != single:
-                fwd[var] = tuple(after)
-            before = self._bwd(info, node, single)
-            if before != single:
-                bwd[var] = tuple(before)
-        return fwd or None, bwd or None
+        is_ref = info.is_ref
+        kill: Tuple[str, ...] = ()
+        fwd: List[Tuple[str, str]] = []
+        bwd: List[Tuple[str, str]] = []
+        if isinstance(stmt, Assign):
+            kill = (stmt.dst,)
+            if is_ref(stmt.dst):
+                fwd.append((stmt.src, stmt.dst))
+            if is_ref(stmt.src):
+                bwd.append((stmt.dst, stmt.src))
+        elif isinstance(stmt, LoadField):
+            kill = (stmt.dst,)
+            if is_ref(stmt.dst):
+                fwd.append(("this", stmt.dst))
+            bwd.append((stmt.dst, "this"))
+        elif isinstance(stmt, StoreField):
+            # this@after reaches old-this's heap *and* src's heap: either
+            # may hold the overlap object.
+            fwd.append((stmt.src, "this"))
+            if is_ref(stmt.src):
+                bwd.append(("this", stmt.src))
+        elif isinstance(stmt, Return):
+            if stmt.var is not None:
+                fwd.append((stmt.var, RET))
+                if is_ref(stmt.var):
+                    bwd.append((RET, stmt.var))
+        elif isinstance(stmt, Call):
+            summary, key = self.resolve_call(info, stmt)
+            callee = self.methods.get(key) if key is not None else None
+            if stmt.dst is not None:
+                kill = (stmt.dst,)
+            for role, actual in self.call_role_pairs(stmt, key):
+                for out_role in summary.flow(role):
+                    target = self.role_to_actual(stmt, callee, out_role)
+                    if target is None:
+                        continue
+                    if is_ref(target):
+                        fwd.append((actual, target))
+                    if is_ref(actual):
+                        bwd.append((target, actual))
+        elif isinstance(stmt, _KILLS):
+            # A fresh value (a machine id for ``create``).
+            kill = (stmt.dst,)
+        return _row(kill, fwd), _row(kill, bwd)
 
     def _flow(self, info: MethodInfo) -> _Flow:
         """The method's compiled relation, call rows brought up to date."""

@@ -43,7 +43,6 @@ from ..lang.ir import (
     External,
     If,
     LoadField,
-    MachineDecl,
     MethodDecl,
     New,
     Nondet,
@@ -57,7 +56,7 @@ from ..lang.ir import (
     While,
     flatten,
 )
-from .taint import MethodInfo, TaintEngine
+from .taint import MethodInfo
 
 
 @dataclass
@@ -182,11 +181,13 @@ def _method_touches_fields(method: MethodDecl) -> bool:
     )
 
 
-def build_driver(
-    program: Program, taint: TaintEngine, machine_name: str
-) -> Optional[Driver]:
-    """Construct and register the overarching driver method, or None when
-    the machine is outside the liftable fragment."""
+def build_driver(program: Program, machine_name: str) -> Optional[Driver]:
+    """Construct the overarching driver method, or None when the machine
+    is outside the liftable fragment.
+
+    The driver is not added to the engine's methods: nothing calls it, so
+    it needs no summary, and queries take its ``MethodInfo`` directly (the
+    engine keys compiled flows by that object)."""
     machine = program.machines[machine_name]
     cls = program.classes[machine.class_name]
     init = cls.methods.get(machine.initial)
@@ -291,6 +292,4 @@ def build_driver(
 
     if bail["flag"]:
         return None  # outside the liftable fragment: keep base verdicts
-    info = MethodInfo(machine.class_name, method, cfg=cfg)
-    taint.register(info)
-    return Driver(machine=machine_name, info=info)
+    return Driver(machine_name, MethodInfo(machine.class_name, method, cfg=cfg))

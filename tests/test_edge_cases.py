@@ -14,7 +14,7 @@ from repro import (
     State,
     TestConfig,
 )
-from repro.analysis import analyze_program, build_driver, TaintEngine
+from repro.analysis import analyze_program, build_driver
 from repro.analysis.frontend import FrontendError, lower_machines
 from repro.errors import AnalysisDiagnostic
 from repro.lang import Interpreter, ParseError, parse_program
@@ -276,9 +276,8 @@ class TestAnalysisEdges:
             }
             """
         )
-        taint = TaintEngine(program)
         program.machines["quiet"].initial = "does_not_exist"
-        assert build_driver(program, taint, "quiet") is None
+        assert build_driver(program, "quiet") is None
 
     def test_frontend_rejects_try(self):
         class TryUser(Machine):

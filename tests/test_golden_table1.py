@@ -15,6 +15,9 @@ Regenerate (only when a verdict change is intended, and say so in the PR)::
 
 import json
 import os
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 
@@ -23,6 +26,7 @@ from repro.analysis.frontend import lower_machines
 from repro.bench import registry
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_table1.json")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SUITES = ("psharpbench", "soter", "case-study")
 PASSES = {
@@ -122,13 +126,13 @@ def test_phases_and_solver_counters_are_reported():
     # Exact, so they repeat; and pinned, so a change to how much the solver
     # does for Table 1 is a visible diff.
     assert first.solver_counters == second.solver_counters == {
-        "methods_summarized": 20, "queries": 69, "cache_hits": 14,
-        "facts_derived": 9625, "rows_compiled": 381,
+        "methods_summarized": 18, "queries": 54, "cache_hits": 17,
+        "facts_derived": 6245, "rows_compiled": 351,
     }
     report = first.to_report()
     assert report.solver_counters == first.solver_counters
     text = report.summary()
-    assert "phases: summaries" in text and "facts derived 9625" in text
+    assert "phases: summaries" in text and "facts derived 6245" in text
     # A shared engine reports what this analysis added, not the engine's total.
     shared = TaintEngine(program)
     built = dict(shared.counters)
@@ -136,3 +140,33 @@ def test_phases_and_solver_counters_are_reported():
     assert again.solver_counters == {
         name: first.solver_counters[name] - built[name] for name in built
     }
+
+
+# The solver's work for the full pass (xSA + read-only), summed over every
+# analysed program: what the ``analyze`` benchmark workload asks of it.
+FULL_PASS_TOTALS = {
+    "methods_summarized": 342, "queries": 858, "cache_hits": 226,
+    "facts_derived": 90904, "rows_compiled": 3994,
+}
+
+
+def full_pass_totals():
+    totals = Counter()
+    for name, variant in cases():
+        totals.update(analyze_program(lower(name, variant), **PASSES["full"]).solver_counters)
+    return dict(totals)
+
+
+def test_full_pass_solver_totals_are_pinned_under_any_hash_seed():
+    assert full_pass_totals() == FULL_PASS_TOTALS
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    for seed in ("1", "2"):
+        env["PYTHONHASHSEED"] = seed
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import json; from tests.test_golden_table1 import full_pass_totals; "
+             "print(json.dumps(full_pass_totals()))"],
+            capture_output=True, text=True, env=env, cwd=ROOT, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == FULL_PASS_TOTALS, seed

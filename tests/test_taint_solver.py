@@ -8,6 +8,9 @@ on the oracle ends in the same summaries, gives-up sets and verdicts, and
 that both agree on Hypothesis-generated methods seeded at every node.  The
 design rests on one fact, tested directly: the transfer functions are
 distributive and only treat the variables their statement names specially.
+So the engine's rows, written down per statement kind, are checked against
+the rows probed from the oracle's set-level transfer functions: two
+definitions of one semantics.
 """
 
 import random
@@ -55,21 +58,24 @@ def ref_vars_in(info, taints):
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module", params=cases(), ids="/".join)
 def analysed(request):
-    """Program, engine with every machine's xSA driver registered, and the
-    ownership analysis on it."""
+    """Program, engine, the ownership analysis on it, and every machine's
+    xSA driver (built, never added to the engine's methods)."""
     program = lower(*request.param)
     taint = TaintEngine(program)
     ownership = OwnershipAnalysis(program, taint)
-    for machine in program.machines:
-        build_driver(program, taint, machine)
-    return program, taint, ownership
+    drivers = [build_driver(program, machine) for machine in program.machines]
+    drivers = [driver.info for driver in drivers if driver is not None]
+    return program, taint, ownership, drivers
+
+
+def methods_and_drivers(taint, drivers):
+    return [*taint.methods.values(), *drivers]
 
 
 def test_every_query_of_the_analysis_matches_the_oracle(analysed):
-    _program, taint, ownership = analysed
-    drivers = queries = 0
-    for info in list(taint.methods.values()):
-        drivers += info.decl.name.startswith("$xsa_")
+    _program, taint, ownership, drivers = analysed
+    queries = 0
+    for info in methods_and_drivers(taint, drivers):
         # A closure no give-up site asks for: what may reach `this` at Exit.
         assert_same_facts(
             taint.closure_facts(info, "this", info.cfg.exit),
@@ -103,7 +109,7 @@ def test_every_query_of_the_analysis_matches_the_oracle(analysed):
 
 
 def test_a_whole_analysis_on_the_oracle_ends_in_the_same_place(analysed):
-    program, _taint, _ownership = analysed
+    program, _taint, _ownership, _drivers = analysed
     sparse, oracle = TaintEngine(program), reference.ReferenceEngine(program)
     assert sparse.summaries == oracle.summaries
     assert (
@@ -120,14 +126,15 @@ def test_a_whole_analysis_on_the_oracle_ends_in_the_same_place(analysed):
         (machine, v.site.loc_key, v.site.var, v.failures, v.loaded_fields)
         for machine, v in theirs.violations
     ]
-    # Drivers registered by xSA were summarized on both engines too.
+    # xSA adds no method, so no summary: both engines end with the ones
+    # they started with.
     assert sparse.summaries == oracle.summaries
 
 
 def test_transfer_functions_are_distributive_on_the_analysed_programs(analysed):
-    _program, taint, _ownership = analysed
+    _program, taint, _ownership, drivers = analysed
     rng = random.Random(15)
-    for info in taint.methods.values():
+    for info in methods_and_drivers(taint, drivers):
         names = sorted(info.ref_vars | {RET, "$scalar"})
         for node in info.cfg.nodes:
             sample = frozenset(rng.sample(names, rng.randint(0, min(4, len(names)))))
@@ -135,19 +142,41 @@ def test_transfer_functions_are_distributive_on_the_analysed_programs(analysed):
 
 
 def assert_distributive(taint, info, node, taints):
-    for transfer in (taint._fwd, taint._bwd):
-        assert transfer(info, node, frozenset()) == frozenset()
+    for transfer in (reference.fwd, reference.bwd):
+        assert transfer(taint, info, node, frozenset()) == frozenset()
         pointwise = frozenset().union(
-            *(transfer(info, node, frozenset({v})) for v in taints)
+            *(transfer(taint, info, node, frozenset({v})) for v in taints)
         )
-        assert transfer(info, node, taints) == pointwise, (node, taints)
+        assert transfer(taint, info, node, taints) == pointwise, (node, taints)
     # Only the variables the statement names are special; `return` names $ret.
     named = set(node.stmt.vars_occurring() if node.stmt else ())
     if isinstance(node.stmt, Return):
         named.add(RET)
     for var in taints - named:
-        assert taint._fwd(info, node, frozenset({var})) == {var}
-        assert taint._bwd(info, node, frozenset({var})) == {var}
+        assert reference.fwd(taint, info, node, frozenset({var})) == {var}
+        assert reference.bwd(taint, info, node, frozenset({var})) == {var}
+
+
+def test_built_rows_equal_the_rows_probed_from_the_oracle(analysed):
+    _program, taint, _ownership, drivers = analysed
+    nodes = 0
+    for info in methods_and_drivers(taint, drivers):
+        nodes += assert_rows_match(taint, info)
+    assert nodes > 0
+
+
+def assert_rows_match(taint, info):
+    """Every node's built rows equal the probed ones, as ``var -> set``
+    (the order inside a row is not part of its meaning)."""
+    def as_sets(row):
+        return {var: frozenset(targets) for var, targets in (row or {}).items()}
+
+    for node in info.cfg.nodes:
+        built = taint._rows(info, node)
+        probed = reference.rows(taint, info, node)
+        for direction, mine, theirs in zip(("fwd", "bwd"), built, probed):
+            assert as_sets(mine) == as_sets(theirs), (info.key, node, direction)
+    return len(info.cfg.nodes)
 
 
 # ----------------------------------------------------------------------
@@ -272,6 +301,8 @@ def test_generated_methods_match_the_oracle_seeded_at_every_node(body, data):
             )
         sample = frozenset(data.draw(st.sets(st.sampled_from(seed_vars), max_size=4)))
         assert_distributive(taint, info, node, sample)
+    for method in taint.methods.values():
+        assert_rows_match(taint, method)
     # Several seeds at several nodes at once.
     seeds = data.draw(
         st.dictionaries(
@@ -288,7 +319,9 @@ def test_generated_methods_match_the_oracle_seeded_at_every_node(body, data):
 # ----------------------------------------------------------------------
 # What is cached, and for how long
 # ----------------------------------------------------------------------
-def test_a_re_registered_driver_is_never_served_the_previous_cfgs_facts():
+def test_a_same_key_driver_is_never_served_the_previous_cfgs_facts():
+    # Flows are keyed by the MethodInfo object, not by the method key: a
+    # second driver of the same machine gets its own relation and closures.
     program = program_with([StoreField("f", "a"), Send("n", "E", "a")])
     taint = TaintEngine(program)
 
@@ -296,34 +329,16 @@ def test_a_re_registered_driver_is_never_served_the_previous_cfgs_facts():
         return MethodInfo("M", MethodDecl("$xsa_M", [], [VarDecl("p", "Box"), VarDecl("q", "Box")], body))
 
     first = driver([Assign("q", "p"), Send("n", "E", "q")])
-    taint.register(first)
     send = first.cfg.statement_nodes()[-1]
     assert "p" in taint.closure_facts(first, "q", send).out_of(first.cfg.entry)
 
     second = driver([New("q", "Box"), Send("n", "E", "q")])  # same key, same shape
-    taint.register(second)
+    assert second.key == first.key
     send = second.cfg.statement_nodes()[-1]
     facts = taint.closure_facts(second, "q", send)
     assert "p" not in facts.out_of(second.cfg.entry)
     assert_same_facts(facts, reference.closure_facts(taint, second, "q", send), "second")
-
-
-def test_registering_a_method_rebuilds_the_call_rows_that_may_name_it():
-    caller = [Call("b", "a", "later", []), Send("n", "E", "b")]
-    program = program_with(caller)
-    taint = TaintEngine(program)
-    info = taint.methods[("M", "run")]
-    send = info.cfg.statement_nodes()[-1]
-    # Box.later does not exist yet: the call is havocked, b may reach a.
-    before = taint.closure_facts(info, "b", send)
-    assert "a" in before.out_of(info.cfg.entry)
-    assert taint.closure_facts(info, "b", send) is before  # memoized
-
-    fresh = MethodDecl("later", [], [VarDecl("r", "Box")], [New("r", "Box"), Return("r")], "Box")
-    taint.register(MethodInfo("Box", fresh))
-    after = taint.closure_facts(info, "b", send)
-    assert "a" not in after.out_of(info.cfg.entry)
-    assert_same_facts(after, reference.closure_facts(taint, info, "b", send), "after")
+    assert ("M", "$xsa_M") not in taint.methods
 
 
 def test_solver_counters_are_exact():
