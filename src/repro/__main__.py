@@ -544,6 +544,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if report.telemetry is not None:
             for line in report.telemetry.summary_lines():
                 print(line)
+        if report.fault_kinds:
+            kinds = ", ".join(f"{k}={n}" for k, n in sorted(report.fault_kinds.items()))
+            print(f"faults injected: {kinds}")
     if args.dot:
         if report.coverage is None:
             print(

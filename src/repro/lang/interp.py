@@ -504,35 +504,6 @@ class Interpreter:
 # ---------------------------------------------------------------------------
 # Systematic exploration (used to cross-validate the static analysis)
 # ---------------------------------------------------------------------------
-class _DfsChooser:
-    """Decision-stack chooser enumerating all finite choice sequences."""
-
-    def __init__(self) -> None:
-        self.stack: List[List[int]] = []  # [index, options]
-        self.cursor = 0
-        self.started = False
-
-    def prepare(self) -> bool:
-        if not self.started:
-            self.started = True
-            self.cursor = 0
-            return True
-        while self.stack and self.stack[-1][0] >= self.stack[-1][1] - 1:
-            self.stack.pop()
-        if not self.stack:
-            return False
-        self.stack[-1][0] += 1
-        self.cursor = 0
-        return True
-
-    def __call__(self, options: int, kind: str) -> int:
-        if self.cursor == len(self.stack):
-            self.stack.append([0, options])
-        index, _recorded = self.stack[self.cursor]
-        self.cursor += 1
-        return min(index, options - 1)
-
-
 @dataclass
 class ExplorationResult:
     schedules: int
@@ -558,20 +529,27 @@ def explore(
     This is the ground truth against which the static analysis of
     Section 5 is validated: if the analysis claims race-freedom, no
     explored schedule may exhibit a race (Theorem 5.1).
+
+    The choices are enumerated by the tester's DFS stack: every
+    scheduling and ``nondet`` choice is one value frame.  A step makes at
+    most two choices, so a depth cap of ``2 * max_steps`` never binds.
     """
-    chooser = _DfsChooser()
+    # Deferred: importing the core calculus loads no part of the tester.
+    from ..testing.strategies import DfsStrategy
+
+    dfs = DfsStrategy(max_depth=2 * max_steps)
     races: List[RaceReport] = []
     errors: List[str] = []
     schedules = 0
     exhausted = False
     while schedules < max_schedules:
-        if not chooser.prepare():
+        if not dfs.prepare_iteration():
             exhausted = True
             break
         interp = Interpreter(
             program,
             instances=instances,
-            chooser=chooser,
+            chooser=lambda options, kind: dfs.pick_int(options),
             detect_races=detect_races,
             max_steps=max_steps,
         )

@@ -407,9 +407,6 @@ class Program:
     machines: Dict[str, MachineDecl] = field(default_factory=dict)
     name: str = "program"
 
-    def cls(self, name: str) -> ClassDecl:
-        return self.classes[name]
-
     def method(self, class_name: str, method_name: str) -> Optional[MethodDecl]:
         klass = self.classes.get(class_name)
         if klass is None:

@@ -17,7 +17,7 @@ positions) is deliberately not persisted — resuming re-runs an
 incomplete shard from scratch, which is always sound because shards are
 independent and deterministic per spec.
 
-The checkpoint file is one JSON document, ``{"version": 2,
+The checkpoint file is one JSON document, ``{"version": 3,
 "fingerprint": ..., "specs": [{"name", "params"}, ...], "completed":
 {"<shard>": <report document>}}`` — the report documents being what the
 shards' ``result`` frames carried (:mod:`repro.testing.record`) — written
@@ -38,16 +38,12 @@ from ..errors import PSharpError
 from .engine import TestReport
 from .portfolio import StrategySpec
 from .record import (
-    array_of, dumps, int_keyed, read_document, write_atomic,
+    REPORT_VERSION, array_of, dumps, int_keyed, read_document, write_atomic,
 )
 from .trace import sha256
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .config import TestConfig
-
-#: Bumped when the checkpoint layout changes incompatibly.
-CHECKPOINT_VERSION = 2
-
 
 #: The declared fields that are *not* campaign identity — changing one
 #: does not change what a completed shard's report means.  The mix
@@ -96,7 +92,7 @@ def save_checkpoint(
     The write goes through :func:`~repro.testing.record.write_atomic`,
     so readers never observe a torn checkpoint."""
     write_atomic(path, dumps({
-        "version": CHECKPOINT_VERSION,
+        "version": REPORT_VERSION,
         "fingerprint": fingerprint,
         "specs": [spec.to_obj() for spec in specs],
         "completed": {
@@ -138,9 +134,7 @@ def load_checkpoint(path: "str | os.PathLike") -> Dict[str, Any]:
     missing, truncated, corrupt, or from an incompatible version (one an
     older build pickled included: it is named as such, never loaded)."""
     path = os.fspath(path)
-    return checkpoint_state(
-        read_document(path, "checkpoint", CHECKPOINT_VERSION), path
-    )
+    return checkpoint_state(read_document(path, "checkpoint"), path)
 
 
 def verify_checkpoint(

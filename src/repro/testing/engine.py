@@ -123,7 +123,7 @@ FIRST_BUG = Rule(
     encode=nullable(_encode_bug),
     decode=nullable(_decode_bug),
     wire="BugReport object or null",
-    merged="the receiver's, else the other's (and its first_bug_iteration)",
+    merged="the receiver's, else the other's",
 )
 SUB_REPORTS = Rule(
     fresh=list,
@@ -168,9 +168,8 @@ class TestReport(Record):
     # max: aggregate schedules/sec is total iterations over wall time.
     elapsed: float = field(most(SECONDS))
     # The first bug of a merge is the receiver's if it has one (fold
-    # order defines precedence), otherwise the other's — see merge().
+    # order defines precedence), otherwise the other's.
     first_bug: Optional[BugReport] = field(FIRST_BUG)
-    first_bug_iteration: int = field(keep(INDEX))
     bugs: List[BugReport] = field(BUGS)
     exhausted: bool = field(keep(FLAG))
     timed_out: bool = field(ANY)
@@ -183,25 +182,25 @@ class TestReport(Record):
     # ThreadedRuntime and CHESS).  Merged campaign reports show "mixed"
     # when sub-reports disagree.
     effective_backend: Optional[str] = field(BACKEND)
-    # Observability (PR 8): injected-fault totals by outcome name,
-    # strategy-consulted scheduling decisions, activity coverage and
+    # Observability: injected faults by outcome name (cut-off iterations
+    # included: their faults fired), activity coverage and
     # execution-shape telemetry.  Coverage is attached only when the
     # campaign asked for it; telemetry is always collected (its cost is
     # one perf_counter pair + histogram bump per iteration).
-    faults_injected: int = field(SUM)
     fault_kinds: Dict[str, int] = field(COUNTS)
-    consulted_decisions: int = field(SUM)
     coverage: Optional[CoverageMap] = field(nested(CoverageMap, or_null=True))
     telemetry: Optional[TelemetryStats] = field(nested(TelemetryStats, or_null=True))
     # Schedule-space reduction (repro.testing.reduction): distinct program
-    # states fingerprinted by the campaign's state cache, and schedules
-    # (or whole DFS subtrees) the reduction machinery cut off as
-    # redundant.  Both zero when the campaign ran with reduction="none".
-    # Distinct-state counts sum across shards: each shard's cache is
-    # private, so the merged figure over-counts states two shards both
-    # visited — an upper bound, like summing coverage before dedup.
+    # states fingerprinted by the campaign's state cache, DPOR branches
+    # never executed, and executions the state cache cut short (each
+    # also counted in ``iterations``).  All zero when the campaign ran
+    # with reduction="none".  Distinct-state counts sum across shards:
+    # each shard's cache is private, so the merged figure over-counts
+    # states two shards both visited — an upper bound, like summing
+    # coverage before dedup.
     distinct_states: int = field(SUM)
-    schedules_pruned: int = field(SUM)
+    branches_pruned: int = field(SUM)
+    state_prunes: int = field(SUM)
     # What the state cache cost, in exact counts: consultations that
     # hashed a state, and machine/monitor digests computed for them (the
     # rest were reused from the previous consultation of the execution).
@@ -211,6 +210,21 @@ class TestReport(Record):
     @property
     def bug_found(self) -> bool:
         return self.buggy_iterations > 0
+
+    @property
+    def first_bug_iteration(self) -> int:
+        """The iteration that found :attr:`first_bug`; -1 without one."""
+        return -1 if self.first_bug is None else self.first_bug.iteration
+
+    @property
+    def faults_injected(self) -> int:
+        return sum(self.fault_kinds.values())
+
+    @property
+    def schedules_pruned(self) -> int:
+        """Schedules the reduction avoided exploring: DPOR branches never
+        executed plus executions the state cache cut short."""
+        return self.branches_pruned + self.state_prunes
 
     @property
     def schedules_per_second(self) -> float:
@@ -228,10 +242,12 @@ class TestReport(Record):
 
     @property
     def redundancy_ratio(self) -> float:
-        """Fraction of the explored-or-cut schedule space the reduction
-        machinery proved redundant: pruned schedules over pruned plus
-        executed.  0.0 when reduction was off (nothing was pruned)."""
-        total = self.iterations + self.schedules_pruned
+        """Fraction of the schedule space the reduction machinery proved
+        redundant: pruned schedules over every schedule, executed or
+        not.  An execution the state cache cut short is one schedule,
+        counted in ``iterations``; DPOR branches never executed are the
+        rest.  0.0 when reduction was off (nothing was pruned)."""
+        total = self.iterations + self.branches_pruned
         return self.schedules_pruned / total if total else 0.0
 
     @property
@@ -280,14 +296,6 @@ class TestReport(Record):
         return "".join(parts)
 
     # -- portfolio plumbing --------------------------------------------
-    def merge(self, other: "TestReport") -> "TestReport":
-        """Fold ``other`` into this report (in place) and return self:
-        every field by its rule, plus the one thing a rule cannot say —
-        ``first_bug_iteration`` follows whichever ``first_bug`` wins."""
-        if self.first_bug is None and other.first_bug is not None:
-            self.first_bug_iteration = other.first_bug_iteration
-        return Record.merge(self, other)
-
     @classmethod
     def merged(
         cls, reports: Sequence["TestReport"], strategy: str = "portfolio"
@@ -442,15 +450,11 @@ def run_campaign(
             report.max_machines = max(report.max_machines, runtime.machine_count)
             report.total_steps += result.steps
             report.total_scheduling_points += result.scheduling_points
-            report.consulted_decisions += result.consulted
-            fault_kinds = None
-            if result.faults_injected:
-                report.faults_injected += result.faults_injected
-                fault_kinds = {
+            if any(result.fault_kinds):
+                COUNTS.merge(report.fault_kinds, {
                     outcome_name(code): count
                     for code, count in enumerate(result.fault_kinds) if count
-                }
-                COUNTS.merge(report.fault_kinds, fault_kinds)
+                })
             if result.status in ("time-bound", "stopped"):
                 # Cut off mid-schedule: count the work, not the schedule.
                 report.timed_out = report.timed_out or result.status == "time-bound"
@@ -462,7 +466,6 @@ def run_campaign(
                 wall_seconds=iter_end - iter_start,
                 since_start=iter_end - start,
                 consulted=result.consulted,
-                fault_kinds=fault_kinds,
             )
             if result.status == "depth-bound":
                 report.depth_bound_hits += 1
@@ -492,7 +495,6 @@ def run_campaign(
                 report.bugs.append(bug)
                 if report.first_bug is None:
                     report.first_bug = bug
-                    report.first_bug_iteration = iteration
                 if events is not None:
                     events.emit(
                         "bug_found",

@@ -78,9 +78,10 @@ from .telemetry import EventLog
 # ---------------------------------------------------------------------------
 # Protocol constants (docs/protocol.md §2–§3)
 # ---------------------------------------------------------------------------
-#: Bumped on any incompatible wire change; the handshake rejects peers
-#: speaking any other version (§3).
-PROTOCOL_VERSION = 2
+#: Bumped on any incompatible wire change, the report document a
+#: ``result`` frame nests (``record.REPORT_VERSION``) included; the
+#: handshake rejects peers speaking any other version (§3).
+PROTOCOL_VERSION = 3
 
 #: Hard cap on one frame's payload; a larger announced length is a
 #: protocol violation, not an allocation request (§2).

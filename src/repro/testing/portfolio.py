@@ -241,5 +241,4 @@ def merge_shard_reports(
     if winner_index is not None and winner_index in collected:
         winning = collected[winner_index]
         campaign.first_bug = winning.first_bug
-        campaign.first_bug_iteration = winning.first_bug_iteration
     return campaign

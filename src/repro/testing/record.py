@@ -555,12 +555,21 @@ def write_atomic(path: "str | os.PathLike", text: str) -> None:
         raise
 
 
-def read_document(path: "str | os.PathLike", what: str, version: int) -> Dict[str, Any]:
+#: The version of the files that carry report documents — report files
+#: and checkpoints alike — bumped when the report schema changes
+#: incompatibly.  Version 3 dropped the stored copies of derived counts
+#: (``first_bug_iteration``, ``faults_injected``, ``schedules_pruned``
+#: ...); a reader accepts only its own version, so an older file is
+#: refused, never misread.
+REPORT_VERSION = 3
+
+
+def read_document(path: "str | os.PathLike", what: str) -> Dict[str, Any]:
     """The one reader of the JSON documents this package writes
     (``what``: "checkpoint", "report"): the object in the file, or a
     one-line :class:`PSharpError` — unreadable, not UTF-8, not JSON, not
-    an object, not of ``version``.  A file an older build wrote (a
-    pickle) is reported as such; nothing is ever unpickled."""
+    an object, not of :data:`REPORT_VERSION`.  A file an older build
+    wrote (a pickle) is reported as such; nothing is ever unpickled."""
     path = os.fspath(path)
     try:
         with open(path, "rb") as fh:
@@ -577,9 +586,9 @@ def read_document(path: "str | os.PathLike", what: str, version: int) -> Dict[st
         raise PSharpError(f"corrupt {what} file {path!r}: {exc}{older}") from exc
     if type(document) is not dict:
         raise PSharpError(f"corrupt {what} file {path!r}: not a JSON object")
-    if document.get("version") != version:
+    if document.get("version") != REPORT_VERSION:
         raise PSharpError(
             f"{what} {path!r} has version {describe(document.get('version'))}; "
-            f"this build reads version {version}"
+            f"this build reads version {REPORT_VERSION}"
         )
     return document

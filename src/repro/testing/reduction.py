@@ -506,18 +506,13 @@ class ReductionEngine:
         self._digests: Dict[int, Tuple[bytes, int]] = {}
         self._digested = 0
 
-    @property
-    def schedules_pruned(self) -> int:
-        """Schedules the reduction avoided exploring: DPOR branches never
-        materialized plus executions cut short by the state cache."""
-        return self.branches_pruned + self.state_prunes
-
     def counters(self) -> Dict[str, int]:
         """The campaign counters a :class:`TestReport` (and its
         ``shard_end`` event) carries, by field name."""
         return dict(
             distinct_states=self.distinct_states,
-            schedules_pruned=self.schedules_pruned,
+            branches_pruned=self.branches_pruned,
+            state_prunes=self.state_prunes,
             fingerprints=self.fingerprints,
             machine_digests=self.machine_digests,
         )

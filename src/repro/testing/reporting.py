@@ -31,12 +31,7 @@ from ..errors import DocumentError, PSharpError
 from .checkpoint import checkpoint_state
 from .coverage import CoverageMap
 from .engine import TestReport
-from .record import dumps, read_document, write_atomic
-
-#: Bumped when the saved-report layout changes incompatibly — together
-#: with ``CHECKPOINT_VERSION``: both files carry the report document, and
-#: :func:`load_campaign` reads either one as version ``REPORT_VERSION``.
-REPORT_VERSION = 2
+from .record import REPORT_VERSION, dumps, read_document, write_atomic
 
 _REPORT_KIND = "campaign-report"
 
@@ -45,7 +40,7 @@ _REPORT_KIND = "campaign-report"
 # Persistence
 # ---------------------------------------------------------------------------
 def report_document(report: TestReport) -> Dict[str, Any]:
-    """What a report file holds: ``{"version": 2, "kind":
+    """What a report file holds: ``{"version": 3, "kind":
     "campaign-report", "report": <report document>}`` — the document a
     ``result`` frame or a checkpoint would carry for the same report
     (:mod:`repro.testing.record`)."""
@@ -70,7 +65,7 @@ def load_campaign(path: "str | os.PathLike") -> TestReport:
       campaign's partial coverage is still inspectable.
     """
     path = os.fspath(path)
-    document = read_document(path, "report", REPORT_VERSION)
+    document = read_document(path, "report")
     if document.get("kind") == _REPORT_KIND:
         if set(document) != {"version", "kind", "report"}:
             raise PSharpError(

@@ -141,10 +141,9 @@ class ExecutionResult:
     # The bug's live form, the one place a bug keeps its raised exception
     # and machine object: a campaign report records its detached copy.
     bug: Optional[BugReport] = None
-    # Telemetry: faults injected this execution, their outcomes indexed
-    # by FAULT_* code, and how many scheduling points actually consulted
+    # Telemetry: faults injected this execution by outcome, indexed by
+    # FAULT_* code, and how many scheduling points actually consulted
     # the strategy (the rest were forced single-choice continuations).
-    faults_injected: int = 0
     fault_kinds: Tuple[int, ...] = (0, 0, 0, 0, 0)
     consulted: int = 0
     # True when a replayed execution left its recorded schedule (the
@@ -157,6 +156,10 @@ class ExecutionResult:
     @property
     def buggy(self) -> bool:
         return self.bug is not None
+
+    @property
+    def faults_injected(self) -> int:
+        return sum(self.fault_kinds)
 
 
 class _Seat:
@@ -570,7 +573,6 @@ class BugFindingRuntime(RuntimeBase):
             scheduling_points=self._sched_points,
             trace=trace,
             bug=self._bug,
-            faults_injected=self._faults_injected,
             fault_kinds=tuple(self._fault_kinds),
             consulted=consulted,
             diverged=getattr(self.strategy, "diverged", False),

@@ -165,8 +165,9 @@ class DfsStrategy(SchedulingStrategy):
         # Scheduling points where the DPOR frame offered exactly one branch
         # while more than one machine was enabled: the runtime consulted us
         # but reduction predetermined the answer.  The runtime subtracts
-        # this from consulted_decisions so the consulted-vs-forced
-        # telemetry ratio keeps meaning "real branching" under reduction.
+        # this from an execution's consulted count, so the consulted-vs-
+        # forced telemetry ratio keeps meaning "real branching" under
+        # reduction.
         self.reduction_forced = 0
 
     def attach_reduction(self, engine) -> None:

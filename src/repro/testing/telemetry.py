@@ -3,11 +3,10 @@
 Coverage (:mod:`repro.testing.coverage`) answers *what the schedules
 explored*; this module answers *how the campaign ran* — the shape of the
 iterations (steps per schedule, wall time per schedule, schedules/sec
-over the campaign's lifetime), how often faults fired and of what kind,
-and how much of the scheduling was an actual strategy decision versus a
-forced single-choice step.  Stats are records
-(:mod:`repro.testing.record`): they merge associatively and ride on
-:class:`~repro.testing.engine.TestReport` across shards, ``result``
+over the campaign's lifetime) and how much of the scheduling was an
+actual strategy decision versus a forced single-choice step.  Stats are
+records (:mod:`repro.testing.record`): they merge associatively and ride
+on :class:`~repro.testing.engine.TestReport` across shards, ``result``
 frames and checkpoint resume exactly like coverage does.
 
 :class:`EventLog` is the second half: an append-only JSONL stream
@@ -32,8 +31,8 @@ import time
 from typing import Dict, List, Optional
 
 from .record import (
-    COUNT, COUNTS, INT_COUNTS, SUM, Record, field, least, most, nested,
-    optional, record,
+    COUNT, INT_COUNTS, SUM, Record, field, least, most, nested, optional,
+    record,
 )
 
 __all__ = ["Histogram", "TelemetryStats", "EventLog"]
@@ -49,7 +48,6 @@ class Histogram(Record):
     """
 
     buckets: Dict[int, int] = field(INT_COUNTS)
-    count: int = field(SUM)
     total: int = field(SUM)
     min: Optional[int] = field(least(optional(COUNT)))
     max: Optional[int] = field(most(optional(COUNT)))
@@ -61,7 +59,6 @@ class Histogram(Record):
         bucket = value.bit_length()
         buckets = self.buckets
         buckets[bucket] = buckets.get(bucket, 0) + 1
-        self.count += 1
         self.total += value
         if self.min is None or value < self.min:
             self.min = value
@@ -69,32 +66,34 @@ class Histogram(Record):
             self.max = value
 
     @property
+    def count(self) -> int:
+        return sum(self.buckets.values())
+
+    @property
     def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
+        count = self.count
+        return self.total / count if count else 0.0
 
 
 @record
 class TelemetryStats(Record):
     """Mergeable per-campaign execution-shape statistics.
 
-    * ``steps`` — histogram of scheduling steps per iteration;
+    * ``steps`` — histogram of scheduling steps per iteration (its
+      ``count`` is :attr:`iterations`);
     * ``iteration_us`` — histogram of per-iteration wall time (µs);
     * ``rate`` — iterations completed per whole second since the shard
       started (``{second_offset: iterations}``), i.e. schedules/sec over
       time, mergeable across shards because offsets are relative;
-    * ``fault_kinds`` — injected faults by outcome name (``drop``,
-      ``duplicate``, ``delay``, ``crash``);
     * ``consulted`` / ``forced`` — scheduling points where the strategy
       actually chose between ≥1 enabled machines versus points with a
       single forced continuation (the consult ratio says how much
       search-space a strategy is really exercising).
     """
 
-    iterations: int = field(SUM)
     steps: Histogram = field(nested(Histogram))
     iteration_us: Histogram = field(nested(Histogram))
     rate: Dict[int, int] = field(INT_COUNTS)
-    fault_kinds: Dict[str, int] = field(COUNTS)
     consulted: int = field(SUM)
     forced: int = field(SUM)
 
@@ -106,17 +105,17 @@ class TelemetryStats(Record):
         wall_seconds: float,
         since_start: float,
         consulted: int,
-        fault_kinds: Optional[Dict[str, int]] = None,
     ) -> None:
-        self.iterations += 1
         self.steps.record(steps)
         self.iteration_us.record(wall_seconds * 1e6)
         second = int(since_start)
         self.rate[second] = self.rate.get(second, 0) + 1
         self.consulted += consulted
         self.forced += max(0, scheduling_points - consulted)
-        if fault_kinds:
-            COUNTS.merge(self.fault_kinds, fault_kinds)
+
+    @property
+    def iterations(self) -> int:
+        return self.steps.count
 
     @property
     def consult_ratio(self) -> float:
@@ -124,7 +123,7 @@ class TelemetryStats(Record):
         return self.consulted / decisions if decisions else 0.0
 
     def summary_lines(self) -> List[str]:
-        lines = [
+        return [
             f"iterations: {self.iterations}, "
             f"steps/iter mean {self.steps.mean:.0f} "
             f"(min {self.steps.min or 0}, max {self.steps.max or 0}), "
@@ -133,13 +132,6 @@ class TelemetryStats(Record):
             f"{self.forced} forced "
             f"({self.consult_ratio * 100:.0f}% consulted)",
         ]
-        if self.fault_kinds:
-            kinds = ", ".join(
-                f"{name}={count}"
-                for name, count in sorted(self.fault_kinds.items())
-            )
-            lines.append(f"faults injected: {kinds}")
-        return lines
 
 
 class EventLog:

@@ -8,7 +8,12 @@ They now declare each field once with its rule and inherit those
 operations from :class:`repro.testing.record.Record`.  The bodies below
 are the deleted methods verbatim — ``self`` is the first argument, and a
 nested ``.merge()`` / ``.copy()`` call goes to the function here instead
-of to the method under test; nothing else changed.
+of to the method under test.  One change since: version 3 of the report
+document stores no derived count, so ``Histogram.count``,
+``TelemetryStats.iterations`` and ``fault_kinds``, and
+``TestReport.first_bug_iteration``, ``faults_injected``, the consulted
+count and ``schedules_pruned`` (now ``branches_pruned`` +
+``state_prunes``) are no longer copied or summed here either.
 ``tests/test_report_schema.py`` holds the table-driven operations against
 them, field for field, on generated and on real reports (the
 ``reference_taint.py`` / ``reference_frontend.py`` pattern).
@@ -25,7 +30,6 @@ def merge_histogram(self, other):
     buckets = self.buckets
     for bucket, count in other.buckets.items():
         buckets[bucket] = buckets.get(bucket, 0) + count
-    self.count += other.count
     self.total += other.total
     if other.min is not None and (self.min is None or other.min < self.min):
         self.min = other.min
@@ -36,7 +40,6 @@ def merge_histogram(self, other):
 def copy_histogram(self):
     clone = Histogram()
     clone.buckets = dict(self.buckets)
-    clone.count = self.count
     clone.total = self.total
     clone.min = self.min
     clone.max = self.max
@@ -44,15 +47,11 @@ def copy_histogram(self):
 
 
 def merge_telemetry(self, other):
-    self.iterations += other.iterations
     merge_histogram(self.steps, other.steps)
     merge_histogram(self.iteration_us, other.iteration_us)
     rate = self.rate
     for second, count in other.rate.items():
         rate[second] = rate.get(second, 0) + count
-    kinds = self.fault_kinds
-    for name, count in other.fault_kinds.items():
-        kinds[name] = kinds.get(name, 0) + count
     self.consulted += other.consulted
     self.forced += other.forced
     return self
@@ -60,11 +59,9 @@ def merge_telemetry(self, other):
 
 def copy_telemetry(self):
     clone = TelemetryStats()
-    clone.iterations = self.iterations
     clone.steps = copy_histogram(self.steps)
     clone.iteration_us = copy_histogram(self.iteration_us)
     clone.rate = dict(self.rate)
-    clone.fault_kinds = dict(self.fault_kinds)
     clone.consulted = self.consulted
     clone.forced = self.forced
     return clone
@@ -157,15 +154,14 @@ def merge_report(self, other):
     self.total_scheduling_points += other.total_scheduling_points
     self.max_machines = max(self.max_machines, other.max_machines)
     self.elapsed = max(self.elapsed, other.elapsed)
-    self.faults_injected += other.faults_injected
     for kind, count in other.fault_kinds.items():
         self.fault_kinds[kind] = self.fault_kinds.get(kind, 0) + count
-    self.consulted_decisions += other.consulted_decisions
     # Distinct-state counts sum across shards: each shard's cache is
     # private, so the merged figure over-counts states two shards both
     # visited — an upper bound, like summing coverage before dedup.
     self.distinct_states += other.distinct_states
-    self.schedules_pruned += other.schedules_pruned
+    self.branches_pruned += other.branches_pruned
+    self.state_prunes += other.state_prunes
     self.fingerprints += other.fingerprints
     self.machine_digests += other.machine_digests
     if other.coverage is not None:
@@ -192,7 +188,6 @@ def merge_report(self, other):
         self.bugs.append(bug)
     if self.first_bug is None and other.first_bug is not None:
         self.first_bug = other.first_bug
-        self.first_bug_iteration = other.first_bug_iteration
     self.timed_out = self.timed_out or other.timed_out
     self.interrupted = self.interrupted or other.interrupted
     if other.effective_backend is not None:
@@ -223,15 +218,13 @@ def detached_report(self):
         total_scheduling_points=self.total_scheduling_points,
         max_machines=self.max_machines,
         elapsed=self.elapsed,
-        first_bug_iteration=self.first_bug_iteration,
         exhausted=self.exhausted,
         timed_out=self.timed_out,
         interrupted=self.interrupted,
         effective_backend=self.effective_backend,
-        faults_injected=self.faults_injected,
-        consulted_decisions=self.consulted_decisions,
         distinct_states=self.distinct_states,
-        schedules_pruned=self.schedules_pruned,
+        branches_pruned=self.branches_pruned,
+        state_prunes=self.state_prunes,
         fingerprints=self.fingerprints,
         machine_digests=self.machine_digests,
     )

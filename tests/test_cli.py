@@ -166,6 +166,17 @@ class TestTestCommand:
 
 
 class TestReportCommand:
+    def test_faults_by_kind_are_printed_from_the_report(self, tmp_path, capsys):
+        from repro.__main__ import main
+        from repro.testing import TestReport, save_report
+
+        saved = tmp_path / "faulty.report"
+        save_report(saved, TestReport(strategy="random", fault_kinds={"drop": 3, "delay": 2}))
+        assert main(["report", str(saved)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "faults injected: delay=2, drop=3" in lines
+        assert ", faults=5" in lines[0]
+
     def test_json_and_a_stdout_digraph_are_refused_together(self, tmp_path):
         # Two documents on one stdout parse as neither: refused in one line.
         saved = tmp_path / "campaign.report"
@@ -212,7 +223,7 @@ class TestReportCommand:
             assert printed.returncode == 0, printed.stderr
             document = json.loads(printed.stdout)
             assert document == json.loads(expected.read_text(encoding="utf-8"))
-            assert document["version"] == 2 and document["kind"] == "campaign-report"
+            assert document["version"] == 3 and document["kind"] == "campaign-report"
             # The output is a report file: `report` reads it back, equal.
             again = tmp_path / "again.report"
             again.write_text(printed.stdout, encoding="utf-8")

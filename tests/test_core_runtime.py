@@ -1,5 +1,7 @@
 """Unit tests for the core machine model and the production runtime."""
 
+import random
+
 import pytest
 
 from repro import (
@@ -13,7 +15,8 @@ from repro import (
     machine_statistics,
     program_statistics,
 )
-from repro.testing import BugFindingRuntime, RandomStrategy
+from repro.errors import PSharpError
+from repro.testing import BugFindingRuntime, Monitor, RandomStrategy
 
 from .machines import EPing, EStart, Ping, Pong
 
@@ -361,3 +364,84 @@ class TestProductionRuntime:
         joiner.join(timeout=120.0)
         assert not joiner.is_alive(), "join() is waiting out its timeout"
         assert all(machine.is_halted for machine in runtime.machines)
+
+    def test_nondet_choices_come_from_the_seeded_generator(self):
+        class Chooser(Machine):
+            class Init(State):
+                initial = True
+                entry = "choose"
+
+            def choose(self):
+                self.bools = [self.nondet() for _ in range(16)]
+                self.ints = [self.nondet_int(7) for _ in range(16)]
+                self.halt()
+
+        rng = random.Random(5)
+        bools = [bool(rng.getrandbits(1)) for _ in range(16)]
+        ints = [rng.randrange(7) for _ in range(16)]
+        for _run in range(2):
+            runtime = Runtime(seed=5)
+            runtime.run(Chooser)
+            runtime.join(timeout=10.0)
+            (chooser,) = runtime.machines
+            assert chooser.bools == bools and chooser.ints == ints
+        assert {type(b) for b in bools} == {bool} and set(ints) <= set(range(7))
+
+    def test_invoke_monitor_reaches_only_the_registered_monitor(self):
+        class Counting(Monitor):
+            class Watching(State):
+                initial = True
+                entry = "setup"
+                actions = {EA: "count"}
+                ignored = (EB,)
+
+            def setup(self):
+                self.seen = 0
+
+            def count(self):
+                self.seen += 1
+
+        class Unregistered(Counting):
+            pass
+
+        class Reporter(Machine):
+            class Init(State):
+                initial = True
+                entry = "report"
+
+            def report(self):
+                self.monitor(Counting, EA())
+                self.monitor(Unregistered, EA())  # not attached: a no-op
+                self.monitor(Counting, EB())  # not handled: ignored
+                self.monitor(Counting, EA())
+                self.halt()
+
+        runtime = Runtime(seed=0)
+        runtime.register_monitor(Counting)
+        runtime.run(Reporter)
+        runtime.join(timeout=10.0)
+        (monitor,) = runtime._monitors
+        assert type(monitor) is Counting and monitor.seen == 2
+
+    def test_a_monitor_choosing_nondeterministically_stops_the_runtime(self):
+        class Chooser(Monitor):
+            class Watching(State):
+                initial = True
+                actions = {EA: "choose"}
+
+            def choose(self):
+                self.nondet_int(3)
+
+        class Invoker(Machine):
+            class Init(State):
+                initial = True
+                entry = "invoke"
+
+            def invoke(self):
+                self.monitor(Chooser, EA())
+
+        runtime = Runtime(seed=0)
+        runtime.register_monitor(Chooser)
+        runtime.run(Invoker)
+        with pytest.raises(PSharpError, match="Chooser attempted a nondeterministic"):
+            runtime.join(timeout=10.0)

@@ -277,7 +277,7 @@ class TestReportSatellites:
         report.iterations = 10
         report.elapsed = 1.0
         report.watchdog_hits = 2
-        report.faults_injected = 5
+        report.fault_kinds = {"drop": 3, "delay": 2}
         report.effective_backend = "threads"
         report.bugs.append(
             BugReport(kind="assert", message="boom", trace=_trace([1]))
@@ -295,7 +295,7 @@ class TestReportSatellites:
         clone = decode_report(encode_report(report.detached()))
         assert clone.coverage == report.coverage
         assert clone.telemetry == report.telemetry
-        assert clone.consulted_decisions == report.consulted_decisions
+        assert clone.telemetry.consulted == report.telemetry.consulted > 0
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +333,8 @@ class TestTelemetry:
         assert stats is not None
         assert stats.iterations == report.iterations
         assert stats.steps.count == report.iterations
-        assert stats.consulted == report.consulted_decisions
+        assert stats.iteration_us.count == report.iterations
+        assert stats.consulted + stats.forced == report.total_scheduling_points
 
     def test_event_log_stream(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -420,9 +421,12 @@ class TestReporting:
     def test_report_json_shape(self):
         report = _campaign("Raft")
         data = json.loads(json.dumps(report_document(report)))  # plain JSON
-        assert data["version"] == 2 and data["kind"] == "campaign-report"
+        assert data["version"] == 3 and data["kind"] == "campaign-report"
         assert data["report"]["iterations"] == report.iterations
-        assert data["report"]["telemetry"]["iterations"] == report.iterations
+        assert "iterations" not in data["report"]["telemetry"]
+        assert sum(data["report"]["telemetry"]["steps"]["buckets"].values()) == (
+            report.iterations
+        )
         assert TestReport.decode(data["report"]) == report.detached()
 
     def test_coverage_dot_marks_unvisited_dashed(self):

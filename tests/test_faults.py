@@ -174,6 +174,7 @@ class TestRecordingDeterminism:
         result = runtime.execute(Ping)
         injected = [v for v in fault_outcomes(result.trace) if v != FAULT_NONE]
         assert len(injected) <= 2
+        assert result.faults_injected == len(injected) == sum(result.fault_kinds)
 
 
 class TestFaultOnlyBugs:

@@ -458,3 +458,7 @@ class TestCounters:
         (end,) = [r for r in records if r["type"] == "shard_end"]
         assert end["fingerprints"] == report.fingerprints == 521
         assert end["machine_digests"] == report.machine_digests == 993
+        # The prunes by reason, under the report's field names.
+        assert end["branches_pruned"] == report.branches_pruned > 0
+        assert end["state_prunes"] == report.state_prunes > 0
+        assert "schedules_pruned" not in end

@@ -14,7 +14,7 @@ from repro.analysis.frontend import (
     lower_machines,
 )
 from repro.bench import registry
-from repro.lang.ir import Call, Send, StoreField, flatten
+from repro.lang.ir import Assign, Call, Send, StoreField, While, flatten
 
 from .test_golden_table1 import cases as analysed_cases
 
@@ -104,6 +104,60 @@ class ReadingPeer(Machine):
         self.send(self.parent, EAck())
 
 
+class LoopAfterSend(Machine):
+    """Keeps appending, in a ``while`` loop, to the list it sent: a race."""
+
+    class Init(State):
+        initial = True
+        entry = "setup"
+
+    def setup(self):
+        self.peer = self.create_machine(ReadingPeer, self.id)
+        buf = [1]
+        self.send(self.peer, EItem(buf))
+        n = 0
+        while n < 2:
+            buf.append(n)
+            n = n + 1
+
+
+class AugAssignAfterSend(Machine):
+    """``buf += [2]`` on the list it sent: reads it after giving it away."""
+
+    class Init(State):
+        initial = True
+        entry = "setup"
+
+    def setup(self):
+        self.peer = self.create_machine(ReadingPeer, self.id)
+        buf = [1]
+        self.send(self.peer, EItem(buf))
+        buf += [2]
+
+
+class LoopAndAugAssignBeforeSend(Machine):
+    """The same two shapes, done before the send: race-free."""
+
+    class Init(State):
+        initial = True
+        entry = "setup"
+
+    def setup(self):
+        self.peer = self.create_machine(ReadingPeer, self.id)
+        buf = [1]
+        buf += [2]
+        n = 0
+        while n < 2:
+            buf.append(n)
+            n = n + 1
+        self.send(self.peer, EItem(buf))
+
+
+def _setup_body(machine_cls):
+    program = lower_machines([machine_cls, ReadingPeer])
+    return program.classes[machine_cls.__name__].methods["setup"].body
+
+
 class TestLowering:
     def test_machines_lowered_to_program(self):
         program = lower_machines([SafeSender, ReadingPeer], name="safe")
@@ -159,6 +213,24 @@ class TestLowering:
         with pytest.raises(FrontendError, match="break"):
             lower_machines([BreakUser])
 
+    def test_while_loop_lowered_with_its_body_after_the_send(self):
+        body = _setup_body(LoopAfterSend)
+        kinds = [type(stmt) for stmt in body]
+        assert kinds.index(Send) < kinds.index(While)
+        (loop,) = [stmt for stmt in body if isinstance(stmt, While)]
+        calls = [s for s in flatten(loop.body) if isinstance(s, Call)]
+        assert [(c.recv, c.method) for c in calls] == [("buf", "append")]
+        # The condition is re-evaluated at the end of every iteration.
+        assert isinstance(loop.body[-1], Assign) and loop.body[-1].dst == loop.cond
+
+    def test_augmented_assignment_lowered_to_a_fresh_list(self):
+        body = _setup_body(AugAssignAfterSend)
+        after = body[[type(stmt) for stmt in body].index(Send) + 1:]
+        calls = [s for s in after if isinstance(s, Call)]
+        assert [c.method for c in calls] == ["extend", "extend"]
+        assert calls[0].args == ["buf"]
+        assert isinstance(after[-1], Assign) and after[-1].dst == "buf"
+
 
 class TestEndToEndAnalysis:
     def test_racy_sender_flagged(self):
@@ -183,6 +255,25 @@ class TestEndToEndAnalysis:
         )
         assert with_xsa.verified, [
             str(d) for d in with_xsa.to_report().diagnostics
+        ]
+
+    @pytest.mark.parametrize("machine_cls,use", [
+        (LoopAfterSend, "buf.append(n)"),
+        (AugAssignAfterSend, ".extend(buf)"),
+    ])
+    def test_write_after_send_in_loop_or_aug_assign_flagged(self, machine_cls, use):
+        analysis = analyze_machines([machine_cls, ReadingPeer], name="post-send")
+        assert not analysis.verified
+        ((_machine, violation),) = analysis.surviving()
+        assert violation.site.var == "buf" and violation.site.kind == "send"
+        assert any(use in str(node) for node, _vars in violation.flagged_uses)
+
+    def test_the_same_shapes_before_the_send_verified(self):
+        analysis = analyze_machines(
+            [LoopAndAugAssignBeforeSend, ReadingPeer], name="pre-send"
+        )
+        assert analysis.verified, [
+            str(d) for d in analysis.to_report().diagnostics
         ]
 
     def test_runtime_execution_matches_analysis(self):

@@ -5,11 +5,12 @@ when it was generated: ``dfs`` on BoundedAsync (depth 8), German (depth
 8), TwoPhaseCommit (depth 6) and TwoPhaseCommitCrash (depth 6, whose
 registry crash faults add fault choice points), and ``iddfs`` from depth
 2 to 8 on BoundedAsync, each under every reduction mode, to exhaustion.
-Per campaign: schedules, consulted decisions, ``distinct_states``,
-``schedules_pruned``, the distinct-bug count, and a SHA-256 over every
-execution's trace fingerprint in the order they ran — so a change to the
-DFS stack, the DPOR backtrack rule, iterative deepening or the fault
-consultation that moves one schedule anywhere in the tree turns it red.
+Per campaign: schedules, consulted decisions (``telemetry.consulted``),
+``distinct_states``, ``schedules_pruned``, the distinct-bug count, and a
+SHA-256 over every execution's trace fingerprint in the order they ran —
+so a change to the DFS stack, the DPOR backtrack rule, iterative
+deepening or the fault consultation that moves one schedule anywhere in
+the tree turns it red.
 
 It also pins what the reduction loses under a depth bound today
 (German d8, TwoPhaseCommit d6): a fix to that regenerates the file on
@@ -63,7 +64,7 @@ def row(case, reduction):
     )).run()
     assert report.exhausted
     return [
-        report.iterations, report.consulted_decisions, report.distinct_states,
+        report.iterations, report.telemetry.consulted, report.distinct_states,
         report.schedules_pruned, report.distinct_bugs, digest.hexdigest(),
     ]
 

@@ -94,10 +94,10 @@ DOCUMENT = json.loads(dumps(real_report().encode()))
 TEXT = dumps(DOCUMENT)
 SPECS = [{"name": "random", "params": {"seed": 1}}, {"name": "dfs", "params": {}}]
 CHECKPOINT = {
-    "version": 2, "fingerprint": "f" * 64, "specs": SPECS,
+    "version": 3, "fingerprint": "f" * 64, "specs": SPECS,
     "completed": {"0": DOCUMENT["sub_reports"][0], "1": DOCUMENT["sub_reports"][1]},
 }
-REPORT_FILE = {"version": 2, "kind": "campaign-report", "report": DOCUMENT}
+REPORT_FILE = {"version": 3, "kind": "campaign-report", "report": DOCUMENT}
 TRACE = DOCUMENT["first_bug"]["trace"]
 #: Every field off its default (tests/test_campaign_schema.py).
 CAMPAIGN_TEXT = (Path(__file__).parent / "golden_campaign.json").read_text("utf-8")
@@ -432,8 +432,8 @@ def test_named_text_is_refused_with_the_typed_error(name, tmp_path):
     with pytest.raises(ProtocolError, match="undecodable shard report"):
         decode_report(text)
     for wrap, loader in (
-        ('{"version":2,"kind":"campaign-report","report":%s}', load_campaign),
-        ('{"version":2,"fingerprint":"f","specs":[{"name":"dfs"}],"completed":{"0":%s}}',
+        ('{"version":3,"kind":"campaign-report","report":%s}', load_campaign),
+        ('{"version":3,"fingerprint":"f","specs":[{"name":"dfs"}],"completed":{"0":%s}}',
          load_checkpoint),
         ("%s", ScheduleTrace.load),
     ):
@@ -594,11 +594,86 @@ def test_cli_refuses_unreadable_files_with_one_line_and_exit_2(tmp_path, content
 def test_version_1_documents_are_refused_with_the_version_message(tmp_path):
     path = tmp_path / "v1"
     path.write_text(dumps({**CHECKPOINT, "version": 1}), encoding="utf-8")
-    with pytest.raises(PSharpError, match="has version 1; this build reads version 2"):
+    with pytest.raises(PSharpError, match="has version 1; this build reads version 3"):
         load_checkpoint(path)
     path.write_text(dumps({**REPORT_FILE, "version": 1}), encoding="utf-8")
-    with pytest.raises(PSharpError, match="has version 1; this build reads version 2"):
+    with pytest.raises(PSharpError, match="has version 1; this build reads version 3"):
         load_campaign(path)
+
+
+#: What version 2 stored and version 3 derives (or dropped).
+REMOVED_KEYS = {
+    "TestReport": {
+        "first_bug_iteration", "faults_injected", "consulted_decisions",
+        "schedules_pruned",
+    },
+    "TelemetryStats": {"iterations", "fault_kinds"},
+    "Histogram": {"count"},
+}
+
+
+def version_2(document):
+    """``document`` (a version-3 report) as version 2 wrote it: every
+    derived count stored beside what it derives from."""
+    old = {key: value for key, value in document.items() if key not in (
+        "branches_pruned", "state_prunes",
+    )}
+    first_bug = document["first_bug"]
+    old.update(
+        first_bug_iteration=-1 if first_bug is None else first_bug["iteration"],
+        faults_injected=sum(document["fault_kinds"].values()),
+        consulted_decisions=0,
+        schedules_pruned=document["branches_pruned"] + document["state_prunes"],
+        sub_reports=[version_2(sub) for sub in document["sub_reports"]],
+    )
+    return old
+
+
+@pytest.mark.parametrize("kind", ["report", "checkpoint"])
+def test_a_version_2_file_is_refused_in_one_line(tmp_path, kind):
+    old = version_2(DOCUMENT)
+    path = tmp_path / f"v2.{kind}"
+    if kind == "report":
+        document = {**REPORT_FILE, "version": 2, "report": old}
+        load = load_campaign
+    else:
+        document = {**CHECKPOINT, "version": 2, "completed": {"0": old["sub_reports"][0]}}
+        load = load_checkpoint
+    path.write_text(dumps(document), encoding="utf-8")
+    with pytest.raises(PSharpError) as refused:
+        load(path)
+    assert str(refused.value) == (
+        f"{kind} {str(path)!r} has version 2; this build reads version 3"
+    )
+    # `report` (which reads either file) says so on one line, exit 2.
+    proc = run_cli("report", str(path))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stderr.endswith(" has version 2; this build reads version 3\n")
+    # A version-2 document inside a version-3 file is refused too, by
+    # its schema — never read as if it were new.
+    path.write_text(dumps({**document, "version": 3}), encoding="utf-8")
+    with pytest.raises(PSharpError, match="TestReport: field 'branches_pruned' is missing"):
+        load(path)
+
+
+def test_version_3_documents_carry_no_removed_key():
+    def walk(document, owner):
+        assert not REMOVED_KEYS.get(owner, set()) & document.keys(), owner
+        if owner == "TestReport":
+            for sub in document["sub_reports"]:
+                walk(sub, "TestReport")
+            if document["telemetry"] is not None:
+                walk(document["telemetry"], "TelemetryStats")
+        if owner == "TelemetryStats":
+            walk(document["steps"], "Histogram")
+            walk(document["iteration_us"], "Histogram")
+
+    assert DOCUMENT["sub_reports"] and DOCUMENT["telemetry"] is not None
+    walk(DOCUMENT, "TestReport")
+    for report in CHECKPOINT["completed"].values():
+        walk(report, "TestReport")
+    assert {"branches_pruned", "state_prunes"} <= DOCUMENT.keys()
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +739,7 @@ FORGED = {"type": "fleet_shard_done", "shard": 0, "forged": True}
 HOSTILE_HELLOS = {
     "hello-without-a-protocol": (without(HELLO_FRAME, "protocol"), "hello: field 'protocol' is missing"),
     "hello-protocol-as-text": ({**HELLO_FRAME, "protocol": "2"}, "hello.protocol: expected integer, got '2'"),
+    "hello-of-protocol-2": ({**HELLO_FRAME, "protocol": 2}, "speaks protocol 2, not 3$"),
     "hello-without-a-pid": (without(HELLO_FRAME, "pid"), "hello: field 'pid' is missing"),
     "hello-pid-an-object": ({**HELLO_FRAME, "pid": FORGED}, "hello.pid: expected integer >= 0, got a dict"),
     "hello-pid-true": ({**HELLO_FRAME, "pid": True}, "hello.pid: expected integer >= 0, got True"),
@@ -764,9 +840,9 @@ WORK = {
 #: name -> (frames the coordinator sends after the hello, the error's text)
 HOSTILE_COORDINATORS = {
     "welcome-without-a-protocol": ([without(WELCOME, "protocol")], "welcome: field 'protocol' is missing"),
-    "welcome-protocol-as-text": ([{**WELCOME, "protocol": "2"}], "welcome.protocol: expected 2 "),
-    "welcome-protocol-true": ([{**WELCOME, "protocol": True}], "welcome.protocol: expected 2 "),
-    "welcome-of-another-protocol": ([{**WELCOME, "protocol": 3}], r"welcome.protocol: expected 2 \(.*\), got 3"),
+    "welcome-protocol-as-text": ([{**WELCOME, "protocol": "3"}], "welcome.protocol: expected 3 "),
+    "welcome-protocol-true": ([{**WELCOME, "protocol": True}], "welcome.protocol: expected 3 "),
+    "welcome-of-another-protocol": ([{**WELCOME, "protocol": 2}], r"welcome.protocol: expected 3 \(.*\), got 2$"),
     "welcome-config-not-an-object": ([{**WELCOME, "config": "Raft"}], "welcome.config: campaign JSON must be an object"),
     "welcome-config-mistyped-inside": (
         [{**WELCOME, "config": {**WELCOME["config"], "max_iterations": 5.5}}],

@@ -1,5 +1,9 @@
 """Tests for the core calculus: parser, CFGs, interpreter, race detector."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.lang import (
@@ -151,6 +155,24 @@ class TestInterpreter:
         assert result.exhausted
         # Exactly one of the four choice combinations fails.
         assert len(result.errors) == 1
+        assert result.schedules == 4
+
+    def test_the_core_calculus_loads_no_part_of_the_tester(self):
+        # explore() borrows the tester's DFS stack on first call only.
+        code = (
+            "import sys, repro.lang\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.testing')))\n"
+            "from tests.lang_programs import NONDET_ASSERT\n"
+            "repro.lang.explore(repro.lang.parse_program(NONDET_ASSERT), instances=['coin'])\n"
+            "print('repro.testing.strategies' in sys.modules)\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = {**os.environ, "PYTHONPATH": os.path.join(root, "src") + os.pathsep + root}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=120, check=True, env=env, cwd=root,
+        )
+        assert done.stdout.splitlines() == ["[]", "True"]
 
     def test_method_calls_and_heap(self):
         program = parse_program(LIST_MANAGER)

@@ -129,11 +129,11 @@ class TestReportMerging:
         assert merged.sub_reports == [a, b]
 
     def test_merge_keeps_fold_order_first_bug(self):
-        bug_a = BugReport(kind="assertion-failure", message="a")
-        bug_b = BugReport(kind="liveness", message="b")
+        bug_a = BugReport(kind="assertion-failure", message="a", iteration=4)
+        bug_b = BugReport(kind="liveness", message="b", iteration=1)
         first = self._report(first_bug=None)
-        second = self._report(first_bug=bug_a, first_bug_iteration=4, bugs=[bug_a])
-        third = self._report(first_bug=bug_b, first_bug_iteration=1, bugs=[bug_b])
+        second = self._report(first_bug=bug_a, bugs=[bug_a])
+        third = self._report(first_bug=bug_b, bugs=[bug_b])
         merged = TestReport.merged([first, second, third])
         assert merged.first_bug is bug_a
         assert merged.first_bug_iteration == 4

@@ -358,7 +358,7 @@ class TestExhaustiveAB:
         # along with the schedule count instead of drifting.
         base = _exhaustive("BoundedAsync", 8, 2_000, "none")
         dpor = _exhaustive("BoundedAsync", 8, 2_000, "dpor")
-        assert 0 < dpor.consulted_decisions < base.consulted_decisions
+        assert 0 < dpor.telemetry.consulted < base.telemetry.consulted
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +540,7 @@ class TestIterativeDeepening:
             strategy=IterativeDeepeningDfsStrategy(initial_depth=2, max_depth=8),
         ).run()
         assert report.bug_found
-        assert report.consulted_decisions > 0
+        assert report.telemetry.consulted > 0
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +631,7 @@ class TestReportSurface:
         assert "pruned" not in quiet.summary()
         loud = TestReport(
             strategy="dfs", iterations=60,
-            distinct_states=483, schedules_pruned=40,
+            distinct_states=483, branches_pruned=40,
         )
         text = loud.summary()
         assert "states=483" in text
@@ -644,20 +644,47 @@ class TestReportSurface:
 
     def test_redundancy_ratio(self):
         report = TestReport(
-            strategy="dfs", iterations=60, schedules_pruned=40
+            strategy="dfs", iterations=60, branches_pruned=40
         )
         assert report.redundancy_ratio == pytest.approx(0.4)
         assert TestReport(strategy="dfs").redundancy_ratio == 0.0
+        # A cut execution is one schedule: counted in ``iterations``
+        # (it ran, up to the cut) and as pruned, never twice in the total.
+        cut = TestReport(strategy="dfs", iterations=60, state_prunes=30)
+        assert cut.schedules_pruned == 30
+        assert cut.redundancy_ratio == pytest.approx(0.5)
+        both = TestReport(
+            strategy="dfs", iterations=60, branches_pruned=40, state_prunes=30
+        )
+        assert both.schedules_pruned == 70
+        assert both.redundancy_ratio == pytest.approx(70 / 100)
+        # 9,998 of 10,000 executions cut: nearly all of it was redundant.
+        nearly = TestReport(strategy="dfs", iterations=10_000, state_prunes=9_998)
+        assert nearly.redundancy_ratio == pytest.approx(0.9998)
+
+    def test_a_cache_cut_execution_counts_once(self):
+        # Exhaustive cached DFS on BoundedAsync d8 cuts 38 of its 40
+        # executions.  Counting each cut in the total twice would read
+        # 117 / 157 = 75% redundant; the schedule space is 40 executed
+        # plus 79 DPOR branches never executed, 117 of them redundant.
+        report = _exhaustive("BoundedAsync", 8, 2_000, "dpor+state-cache")
+        assert report.exhausted
+        assert (report.iterations, report.branches_pruned, report.state_prunes) == (
+            40, 79, 38,
+        )
+        assert report.schedules_pruned == 117
+        assert report.redundancy_ratio == pytest.approx(117 / 119)
+        assert "98% redundant" in report.summary()
 
     def test_merge_folds_shard_counters(self):
         a = TestReport(
             strategy="a", iterations=10,
-            distinct_states=100, schedules_pruned=7,
+            distinct_states=100, branches_pruned=5, state_prunes=2,
             fingerprints=120, machine_digests=250,
         )
         b = TestReport(
             strategy="b", iterations=10,
-            distinct_states=50, schedules_pruned=3,
+            distinct_states=50, branches_pruned=2, state_prunes=1,
             fingerprints=60, machine_digests=110,
         )
         merged = TestReport.merged([a, b])
@@ -665,6 +692,7 @@ class TestReportSurface:
         for report in (merged, detached):
             assert report.distinct_states == 150
             assert report.schedules_pruned == 10
+            assert (report.branches_pruned, report.state_prunes) == (7, 3)
             assert report.fingerprints == 180
             assert report.machine_digests == 360
 
@@ -672,7 +700,9 @@ class TestReportSurface:
         report = _exhaustive("BoundedAsync", 8, 2_000, "dpor+state-cache")
         payload = report_document(report)["report"]
         assert payload["distinct_states"] == report.distinct_states
-        assert payload["schedules_pruned"] == report.schedules_pruned
+        assert payload["branches_pruned"] == report.branches_pruned > 0
+        assert payload["state_prunes"] == report.state_prunes > 0
+        assert "schedules_pruned" not in payload
         assert payload["fingerprints"] == report.fingerprints > 0
         assert payload["machine_digests"] == report.machine_digests > 0
         # The ratio is derived, not carried: the decoded report has it.

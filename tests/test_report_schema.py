@@ -20,7 +20,6 @@ reproducible and reads no clock.
 
 import copy
 import dataclasses
-import inspect
 import json
 import socket
 import threading
@@ -47,7 +46,7 @@ from repro.testing import (
 )
 from repro.testing import checkpoint, engine, fleet, reporting
 from repro.testing.fleet import decode_report, encode_report, worker_loop
-from repro.testing.record import SUM, Record, field, record
+from repro.testing.record import REPORT_VERSION, SUM, Record, field, record
 from repro.testing.trace import _HIGH, _KIND_OF, _LOW, ScheduleTrace
 
 from . import reference_report as reference
@@ -121,10 +120,8 @@ def histograms(draw):
 @st.composite
 def telemetries(draw):
     stats = TelemetryStats()
-    stats.iterations = draw(COUNT)
     stats.steps, stats.iteration_us = draw(histograms()), draw(histograms())
     stats.rate = draw(counts(st.integers(0, 5)))
-    stats.fault_kinds = draw(counts(st.sampled_from(["drop", "delay", "crash"])))
     stats.consulted, stats.forced = draw(COUNT), draw(COUNT)
     return stats
 
@@ -178,15 +175,14 @@ def reports(draw, nest=True):
     for name in (
         "iterations", "buggy_iterations", "depth_bound_hits", "watchdog_hits",
         "total_steps", "total_scheduling_points", "max_machines",
-        "faults_injected", "consulted_decisions", "distinct_states",
-        "schedules_pruned", "fingerprints", "machine_digests",
+        "distinct_states", "branches_pruned", "state_prunes", "fingerprints",
+        "machine_digests",
     ):
         setattr(report, name, draw(COUNT))
     report.elapsed = draw(st.floats(0, 1e6, allow_nan=False))
     report.bugs = draw(st.lists(bugs(), max_size=3))
     if report.bugs and draw(st.booleans()):
         report.first_bug = draw(st.sampled_from(report.bugs))
-        report.first_bug_iteration = draw(st.integers(0, 50))
     for name in ("exhausted", "timed_out", "interrupted"):
         setattr(report, name, draw(st.booleans()))
     report.effective_backend = draw(st.sampled_from([None, "inline", "threads"]))
@@ -267,15 +263,32 @@ def test_effective_backend_none_equal_differing():
 
 
 def test_first_bug_precedence_is_fold_order():
-    early = BugReport(kind="assertion-failure", message="early")
-    late = BugReport(kind="assertion-failure", message="late")
-    a = TestReport(strategy="a", first_bug=early, first_bug_iteration=9, bugs=[early])
-    b = TestReport(strategy="b", first_bug=late, first_bug_iteration=2, bugs=[late])
+    early = BugReport(kind="assertion-failure", message="early", iteration=9)
+    late = BugReport(kind="assertion-failure", message="late", iteration=2)
+    a = TestReport(strategy="a", first_bug=early, bugs=[early])
+    b = TestReport(strategy="b", first_bug=late, bugs=[late])
     empty = TestReport(strategy="c")
     merged = TestReport.merged([empty, a, b])
     assert (merged.first_bug, merged.first_bug_iteration) == (early, 9)
     merged = TestReport.merged([b, empty, a])
     assert (merged.first_bug, merged.first_bug_iteration) == (late, 2)
+    assert empty.first_bug_iteration == -1
+
+
+@SETTINGS
+@given(report=reports())
+def test_derived_counts_read_their_one_stored_home(report):
+    bug = report.first_bug
+    assert report.first_bug_iteration == (-1 if bug is None else bug.iteration)
+    assert report.faults_injected == sum(report.fault_kinds.values())
+    assert report.schedules_pruned == report.branches_pruned + report.state_prunes
+    if report.telemetry is not None:
+        stats = report.telemetry
+        assert stats.iterations == stats.steps.count == sum(stats.steps.buckets.values())
+        assert stats.iteration_us.count == sum(stats.iteration_us.buckets.values())
+    for name in ("first_bug_iteration", "faults_injected", "schedules_pruned"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +296,7 @@ def test_first_bug_precedence_is_fold_order():
 # ---------------------------------------------------------------------------
 #: Fields whose rule is "the receiver's" (and the bug list, whose *order*
 #: is the fold's) are what fold order legitimately decides.
-ORDERED = {
-    "strategy", "first_bug", "first_bug_iteration", "bugs", "exhausted",
-    "sub_reports",
-}
+ORDERED = {"strategy", "first_bug", "bugs", "exhausted", "sub_reports"}
 
 
 def order_free(report):
@@ -408,7 +418,7 @@ def run_one_shard_over_the_wire(config, spec):
     )
     worker.start()
     try:
-        assert coordinator.recv(timeout=30.0)["protocol"] == fleet.PROTOCOL_VERSION == 2
+        assert coordinator.recv(timeout=30.0)["protocol"] == fleet.PROTOCOL_VERSION == 3
         coordinator.send({
             "type": "welcome", "protocol": fleet.PROTOCOL_VERSION,
             "config": config.to_json_obj(), "events": False,
@@ -447,10 +457,10 @@ def test_frame_checkpoint_and_report_file_hold_the_same_document(tmp_path):
     )
     save_report(tmp_path / "c.report", report)
     on_disk = json.loads((tmp_path / "c.ckpt").read_text(encoding="utf-8"))
-    assert on_disk["version"] == checkpoint.CHECKPOINT_VERSION == 2
+    assert on_disk["version"] == REPORT_VERSION == 3
     assert on_disk["specs"] == [{"name": "random", "params": {"seed": 3}}]
     saved = json.loads((tmp_path / "c.report").read_text(encoding="utf-8"))
-    assert saved["version"] == reporting.REPORT_VERSION == 2
+    assert saved["version"] == REPORT_VERSION
     assert on_disk["completed"]["0"] == saved["report"] == document
 
     state = load_checkpoint(tmp_path / "c.ckpt")
@@ -475,18 +485,16 @@ def test_no_record_hand_writes_an_operation_over_its_fields():
                 # dataclass(slots=True) generates these two; nobody wrote them
                 vars(cls)[name].__qualname__.startswith("_dataclass_")
             ), f"{cls.__name__} defines {name}"
-        if cls is not TestReport:
-            assert "merge" not in vars(cls)
-    # TestReport.merge is the first-bug precedence and nothing else.
-    source = inspect.getsource(TestReport.merge)
-    assert "first_bug_iteration" in source and "iterations +=" not in source
+        # The first-bug precedence is FIRST_BUG's rule: no record
+        # merges a field by hand.
+        assert "merge" not in vars(cls)
 
 
 def test_the_field_table_is_the_dataclass_declaration():
     for cls in RECORDS:
         declared = [f.name for f in dataclasses.fields(cls) if not f.name.startswith("_")]
         assert [name for name, _ in cls.FIELDS] == declared
-    assert len(TestReport.FIELDS) == 26
+    assert len(TestReport.FIELDS) == 24
     assert [f.name for f in dataclasses.fields(CoverageMap)][-1] == "_classes"
     assert "_classes" not in dict(CoverageMap.FIELDS)
 

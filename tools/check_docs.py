@@ -20,10 +20,13 @@ Four checks, all run by the CI docs lane:
     may mention an API this repo deleted (the engine shims, the
     thread-per-execution worker mode, the process-per-spec portfolio
     supervisor, the stdio worker, the local workers' start method and the
-    pipe-pair connection; under ``src/`` also the worker pool and the
-    ``workers`` resolution, helpers that had no caller, and the second
-    frame class and fault consultation of the DFS stack): a doc or
-    docstring must not teach a name that no longer imports.
+    pipe-pair connection, the report's consulted-decisions counter and
+    the checkpoint's own version constant; under ``src/`` also the worker
+    pool and the ``workers`` resolution, helpers that had no caller, the
+    second frame class and fault consultation of the DFS stack, the core
+    calculus' own DFS chooser, and a stored copy of a count a report
+    derives): a doc or docstring must not teach a name that no longer
+    imports.
     ``CHANGES.md`` and ``ROADMAP.md`` are history and are not scanned.
     Under ``src/`` the pickle and base64 codecs are removed names too —
     JSON is the only format of frames, checkpoints and report files —
@@ -182,6 +185,8 @@ REMOVED_NAMES = (
         re.compile(r"\breport_json\b"),
         "report --json / reporting.report_document: the report document",
     ),
+    (re.compile(r"\bconsulted_decisions\b"), "report.telemetry.consulted"),
+    (re.compile(r"\bCHECKPOINT_VERSION\b"), "record.REPORT_VERSION, the one document version"),
 )
 
 #: Removed from ``src/`` only (docs may name what was deleted).
@@ -245,6 +250,15 @@ REMOVED_FROM_SRC = (
     # hashlib maps OpenSSL's libcrypto into every process for two digests
     # CPython also builds in (trace.sha256, reduction's blake2b).
     (re.compile(r"^\s*(import|from)\s+hashlib\b"), "CPython's own digest modules"),
+    # Derived counts are read-only properties now, never stored.
+    (
+        re.compile(
+            r"\b(?:first_bug_iteration|faults_injected|schedules_pruned)\s*(?:\+?=(?!=)|:\s*int\b)"
+        ),
+        "first_bug.iteration, fault_kinds, branches_pruned / state_prunes: "
+        "the one stored count each property reads",
+    ),
+    (re.compile(r"\b_DfsChooser\b"), "testing.strategies.DfsStrategy (lang.interp.explore)"),
 )
 
 #: Removed from one file only: a second copy of a scheduling-point piece
@@ -276,7 +290,12 @@ REMOVED_FROM_FILE = {
     "src/repro/testing/reduction.py": _REDUCTION_PREFIX_AND_CLAUSES,
     "src/repro/testing/trace.py": _REDUCTION_PREFIX_AND_CLAUSES,
     "src/repro/testing/coverage.py": _SECOND_JSON_FORM,
-    "src/repro/testing/telemetry.py": _SECOND_JSON_FORM,
+    "src/repro/testing/telemetry.py": _SECOND_JSON_FORM + (
+        (
+            re.compile(r"\bfault_kinds\b|\biterations\s*(?:\+?=(?!=)|:\s*int\b)|\bcount\s*(?:\+=|:\s*int\b)"),
+            "TestReport.fault_kinds; iterations and count are read off the histograms",
+        ),
+    ),
     "src/repro/core/machine.py": (
         (
             re.compile(
@@ -297,6 +316,9 @@ REMOVED_FROM_FILE = {
             re.compile(r"\b_fwd\b|\b_bwd\b|\bdef register\b"),
             "TaintEngine._rows; tests/reference_taint.py keeps the set-level oracle",
         ),
+    ),
+    "src/repro/lang/ir.py": (
+        (re.compile(r"\bdef cls\("), "Program.classes[name]: the method had no caller"),
     ),
     "src/repro/analysis/xsa.py": (
         (
