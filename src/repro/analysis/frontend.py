@@ -47,7 +47,6 @@ calls havoc every involved variable.
 from __future__ import annotations
 
 import ast
-import functools
 import inspect
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Type, Union
 
@@ -189,7 +188,6 @@ class _Lowerer:
         *,
         is_handler: bool,
         payload_type: Optional[FType] = None,
-        param_types: Optional[Dict[str, FType]] = None,
     ) -> None:
         self.frontend = frontend
         self.owner = owner
@@ -210,8 +208,7 @@ class _Lowerer:
         else:
             for index, arg in enumerate(func_def.args.args[1:]):  # skip self
                 ptype = (
-                    (param_types or {}).get(arg.arg)
-                    or frontend.param_type(owner, func_def.name, index)
+                    frontend.lookup(("param", owner, func_def.name, index))
                     or self._annotation_type(arg.annotation)
                     or "none"  # optimistic bottom, widened by call sites
                 )
@@ -351,7 +348,7 @@ class _Lowerer:
             self.bind(target.id, vtype)
             return [Assign(target.id, value, loc=loc)]
         if isinstance(target, ast.Attribute) and self._is_self(target.value):
-            self.frontend.note_field(self.owner, target.attr, vtype)
+            self.frontend.note(("field", self.owner, target.attr), vtype)
             return [StoreField(target.attr, value, loc=loc)]
         if isinstance(target, ast.Attribute):
             out, (obj, _ot) = self._expr_into([], target.value)
@@ -394,7 +391,7 @@ class _Lowerer:
         self.var_types[container] = ftjoin(self.var_types.get(container), refined) or refined
         field = self.field_alias.get(container)
         if field is not None:
-            self.frontend.note_field(self.owner, field, refined)
+            self.frontend.note(("field", self.owner, field), refined)
 
     def _aug_assign(self, node: ast.AugAssign) -> List[Stmt]:
         binop = ast.BinOp(left=_target_as_expr(node.target), op=node.op, right=node.value)
@@ -508,7 +505,7 @@ class _Lowerer:
             out.append(Const(tmp, 0, loc=self.loc(node)))
             value = tmp
             vtype = "int"
-        self.frontend.note_return(self.owner, self.func.name, vtype)
+        self.frontend.note(("return", self.owner, self.func.name), vtype)
         out.append(Return(value, loc=self.loc(node)))
         return out
 
@@ -565,7 +562,7 @@ class _Lowerer:
                 if arg not in self.env:
                     arg = None  # literal payload: nothing to give up
                 else:
-                    self.frontend.note_event_payload(event, atype)
+                    self.frontend.note(("payload", event), atype)
             out.append(Send(target, event, arg, loc=self.loc(call)))
             return out
         # Event held in a variable: give up whatever it reaches.
@@ -584,7 +581,7 @@ class _Lowerer:
         if payload is not None:
             out, (arg, atype) = self._expr_into(out, payload)
             if event is not None and arg in self.env:
-                self.frontend.note_event_payload(event, atype)
+                self.frontend.note(("payload", event), atype)
         elif event is None:
             out, _ = self._expr_into(out, call.args[0])
         return out
@@ -620,7 +617,7 @@ class _Lowerer:
                     return "$payload", self.env["$payload"], []
                 if node.attr == "id":
                     return "0", "machine", []
-                field_ft = self.frontend.field_type(self.owner, node.attr)
+                field_ft = self.frontend.lookup(("field", self.owner, node.attr), "none")
                 tmp = self.temp(field_ft)
                 self.field_alias[tmp] = node.attr
                 return tmp, field_ft, [LoadField(tmp, node.attr, loc=loc)]
@@ -825,7 +822,7 @@ class _Lowerer:
                     if arg not in self.env:
                         arg = None
                     else:
-                        self.frontend.note_creation_payload(machine_cls.id, atype)
+                        self.frontend.note(("creation", machine_cls.id), atype)
                 tmp = self.temp("machine")
                 stmts.append(CreateMachine(tmp, machine_cls.id, arg, loc=loc))
                 return tmp, "machine", stmts
@@ -919,7 +916,7 @@ class _Lowerer:
                     stmts, (operand, atype) = self._expr_into(stmts, payload)
                     if operand in self.env:
                         stmts.append(Call(None, tmp, "$add", [operand], loc=loc))
-                        self.frontend.note_event_payload(event, atype)
+                        self.frontend.note(("payload", event), atype)
                 return tmp, "$event", stmts
             raise self.fail(node, f"unsupported function {fname!r}")
 
@@ -967,8 +964,9 @@ class _Lowerer:
             elif method in ("keys", "values", "items"):
                 ret_ft = ("list", elem_of(self.env.get(recv)))
         else:
-            ret_ft = self.frontend.return_type(recv_class, method)
-            self.frontend.note_arg_types(recv_class, method, arg_fts)
+            ret_ft = self.frontend.lookup(("return", recv_class, method))
+            for index, ft in enumerate(arg_fts):
+                self.frontend.note(("param", recv_class, method, index), ft)
 
         tmp = self.temp(ret_ft or "object")
         stmts.append(Call(tmp, recv, method, args, loc=loc))
@@ -988,20 +986,13 @@ def _target_as_expr(target: ast.expr) -> ast.expr:
 # ---------------------------------------------------------------------------
 # The frontend proper
 # ---------------------------------------------------------------------------
-def _logged(call):
-    """Log a type lookup or note made while a method is being lowered, as
-    ``(call, args, result)`` in program order.  Replaying the log repeats
-    each call: a lookup must return its logged result again; a note
-    returns None both times and is thereby simply re-applied."""
+# A log entry is ``(key, ft, default)``: a lookup that answered ``ft``, or,
+# with ``_NOTE`` for a default, a note of ``ft``.
+_NOTE = object()
 
-    @functools.wraps(call)
-    def logged(self: "PythonFrontend", *args: Any) -> Any:
-        result = call(self, *args)
-        if self._log is not None:
-            self._log.append((call, args, result))
-        return result
-
-    return logged
+# A guard, not a budget: a chain of machines lowered last to first settles
+# a pass per link; the 22 Table 1 programs settle in at most 4.
+MAX_PASSES = 100
 
 
 class PythonFrontend:
@@ -1018,21 +1009,15 @@ class PythonFrontend:
         self.helpers = list(helpers)
         self.helper_names: Set[str] = {h.__name__ for h in helpers}
         self.name = name
-        self._field_types: Dict[str, Dict[str, FType]] = {}
-        self._event_payload_types: Dict[str, FType] = {}
-        self._creation_payload_types: Dict[str, FType] = {}
-        self._return_types: Dict[Tuple[str, str], FType] = {}
-        self._param_types: Dict[Tuple[str, str, int], FType] = {}
-        # The previous lowering pass's view.  Notes accumulate into the
-        # current tables; lookups prefer the current pass and fall back to
-        # the previous one.  Recomputing (rather than joining across
-        # passes) lets types *narrow* as payload information propagates —
-        # a pass-1 'object' must not pollute the fixpoint.
-        self._prev_field_types: Dict[str, Dict[str, FType]] = {}
-        self._prev_event_payload_types: Dict[str, FType] = {}
-        self._prev_creation_payload_types: Dict[str, FType] = {}
-        self._prev_return_types: Dict[Tuple[str, str], FType] = {}
-        self._prev_param_types: Dict[Tuple[str, str, int], FType] = {}
+        # One fact per key: ``("field", owner, field)``, ``("payload",
+        # event)``, ``("creation", machine)``, ``("return", owner, method)``
+        # and ``("param", owner, method, index)``.  Notes join into this
+        # pass's table; lookups prefer it and fall back to the previous
+        # pass's.  Recomputing (rather than joining across passes) lets types
+        # *narrow* as payload information propagates — a pass-1 'object'
+        # must not pollute the fixpoint.
+        self._types: Dict[tuple, FType] = {}
+        self._prev_types: Dict[tuple, FType] = {}
         # Everything below is per-call memory: it lives on this object and
         # dies with it, so two lower_machines() calls share nothing.
         # Parsed once; lowerers only read the shared tree.
@@ -1057,62 +1042,27 @@ class PythonFrontend:
             0,
         )
 
-    # -- shared state consulted by lowerers ------------------------------
-    def _set(self, table: dict, key: Any, value: Any) -> None:
-        """``table[key] = value``, remembered while a replay is in flight.
-        Tables hold no None, so None stands for "was not there"."""
+    # -- the type table lowerers read and write ---------------------------
+    def note(self, key: tuple, ft: Optional[FType]) -> None:
+        """Join ``ft`` (None: "object") into this pass's fact at ``key``;
+        remembered while a replay is in flight, logged while a method is
+        being lowered."""
+        if self._log is not None:
+            self._log.append((key, ft, _NOTE))
+        old = self._types.get(key)
         if self._undo is not None:
-            self._undo.append((table, key, table.get(key)))
-        table[key] = value
+            self._undo.append((key, old))
+        self._types[key] = ftjoin(old, "object" if ft is None else ft)
 
-    def _join(self, table: dict, key: Any, ft: Optional[FType]) -> None:
+    def lookup(self, key: tuple, default: Optional[FType] = None) -> Optional[FType]:
+        """The fact at ``key`` as this pass has it, else as the previous
+        pass left it, else ``default`` — logged as answered."""
+        ft = self._types.get(key)
         if ft is None:
-            ft = "object"
-        self._set(table, key, ftjoin(table.get(key), ft) or ft)
-
-    @_logged
-    def note_field(self, owner: str, field: str, ft: Optional[FType]) -> None:
-        if owner not in self._field_types:
-            self._set(self._field_types, owner, {})
-        self._join(self._field_types[owner], field, ft)
-
-    @_logged
-    def field_type(self, owner: str, field: str) -> FType:
-        current = self._field_types.get(owner, {}).get(field)
-        if current is not None:
-            return current
-        return self._prev_field_types.get(owner, {}).get(field, "none")
-
-    @_logged
-    def note_event_payload(self, event: str, ft: Optional[FType]) -> None:
-        self._join(self._event_payload_types, event, ft)
-
-    @_logged
-    def note_creation_payload(self, machine: str, ft: Optional[FType]) -> None:
-        self._join(self._creation_payload_types, machine, ft)
-
-    @_logged
-    def note_return(self, owner: str, method: str, ft: Optional[FType]) -> None:
-        self._join(self._return_types, (owner, method), ft)
-
-    @_logged
-    def return_type(self, owner: str, method: str) -> Optional[FType]:
-        current = self._return_types.get((owner, method))
-        if current is not None:
-            return current
-        return self._prev_return_types.get((owner, method))
-
-    @_logged
-    def note_arg_types(self, owner: str, method: str, fts) -> None:
-        for index, ft in enumerate(fts):
-            self._join(self._param_types, (owner, method, index), ft)
-
-    @_logged
-    def param_type(self, owner: str, method: str, index: int) -> Optional[FType]:
-        current = self._param_types.get((owner, method, index))
-        if current is not None:
-            return current
-        return self._prev_param_types.get((owner, method, index))
+            ft = self._prev_types.get(key, default)
+        if self._log is not None:
+            self._log.append((key, ft, default))
+        return ft
 
     def helper_has_init(self, name: str) -> bool:
         for helper in self.helpers:
@@ -1125,37 +1075,20 @@ class PythonFrontend:
         """Iterated lowering: each pass refines field, payload, parameter
         and return types discovered by the previous one; types flow across
         machine boundaries (sender -> handler -> field -> next sender), so
-        the chain can take several passes to stabilize."""
-        state = None
+        a chain of machines can take a pass per link.  The IR returned is a
+        pass that left the table unchanged, never an unsettled one."""
         program = self._lower_all()
-        for _round in range(6):
-            new_state = repr(
-                (
-                    sorted(self._field_types.items()),
-                    sorted(self._event_payload_types.items()),
-                    sorted(self._creation_payload_types.items()),
-                    sorted(self._return_types.items()),
-                    sorted(self._param_types.items()),
-                )
-            )
-            if new_state == state:
-                break
-            state = new_state
+        for _settling in range(MAX_PASSES - 1):
             program = self._lower_all()
-        return program
+            if self._types == self._prev_types:
+                return program
+        raise FrontendError(
+            f"{self.name}: types did not settle in {MAX_PASSES} lowering passes"
+        )
 
     def _lower_all(self) -> Program:
         self.counters["passes"] += 1
-        self._prev_field_types = self._field_types
-        self._prev_event_payload_types = self._event_payload_types
-        self._prev_creation_payload_types = self._creation_payload_types
-        self._prev_return_types = self._return_types
-        self._prev_param_types = self._param_types
-        self._field_types = {}
-        self._event_payload_types = {}
-        self._creation_payload_types = {}
-        self._return_types = {}
-        self._param_types = {}
+        self._prev_types, self._types = self._types, {}
         program = Program(name=self.name)
         program.classes.update(builtin_classes())
         tuple_summary = program.classes["tuple"].taint_summary
@@ -1236,18 +1169,20 @@ class PythonFrontend:
         first different answer the notes applied so far are taken back."""
         self._undo = undo = []
         try:
-            for call, args, result in log:
-                if call(self, *args) != result:
+            for key, ft, default in log:
+                if default is _NOTE:
+                    self.note(key, ft)
+                elif self.lookup(key, default) != ft:
                     break
             else:
                 return True
         finally:
             self._undo = None
-        for table, key, old in reversed(undo):
+        for key, old in reversed(undo):
             if old is None:
-                del table[key]
+                del self._types[key]
             else:
-                table[key] = old
+                self._types[key] = old
         return False
 
     def _lower_helper(self, helper: type) -> ClassDecl:
@@ -1257,10 +1192,7 @@ class PythonFrontend:
             if method_name.startswith("__") and method_name != "__init__":
                 continue
             methods[method_name] = self._lower_method(name, func, is_handler=False)
-        fields = [
-            VarDecl(field, _vardecl_type(ft))
-            for field, ft in sorted(self._field_types.get(name, {}).items())
-        ]
+        fields = self._fields_of(name)
         klass = ClassDecl(name=name, fields=fields, methods=methods)
         self._add_accessors(klass)
         return klass
@@ -1316,10 +1248,7 @@ class PythonFrontend:
             name="$noop", params=[VarDecl("$payload", "object")], locals=[], body=[]
         )
 
-        fields = [
-            VarDecl(field, _vardecl_type(ft))
-            for field, ft in sorted(self._field_types.get(name, {}).items())
-        ]
+        fields = self._fields_of(name)
         klass = ClassDecl(name=name, fields=fields, methods=methods)
 
         handlers: List[StateHandler] = []
@@ -1355,6 +1284,14 @@ class PythonFrontend:
         )
         return decl, klass
 
+    def _fields_of(self, owner: str) -> List[VarDecl]:
+        fields = sorted(
+            (key[2], ft)
+            for key, ft in self._types.items()
+            if key[0] == "field" and key[1] == owner
+        )
+        return [VarDecl(field, _vardecl_type(ft)) for field, ft in fields]
+
     def _is_runtime_method(self, func: Any) -> bool:
         qualname = getattr(func, "__qualname__", "")
         return qualname.startswith("Machine.")
@@ -1376,16 +1313,11 @@ class PythonFrontend:
                 if action == method_name:
                     bound_events.append(event_cls.__name__)
             for event in bound_events:
-                ptype = self._event_payload_types.get(
-                    event, self._prev_event_payload_types.get(event)
-                )
+                ptype = self.lookup(("payload", event))
                 if ptype is not None:
                     joined = ftjoin(joined, ptype)
         if machine_cls._state_infos[machine_cls._initial_state].entry == method_name:
-            ctype = self._creation_payload_types.get(
-                machine_cls.__name__,
-                self._prev_creation_payload_types.get(machine_cls.__name__),
-            )
+            ctype = self.lookup(("creation", machine_cls.__name__))
             if ctype is not None:
                 joined = ftjoin(joined, ctype)
         return joined

@@ -1,0 +1,169 @@
+"""Properties over generated machine programs (``tests/generated.py``).
+
+Each example is a program of at most 4 machines with at most 3 states,
+built with ``type()`` over handler source registered in ``linecache``, so
+the frontend, ``inspect`` and the inline compiler all read real source.
+
+- (a) The frontend lowers it as ``tests/reference_frontend.py`` does, in
+  either class order, and the verdicts do not depend on the order — a
+  strict xfail: the corpus found a class-order miss, pinned below as a
+  named regression.
+- (b) Every execution of a seeded random campaign replays with no
+  divergence, the same outcome and an equal re-recorded trace.
+- (c) The inline carrier and ``ThreadedRuntime`` record equal traces per
+  seed.
+
+The examples are derandomized, so every run checks the same programs.
+"""
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+
+from repro.analysis import analyze_program
+from repro.analysis.frontend import PythonFrontend
+from repro.testing import TestConfig, ThreadedRuntime, replay_trace
+from repro.testing.engine import build_runtime, resolved_program
+
+from .generated import build, programs
+from .reference_frontend import ReferenceFrontend
+
+CORPUS = settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+SEEDS = st.integers(min_value=0, max_value=2**16)
+RUNS = 3
+
+
+def lowered(machines):
+    program = PythonFrontend(machines, name="generated").build()
+    assert repr(program) == repr(ReferenceFrontend(machines, name="generated").build())
+    return program
+
+
+def verdicts(program):
+    """What the analysis reports on ``program``, keyed by names only."""
+    analysis = analyze_program(program, xsa=True, readonly=True)
+    return analysis.stage_counts(), sorted(
+        (machine, violation.site.loc_key, violation.site.var)
+        for machine, violation in analysis.surviving()
+    )
+
+
+@CORPUS
+@given(program=programs())
+def test_lowering_matches_the_reference_in_either_class_order(program):
+    machines, _faults = build(program)
+    lowered(machines)
+    lowered(machines[::-1])
+
+
+ORDER_MISS = (
+    "a handler's payload type is looked up before the handler is lowered, "
+    "and this pass's partial fact shadows the previous pass's full one: "
+    "with the classes in one order a list payload lowers as a scalar"
+)
+
+
+# The first counterexample the corpus found, shrunk.  M0 sends itself a
+# list on E1; M1 forwards E0's payload on E1, and E1's on E0 before storing
+# it in a field.  Lowered first, M1's E0 handler notes a scalar for E1
+# before M0 notes the list, and M1's E1 handler then reads that partial
+# fact: the table settles on a list for E1, the handler takes an int, and
+# the store after the send goes unreported.
+PAYLOAD_SHADOWED = (
+    (
+        ("int", (
+            (
+                (("send", "self", 1, "list"),),
+                (("ignore",), ("ignore",), ("ignore",)),
+            ),
+        )),
+        (None, (
+            (
+                (),
+                (
+                    ("do", (("send", "self", 1, "payload"),)),
+                    ("do", (
+                        ("nondet", (("send", "self", 0, "payload"), ("store", 0, "payload"))),
+                    )),
+                    ("ignore",),
+                ),
+            ),
+        )),
+    ),
+    None,
+)
+
+
+# The counterexample is an explicit example, so the property fails on every
+# run until the miss is fixed, whatever the generated examples hit (a few
+# programs in a thousand do).
+@pytest.mark.xfail(strict=True, reason=ORDER_MISS)
+@CORPUS
+@given(program=programs())
+@example(program=PAYLOAD_SHADOWED)
+def test_verdicts_ignore_class_order(program):
+    machines, _faults = build(program)
+    assert verdicts(lowered(machines)) == verdicts(lowered(machines[::-1]))
+
+
+@pytest.mark.xfail(strict=True, reason=ORDER_MISS)
+def test_regression_payload_fact_shadowed_by_a_partial_one():
+    machines, _faults = build(PAYLOAD_SHADOWED)
+    given_order, reversed_order = lowered(machines), lowered(machines[::-1])
+    assert verdicts(given_order) == ((1, 1, 1), [("M1", "M1_0_E1@L4", "$payload")])
+    # Lowered before M0, M1's E1 handler takes a scalar payload...
+    assert reversed_order.method("M1", "M1_0_E1").params[0].type == "list"
+    # ...and the violation goes unreported.
+    assert verdicts(reversed_order) == verdicts(given_order)
+
+
+def config_of(program, seed, **overrides):
+    machines, faults = build(program)
+    return TestConfig(
+        program=machines[0], strategy="random", seed=seed, faults=faults,
+        max_steps=100, time_limit=None, **overrides,
+    )
+
+
+def executions(config):
+    """``RUNS`` executions of ``config``'s campaign, one runtime reused,
+    as the campaign loop runs them."""
+    program = resolved_program(config)
+    strategy = config.build_strategy()
+    runtime = build_runtime(config, strategy, program)
+    results = []
+    for _ in range(RUNS):
+        strategy.prepare_iteration()
+        results.append(runtime.execute(*program[:2]))
+    runtime.close()
+    return results
+
+
+def outcome(result):
+    bug = result.bug
+    return result.status, result.steps, None if bug is None else (bug.kind, bug.message)
+
+
+@CORPUS
+@given(program=programs(), seed=SEEDS)
+def test_every_execution_replays_exactly(program, seed):
+    config = config_of(program, seed)
+    for result in executions(config):
+        replayed = replay_trace(config, result.trace)
+        assert replayed.diverged is False
+        assert outcome(replayed) == outcome(result)
+        assert replayed.trace == result.trace
+
+
+@CORPUS
+@given(program=programs(), seed=SEEDS)
+def test_inline_and_threads_record_the_same_traces(program, seed):
+    inline = executions(config_of(program, seed))
+    threads = executions(config_of(program, seed, runtime_factory=ThreadedRuntime))
+    assert [outcome(r) for r in inline] == [outcome(r) for r in threads]
+    assert [r.trace for r in inline] == [r.trace for r in threads]

@@ -5,6 +5,7 @@ import ast
 
 import pytest
 
+import repro.analysis.frontend as frontend_module
 from repro import Event, Machine, State
 from repro.analysis import analyze_program
 from repro.analysis.frontend import (
@@ -16,6 +17,7 @@ from repro.analysis.frontend import (
 from repro.bench import registry
 from repro.lang.ir import Assign, Call, Send, StoreField, While, flatten
 
+from .generated import chain
 from .test_golden_table1 import cases as analysed_cases
 
 
@@ -292,6 +294,39 @@ class TestEndToEndAnalysis:
         report = engine.run()
         assert report.iterations == 20
         assert not report.bug_found
+
+
+class TestSettling:
+    """Lowering returns a pass that left the type table unchanged, however
+    many passes that takes, and refuses a program whose table never
+    settles.  A payload type that has not arrived reads as the optimistic
+    ``"none"``, a scalar, so returning earlier misses races."""
+
+    @pytest.mark.parametrize("n", [9, 12])
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_chain_reports_every_write_after_send_in_either_order(self, n, order):
+        machines = chain(n)
+        if order == "reversed":
+            machines.reverse()
+        frontend = PythonFrontend(machines, name=f"chain{n}")
+        analysis = analyze_program(frontend.build(), xsa=True, readonly=True)
+        # Forward, each link's type arrives within the pass; reversed, one
+        # link a pass, then one more pass to see nothing change.
+        assert frontend.counters["passes"] == (3 if order == "forward" else n + 2)
+        assert analysis.violation_count() == n - 1
+        assert sorted(machine for machine, _v in analysis.surviving()) == sorted(
+            f"M{i}" for i in range(n - 1)
+        )
+
+    def test_a_table_that_does_not_settle_is_refused(self, monkeypatch):
+        machines = chain(9)[::-1]  # settles in 11 passes
+        monkeypatch.setattr(frontend_module, "MAX_PASSES", 10)
+        with pytest.raises(
+            FrontendError, match=r"^chain9: types did not settle in 10 lowering passes$"
+        ):
+            lower_machines(machines, name="chain9")
+        monkeypatch.setattr(frontend_module, "MAX_PASSES", 11)
+        assert lower_machines(machines, name="chain9") == lower_machines(chain(9), name="chain9")
 
 
 class TestFunctionDefMemo:

@@ -31,6 +31,7 @@ import repro.testing.strategies
 from repro import Event, Machine, State
 from repro.analysis import analyze_program
 from repro.analysis.frontend import (
+    _NOTE,
     FrontendError,
     PythonFrontend,
     analyze_machines,
@@ -141,18 +142,32 @@ class Chain(Machine):
         return [self.id]
 
 
-# Mutants: one kind of lookup leaves no trace in the log, so a method that
-# depends on it replays although its answer changed.
-class FieldLookupNotLogged(PythonFrontend):
-    field_type = PythonFrontend.field_type.__wrapped__
+class LookupNotLogged(PythonFrontend):
+    """Mutant: lookups of one kind of fact leave no trace in the log, so a
+    method that depends on one replays although its answer changed."""
+
+    kind = ""
+
+    def lookup(self, key, default=None):
+        log = self._log
+        if key[0] == self.kind:
+            self._log = None
+        try:
+            return super().lookup(key, default)
+        finally:
+            self._log = log
 
 
-class ReturnLookupNotLogged(PythonFrontend):
-    return_type = PythonFrontend.return_type.__wrapped__
+class FieldLookupNotLogged(LookupNotLogged):
+    kind = "field"
 
 
-class ParamLookupNotLogged(PythonFrontend):
-    param_type = PythonFrontend.param_type.__wrapped__
+class ReturnLookupNotLogged(LookupNotLogged):
+    kind = "return"
+
+
+class ParamLookupNotLogged(LookupNotLogged):
+    kind = "param"
 
 
 class BuiltWithIgnored(PythonFrontend):
@@ -202,33 +217,37 @@ def test_a_replay_that_misses_a_changed_input_is_caught(mutant, program):
 
 def test_failed_replay_takes_its_notes_back():
     """A replay that applied notes before a lookup disagreed must leave the
-    tables exactly as it found them — key order included, since the
-    convergence test reads ``repr`` of the tables."""
+    table exactly as it found them, key order included."""
     frontend = PythonFrontend([])
-    frontend.note_field("M", "first", "int")
-    frontend.note_return("M", "made", ("list", None))
+    frontend.note(("field", "M", "first"), "int")
+    frontend.note(("return", "M", "made"), ("list", None))
     before = repr(vars(frontend))
     log = [
-        (PythonFrontend.note_field.__wrapped__, ("M", "first", ("list", "machine")), None),
-        (PythonFrontend.note_field.__wrapped__, ("M", "second", "machine"), None),
-        (PythonFrontend.note_field.__wrapped__, ("N", "third", "object"), None),
-        (PythonFrontend.note_event_payload.__wrapped__, ("EStep", "machine"), None),
-        (PythonFrontend.note_creation_payload.__wrapped__, ("M", "int"), None),
-        (PythonFrontend.note_return.__wrapped__, ("M", "made", ("list", "int")), None),
-        (PythonFrontend.note_arg_types.__wrapped__, ("M", "take", ["int", None]), None),
-        (PythonFrontend.field_type.__wrapped__, ("M", "second"), "machine"),  # sees the note
-        (PythonFrontend.field_type.__wrapped__, ("M", "first"), "int"),  # no longer true
+        (("field", "M", "first"), ("list", "machine"), _NOTE),
+        (("field", "M", "second"), "machine", _NOTE),
+        (("field", "N", "third"), "object", _NOTE),
+        (("payload", "EStep"), "machine", _NOTE),
+        (("creation", "M"), "int", _NOTE),
+        (("return", "M", "made"), ("list", "int"), _NOTE),
+        (("param", "M", "take", 0), "int", _NOTE),
+        (("param", "M", "take", 1), None, _NOTE),
+        (("field", "M", "second"), "machine", "none"),  # sees the note
+        (("field", "M", "first"), "int", "none"),  # no longer true
     ]
     assert frontend._replay(log) is False
     assert repr(vars(frontend)) == before
     # The same log up to the disagreement replays, and its notes stay.
     assert frontend._replay(log[:-1]) is True
-    assert frontend._field_types == {
-        "M": {"first": "object", "second": "machine"},
-        "N": {"third": "object"},
+    assert frontend._types == {
+        ("field", "M", "first"): "object",
+        ("return", "M", "made"): ("list", "int"),
+        ("field", "M", "second"): "machine",
+        ("field", "N", "third"): "object",
+        ("payload", "EStep"): "machine",
+        ("creation", "M"): "int",
+        ("param", "M", "take", 0): "int",
+        ("param", "M", "take", 1): "object",
     }
-    assert frontend._return_types == {("M", "made"): ("list", "int")}
-    assert frontend._param_types == {("M", "take", 0): "int", ("M", "take", 1): "object"}
     assert frontend._undo is None and frontend._log is None
 
 

@@ -25,8 +25,9 @@ Four checks, all run by the CI docs lane:
     pool and the ``workers`` resolution, helpers that had no caller, the
     second frame class and fault consultation of the DFS stack, the core
     calculus' own DFS chooser, and a stored copy of a count a report
-    derives): a doc or docstring must not teach a name that no longer
-    imports.
+    derives, and in the frontend the per-kind type tables and their
+    logged doors): a doc or docstring must not teach a name that no
+    longer imports.
     ``CHANGES.md`` and ``ROADMAP.md`` are history and are not scanned.
     Under ``src/`` the pickle and base64 codecs are removed names too —
     JSON is the only format of frames, checkpoints and report files —
@@ -324,6 +325,16 @@ REMOVED_FROM_FILE = {
         (
             re.compile(r"\.register\("),
             "nothing: a driver is queried by its MethodInfo, never added to the engine",
+        ),
+    ),    "src/repro/analysis/frontend.py": (
+        (
+            re.compile(
+                r"\bnote_(?:field|event_payload|creation_payload|return|arg_types)\b"
+                r"|\b(?:field|return|param)_type\b|\b_logged\b|\bdef _(?:set|join)\("
+                r"|\b(?:_prev)?_(?:field|event_payload|creation_payload|return|param)_types\b"
+                r"|\bparam_types\b"
+            ),
+            "one type table: PythonFrontend.note(key, ft) / lookup(key, default)",
         ),
     ),
 }
