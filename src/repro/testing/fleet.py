@@ -20,12 +20,16 @@ tests cite its section numbers.  The load-bearing choices:
   identical above that line, so every coordinator feature (requeue,
   cancel, heartbeats, telemetry forwarding) is tested once and works
   for both.
-* **Warm workers, batched specs.**  A worker process handshakes once,
+* **Warm workers, guided batches.**  A worker process handshakes once,
   then runs *many* shards back to back — each shard constructs a fresh
   strategy from its plain-data spec, so there is no fork per spec and no
-  state bleed between shards (protocol §5).  The coordinator's own
-  local workers (``--workers N``) are forked from it after it has
-  resolved and compiled the program, so they start warm too.
+  state bleed between shards (protocol §5).  One ``work`` frame hands
+  an idle worker a batch of shards, large while much work is pending
+  and single shards at the tail (guided self-scheduling), and a shard's
+  telemetry rides its ``result`` frame: a small shard costs about one
+  frame, not four.  The coordinator's own local workers
+  (``--workers N``) are forked from it after it has resolved and
+  compiled the program, so they start warm too.
 * **Results are report documents.**  A finished shard comes back as its
   :class:`~repro.testing.engine.TestReport`'s JSON document
   (:mod:`repro.testing.record`), nested in the ``result`` frame and
@@ -36,7 +40,8 @@ tests cite its section numbers.  The load-bearing choices:
   single definition.
 * **Failure is requeue, not loss.**  A worker that disconnects or goes
   silent mid-shard has its shard re-queued (bounded times, then
-  abandoned as an empty shard so the merge stays honest); the
+  abandoned as an empty shard so the merge stays honest) and the
+  unstarted rest of its batch put back as pending; the
   coordinator checkpoints completed shards to a
   :mod:`repro.testing.checkpoint` file, so a killed campaign resumes
   with ``--resume`` skipping finished shards.
@@ -55,6 +60,7 @@ import time
 import traceback
 from typing import (
     TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Sequence, Set,
+    Tuple,
 )
 
 if TYPE_CHECKING:  # circular at runtime: config is the layer above
@@ -70,8 +76,8 @@ from .checkpoint import (
 from .engine import TestReport, resolved_program, run_campaign
 from .portfolio import StrategySpec, make_strategy, merge_shard_reports
 from .record import (
-    COUNT, FLAG, INTEGER, SECONDS, TEXT, Fields, Kind, Rule, decode_fields,
-    describe, dumps, keep, loads, nullable, optional,
+    COUNT, FLAG, INTEGER, SECONDS, TEXT, Fields, Kind, Rule, array_of,
+    decode_fields, describe, dumps, keep, loads, nullable, optional,
 )
 from .telemetry import EventLog
 
@@ -81,7 +87,7 @@ from .telemetry import EventLog
 #: Bumped on any incompatible wire change, the report document a
 #: ``result`` frame nests (``record.REPORT_VERSION``) included; the
 #: handshake rejects peers speaking any other version (§3).
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 #: Hard cap on one frame's payload; a larger announced length is a
 #: protocol violation, not an allocation request (§2).
@@ -294,6 +300,40 @@ def _event_record(value: Any) -> Dict[str, Any]:
     return value
 
 
+def _units(value: Any) -> List[Tuple[int, StrategySpec]]:
+    """A ``work`` frame's batch: a non-empty array of ``[shard, spec]``
+    pairs, no shard twice (§5)."""
+    if type(value) is not list or not value:
+        raise ValueError(
+            f"expected a non-empty array of [shard, spec] pairs, got {describe(value)}"
+        )
+    units: List[Tuple[int, StrategySpec]] = []
+    seen: Set[int] = set()
+    for position, unit in enumerate(value):
+        if type(unit) is not list or len(unit) != 2:
+            raise ValueError(
+                f"unit {position}: expected a [shard, spec] pair, got {describe(unit)}"
+            )
+        shard, spec = unit
+        if not COUNT.test(shard):
+            raise ValueError(
+                f"unit {position}: shard: expected {COUNT.wire}, got {describe(shard)}"
+            )
+        if shard in seen:
+            raise ValueError(f"unit {position}: shard {shard} is repeated")
+        seen.add(shard)
+        try:
+            units.append((shard, StrategySpec.decode(spec)))
+        except PSharpError as exc:
+            raise ValueError(f"unit {position}: {exc}") from None
+    return units
+
+
+_EVENTS = Rule(
+    decode=array_of(_event_record), wire="array of objects with a string `type`"
+)
+
+
 _SPEAKS = Kind(
     lambda v: type(v) is int and v == PROTOCOL_VERSION,
     f"{PROTOCOL_VERSION} (the protocol version this worker speaks)", int,
@@ -306,20 +346,19 @@ COORDINATOR_FRAMES: Dict[str, Fields] = {
     ),
     "error": (("message", keep(TEXT)),),
     "work": (
-        ("shard", keep(COUNT)),
-        ("spec", Rule(decode=StrategySpec.decode, wire="strategy spec")),
+        ("units", Rule(decode=_units, wire="array of [shard, strategy spec]")),
         ("time_limit", keep(optional(SECONDS))),
     ),
 }
 WORKER_FRAMES: Dict[str, Fields] = {
     # Any integer: a foreign version is answered with an error frame (§3).
     "hello": (("protocol", keep(INTEGER)), ("pid", keep(COUNT)), ("host", keep(TEXT))),
-    "heartbeat": (("shard", keep(COUNT)),),
-    "event": (("record", Rule(decode=_event_record, wire="object with a string `type`")),),
+    "heartbeat": (("shard", keep(COUNT)), ("events", _EVENTS)),
     "result": (
         ("shard", keep(COUNT)),
         ("canceled", keep(FLAG)),
         ("report", Rule(decode=TestReport.decode, wire="report object")),
+        ("events", _EVENTS),
     ),
     "goodbye": (),
 }
@@ -366,28 +405,31 @@ def worker_environment() -> Dict[str, str]:
 # Worker side (§5)
 # ---------------------------------------------------------------------------
 class _WireEvents:
-    """EventLog-shaped adapter forwarding a shard's telemetry over the
-    wire as ``event`` frames (the coordinator appends them to its JSONL
-    log).  Like :class:`~repro.testing.telemetry.EventLog`, emitting
-    never raises — a dead connection surfaces through the main protocol
-    path, not through telemetry."""
+    """EventLog-shaped buffer of a worker's telemetry records: each is
+    stamped here (``ts``, ``pid``, ``shard``) and leaves with the worker's
+    next ``heartbeat`` or ``result`` frame (§4), whose records the
+    coordinator appends to its JSONL log.  Like
+    :class:`~repro.testing.telemetry.EventLog`, emitting never raises."""
 
-    def __init__(self, conn: Connection, shard: int) -> None:
-        self._conn = conn
-        self._shard = shard
+    def __init__(self) -> None:
+        self.shard = 0  # the shard running now, set per unit
+        self._pid = os.getpid()
+        self._records: List[Dict[str, Any]] = []
 
     def emit(self, type_: str, **fields: Any) -> None:
         record: Dict[str, Any] = {
             "ts": round(time.time(), 6),
-            "pid": os.getpid(),
-            "shard": self._shard,
+            "pid": self._pid,
+            "shard": self.shard,
             "type": type_,
         }
         record.update(fields)
-        try:
-            self._conn.send({"type": "event", "record": record})
-        except (ProtocolError, OSError):
-            pass
+        self._records.append(record)
+
+    def drain(self) -> List[Dict[str, Any]]:
+        """The records emitted since the last drain, for the next frame."""
+        records, self._records = self._records, []
+        return records
 
     def close(self) -> None:
         pass
@@ -427,9 +469,10 @@ def worker_loop(
     One warm process runs many shards: the campaign config arrives once
     in the welcome frame — or, for a coordinator's own child, is the
     ``config`` it was started with, and the welcome carries ``null``
-    (§3) — each ``work`` frame names a shard index and a strategy spec,
-    and the shard's strategy is built fresh from the spec so nothing
-    bleeds between shards (§5)."""
+    (§3) — each ``work`` frame hands it a batch of shard indices with
+    their strategy specs, run in order with one ``result`` each, and a
+    shard's strategy is built fresh from its spec so nothing bleeds
+    between shards (§5)."""
     conn.send(
         {
             "type": "hello",
@@ -454,7 +497,8 @@ def worker_loop(
             "the welcome frame carries no config and this worker was "
             "started without one"
         )
-    forward_events = welcome["events"]
+    wire = _WireEvents()
+    events = wire if welcome["events"] else None
     program = resolved_program(config)
 
     completed = 0
@@ -466,58 +510,72 @@ def worker_loop(
         if message["type"] == "cancel":
             continue  # no shard in flight; nothing to cancel
         work = read_frame(message, "work")
-        shard, spec, budget = work["shard"], work["spec"], work["time_limit"]
+        budget = work["time_limit"]
+        deadline = None if budget is None else time.monotonic() + budget
+        state: Dict[str, Any] = {"stop": False}
 
-        # The shard's stop-check doubles as the wire pump: it stamps a
-        # heartbeat roughly every HEARTBEAT_INTERVAL and polls for
-        # cancel/shutdown, throttled so a hot schedule loop is not
-        # paying a select() per scheduling point.  The heartbeat clock
-        # starts with the shard (the coordinator stamped the assignment),
+        def listen() -> None:
+            """Read one frame the coordinator sent meanwhile: a cancel or
+            a shutdown stops the running shard, and the rest of the batch
+            is dropped (§5)."""
+            try:
+                note = conn.poll()
+            except ProtocolError:
+                state["stop"] = True
+                return
+            if note is not None and note["type"] in ("cancel", "shutdown"):
+                state["stop"] = True
+                if note["type"] == "shutdown":
+                    nonlocal shutdown
+                    shutdown = True
+
+        # A shard's stop-check doubles as the wire pump: it sends a
+        # heartbeat (with the records emitted since the last frame)
+        # roughly every HEARTBEAT_INTERVAL and polls for cancel/shutdown,
+        # throttled so a hot schedule loop is not paying a select() per
+        # scheduling point.  The heartbeat clock starts with each shard,
         # so a shard shorter than the interval sends none.
-        state = {
-            "stop": False,
-            "next_wire": 0.0,
-            "next_beat": time.monotonic() + HEARTBEAT_INTERVAL,
-        }
-
         def stop_check() -> bool:
             now = time.monotonic()
             if now < state["next_wire"]:
                 return state["stop"]
             state["next_wire"] = now + 0.05
-            try:
-                if now >= state["next_beat"]:
-                    state["next_beat"] = now + HEARTBEAT_INTERVAL
-                    conn.send({"type": "heartbeat", "shard": shard})
-                note = conn.poll()
-            except ProtocolError:
-                state["stop"] = True
-                return True
-            if note is not None:
-                if note["type"] == "cancel":
+            if now >= state["next_beat"]:
+                state["next_beat"] = now + HEARTBEAT_INTERVAL
+                try:
+                    conn.send(
+                        {"type": "heartbeat", "shard": wire.shard, "events": wire.drain()}
+                    )
+                except ProtocolError:
                     state["stop"] = True
-                elif note["type"] == "shutdown":
-                    state["stop"] = True
-                    nonlocal shutdown
-                    shutdown = True
+                    return True
+            listen()
             return state["stop"]
 
-        events = _WireEvents(conn, shard) if forward_events else None
-        report = run_campaign(
-            config, make_strategy(spec),
-            program=program,
-            deadline=None if budget is None else time.monotonic() + budget,
-            stop_check=stop_check, events=events,
-        )
-        conn.send(
-            {
-                "type": "result",
-                "shard": shard,
-                "canceled": state["stop"],
-                "report": report.encode(),
-            }
-        )
-        completed += 1
+        units = work["units"]
+        for position, (shard, spec) in enumerate(units, start=1):
+            wire.shard = shard
+            state["next_wire"] = 0.0
+            state["next_beat"] = time.monotonic() + HEARTBEAT_INTERVAL
+            report = run_campaign(
+                config, make_strategy(spec),
+                program=program, deadline=deadline,
+                stop_check=stop_check, events=events,
+            )
+            if position < len(units) and not state["stop"]:
+                listen()  # a cancel that came as the shard ended: none follows
+            conn.send(
+                {
+                    "type": "result",
+                    "shard": shard,
+                    "canceled": state["stop"],
+                    "report": report.encode(),
+                    "events": wire.drain(),
+                }
+            )
+            completed += 1
+            if state["stop"] or report.timed_out:
+                break  # the rest of the batch is never started (§5)
     try:
         conn.send({"type": "goodbye"})
     except ProtocolError:
@@ -582,11 +640,13 @@ def _reap(children: Sequence[Any], window: float) -> None:
 
 
 class _Peer:
-    """Coordinator-side state for one worker connection."""
+    """Coordinator-side state for one worker connection: the shard it
+    runs now (``shard``) and the rest of its batch, in order
+    (``queued``)."""
 
     __slots__ = (
-        "conn", "stage", "shard", "last_seen", "proc", "slot", "pid",
-        "results",
+        "conn", "stage", "shard", "queued", "last_seen", "proc", "slot",
+        "pid", "results",
     )
 
     def __init__(
@@ -599,6 +659,7 @@ class _Peer:
         self.conn = conn
         self.stage = "handshake"  # handshake -> idle -> (busy <-> idle)
         self.shard: Optional[int] = None
+        self.queued: Deque[int] = collections.deque()
         self.last_seen = time.monotonic()
         self.proc = proc
         self.slot = slot
@@ -656,9 +717,9 @@ def run_fleet(
 
     specs = list(config.portfolio_specs())
     # Workers never open the coordinator's event log path themselves —
-    # telemetry travels back over the wire (event frames) instead.  Our
-    # own children get this object by value; only wire peers need it as
-    # campaign JSON, so only a listening campaign has to serialize.
+    # telemetry rides back in their heartbeat and result frames instead.
+    # Our own children get this object by value; only wire peers need it
+    # as campaign JSON, so only a listening campaign has to serialize.
     worker_config = config.with_overrides(events_path=None)
     config_obj = worker_config.to_json_obj() if port is not None else None
     fingerprint = config_fingerprint(config)
@@ -820,40 +881,51 @@ def run_fleet(
             cancel_all(f"first bug found by shard {shard}")
 
     def assign(peer: _Peer) -> None:
-        """Hand the next pending shard to an idle worker; with nothing
-        pending the worker stays idle (it may inherit a requeued shard
-        later) until the campaign completes."""
+        """Hand an idle worker the next batch of pending shards: a
+        ``1 / (2 × peers)`` share of them, at least one — large batches
+        while much is pending, single shards at the tail (§5).  With
+        nothing pending the worker stays idle (it may inherit a requeued
+        shard later) until the campaign completes."""
         if cancelled or not pending:
             return
-        shard = pending.popleft()
+        size = max(1, len(pending) // (2 * len(peers)))
+        batch = [pending.popleft() for _ in range(min(size, len(pending)))]
         budget: Optional[float] = None
         if deadline is not None:
             budget = max(0.1, deadline - time.monotonic())
-        spec = specs[shard]
         try:
             peer.conn.send(
                 {
                     "type": "work",
-                    "shard": shard,
-                    "spec": spec.to_obj(),
+                    "units": [[shard, specs[shard].to_obj()] for shard in batch],
                     "time_limit": budget,
                 }
             )
         except ProtocolError:
-            pending.appendleft(shard)
+            pending.extendleft(reversed(batch))
             raise
-        peer.shard = shard
+        peer.shard = batch[0]
+        peer.queued.extend(batch[1:])
         peer.stage = "busy"
         # A busy worker's silence is counted from here: it may have sat
         # idle longer than worker_timeout, and it heartbeats only once
         # a shard has run for HEARTBEAT_INTERVAL.
         peer.last_seen = time.monotonic()
-        emit(
-            "fleet_work_assigned",
-            shard=shard,
-            spec=spec.label(),
-            worker=peer.conn.label,
-        )
+        for shard in batch:
+            emit(
+                "fleet_work_assigned",
+                shard=shard,
+                spec=specs[shard].label(),
+                worker=peer.conn.label,
+            )
+
+    def end_batch(peer: _Peer) -> None:
+        """``peer`` starts no more of its batch: the units it never
+        started go back to the front of ``pending``, uncounted."""
+        pending.extendleft(reversed(peer.queued))
+        peer.queued.clear()
+        peer.shard = None
+        peer.stage = "idle"
 
     def drop(peer: _Peer, reason: str, *, clean: bool = False) -> None:
         if peer not in peers:
@@ -863,6 +935,7 @@ def run_fleet(
         if not clean:
             emit("fleet_worker_lost", worker=peer.conn.label, reason=reason)
         shard = peer.shard
+        end_batch(peer)
         if shard is not None and shard not in collected:
             count = requeues.get(shard, 0)
             if cancelled or count >= DEFAULT_MAX_REQUEUES:
@@ -934,25 +1007,29 @@ def run_fleet(
         if mtype == "hello" or mtype not in WORKER_FRAMES:
             raise ProtocolError(f"unexpected {mtype!r} frame from {label}")
         fields = read_frame(message, mtype, WORKER_FRAMES, label)
-        if mtype == "event":
-            if events is not None:
-                events.forward(fields["record"])
-        elif mtype == "result":
-            shard = fields["shard"]
-            if shard != peer.shard:
-                raise ProtocolError(
-                    f"{label} sent a result for shard {shard}, "
-                    "which it was not assigned"
-                )
-            peer.shard = None
-            peer.stage = "idle"
-            peer.results += 1
-            accept_result(shard, fields["report"], fields["canceled"] or cancelled)
-            if not cancelled:
-                assign(peer)
-        elif mtype == "goodbye":
+        if mtype == "goodbye":
             drop(peer, "goodbye", clean=True)
-        # heartbeat: last_seen is already stamped
+            return
+        if mtype == "result" and fields["shard"] != peer.shard:
+            raise ProtocolError(
+                f"{label} sent a result for shard {fields['shard']}, "
+                "which it is not running"
+            )
+        if events is not None and fields["events"]:
+            events.forward(fields["events"])
+        if mtype == "heartbeat":
+            return  # last_seen is already stamped
+        shard, report = fields["shard"], fields["report"]
+        peer.results += 1
+        # A canceled or timed-out shard ends the worker's batch; else it
+        # has started the next unit already.
+        if peer.queued and not (fields["canceled"] or report.timed_out):
+            peer.shard = peer.queued.popleft()
+        else:
+            end_batch(peer)
+        accept_result(shard, report, fields["canceled"] or cancelled)
+        if peer.shard is None and not cancelled:
+            assign(peer)
 
     def pump(peer: _Peer) -> None:
         """Handle every frame ``peer`` has sent so far; drop it when its

@@ -15,11 +15,11 @@ events — campaign/shard/iteration spans, worker spawns, losses and
 respawns, watchdog hits, checkpoint writes.  Each event is one JSON
 object per line with at least ``ts`` (epoch seconds), ``pid`` and
 ``type``.  One process writes the file: the workers of a sharded
-campaign (:mod:`repro.testing.fleet`) stream their records over the
-wire protocol as ``event`` frames, already stamped with ``ts``, ``pid``
-and ``shard``, and the coordinator appends them via
-:meth:`EventLog.forward`, so a distributed campaign's event log reads
-exactly like a local one.  Emission failures are swallowed:
+campaign (:mod:`repro.testing.fleet`) send their records over the wire
+protocol inside their ``heartbeat`` and ``result`` frames, already
+stamped with ``ts``, ``pid`` and ``shard``, and the coordinator appends
+each frame's records via :meth:`EventLog.forward`, so a distributed
+campaign's event log reads like a local one.  Emission failures are swallowed:
 observability must never kill a campaign.
 """
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from .record import (
     COUNT, INT_COUNTS, SUM, Record, field, least, most, nested, optional,
@@ -160,13 +160,16 @@ class EventLog:
         except (OSError, ValueError):
             pass  # observability must never kill a campaign
 
-    def forward(self, record: Dict[str, object]) -> None:
-        """Append a pre-built record verbatim — the path a fleet
-        coordinator uses for records that arrived over the wire already
-        stamped (ts/pid/shard) by the worker that produced them.  Same
-        durability rules as :meth:`emit`: never raises."""
+    def forward(self, records: Iterable[Dict[str, object]]) -> None:
+        """Append pre-built records verbatim, in one write — the path a
+        fleet coordinator uses for the records one frame brought over
+        the wire, already stamped (ts/pid/shard) by the worker that
+        produced them.  Same durability rules as :meth:`emit`: never
+        raises."""
         try:
-            self._fh.write(json.dumps(record, default=str) + "\n")
+            self._fh.write(
+                "".join(json.dumps(record, default=str) + "\n" for record in records)
+            )
             self._fh.flush()
         except (OSError, ValueError, TypeError):
             pass

@@ -9,6 +9,7 @@ merged report, leaks no child processes, and never re-runs work a
 checkpoint already persisted.
 """
 
+import collections
 import json
 import multiprocessing
 import os
@@ -31,7 +32,7 @@ from repro.testing.config import Campaign
 from repro.testing.fleet import run_fleet
 
 from .machines import Ping, SelfLoop
-from .test_fleet import events_of
+from .test_fleet import events_of, read_events
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -175,6 +176,88 @@ class TestFleetWorkerCrashResilience:
         assert len(exits) == 3  # two originals and the replacement
         assert exits[killed[0]]["exitcode"] == -signal.SIGKILL
         assert sum(r["shards"] for r in exits.values()) == 4
+        assert _drain_children() == []
+
+
+class TestFleetBatchLoss:
+    def test_a_worker_killed_mid_batch_requeues_only_its_running_shard(
+        self, tmp_path
+    ):
+        # protocol.md §6 for a batch: of a lost worker's units only the
+        # one it was running counts as requeued; the ones it never
+        # started go back to the pending shards uncounted.  Either way
+        # each reruns from scratch, so the merge is the in-process one.
+        events_path = tmp_path / "fleet.events.jsonl"
+        specs = tuple(StrategySpec("random", {"seed": seed}) for seed in range(24))
+        config = TestConfig(
+            program="BoundedAsync", specs=specs, max_iterations=300,
+            time_limit=120.0, stop_on_first_bug=False,
+        )
+
+        def events(*types):
+            return events_of(events_path, *types)
+
+        killed = []
+
+        def kill_mid_batch():
+            # The victim has delivered the first result of its batch of
+            # six (24 shards, 2 workers: 24 // 4) and is on the next.
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline:
+                spawns = events("fleet_worker_spawn")
+                if spawns:
+                    victim = spawns[0]["pid"]
+                    mine = {
+                        e["shard"] for e in events("fleet_work_assigned")
+                        if e["worker"] == f"local-0(pid {victim})"
+                    }
+                    if mine & {e["shard"] for e in events("fleet_shard_result")}:
+                        os.kill(victim, signal.SIGKILL)
+                        killed.append(victim)
+                        return
+                time.sleep(0.01)
+
+        killer = threading.Thread(target=kill_mid_batch)
+        killer.start()
+        try:
+            report = run_fleet(
+                config.with_overrides(events_path=str(events_path)),
+                local_workers=2,
+            )
+        finally:
+            killer.join()
+
+        assert killed, "the victim never delivered a result"
+        in_process = [
+            Campaign(config.with_overrides(specs=None, strategy=spec)).run()
+            for spec in specs
+        ]
+        assert [sub.iterations for sub in report.sub_reports] == [300] * 24
+        assert [sub.total_steps for sub in report.sub_reports] == [
+            run.total_steps for run in in_process
+        ]
+        assert {b.trace.fingerprint() for b in report.bugs} == {
+            b.trace.fingerprint() for run in in_process for b in run.bugs
+        }
+
+        log = read_events(events_path)
+        (lost,) = [i for i, e in enumerate(log) if e["type"] == "fleet_worker_lost"]
+        victim = f"local-0(pid {killed[0]})"
+        batch = [
+            e["shard"] for e in log[:lost]
+            if e["type"] == "fleet_work_assigned" and e["worker"] == victim
+        ]
+        done = {e["shard"] for e in log[:lost] if e["type"] == "fleet_shard_result"}
+        running = next(shard for shard in batch if shard not in done)
+        unstarted = batch[batch.index(running) + 1:]
+        assert unstarted, "the victim had nothing queued behind its running shard"
+        requeued = [e for e in log if e["type"] == "fleet_shard_requeued"]
+        assert [(e["shard"], e["attempt"]) for e in requeued] == [(running, 1)]
+        # The unstarted units are handed out again, once, with no requeue.
+        again = collections.Counter(
+            e["shard"] for e in log[lost:] if e["type"] == "fleet_work_assigned"
+        )
+        assert all(again[shard] == 1 for shard in [running, *unstarted])
         assert _drain_children() == []
 
 

@@ -12,6 +12,11 @@ the frontend, ``inspect`` and the inline compiler all read real source.
   divergence, the same outcome and an equal re-recorded trace.
 - (c) The inline carrier and ``ThreadedRuntime`` record equal traces per
   seed.
+- (d) Exhaustive DFS under a depth bound of at most 4 finds the same bug
+  classes, ``(kind, message)``, under ``dpor`` and ``dpor+state-cache``
+  as with no reduction — a strict xfail: the corpus found two programs
+  where a reduced search loses a class inside the bound, pinned below as
+  named regressions.
 
 The examples are derandomized, so every run checks the same programs.
 """
@@ -22,7 +27,7 @@ from hypothesis import HealthCheck, example, given, settings
 
 from repro.analysis import analyze_program
 from repro.analysis.frontend import PythonFrontend
-from repro.testing import TestConfig, ThreadedRuntime, replay_trace
+from repro.testing import Campaign, StrategySpec, TestConfig, ThreadedRuntime, replay_trace
 from repro.testing.engine import build_runtime, resolved_program
 
 from .generated import build, programs
@@ -167,3 +172,83 @@ def test_inline_and_threads_record_the_same_traces(program, seed):
     threads = executions(config_of(program, seed, runtime_factory=ThreadedRuntime))
     assert [outcome(r) for r in inline] == [outcome(r) for r in threads]
     assert [r.trace for r in inline] == [r.trace for r in threads]
+
+
+def bug_classes(program, depth, reduction):
+    """The ``(kind, message)`` classes exhaustive DFS finds in ``program``
+    under ``reduction``, choices past ``depth`` fixed to the first."""
+    machines, faults = build(program)
+    report = Campaign(TestConfig(
+        program=machines[0], strategy=StrategySpec("dfs", {"max_depth": depth}),
+        reduction=reduction, faults=faults, max_steps=200, max_iterations=100_000,
+        time_limit=None, stop_on_first_bug=False,
+    )).run()
+    assert report.exhausted
+    return {(bug.kind, bug.message) for bug in report.bugs}
+
+
+DEPTH_BOUND_MISS = (
+    "a reduced search loses a bug class that the unreduced one finds inside "
+    "the same depth bound (ROADMAP 1c): the bound counts choices by "
+    "position, so it is not closed under the reordering a reduction relies "
+    "on; without the bound every mode finds every class"
+)
+
+# Shrunk from the first program the recall property failed on.  Four
+# machines in a line; M0 and M2 each create the next machine and then
+# assert under a nondet.  At depth 4 the unreduced search reaches both
+# asserts, and dpor (and dpor+state-cache) only M0's: M2's nondet never
+# comes up inside the bound.  From depth 5 on, dpor finds both.
+SECOND_ASSERT_PAST_THE_BOUND = (
+    (
+        ("int", (((("nondet", (("assert",),)),), (("ignore",), ("ignore",), ("ignore",))),)),
+        ("int", (((), (("ignore",), ("ignore",), ("ignore",))),)),
+        ("int", (((("nondet", (("assert",),)),), (("ignore",), ("ignore",), ("ignore",))),)),
+        (None, (((), (("ignore",), ("ignore",), ("ignore",))),)),
+    ),
+    None,
+)
+
+# The same line, with only M2 asserting and M1 sending M2 an event it
+# ignores: dpor keeps the class at depth 4, and dpor+state-cache, which
+# explores two schedules where dpor explores four, loses it.  From depth
+# 5 on, the cache finds it too.
+CACHED_ASSERT_PAST_THE_BOUND = (
+    (
+        ("int", (((), (("ignore",), ("ignore",), ("ignore",))),)),
+        ("int", (((("send", "peer", 1, "int"),), (("ignore",), ("ignore",), ("ignore",))),)),
+        ("int", (((("nondet", (("assert",),)),), (("ignore",), ("ignore",), ("ignore",))),)),
+        (None, (((), (("ignore",), ("ignore",), ("ignore",))),)),
+    ),
+    None,
+)
+
+
+@pytest.mark.xfail(strict=True, reason=DEPTH_BOUND_MISS)
+@settings(CORPUS, max_examples=20)
+@given(program=programs(), depth=st.integers(min_value=1, max_value=4))
+@example(program=SECOND_ASSERT_PAST_THE_BOUND, depth=4)
+@example(program=CACHED_ASSERT_PAST_THE_BOUND, depth=4)
+def test_reduction_keeps_every_bug_class(program, depth):
+    unreduced = bug_classes(program, depth, "none")
+    for reduction in ("dpor", "dpor+state-cache"):
+        assert bug_classes(program, depth, reduction) == unreduced, reduction
+
+
+M0_AND_M2 = {("assertion-failure", "M00: reached"), ("assertion-failure", "M22: reached")}
+
+
+@pytest.mark.xfail(strict=True, reason=DEPTH_BOUND_MISS)
+def test_regression_dpor_loses_a_class_inside_the_depth_bound():
+    program = SECOND_ASSERT_PAST_THE_BOUND
+    assert bug_classes(program, 4, "none") == M0_AND_M2
+    assert bug_classes(program, 5, "dpor") == M0_AND_M2
+    assert bug_classes(program, 4, "dpor") == M0_AND_M2
+
+
+@pytest.mark.xfail(strict=True, reason=DEPTH_BOUND_MISS)
+def test_regression_the_state_cache_loses_a_class_dpor_keeps():
+    program, m2 = CACHED_ASSERT_PAST_THE_BOUND, {("assertion-failure", "M22: reached")}
+    assert bug_classes(program, 4, "none") == bug_classes(program, 4, "dpor") == m2
+    assert bug_classes(program, 5, "dpor+state-cache") == m2
+    assert bug_classes(program, 4, "dpor+state-cache") == m2

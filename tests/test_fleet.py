@@ -14,6 +14,7 @@ completion nor that set (the shard is re-queued, §6).  What the sets
 ``tests/golden_traces.json``.
 """
 
+import collections
 import json
 import os
 import signal
@@ -33,6 +34,7 @@ from repro.testing.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.testing import fleet
 from repro.testing.engine import TestReport
 from repro.testing.fleet import (
     MAX_FRAME,
@@ -375,13 +377,18 @@ HELLO = _encode_frame(HELLO_FRAME)
 
 def await_work(sock):
     """The rest of the §3 handshake for a hand-rolled peer that already
-    sent :data:`HELLO`: welcome, then a shard.  Returns ``(connection,
-    work frame)``."""
+    sent :data:`HELLO`: welcome, then a batch of shards.  Returns
+    ``(connection, work frame)``."""
     imposter = Connection.from_socket(sock, label="imposter")
     assert imposter.recv(timeout=10.0)["type"] == "welcome"
     work = imposter.recv(timeout=10.0)
     assert work["type"] == "work"
     return imposter, work
+
+
+def running(work):
+    """The shard a worker given ``work`` runs first (§5)."""
+    return work["units"][0][0]
 
 
 def expect_dropped(imposter):
@@ -405,20 +412,31 @@ class TestHostileResults:
         [
             lambda work, report: {
                 "type": "result", "canceled": False, "report": report,
+                "events": [],
             },
             lambda work, report: {
-                "type": "result", "shard": str(work["shard"]),
-                "canceled": False, "report": report,
+                "type": "result", "shard": str(running(work)),
+                "canceled": False, "report": report, "events": [],
             },
             lambda work, report: {
-                "type": "result", "shard": work["shard"], "canceled": False,
+                "type": "result", "shard": running(work), "canceled": False,
+                "events": [],
             },
             lambda work, report: {
-                "type": "result", "shard": work["shard"] + 1,
-                "canceled": False, "report": report,
+                "type": "result", "shard": work["units"][-1][0] + 1,
+                "canceled": False, "report": report, "events": [],
+            },
+            # The only peer of a 4-shard campaign holds a batch of two
+            # (§5); it may not answer for the queued one first.
+            lambda work, report: {
+                "type": "result", "shard": work["units"][1][0],
+                "canceled": False, "report": report, "events": [],
             },
         ],
-        ids=["no-shard", "non-integer-shard", "no-report", "unassigned-shard"],
+        ids=[
+            "no-shard", "non-integer-shard", "no-report", "unassigned-shard",
+            "queued-shard",
+        ],
     )
     def test_bad_result_frame_drops_peer_and_requeues(self, tmp_path, forge):
         events_path = tmp_path / "fleet.events.jsonl"
@@ -439,7 +457,9 @@ class TestHostileResults:
         assert fleet.iterations == local.iterations == 20 * len(FOUR_SHARDS)
         assert fingerprints(fleet) == fingerprints(local)
         requeued = events_of(events_path, "fleet_shard_requeued")
-        assert [event["shard"] for event in requeued] == [work["shard"]]
+        # Only the shard in flight counts as requeued; the rest of its
+        # batch was never started (§6).
+        assert [event["shard"] for event in requeued] == [running(work)]
         assert len(events_of(events_path, "fleet_worker_lost")) == 1
 
 
@@ -464,8 +484,8 @@ class TestHeartbeatClock:
                 "config": TestConfig("tests.machines:Ping", max_iterations=3).to_json_obj(),
             })
             coordinator.send({
-                "type": "work", "shard": 0, "time_limit": None,
-                "spec": {"name": "random", "params": {"seed": 1}},
+                "type": "work", "time_limit": None,
+                "units": [[0, {"name": "random", "params": {"seed": 1}}]],
             })
             while sent[-1]["type"] != "result":
                 sent.append(coordinator.recv(timeout=30.0))
@@ -503,13 +523,241 @@ class TestHeartbeatClock:
         worker.start()
         started = time.monotonic()
         while time.monotonic() - started < 3 * worker_timeout:
-            holder.send({"type": "heartbeat", "shard": work["shard"]})
+            holder.send({"type": "heartbeat", "shard": running(work), "events": []})
             time.sleep(0.1)
         holder.close()
         report = finish_fleet(thread, box, timeout=30.0)
         worker.join(timeout=30.0)
         assert not worker.is_alive()
         assert report.iterations == 3_000
+
+
+def batches(path):
+    """The batches the coordinator handed out, in order, as lists of
+    shards: a batch is a run of ``fleet_work_assigned`` records to one
+    worker with no other record between them."""
+    handed, previous = [], None
+    for event in read_events(path):
+        if event["type"] != "fleet_work_assigned":
+            previous = None
+            continue
+        if previous is not None and previous["worker"] == event["worker"]:
+            handed[-1].append(event["shard"])
+        else:
+            handed.append([event["shard"]])
+        previous = event
+    return handed
+
+
+def seeded(count):
+    return tuple(StrategySpec("random", {"seed": seed}) for seed in range(count))
+
+
+class TestGuidedBatches:
+    """§5: an idle worker is handed the next ``max(1, pending // (2 ×
+    peers))`` pending shards in one ``work`` frame and answers each with
+    its own ``result``."""
+
+    def test_300_shards_on_2_workers_shrink_to_single_shards(self, tmp_path):
+        events_path = tmp_path / "fleet.events.jsonl"
+        specs = seeded(300)
+        config = TestConfig(
+            "tests.machines:Ping", specs=specs, max_iterations=1,
+            events_path=str(events_path),
+        )
+        report = run_fleet(config, local_workers=2)
+        handed = batches(events_path)
+        # No worker was lost, so the shards go out once each, in order.
+        assert [shard for batch in handed for shard in batch] == list(range(300))
+        pending = 300
+        for batch in handed:
+            assert len(batch) == max(1, pending // (2 * 2))
+            pending -= len(batch)
+        assert len(handed[0]) == 75
+        assert len(handed[-1]) == len(handed[-2]) == 1
+        results = events_of(events_path, "fleet_shard_result")
+        assert sorted(event["shard"] for event in results) == list(range(300))
+        in_process = [
+            Campaign(config.with_overrides(specs=None, strategy=spec, events_path=None)).run()
+            for spec in specs
+        ]
+        assert [sub.total_steps for sub in report.sub_reports] == [
+            run.total_steps for run in in_process
+        ]
+        assert [sub.iterations for sub in report.sub_reports] == [1] * 300
+
+    @pytest.mark.parametrize("shards, workers", [(4, 2), (3, 2), (4, 4)])
+    def test_at_most_two_shards_per_worker_go_one_by_one(self, tmp_path, shards, workers):
+        events_path = tmp_path / "fleet.events.jsonl"
+        config = fleet_config(
+            specs=FOUR_SHARDS[:shards], max_iterations=20, events_path=str(events_path)
+        )
+        if workers == shards:  # one local worker per spec
+            report = Campaign(config).portfolio()
+        else:
+            report = run_fleet(config, local_workers=workers)
+        assert sorted(map(len, batches(events_path))) == [1] * shards
+        assert report.iterations == 20 * shards
+
+    def test_the_event_log_counts_each_record_once(self, tmp_path):
+        # The counts a log held when every worker record was a frame of
+        # its own: one assignment, one start, one end and one result per
+        # shard, each bug once — and per shard in that order.
+        events_path = tmp_path / "fleet.events.jsonl"
+        config = fleet_config(
+            specs=FOUR_SHARDS * 10, max_iterations=20, events_path=str(events_path)
+        )
+        report = run_fleet(config, local_workers=2)
+        log = read_events(events_path)
+        assert collections.Counter(event["type"] for event in log) == {
+            "fleet_start": 1, "fleet_worker_spawn": 2, "fleet_worker_ready": 2,
+            "fleet_work_assigned": 40, "shard_start": 40,
+            "bug_found": report.buggy_iterations, "shard_end": 40,
+            "fleet_shard_result": 40, "fleet_worker_exit": 2, "fleet_end": 1,
+        }
+        assert report.buggy_iterations > 0
+        for shard in range(40):
+            kinds = [
+                event["type"] for event in log
+                if event.get("shard") == shard and event["type"] != "bug_found"
+            ]
+            assert kinds == [
+                "fleet_work_assigned", "shard_start", "shard_end", "fleet_shard_result",
+            ]
+
+    def test_first_bug_wins_starts_no_shard_behind_the_cancel(self, tmp_path):
+        # Every shard that started delivered its result, every other one
+        # is empty in the merge, and the coordinator returned without
+        # waiting for the units the cancel overtook: with an hour of
+        # grace, waiting for them would not finish in time.
+        events_path = tmp_path / "fleet.events.jsonl"
+        config = fleet_config(
+            specs=seeded(40), stop_on_first_bug=True, max_iterations=200,
+            events_path=str(events_path),
+        )
+        thread, box = start_fleet(config, local_workers=2, grace=3600.0)
+        report = finish_fleet(thread, box)
+        assert report.first_bug is not None
+        started = {event["shard"] for event in events_of(events_path, "shard_start")}
+        delivered = {event["shard"] for event in events_of(events_path, "fleet_shard_result")}
+        assert started == delivered
+        for shard, sub in enumerate(report.sub_reports):
+            if shard not in started:
+                assert sub.iterations == 0
+        assert events_of(events_path, "fleet_worker_lost", "fleet_shard_requeued") == []
+        assert [e["exitcode"] for e in events_of(events_path, "fleet_worker_exit")] == [0, 0]
+
+
+WELCOME_PING = {
+    "type": "welcome", "protocol": PROTOCOL_VERSION, "events": True,
+    "config": TestConfig("tests.machines:Ping", max_iterations=3).to_json_obj(),
+}
+
+
+def work_of(*shards):
+    return {
+        "type": "work", "time_limit": None,
+        "units": [[shard, {"name": "random", "params": {"seed": shard}}] for shard in shards],
+    }
+
+
+class ScriptedCoordinator:
+    """The coordinator half of the protocol, played by the test against a
+    real :func:`worker_loop` on a thread, over a socketpair."""
+
+    def __init__(self):
+        near, far = socket.socketpair()
+        self.sock = near
+        self.conn = Connection(near, "worker")
+        self.outcome = {}
+        worker_side = Connection(far, "coordinator")
+        self.thread = threading.Thread(
+            target=lambda: self.outcome.update(done=worker_loop(worker_side)),
+            daemon=True,
+        )
+        self.thread.start()
+        assert self.conn.recv(timeout=30.0)["type"] == "hello"
+
+    def send(self, *frames):
+        """``frames`` in one write: the worker finds them all buffered."""
+        self.sock.sendall(b"".join(map(_encode_frame, frames)))
+
+    def next_frame(self):
+        while True:
+            frame = self.conn.recv(timeout=30.0)
+            assert frame is not None, "the worker went quiet"
+            if frame["type"] != "heartbeat":
+                return frame
+
+    def shutdown(self):
+        """Say shutdown; returns the frames the worker sent until goodbye."""
+        self.send({"type": "shutdown"})
+        sent = [self.next_frame()]
+        while sent[-1]["type"] != "goodbye":
+            sent.append(self.next_frame())
+        self.thread.join(timeout=30.0)
+        assert not self.thread.is_alive()
+        self.conn.close()
+        return sent
+
+
+class TestWorkerBatches:
+    """§5 on the worker's side: the units of a batch run in order, one
+    result each, and a cancel or shutdown ends the batch."""
+
+    def test_a_batch_runs_in_order_with_one_result_per_shard(self):
+        coordinator = ScriptedCoordinator()
+        coordinator.send(WELCOME_PING, work_of(4, 2, 7))
+        results = [coordinator.next_frame() for _ in range(3)]
+        assert [result["shard"] for result in results] == [4, 2, 7]
+        for result in results:
+            assert result["canceled"] is False
+            assert TestReport.decode(result["report"]).iterations == 3
+            # The shard's records ride its result, stamped with its index.
+            assert [r["type"] for r in result["events"]] == ["shard_start", "shard_end"]
+            assert {r["shard"] for r in result["events"]} == {result["shard"]}
+        assert [frame["type"] for frame in coordinator.shutdown()] == ["goodbye"]
+        assert coordinator.outcome == {"done": 3}
+
+    def test_a_cancel_behind_the_work_frame_ends_the_batch_at_its_first_shard(self):
+        coordinator = ScriptedCoordinator()
+        coordinator.send(WELCOME_PING, work_of(0, 1, 2), {"type": "cancel"})
+        result = coordinator.next_frame()
+        assert (result["type"], result["shard"], result["canceled"]) == ("result", 0, True)
+        assert TestReport.decode(result["report"]).iterations == 0
+        assert {record["shard"] for record in result["events"]} == {0}
+        # Shards 1 and 2 never start: no result, no record.
+        assert [frame["type"] for frame in coordinator.shutdown()] == ["goodbye"]
+        assert coordinator.outcome == {"done": 1}
+
+    def test_a_cancel_that_arrives_as_a_shard_ends_starts_no_other(self, monkeypatch):
+        coordinator = ScriptedCoordinator()
+        run_campaign = fleet.run_campaign
+
+        def run_then_cancel(*args, **kwargs):
+            report = run_campaign(*args, **kwargs)
+            coordinator.send({"type": "cancel"})
+            return report
+
+        monkeypatch.setattr(fleet, "run_campaign", run_then_cancel)
+        coordinator.send(WELCOME_PING, work_of(0, 1, 2))
+        result = coordinator.next_frame()
+        # Shard 0 ran in full; the cancel came in before its result left,
+        # so the result says so and the coordinator expects no other.
+        assert (result["shard"], result["canceled"]) == (0, True)
+        assert TestReport.decode(result["report"]).iterations == 3
+        assert [frame["type"] for frame in coordinator.shutdown()] == ["goodbye"]
+        assert coordinator.outcome == {"done": 1}
+
+    def test_a_shutdown_mid_batch_sends_one_result_then_goodbye(self):
+        coordinator = ScriptedCoordinator()
+        coordinator.send(WELCOME_PING, work_of(5, 6), {"type": "shutdown"})
+        sent = [coordinator.next_frame(), coordinator.next_frame()]
+        assert [(f["type"], f.get("shard"), f.get("canceled")) for f in sent] == [
+            ("result", 5, True), ("goodbye", None, None),
+        ]
+        coordinator.thread.join(timeout=30.0)
+        assert coordinator.outcome == {"done": 1}
 
 
 def open_descriptors():
@@ -616,11 +864,15 @@ class TestLocalWorkers:
         assert fingerprints(report) == fingerprints(local)
 
     def test_stopped_workers_are_killed_and_joined_on_the_way_out(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
         # SIGSTOPped workers answer neither shutdown nor SIGTERM: the
         # heartbeat check replaces them, and teardown escalates to
         # SIGKILL for all of them at once and still joins every child.
+        # The live replacements heartbeat well inside the short timeout
+        # (their telemetry rides their heartbeats, §4, so it keeps no
+        # worker alive by itself).
+        monkeypatch.setattr("repro.testing.fleet.HEARTBEAT_INTERVAL", 0.1)
         events_path = tmp_path / "fleet.events.jsonl"
         config = fleet_config(
             max_iterations=1_500, events_path=str(events_path)

@@ -73,6 +73,7 @@ from .test_fleet import (
     finish_fleet,
     fleet_config,
     read_events,
+    running,
     socket_pair,
     start_fleet_with_clients,
 )
@@ -680,15 +681,16 @@ def test_version_3_documents_carry_no_removed_key():
 # A coordinator fed the frame: peer dropped, shard requeued, campaign whole
 # ---------------------------------------------------------------------------
 def result_frame(work, report):
-    return _encode_frame(
-        {"type": "result", "shard": work["shard"], "canceled": False, "report": report}
-    )
+    return _encode_frame({
+        "type": "result", "shard": running(work), "canceled": False,
+        "report": report, "events": [],
+    })
 
 
 def raw_result(work, report_text):
     payload = (
-        '{"type":"result","shard":%d,"canceled":false,"report":%s}'
-        % (work["shard"], report_text)
+        '{"type":"result","shard":%d,"canceled":false,"events":[],"report":%s}'
+        % (running(work), report_text)
     )
     return struct.pack(">I", len(payload)) + payload.encode()
 
@@ -723,7 +725,7 @@ def test_coordinator_drops_the_peer_requeues_and_completes(tmp_path, name):
     assert fleet.iterations == local.iterations == 20 * len(FOUR_SHARDS)
     assert fingerprints(fleet) == fingerprints(local)
     requeued = events_of(events_path, "fleet_shard_requeued")
-    assert [event["shard"] for event in requeued] == [work["shard"]]
+    assert [event["shard"] for event in requeued] == [running(work)]
     (lost,) = events_of(events_path, "fleet_worker_lost")
     assert "\n" not in lost["reason"] and len(lost["reason"]) < 400
 
@@ -739,7 +741,8 @@ FORGED = {"type": "fleet_shard_done", "shard": 0, "forged": True}
 HOSTILE_HELLOS = {
     "hello-without-a-protocol": (without(HELLO_FRAME, "protocol"), "hello: field 'protocol' is missing"),
     "hello-protocol-as-text": ({**HELLO_FRAME, "protocol": "2"}, "hello.protocol: expected integer, got '2'"),
-    "hello-of-protocol-2": ({**HELLO_FRAME, "protocol": 2}, "speaks protocol 2, not 3$"),
+    "hello-of-protocol-2": ({**HELLO_FRAME, "protocol": 2}, "speaks protocol 2, not 4$"),
+    "hello-of-protocol-3": ({**HELLO_FRAME, "protocol": 3}, "speaks protocol 3, not 4$"),
     "hello-without-a-pid": (without(HELLO_FRAME, "pid"), "hello: field 'pid' is missing"),
     "hello-pid-an-object": ({**HELLO_FRAME, "pid": FORGED}, "hello.pid: expected integer >= 0, got a dict"),
     "hello-pid-true": ({**HELLO_FRAME, "pid": True}, "hello.pid: expected integer >= 0, got True"),
@@ -747,32 +750,40 @@ HOSTILE_HELLOS = {
     "hello-host-a-list": ({**HELLO_FRAME, "host": ["forged"]}, "hello.host: expected string, got a list"),
     "hello-with-an-unknown-field": ({**HELLO_FRAME, "forged": 1}, "hello: unknown field.*'forged'"),
 }
+HEARTBEAT = {"type": "heartbeat", "shard": 0, "events": [FORGED]}
 HOSTILE_WORKERS = {
-    "heartbeat-without-a-shard": (lambda work: {"type": "heartbeat"}, "heartbeat: field 'shard' is missing"),
-    "heartbeat-shard-as-text": (lambda work: {"type": "heartbeat", "shard": "forged"}, "heartbeat.shard: expected integer >= 0, got 'forged'"),
-    "event-without-a-record": (lambda work: {"type": "event"}, "event: field 'record' is missing"),
-    "event-record-as-text": (lambda work: {"type": "event", "record": "forged"}, "event.record: expected an object with a string 'type', got 'forged'"),
-    "event-record-a-list": (lambda work: {"type": "event", "record": [FORGED]}, "event.record: expected an object .*, got a list"),
-    "event-record-without-a-type": (lambda work: {"type": "event", "record": without(FORGED, "type")}, "event.record: expected an object .*, got a dict"),
-    "event-record-type-a-number": (lambda work: {"type": "event", "record": {**FORGED, "type": 7}}, "event.record: expected an object .*, got a dict"),
-    "event-with-an-unknown-field": (lambda work: {"type": "event", "record": FORGED, "zz": 1}, "event: unknown field.*'zz'"),
+    "heartbeat-without-a-shard": (lambda work: without(HEARTBEAT, "shard"), "heartbeat: field 'shard' is missing"),
+    "heartbeat-shard-as-text": (lambda work: {**HEARTBEAT, "shard": "forged"}, "heartbeat.shard: expected integer >= 0, got 'forged'"),
+    "heartbeat-without-events": (lambda work: without(HEARTBEAT, "events"), "heartbeat: field 'events' is missing"),
+    "heartbeat-events-an-object": (lambda work: {**HEARTBEAT, "events": FORGED}, "heartbeat.events: expected an array, got a dict"),
+    "heartbeat-events-as-text": (lambda work: {**HEARTBEAT, "events": "forged"}, "heartbeat.events: expected an array, got 'forged'"),
+    "heartbeat-event-as-text": (lambda work: {**HEARTBEAT, "events": ["forged"]}, "heartbeat.events: expected an object with a string 'type', got 'forged'"),
+    "heartbeat-event-a-list": (lambda work: {**HEARTBEAT, "events": [[FORGED]]}, "heartbeat.events: expected an object .*, got a list"),
+    "heartbeat-event-without-a-type": (lambda work: {**HEARTBEAT, "events": [without(FORGED, "type")]}, "heartbeat.events: expected an object .*, got a dict"),
+    "heartbeat-event-type-a-number": (lambda work: {**HEARTBEAT, "events": [{**FORGED, "type": 7}]}, "heartbeat.events: expected an object .*, got a dict"),
+    "heartbeat-with-an-unknown-field": (lambda work: {**HEARTBEAT, "zz": 1}, "heartbeat: unknown field.*'zz'"),
+    "a-protocol-3-event-frame": (lambda work: {"type": "event", "record": FORGED}, "unexpected 'event' frame"),
     "result-without-a-shard": (lambda work: without(forged_result(work), "shard"), "result: field 'shard' is missing"),
     "result-shard-true": (lambda work: {**forged_result(work), "shard": True}, "result.shard: expected integer >= 0, got True"),
     "result-without-canceled": (lambda work: without(forged_result(work), "canceled"), "result: field 'canceled' is missing"),
     "result-canceled-as-text": (lambda work: {**forged_result(work), "canceled": "no"}, "result.canceled: expected boolean, got 'no'"),
     "result-without-a-report": (lambda work: without(forged_result(work), "report"), "result: field 'report' is missing"),
     "result-report-as-text": (lambda work: {**forged_result(work), "report": TEXT}, "result.report: TestReport: expected an object"),
-    "result-for-another-shard": (lambda work: {**forged_result(work), "shard": work["shard"] + 1}, "which it was not assigned"),
+    "result-without-events": (lambda work: without(forged_result(work), "events"), "result: field 'events' is missing"),
+    "result-events-an-object": (lambda work: {**forged_result(work), "events": FORGED}, "result.events: expected an array, got a dict"),
+    "result-event-a-number": (lambda work: {**forged_result(work), "events": [7]}, "result.events: expected an object with a string 'type', got 7"),
+    "result-event-null": (lambda work: {**forged_result(work), "events": [FORGED, None]}, "result.events: expected an object .*, got None"),
+    "result-for-another-shard": (lambda work: {**forged_result(work), "shard": running(work) + 1}, "which it is not running"),
     "goodbye-with-a-field": (lambda work: {"type": "goodbye", "forged": 1}, "goodbye: unknown field.*'forged'"),
     "a-second-hello": (lambda work: HELLO_FRAME, "unexpected 'hello' frame"),
-    "a-coordinator-frame": (lambda work: {**WORK, "shard": work["shard"]}, "unexpected 'work' frame"),
+    "a-coordinator-frame": (lambda work: work, "unexpected 'work' frame"),
 }
 
 
 def forged_result(work):
     return {
-        "type": "result", "shard": work["shard"], "canceled": False,
-        "report": TestReport(strategy="forged").encode(),
+        "type": "result", "shard": running(work), "canceled": False,
+        "report": TestReport(strategy="forged").encode(), "events": [FORGED],
     }
 
 
@@ -820,7 +831,7 @@ def test_coordinator_reads_worker_frames_field_by_field(tmp_path, name):
     imposter.send(forge(work))
     expect_dropped(imposter)
     assert_whole_and_nothing_forged(
-        finish_fleet(thread, box), events_path, message, [work["shard"]]
+        finish_fleet(thread, box), events_path, message, [running(work)]
     )
 
 
@@ -831,18 +842,21 @@ WELCOME = {
     "type": "welcome", "protocol": PROTOCOL_VERSION, "events": False,
     "config": TestConfig("tests.machines:Ping", max_iterations=3).to_json_obj(),
 }
-WORK = {
-    "type": "work", "shard": 0, "time_limit": None,
-    "spec": {"name": "random", "params": {"seed": 1}},
-}
+SPEC = {"name": "random", "params": {"seed": 1}}
+WORK = {"type": "work", "time_limit": None, "units": [[0, SPEC]]}
+
+
+def units(*batch):
+    return {**WORK, "units": list(batch)}
 
 
 #: name -> (frames the coordinator sends after the hello, the error's text)
 HOSTILE_COORDINATORS = {
     "welcome-without-a-protocol": ([without(WELCOME, "protocol")], "welcome: field 'protocol' is missing"),
-    "welcome-protocol-as-text": ([{**WELCOME, "protocol": "3"}], "welcome.protocol: expected 3 "),
-    "welcome-protocol-true": ([{**WELCOME, "protocol": True}], "welcome.protocol: expected 3 "),
-    "welcome-of-another-protocol": ([{**WELCOME, "protocol": 2}], r"welcome.protocol: expected 3 \(.*\), got 2$"),
+    "welcome-protocol-as-text": ([{**WELCOME, "protocol": "4"}], "welcome.protocol: expected 4 "),
+    "welcome-protocol-true": ([{**WELCOME, "protocol": True}], "welcome.protocol: expected 4 "),
+    "welcome-of-another-protocol": ([{**WELCOME, "protocol": 2}], r"welcome.protocol: expected 4 \(.*\), got 2$"),
+    "welcome-of-protocol-3": ([{**WELCOME, "protocol": 3}], r"welcome.protocol: expected 4 \(.*\), got 3$"),
     "welcome-config-not-an-object": ([{**WELCOME, "config": "Raft"}], "welcome.config: campaign JSON must be an object"),
     "welcome-config-mistyped-inside": (
         [{**WELCOME, "config": {**WELCOME["config"], "max_iterations": 5.5}}],
@@ -864,18 +878,31 @@ HOSTILE_COORDINATORS = {
     "error-message-not-text": ([{"type": "error", "message": {"a": 1}}], "error.message: expected string, got a dict"),
     "error-said-politely": ([{"type": "error", "message": "go away"}], "coordinator rejected this worker: go away"),
     "work-before-welcome": ([WORK], "expected a welcome frame, got 'work'"),
-    "work-without-a-shard": ([WELCOME, without(WORK, "shard")], "work: field 'shard' is missing"),
-    "work-shard-as-text": ([WELCOME, {**WORK, "shard": "1"}], "work.shard: expected integer >= 0, got '1'"),
-    "work-shard-true": ([WELCOME, {**WORK, "shard": True}], "work.shard: expected integer >= 0, got True"),
-    "work-shard-a-float": ([WELCOME, {**WORK, "shard": 1.0}], "work.shard: expected integer >= 0, got 1.0"),
-    "work-shard-negative": ([WELCOME, {**WORK, "shard": -1}], "work.shard: expected integer >= 0, got -1"),
-    "work-without-a-spec": ([WELCOME, without(WORK, "spec")], "work: field 'spec' is missing"),
-    "work-spec-not-an-object": ([WELCOME, {**WORK, "spec": 7}], "work.spec: StrategySpec: expected an object, got 7"),
-    "work-spec-name-not-text": ([WELCOME, {**WORK, "spec": {"name": 7}}], "work.spec: StrategySpec.name: expected string, got 7"),
-    "work-spec-params-a-list": (
-        [WELCOME, {**WORK, "spec": {"name": "dfs", "params": [1]}}],
-        "work.spec: StrategySpec.params: expected an object",
+    "work-of-protocol-3": (
+        [WELCOME, {"type": "work", "shard": 0, "spec": SPEC, "time_limit": None}],
+        "work: field 'units' is missing",
     ),
+    "work-without-units": ([WELCOME, without(WORK, "units")], "work: field 'units' is missing"),
+    "work-units-empty": ([WELCOME, units()], r"work.units: expected a non-empty array of \[shard, spec\] pairs, got a list$"),
+    "work-units-an-object": ([WELCOME, {**WORK, "units": {"0": SPEC}}], r"work.units: expected a non-empty array .*, got a dict$"),
+    "work-units-as-text": ([WELCOME, {**WORK, "units": "0,random"}], r"work.units: expected a non-empty array .*, got '0,random'$"),
+    "work-unit-a-single": ([WELCOME, units([0])], r"work.units: unit 0: expected a \[shard, spec\] pair, got a list$"),
+    "work-unit-a-triple": ([WELCOME, units([0, SPEC, 1])], r"work.units: unit 0: expected a \[shard, spec\] pair, got a list$"),
+    "work-unit-an-object": ([WELCOME, units({"shard": 0, "spec": SPEC})], r"work.units: unit 0: expected a \[shard, spec\] pair, got a dict$"),
+    "work-unit-null": ([WELCOME, units([0, SPEC], None)], r"work.units: unit 1: expected a \[shard, spec\] pair, got None$"),
+    "work-shard-as-text": ([WELCOME, units(["1", SPEC])], "work.units: unit 0: shard: expected integer >= 0, got '1'"),
+    "work-shard-true": ([WELCOME, units([True, SPEC])], "work.units: unit 0: shard: expected integer >= 0, got True"),
+    "work-shard-a-float": ([WELCOME, units([1.0, SPEC])], "work.units: unit 0: shard: expected integer >= 0, got 1.0"),
+    "work-shard-negative": ([WELCOME, units([-1, SPEC])], "work.units: unit 0: shard: expected integer >= 0, got -1"),
+    "work-shard-repeated": ([WELCOME, units([3, SPEC], [4, SPEC], [3, SPEC])], "work.units: unit 2: shard 3 is repeated$"),
+    "work-spec-not-an-object": ([WELCOME, units([0, 7])], "work.units: unit 0: StrategySpec: expected an object, got 7"),
+    "work-spec-name-not-text": ([WELCOME, units([0, {"name": 7}])], "work.units: unit 0: StrategySpec.name: expected string, got 7"),
+    "work-spec-params-a-list": (
+        [WELCOME, units([0, {"name": "dfs", "params": [1]}])],
+        "work.units: unit 0: StrategySpec.params: expected an object",
+    ),
+    # A bad unit anywhere refuses the whole batch: not even unit 0 runs.
+    "work-second-spec-bad": ([WELCOME, units([0, SPEC], [1, {"name": 7}])], "work.units: unit 1: StrategySpec.name: expected string, got 7"),
     "work-time-limit-as-text": ([WELCOME, {**WORK, "time_limit": "3"}], "work.time_limit: expected finite number >= 0 or null, got '3'"),
     "work-without-a-time-limit": ([WELCOME, without(WORK, "time_limit")], "work: field 'time_limit' is missing"),
     "work-with-an-unknown-field": ([WELCOME, {**WORK, "zz": 1}], "work: unknown field.*'zz'"),

@@ -418,13 +418,13 @@ def run_one_shard_over_the_wire(config, spec):
     )
     worker.start()
     try:
-        assert coordinator.recv(timeout=30.0)["protocol"] == fleet.PROTOCOL_VERSION == 3
+        assert coordinator.recv(timeout=30.0)["protocol"] == fleet.PROTOCOL_VERSION == 4
         coordinator.send({
             "type": "welcome", "protocol": fleet.PROTOCOL_VERSION,
             "config": config.to_json_obj(), "events": False,
         })
         coordinator.send({
-            "type": "work", "shard": 0, "spec": spec.to_obj(), "time_limit": None,
+            "type": "work", "units": [[0, spec.to_obj()]], "time_limit": None,
         })
         while True:
             frame = coordinator.recv(timeout=60.0)

@@ -25,9 +25,9 @@ Four checks, all run by the CI docs lane:
     pool and the ``workers`` resolution, helpers that had no caller, the
     second frame class and fault consultation of the DFS stack, the core
     calculus' own DFS chooser, and a stored copy of a count a report
-    derives, and in the frontend the per-kind type tables and their
-    logged doors): a doc or docstring must not teach a name that no
-    longer imports.
+    derives, in the frontend the per-kind type tables and their logged
+    doors, and in the fleet the ``event`` frame and protocol version 3):
+    a doc or docstring must not teach a name that no longer imports.
     ``CHANGES.md`` and ``ROADMAP.md`` are history and are not scanned.
     Under ``src/`` the pickle and base64 codecs are removed names too —
     JSON is the only format of frames, checkpoints and report files —
@@ -326,7 +326,15 @@ REMOVED_FROM_FILE = {
             re.compile(r"\.register\("),
             "nothing: a driver is queried by its MethodInfo, never added to the engine",
         ),
-    ),    "src/repro/analysis/frontend.py": (
+    ),
+    "src/repro/testing/fleet.py": (
+        (
+            re.compile(r"""["']event["']"""),
+            "a worker's records ride its heartbeat and result frames (`events`)",
+        ),
+        (re.compile(r"\bPROTOCOL_VERSION\s*=\s*3\b"), "PROTOCOL_VERSION = 4: work frames carry batches"),
+    ),
+    "src/repro/analysis/frontend.py": (
         (
             re.compile(
                 r"\bnote_(?:field|event_payload|creation_payload|return|arg_types)\b"
