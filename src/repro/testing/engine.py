@@ -79,20 +79,28 @@ def _decode_bug(document: Any) -> BugReport:
     return BugReport(**decode_fields("BugReport", BUG_FIELDS, document))
 
 
-def _merge_bugs(mine: List[BugReport], theirs: List[BugReport]) -> List[BugReport]:
+def _fold_bugs(
+    mine: List[BugReport], shards: Sequence[List[BugReport]]
+) -> List[BugReport]:
     # Deduplicated by schedule-trace fingerprint: two shards finding the
     # same interleaving (identical decision sequences, e.g. two seeded DFS
-    # shards overlapping) contribute it once.  Bugs without traces cannot
-    # be identified and are always kept.
+    # shards overlapping) contribute it once, first in fold order.  Bugs
+    # without traces cannot be identified and are always kept.  One set
+    # for the whole fold: each traced bug is fingerprinted once.
     seen = {bug.trace.fingerprint() for bug in mine if bug.trace is not None}
-    for bug in theirs:
-        if bug.trace is not None:
-            key = bug.trace.fingerprint()
-            if key in seen:
-                continue
-            seen.add(key)
-        mine.append(bug)
+    for theirs in shards:
+        for bug in theirs:
+            if bug.trace is not None:
+                key = bug.trace.fingerprint()
+                if key in seen:
+                    continue
+                seen.add(key)
+            mine.append(bug)
     return mine
+
+
+def _merge_bugs(mine: List[BugReport], theirs: List[BugReport]) -> List[BugReport]:
+    return _fold_bugs(mine, (theirs,))
 
 
 def _decode_sub_report(document: Any) -> "TestReport":
@@ -110,7 +118,7 @@ def _merge_backend(mine: Optional[str], theirs: Optional[str]) -> Optional[str]:
 
 
 BUGS = Rule(
-    merge=_merge_bugs, fresh=list,
+    merge=_merge_bugs, fold=_fold_bugs, fresh=list,
     copy=each(BugReport.detached),
     encode=each(_encode_bug),
     decode=array_of(_decode_bug),
@@ -300,10 +308,9 @@ class TestReport(Record):
     def merged(
         cls, reports: Sequence["TestReport"], strategy: str = "portfolio"
     ) -> "TestReport":
-        """Merge ``reports`` into a fresh campaign report (sub-reports kept)."""
-        campaign = cls(strategy=strategy)
-        for report in reports:
-            campaign.merge(report)
+        """Merge ``reports`` into a fresh campaign report (sub-reports
+        kept): :meth:`Record.folded`, so the bug lists fold in one pass."""
+        campaign = cls.folded(reports, strategy=strategy)
         campaign.exhausted = bool(reports) and all(r.exhausted for r in reports)
         campaign.sub_reports = list(reports)
         return campaign

@@ -1027,7 +1027,11 @@ def run_fleet(
             peer.shard = peer.queued.popleft()
         else:
             end_batch(peer)
-        accept_result(shard, report, fields["canceled"] or cancelled)
+        # A shard its own time limit cut short is partial too (§5): it is
+        # not checkpointed, so a resumed campaign runs it again.
+        accept_result(
+            shard, report, fields["canceled"] or report.timed_out or cancelled
+        )
         if peer.shard is None and not cancelled:
             assign(peer)
 

@@ -12,7 +12,8 @@ class declares every field once, on one line — name, type,
 over that table.  Adding a counter is one line in one place.
 
 A rule is the four things a field can do: ``merge(mine, theirs)`` (may
-update ``mine`` in place, never keeps a reference into ``theirs``),
+update ``mine`` in place, never keeps a reference into ``theirs``; a
+rule may add ``fold(mine, values)``, merging many in one pass),
 ``copy(value)``, ``encode(value)`` to plain JSON data, and
 ``decode(data)``, which *validates* type and shape — a document is data
 from another process, possibly a hostile one — and raises
@@ -41,7 +42,9 @@ import importlib
 import json
 import operator
 import os
-from typing import Any, Callable, ClassVar, Container, Dict, NamedTuple, Tuple
+from typing import (
+    Any, Callable, ClassVar, Container, Dict, NamedTuple, Sequence, Tuple,
+)
 
 from ..errors import DocumentError, PSharpError
 
@@ -72,16 +75,21 @@ def describe(data: Any) -> str:
 class Rule:
     """What a field does under merge, copy, encode and decode — plus
     ``fresh`` (its default; ``None`` unless said), and ``wire`` /
-    ``merged``: how the schema table words its JSON type and its merge."""
+    ``merged``: how the schema table words its JSON type and its merge.
+    ``fold(mine, values)``, when given, is what merging ``values`` into
+    ``mine`` one by one gives, in one pass (:meth:`Record.folded`)."""
 
-    __slots__ = ("merge", "copy", "encode", "decode", "fresh", "wire", "merged")
+    __slots__ = (
+        "merge", "fold", "copy", "encode", "decode", "fresh", "wire", "merged",
+    )
 
     def __init__(
         self, *, decode, wire, fresh=_null, merge=_keep, merged="the receiver's",
-        copy=_same, encode=_same,
+        copy=_same, encode=_same, fold=None,
     ):
         self.merge, self.copy, self.encode, self.decode = merge, copy, encode, decode
         self.fresh, self.wire, self.merged = fresh, wire, merged
+        self.fold = fold
 
 
 class Kind(NamedTuple):
@@ -427,6 +435,10 @@ def record(cls: Any = None, **options: Any) -> Any:
     cls = dataclasses.dataclass(**(options or {"eq": False, "slots": True}))(cls)
     declared = [f for f in dataclasses.fields(cls) if "rule" in f.metadata]
     cls.FIELDS = tuple((f.name, f.metadata["rule"]) for f in declared)
+    # Record.folded's split: the fields it merges record by record, and
+    # those whose rule folds all their values in one pass.
+    cls.PAIRWISE = tuple(one for one in cls.FIELDS if one[1].fold is None)
+    cls.FOLDS = tuple(one for one in cls.FIELDS if one[1].fold is not None)
     cls.OPTIONAL = frozenset(
         f.name for f in declared
         if f.default is not dataclasses.MISSING
@@ -435,20 +447,39 @@ def record(cls: Any = None, **options: Any) -> Any:
     return cls
 
 
+def _merge_fields(into: Any, other: Any, fields: Fields) -> Any:
+    for name, rule in fields:
+        setattr(into, name, rule.merge(getattr(into, name), getattr(other, name)))
+    return into
+
+
 class Record:
     """Base of every mergeable record; see the module docstring."""
 
     __slots__ = ()
     FIELDS: ClassVar[Fields] = ()
+    PAIRWISE: ClassVar[Fields] = ()
+    FOLDS: ClassVar[Fields] = ()
     __hash__ = None  # mutable
 
     def merge(self, other: Any) -> Any:
         """Fold ``other`` into this record (in place) and return self.
         Associative, and commutative wherever the rules are (all but
         "the receiver's")."""
-        for name, rule in self.FIELDS:
-            setattr(self, name, rule.merge(getattr(self, name), getattr(other, name)))
-        return self
+        return _merge_fields(self, other, self.FIELDS)
+
+    @classmethod
+    def folded(cls, records: Sequence[Any], **start: Any) -> Any:
+        """``cls(**start)`` with ``records`` merged into it in order —
+        what merging them one by one gives, a rule with a ``fold``
+        taking all its values in one pass."""
+        into = cls(**start)
+        for one in records:
+            _merge_fields(into, one, cls.PAIRWISE)
+        for name, rule in cls.FOLDS:
+            values = [getattr(one, name) for one in records]
+            setattr(into, name, rule.fold(getattr(into, name), values))
+        return into
 
     def copy(self) -> Any:
         """A deep copy sharing no mutable part with this record."""

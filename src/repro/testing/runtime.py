@@ -107,6 +107,9 @@ from .trace import (
 
 # Sentinel "no hot monitor" deadline: any real step count compares below.
 _NO_DEADLINE = float("inf")
+#: One past the largest ``nondet_int`` draw a trace can hold (its values
+#: are 64-bit): ``bound`` must lie in ``1..NONDET_INT_LIMIT``.
+NONDET_INT_LIMIT = 2 ** 63
 
 # Sort key for the incrementally-maintained enabled set: machine ids are
 # ordered by their allocation counter, i.e. seat order (ids have no
@@ -449,11 +452,11 @@ class BugFindingRuntime(RuntimeBase):
         self._finished = False
         self._status = "ok"
         self._bug: Optional[BugReport] = None
-        # The trace and its two bound appends (ScheduleTrace.appenders),
-        # set by execute() when traces are recorded.
+        # The trace and its bound append (ScheduleTrace.recorder), set by
+        # execute() when traces are recorded: a decision is recorded as
+        # one code, ``value << 3 | tag`` (trace.py's layout).
         self._trace: Optional[ScheduleTrace] = None
-        self._record_tag: Optional[Callable[[int], None]] = None
-        self._record_value: Optional[Callable[[int], None]] = None
+        self._record: Optional[Callable[[int], None]] = None
         self._sched_points = 0
         self._steps = 0
         self._current: Optional[MachineId] = None
@@ -513,7 +516,7 @@ class BugFindingRuntime(RuntimeBase):
         self._worker_list = []
         self._idle_pending = []
         self._bug = self._error = None
-        self._trace = self._record_tag = self._record_value = None
+        self._trace = self._record = None
         self._monitors = []
         self._hot_since = {}
         if self._dequeue_bound:
@@ -541,7 +544,7 @@ class BugFindingRuntime(RuntimeBase):
         trace = None
         if self.record_trace:
             trace = self._trace = ScheduleTrace()
-            self._record_tag, self._record_value = trace.appenders()
+            self._record = trace.recorder()
         red = self._red
         if red is not None:
             red.begin_execution()
@@ -554,7 +557,7 @@ class BugFindingRuntime(RuntimeBase):
         # The very first decision is forced: only the main machine exists.
         self.strategy.observe_forced(mid)
         if trace is not None:
-            trace.append(SCHED_TAG, mid.value)
+            self._record(mid.value << 3 | SCHED_TAG)
         if red is not None:
             red.chose(mid.value)
         self._run(self._worker_list[mid.value])
@@ -698,11 +701,12 @@ class BugFindingRuntime(RuntimeBase):
             choice = enabled[0]
             self.strategy.observe_forced(choice)
         else:
-            choice = self.strategy.pick_machine(enabled[:], current)
+            # The runtime's own list, uncopied: a strategy only reads it
+            # (SchedulingStrategy.pick_machine).
+            choice = self.strategy.pick_machine(enabled, current)
             self._consulted += 1
-        if self._record_tag is not None:
-            self._record_tag(SCHED_TAG)
-            self._record_value(choice.value)
+        if self._record is not None:
+            self._record(choice.value << 3)  # SCHED_TAG is 0
         if red is not None:
             red.chose(choice.value)
         return None if choice.value == current.value else choice
@@ -711,9 +715,8 @@ class BugFindingRuntime(RuntimeBase):
         if self._canceled:
             raise ExecutionCanceled()
         value = self.strategy.pick_bool()
-        if self._record_tag is not None:
-            self._record_tag(BOOL_TAG)
-            self._record_value(int(value))
+        if self._record is not None:
+            self._record(value << 3 | BOOL_TAG)
         log = self._nondet_log
         if log is not None:
             log.setdefault(machine.id.value, []).append(int(value))
@@ -722,10 +725,15 @@ class BugFindingRuntime(RuntimeBase):
     def nondet_int(self, machine: Machine, bound: int) -> int:
         if self._canceled:
             raise ExecutionCanceled()
+        if not 0 < bound <= NONDET_INT_LIMIT:
+            # Refused before drawing, so every strategy and replay fail
+            # alike: a trace holds a draw as a 64-bit value.
+            raise PSharpError(
+                f"nondet_int bound must be in 1..2**63, got {bound!r}"
+            )
         value = self.strategy.pick_int(bound)
-        if self._record_tag is not None:
-            self._record_tag(INT_TAG)
-            self._record_value(value)
+        if self._record is not None:
+            self._record(value << 3 | INT_TAG)
         log = self._nondet_log
         if log is not None:
             log.setdefault(machine.id.value, []).append(value)
@@ -764,9 +772,8 @@ class BugFindingRuntime(RuntimeBase):
                     break
             else:
                 outcome = FAULT_NONE
-        if self._record_tag is not None:
-            self._record_tag(FAULT_TAG)
-            self._record_value(outcome)
+        if self._record is not None:
+            self._record(outcome << 3 | FAULT_TAG)
         log = self._nondet_log
         if log is not None and self._current is not None:
             # Part of the machine's consumed-nondeterminism fingerprint: a
@@ -879,9 +886,8 @@ class BugFindingRuntime(RuntimeBase):
         red = self._red
         for index in observers:
             instance = monitors[index]
-            if self._record_tag is not None:
-                self._record_tag(MONITOR_TAG)
-                self._record_value(index)
+            if self._record is not None:
+                self._record(index << 3 | MONITOR_TAG)
             if red is not None:
                 # Independence oracle: monitor state is order-sensitive,
                 # so two steps observed by the same monitor never commute
@@ -932,11 +938,11 @@ class BugFindingRuntime(RuntimeBase):
         instance = min(self._hot_since, key=self._hot_since.get)
         since = self._hot_since[instance]
         state = instance.current_state
-        if self._trace is not None:
+        if self._record is not None:
             # The firing is part of the schedule record: replay uses it to
             # fire at exactly this point, and its absence in a trace
             # proves the recorded run survived its hot stretches.
-            self._trace.append(LIVENESS_TAG, instance._monitor_index)
+            self._record(instance._monitor_index << 3 | LIVENESS_TAG)
         message = (
             f"liveness violation: monitor {type(instance).__name__} stayed hot "
             f"in state {state!r} for {self._steps - since} fair steps "
@@ -1384,8 +1390,8 @@ class BugFindingRuntime(RuntimeBase):
             return
         reason = red.check_state(red.fingerprint(*self._fingerprint_inputs()))
         if reason:
-            if self._trace is not None:
-                self._trace.append(REDUCTION_TAG, reason)
+            if self._record is not None:
+                self._record(reason << 3 | REDUCTION_TAG)
             self._finish("pruned")
             raise ExecutionCanceled()
 

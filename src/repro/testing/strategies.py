@@ -46,7 +46,11 @@ class SchedulingStrategy(ABC):
     def pick_machine(
         self, enabled: Sequence[MachineId], current: Optional[MachineId]
     ) -> MachineId:
-        """Choose the next machine to run among the enabled ones."""
+        """Choose the next machine to run among the enabled ones.
+
+        ``enabled`` is the runtime's own list, not a copy: a strategy
+        reads it during the call and never keeps or changes it (copy
+        what must outlive the call, as the DFS frames do)."""
 
     @abstractmethod
     def pick_bool(self) -> bool:

@@ -18,6 +18,7 @@ from repro.analysis import analyze_program, build_driver
 from repro.analysis.frontend import FrontendError, lower_machines
 from repro.errors import AnalysisDiagnostic
 from repro.lang import Interpreter, ParseError, parse_program
+from repro.testing.engine import replay_trace
 from repro.testing.strategies import ReplayStrategy
 
 
@@ -170,6 +171,67 @@ class TestReplayEdges:
         runtime = BugFindingRuntime(strategy)
         result = runtime.execute(Ping)
         assert result.status == "ok"
+
+
+class WideChooser(Machine):
+    """Draws one ``nondet_int(bound)``, the class's ``bound``, and halts."""
+
+    bound = 4
+
+    class S(State):
+        initial = True
+        entry = "go"
+
+    def go(self):
+        self.nondet_int(type(self).bound)
+        self.halt()
+
+
+class TestNondetIntBound:
+    """A trace holds a draw as a 64-bit value, so the runtime refuses a
+    bound outside ``1..2**63`` before drawing: the same bug on every
+    schedule, under every strategy and in replay."""
+
+    def campaign(self, strategy):
+        config = TestConfig(WideChooser, max_iterations=5, stop_on_first_bug=False)
+        return config, Campaign(config, strategy=strategy).run()
+
+    @pytest.mark.parametrize("bound", [0, -3, 2 ** 63 + 1, 2 ** 70])
+    @pytest.mark.parametrize("strategy", ["random", "dfs"])
+    def test_a_bound_outside_the_range_is_refused_before_drawing(
+        self, monkeypatch, bound, strategy
+    ):
+        monkeypatch.setattr(WideChooser, "bound", bound)
+        config, report = self.campaign(
+            RandomStrategy(seed=1) if strategy == "random" else DfsStrategy()
+        )
+        assert report.buggy_iterations == report.iterations >= 1
+        assert len(report.bugs) == report.iterations
+        # One bug: the draw is the main machine's first act.
+        (bug,) = {bug.trace.fingerprint(): bug for bug in report.bugs}.values()
+        assert bug.kind == "runtime-error"
+        assert bug.message == f"nondet_int bound must be in 1..2**63, got {bound}"
+        assert bug.trace.to_pairs() == [["sched", 0]]
+        replayed = replay_trace(config, bug.trace)
+        assert not replayed.diverged
+        assert (replayed.bug.kind, replayed.bug.message) == (bug.kind, bug.message)
+
+    @pytest.mark.parametrize("strategy", ["random", "dfs"])
+    def test_the_widest_bound_is_drawn_and_its_trace_replays(
+        self, monkeypatch, strategy
+    ):
+        monkeypatch.setattr(WideChooser, "bound", 2 ** 63)
+        config = TestConfig(WideChooser, max_iterations=1)
+        draw = RandomStrategy(seed=1) if strategy == "random" else DfsStrategy()
+        draw.prepare_iteration()
+        result = BugFindingRuntime(draw).execute(WideChooser)
+        assert result.status == "ok"
+        (kind, value), = result.trace.decisions[1:]
+        assert kind == "int" and 0 <= value < 2 ** 63
+        again = ScheduleTrace.from_pairs(result.trace.to_pairs())
+        assert again == result.trace
+        assert again.fingerprint() == result.trace.fingerprint()
+        assert not replay_trace(config, again).diverged
 
 
 class TestParserEdges:

@@ -1046,6 +1046,54 @@ class TestFleetCheckpoint:
         # The shards that never ran stay pending in the checkpoint.
         assert sorted(load_checkpoint(ckpt)["completed"]) == [3]
 
+    def test_a_timed_out_shard_is_not_checkpointed_and_resume_reruns_it(
+        self, tmp_path
+    ):
+        # §5: a report its own time limit cut short is partial however
+        # early it lands — here long before the coordinator's deadline.
+        # A hand-rolled peer answers its shard with such a report.
+        config = fleet_config(max_iterations=20)
+        ckpt = tmp_path / "fleet.ckpt"
+        events_path = tmp_path / "fleet.events.jsonl"
+        thread, box, (sock,) = start_fleet_with_clients(
+            config.with_overrides(events_path=str(events_path)), [HELLO],
+            local_workers=1, checkpoint=str(ckpt),
+        )
+        imposter, work = await_work(sock)
+        shard = running(work)
+        cut = TestReport(strategy="cut", iterations=3, timed_out=True)
+        imposter.send({
+            "type": "result", "shard": shard, "canceled": False,
+            "report": cut.encode(), "events": [],
+        })
+        imposter.send({"type": "goodbye"})
+        finish_fleet(thread, box)
+        imposter.close()
+        (result,) = [
+            event for event in events_of(events_path, "fleet_shard_result")
+            if event["shard"] == shard
+        ]
+        assert result["partial"] is True and result["iterations"] == 3
+        others = sorted(set(range(len(FOUR_SHARDS))) - {shard})
+        assert sorted(load_checkpoint(ckpt)["completed"]) == others
+
+        resume_events = tmp_path / "resume.events.jsonl"
+        resumed = run_fleet(
+            config.with_overrides(events_path=str(resume_events)),
+            local_workers=1, resume=str(ckpt),
+        )
+        assert [
+            event["shard"]
+            for event in events_of(resume_events, "fleet_work_assigned")
+        ] == [shard]
+        rerun = resumed.sub_reports[shard]
+        assert rerun.iterations == 20 and not rerun.timed_out
+        assert sorted(load_checkpoint(ckpt)["completed"]) == list(
+            range(len(FOUR_SHARDS))
+        )
+        local = Campaign(config).portfolio()
+        assert fingerprints(resumed) == fingerprints(local)
+
     def test_resume_refuses_foreign_checkpoint(self, tmp_path):
         ckpt = tmp_path / "fleet.ckpt"
         run_fleet(fleet_config(), local_workers=1, checkpoint=str(ckpt))

@@ -2,6 +2,7 @@
 merging."""
 
 import pickle
+import random
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.testing.fleet import run_fleet
 from repro.testing.portfolio import strategy_names
 
 from .machines import NondetBug, Ping, RacyCounter
+from .reference_report import merged_reports
 from .test_chaos import _drain_children
 
 
@@ -138,6 +140,74 @@ class TestReportMerging:
         assert merged.first_bug is bug_a
         assert merged.first_bug_iteration == 4
         assert merged.bugs == [bug_a, bug_b]
+
+    def _shards(self, count=300, seed=11):
+        """``count`` shard reports over one pool of 67 schedules: a bug's
+        trace is shared by several shards (each holds its own copy, as a
+        decoded report does), and some bugs carry no trace."""
+        rng = random.Random(seed)
+        shards = []
+        for index in range(count):
+            bugs = []
+            for _ in range(rng.randrange(6)):
+                schedule = rng.randrange(67)
+                trace = None if rng.random() < 0.1 else ScheduleTrace(
+                    [("sched", 0), ("int", schedule), ("sched", schedule % 3)]
+                )
+                bugs.append(BugReport(
+                    kind="assertion-failure", message=f"{schedule} in {index}",
+                    trace=trace,
+                ))
+            shards.append(self._report(strategy=f"s{index}", bugs=bugs))
+        return shards
+
+    def test_a_fold_fingerprints_each_traced_bug_once(self, monkeypatch):
+        shards = self._shards()
+        calls = []
+        fingerprint = ScheduleTrace.fingerprint
+
+        def counted(trace):
+            calls.append(trace)
+            return fingerprint(trace)
+
+        monkeypatch.setattr(ScheduleTrace, "fingerprint", counted)
+        TestReport.merged(shards)
+        traced = [
+            bug.trace for shard in shards for bug in shard.bugs
+            if bug.trace is not None
+        ]
+        assert len(calls) == len(traced)
+        assert set(map(id, calls)) == set(map(id, traced))
+
+    def test_a_fold_keeps_what_the_pairwise_fold_keeps(self):
+        shards = self._shards()
+        merged = TestReport.merged(shards)
+        pairwise = merged_reports(shards)
+        # The same bug objects, in the same order: first in fold order wins.
+        assert list(map(id, merged.bugs)) == list(map(id, pairwise.bugs))
+        assert merged == pairwise
+        traced = [
+            bug.trace.fingerprint() for bug in merged.bugs if bug.trace is not None
+        ]
+        assert len(traced) == len(set(traced)) == 67
+
+    def test_a_fold_keeps_the_same_bugs_in_any_shard_order(self):
+        def distinct(report):
+            traced = {
+                bug.trace.fingerprint()
+                for bug in report.bugs if bug.trace is not None
+            }
+            traceless = sorted(
+                bug.message for bug in report.bugs if bug.trace is None
+            )
+            return traced, traceless
+
+        shards = self._shards()
+        shuffled = list(shards)
+        random.Random(5).shuffle(shuffled)
+        assert distinct(TestReport.merged(shuffled)) == distinct(
+            TestReport.merged(shards)
+        )
 
     def test_merged_exhausted_requires_all_workers_exhausted(self):
         done = self._report(exhausted=True)

@@ -281,6 +281,19 @@ _REDUCTION_PREFIX_AND_CLAUSES = (
         "ReductionEngine.diverged, set by the DFS stack; the clause store is gone",
     ),
 )
+#: Removed from every file under a directory.
+REMOVED_UNDER = {
+    "src/repro/testing/": (
+        (
+            re.compile(r"\bappenders\b|\b_record_(?:tag|value)\b"),
+            "ScheduleTrace.recorder: one code per decision, value << 3 | tag",
+        ),
+        (
+            re.compile(r"\benabled\[:\]"),
+            "pick_machine(self._enabled, current): the runtime's list, uncopied",
+        ),
+    ),
+}
 REMOVED_FROM_FILE = {
     "src/repro/testing/runtime.py": (
         (
@@ -360,6 +373,9 @@ def check_removed_names() -> List[str]:
         removed = REMOVED_NAMES
         if rel.parts[0] == "src":
             removed += REMOVED_FROM_SRC + REMOVED_FROM_FILE.get(rel.as_posix(), ())
+            for directory, names in REMOVED_UNDER.items():
+                if rel.as_posix().startswith(directory):
+                    removed += names
         for line_no, line in enumerate(
             path.read_text(encoding="utf-8").splitlines(), start=1
         ):
