@@ -24,8 +24,8 @@ import os
 import time
 import warnings
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Type,
-    Union,
+    TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
+    Tuple, Type, Union,
 )
 
 if TYPE_CHECKING:  # circular at runtime: config is the layer above
@@ -274,6 +274,13 @@ class TestReport(Record):
                 fingerprints.add(bug.trace.fingerprint())
         return len(fingerprints) + traceless
 
+    @property
+    def bug_classes(self) -> FrozenSet[Tuple[str, str]]:
+        """The distinct ``(kind, message)`` pairs among ``bugs``: what a
+        bug *is*, whichever schedule reached it — the set a reduced
+        search must keep equal to the unreduced one."""
+        return frozenset((bug.kind, bug.message) for bug in self.bugs)
+
     def summary(self) -> str:
         parts = [
             f"{self.strategy}: {self.iterations} schedules in {self.elapsed:.2f}s "
@@ -281,7 +288,9 @@ class TestReport(Record):
             f"buggy={self.buggy_iterations} ({self.percent_buggy:.0f}%)"
         ]
         if self.bugs:
-            parts.append(f", distinct={self.distinct_bugs}")
+            parts.append(
+                f", distinct={self.distinct_bugs}, classes={len(self.bug_classes)}"
+            )
         if self.watchdog_hits:
             parts.append(f", watchdog={self.watchdog_hits}")
         if self.distinct_states or self.schedules_pruned:

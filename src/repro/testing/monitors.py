@@ -57,7 +57,9 @@ from typing import Any, Tuple, Type
 
 from ..core.events import Event, MachineId
 from ..core.machine import DISP_DEFER, DISP_IGNORE, Machine
-from ..errors import MachineDeclarationError, PSharpError
+from ..errors import (
+    AssertionFailure, MachineDeclarationError, MonitorError, PSharpError, UnhandledEventError,
+)
 
 HOT = "hot"
 COLD = "cold"
@@ -169,15 +171,28 @@ class Monitor(Machine):
 
         Ignored events are dropped; anything else is handled like a raised
         event — a monitor has no inbox — through the machines' own
-        :meth:`_step` (action, transition, or — the specification's own
-        error class — an :class:`UnhandledEventError`), halted or not."""
+        :meth:`_step` (action, transition, or an
+        :class:`UnhandledEventError`), halted or not.  A failed assertion
+        and an unhandled event are the specification's own error class:
+        they leave as a :class:`MonitorError` (bug kind ``"monitor"``)
+        naming this monitor and its state, under every runtime, not as
+        a fault of the machine whose send was mirrored."""
         state = self._current_state
         code = (state.dispatch.get(type(event)) or state.disposition(type(event)))[0]
         if code == DISP_IGNORE or code == DISP_DEFER:
             return
         self._raised = event
-        while self._step() and self._raised is not None:
-            pass  # the handler raised another event: handle it too
+        try:
+            while self._step() and self._raised is not None:
+                pass  # the handler raised another event: handle it too
+        except AssertionFailure as exc:
+            message = str(exc)
+            prefix = f"{self!r}: "
+            if message.startswith(prefix):  # assert_that's own naming
+                message = message[len(prefix):]
+            raise MonitorError(self, message) from exc
+        except UnhandledEventError as exc:
+            raise MonitorError(self, str(exc)) from exc
 
 
 def has_hot_states(monitor_cls: Type[Monitor]) -> bool:

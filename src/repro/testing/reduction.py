@@ -497,6 +497,12 @@ class ReductionEngine:
         self.diverged = True
         # Per-execution step log (see begin_execution).
         self.effects: List[int] = []
+        # Scheduling points of the execution where a DPOR frame offered
+        # one branch while more machines were enabled: the runtime
+        # consulted the strategy, but the reduction had decided.  The
+        # runtime subtracts them from its consulted count, so that the
+        # telemetry keeps counting real branching.
+        self.forced = 0
         self._points: List[Tuple[int, int]] = []  # (chosen value, frame depth)
         self._bounds: List[int] = []
         self._pending_depth = -1
@@ -522,6 +528,7 @@ class ReductionEngine:
         """Reset the step log for a fresh execution (campaign-level
         stores and counters persist)."""
         self.effects.clear()
+        self.forced = 0
         self._points.clear()
         self._bounds.clear()
         self._pending_depth = -1

@@ -469,12 +469,12 @@ class BugFindingRuntime(RuntimeBase):
         )
         # Fault-injection state: fired-fault count, armed flags (cleared
         # when the budget runs out, stopping all further consultation),
-        # and the replay probe that re-fires recorded outcomes instead of
-        # consulting probabilities.
+        # and replay's re-firing of recorded outcomes instead of
+        # consulting probabilities (SchedulingStrategy.next_fault_outcome).
         self._faults_injected = 0
         self._send_fault_active = bool(self._send_faults) and self._fault_budget > 0
         self._crash_fault_active = bool(self._crash_faults) and self._fault_budget > 0
-        self._fault_probe = getattr(self.strategy, "next_fault_outcome", None)
+        self._fault_probe = self.strategy.next_fault_outcome
         # Telemetry counters: injected-fault outcomes by FAULT_* code and
         # strategy-consulted (non-forced) scheduling decisions.
         self._fault_kinds = [0, 0, 0, 0, 0]
@@ -492,11 +492,6 @@ class BugFindingRuntime(RuntimeBase):
         # monitor can stay hot forever because the strategy starves the
         # machine that would cool it, not because the program livelocks.
         self._temp_enabled = self._has_liveness_monitors and self.strategy.is_fair()
-        # Replay probe (ReplayStrategy.temperature_may_fire): non-None
-        # when the strategy replays a recorded schedule, gating the
-        # temperature check to fire exactly where the recorded run did
-        # (see _count_step).
-        self._replay_probe = getattr(self.strategy, "temperature_may_fire", None)
         for index, monitor_cls in enumerate(self.monitors):
             instance = monitor_cls(self, self._monitor_ids[index])
             instance._monitor_index = index
@@ -548,11 +543,6 @@ class BugFindingRuntime(RuntimeBase):
         red = self._red
         if red is not None:
             red.begin_execution()
-        # Consulted-decisions bookkeeping under reduction: DPOR frames
-        # that offer exactly one branch predetermine the pick, so those
-        # consultations are subtracted below — the telemetry ratio keeps
-        # meaning "decisions with real alternatives".
-        forced_base = getattr(self.strategy, "reduction_forced", 0)
         mid = self._spawn(main_cls, payload)
         # The very first decision is forced: only the main machine exists.
         self.strategy.observe_forced(mid)
@@ -563,13 +553,6 @@ class BugFindingRuntime(RuntimeBase):
         self._run(self._worker_list[mid.value])
         if self._error is not None:
             raise self._error  # recorded by _abort; everything has unwound
-        consulted = self._consulted
-        if red is not None:
-            reduction_forced = (
-                getattr(self.strategy, "reduction_forced", 0) - forced_base
-            )
-            if reduction_forced > 0:
-                consulted = max(0, consulted - reduction_forced)
         return ExecutionResult(
             status=self._status,
             steps=self._steps,
@@ -577,8 +560,9 @@ class BugFindingRuntime(RuntimeBase):
             trace=trace,
             bug=self._bug,
             fault_kinds=tuple(self._fault_kinds),
-            consulted=consulted,
-            diverged=getattr(self.strategy, "diverged", False),
+            # A pick a DPOR frame predetermined had no real alternative.
+            consulted=self._consulted - (red.forced if red is not None else 0),
+            diverged=self.strategy.diverged,
         )
 
     # ==================================================================
@@ -880,8 +864,8 @@ class BugFindingRuntime(RuntimeBase):
         Every invocation is recorded in the trace (kind ``"monitor"``,
         value: the monitor's registration index) so traces with
         specifications attached stay bit-identical across carriers
-        and replays.  Monitor assertion failures surface as
-        :class:`MonitorError` (bug kind ``"monitor"``)."""
+        and replays.  A failing monitor raises :class:`MonitorError`
+        (bug kind ``"monitor"``) from :meth:`Monitor._observe`."""
         monitors = self._monitors
         red = self._red
         for index in observers:
@@ -894,19 +878,7 @@ class BugFindingRuntime(RuntimeBase):
                 # even when their send targets differ.  Monitors get the
                 # negative keys (machine inboxes are >= 0).
                 red.effects.append(-(index + 1))
-            try:
-                instance._observe(event)
-            except AssertionFailure as exc:
-                message = str(exc)
-                prefix = f"{instance!r}: "
-                if message.startswith(prefix):  # assert_that's own naming
-                    message = message[len(prefix):]
-                raise MonitorError(instance, message) from exc
-            except UnhandledEventError as exc:
-                # A spec-authoring defect (observed event unhandled in the
-                # monitor's current state): blame the monitor, not the
-                # innocent machine whose send mirrored the event.
-                raise MonitorError(instance, str(exc)) from exc
+            instance._observe(event)
             if self._temp_enabled:
                 self._note_temperature(instance)
 
@@ -943,21 +915,11 @@ class BugFindingRuntime(RuntimeBase):
             # fire at exactly this point, and its absence in a trace
             # proves the recorded run survived its hot stretches.
             self._record(instance._monitor_index << 3 | LIVENESS_TAG)
-        message = (
+        self._report_liveness(
             f"liveness violation: monitor {type(instance).__name__} stayed hot "
             f"in state {state!r} for {self._steps - since} fair steps "
-            f"(threshold {self.max_hot_steps}, hot since step {since})"
-        )
-        self._report_bug(
-            "liveness",
-            message,
-            instance,
-            LivenessError(
-                message,
-                monitor=type(instance).__name__,
-                state=state,
-                step=self._steps,
-            ),
+            f"(threshold {self.max_hot_steps}, hot since step {since})",
+            instance, monitor=type(instance).__name__, state=state,
         )
 
     def _check_monitors_at_termination(self) -> None:
@@ -967,21 +929,11 @@ class BugFindingRuntime(RuntimeBase):
         for instance in self._monitors:
             if instance.is_hot:
                 state = instance.current_state
-                message = (
+                self._report_liveness(
                     f"liveness violation: monitor {type(instance).__name__} is "
                     f"hot in state {state!r} at program termination "
-                    f"(step {self._steps})"
-                )
-                self._report_bug(
-                    "liveness",
-                    message,
-                    instance,
-                    LivenessError(
-                        message,
-                        monitor=type(instance).__name__,
-                        state=state,
-                        step=self._steps,
-                    ),
+                    f"(step {self._steps})",
+                    instance, monitor=type(instance).__name__, state=state,
                 )
                 return
 
@@ -1287,13 +1239,12 @@ class BugFindingRuntime(RuntimeBase):
         if steps > self._hot_deadline:
             # A liveness monitor stayed hot beyond the temperature
             # threshold under a fair schedule: the precise detection,
-            # checked before the blunt depth bound below.  During replay
-            # the probe restricts firing to exactly where the recorded
-            # run fired (its trailing "liveness" trace marker) — a
-            # recorded run that survived this hot stretch must be
-            # replayed to *its* bug, not raced to a different one.
-            probe = self._replay_probe
-            if probe is None or probe():
+            # checked before the blunt depth bound below.  A replay
+            # fires exactly where the recorded run fired (its trailing
+            # "liveness" trace marker): a recorded run that survived
+            # this hot stretch must be replayed to *its* bug, not raced
+            # to a different one.
+            if self.strategy.temperature_may_fire():
                 self._report_hot_liveness()
                 raise ExecutionCanceled()
         if self._poll and (steps & self._POLL_MASK) == 0:
@@ -1330,25 +1281,18 @@ class BugFindingRuntime(RuntimeBase):
             # unfair first-enabled fallback running since) must not
             # fabricate a livelock the recorded run never reported; a
             # faithful reproduction hits this cutoff with diverged False.
-            diverged_replay = getattr(self.strategy, "diverged", False)
             if (
                 self.livelock_as_bug
                 and self.strategy.is_fair()
                 and not temperature_armed
-                and not diverged_replay
+                and not self.strategy.diverged
             ):
                 machine = self._machines.get(self._current)
-                message = (
+                self._report_liveness(
                     f"depth bound of {self.max_steps} scheduling steps "
                     f"exceeded at step {steps} (last scheduled machine: "
-                    f"{machine}): potential livelock"
-                )
-                self._report_bug(
-                    "liveness",
-                    message,
-                    machine,
-                    LivenessError(message, machine=machine, step=steps),
-                    finish_status="bug",
+                    f"{machine}): potential livelock",
+                    machine, machine=machine,
                 )
             else:
                 self._finish("depth-bound")
@@ -1398,13 +1342,22 @@ class BugFindingRuntime(RuntimeBase):
     # ------------------------------------------------------------------
     # Termination plumbing
     # ------------------------------------------------------------------
+    def _report_liveness(self, message: str, culprit: Any, **where: Any) -> None:
+        """Report a liveness bug blamed on ``culprit`` (a hot monitor, or
+        the last scheduled machine), its :class:`LivenessError` naming
+        ``where`` (``monitor`` and ``state``, or ``machine``) and the
+        step."""
+        self._report_bug(
+            "liveness", message, culprit,
+            LivenessError(message, step=self._steps, **where),
+        )
+
     def _report_bug(
         self,
         kind: str,
         message: str,
         machine: Optional[Machine],
         exc: BaseException,
-        finish_status: str = "bug",
     ) -> None:
         if self._bug is None:
             self._bug = BugReport(
@@ -1415,7 +1368,7 @@ class BugFindingRuntime(RuntimeBase):
                 exception=exc,
                 step=self._steps,
             )
-        self._finish(finish_status)
+        self._finish("bug")
 
     def _finish(self, status: str) -> None:
         if not self._finished:

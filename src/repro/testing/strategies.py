@@ -13,12 +13,21 @@ import random
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from operator import attrgetter
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..core.events import MachineId
 from ..errors import PSharpError
 from .faults import FAULT_SCALE
-from .trace import BOOL, FAULT, INT, LIVENESS, MONITOR, REDUCTION, SCHED, ScheduleTrace
+from .trace import (
+    BOOL_TAG,
+    FAULT_TAG,
+    INT_TAG,
+    LIVENESS_TAG,
+    MONITOR_TAG,
+    REDUCTION_TAG,
+    SCHED_TAG,
+    ScheduleTrace,
+)
 
 # Everything a strategy keeps per machine is keyed by ``MachineId.value``
 # (an int: hashed and compared in C), never by the MachineId, whose
@@ -31,12 +40,38 @@ class SchedulingStrategy(ABC):
     """Interface between the bug-finding runtime and a search strategy.
 
     One *iteration* is one terminating execution of the program under test.
-    The runtime calls :meth:`prepare_iteration` before each execution, then
-    :meth:`pick_machine` at every scheduling point and :meth:`pick_bool` /
-    :meth:`pick_int` at every controlled nondeterministic choice.
+    The campaign loop calls :meth:`attach_reduction` once and
+    :meth:`prepare_iteration` before each execution.  The runtime then
+    asks a strategy exactly what this class declares, and nothing by
+    name:
+
+    * :meth:`pick_machine` at every scheduling point with a choice, and
+      :meth:`observe_forced` at every one without;
+    * :meth:`pick_bool` / :meth:`pick_int` at every controlled
+      nondeterministic choice;
+    * :meth:`pick_fault` at every fault consultation, unless
+      :attr:`next_fault_outcome` is set;
+    * :meth:`is_fair` when an execution starts and at the depth bound
+      (temperature detection and the livelock heuristic need fairness);
+    * :meth:`temperature_may_fire` when a hot monitor passes its
+      threshold;
+    * :attr:`diverged` at the depth bound and when the execution ends.
+
+    The last three answer for replay: :class:`ReplayStrategy` overrides
+    them, every other strategy keeps the defaults.
     """
 
     name = "abstract"
+    #: Whether the execution left a recorded schedule (replay only).
+    diverged = False
+    #: ``None``, or a callable that returns the next recorded fault
+    #: outcome code: the runtime then re-fires it instead of asking
+    #: :meth:`pick_fault` (replay only).
+    next_fault_outcome: Optional[Callable[[], int]] = None
+
+    def temperature_may_fire(self) -> bool:
+        """Whether a hot monitor past its threshold is reported now."""
+        return True
 
     @abstractmethod
     def prepare_iteration(self) -> bool:
@@ -166,13 +201,6 @@ class DfsStrategy(SchedulingStrategy):
         # The reduction engine whose race analysis grows machine frames,
         # armed by attach_reduction().
         self._dpor = None
-        # Scheduling points where the DPOR frame offered exactly one branch
-        # while more than one machine was enabled: the runtime consulted us
-        # but reduction predetermined the answer.  The runtime subtracts
-        # this from an execution's consulted count, so the consulted-vs-
-        # forced telemetry ratio keeps meaning "real branching" under
-        # reduction.
-        self.reduction_forced = 0
 
     def attach_reduction(self, engine) -> None:
         self._dpor = engine
@@ -270,7 +298,7 @@ class DfsStrategy(SchedulingStrategy):
         if dpor is not None:
             dpor.bind_frame(cursor)
             if len(frame.values) == 1:
-                self.reduction_forced += 1
+                dpor.forced += 1
         value = frame.values[frame.pos]
         for mid in enabled:
             if mid.value == value:
@@ -479,17 +507,20 @@ class ReplayStrategy(SchedulingStrategy):
     name = "replay"
 
     def __init__(self, trace: ScheduleTrace) -> None:
-        self._trace = [
-            d
-            for d in trace.decisions
-            if d[0] != MONITOR and d[0] != LIVENESS and d[0] != REDUCTION
-        ]
-        self._liveness_recorded = any(
-            kind == LIVENESS for kind, _ in trace.decisions
-        )
+        # The recorded decisions as packed codes (``value << 3 | tag``),
+        # observations dropped and the liveness marker noted in one pass.
+        codes: List[int] = []
+        liveness = False
+        for code in trace._codes:
+            tag = code & 7
+            if tag == LIVENESS_TAG:
+                liveness = True
+            elif tag != MONITOR_TAG and tag != REDUCTION_TAG:
+                codes.append(code)
+        self._codes = codes
+        self._liveness_recorded = liveness
         self._pos = 0
         self._ran = False
-        self.diverged = False
 
     def prepare_iteration(self) -> bool:
         if self._ran:
@@ -499,28 +530,29 @@ class ReplayStrategy(SchedulingStrategy):
         self.diverged = False
         return True
 
-    def _next(self, kind: str) -> Optional[int]:
-        if self._pos >= len(self._trace):
-            self.diverged = True
-            return None
-        recorded_kind, value = self._trace[self._pos]
-        if recorded_kind != kind:
-            self.diverged = True
-            return None
-        self._pos += 1
-        return value
+    def _next(self, tag: int) -> Optional[int]:
+        """The next recorded value if it is a decision of kind ``tag``;
+        otherwise the replay has diverged, and None."""
+        pos = self._pos
+        if pos < len(self._codes):
+            code = self._codes[pos]
+            if code & 7 == tag:
+                self._pos = pos + 1
+                return code >> 3
+        self.diverged = True
+        return None
 
     def observe_forced(self, choice: MachineId) -> None:
         # Forced decisions are recorded in traces; consume the matching
         # entry so subsequent real choices stay aligned with the record.
-        value = self._next(SCHED)
+        value = self._next(SCHED_TAG)
         if value is not None and value != choice.value:
             self.diverged = True
 
     def pick_machine(
         self, enabled: Sequence[MachineId], current: Optional[MachineId]
     ) -> MachineId:
-        value = self._next(SCHED)
+        value = self._next(SCHED_TAG)
         if value is not None:
             for mid in enabled:
                 if mid.value == value:
@@ -529,11 +561,11 @@ class ReplayStrategy(SchedulingStrategy):
         return enabled[0]
 
     def pick_bool(self) -> bool:
-        value = self._next(BOOL)
+        value = self._next(BOOL_TAG)
         return bool(value) if value is not None else False
 
     def pick_int(self, bound: int) -> int:
-        value = self._next(INT)
+        value = self._next(INT_TAG)
         if value is None:
             return 0
         if value >= bound:
@@ -551,7 +583,7 @@ class ReplayStrategy(SchedulingStrategy):
         """Consume the next recorded fault decision and return its
         outcome code (0 when the trace is exhausted or diverged — replay
         falls back to the fault-free behavior rather than guessing)."""
-        value = self._next(FAULT)
+        value = self._next(FAULT_TAG)
         return value if value is not None else 0
 
     def is_fair(self) -> bool:
@@ -570,7 +602,7 @@ class ReplayStrategy(SchedulingStrategy):
         its hot stretches (unfair exploration, or the monitor cooled, or
         the bug was something else entirely), so replay defers to the
         recorded schedule instead of racing it to a different bug."""
-        return self._liveness_recorded and self._pos >= len(self._trace)
+        return self._liveness_recorded and self._pos >= len(self._codes)
 
 
 class PctStrategy(_SeededStrategy):

@@ -13,7 +13,7 @@ import linecache
 import hypothesis.strategies as st
 
 from repro import Event, Machine, State
-from repro.testing import FaultConfig
+from repro.testing import FaultConfig, Monitor
 
 
 def compile_source(source, label="generated"):
@@ -70,7 +70,7 @@ def chain(n):
 # A program is plain data, so a counterexample Hypothesis prints can be
 # pasted back as a regression:
 #
-#   program   ::= (machines, faults)        machines[0] is the main machine
+#   program   ::= (machines, faults, monitor)   machines[0] is the main machine
 #   machine   ::= (value or None, (state, ...))
 #   state     ::= (body or None, (handling of E0, E1, E2))   entry, actions
 #   handling  ::= ("do", body) | ("goto", state index) | ("ignore",)
@@ -81,6 +81,7 @@ def chain(n):
 #               | ("halt",)                         last, at the top only
 #   value     ::= "int" | "list" | "id" | "payload"
 #   faults    ::= None | (drop, duplicate, delay, crash)
+#   monitor   ::= None | (event index, bound)
 #
 # State 0 is initial and always has an entry.  It starts with
 # ``self.peers = [self.id]`` and, in every machine but the last, creates
@@ -89,7 +90,11 @@ def chain(n):
 # entry; ``goto`` never targets state 0).  A "peer" send goes to
 # ``self.peers[-1]``.  Every body starts with ``buf = [0]``: a "list"
 # value is ``buf`` and ``("append",)`` is ``buf.append(1)``, so a list
-# sent and then appended to is a write after send.
+# sent and then appended to is a write after send.  The monitor
+# (``programs()`` always draws one, on an event the program sends if it
+# sends any; ``None`` leaves it out) is a safety specification ``Spec``:
+# it observes every send of its event and asserts that it has seen at
+# most ``bound`` of them.
 
 EVENTS = 3
 VALUES = ("int", "list", "id", "payload")
@@ -146,7 +151,18 @@ def programs(draw):
     if draw(st.booleans()):
         rate = st.sampled_from([0.0, 0.1, 0.3])
         faults = (draw(rate), draw(rate), draw(rate), draw(rate))
-    return tuple(machines), faults
+    sent = sorted(_sent(machines)) or [0]
+    monitor = (draw(st.sampled_from(sent)), draw(st.integers(0, 3)))
+    return tuple(machines), faults, monitor
+
+
+def _sent(node):
+    """The events a send statement anywhere inside ``node`` sends."""
+    if isinstance(node, tuple):
+        if node and node[0] == "send":
+            return {node[2]}
+        return set().union(*map(_sent, node))
+    return set()
 
 
 def _render(stmt, indent):
@@ -174,7 +190,7 @@ def _render(stmt, indent):
 def program_source(program):
     """The handler source of ``program``: one top-level function per
     entry or action, named ``M<machine>_<state>_<entry|E<event>>``."""
-    machines, _faults = program
+    machines, _faults, monitor = program
     lines = []
     for m, (value, states) in enumerate(machines):
         for s, (entry, handling) in enumerate(states):
@@ -194,14 +210,22 @@ def program_source(program):
                 for stmt in body:
                     lines += _render(stmt, 4)
                 lines.append("")
+    if monitor is not None:
+        event, bound = monitor
+        lines += [
+            "def Spec_start(self):", "    self.seen = 0", "",
+            "def Spec_count(self):", "    self.seen += 1",
+            f'    self.assert_that(self.seen <= {bound}, "more than {bound} E{event}")', "",
+        ]
     return "\n".join(lines)
 
 
 def build(program):
-    """``(machine classes, main first; FaultConfig or None)`` of
-    ``program``: events, states and machines made with ``type()`` over
-    handlers compiled from :func:`program_source`."""
-    machines, faults = program
+    """``(machine classes, main first; FaultConfig or None; monitor
+    classes)`` of ``program``: events, states, machines and the monitor
+    made with ``type()`` over handlers compiled from
+    :func:`program_source`."""
+    machines, faults, monitor = program
     namespace = compile_source(program_source(program), "program")
     module = namespace["__name__"]
     events = [type(f"E{e}", (Event,), {"__module__": module}) for e in range(EVENTS)]
@@ -230,4 +254,14 @@ def build(program):
         faults = FaultConfig(
             drop=drop, duplicate=duplicate, delay=delay, crash=crash, max_faults=2
         )
-    return classes, faults
+    monitors = ()
+    if monitor is not None:
+        observed = events[monitor[0]]
+        watching = type("Counting", (State,), {
+            "initial": True, "entry": "Spec_start", "actions": {observed: "Spec_count"},
+        })
+        monitors = (type("Spec", (Monitor,), {
+            "__module__": module, "observes": (observed,), "Counting": watching,
+            "Spec_start": namespace["Spec_start"], "Spec_count": namespace["Spec_count"],
+        }),)
+    return classes, faults, monitors

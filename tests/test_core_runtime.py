@@ -15,7 +15,7 @@ from repro import (
     machine_statistics,
     program_statistics,
 )
-from repro.errors import PSharpError
+from repro.errors import AssertionFailure, MonitorError, PSharpError
 from repro.testing import BugFindingRuntime, Monitor, RandomStrategy
 
 from .machines import EPing, EStart, Ping, Pong
@@ -445,3 +445,43 @@ class TestProductionRuntime:
         runtime.run(Invoker)
         with pytest.raises(PSharpError, match="Chooser attempted a nondeterministic"):
             runtime.join(timeout=10.0)
+
+    @pytest.mark.parametrize("failure", ["assertion", "unhandled"])
+    def test_a_failing_monitor_is_a_monitor_error_under_both_runtimes(self, failure):
+        class Spec(Monitor):
+            observes = (EA,)
+
+            class Watching(State):
+                initial = True
+                actions = {EA: "refuse"} if failure == "assertion" else {}
+
+            def refuse(self):
+                self.assert_that(False, "no pings allowed")
+
+        class Pinger(Machine):
+            class Init(State):
+                initial = True
+                entry = "ping"
+
+            def ping(self):
+                self.send(self.id, EA())
+                self.halt()
+
+        runtime = Runtime(seed=0)
+        runtime.register_monitor(Spec)
+        runtime.run(Pinger)
+        with pytest.raises(MonitorError) as production:
+            runtime.join(timeout=10.0)
+        strategy = RandomStrategy(seed=0)
+        strategy.prepare_iteration()
+        result = BugFindingRuntime(strategy, monitors=[Spec]).execute(Pinger)
+        assert result.bug.kind == "monitor"
+        # One classification, one message, wherever the monitor runs.
+        assert str(production.value) == result.bug.message
+        assert production.value.monitor.current_state == "Watching"
+        if failure == "assertion":
+            assert result.bug.message == (
+                "specification monitor Spec (state 'Watching') violated: "
+                "no pings allowed"
+            )
+            assert isinstance(production.value.__cause__, AssertionFailure)

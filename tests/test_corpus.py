@@ -3,6 +3,10 @@
 Each example is a program of at most 4 machines with at most 3 states,
 built with ``type()`` over handler source registered in ``linecache``, so
 the frontend, ``inspect`` and the inline compiler all read real source.
+Each also carries a safety monitor that counts the sends of one event
+the program sends and asserts a drawn bound on them, so the runtime
+properties below run with monitor mirroring on: traces hold
+``"monitor"`` entries, and a bug may be a ``MonitorError``.
 
 - (a) The frontend lowers it as ``tests/reference_frontend.py`` does, in
   either class order, and the verdicts do not depend on the order — a
@@ -61,7 +65,7 @@ def verdicts(program):
 @CORPUS
 @given(program=programs())
 def test_lowering_matches_the_reference_in_either_class_order(program):
-    machines, _faults = build(program)
+    machines, _faults, _monitors = build(program)
     lowered(machines)
     lowered(machines[::-1])
 
@@ -101,6 +105,7 @@ PAYLOAD_SHADOWED = (
         )),
     ),
     None,
+    None,
 )
 
 
@@ -112,13 +117,13 @@ PAYLOAD_SHADOWED = (
 @given(program=programs())
 @example(program=PAYLOAD_SHADOWED)
 def test_verdicts_ignore_class_order(program):
-    machines, _faults = build(program)
+    machines, _faults, _monitors = build(program)
     assert verdicts(lowered(machines)) == verdicts(lowered(machines[::-1]))
 
 
 @pytest.mark.xfail(strict=True, reason=ORDER_MISS)
 def test_regression_payload_fact_shadowed_by_a_partial_one():
-    machines, _faults = build(PAYLOAD_SHADOWED)
+    machines, _faults, _monitors = build(PAYLOAD_SHADOWED)
     given_order, reversed_order = lowered(machines), lowered(machines[::-1])
     assert verdicts(given_order) == ((1, 1, 1), [("M1", "M1_0_E1@L4", "$payload")])
     # Lowered before M0, M1's E1 handler takes a scalar payload...
@@ -128,10 +133,10 @@ def test_regression_payload_fact_shadowed_by_a_partial_one():
 
 
 def config_of(program, seed, **overrides):
-    machines, faults = build(program)
+    machines, faults, monitors = build(program)
     return TestConfig(
         program=machines[0], strategy="random", seed=seed, faults=faults,
-        max_steps=100, time_limit=None, **overrides,
+        monitors=monitors, max_steps=100, time_limit=None, **overrides,
     )
 
 
@@ -177,14 +182,14 @@ def test_inline_and_threads_record_the_same_traces(program, seed):
 def bug_classes(program, depth, reduction):
     """The ``(kind, message)`` classes exhaustive DFS finds in ``program``
     under ``reduction``, choices past ``depth`` fixed to the first."""
-    machines, faults = build(program)
+    machines, faults, monitors = build(program)
     report = Campaign(TestConfig(
         program=machines[0], strategy=StrategySpec("dfs", {"max_depth": depth}),
-        reduction=reduction, faults=faults, max_steps=200, max_iterations=100_000,
-        time_limit=None, stop_on_first_bug=False,
+        reduction=reduction, faults=faults, monitors=monitors, max_steps=200,
+        max_iterations=100_000, time_limit=None, stop_on_first_bug=False,
     )).run()
     assert report.exhausted
-    return {(bug.kind, bug.message) for bug in report.bugs}
+    return report.bug_classes
 
 
 DEPTH_BOUND_MISS = (
@@ -207,6 +212,7 @@ SECOND_ASSERT_PAST_THE_BOUND = (
         (None, (((), (("ignore",), ("ignore",), ("ignore",))),)),
     ),
     None,
+    None,
 )
 
 # The same line, with only M2 asserting and M1 sending M2 an event it
@@ -220,6 +226,7 @@ CACHED_ASSERT_PAST_THE_BOUND = (
         ("int", (((("nondet", (("assert",),)),), (("ignore",), ("ignore",), ("ignore",))),)),
         (None, (((), (("ignore",), ("ignore",), ("ignore",))),)),
     ),
+    None,
     None,
 )
 

@@ -272,6 +272,21 @@ class TestReportSatellites:
         assert len(report.bugs) == 2
         assert report.distinct_bugs == 2
 
+    def test_bug_classes_are_kind_and_message_whatever_the_schedule(self):
+        report = TestReport(strategy="a")
+        report.bugs += [
+            BugReport(kind="assert", message="x", trace=_trace([1])),
+            BugReport(kind="assert", message="x", trace=_trace([2])),
+            BugReport(kind="monitor", message="x"),
+        ]
+        assert report.distinct_bugs == 3
+        assert report.bug_classes == frozenset({("assert", "x"), ("monitor", "x")})
+        assert "distinct=3, classes=2" in report.summary()
+        # Derived, like faults_injected: no field of the report document.
+        document = report_document(report)["report"]
+        assert "bug_classes" not in document and "classes" not in document
+        assert decode_report(encode_report(report)).bug_classes == report.bug_classes
+
     def test_summary_surfaces_observability_fields(self):
         report = TestReport(strategy="random")
         report.iterations = 10
@@ -288,7 +303,7 @@ class TestReportSatellites:
         assert "watchdog=2" in summary
         assert "faults=5" in summary
         assert "[threads]" in summary
-        assert "distinct=1" in summary
+        assert "distinct=1, classes=1" in summary
 
     def test_detached_carries_coverage_and_telemetry(self):
         report = _campaign("Raft")

@@ -430,13 +430,17 @@ class TestMonitorDeterminism:
             [("monitor", 0), ("sched", 1), ("monitor", 1), ("liveness", 0)]
         )
         strategy = ReplayStrategy(trace)
-        assert strategy._trace == [("sched", 1)]
         assert strategy.is_fair()
         # The liveness marker arms firing, but only at the recorded end.
         assert not strategy.temperature_may_fire()
         strategy.prepare_iteration()
-        strategy.pick_machine([MachineId(1)], None)
+        # The one decision replayed is the recorded pick, not the first
+        # enabled machine; the observations around it are not decisions.
+        assert strategy.pick_machine([MachineId(0), MachineId(1)], None) == MachineId(1)
+        assert not strategy.diverged
         assert strategy.temperature_may_fire()
+        assert strategy.pick_machine([MachineId(0), MachineId(1)], None) == MachineId(0)
+        assert strategy.diverged  # exhausted: the monitor entries were dropped
         # Without the marker, firing stays off even when exhausted.
         bare = ReplayStrategy(ScheduleTrace([("sched", 1)]))
         assert not bare.temperature_may_fire()

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench import get
+from repro.core.events import MachineId
 from repro.errors import PSharpError
 from repro.testing import (
     DEFAULT_STATE_CACHE_SIZE,
@@ -89,7 +90,7 @@ def _exhaustive(name, depth, max_steps, mode, carrier="inline", **kwargs):
 
 
 def _bug_set(report):
-    return sorted({(bug.kind, bug.message) for bug in report.bugs})
+    return sorted(report.bug_classes)
 
 
 def _untimed(report):
@@ -488,7 +489,13 @@ class TestReductionTraceRecords:
         trace.record(SCHED, 0)
         trace.record(REDUCTION, REASON_STATE)
         strategy = ReplayStrategy(trace)
-        assert strategy._trace == [(SCHED, 0)]
+        strategy.prepare_iteration()
+        enabled = [MachineId(1), MachineId(0)]
+        assert strategy.pick_machine(enabled, None) == MachineId(0)
+        assert not strategy.diverged
+        # The cutoff is no decision: the trace holds nothing more to pick.
+        assert strategy.pick_machine(enabled, None) == MachineId(1)
+        assert strategy.diverged
 
     def test_pruned_executions_end_with_a_marker(self):
         # Drive the iteration loop by hand so pruned executions are

@@ -26,7 +26,10 @@ Four checks, all run by the CI docs lane:
     second frame class and fault consultation of the DFS stack, the core
     calculus' own DFS chooser, and a stored copy of a count a report
     derives, in the frontend the per-kind type tables and their logged
-    doors, and in the fleet the ``event`` frame and protocol version 3):
+    doors, in the fleet the ``event`` frame and protocol version 3, and
+    in the testing package the runtime's by-name probes of its strategy,
+    the DFS counter and replay probe they read and ``_report_bug``'s
+    finish status):
     a doc or docstring must not teach a name that no longer imports.
     ``CHANGES.md`` and ``ROADMAP.md`` are history and are not scanned.
     Under ``src/`` the pickle and base64 codecs are removed names too —
@@ -284,6 +287,14 @@ _REDUCTION_PREFIX_AND_CLAUSES = (
 #: Removed from every file under a directory.
 REMOVED_UNDER = {
     "src/repro/testing/": (
+        (
+            re.compile(
+                r"getattr\(self\.strategy\b|\breduction_forced\b|\b_replay_probe\b"
+                r"|\bfinish_status\b"
+            ),
+            "SchedulingStrategy's declared diverged / next_fault_outcome / "
+            "temperature_may_fire(), ReductionEngine.forced, _report_bug(kind, ...)",
+        ),
         (
             re.compile(r"\bappenders\b|\b_record_(?:tag|value)\b"),
             "ScheduleTrace.recorder: one code per decision, value << 3 | tag",

@@ -4,9 +4,11 @@
 ``python tools/code_lines.py src/repro/testing/*.py`` prints one count per
 file and the total: the number ROADMAP aim 2 ("net line count of
 ``src/repro/testing/`` should go down over the round") and the simplicity
-PRs' CHANGES.md entries quote.  A line counts when a token other than a
-comment starts or continues on it and it is not part of a module, class
-or function docstring.  Standard library only.
+PRs' CHANGES.md entries quote.  A directory stands for its ``*.py``
+files, recursively and sorted (``python tools/code_lines.py
+src/repro/testing``).  A line counts when a token other than a comment
+starts or continues on it and it is not part of a module, class or
+function docstring.  Standard library only.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import ast
 import io
 import sys
 import tokenize
+from pathlib import Path
 
 _NOT_CODE = (
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -45,9 +48,27 @@ def code_lines(path: str) -> int:
     return len(code - docstrings)
 
 
-def main(paths: list) -> int:
-    total = 0
+USAGE = "usage: python tools/code_lines.py PATH [PATH ...]  (a file, or a directory of *.py files)"
+
+
+def expand(paths: list) -> list:
+    """``paths`` with each directory replaced by its ``*.py`` files,
+    recursively and sorted."""
+    files = []
     for path in paths:
+        if Path(path).is_dir():
+            files.extend(str(found) for found in sorted(Path(path).rglob("*.py")))
+        else:
+            files.append(path)
+    return files
+
+
+def main(paths: list) -> int:
+    if not paths or paths[0] in ("-h", "--help"):
+        print(USAGE, file=sys.stderr)
+        return 2
+    total = 0
+    for path in expand(paths):
         count = code_lines(path)
         total += count
         print(f"{count:6d} {path}")
