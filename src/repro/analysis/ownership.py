@@ -219,9 +219,9 @@ class OwnershipAnalysis:
         for any_node in cfg.statement_nodes():
             stmt = any_node.stmt
             kind_name = stmt.__class__.__name__ if stmt is not None else ""
-            if kind_name == "StoreField" and getattr(stmt, "src", None) in closure.in_of(any_node):
+            if kind_name == "StoreField" and stmt.src in closure.in_of(any_node):
                 stored.add(stmt.field)
-            elif kind_name == "LoadField" and getattr(stmt, "dst", None) in closure.out_of(any_node):
+            elif kind_name == "LoadField" and stmt.dst in closure.out_of(any_node):
                 # Member-insensitive marks flag every load once `this`
                 # overlaps; only count the field if its loaded value can
                 # actually flow into the transferred variable.

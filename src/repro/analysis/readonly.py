@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Optional
 
-from ..lang.ir import Call, CreateMachine, LoadField, Program, Send, StoreField
+from ..lang.ir import Call, CreateMachine, External, LoadField, New, Program, Send, StoreField
 from .ownership import OwnershipAnalysis, OwnershipViolation
 from .taint import MethodInfo, TaintEngine
 
@@ -138,8 +138,6 @@ class ReadOnlyAnalysis:
         allocation (``new``/``external``).  Reaching-definitions walk —
         the overlap closure cannot answer this (the store's own effect
         would pollute the query)."""
-        from ..lang.ir import External, New
-
         stack = list(use_node.preds)
         seen = set()
         while stack:
@@ -148,7 +146,7 @@ class ReadOnlyAnalysis:
                 continue
             seen.add(node)
             stmt = node.stmt
-            if stmt is not None and getattr(stmt, "dst", None) == var:
+            if stmt is not None and var in stmt.vars_defined():
                 if isinstance(stmt, (New, External)):
                     continue  # fresh along this path; stop walking it
                 return False

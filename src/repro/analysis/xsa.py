@@ -30,26 +30,19 @@ suppressing anything, preserving soundness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set
 
 from ..lang.cfg import Cfg, Node
 from ..lang.ir import (
-    Assert,
     Assign,
     Call,
-    Const,
-    CreateMachine,
     External,
     If,
     LoadField,
     MethodDecl,
-    New,
-    Nondet,
-    Op,
     Program,
     Return,
-    Send,
     Stmt,
     StoreField,
     VarDecl,
@@ -65,12 +58,6 @@ class Driver:
 
     machine: str
     info: MethodInfo
-
-
-def _rename(rename: Dict[str, str], var: Optional[str]) -> Optional[str]:
-    if var is None:
-        return None
-    return rename.get(var, var)
 
 
 def _clone_stmts(
@@ -89,6 +76,15 @@ def _clone_stmts(
     methods may touch fields, which lifting must see).  ``ret_var`` turns
     ``return v`` into an assignment (used for inlined callees).
     """
+
+    def sub(value):
+        if isinstance(value, list):
+            return [rename.get(var, var) for var in value]
+        return value if value is None else rename.get(value, value)
+
+    def clone(inner: List[Stmt]) -> List[Stmt]:
+        return _clone_stmts(inner, rename, origin, inliner, ret_var)
+
     out: List[Stmt] = []
     for stmt in body:
         loc = f"{origin}@{stmt.loc}" if "@" not in stmt.loc else stmt.loc
@@ -97,40 +93,10 @@ def _clone_stmts(
             if spliced is not None:
                 out.extend(spliced)
                 continue
-        if isinstance(stmt, Assign):
-            out.append(Assign(_rename(rename, stmt.dst), _rename(rename, stmt.src), loc=loc))
-        elif isinstance(stmt, Const):
-            out.append(Const(_rename(rename, stmt.dst), stmt.value, loc=loc))
-        elif isinstance(stmt, Op):
-            out.append(
-                Op(
-                    _rename(rename, stmt.dst),
-                    _rename(rename, stmt.left),
-                    stmt.op,
-                    _rename(rename, stmt.right),
-                    loc=loc,
-                )
-            )
-        elif isinstance(stmt, StoreField):
-            out.append(Assign(f"$fld_{stmt.field}", _rename(rename, stmt.src), loc=loc))
+        if isinstance(stmt, StoreField):
+            out.append(Assign(f"$fld_{stmt.field}", sub(stmt.src), loc=loc))
         elif isinstance(stmt, LoadField):
-            out.append(Assign(_rename(rename, stmt.dst), f"$fld_{stmt.field}", loc=loc))
-        elif isinstance(stmt, New):
-            out.append(New(_rename(rename, stmt.dst), stmt.cls, loc=loc))
-        elif isinstance(stmt, Call):
-            out.append(
-                Call(
-                    _rename(rename, stmt.dst),
-                    _rename(rename, stmt.recv),
-                    stmt.method,
-                    [_rename(rename, a) for a in stmt.args],
-                    loc=loc,
-                )
-            )
-        elif isinstance(stmt, Send):
-            out.append(
-                Send(_rename(rename, stmt.dst), stmt.event, _rename(rename, stmt.arg), loc=loc)
-            )
+            out.append(Assign(sub(stmt.dst), f"$fld_{stmt.field}", loc=loc))
         elif isinstance(stmt, Return):
             # Handlers are void and inlined callees assign their returned
             # value; in both cases the *jump* is modelled by dropping the
@@ -139,39 +105,14 @@ def _clone_stmts(
             # may-analysis); routing the return to the driver's Exit would
             # instead lose the paths into later states — unsound.
             if ret_var is not None and stmt.var is not None:
-                out.append(Assign(ret_var, _rename(rename, stmt.var), loc=loc))
-            continue
-        elif isinstance(stmt, If):
-            out.append(
-                If(
-                    _rename(rename, stmt.cond),
-                    _clone_stmts(stmt.then_body, rename, origin, inliner, ret_var),
-                    _clone_stmts(stmt.else_body, rename, origin, inliner, ret_var),
-                    loc=loc,
-                )
-            )
-        elif isinstance(stmt, While):
-            out.append(
-                While(
-                    _rename(rename, stmt.cond),
-                    _clone_stmts(stmt.body, rename, origin, inliner, ret_var),
-                    loc=loc,
-                )
-            )
-        elif isinstance(stmt, Assert):
-            out.append(Assert(_rename(rename, stmt.var), stmt.message, loc=loc))
-        elif isinstance(stmt, Nondet):
-            out.append(Nondet(_rename(rename, stmt.dst), loc=loc))
-        elif isinstance(stmt, CreateMachine):
-            out.append(
-                CreateMachine(
-                    _rename(rename, stmt.dst), stmt.machine, _rename(rename, stmt.arg), loc=loc
-                )
-            )
-        elif isinstance(stmt, External):
-            out.append(External(_rename(rename, stmt.dst), loc=loc))
-        else:  # pragma: no cover
-            raise TypeError(f"cannot clone {stmt!r}")
+                out.append(Assign(ret_var, sub(stmt.var), loc=loc))
+        else:
+            changes = {name: sub(getattr(stmt, name)) for name in stmt.DEFS + stmt.USES}
+            if isinstance(stmt, If):
+                changes.update(then_body=clone(stmt.then_body), else_body=clone(stmt.else_body))
+            elif isinstance(stmt, While):
+                changes.update(body=clone(stmt.body))
+            out.append(replace(stmt, loc=loc, **changes))
     return out
 
 
@@ -207,18 +148,25 @@ def build_driver(program: Program, machine_name: str) -> Optional[Driver]:
     cfg.entry = cfg._node(label="Entry")
     cfg.exit = cfg._node(label="Exit")
 
-    def instantiate(handler_method: MethodDecl, prefix: str) -> tuple:
-        """Rename map + payload assignment for one inlined handler copy."""
+    def fresh_names(callee: MethodDecl, prefix: str) -> Dict[str, str]:
+        """Rename map of one inlined copy of ``callee``: each parameter
+        and local becomes a driver local of its own."""
         rename: Dict[str, str] = {}
-        for var in list(handler_method.params) + list(handler_method.locals):
-            fresh = f"{prefix}{var.name}"
-            rename[var.name] = fresh
-            locals_.append(VarDecl(fresh, var.type))
+        for var in callee.params + callee.locals:
+            rename[var.name] = f"{prefix}{var.name}"
+            locals_.append(VarDecl(rename[var.name], var.type))
+        return rename
+
+    def instantiate(handler_method: MethodDecl, prefix: str) -> List[Stmt]:
+        """One inlined handler copy: a fresh payload, then the body."""
+        rename = fresh_names(handler_method, prefix)
         prologue: List[Stmt] = [
             External(rename[p.name], loc=f"{handler_method.name}@payload")
             for p in handler_method.params
         ]
-        return rename, prologue
+        return prologue + _clone_stmts(
+            handler_method.body, rename, handler_method.name, inline_call
+        )
 
     inline_stack: List[str] = []
 
@@ -235,12 +183,7 @@ def build_driver(program: Program, machine_name: str) -> Optional[Driver]:
             bail["flag"] = True  # recursion through fields: give up lifting
             return []
         inline_counter["n"] += 1
-        prefix = f"inl{inline_counter['n']}_"
-        rename: Dict[str, str] = {}
-        for var in list(callee.params) + list(callee.locals):
-            fresh = f"{prefix}{var.name}"
-            rename[var.name] = fresh
-            locals_.append(VarDecl(fresh, var.type))
+        rename = fresh_names(callee, f"inl{inline_counter['n']}_")
         spliced: List[Stmt] = []
         for index, param in enumerate(callee.params):
             if index < len(call.args):
@@ -257,9 +200,7 @@ def build_driver(program: Program, machine_name: str) -> Optional[Driver]:
         return spliced
 
     # Initial state body.
-    rename, prologue = instantiate(init, "i0_")
-    init_body = prologue + _clone_stmts(init.body, rename, init.name, inline_call)
-    tails = cfg._build(init_body, [cfg.entry])
+    tails = cfg._build(instantiate(init, "i0_"), [cfg.entry])
 
     dispatch: Dict[str, Node] = {}
     for state in machine.states():
@@ -278,11 +219,7 @@ def build_driver(program: Program, machine_name: str) -> Optional[Driver]:
         handler_method = cls.methods.get(handler.method)
         if handler_method is None:
             continue
-        prefix = f"{handler.state}_{handler.event}_"
-        rename, prologue = instantiate(handler_method, prefix)
-        body = prologue + _clone_stmts(
-            handler_method.body, rename, handler_method.name, inline_call
-        )
+        body = instantiate(handler_method, f"{handler.state}_{handler.event}_")
         handler_tails = cfg._build(body, [dispatch[handler.state]])
         target = dispatch.get(handler.next_state)
         if target is None:  # pragma: no cover - states() covers all targets

@@ -42,18 +42,41 @@ class VarDecl:
 
 
 class Stmt:
-    """Base class of all statements; ``loc`` is a human-readable source tag."""
+    """Base class of all statements; ``loc`` is a human-readable source tag.
+
+    ``DEFS`` and ``USES`` name the fields that hold the variables the
+    statement writes and reads — the one declaration of them every reader
+    (the ownership checks, xSA's renaming clone, the read-only walk) goes
+    through.  A field may hold one variable, ``None`` or a list of them;
+    ``"this"`` stands for the receiver, which a field load reads and a
+    field store writes into."""
 
     loc: str = ""
+    DEFS: Tuple[str, ...] = ()
+    USES: Tuple[str, ...] = ()
+
+    def _named(self, fields: Tuple[str, ...]) -> List[str]:
+        named: List[str] = []
+        for name in fields:
+            value = "this" if name == "this" else getattr(self, name)
+            if isinstance(value, list):
+                named.extend(value)
+            elif value is not None:
+                named.append(value)
+        return named
+
+    def vars_defined(self) -> List[str]:
+        """Variables this statement writes."""
+        return self._named(self.DEFS)
 
     def vars_used(self) -> List[str]:
         """Variables whose *values* this statement reads."""
-        return []
+        return self._named(self.USES)
 
     def vars_occurring(self) -> List[str]:
         """All variables syntactically occurring in the statement
         (the paper's ``vars(N)``)."""
-        return self.vars_used()
+        return self._named(self.DEFS + self.USES)
 
 
 @dataclass
@@ -63,12 +86,8 @@ class Assign(Stmt):
     dst: str
     src: str
     loc: str = ""
-
-    def vars_used(self):
-        return [self.src]
-
-    def vars_occurring(self):
-        return [self.dst, self.src]
+    DEFS = ("dst",)
+    USES = ("src",)
 
     def __str__(self):
         return f"{self.dst} := {self.src}"
@@ -81,9 +100,7 @@ class Const(Stmt):
     dst: str
     value: object
     loc: str = ""
-
-    def vars_occurring(self):
-        return [self.dst]
+    DEFS = ("dst",)
 
     def __str__(self):
         return f"{self.dst} := {self.value!r}"
@@ -98,12 +115,8 @@ class Op(Stmt):
     op: str
     right: str
     loc: str = ""
-
-    def vars_used(self):
-        return [self.left, self.right]
-
-    def vars_occurring(self):
-        return [self.dst, self.left, self.right]
+    DEFS = ("dst",)
+    USES = ("left", "right")
 
     def __str__(self):
         return f"{self.dst} := {self.left} {self.op} {self.right}"
@@ -116,12 +129,8 @@ class StoreField(Stmt):
     field: str
     src: str
     loc: str = ""
-
-    def vars_used(self):
-        return [self.src]
-
-    def vars_occurring(self):
-        return ["this", self.src]
+    DEFS = ("this",)
+    USES = ("src",)
 
     def __str__(self):
         return f"this.{self.field} := {self.src}"
@@ -134,12 +143,8 @@ class LoadField(Stmt):
     dst: str
     field: str
     loc: str = ""
-
-    def vars_used(self):
-        return ["this"]
-
-    def vars_occurring(self):
-        return [self.dst, "this"]
+    DEFS = ("dst",)
+    USES = ("this",)
 
     def __str__(self):
         return f"{self.dst} := this.{self.field}"
@@ -152,9 +157,7 @@ class New(Stmt):
     dst: str
     cls: str
     loc: str = ""
-
-    def vars_occurring(self):
-        return [self.dst]
+    DEFS = ("dst",)
 
     def __str__(self):
         return f"{self.dst} := new {self.cls}"
@@ -169,15 +172,8 @@ class Call(Stmt):
     method: str
     args: List[str] = field(default_factory=list)
     loc: str = ""
-
-    def vars_used(self):
-        return [self.recv, *self.args]
-
-    def vars_occurring(self):
-        occurring = [self.recv, *self.args]
-        if self.dst is not None:
-            occurring.append(self.dst)
-        return occurring
+    DEFS = ("dst",)
+    USES = ("recv", "args")
 
     def __str__(self):
         prefix = f"{self.dst} := " if self.dst else ""
@@ -192,9 +188,7 @@ class Send(Stmt):
     event: str
     arg: Optional[str] = None
     loc: str = ""
-
-    def vars_used(self):
-        return [self.dst] + ([self.arg] if self.arg is not None else [])
+    USES = ("dst", "arg")
 
     def __str__(self):
         arg = self.arg if self.arg is not None else ""
@@ -207,9 +201,7 @@ class Return(Stmt):
 
     var: Optional[str] = None
     loc: str = ""
-
-    def vars_used(self):
-        return [self.var] if self.var is not None else []
+    USES = ("var",)
 
     def __str__(self):
         return f"return {self.var or ''}"
@@ -221,9 +213,7 @@ class If(Stmt):
     then_body: List[Stmt] = field(default_factory=list)
     else_body: List[Stmt] = field(default_factory=list)
     loc: str = ""
-
-    def vars_used(self):
-        return [self.cond]
+    USES = ("cond",)
 
     def __str__(self):
         return f"if ({self.cond}) ..."
@@ -234,9 +224,7 @@ class While(Stmt):
     cond: str
     body: List[Stmt] = field(default_factory=list)
     loc: str = ""
-
-    def vars_used(self):
-        return [self.cond]
+    USES = ("cond",)
 
     def __str__(self):
         return f"while ({self.cond}) ..."
@@ -249,9 +237,7 @@ class Assert(Stmt):
     var: str
     message: str = "assertion failed"
     loc: str = ""
-
-    def vars_used(self):
-        return [self.var]
+    USES = ("var",)
 
     def __str__(self):
         return f"assert {self.var}"
@@ -263,9 +249,7 @@ class Nondet(Stmt):
 
     dst: str
     loc: str = ""
-
-    def vars_occurring(self):
-        return [self.dst]
+    DEFS = ("dst",)
 
     def __str__(self):
         return f"{self.dst} := nondet"
@@ -279,13 +263,8 @@ class CreateMachine(Stmt):
     machine: str
     arg: Optional[str] = None
     loc: str = ""
-
-    def vars_used(self):
-        return [self.arg] if self.arg is not None else []
-
-    def vars_occurring(self):
-        used = self.vars_used()
-        return [self.dst, *used]
+    DEFS = ("dst",)
+    USES = ("arg",)
 
     def __str__(self):
         return f"{self.dst} := create {self.machine}({self.arg or ''})"
@@ -302,9 +281,7 @@ class External(Stmt):
 
     dst: str
     loc: str = ""
-
-    def vars_occurring(self):
-        return [self.dst]
+    DEFS = ("dst",)
 
     def __str__(self):
         return f"{self.dst} := external"

@@ -946,8 +946,10 @@ def run_fleet(
                 pending.append(shard)
                 emit("fleet_shard_requeued", shard=shard, attempt=count + 1)
         if peer.proc is not None:
-            if peer.proc.is_alive():
-                peer.proc.terminate()  # joined with the rest on the way out
+            # A worker that said goodbye is on its way out: _reap collects
+            # it with the rest, and only a lost one is terminated here.
+            if not clean and peer.proc.is_alive():
+                peer.proc.terminate()
             slot = peer.slot if peer.slot is not None else -1
             if (
                 not clean

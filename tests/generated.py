@@ -78,6 +78,7 @@ def chain(n):
 #   stmt      ::= ("send", "self" | "peer", event index, value)
 #               | ("store", field index, value) | ("append",)
 #               | ("nondet", body) | ("assert",)    assert under nondet only
+#               | ("loop", body)                    at the top only
 #               | ("halt",)                         last, at the top only
 #   value     ::= "int" | "list" | "id" | "payload"
 #   faults    ::= None | (drop, duplicate, delay, crash)
@@ -90,7 +91,9 @@ def chain(n):
 # entry; ``goto`` never targets state 0).  A "peer" send goes to
 # ``self.peers[-1]``.  Every body starts with ``buf = [0]``: a "list"
 # value is ``buf`` and ``("append",)`` is ``buf.append(1)``, so a list
-# sent and then appended to is a write after send.  The monitor
+# sent and then appended to is a write after send.  A loop runs its body
+# twice, as ``while n < 2:`` with the counter stepped by ``n += 1``, so
+# the frontend lowers a ``While`` and an augmented assignment.  The monitor
 # (``programs()`` always draws one, on an event the program sends if it
 # sends any; ``None`` leaves it out) is a safety specification ``Spec``:
 # it observes every send of its event and asserts that it has seen at
@@ -101,11 +104,15 @@ VALUES = ("int", "list", "id", "payload")
 RENDER = {"int": "1", "list": "buf", "id": "self.id", "payload": "self.payload"}
 
 
-def _body(draw, depth=0):
+#: The compound statements a body may hold, by the statement enclosing it.
+NESTED = {None: ("nondet", "loop"), "nondet": ("assert",), "loop": ()}
+
+
+def _body(draw, block=None):
+    """A body inside the compound statement ``block`` (None: at the top)."""
     stmts = []
-    for _ in range(draw(st.integers(0 if depth == 0 else 1, 3))):
-        kinds = ["send", "store", "append", "nondet" if depth == 0 else "assert"]
-        kind = draw(st.sampled_from(kinds))
+    for _ in range(draw(st.integers(0 if block is None else 1, 3))):
+        kind = draw(st.sampled_from(["send", "store", "append", *NESTED[block]]))
         if kind == "send":
             stmts.append((
                 "send",
@@ -115,11 +122,11 @@ def _body(draw, depth=0):
             ))
         elif kind == "store":
             stmts.append(("store", draw(st.integers(0, 1)), draw(st.sampled_from(VALUES))))
-        elif kind == "nondet":
-            stmts.append(("nondet", _body(draw, depth + 1)))
+        elif kind in ("nondet", "loop"):
+            stmts.append((kind, _body(draw, kind)))
         else:
             stmts.append((kind,))
-    if depth == 0 and draw(st.integers(0, 3)) == 3:  # a quarter of bodies halt
+    if block is None and draw(st.integers(0, 3)) == 3:  # a quarter of bodies halt
         stmts.append(("halt",))
     return tuple(stmts)
 
@@ -181,6 +188,11 @@ def _render(stmt, indent):
         for inner in stmt[1]:
             lines += _render(inner, indent + 4)
         return lines
+    if kind == "loop":
+        lines = [f"{pad}n = 0", f"{pad}while n < 2:"]
+        for inner in stmt[1]:
+            lines += _render(inner, indent + 4)
+        return lines + [f"{pad}    n += 1"]
     if kind == "assert":
         return [f'{pad}self.assert_that(False, "reached")']
     assert kind == "halt", stmt

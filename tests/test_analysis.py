@@ -18,7 +18,9 @@ from repro.analysis import (
     build_driver,
 )
 from repro.analysis.frontend import analyze_machines
+from repro.analysis.readonly import ReadOnlyAnalysis
 from repro.lang import parse_program
+from repro.lang.ir import StoreField
 
 from .lang_programs import ELEM_CLASS, LIST_MANAGER, LIST_MANAGER_FIXED
 
@@ -394,6 +396,33 @@ class TestReadOnlyExtension:
         program = parse_program(mutating)
         with_ro = analyze_program(program, xsa=True, readonly=True)
         assert not with_ro.verified
+
+    SEND_TO_A_FRESH_BOX = """
+    class box { int v; }
+    machine keeper {
+        box keep;
+        void init() {
+            box x;
+            x := new box;
+            send x ePing();
+            this.keep := x;
+        }
+        transitions { init: ePing -> init; }
+    }
+    """
+
+    def test_a_send_reads_its_target_and_defines_nothing(self):
+        # The walk asks which statements define `x`: `send x ...` names
+        # `x` in a field called `dst`, but only reads it, so the stored
+        # value is still the fresh allocation.
+        program = parse_program(self.SEND_TO_A_FRESH_BOX)
+        ownership = OwnershipAnalysis(program)
+        info = _info(ownership.taint, "keeper", "init")
+        store = next(n for n in info.cfg.statement_nodes() if isinstance(n.stmt, StoreField))
+        walk = ReadOnlyAnalysis(program, ownership)
+        assert walk._definitely_fresh(info, store, "x")
+        # `this` is never fresh: a field store writes it, and so does Entry.
+        assert not walk._definitely_fresh(info, store, "this")
 
 
 # ---------------------------------------------------------------------------

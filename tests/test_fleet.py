@@ -47,6 +47,7 @@ from repro.testing.fleet import (
     run_fleet,
     worker_loop,
 )
+from repro.testing.strategies import PctStrategy
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -645,6 +646,47 @@ class TestGuidedBatches:
             if shard not in started:
                 assert sub.iterations == 0
         assert events_of(events_path, "fleet_worker_lost", "fleet_shard_requeued") == []
+        assert [e["exitcode"] for e in events_of(events_path, "fleet_worker_exit")] == [0, 0]
+
+    def test_a_worker_that_says_goodbye_is_reaped_not_terminated(
+        self, tmp_path, monkeypatch
+    ):
+        # The first-bug cancel shuts the idle winner down while the other
+        # worker is still busy (here its pct shard starts 1.5 s late).  A
+        # worker sends its goodbye just before os._exit, so it can still
+        # be alive when the coordinator reads it; here every worker
+        # lingers half a second there.  Such a worker leaves on its own
+        # and exits with 0.  Both stand-ins are inherited by the forked
+        # workers.
+        class SlowExit:
+            def __getattr__(self, name):
+                return getattr(os, name)
+
+            @staticmethod
+            def _exit(code):
+                time.sleep(0.5)
+                os._exit(code)
+
+        run_campaign = fleet.run_campaign
+
+        def late_pct(config, strategy, **kwargs):
+            if isinstance(strategy, PctStrategy):
+                time.sleep(1.5)
+            return run_campaign(config, strategy, **kwargs)
+
+        monkeypatch.setattr(fleet, "os", SlowExit())
+        monkeypatch.setattr(fleet, "run_campaign", late_pct)
+        events_path = tmp_path / "fleet.events.jsonl"
+        config = fleet_config(
+            specs=(
+                StrategySpec("random", {"seed": 0}),
+                StrategySpec("pct", {"depth": 10, "seed": 1}),
+            ),
+            stop_on_first_bug=True, max_iterations=200, events_path=str(events_path),
+        )
+        report = run_fleet(config, local_workers=2)
+        assert report.first_bug is not None
+        assert events_of(events_path, "fleet_worker_lost") == []
         assert [e["exitcode"] for e in events_of(events_path, "fleet_worker_exit")] == [0, 0]
 
 

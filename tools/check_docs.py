@@ -286,6 +286,12 @@ _REDUCTION_PREFIX_AND_CLAUSES = (
 )
 #: Removed from every file under a directory.
 REMOVED_UNDER = {
+    "src/repro/analysis/": (
+        (
+            re.compile(r"""getattr\(stmt, ["']dst["']"""),
+            "stmt.vars_defined(): a statement's DEFS name what it writes",
+        ),
+    ),
     "src/repro/testing/": (
         (
             re.compile(
@@ -349,6 +355,10 @@ REMOVED_FROM_FILE = {
         (
             re.compile(r"\.register\("),
             "nothing: a driver is queried by its MethodInfo, never added to the engine",
+        ),
+        (
+            re.compile(r"\bdef _rename\("),
+            "_clone_stmts renames the fields a statement's DEFS / USES declare",
         ),
     ),
     "src/repro/testing/fleet.py": (
