@@ -55,6 +55,10 @@ from ..core.machine import Machine
 from ..core.source import function_def
 from ..errors import PSharpError
 from ..lang.ir import (
+    FALSE_LITERAL,
+    NULL_LITERAL,
+    SCALAR_LITERAL,
+    TRUE_LITERAL,
     Assert,
     Assign,
     Call,
@@ -594,19 +598,19 @@ class _Lowerer:
 
         if isinstance(node, ast.Constant):
             if node.value is None:
-                return "null", "none", []
+                return NULL_LITERAL, "none", []
             if isinstance(node.value, bool):
-                return ("true" if node.value else "false"), "bool", []
+                return (TRUE_LITERAL if node.value else FALSE_LITERAL), "bool", []
             if isinstance(node.value, (int, float)):
-                return "0", "int", []
-            return "0", "str", []
+                return SCALAR_LITERAL, "int", []
+            return SCALAR_LITERAL, "str", []
 
         if isinstance(node, ast.Name):
             if node.id in self.env:
                 return node.id, self.env[node.id], []
             value = self._global(node.id)
             if isinstance(value, (int, float, str, bool)) or value is None:
-                return "0", "int", []
+                return SCALAR_LITERAL, "int", []
             raise self.fail(node, f"unknown name {node.id!r}")
 
         if isinstance(node, ast.Attribute):
@@ -616,7 +620,7 @@ class _Lowerer:
                         raise self.fail(node, "self.payload outside a handler")
                     return "$payload", self.env["$payload"], []
                 if node.attr == "id":
-                    return "0", "machine", []
+                    return SCALAR_LITERAL, "machine", []
                 field_ft = self.frontend.lookup(("field", self.owner, node.attr), "none")
                 tmp = self.temp(field_ft)
                 self.field_alias[tmp] = node.attr
@@ -693,7 +697,7 @@ class _Lowerer:
             stmts = []
             pairs: List[Tuple[str, str]] = []
             for key, value in zip(node.keys, node.values):
-                key_parts = self.expr(key) if key is not None else ("0", "int", [])
+                key_parts = self.expr(key) if key is not None else (SCALAR_LITERAL, "int", [])
                 val_operand, vt, val_stmts = self.expr(value)
                 stmts.extend(key_parts[2])
                 stmts.extend(val_stmts)
@@ -737,7 +741,7 @@ class _Lowerer:
                 if isinstance(value, ast.FormattedValue):
                     _o, _t, extra = self.expr(value.value)
                     stmts.extend(extra)
-            return "0", "str", stmts
+            return SCALAR_LITERAL, "str", stmts
 
         if isinstance(node, ast.Starred):
             return self.expr(node.value)
@@ -761,13 +765,13 @@ class _Lowerer:
                     if operand in self.env:
                         stmts.append(Call(None, tmp, "extend", [operand], loc=loc))
                 return tmp, ft, stmts
-            return "0", "int", stmts
+            return SCALAR_LITERAL, "int", stmts
         stmts = []
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.expr):
                 _o, _t, extra = self.expr(child)
                 stmts.extend(extra)
-        return "0", "int", stmts
+        return SCALAR_LITERAL, "int", stmts
 
     def _comprehension(self, node: ast.expr) -> Tuple[str, Optional[FType], List[Stmt]]:
         loc = self.loc(node)
@@ -850,7 +854,7 @@ class _Lowerer:
                 stmts = []
                 for arg_node in node.args:
                     stmts, _ = self._expr_into(stmts, arg_node)
-                return "0", "int", stmts
+                return SCALAR_LITERAL, "int", stmts
             if fname in ("min", "max"):
                 stmts = []
                 refs: List[Tuple[str, Optional[FType]]] = []
@@ -864,7 +868,7 @@ class _Lowerer:
                     tmp = self.temp(item_ft)
                     stmts.append(Call(tmp, operand, "$item", [], loc=loc))
                     return tmp, item_ft, stmts
-                return "0", "int", stmts
+                return SCALAR_LITERAL, "int", stmts
             if fname in ("list", "set", "tuple", "dict", "sorted", "reversed", "frozenset"):
                 kind = {"sorted": "list", "reversed": "list", "frozenset": "set"}.get(
                     fname, fname

@@ -31,6 +31,17 @@ def is_scalar(type_name: str) -> bool:
     return type_name in SCALAR_TYPES
 
 
+#: The operands the Python frontend writes where a statement holds a
+#: variable but the source holds a literal: any number, string, constant
+#: name or ``self.id`` (``SCALAR_LITERAL``), the two booleans and ``None``.
+#: They name no variable, so a statement's ``vars_*`` leave them out.
+SCALAR_LITERAL = "0"
+TRUE_LITERAL = "true"
+FALSE_LITERAL = "false"
+NULL_LITERAL = "null"
+LITERALS = frozenset({SCALAR_LITERAL, TRUE_LITERAL, FALSE_LITERAL, NULL_LITERAL})
+
+
 @dataclass(frozen=True)
 class VarDecl:
     name: str
@@ -49,7 +60,8 @@ class Stmt:
     (the ownership checks, xSA's renaming clone, the read-only walk) goes
     through.  A field may hold one variable, ``None`` or a list of them;
     ``"this"`` stands for the receiver, which a field load reads and a
-    field store writes into."""
+    field store writes into.  A literal operand (``LITERALS``) is not a
+    variable, and no reader sees it."""
 
     loc: str = ""
     DEFS: Tuple[str, ...] = ()
@@ -60,8 +72,8 @@ class Stmt:
         for name in fields:
             value = "this" if name == "this" else getattr(self, name)
             if isinstance(value, list):
-                named.extend(value)
-            elif value is not None:
+                named.extend(v for v in value if v not in LITERALS)
+            elif value is not None and value not in LITERALS:
                 named.append(value)
         return named
 

@@ -78,7 +78,8 @@ refusal exists.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from array import array
+from collections import deque
 from _blake2 import blake2b  # what hashlib.blake2b is, without OpenSSL
 from threading import get_ident
 from types import MemberDescriptorType
@@ -455,11 +456,14 @@ class ReductionEngine:
     .attach_reduction`, which refuses it off the DFS family) and hands it
     to the runtime (``BugFindingRuntime(reduction=...)``).
 
-    The step log (``_points``/``_bounds``/``effects``) covers the most
-    recent execution only; the seen-set and the counters span the
-    campaign.  ``diverged`` — whether the cache may be consulted at the
-    current scheduling point — is the DFS strategy's to set; it starts
-    set, as a fresh search has no prefix to replay.
+    The step log covers the most recent execution only: ``effects``, the
+    objects every step touched, with the machine a decision chose at the
+    offset ``_bounds`` keeps for it, and ``_depths``, the DFS frame depth
+    of each decision a frame bound, by decision index.  The seen-set
+    (``_seen``, ``_uses``) and the counters span the campaign.
+    ``diverged`` — whether the cache may be consulted at the current
+    scheduling point — is the DFS strategy's to set; it starts set, as a
+    fresh search has no prefix to replay.
     """
 
     def __init__(
@@ -490,8 +494,12 @@ class ReductionEngine:
         # (reused = parts x fingerprints - computed).
         self.fingerprints = 0
         self.machine_digests = 0
-        # Campaign-level store.
-        self._seen: "OrderedDict[bytes, bool]" = OrderedDict()
+        # Campaign-level store, an exact LRU: every consultation of a
+        # state appends a use of its fingerprint to ``_uses``, and
+        # ``_seen`` counts the uses of each fingerprint still queued
+        # there (see check_state).
+        self._seen: Dict[bytes, int] = {}
+        self._uses: "deque[bytes]" = deque()
         # Past the replayed prefix of a DFS iteration (see the module
         # docstring's divergence gating).
         self.diverged = True
@@ -503,9 +511,10 @@ class ReductionEngine:
         # runtime subtracts them from its consulted count, so that the
         # telemetry keeps counting real branching.
         self.forced = 0
-        self._points: List[Tuple[int, int]] = []  # (chosen value, frame depth)
-        self._bounds: List[int] = []
-        self._pending_depth = -1
+        # Decision i chose effects[_bounds[i]]; its frame depth is
+        # _depths[i] if a DFS frame bound it (see bind_frame).
+        self._bounds = array("i")
+        self._depths: Dict[int, int] = {}
         # Per-execution digest memo (see fingerprint): effects key ->
         # (digest, inbox length when digested), current up to
         # effects[:_digested].
@@ -529,9 +538,8 @@ class ReductionEngine:
         stores and counters persist)."""
         self.effects.clear()
         self.forced = 0
-        self._points.clear()
-        self._bounds.clear()
-        self._pending_depth = -1
+        del self._bounds[:]
+        self._depths.clear()
         self._digests.clear()
         self._digested = 0
 
@@ -542,23 +550,25 @@ class ReductionEngine:
         the deepened DFS re-explores the whole tree, and states cached by
         the shallower pass would otherwise prune it to nothing."""
         self._seen.clear()
+        self._uses.clear()
 
     # -- step log (runtime side) ---------------------------------------
     def bind_frame(self, depth: int) -> None:
         """Called by a DPOR strategy inside ``pick_machine``: associate
-        the decision being made with its stack-frame depth, so the race
-        analysis can insert backtrack points at it."""
-        self._pending_depth = depth
+        the decision being made — the next one :meth:`chose` logs — with
+        its stack-frame depth, so the race analysis can insert backtrack
+        points at it.  A decision no frame bound (forced, or past the
+        depth cap) stores no depth."""
+        self._depths[len(self._bounds)] = depth
 
     def chose(self, value: int) -> None:
         """A scheduling decision was recorded: machine ``value`` starts a
         new step.  The stepping machine itself is always part of the
         step's footprint (its program counter and inbox advance).  What
         was enabled there is the strategy's frame's to know."""
-        depth, self._pending_depth = self._pending_depth, -1
-        self._bounds.append(len(self.effects))
-        self.effects.append(value)
-        self._points.append((value, depth))
+        effects = self.effects
+        self._bounds.append(len(effects))
+        effects.append(value)
 
     # -- DPOR analysis (strategy side) ---------------------------------
     def analyze(self, add_backtrack: Callable[[int, int], None]) -> None:
@@ -572,27 +582,31 @@ class ReductionEngine:
         enabled there, else every machine that was.  Races shadowed by a
         nearer access are found transitively over subsequent iterations,
         the standard last-access argument.  Steps whose decision was
-        forced (``depth == -1``) had no alternative to insert, so they
-        are skipped."""
-        points = self._points
-        if not points:
+        forced (no frame depth stored) had no alternative to insert, so
+        they are skipped."""
+        bounds = self._bounds
+        n = len(bounds)
+        if not n:
             return
         effects = self.effects
-        bounds = self._bounds
-        n = len(points)
-        total = len(effects)
+        depths = self._depths
         last: dict = {}
-        for i in range(n):
-            chosen = points[i][0]
-            start = bounds[i]
-            stop = bounds[i + 1] if i + 1 < n else total
-            for obj in effects[start:stop]:
-                j = last.get(obj)
-                if j is not None:
-                    prev_chosen, prev_depth = points[j]
-                    if prev_chosen != chosen and prev_depth >= 0:
-                        add_backtrack(prev_depth, chosen)
-                last[obj] = i
+        i = -1
+        # What _spawn logged for the main machine precedes decision 0.
+        stop = bounds[0]
+        for k in range(stop, len(effects)):
+            obj = effects[k]
+            if k == stop:
+                # Step i + 1 starts with the machine its decision chose.
+                i += 1
+                chosen = obj
+                stop = bounds[i + 1] if i + 1 < n else -1
+            j = last.get(obj)
+            if j is not None:
+                prev_depth = depths.get(j)
+                if prev_depth is not None and effects[bounds[j]] != chosen:
+                    add_backtrack(prev_depth, chosen)
+            last[obj] = i
 
     def count_skipped(self, count: int) -> None:
         """A DPOR frame was exhausted and popped with ``count`` enabled
@@ -657,12 +671,40 @@ class ReductionEngine:
         scheduling point.  Returns a prune reason code (0: fresh state,
         keep executing)."""
         seen = self._seen
-        if fingerprint in seen:
-            seen.move_to_end(fingerprint)
+        uses = self._uses
+        uses.append(fingerprint)
+        queued = seen.get(fingerprint)
+        if queued is not None:
+            seen[fingerprint] = queued + 1
             self.state_prunes += 1
+            if len(uses) > 2 * len(seen):
+                self._compact_uses()
             return REASON_STATE
-        seen[fingerprint] = True
+        seen[fingerprint] = 1
         if len(seen) > self.state_cache_size:
-            seen.popitem(last=False)
+            # Evict the least recently used state: the leftmost use that
+            # is the last queued use of its fingerprint.  Uses left of it
+            # are stale (their fingerprint was used again since).
+            while True:
+                old = uses.popleft()
+                queued = seen[old] - 1
+                if not queued:
+                    del seen[old]
+                    break
+                seen[old] = queued
         self.distinct_states += 1
         return 0
+
+    def _compact_uses(self) -> None:
+        """Drop every stale use, keeping each fingerprint's last in
+        order, so cache hits cannot grow the queue past twice the
+        seen-set."""
+        seen = self._seen
+        kept: "deque[bytes]" = deque()
+        for fingerprint in self._uses:
+            queued = seen[fingerprint]
+            if queued == 1:
+                kept.append(fingerprint)
+            else:
+                seen[fingerprint] = queued - 1
+        self._uses = kept

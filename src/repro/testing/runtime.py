@@ -673,11 +673,11 @@ class BugFindingRuntime(RuntimeBase):
                 self._count_step()
             else:
                 self._steps = steps
-            if red is not None:
+            if red is not None and red.cache_on and red.diverged:
                 self._reduction_check()
             if self._idle_pending:
                 self._schedulable()
-        elif red is not None:
+        elif red is not None and red.cache_on and red.diverged:
             self._reduction_check()
         enabled = self._enabled
         self._sched_points += 1
@@ -1323,15 +1323,14 @@ class BugFindingRuntime(RuntimeBase):
         return state_fingerprint(*self._fingerprint_inputs())
 
     def _reduction_check(self) -> None:
-        """State-cache consultation, run at every non-terminal scheduling
-        point before the strategy is consulted.  Dark while the engine's
-        ``diverged`` flag is clear: the DFS strategy clears it while an
-        iteration replays the previous schedule's prefix, which must not
-        prune itself.  Past it, a fingerprint already in the cache proves
-        the subtree ahead was fully explored, so the execution is cut."""
+        """State-cache consultation, run at a non-terminal scheduling
+        point before the strategy is consulted.  ``_point`` calls it only
+        while the cache is on and the engine's ``diverged`` flag is set:
+        the DFS strategy clears the flag while an iteration replays the
+        previous schedule's prefix, which must not prune itself.  Past
+        it, a fingerprint already in the cache proves the subtree ahead
+        was fully explored, so the execution is cut."""
         red = self._red
-        if not (red.diverged and red.cache_on):
-            return
         reason = red.check_state(red.fingerprint(*self._fingerprint_inputs()))
         if reason:
             if self._record is not None:

@@ -3,7 +3,9 @@ clone, written out per statement kind.
 
 ``vars_used`` / ``vars_occurring`` are the per-class methods each IR
 statement had before ``Stmt`` read them off its ``DEFS`` / ``USES``
-declarations (``self`` became ``stmt``); ``clone_stmts`` is the
+declarations (``self`` became ``stmt``), less the frontend's literal
+operands (``LITERALS``: ``"0"``, ``"true"``, ``"false"``, ``"null"``),
+which they used to report as variables; ``clone_stmts`` is the
 ``_clone_stmts`` xSA had before it renamed through those declarations,
 one constructor call per statement kind.  ``tests/test_ir_vars.py``
 checks the declared readers against these on the lowered Table 1
@@ -13,6 +15,7 @@ programs, their xSA drivers and generated programs.
 from typing import Dict, List, Optional
 
 from repro.lang.ir import (
+    LITERALS,
     Assert,
     Assign,
     Call,
@@ -34,6 +37,10 @@ from repro.lang.ir import (
 
 def vars_used(stmt: Stmt) -> List[str]:
     """Variables whose *values* ``stmt`` reads."""
+    return [v for v in _operands_used(stmt) if v not in LITERALS]
+
+
+def _operands_used(stmt: Stmt) -> List[str]:
     if isinstance(stmt, Assign):
         return [stmt.src]
     if isinstance(stmt, Op):
@@ -60,6 +67,10 @@ def vars_used(stmt: Stmt) -> List[str]:
 
 def vars_occurring(stmt: Stmt) -> List[str]:
     """All variables syntactically occurring in ``stmt``."""
+    return [v for v in _operands_occurring(stmt) if v not in LITERALS]
+
+
+def _operands_occurring(stmt: Stmt) -> List[str]:
     if isinstance(stmt, Assign):
         return [stmt.dst, stmt.src]
     if isinstance(stmt, (Const, New, Nondet, External)):

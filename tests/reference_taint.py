@@ -18,6 +18,7 @@ from typing import Dict, FrozenSet, Set, Tuple
 from repro.analysis.taint import RET, FactMap, MethodInfo, TaintEngine
 from repro.lang.cfg import Node
 from repro.lang.ir import (
+    LITERALS,
     Assert,
     Assign,
     Call,
@@ -138,7 +139,10 @@ def rows(engine: TaintEngine, info: MethodInfo, node: Node):
     stmt = node.stmt
     if stmt is None or isinstance(stmt, IDENTITY):
         return None, None
-    named = set(stmt.vars_occurring())
+    # A literal operand (``ir.LITERALS``) is no variable, but the built
+    # rows map it like one (``n := 0`` flows "0" into ``n``): probe those
+    # too; on a statement that does not hold one the probe is the identity.
+    named = set(stmt.vars_occurring()) | LITERALS
     if isinstance(stmt, Return):
         named.add(RET)
     forward: Dict[str, Tuple[str, ...]] = {}

@@ -12,7 +12,9 @@ parser does):
 
 - (a) the declared variable sets equal the reference ones, per statement;
 - (b) ``build_driver`` yields the same statements (dataclass ``==``) and
-  the same driver locals as a build through the reference clone.
+  the same driver locals as a build through the reference clone;
+- (c) a literal operand the frontend writes (``ir.LITERALS``) is never
+  reported as a variable.
 """
 
 import pytest
@@ -21,7 +23,7 @@ from hypothesis import given
 from repro.analysis import build_driver
 from repro.analysis.frontend import PythonFrontend
 from repro.lang import parse_program
-from repro.lang.ir import Op, While, flatten
+from repro.lang.ir import LITERALS, Assign, Op, While, flatten
 
 from . import lang_programs
 from . import reference_ir as reference
@@ -105,3 +107,21 @@ def test_the_corpus_reaches_while_loops():
     assert any(isinstance(stmt, While) for stmt in statements(lowered))
     driver = build_driver(lowered, "M0")
     assert any(isinstance(stmt, While) for stmt in flatten(driver_statements(driver)))
+
+
+def test_the_corpus_loop_reports_no_literal_as_a_variable():
+    # `n = 0; while n < 2: ... n += 1` lowers `n = 0`, the condition and
+    # `n += 1` to assignments from the scalar literal "0".
+    loop = ("loop", (("send", "self", 0, "int"),))
+    program = (((None, (((loop,), (("ignore",),) * 3),)),), None, None)
+    machines, _faults, _monitors = build(program)
+    lowered = PythonFrontend(machines, name="generated").build()
+    body = list(flatten(lowered.method("M0", "M0_0_entry").body))
+    from_literal = [s for s in body if isinstance(s, Assign) and s.src in LITERALS]
+    assert {s.dst for s in from_literal} >= {"n"}
+    for stmt in from_literal:
+        assert stmt.vars_used() == []
+        assert stmt.vars_occurring() == [stmt.dst]
+    driver = build_driver(lowered, "M0")
+    for stmt in [*body, *flatten(driver_statements(driver))]:
+        assert not LITERALS & {*stmt.vars_used(), *stmt.vars_occurring()}, stmt

@@ -49,7 +49,9 @@ _spec.loader.exec_module(step_census)
 #: under ``dpor+state-cache``, and DFS over crash-fault choice points
 #: (5.71, 26.46, 27.19 and 7.47 when they were added; the two reduced
 #: rows read 25.13 and 25.17 once the DFS stack, not a trace comparison,
-#: gated the state cache and the clause store was gone).  The bare random
+#: gated the state cache and the clause store was gone, and 24.85 and
+#: 24.92 once ``_point`` stopped calling the cache check while the cache
+#: is dark).  The bare random
 #: campaigns under the default 300 s time limit share ``random``'s budget:
 #: a polled deadline costs a frame at the polling steps only (the row
 #: read 7.47 when every step called the step counter).

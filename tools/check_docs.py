@@ -268,8 +268,9 @@ REMOVED_FROM_SRC = (
 #: Removed from one file only: a second copy of a scheduling-point piece
 #: announces itself with this phrase, a record's second JSON form or
 #: digest with these names, the reduction's trace-compared prefix and
-#: learned-clause store with theirs, and CHESS's field hook and private
-#: race detector with theirs.
+#: learned-clause store with theirs (and its Python-object step log and
+#: seen-set with theirs), and CHESS's field hook and private race
+#: detector with theirs.
 _SECOND_JSON_FORM = (
     (re.compile(r"\bto_json\b"), "Record.encode: the report document"),
     (re.compile(r"fingerprint"), "record == (Record.__eq__)"),
@@ -318,7 +319,13 @@ REMOVED_FROM_FILE = {
             "the one _send_effect / _decide / _choose / _machine_body",
         ),
     ) + _REDUCTION_PREFIX_AND_CLAUSES,
-    "src/repro/testing/reduction.py": _REDUCTION_PREFIX_AND_CLAUSES,
+    "src/repro/testing/reduction.py": _REDUCTION_PREFIX_AND_CLAUSES + (
+        (
+            re.compile(r"\b_points\b|\bOrderedDict\b"),
+            "the step log's array of effect offsets (_bounds) and frame depths "
+            "(_depths); the seen-set's dict of queued uses beside a deque (_uses)",
+        ),
+    ),
     "src/repro/testing/trace.py": _REDUCTION_PREFIX_AND_CLAUSES,
     "src/repro/testing/coverage.py": _SECOND_JSON_FORM,
     "src/repro/testing/telemetry.py": _SECOND_JSON_FORM + (
